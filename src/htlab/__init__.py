@@ -10,14 +10,9 @@ from .base import (
     BaseConfig,
     Cutoffs,
     KElem,
-    OkElem,
     WittElem,
     frobenius,
     make_base_config,
-    ok_arith,
-    ok_invert,
-    ok_valuation,
-    teich_factor,
     teichmuller,
 )
 from .chart import ChartElem, ChartRing
@@ -72,7 +67,6 @@ __all__ = [
     "HiggsData",
     "KElem",
     "Mat",
-    "OkElem",
     "PdRing",
     "Stratification",
     "WittElem",
@@ -99,16 +93,12 @@ __all__ = [
     "load_higgs",
     "log_from_smooth",
     "make_base_config",
-    "ok_arith",
-    "ok_invert",
-    "ok_valuation",
     "sample_group",
     "sample_higgs",
     "sen_operator",
     "sigma_t",
     "snf_dvr",
     "stratification_from_higgs",
-    "teich_factor",
     "teichmuller",
     "teichmuller_factorize",
     "validate_higgs",

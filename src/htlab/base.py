@@ -9,10 +9,15 @@ Everything downstream works over one of
 at a declared absolute p-adic precision.  Elements carry their attained
 precision with them; operations never report more digits than they actually
 know.  Valuations are measured in pi-units, so v(pi) = 1 and v(p) = e.
+
+A K element (KElem) is p^{-shift} times a numerator in O_K/p^prec, stored as
+its coordinates on the Z/p^prec-basis pi^i g^j: plain ints, multiplied by
+straight-line code compiled from the structure constants of BaseConfig.
+WittRing and WittElem serve the delta-ring side (Frobenius, Teichmuller).
 """
 
-import math
 from dataclasses import dataclass
+from math import gcd
 
 from .errors import (
     NotAUnit,
@@ -320,6 +325,10 @@ class BaseConfig:
     E(u) = u^e + E_coeffs[e-1] u^(e-1) + ... + E_coeffs[0].  Eisenstein means
     every listed coefficient is divisible by p and the constant one is not
     divisible by p^2.
+
+    O_K/p^k is a free Z/p^k-module of rank n = e*f on the basis pi^i g^j,
+    numbered i*f + j.  Its multiplication is one table of integer structure
+    constants, which folds in both pi^e = -p B and the modulus of g.
     """
 
     def __init__(self, p, E_coeffs, f=1, N=8, cutoffs=None):
@@ -342,109 +351,144 @@ class BaseConfig:
         self.e = e
         self.E_coeffs = E_coeffs
         self.f = f
+        self.n = e * f
         self.N = N
         self.cutoffs = cutoffs or Cutoffs()
         self.cutoffs.validate()
         self.w = WittRing(p, f, N)
+        self.zero_u = 0 if self.n == 1 else (0,) * self.n
+        self.mulu, self.linu = _kernels(self.n, self._structure_constants())
+        self._zero = KElem(self, self.zero_u, 0, N)
         # pi^e = -p * B with B = sum (E_coeffs[i]/p) pi^i; B is a unit.
         self.B_int_coeffs = tuple(c // p for c in E_coeffs)
-        self.pi = self.ok_monomial(1) if e > 1 else self.ok_from_int(-E_coeffs[0])
-        self.Ep = self._derivative_at_pi()
+        self.pi = self.k_from_coeffs([0, 1]) if e > 1 else self.k_from_int(-E_coeffs[0])
+        # E'(pi) = e pi^(e-1) + sum_{i>=1} i E_coeffs[i] pi^(i-1); degree < e
+        self.Ep = self.k_from_coeffs([i * E_coeffs[i] for i in range(1, e)] + [e])
         self.beta = self.pi * self.Ep
         self._pi_inv = None
         self._beta_inv = None
-        self._neg_b_inv = None
+        self._neg_b_inv_pows = None
+
+    def _structure_constants(self):
+        """rows[a] lists (b, c, t): basis a times basis b has coordinate t at c."""
+
+        def powers(low, top):
+            # x^0 .. x^top reduced modulo the monic x^d + sum low[j] x^j, over Z
+            d = len(low)
+            vec = [1] + [0] * (d - 1)
+            out = [vec]
+            for _ in range(top):
+                c = vec[-1]
+                vec = [0] + vec[:-1]
+                vec = [v - c * l for v, l in zip(vec, low)]
+                out.append(vec)
+            return out
+
+        e, f = self.e, self.f
+        pi_pow = powers(self.E_coeffs, 2 * e - 2)
+        g_pow = powers(self.w.modpoly or (0,), 2 * f - 2)
+        rows = []
+        for i in range(e):
+            for j in range(f):
+                row = []
+                for i2 in range(e):
+                    for j2 in range(f):
+                        for m, a in enumerate(pi_pow[i + i2]):
+                            for l, b in enumerate(g_pow[j + j2]):
+                                if a * b:
+                                    row.append((i2 * f + j2, m * f + l, a * b))
+                rows.append(row)
+        return rows
+
+    def unit_inv(self, u, prec):
+        """Inverse of a unit numerator mod p^prec: Newton from the residue field."""
+        p, f = self.p, self.f
+        if not any(c % p for c in ((u,) if self.n == 1 else u[:f])):
+            raise NotAUnit("O_K inversion requires valuation 0")
+        M = p**prec
+        if self.n == 1:
+            return pow(u, -1, M)
+        # u^(q-1) = 1 in the residue field F_q, so u^(q-2) inverts u mod pi
+        z, a, k = (1,) + self.zero_u[1:], u, p**f - 2
+        while k:
+            if k & 1:
+                z = self.mulu(z, a, p)
+            a = self.mulu(a, a, p)
+            k >>= 1
+        # each Newton step doubles the pi-adic agreement, which starts at 1
+        two = (2,) + self.zero_u[1:]
+        reach = 1
+        while reach < self.e * prec:
+            z = self.mulu(z, self.linu(two, self.mulu(u, z, M), 1, -1, M), M)
+            reach *= 2
+        return z
 
     # -- constructors -------------------------------------------------------
 
-    def ok_zero(self, prec=None):
-        prec = self.N if prec is None else prec
-        return OkElem(self, (self.w.zero(),) * self.e, prec)
-
-    def ok_one(self, prec=None):
-        prec = self.N if prec is None else prec
-        z = [self.w.zero()] * self.e
-        z[0] = self.w.from_int(1, self.p**prec)
-        return OkElem(self, tuple(z), prec)
-
-    def ok_from_int(self, n, prec=None):
-        prec = self.N if prec is None else prec
-        z = [self.w.zero()] * self.e
-        z[0] = self.w.from_int(n, self.p**prec)
-        return OkElem(self, tuple(z), prec)
-
-    def ok_from_coeffs(self, coeffs, prec=None):
-        """coeffs: ints (or W elements) for 1, pi, .., pi^(e-1)."""
-        prec = self.N if prec is None else prec
-        M = self.p**prec
-        out = []
-        for c in coeffs:
-            if isinstance(c, int):
-                out.append(self.w.from_int(c, M))
-            else:
-                out.append(self.w.red(c, M))
-        while len(out) < self.e:
-            out.append(self.w.zero())
-        if len(out) > self.e:
-            raise ValueError("too many coefficients")
-        return OkElem(self, tuple(out), prec)
-
-    def ok_monomial(self, i, prec=None):
-        prec = self.N if prec is None else prec
-        z = [self.w.zero()] * self.e
-        z[i] = self.w.from_int(1, self.p**prec)
-        return OkElem(self, tuple(z), prec)
-
     def k_zero(self, prec=None):
-        return KElem(self.ok_zero(prec), 0)
+        if prec is None:
+            return self._zero  # scalars are immutable, so one shared zero serves
+        return KElem(self, self.zero_u, 0, prec)
 
     def k_one(self, prec=None):
-        return KElem(self.ok_one(prec), 0)
+        return self.k_from_int(1, prec)
 
     def k_from_int(self, n, prec=None):
-        return KElem(self.ok_from_int(n, prec), 0)
+        prec = self.N if prec is None else prec
+        n %= self.p**prec if prec > 0 else 1
+        return KElem(self, n if self.n == 1 else (n,) + self.zero_u[1:], 0, prec)
+
+    def k_from_coeffs(self, coeffs, prec=None, shift=0):
+        """p^-shift * sum_i c_i pi^i, known mod p^prec before the shift.
+
+        Each c_i is an int or, when f > 1, the f coordinates of a W element
+        on 1, g, .., g^(f-1).
+        """
+        prec = self.N if prec is None else prec
+        M = self.p**prec if prec > 0 else 1
+        f = self.f
+        if len(coeffs) > self.e:
+            raise ValueError("too many coefficients")
+        flat = [0] * self.n
+        for i, c in enumerate(coeffs):
+            if isinstance(c, int):
+                flat[i * f] = c % M
+            elif f > 1 and len(c) == f:
+                flat[i * f : (i + 1) * f] = [x % M for x in c]
+            else:
+                raise ValueError(f"a W coefficient needs {f} coordinates")
+        return _norm(self, flat[0] if self.n == 1 else tuple(flat), shift, prec)
 
     def k_pi(self):
-        return KElem(self.pi, 0)
+        return self.pi
 
     def k_beta(self):
-        return KElem(self.beta, 0)
+        return self.beta
 
     # -- derived constants --------------------------------------------------
-
-    def _derivative_at_pi(self):
-        # E'(pi) = e pi^(e-1) + sum_{i>=1} i E_coeffs[i] pi^(i-1); degree < e
-        M = self.p**self.N
-        coeffs = [self.w.zero()] * self.e
-        coeffs[self.e - 1] = self.w.from_int(self.e, M)
-        for i in range(1, self.e):
-            c = i * self.E_coeffs[i]
-            coeffs[i - 1] = self.w.add(coeffs[i - 1], self.w.from_int(c, M), M)
-        return OkElem(self, tuple(coeffs), self.N)
 
     def pi_inv(self):
         """1/pi as a K element: p^{-1} * (-pi^(e-1) * B^{-1})."""
         if self._pi_inv is None:
-            if self.e == 1:
-                b0 = self.ok_from_int(self.B_int_coeffs[0])
-                self._pi_inv = KElem(-b0.inv(), 1)
-            else:
-                B = self.ok_from_coeffs(self.B_int_coeffs)
-                num = -(self.ok_monomial(self.e - 1) * B.inv())
-                self._pi_inv = KElem(num, 1)
+            B = self.k_from_coeffs(self.B_int_coeffs)
+            top = self.k_from_coeffs([0] * (self.e - 1) + [1])
+            num = -(top * B.inv())
+            self._pi_inv = _norm(self, num.u, 1, num.prec)
         return self._pi_inv
 
     def beta_inv(self):
         if self._beta_inv is None:
-            self._beta_inv = KElem(self.beta, 0).inv()
+            self._beta_inv = self.beta.inv()
         return self._beta_inv
 
-    def neg_b_inv(self):
-        """(-B)^{-1}, the unit with pi^e * (-B)^{-1} = p."""
-        if self._neg_b_inv is None:
-            B = self.ok_from_coeffs(self.B_int_coeffs)
-            self._neg_b_inv = (-B).inv()
-        return self._neg_b_inv
+    def neg_b_inv(self, k=1):
+        """(-B)^{-k}; (-B)^{-1} is the unit with pi^e * (-B)^{-1} = p."""
+        if self._neg_b_inv_pows is None:
+            self._neg_b_inv_pows = [self.k_one(), (-self.k_from_coeffs(self.B_int_coeffs)).inv()]
+        pows = self._neg_b_inv_pows
+        while len(pows) <= k:
+            pows.append(pows[-1] * pows[1])
+        return pows[k]
 
     # -- serialization ------------------------------------------------------
 
@@ -484,249 +528,139 @@ def make_base_config(p, E_coeffs, f=1, precision=8, cutoffs=None):
 
 
 # ---------------------------------------------------------------------------
-# O_K elements
-# ---------------------------------------------------------------------------
-
-
-class OkElem:
-    """Element of O_K known modulo p^prec; coeffs are W elements for 1..pi^(e-1)."""
-
-    __slots__ = ("cfg", "coeffs", "prec")
-
-    def __init__(self, cfg, coeffs, prec, reduce=True):
-        self.cfg = cfg
-        self.prec = prec
-        if reduce:
-            M = cfg.p**prec if prec > 0 else 1
-            coeffs = tuple(cfg.w.red(c, M) for c in coeffs)
-        self.coeffs = coeffs
-
-    def _bin(self, other, op):
-        cfg = self.cfg
-        prec = min(self.prec, other.prec)
-        M = cfg.p**prec if prec > 0 else 1
-        w = cfg.w
-        f = getattr(w, op)
-        return OkElem(cfg, tuple(f(a, b, M) for a, b in zip(self.coeffs, other.coeffs)), prec, reduce=False)
-
-    def __add__(self, other):
-        return self._bin(other, "add")
-
-    def __sub__(self, other):
-        return self._bin(other, "sub")
-
-    def __neg__(self):
-        cfg = self.cfg
-        M = cfg.p**self.prec if self.prec > 0 else 1
-        return OkElem(cfg, tuple(cfg.w.neg(c, M) for c in self.coeffs), self.prec, reduce=False)
-
-    def __mul__(self, other):
-        cfg = self.cfg
-        e, w, p = cfg.e, cfg.w, cfg.p
-        prec = min(self.prec, other.prec)
-        if prec <= 0:
-            return cfg.ok_zero(0)
-        M = p**prec
-        if e == 1:
-            return OkElem(cfg, (w.mul(self.coeffs[0], other.coeffs[0], M),), prec, reduce=False)
-        tmp = [w.zero()] * (2 * e - 1)
-        for i, a in enumerate(self.coeffs):
-            if not w.is_zero(a, M):
-                for j, b in enumerate(other.coeffs):
-                    tmp[i + j] = w.add(tmp[i + j], w.mul(a, b, M), M)
-        # reduce via pi^e = -p*B
-        for m in range(2 * e - 2, e - 1, -1):
-            c = tmp[m]
-            if not w.is_zero(c, M):
-                tmp[m] = w.zero()
-                for j in range(e):
-                    bj = cfg.B_int_coeffs[j]
-                    if bj:
-                        tmp[m - e + j] = w.sub(tmp[m - e + j], w.smul(p * bj, c, M), M)
-        return OkElem(cfg, tuple(tmp[:e]), prec, reduce=False)
-
-    def smul(self, n):
-        cfg = self.cfg
-        M = cfg.p**self.prec if self.prec > 0 else 1
-        return OkElem(cfg, tuple(cfg.w.smul(n, c, M) for c in self.coeffs), self.prec, reduce=False)
-
-    def scale_pk(self, k):
-        """Exact multiplication by p^k (k >= 0); gains k digits of precision."""
-        if k == 0:
-            return self
-        cfg = self.cfg
-        prec = self.prec + k
-        M = cfg.p**prec
-        pk = cfg.p**k
-        return OkElem(cfg, tuple(cfg.w.smul(pk, c, M) for c in self.coeffs), prec, reduce=False)
-
-    def is_zero(self):
-        if self.prec <= 0:
-            raise PrecisionExhausted("no digits left")
-        M = self.cfg.p**self.prec
-        return all(self.cfg.w.is_zero(c, M) for c in self.coeffs)
-
-    def storage_zero(self):
-        # all stored digits vanish; no precision semantics
-        if self.cfg.f == 1:
-            return not any(self.coeffs)
-        return not any(any(c) for c in self.coeffs)
-
-    def clamp_prec(self, prec):
-        if prec >= self.prec:
-            return self
-        M = self.cfg.p**prec
-        return OkElem(self.cfg, [self.cfg.w.red(c, M) for c in self.coeffs], prec)
-
-    def divisible_p(self):
-        M = self.cfg.p**self.prec
-        w = self.cfg.w
-        for c in self.coeffs:
-            v = w.val(c, self.prec)
-            if v == 0:
-                return False
-        return True
-
-    def div_p_exact(self):
-        """Divide by p; caller guarantees divisibility.  Loses one digit."""
-        cfg = self.cfg
-        if self.prec <= 1:
-            raise PrecisionExhausted("division by p exhausts precision")
-        M = cfg.p ** (self.prec - 1)
-        return OkElem(cfg, tuple(cfg.w.div_p_exact(c, M) for c in self.coeffs), self.prec - 1, reduce=False)
-
-    def val(self):
-        """pi-adic valuation (v(p) = e); None if zero at this precision."""
-        if self.prec <= 0:
-            raise PrecisionExhausted("no digits left")
-        e = self.cfg.e
-        best = None
-        for i, c in enumerate(self.coeffs):
-            v = self.cfg.w.val(c, self.prec)
-            if v is not None:
-                cand = e * v + i
-                if best is None or cand < best:
-                    best = cand
-        return best
-
-    def inv(self):
-        """Newton inversion of a unit (valuation 0)."""
-        cfg = self.cfg
-        if self.val() != 0:
-            raise NotAUnit("O_K inversion requires valuation 0")
-        w = cfg.w
-        z0 = w.inv(self.coeffs[0], self.prec)  # inverse of the constant W part
-        z = cfg.ok_from_coeffs([z0], self.prec)
-        one = cfg.ok_one(self.prec)
-        steps = max(1, math.ceil(math.log2(max(2, cfg.e * self.prec))) + 1)
-        for _ in range(steps):
-            z = z * (one + (one - self * z))
-        return z
-
-    def eq(self, other):
-        return (self - other).is_zero()
-
-    def __eq__(self, other):
-        if not isinstance(other, OkElem):
-            return NotImplemented
-        return self.eq(other)
-
-    def __hash__(self):
-        raise TypeError("OkElem compares at precision; not hashable")
-
-    def __repr__(self):
-        return f"OkElem({list(self.coeffs)}, prec={self.prec})"
-
-
-def ok_arith(x, y, op):
-    if op == "add":
-        return x + y
-    if op == "sub":
-        return x - y
-    if op == "mul":
-        return x * y
-    raise ValueError(f"unknown op {op!r}")
-
-
-def ok_invert(x):
-    return x.inv()
-
-
-def ok_valuation(x):
-    return x.val()
-
-
-# ---------------------------------------------------------------------------
 # K elements
 # ---------------------------------------------------------------------------
 
 
+def _kernels(n, table):
+    """Straight-line code for the flat numerators, compiled from the table.
+
+    mulu(a, b, M) is the product a b mod M; linu(a, b, s, t, M) is s a + t b
+    mod M.  An element is a bare int when n = 1 and an n-tuple otherwise.
+    """
+    if n == 1:
+        src = "def mulu(a, b, M):\n    return a * b % M\n"
+        src += "def linu(a, b, s, t, M):\n    return (s * a + t * b) % M\n"
+    else:
+        terms = [[] for _ in range(n)]
+        for i, row in enumerate(table):
+            for j, k, t in row:
+                terms[k].append(f"a{i} * b{j}" if t == 1 else f"{t} * a{i} * b{j}")
+        unpack = "".join(f"    {', '.join(f'{v}{i}' for i in range(n))} = {v}\n" for v in "ab")
+        prod = ", ".join(f"({' + '.join(ts)}) % M" for ts in terms)
+        lin = ", ".join(f"(s * a{i} + t * b{i}) % M" for i in range(n))
+        src = f"def mulu(a, b, M):\n{unpack}    return ({prod},)\n"
+        src += f"def linu(a, b, s, t, M):\n{unpack}    return ({lin},)\n"
+    scope = {}
+    exec(src, scope)
+    return scope["mulu"], scope["linu"]
+
+
+def _norm(cfg, u, shift, prec):
+    """p^-shift * u with p cancelled: p divides u only if shift <= 0 or prec <= 1."""
+    top = shift if shift < prec else prec - 1
+    k = 0
+    if top > 0:
+        p = cfg.p
+        if cfg.n == 1:
+            while k < top and not u % p:
+                u //= p
+                k += 1
+        else:
+            while k < top and not gcd(*u) % p:
+                u = tuple([c // p for c in u])
+                k += 1
+    return KElem(cfg, u, shift - k, prec - k)
+
+
 class KElem:
-    """p^{-shift} * num with shift >= 0; normalized so p does not divide num
-    while shift > 0.  Absolute p-adic precision is num.prec - shift."""
+    """p^{-shift} * u with u in O_K known modulo p^prec.
 
-    __slots__ = ("num", "shift")
+    u holds the coordinates of the numerator on the basis pi^i g^j of
+    BaseConfig, each in [0, p^prec): a bare int when e*f = 1, a tuple of
+    e*f ints otherwise.  Normalized: while shift > 0 and prec > 1, p does not
+    divide u.  The absolute p-adic precision is prec - shift.
+    """
 
-    def __init__(self, num, shift=0, norm=True):
-        if norm:
-            while shift > 0 and num.prec > 1 and num.divisible_p():
-                num = num.div_p_exact()
-                shift -= 1
-        self.num = num
+    __slots__ = ("cfg", "u", "shift", "prec")
+
+    def __init__(self, cfg, u, shift, prec):
+        self.cfg = cfg
+        self.u = u
         self.shift = shift
-
-    @property
-    def cfg(self):
-        return self.num.cfg
+        self.prec = prec
 
     @property
     def abs_prec(self):
-        return self.num.prec - self.shift
+        return self.prec - self.shift
+
+    def coeffs(self):
+        """The W coefficients of the numerator on 1, pi, .., pi^(e-1)."""
+        cfg = self.cfg
+        if cfg.n == 1:
+            return (self.u,)
+        if cfg.f == 1:
+            return self.u
+        f = cfg.f
+        return tuple(self.u[i : i + f] for i in range(0, cfg.n, f))
+
+    def _add(self, other, sign):
+        # align both numerators at the larger shift: scaling by p^k is exact
+        cfg = self.cfg
+        p = cfg.p
+        s1, s2 = self.shift, other.shift
+        if s1 >= s2:
+            shift, k1, k2 = s1, 1, p ** (s1 - s2)
+        else:
+            shift, k1, k2 = s2, p ** (s2 - s1), 1
+        a1, a2 = self.prec - s1, other.prec - s2
+        prec = (a1 if a1 < a2 else a2) + shift
+        u = cfg.linu(self.u, other.u, k1, sign * k2, p**prec if prec > 0 else 1)
+        if shift > 0 and prec > 1:
+            return _norm(cfg, u, shift, prec)
+        return KElem(cfg, u, shift, prec)
 
     def __add__(self, other):
-        s = max(self.shift, other.shift)
-        n1 = self.num.scale_pk(s - self.shift)
-        n2 = other.num.scale_pk(s - other.shift)
-        return KElem(n1 + n2, s)
+        return self._add(other, 1)
 
     def __sub__(self, other):
-        s = max(self.shift, other.shift)
-        n1 = self.num.scale_pk(s - self.shift)
-        n2 = other.num.scale_pk(s - other.shift)
-        return KElem(n1 - n2, s)
+        return self._add(other, -1)
 
     def __neg__(self):
-        return KElem(-self.num, self.shift, norm=False)
+        cfg = self.cfg
+        M = cfg.p**self.prec if self.prec > 0 else 1
+        return KElem(cfg, cfg.linu(self.u, self.u, -1, 0, M), self.shift, self.prec)
 
     def __mul__(self, other):
-        return KElem(self.num * other.num, self.shift + other.shift)
+        cfg = self.cfg
+        prec = self.prec if self.prec < other.prec else other.prec
+        shift = self.shift + other.shift
+        if prec <= 0:
+            return KElem(cfg, cfg.zero_u, shift, 0)
+        u = cfg.mulu(self.u, other.u, cfg.p**prec)
+        if shift > 0 and prec > 1:
+            return _norm(cfg, u, shift, prec)
+        return KElem(cfg, u, shift, prec)
 
     def smul(self, n):
-        return KElem(self.num.smul(n), self.shift)
-
-    def mul_ok(self, ok):
-        return KElem(self.num * ok, self.shift)
+        cfg = self.cfg
+        M = cfg.p**self.prec if self.prec > 0 else 1
+        return _norm(cfg, cfg.linu(self.u, self.u, n, 0, M), self.shift, self.prec)
 
     def div_int(self, n):
         """Divide by a nonzero integer; p-part raises the shift."""
         if n == 0:
             raise ZeroDivisionError
-        sign = 1
-        if n < 0:
-            sign = -1
-            n = -n
-        p = self.cfg.p
+        cfg = self.cfg
+        p = cfg.p
         k = 0
         while n % p == 0:
             n //= p
             k += 1
-        num = self.num
-        if n > 1:
-            ninv = pow(n, -1, p**num.prec)
-            num = num.smul(ninv)
-        if sign < 0:
-            num = -num
-        return KElem(num, self.shift + k)
+        M = p**self.prec if self.prec > 0 else 1
+        m = pow(abs(n), -1, M) if n not in (1, -1) else 1
+        u = cfg.linu(self.u, self.u, m if n > 0 else -m, 0, M)
+        return _norm(cfg, u, self.shift + k, self.prec)
 
     def div_pi_exact(self, v):
         """Divide by pi^v, for an element of valuation >= v.
@@ -740,21 +674,38 @@ class KElem:
         k, r = divmod(v, cfg.e)
         out = self
         if k:
-            m = cfg.neg_b_inv()
-            acc = m
-            for _ in range(k - 1):
-                acc = acc * m
-            out = KElem(out.num * acc, out.shift + k)
+            m = cfg.neg_b_inv(k)
+            out = out * KElem(cfg, m.u, k, m.prec)
         piv = cfg.pi_inv()
         for _ in range(r):
             out = out * piv
         return out
 
+    def _val_u(self):
+        """pi-adic valuation of the numerator; None if zero at this precision."""
+        if self.prec <= 0:
+            raise PrecisionExhausted("no digits left")
+        cfg = self.cfg
+        p = cfg.p
+        best = None
+        for a, c in enumerate((self.u,) if cfg.n == 1 else self.u):
+            if c:
+                v = 0
+                while not c % p:
+                    c //= p
+                    v += 1
+                v = cfg.e * v + a // cfg.f
+                if best is None or v < best:
+                    best = v
+        return best
+
     def is_zero(self):
-        return self.num.is_zero()
+        if self.prec <= 0:
+            raise PrecisionExhausted("no digits left")
+        return self.u == self.cfg.zero_u
 
     def val_pi(self):
-        v = self.num.val()
+        v = self._val_u()
         if v is None:
             return None
         return v - self.cfg.e * self.shift
@@ -764,18 +715,22 @@ class KElem:
         return self.val_pi()
 
     def storage_zero(self):
-        return self.num.storage_zero()
+        # all stored digits vanish; no precision semantics
+        return self.u == self.cfg.zero_u
 
     def droppable(self):
         # sparse containers may forget this scalar: it is zero as stored and
         # carries at least the ambient precision, so nothing is lost
-        return self.num.prec - self.shift >= self.cfg.N and self.num.storage_zero()
+        return self.u == self.cfg.zero_u and self.prec - self.shift >= self.cfg.N
 
     def clamp_prec(self, prec):
         """Cap the absolute precision at prec p-digits."""
-        if self.num.prec - self.shift <= prec:
+        if self.prec - self.shift <= prec:
             return self
-        return KElem(self.num.clamp_prec(prec + self.shift), self.shift)
+        cfg = self.cfg
+        prec += self.shift
+        M = cfg.p**prec if prec > 0 else 1
+        return _norm(cfg, cfg.linu(self.u, self.u, 1, 0, M), self.shift, prec)
 
     @property
     def truncated(self):
@@ -786,28 +741,26 @@ class KElem:
         v = self.val_pi()
         return v is None or v >= 0
 
-    def to_ok(self):
-        if self.shift != 0:
-            raise NotAUnit("element is not integral")
-        return self.num
-
     def inv(self):
         cfg = self.cfg
-        if self.val_pi() is None:
+        w = self._val_u()
+        if w is None:
             raise NotAUnit("cannot invert something indistinguishable from 0")
         if self.shift > 0:
             # (p^-s u)^-1 = p^s u^-1 with u integral
-            ui = KElem(self.num, 0, norm=False).inv()
+            ui = KElem(cfg, self.u, 0, self.prec).inv()
             if ui.shift >= self.shift:
-                return KElem(ui.num, ui.shift - self.shift, norm=False)
-            return KElem(ui.num.scale_pk(self.shift - ui.shift), 0, norm=False)
-        w = self.num.val()
+                return KElem(cfg, ui.u, ui.shift - self.shift, ui.prec)
+            # p^k u^-1 is exact: u^-1 < p^prec, so it gains k digits
+            k = self.shift - ui.shift
+            M = cfg.p ** (ui.prec + k)
+            return KElem(cfg, cfg.linu(ui.u, ui.u, cfg.p**k, 0, M), 0, ui.prec + k)
         if w == 0:
-            return KElem(self.num.inv(), 0, norm=False)
+            return KElem(cfg, cfg.unit_inv(self.u, self.prec), 0, self.prec)
         # peel pi factors: x^-1 = (x pi^-w)^-1 * pi^-w
         piv = cfg.pi_inv()
         x = self
-        acc = cfg.k_one(self.num.prec)
+        acc = cfg.k_one(self.prec)
         for _ in range(w):
             x = x * piv
             acc = acc * piv
@@ -825,7 +778,7 @@ class KElem:
         raise TypeError("KElem compares at precision; not hashable")
 
     def __repr__(self):
-        return f"KElem(p^-{self.shift} * {self.num!r})"
+        return f"KElem(p^-{self.shift} * {list(self.coeffs())}, prec={self.prec})"
 
 
 # ---------------------------------------------------------------------------
@@ -924,18 +877,3 @@ def frobenius(x, k=1):
     k %= cfg.f
     return WittElem(cfg, cfg.w.frob(x.w, k, x.prec), x.prec, frob_power=x.frob_power + k)
 
-
-def teich_factor(cfg, u, prec=None):
-    """Split a Witt unit as (teichmuller part, one-unit part).
-
-    Returns (t, u1) with u = t * u1, t fixed by the p^f power map, and
-    u1 congruent to 1 mod p.  The input may be an int or a WittElem.
-    """
-    prec = cfg.N if prec is None else prec
-    if not isinstance(u, WittElem):
-        u = WittElem(cfg, cfg.w.from_int(u, cfg.p**prec), prec)
-    if u.val() != 0:
-        raise NotAUnit("cannot factor a non-unit")
-    t = teichmuller(cfg, u, prec)
-    u1 = u * t.inv()
-    return t, u1

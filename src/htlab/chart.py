@@ -20,7 +20,6 @@ it still carries the ambient precision, otherwise dropping it would silently
 sharpen later comparisons.
 """
 
-from .base import KElem
 from .errors import BadIndex
 
 
@@ -120,9 +119,9 @@ class ChartElem:
             if m > 0:
                 # apply T_0 ... T_r = pi
                 exps = tuple(e - m if i <= ring.r else e for i, e in enumerate(exps))
-                pim = KElem(ring.cfg.pi, 0)
+                pim = ring.cfg.pi
                 for _ in range(m - 1):
-                    pim = pim * KElem(ring.cfg.pi, 0)
+                    pim = pim * ring.cfg.pi
                 c = c * pim
             if sum(abs(e) for e in exps) > ring.Dy:
                 truncated = True

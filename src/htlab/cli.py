@@ -69,11 +69,17 @@ def _digest(cfg):
     return hashlib.sha256(blob.encode()).hexdigest()[:12]
 
 
+def _echo(text):
+    # an explicit file: click caches the stream it picks for a bare echo, and
+    # that cache keeps every replaced sys.stdout alive when lab runs in-process
+    click.echo(text, file=sys.stdout)
+
+
 def _emit(report, statuses, canonical, out, t0):
     if not canonical:
         report["timing_ms"] = int((time.monotonic() - t0) * 1000)
     text = dumps(report, canonical=canonical)
-    click.echo(text)
+    _echo(text)
     if out:
         with open(out, "w") as fh:
             fh.write(text)
@@ -90,8 +96,30 @@ def _fail_report(command, exc, canonical):
         "command": command,
         "checks": {"parse": {"status": "fail", "detail": str(exc)}},
     }
-    click.echo(dumps(report, canonical=canonical))
+    _echo(dumps(report, canonical=canonical))
     sys.exit(1)
+
+
+def _unit_digits(item, f):
+    """A Witt vector of a factorize descriptor: one integer for f = 1, a list of f for f > 1."""
+
+    def digit(x):
+        if isinstance(x, int) and not isinstance(x, bool):
+            return x
+        if isinstance(x, str):
+            try:
+                return int(x)
+            except ValueError:
+                pass
+        raise ParseError(f"unit {item!r}: {x!r} is not an integer")
+
+    if f == 1:
+        if isinstance(item, list):
+            raise ParseError(f"unit {item!r}: expected one integer, the base has f = 1")
+        return digit(item)
+    if not isinstance(item, list) or len(item) != f:
+        raise ParseError(f"unit {item!r}: expected a list of {f} integers")
+    return tuple(digit(x) for x in item)
 
 
 opt_precision = click.option("--precision", type=int, default=None, help="override absolute precision")
@@ -296,6 +324,9 @@ def factorize(descriptor, precision, horizon, canonical, output):
         raw = doc.get("units")
         if raw is None:
             raw = [doc["unit"]]
+        if not isinstance(raw, list):
+            raise ParseError("units must be a list")
+        units = [_unit_digits(item, cfg.f) for item in raw]
     except ParseError as exc:
         _fail_report("factorize", exc, canonical)
     except KeyError:
@@ -303,8 +334,7 @@ def factorize(descriptor, precision, horizon, canonical, output):
     M = cfg.N - 1 if horizon is None else horizon
     results = []
     ok_all = True
-    for item in raw:
-        w = tuple(int(x) for x in item) if isinstance(item, list) else int(item)
+    for item, w in zip(raw, units):
         x = WittElem(cfg, cfg.w.red(w, cfg.p**cfg.N), cfg.N)
         try:
             a, cert = teichmuller_factorize(x, M)

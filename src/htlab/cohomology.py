@@ -167,10 +167,6 @@ class SnfResult:
         return f"SnfResult(vals={self.vals}{flag})"
 
 
-def _abs_prec(x):
-    return x.num.prec - x.shift
-
-
 def snf_dvr(mat, strict=False):
     """Diagonalize an integral matrix: U * mat * V = diag(pi^v), v ascending.
 
@@ -180,6 +176,8 @@ def snf_dvr(mat, strict=False):
     """
     ring = mat.ring
     cfg = ring.cfg
+    if not ring.is_point:
+        raise ValidationFailure("Smith reduction needs a point base, not a chart")
     if not mat.integral():
         raise ValidationFailure("Smith reduction expects an integral matrix")
     a, b = mat.nrows, mat.ncols
@@ -197,7 +195,7 @@ def snf_dvr(mat, strict=False):
         for i in range(t, a):
             for j in range(t, b):
                 x = M[i][j]
-                if _abs_prec(x) <= 0:
+                if x.abs_prec <= 0:
                     # no certified digits left; unusable as a pivot
                     drained = True
                     continue
@@ -261,7 +259,7 @@ def snf_dvr(mat, strict=False):
     limited = drained
     for i in range(t, a):
         for j in range(t, b):
-            if _abs_prec(M[i][j]) < cfg.N:
+            if M[i][j].abs_prec < cfg.N:
                 limited = True
     if limited and strict:
         raise InsufficientPrecision("a residual zero is certified below working precision")

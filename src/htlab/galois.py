@@ -221,12 +221,10 @@ def sigma_t(base, s, T=None, alpha=None):
     alpha is the twist unit of the 0th face map; it defaults to
     beta = pi E'(pi), the twist of the logarithmic normalization.
     """
-    from .base import KElem
-
     cfg = s.cfg
     T = cfg.cutoffs.T if T is None else T
     if alpha is None:
-        alpha = KElem(cfg.beta, 0)
+        alpha = cfg.beta
     ac = alpha.smul(s.c)
     coeffs = {}
     power = cfg.k_from_int(s.chi)

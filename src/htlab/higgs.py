@@ -26,7 +26,6 @@ returning a bare False; convergence questions that the cutoffs cannot settle
 come back as undecided certificates, never as silent passes.
 """
 
-from .base import KElem
 from .errors import (
     BraidFailure,
     ClosedFormMismatch,
@@ -105,7 +104,7 @@ class HiggsData:
     def braid_unit(self):
         if self.twist == "log":
             return self.cfg.k_beta()
-        return KElem(self.cfg.Ep, 0)
+        return self.cfg.Ep
 
     def face_params(self):
         if self.twist == "log":
@@ -313,7 +312,7 @@ def check_recursions(strat):
     d = strat.d
     zero_index = (0,) * d
     beta = strat.base.from_k(
-        strat.cfg.k_beta() if strat.twist == "log" else KElem(strat.cfg.Ep, 0)
+        strat.cfg.k_beta() if strat.twist == "log" else strat.cfg.Ep
     )
     theta = []
     for k in range(d):

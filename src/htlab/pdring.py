@@ -307,9 +307,7 @@ class FaceParams:
 
     @classmethod
     def nonlog(cls, cfg):
-        from .base import KElem
-
-        return cls(KElem(cfg.Ep, 0), "nonlog")
+        return cls(cfg.Ep, "nonlog")
 
 
 class FaceContext:

@@ -26,7 +26,6 @@ U(sigma) with F the cocycle of the phi-only sub-stratification.
 
 import math
 
-from .base import KElem
 from .errors import HorizonTooSmall, KernelRankDeficit, ValidationFailure
 from .galois import FormalCElem, FormalRing, GroupElt, galois_act_t, sigma_t
 from .higgs import (
@@ -101,8 +100,8 @@ def _witness(mat):
 
 def _twist_alpha(strat):
     if strat.twist == "log":
-        return KElem(strat.cfg.beta, 0)
-    return KElem(strat.cfg.Ep, 0)
+        return strat.cfg.beta
+    return strat.cfg.Ep
 
 
 def verify_cocycle_law(data, s, u, T=None):

@@ -15,7 +15,7 @@ a fixed input and flag set.
 
 import json
 
-from .base import BaseConfig, KElem, OkElem
+from .base import BaseConfig, KElem
 from .chart import ChartElem, ChartRing
 from .errors import ParseError
 from .higgs import HiggsData
@@ -36,8 +36,8 @@ def _w_from_json(v):
 
 def k_to_json(x):
     return {
-        "coeffs": [_w_to_json(c) for c in x.num.coeffs],
-        "prec": str(x.num.prec),
+        "coeffs": [_w_to_json(c) for c in x.coeffs()],
+        "prec": str(x.prec),
         "shift": str(x.shift),
     }
 
@@ -51,7 +51,10 @@ def k_from_json(cfg, d):
         raise ParseError(f"bad scalar record: {exc}")
     if len(coeffs) != cfg.e:
         raise ParseError("scalar width does not match the base field degree")
-    return KElem(OkElem(cfg, coeffs, prec), shift)
+    width = cfg.f if cfg.f > 1 else None
+    if any((len(c) if isinstance(c, tuple) else None) != width for c in coeffs):
+        raise ParseError("scalar coefficient width does not match the residue degree")
+    return cfg.k_from_coeffs(coeffs, prec, shift)
 
 
 def scalar_to_json(x):

@@ -132,3 +132,30 @@ def plain_to_pd(plain):
         assert v.denominator == 1
         out[key] = int(v)
     return out
+
+
+# ---------------------------------------------------------------------------
+# Naive product in O_K/p^prec for any e and f: x[i][j] is the coefficient of
+# pi^i g^j.  Multiply as polynomials in two variables, then reduce g by its
+# modulus and pi by E, highest degree first.
+# ---------------------------------------------------------------------------
+
+
+def ok_mul_naive(p, E_coeffs, modpoly, prec, x, y):
+    e, f, M = len(E_coeffs), len(modpoly), p**prec
+    tmp = [[0] * (2 * f - 1) for _ in range(2 * e - 1)]
+    for i, row in enumerate(x):
+        for j, a in enumerate(row):
+            for i2, row2 in enumerate(y):
+                for j2, b in enumerate(row2):
+                    tmp[i + i2][j + j2] += a * b
+    for row in tmp:
+        for m in range(2 * f - 2, f - 1, -1):
+            c, row[m] = row[m], 0
+            for l in range(f):
+                row[m - f + l] -= c * modpoly[l]
+    for m in range(2 * e - 2, e - 1, -1):
+        c, tmp[m] = tmp[m], [0] * (2 * f - 1)
+        for j in range(e):
+            tmp[m - e + j] = [v - E_coeffs[j] * w for v, w in zip(tmp[m - e + j], c)]
+    return [[v % M for v in row[:f]] for row in tmp[:e]]

@@ -3,31 +3,27 @@ import random
 import pytest
 
 from htlab import (
-    KElem,
     frobenius,
     make_base_config,
-    ok_arith,
-    ok_invert,
-    ok_valuation,
     teichmuller,
 )
 from htlab.errors import NotAUnit, NotEisenstein, NotPrime
 
-from oracles import teich_fixpoint
+from oracles import ok_mul_naive, teich_fixpoint
 
 
 class TestConfig:
     def test_unramified_constants(self, cfg_u5):
         assert cfg_u5.e == 1
-        assert cfg_u5.pi == cfg_u5.ok_from_int(5)
-        assert cfg_u5.Ep == cfg_u5.ok_one()
-        assert cfg_u5.beta == cfg_u5.ok_from_int(5)
+        assert cfg_u5.pi == cfg_u5.k_from_int(5)
+        assert cfg_u5.Ep == cfg_u5.k_one()
+        assert cfg_u5.beta == cfg_u5.k_from_int(5)
 
     def test_ramified_constants(self, cfg_r2):
         # E = u^2 - 2: E'(pi) = 2 pi, beta = 2 pi^2 = 4
         assert cfg_r2.e == 2
-        assert cfg_r2.Ep == cfg_r2.ok_from_coeffs([0, 2])
-        assert cfg_r2.beta == cfg_r2.ok_from_int(4)
+        assert cfg_r2.Ep == cfg_r2.k_from_coeffs([0, 2])
+        assert cfg_r2.beta == cfg_r2.k_from_int(4)
 
     def test_not_eisenstein_unit_constant(self):
         with pytest.raises(NotEisenstein):
@@ -53,31 +49,31 @@ class TestConfig:
 class TestOkArith:
     def test_pi_squared_unramified(self, cfg_u5):
         pi = cfg_u5.pi
-        assert ok_arith(pi, pi, "mul") == cfg_u5.ok_from_int(25)
+        assert pi * pi == cfg_u5.k_from_int(25)
 
     def test_pi_squared_ramified(self, cfg_r2):
         pi = cfg_r2.pi
-        assert ok_arith(pi, pi, "mul") == cfg_r2.ok_from_int(2)
+        assert pi * pi == cfg_r2.k_from_int(2)
 
     def test_valuation_six_ramified(self, cfg_r2):
         # 6 = 2 * 3 with 3 a unit and v(2) = e = 2
-        assert ok_valuation(cfg_r2.ok_from_int(6)) == 2
+        assert cfg_r2.k_from_int(6).val_pi() == 2
 
     def test_valuation_multiplicative(self, cfg_r2):
         rng = random.Random(7)
         for _ in range(50):
-            x = cfg_r2.ok_from_coeffs([rng.randrange(40), rng.randrange(40)])
-            y = cfg_r2.ok_from_coeffs([rng.randrange(40), rng.randrange(40)])
-            vx, vy = x.val(), y.val()
+            x = cfg_r2.k_from_coeffs([rng.randrange(40), rng.randrange(40)])
+            y = cfg_r2.k_from_coeffs([rng.randrange(40), rng.randrange(40)])
+            vx, vy = x.val_pi(), y.val_pi()
             if vx is None or vy is None or vx + vy >= cfg_r2.e * cfg_r2.N:
                 continue
-            assert (x * y).val() == vx + vy
+            assert (x * y).val_pi() == vx + vy
 
     def test_ring_axioms_random(self, cfg_r2):
         rng = random.Random(11)
         for _ in range(40):
             x, y, z = (
-                cfg_r2.ok_from_coeffs([rng.randrange(256), rng.randrange(256)])
+                cfg_r2.k_from_coeffs([rng.randrange(256), rng.randrange(256)])
                 for _ in range(3)
             )
             assert (x + y) * z == x * z + y * z
@@ -85,25 +81,40 @@ class TestOkArith:
             assert x * y == y * x
 
     def test_invert_unit(self, cfg_r2):
-        x = cfg_r2.ok_from_coeffs([3, 5])
-        assert x * ok_invert(x) == cfg_r2.ok_one()
+        x = cfg_r2.k_from_coeffs([3, 5])
+        assert x * x.inv() == cfg_r2.k_one()
 
     def test_invert_nonunit_raises(self, cfg_r2):
         with pytest.raises(NotAUnit):
-            ok_invert(cfg_r2.pi)
+            cfg_r2.unit_inv(cfg_r2.pi.u, cfg_r2.N)
 
     def test_precision_propagation(self, cfg_u5):
-        x = cfg_u5.ok_from_int(7, prec=4)
-        y = cfg_u5.ok_from_int(3, prec=8)
+        x = cfg_u5.k_from_int(7, prec=4)
+        y = cfg_u5.k_from_int(3, prec=8)
         assert (x * y).prec == 4
         assert (x + y).prec == 4
 
 
+def test_product_matches_naive_two_variable_reduction():
+    # e = 2 and f = 2 together: the structure constants fold in both moduli
+    cfg = make_base_config(3, [-3, 3], f=2, precision=6)
+    rng = random.Random(5)
+    M = 3**6
+    for _ in range(30):
+        xs, ys = ([[rng.randrange(M) for _ in range(2)] for _ in range(2)] for _ in range(2))
+        got = cfg.k_from_coeffs(xs) * cfg.k_from_coeffs(ys)
+        want = ok_mul_naive(3, [-3, 3], cfg.w.modpoly, 6, xs, ys)
+        assert [list(c) for c in got.coeffs()] == want
+        x = cfg.k_from_coeffs(xs)
+        if x.val_pi() == 0:
+            assert x * x.inv() == cfg.k_one()
+
+
 class TestKElem:
     def test_shift_normalization(self, cfg_u5):
-        x = KElem(cfg_u5.ok_from_int(25), 1)  # 25/5 = 5
+        x = cfg_u5.k_from_coeffs([25], shift=1)  # 25/5 = 5
         assert x.shift == 0
-        assert x.num == cfg_u5.ok_from_int(5)
+        assert x.u == 5 and x.prec == cfg_u5.N - 1
 
     def test_div_int(self, cfg_u5):
         x = cfg_u5.k_from_int(7)
@@ -118,7 +129,7 @@ class TestKElem:
 
     def test_general_inverse(self, cfg_r2):
         # pi * 3: valuation 1
-        x = KElem(cfg_r2.pi * cfg_r2.ok_from_int(3), 0)
+        x = cfg_r2.pi * cfg_r2.k_from_int(3)
         xi = x.inv()
         assert x * xi == cfg_r2.k_one()
         assert xi.val_pi() == -1
@@ -173,7 +184,7 @@ class TestKElem:
 
     def test_neg_b_inv(self, cfg_r2):
         # pi^2 * (-B)^{-1} = 2 when E = u^2 - 2
-        prod = KElem(cfg_r2.pi * cfg_r2.pi * cfg_r2.neg_b_inv(), 0)
+        prod = cfg_r2.pi * cfg_r2.pi * cfg_r2.neg_b_inv()
         assert prod == cfg_r2.k_from_int(2)
 
 

@@ -165,3 +165,63 @@ def test_output_file_written(runner, point, tmp_path):
     res = runner.invoke(main, ["cohomology", path, "--canonical", "-o", str(out)])
     assert res.exit_code == 0
     assert json.loads(out.read_text())["command"] == "cohomology"
+
+
+def test_cohomology_on_chart_base_reports_fail(runner, cfg_u5, tmp_path):
+    chart = ChartRing(cfg_u5, "chart", d=1, r=1)
+    h = sample_higgs(chart, random.Random(8), "abs-geom", rank=2, d=1)
+    path = _write(tmp_path, "chart.json", h)
+    res = runner.invoke(main, ["cohomology", path, "--canonical"])
+    assert res.exception is None or isinstance(res.exception, SystemExit)
+    assert res.exit_code == 1
+    doc = json.loads(res.output)
+    assert doc["checks"]["complex"]["status"] == "pass"
+    assert doc["checks"]["cohomology"]["status"] == "fail"
+    assert "point base" in doc["checks"]["cohomology"]["detail"]
+
+
+def _factorize_report(runner, cfg, units, tmp_path):
+    path = tmp_path / "u.json"
+    path.write_text(json.dumps({"config": cfg.to_json(), "units": units}))
+    res = runner.invoke(main, ["factorize", str(path), "--canonical"])
+    assert res.exception is None or isinstance(res.exception, SystemExit)
+    return res.exit_code, json.loads(res.output)
+
+
+def test_factorize_rejects_wrong_width(runner, cfg_u5, tmp_path):
+    code, doc = _factorize_report(runner, cfg_u5, ["3", [1, 2]], tmp_path)
+    assert code == 1
+    assert doc["checks"]["parse"]["status"] == "fail"
+    assert "expected one integer" in doc["checks"]["parse"]["detail"]
+
+
+def test_factorize_rejects_non_integer(runner, cfg_u5, tmp_path):
+    code, doc = _factorize_report(runner, cfg_u5, ["abc"], tmp_path)
+    assert code == 1
+    assert doc["checks"]["parse"]["status"] == "fail"
+    assert "not an integer" in doc["checks"]["parse"]["detail"]
+
+
+def test_factorize_rejects_nested_value(runner, cfg_f2, tmp_path):
+    code, doc = _factorize_report(runner, cfg_f2, [["1", "2"], [[1], [2]]], tmp_path)
+    assert code == 1
+    assert doc["checks"]["parse"]["status"] == "fail"
+    assert "not an integer" in doc["checks"]["parse"]["detail"]
+
+
+def test_in_process_runs_release_their_streams(runner, point, tmp_path):
+    import gc
+    import io
+
+    def wrappers():
+        gc.collect()
+        return sum(isinstance(o, io.TextIOWrapper) for o in gc.get_objects())
+
+    h = sample_higgs(point, random.Random(9), "abs-arith", rank=1, d=0)
+    path = _write(tmp_path, "r.json", h)
+    runner.invoke(main, ["check", path, "--canonical"])
+    before = wrappers()
+    for _ in range(3):
+        res = runner.invoke(main, ["check", path, "--canonical"])
+        assert res.exit_code == 0
+    assert wrappers() == before

@@ -3,7 +3,6 @@ import random
 import pytest
 
 from htlab import make_base_config
-from htlab.base import KElem
 from htlab.chart import ChartRing
 from htlab.cohomology import (
     ComplexRep,
@@ -192,7 +191,7 @@ def test_cohomology_all_and_amplitude(point):
 def _to_mat(cfg, ring, rows):
     return Mat(
         ring,
-        [[KElem(cfg.ok_from_coeffs(list(x)), 0) for x in row] for row in rows],
+        [[cfg.k_from_coeffs(list(x)) for x in row] for row in rows],
     )
 
 
@@ -266,3 +265,10 @@ def test_snf_high_valuation_pivot_keeps_unit_digits(cfg_r2):
     s = snf_dvr(m)
     assert s.vals == [6, 8]
     assert (s.U * m * s.V).eq(s.diag(point2))
+
+
+def test_snf_rejects_chart_base(cfg_u5):
+    chart = ChartRing(cfg_u5, "chart", d=1, r=1)
+    m = Mat(chart, [[chart.var(1, 1), chart.from_int(5)], [chart.from_int(1), chart.from_int(0)]])
+    with pytest.raises(ValidationFailure, match="point base"):
+        snf_dvr(m)

@@ -1,0 +1,34 @@
+"""Byte-for-byte comparison against the recorded golden outputs.
+
+The files under ``tests/golden/`` come from ``tests/make_golden.py``; a
+failure here means a visible output changed.  If the change is intended,
+regenerate them with that script and review the diff.
+"""
+
+import json
+from pathlib import Path
+
+import pytest
+from click.testing import CliRunner
+
+from make_golden import GOLDEN, run_case, scalar_chains
+
+MANIFEST = json.loads((GOLDEN / "manifest.json").read_text())
+
+
+@pytest.mark.parametrize("entry", MANIFEST, ids=[e["case"] for e in MANIFEST])
+def test_lab_canonical_output_unchanged(entry):
+    path = GOLDEN / "inputs" / f"{entry['input']}.json"
+    stdout, code, exc = run_case(CliRunner(), entry["args"], path)
+    assert exc == entry["exception"]
+    assert code == entry["exit_code"]
+    assert stdout == (GOLDEN / f"{entry['case']}.json").read_text()
+
+
+def test_no_lab_command_crashes():
+    assert all(e["exception"] is None for e in MANIFEST)
+
+
+def test_scalar_chains_unchanged():
+    got = json.dumps(scalar_chains(), indent=1, sort_keys=True) + "\n"
+    assert got == Path(GOLDEN / "scalars.json").read_text()

@@ -1,6 +1,5 @@
 import pytest
 
-from htlab.base import KElem
 from htlab.chart import ChartRing
 from htlab.errors import (
     BraidFailure,
@@ -293,7 +292,7 @@ def test_log_from_smooth_ramified(cfg_r2):
     point2 = ChartRing(cfg_r2, "point")
     theta = Mat.from_ints(point2, [[0, 1], [0, 0]])
     # E = u^2 - 2: E'(pi) = 2 pi, represented exactly in O_K
-    ep = KElem(cfg_r2.Ep, 0)
+    ep = cfg_r2.Ep
     phi_s = Mat(point2, [[cfg_r2.k_zero(), cfg_r2.k_zero()], [cfg_r2.k_zero(), ep]])
     hs = HiggsData(point2, "abs-geom", [theta], phi_s, twist="smooth")
     hl = log_from_smooth(hs)

@@ -383,12 +383,11 @@ def test_face_evaluation_nonlog_params(cfg_u5, point):
 
 
 def test_sigma_t_twist_parameter(cfg_u5, point):
-    from htlab.base import KElem
     from htlab.galois import GroupElt, sigma_t
 
     s = GroupElt(cfg_u5, (), 3, 7)
     log = sigma_t(point, s, T=4)
-    non = sigma_t(point, s, T=4, alpha=KElem(cfg_u5.Ep, 0))
+    non = sigma_t(point, s, T=4, alpha=cfg_u5.Ep)
     # chi, chi*alpha*c, chi*(alpha*c)^2 with alpha = 5 resp. 1
     assert log.coeff(1).eq(cfg_u5.k_from_int(7))
     assert log.coeff(2).eq(cfg_u5.k_from_int(7 * 15))

@@ -2,7 +2,6 @@ import random
 
 import pytest
 
-from htlab.base import KElem
 from htlab.chart import ChartRing
 from htlab.cohomology import build_higgs_complex, cohomology
 from htlab.errors import HorizonTooSmall, KernelRankDeficit, ValidationFailure
@@ -173,7 +172,7 @@ def test_sen_of_smoothly_normalized_input(cfg_u5, point):
 def test_sen_smooth_relation_ramified(cfg_r2):
     point2 = ChartRing(cfg_r2, "point")
     theta = Mat.from_ints(point2, [[0, 1], [0, 0]])
-    ep = KElem(cfg_r2.Ep, 0)
+    ep = cfg_r2.Ep
     phi_s = Mat(point2, [[cfg_r2.k_zero(), cfg_r2.k_zero()], [cfg_r2.k_zero(), ep]])
     hs = HiggsData(point2, "abs-geom", [theta], phi_s, twist="smooth")
     got = sen_operator(log_from_smooth(hs))
@@ -287,7 +286,7 @@ def test_law_smooth_twist_uses_its_own_alpha(cfg_u5, point):
 
 def test_law_smooth_twist_ramified(cfg_r2):
     point2 = ChartRing(cfg_r2, "point")
-    ep = KElem(cfg_r2.Ep, 0)
+    ep = cfg_r2.Ep
     theta = Mat.from_ints(point2, [[0, 1], [0, 0]])
     phi = Mat(point2, [[point2.zero(), point2.zero()], [point2.zero(), point2.from_k(ep)]])
     h = HiggsData(point2, "abs-geom", [theta], phi, twist="smooth")

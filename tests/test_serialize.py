@@ -54,6 +54,12 @@ def test_scalar_width_checked(cfg_r2):
         k_from_json(cfg_r2, d)
 
 
+def test_residue_width_checked(cfg_u5, cfg_f2):
+    for cfg, coeffs in ((cfg_f2, [["1"]]), (cfg_f2, ["1"]), (cfg_u5, [["1", "2"]])):
+        with pytest.raises(ParseError):
+            k_from_json(cfg, {"coeffs": coeffs, "prec": "8", "shift": "0"})
+
+
 def test_chart_scalar_roundtrip(cfg_u5):
     ch = ChartRing(cfg_u5, "chart", d=2, r=0)
     x = ch.var(1, 2).smul(3) + ch.var(2, -1) + ch.from_int(11)
