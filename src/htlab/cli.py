@@ -18,7 +18,7 @@ import time
 
 import click
 
-from .base import BaseConfig, WittElem
+from .base import WittElem
 from .cohomology import build_higgs_complex, cohomology_all, verify_complex
 from .deltaring import teichmuller_factorize
 from .errors import (
@@ -33,6 +33,7 @@ from .higgs import check_cocycle_strat, stratification_from_higgs, validate_higg
 from .samples import sample_group
 from .sen import cocycle_matrix, verify_cocycle_law
 from .serialize import (
+    config_from_json,
     dumps,
     higgs_from_json,
     mat_to_json,
@@ -43,20 +44,27 @@ from .serialize import (
 def _read_doc(path):
     try:
         with open(path) as fh:
-            return json.load(fh)
+            doc = json.load(fh)
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}")
     except json.JSONDecodeError as exc:
         raise ParseError(f"not a JSON descriptor: {exc}")
+    if not isinstance(doc, dict):
+        raise ParseError(f"not a JSON descriptor: expected an object, got {type(doc).__name__}")
+    return doc
 
 
 def _apply_overrides(doc, precision, pd_cutoff, t_order):
     cfgd = doc.get("config")
     if cfgd is None:
         raise ParseError("descriptor has no config block")
+    if not isinstance(cfgd, dict):
+        raise ParseError("bad config block: not a JSON object")
     if precision is not None:
         cfgd["N"] = str(precision)
     cuts = cfgd.setdefault("cutoffs", {})
+    if not isinstance(cuts, dict):
+        raise ParseError("bad config block: cutoffs is not a JSON object")
     if pd_cutoff is not None:
         cuts["D"] = str(pd_cutoff)
     if t_order is not None:
@@ -314,13 +322,8 @@ def factorize(descriptor, precision, horizon, canonical, output):
     """Split Witt units into Teichmuller times one-unit factors."""
     t0 = time.monotonic()
     try:
-        doc = _read_doc(descriptor)
-        cfgd = doc.get("config")
-        if cfgd is None:
-            raise ParseError("descriptor has no config block")
-        if precision is not None:
-            cfgd["N"] = str(precision)
-        cfg = BaseConfig.from_json(cfgd)
+        doc = _apply_overrides(_read_doc(descriptor), precision, None, None)
+        cfg = config_from_json(doc["config"])
         raw = doc.get("units")
         if raw is None:
             raw = [doc["unit"]]

@@ -74,10 +74,6 @@ class GroupElt:
         return f"GroupElt(n={self.n}, c={self.c}, chi={self.chi})"
 
 
-def group_compose(s, u):
-    return s * u
-
-
 class FormalCElem:
     """Polynomial in t of degree < T with coefficients in the base ring."""
 
@@ -161,15 +157,7 @@ class FormalCElem:
 
     def subs_t(self, t_img):
         """Substitute t -> t_img (no constant term), coefficients untouched."""
-        if 0 in t_img.coeffs:
-            raise ValueError("substitution target must have positive t-order")
-        out = FormalCElem(self.base, self.T)
-        power = FormalCElem.scalar(self.base, self.T, self.base.one())
-        for k in range(0, max(self.coeffs, default=-1) + 1):
-            if k in self.coeffs:
-                out = out + power.mul_scalar(self.coeffs[k])
-            power = power * t_img
-        return out
+        return subs_t_all([self], t_img)[0]
 
     def coeff(self, k):
         if k in self.coeffs:
@@ -234,8 +222,51 @@ def sigma_t(base, s, T=None, alpha=None):
     return FormalCElem(base, T, coeffs)
 
 
+def subs_t_all(xs, t_img):
+    """Substitute t -> t_img in each series of xs, which share one base and T.
+
+    The powers of t_img are built once for all of xs, up to the highest
+    degree present.  Each result is the sum over k, in increasing k, of
+    x_k * t_img^k, with a slot dropped as soon as it is droppable.
+    """
+    if 0 in t_img.coeffs:
+        raise ValueError("substitution target must have positive t-order")
+    if not xs:
+        return []
+    base, T = xs[0].base, xs[0].T
+    top = max((k for x in xs for k in x.coeffs), default=0)
+    powers = [FormalCElem.scalar(base, T, base.one())]
+    for _ in range(top):
+        powers.append(powers[-1] * t_img)
+    out = []
+    for x in xs:
+        acc = {}
+        for k in sorted(x.coeffs):
+            c = x.coeffs[k]
+            for j, v in powers[k].coeffs.items():
+                term = v * c
+                if term.droppable():
+                    continue
+                prev = acc.get(j)
+                if prev is None:
+                    acc[j] = term
+                else:
+                    total = prev + term
+                    if total.droppable():
+                        del acc[j]
+                    else:
+                        acc[j] = total
+        out.append(FormalCElem(base, T, acc, reduce=False))
+    return out
+
+
+def galois_act_all(s, xs, alpha=None):
+    """Apply sigma to each t-series of xs, sharing sigma(t) and its powers."""
+    if (s.c == 0 and s.chi == 1) or not xs:
+        return list(xs)
+    return subs_t_all(xs, sigma_t(xs[0].base, s, T=xs[0].T, alpha=alpha))
+
+
 def galois_act_t(s, x, alpha=None):
     """Apply sigma to a t-series coefficientwise in the derived action."""
-    if s.c == 0 and s.chi == 1:
-        return x
-    return x.subs_t(sigma_t(x.base, s, T=x.T, alpha=alpha))
+    return galois_act_all(s, [x], alpha=alpha)[0]

@@ -68,21 +68,24 @@ class Mat:
     def __mul__(self, other):
         if self.ncols != other.nrows:
             raise BadIndex("inner dimensions differ")
-        cols = list(zip(*other.rows))
+        # only full-precision zeros may be skipped: a zero stored at reduced
+        # precision must lower the claim of the sum.  The rule is decided once
+        # per entry, and each entry of the product sums its kept terms in
+        # increasing k, as the dense loop would.  Entries are immutable, so
+        # one zero serves for every empty sum.
+        ncols = other.ncols
+        live = [[(j, b) for j, b in enumerate(r) if not b.droppable()] for r in other.rows]
+        zero = self.ring.zero()
         out = []
         for r in self.rows:
-            row = []
-            for c in cols:
-                acc = None
-                for a, b in zip(r, c):
-                    # only full-precision zeros may be skipped: a zero stored
-                    # at reduced precision must lower the claim of the sum
-                    if a.droppable() or b.droppable():
-                        continue
-                    term = a * b
-                    acc = term if acc is None else acc + term
-                row.append(self.ring.zero() if acc is None else acc)
-            out.append(row)
+            acc = [None] * ncols
+            for a, bs in zip(r, live):
+                if not bs or a.droppable():
+                    continue
+                for j, b in bs:
+                    prev = acc[j]
+                    acc[j] = a * b if prev is None else prev + a * b
+            out.append([zero if x is None else x for x in acc])
         return Mat(self.ring, out)
 
     def smul(self, n):
@@ -230,13 +233,17 @@ def kernel_basis(mat):
 
 
 def matvec(mat, vec):
+    """mat * vec, with the droppable rule and the sum order of Mat.__mul__."""
+    if len(vec) != mat.ncols:
+        raise BadIndex("vector length differs from the column count")
+    live = [(k, x) for k, x in enumerate(vec) if not x.droppable()]
+    zero = mat.ring.zero()
     out = []
     for row in mat.rows:
         acc = None
-        for a, x in zip(row, vec):
-            if a.droppable() or x.droppable():
-                continue
-            term = a * x
-            acc = term if acc is None else acc + term
-        out.append(mat.ring.zero() if acc is None else acc)
+        for k, x in live:
+            a = row[k]
+            if not a.droppable():
+                acc = a * x if acc is None else acc + a * x
+        out.append(zero if acc is None else acc)
     return out

@@ -39,9 +39,10 @@ def _key_degree(key):
     return sum(a for _, a in key)
 
 
-def _merge_keys(k1, k2):
-    """Combine two pd monomials; returns (key, integer binomial factor)."""
-    d = dict(k1)
+def _merge_keys(left, k2):
+    """Combine two pd monomials, the first given as a dict {variable: exponent};
+    returns (sorted key, integer binomial factor)."""
+    d = left.copy()
     mult = 1
     for v, b in k2:
         a = d.get(v)
@@ -149,6 +150,12 @@ class PdRing:
 
 
 class PdElement:
+    """A finite sum of coefficients times pd monomials.
+
+    A monomial key is a tuple of (variable, exponent) pairs with distinct
+    variables, sorted; the constant monomial is ().
+    """
+
     __slots__ = ("ring", "coeffs", "truncated")
 
     def __init__(self, ring, coeffs, truncated=False):
@@ -190,20 +197,26 @@ class PdElement:
         D = ring.D
         out = {}
         trunc = self.truncated or other.truncated
+        right = [(k2, _key_degree(k2), c2) for k2, c2 in other.coeffs.items()]
         for k1, c1 in self.coeffs.items():
             d1 = _key_degree(k1)
-            for k2, c2 in other.coeffs.items():
-                if d1 + _key_degree(k2) > D:
+            left = dict(k1)
+            for k2, d2, c2 in right:
+                if d1 + d2 > D:
                     trunc = True
                     continue
-                key, mult = _merge_keys(k1, k2)
+                # keys are stored sorted, so a constant factor leaves the other key as it is
+                if not k2:
+                    key, mult = k1, 1
+                elif not k1:
+                    key, mult = k2, 1
+                else:
+                    key, mult = _merge_keys(left, k2)
                 c = c1 * c2
                 if mult != 1:
                     c = c.smul(mult)
-                if key in out:
-                    out[key] = out[key] + c
-                else:
-                    out[key] = c
+                prev = out.get(key)
+                out[key] = c if prev is None else prev + c
         return PdElement(ring, out, trunc)
 
     def smul(self, n):

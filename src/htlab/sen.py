@@ -27,7 +27,7 @@ U(sigma) with F the cocycle of the phi-only sub-stratification.
 import math
 
 from .errors import HorizonTooSmall, KernelRankDeficit, ValidationFailure
-from .galois import FormalCElem, FormalRing, GroupElt, galois_act_t, sigma_t
+from .galois import FormalCElem, FormalRing, GroupElt, galois_act_all, sigma_t
 from .higgs import (
     HiggsData,
     Stratification,
@@ -59,7 +59,9 @@ def cocycle_matrix(data, s, T=None):
     if s.d != strat.d:
         raise ValidationFailure("group element dimension does not match the module")
     base = strat.base
-    mats = {}
+    r = strat.rank
+    # cells[i][j] maps each t-degree to the (i, j) entry of its partial sum
+    cells = [[{} for _ in range(r)] for _ in range(r)]
     for (n, index), A in strat.coeffs.items():
         m = n + sum(index)
         if m >= T:
@@ -72,22 +74,19 @@ def cocycle_matrix(data, s, T=None):
         den = math.factorial(n)
         for ik in index:
             den *= math.factorial(ik)
-        sc = cfg.k_from_int(num).div_int(den)
-        term = A.mul_scalar(base.from_k(sc))
-        mats[m] = mats[m] + term if m in mats else term
-    ring = FormalRing(base, T)
-    rows = []
-    for i in range(strat.rank):
-        row = []
-        for j in range(strat.rank):
-            row.append(FormalCElem(base, T, {m: mm.entry(i, j) for m, mm in mats.items()}))
-        rows.append(row)
-    return Mat(ring, rows)
+        sc = base.from_k(cfg.k_from_int(num).div_int(den))
+        for arow, crow in zip(A.rows, cells):
+            for a, cell in zip(arow, crow):
+                term = a * sc
+                prev = cell.get(m)
+                cell[m] = term if prev is None else prev + term
+    return Mat(FormalRing(base, T), [[FormalCElem(base, T, cell) for cell in crow] for crow in cells])
 
 
 def galois_act_mat(s, mat, alpha=None):
     """sigma applied entrywise to a matrix of t-series (t moves, nothing else)."""
-    return mat.map(lambda e: galois_act_t(s, e, alpha=alpha))
+    acted = iter(galois_act_all(s, [e for row in mat.rows for e in row], alpha=alpha))
+    return Mat(mat.ring, [[next(acted) for _ in row] for row in mat.rows])
 
 
 def _witness(mat):

@@ -17,7 +17,7 @@ import json
 
 from .base import BaseConfig, KElem
 from .chart import ChartElem, ChartRing
-from .errors import ParseError
+from .errors import NotEisenstein, NotPrime, ParseError
 from .higgs import HiggsData
 from .linalg import Mat
 
@@ -115,10 +115,22 @@ def higgs_to_json(h):
     return doc
 
 
+def config_from_json(d):
+    """The BaseConfig of a config block; a block it rejects is a ParseError."""
+    if not isinstance(d, dict):
+        raise ParseError("bad config block: not a JSON object")
+    if not isinstance(d.get("cutoffs", {}), dict):
+        raise ParseError("bad config block: cutoffs is not a JSON object")
+    try:
+        return BaseConfig.from_json(d)
+    except (KeyError, TypeError, ValueError, NotPrime, NotEisenstein) as exc:
+        raise ParseError(f"bad config block: {type(exc).__name__}: {exc}")
+
+
 def higgs_from_json(doc, cfg=None):
     try:
         if cfg is None:
-            cfg = BaseConfig.from_json(doc["config"])
+            cfg = config_from_json(doc["config"])
         base = ChartRing.from_json(cfg, doc.get("base", {"mode": "point"}))
         flavor = doc["flavor"]
         theta = [mat_from_json(base, t) for t in doc["theta"]]

@@ -12,7 +12,14 @@ Writes, under ``tests/golden/``:
   every case (or the exception, should a command crash instead of reporting);
 * ``scalars.json``: ``k_to_json`` of every result of seeded chains of scalar
   operations on four bases, together with its valuation and zero test, or
-  the exception the operation raised.
+  the exception the operation raised;
+* ``containers.json``: the exact stored form of the results of the container
+  kernels (``Mat`` products and ``matvec``, ``PdElement`` products and face
+  maps, ``cocycle_matrix``, ``galois_act_mat``, the cocycle-law product and
+  ``FormalCElem.subs_t``) on seeded operands: every scalar as (coeffs, prec,
+  shift) and every sparse dict in its insertion order, so a change in the
+  order of the scalar operations shows even where the value at precision
+  does not.
 
 Only the public API is used, so the same script records the outputs of any
 version of the package.  Regenerate only for an intended change of output,
@@ -26,8 +33,15 @@ from pathlib import Path
 
 from click.testing import CliRunner
 
-from htlab import ChartRing, dumps, higgs_to_json, make_base_config, sample_higgs
+from htlab import ChartRing, KElem, dumps, higgs_to_json, make_base_config, sample_higgs
+from htlab.chart import ChartElem
 from htlab.cli import main
+from htlab.galois import FormalCElem, GroupElt
+from htlab.higgs import descent_matrix, stratification_from_higgs
+from htlab.linalg import Mat, matvec
+from htlab.pdring import FaceContext, FaceParams, PdElement, PdRing
+from htlab.samples import corpus
+from htlab.sen import cocycle_matrix, galois_act_mat
 from htlab.serialize import k_from_json, k_to_json
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -193,6 +207,201 @@ def scalar_chains():
     return out
 
 
+def _form(x):
+    """The stored form of a scalar or sparse element, dict order kept."""
+    if isinstance(x, KElem):
+        return k_to_json(x)
+    if isinstance(x, ChartElem):
+        terms = [[list(e), k_to_json(c)] for e, c in x.coeffs.items()]
+        return {"chart": terms, "truncated": x.truncated}
+    if isinstance(x, PdElement):
+        terms = [[[[list(v), a] for v, a in key], _form(c)] for key, c in x.coeffs.items()]
+        return {"pd": terms, "truncated": x.truncated}
+    if isinstance(x, FormalCElem):
+        return {"series": [[k, _form(c)] for k, c in x.coeffs.items()], "T": x.T}
+    raise TypeError(f"no stored form for {type(x).__name__}")
+
+
+def _mat_form(m):
+    return [[_form(a) for a in row] for row in m.rows]
+
+
+def _k_entry(cfg, rng):
+    """A scalar operand: full-precision zero, reduced-precision zero, or a random record."""
+    roll = rng.random()
+    if roll < 0.3:
+        return cfg.k_zero()
+    if roll < 0.45:
+        zero = {"coeffs": [["0"] * cfg.f if cfg.f > 1 else "0"] * cfg.e}
+        zero["prec"] = str(rng.randrange(1, cfg.N))
+        zero["shift"] = str(rng.choice((0, 0, 1, 2)))
+        return k_from_json(cfg, zero)
+    return k_from_json(cfg, _record(cfg, rng))
+
+
+def _chart_entry(base, rng):
+    roll = rng.random()
+    if roll < 0.3:
+        return base.zero()
+    out = base.from_k(_k_entry(base.cfg, rng))
+    if roll < 0.7:
+        out = out + base.var(1, rng.choice((1, 2))).smul(rng.randrange(1, 30))
+    return out
+
+
+def _operand(ring, entry, rng, n, m):
+    """An n x m matrix of random entries, with an all-zero row or column now and then."""
+    rows = [[entry() for _ in range(m)] for _ in range(n)]
+    if rng.random() < 0.4:
+        i = rng.randrange(n)
+        rows[i] = [ring.zero() for _ in range(m)]
+    if rng.random() < 0.4:
+        j = rng.randrange(m)
+        for row in rows:
+            row[j] = ring.zero()
+    return rows
+
+
+def _mat_products(ring, entry, rng, count):
+    steps = []
+    for _ in range(count):
+        n, k, m = (rng.randrange(1, 5) for _ in range(3))
+        a = Mat(ring, _operand(ring, entry, rng, n, k))
+        b = Mat(ring, _operand(ring, entry, rng, k, m))
+        v = [entry() if rng.random() < 0.7 else ring.zero() for _ in range(k)]
+        steps.append(
+            {
+                "a": _mat_form(a),
+                "b": _mat_form(b),
+                "v": [_form(x) for x in v],
+                "ab": _mat_form(a * b),
+                "av": [_form(x) for x in matvec(a, v)],
+            }
+        )
+    return steps
+
+
+def _pd_element(ring, rng, cfg):
+    """A random pd element whose pd-degree reaches near the cutoff."""
+    gens = ring.generators()
+    coeffs = {}
+    for _ in range(rng.randrange(0, 5)):
+        key = {}
+        if rng.random() < 0.85:
+            for _ in range(rng.randrange(1, 3)):
+                key[rng.choice(gens)] = rng.randrange(1, ring.D + 1)
+        coeffs[tuple(sorted(key.items()))] = ring.base.from_k(_k_entry(cfg, rng))
+    return PdElement(ring, coeffs, truncated=rng.random() < 0.1)
+
+
+def _pd_products(cfg, base, rng, count):
+    ring = PdRing(cfg, base, "abs-geom", 2, d=1, D=4)
+    faces = [FaceContext(ring, i, FaceParams.log(cfg)) for i in range(3)]
+    steps = []
+    for _ in range(count):
+        x = _pd_element(ring, rng, cfg)
+        y = _pd_element(ring, rng, cfg) if rng.random() < 0.8 else ring.one()
+        steps.append(
+            {
+                "x": _form(x),
+                "y": _form(y),
+                "xy": _form(x * y),
+                "yx": _form(y * x),
+                "faces": [_form(f.apply(x)) for f in faces],
+            }
+        )
+    return steps
+
+
+def _descent_products(h):
+    """The pd-level cocycle product p2*(eps) p0*(eps) of one module."""
+    strat = stratification_from_higgs(h)
+    ring1 = PdRing(strat.cfg, strat.base, strat.flavor, 1, d=strat.d, D=strat.D)
+    eps = descent_matrix(strat, ring=ring1)
+    params = FaceParams.log(h.cfg) if h.twist == "log" else FaceParams.nonlog(h.cfg)
+    if strat.flavor == "rel-geom":
+        params = None
+    faces = [FaceContext(ring1, i, params) for i in range(3)]
+    p0, _, p2 = (eps.map(f.apply, ring=faces[0].target) for f in faces)
+    return _mat_form(p2 * p0)
+
+
+def _group_elements(cfg, rng, d):
+    """c = 0 with chi = 1 and chi != 1, then c != 0 with chi = 1 and chi != 1."""
+    p = cfg.p
+    n = tuple(rng.randrange(p**4) for _ in range(d))
+    c = 1 + rng.randrange(p**4)
+    chi = 1 + p * (1 + rng.randrange(p**3))
+    return [GroupElt(cfg, n, 0, 1), GroupElt(cfg, n, 0, chi), GroupElt(cfg, n, c, 1), GroupElt(cfg, n, c, chi)]
+
+
+def _cocycle_cases(base, seed, rng):
+    cfg = base.cfg
+    steps = []
+    for i, h in enumerate(corpus(base, seed)):
+        alpha = cfg.beta if h.twist == "log" else cfg.Ep
+        strat = stratification_from_higgs(h)
+        gs = _group_elements(cfg, rng, h.d)
+        pairs = list(zip(gs, gs[1:] + gs[:1]))
+        for s, u in pairs[i % 2 :: 2]:  # every s, alternating over the modules
+            us = cocycle_matrix(strat, s)
+            act = galois_act_mat(s, cocycle_matrix(strat, u), alpha=alpha)
+            steps.append(
+                {
+                    "module": [h.flavor, str(h.rank), str(h.d), h.twist],
+                    "s": s.to_json(),
+                    "u": u.to_json(),
+                    "U(s)": _mat_form(us),
+                    "s(U(u))": _mat_form(act),
+                    "product": _mat_form(us * act),
+                }
+            )
+    return steps
+
+
+def _subs_cases(base, rng, count):
+    """t -> t_img on random series, t_img with random coefficients (zeros included)."""
+    cfg = base.cfg
+    T = cfg.cutoffs.T
+    steps = []
+    for i in range(count):
+        x = FormalCElem(base, T, {k: _k_entry(cfg, rng) for k in range(T) if rng.random() < 0.7})
+        t_img = FormalCElem(base, T, {k: _k_entry(cfg, rng) for k in range(1, T) if rng.random() < 0.7})
+        if i % 4 == 0:
+            # t -> t + t^2 with x_2 = -x_1: the t^2 slot cancels to a droppable zero
+            r = cfg.k_from_int(rng.randrange(1, 1000))
+            x = FormalCElem(base, T, {**x.coeffs, 1: r, 2: -r})
+            t_img = FormalCElem(base, T, {1: base.one(), 2: base.one()})
+        steps.append({"x": _form(x), "t_img": _form(t_img), "subs": _form(x.subs_t(t_img))})
+    return steps
+
+
+def container_cases():
+    """Seeded container-kernel results on three bases, stored form and dict order kept."""
+    out = {}
+    for b, (bname, p, E, f) in enumerate(LAB_BASES):
+        cfg = make_base_config(p, list(E), f=f, precision=N)
+        rng = random.Random(3000 + b)
+        point = ChartRing(cfg, "point")
+        chart = ChartRing(cfg, "chart", d=1, r=1)
+        descent = [
+            h
+            for h in corpus(point, 11 + b)
+            if h.rank == 3 and h.flavor in ("abs-geom", "rel-geom")
+        ]
+        out[bname] = {
+            "mat": _mat_products(point, lambda: _k_entry(cfg, rng), rng, 40),
+            "chart_mat": _mat_products(chart, lambda: _chart_entry(chart, rng), rng, 12),
+            "pd": _pd_products(cfg, point, rng, 40),
+            "descent": [_descent_products(h) for h in descent[:3]],
+            "cocycle": _cocycle_cases(point, 11 + b, rng),
+            "subs_t": _subs_cases(point, rng, 20),
+        }
+    chart_cfg = make_base_config(5, [-5], precision=N)
+    out["p5-chart"] = {"cocycle": _cocycle_cases(ChartRing(chart_cfg, "chart", d=1, r=1), 7, random.Random(3100))}
+    return out
+
+
 def write_all():
     inputs = GOLDEN / "inputs"
     inputs.mkdir(parents=True, exist_ok=True)
@@ -207,9 +416,10 @@ def write_all():
         manifest.append({"case": case, "input": name, "args": args, "exit_code": code, "exception": exc})
     (GOLDEN / "manifest.json").write_text(json.dumps(manifest, indent=1) + "\n")
     (GOLDEN / "scalars.json").write_text(json.dumps(scalar_chains(), indent=1, sort_keys=True) + "\n")
+    (GOLDEN / "containers.json").write_text(json.dumps(container_cases(), sort_keys=True) + "\n")
     return len(manifest)
 
 
 if __name__ == "__main__":
     n = write_all()
-    print(f"wrote {n} lab cases and scalars.json under {GOLDEN}", file=sys.stderr)
+    print(f"wrote {n} lab cases, scalars.json and containers.json under {GOLDEN}", file=sys.stderr)

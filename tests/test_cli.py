@@ -10,7 +10,7 @@ from htlab.cli import main
 from htlab.higgs import HiggsData
 from htlab.linalg import Mat
 from htlab.samples import sample_higgs
-from htlab.serialize import dump_higgs
+from htlab.serialize import dump_higgs, higgs_to_json
 
 
 @pytest.fixture
@@ -225,3 +225,47 @@ def test_in_process_runs_release_their_streams(runner, point, tmp_path):
         res = runner.invoke(main, ["check", path, "--canonical"])
         assert res.exit_code == 0
     assert wrappers() == before
+
+
+LAB_COMMANDS = ("check", "stratify", "cohomology", "cocycle", "factorize")
+
+
+def _parse_fail_detail(runner, command, path):
+    res = runner.invoke(main, [command, str(path), "--canonical"])
+    assert res.exception is None or isinstance(res.exception, SystemExit), res.exception
+    assert res.exit_code == 1
+    doc = json.loads(res.output)
+    assert doc["command"] == command
+    assert doc["checks"]["parse"]["status"] == "fail"
+    return doc["checks"]["parse"]["detail"]
+
+
+def _descriptor_with_config(tmp_path, point, **config):
+    """A module descriptor that also lists units, so every command can read it."""
+    h = sample_higgs(point, random.Random(3), "abs-geom", rank=2, d=1)
+    doc = higgs_to_json(h)
+    doc["units"] = ["3"]
+    doc["config"].update(config)
+    path = tmp_path / "desc.json"
+    path.write_text(json.dumps(doc))
+    return path
+
+
+@pytest.mark.parametrize("command", LAB_COMMANDS)
+def test_non_object_descriptor_reports_parse_fail(runner, tmp_path, command):
+    for text in ("[1]", '"x"', "3"):
+        path = tmp_path / "desc.json"
+        path.write_text(text)
+        assert "expected an object" in _parse_fail_detail(runner, command, path)
+
+
+@pytest.mark.parametrize("command", LAB_COMMANDS)
+def test_config_with_non_prime_p_reports_parse_fail(runner, point, tmp_path, command):
+    path = _descriptor_with_config(tmp_path, point, p="4")
+    assert "NotPrime" in _parse_fail_detail(runner, command, path)
+
+
+@pytest.mark.parametrize("command", LAB_COMMANDS)
+def test_config_with_non_eisenstein_e_reports_parse_fail(runner, point, tmp_path, command):
+    path = _descriptor_with_config(tmp_path, point, E_coeffs=["-25"])
+    assert "NotEisenstein" in _parse_fail_detail(runner, command, path)

@@ -272,3 +272,15 @@ def test_snf_rejects_chart_base(cfg_u5):
     m = Mat(chart, [[chart.var(1, 1), chart.from_int(5)], [chart.from_int(1), chart.from_int(0)]])
     with pytest.raises(ValidationFailure, match="point base"):
         snf_dvr(m)
+
+
+@pytest.mark.xfail(strict=True, raises=ValidationFailure, reason="known defect: image escapes the kernel in degree 1")
+def test_valid_corpus_module_gets_an_answer_in_degree_1():
+    # validate_higgs and verify_complex both pass on this module, so the
+    # cohomology must be certified, flagged precision_limited, or refused
+    # with InsufficientPrecision; it raises ValidationFailure instead.  When
+    # the defect is fixed this test passes, and the mark must go.
+    from htlab.samples import corpus
+
+    h = corpus(ChartRing(make_base_config(3, [-3], precision=8), "point"), 39)[18]
+    cohomology(build_higgs_complex(h), 1)

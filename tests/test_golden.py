@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
-from make_golden import GOLDEN, run_case, scalar_chains
+from make_golden import GOLDEN, container_cases, run_case, scalar_chains
 
 MANIFEST = json.loads((GOLDEN / "manifest.json").read_text())
 
@@ -29,6 +29,18 @@ def test_no_lab_command_crashes():
     assert all(e["exception"] is None for e in MANIFEST)
 
 
+def _assert_same_text(got, name):
+    # a short report: pytest's own diff of two large strings takes minutes
+    want = Path(GOLDEN / name).read_text()
+    if got != want:
+        at = next((i for i, (a, b) in enumerate(zip(got, want)) if a != b), min(len(got), len(want)))
+        lo = max(at - 80, 0)
+        pytest.fail(f"{name} differs at char {at}: got {got[lo : at + 80]!r}, want {want[lo : at + 80]!r}")
+
+
 def test_scalar_chains_unchanged():
-    got = json.dumps(scalar_chains(), indent=1, sort_keys=True) + "\n"
-    assert got == Path(GOLDEN / "scalars.json").read_text()
+    _assert_same_text(json.dumps(scalar_chains(), indent=1, sort_keys=True) + "\n", "scalars.json")
+
+
+def test_container_kernels_unchanged():
+    _assert_same_text(json.dumps(container_cases(), sort_keys=True) + "\n", "containers.json")
