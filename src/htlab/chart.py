@@ -21,6 +21,7 @@ sharpen later comparisons.
 """
 
 from .errors import BadIndex
+from .sparse import Sparse
 
 
 class ChartRing:
@@ -103,7 +104,7 @@ class ChartRing:
         return f"ChartRing(chart d={self.d} r={self.r} Dy={self.Dy})"
 
 
-class ChartElem:
+class ChartElem(Sparse):
     __slots__ = ("ring", "coeffs", "truncated")
 
     def __init__(self, ring, coeffs, truncated=False):
@@ -136,27 +137,8 @@ class ChartElem:
         self.coeffs = norm
         self.truncated = truncated
 
-    def _combine(self, other, sub):
-        out = dict(self.coeffs)
-        for exps, c in other.coeffs.items():
-            if exps in out:
-                s = out[exps] - c if sub else out[exps] + c
-                if s.droppable():
-                    del out[exps]
-                else:
-                    out[exps] = s
-            else:
-                out[exps] = -c if sub else c
-        return ChartElem(self.ring, out, self.truncated or other.truncated)
-
-    def __add__(self, other):
-        return self._combine(other, False)
-
-    def __sub__(self, other):
-        return self._combine(other, True)
-
-    def __neg__(self):
-        return ChartElem(self.ring, {e: -c for e, c in self.coeffs.items()}, self.truncated)
+    def _new(self, coeffs, truncated):
+        return ChartElem(self.ring, coeffs, truncated)
 
     def __mul__(self, other):
         out = {}
@@ -171,27 +153,6 @@ class ChartElem:
                     out[exps] = c
         return ChartElem(self.ring, out, trunc)
 
-    def smul(self, n):
-        return ChartElem(
-            self.ring, {e: c.smul(n) for e, c in self.coeffs.items()}, self.truncated
-        )
-
-    def div_int(self, n):
-        return ChartElem(
-            self.ring, {e: c.div_int(n) for e, c in self.coeffs.items()}, self.truncated
-        )
-
-    def clamp_prec(self, prec):
-        return ChartElem(
-            self.ring, {e: c.clamp_prec(prec) for e, c in self.coeffs.items()}, self.truncated
-        )
-
-    def is_zero(self):
-        return all(c.is_zero() for c in self.coeffs.values())
-
-    def storage_zero(self):
-        return not self.coeffs
-
     def droppable(self):
         # constructor already pruned droppable coefficients
         return not self.coeffs
@@ -204,22 +165,8 @@ class ChartElem:
                 best = v
         return best
 
-    def integral(self):
-        return all(c.integral() for c in self.coeffs.values())
-
     def coeff(self, exps):
         return self.coeffs.get(tuple(exps), self.ring.cfg.k_zero())
-
-    def eq(self, other):
-        return (self - other).is_zero()
-
-    def __eq__(self, other):
-        if not isinstance(other, ChartElem):
-            return NotImplemented
-        return self.eq(other)
-
-    def __hash__(self):
-        raise TypeError("ChartElem compares at precision; not hashable")
 
     def __repr__(self):
         parts = []

@@ -153,13 +153,9 @@ class SnfResult:
 
     def diag(self, ring):
         """The reduced matrix itself: diag(pi^v) padded with zeros."""
-        pi = ring.from_k(ring.cfg.k_pi())
         rows = [[ring.zero() for _ in range(self.ncols)] for _ in range(self.nrows)]
         for t, v in enumerate(self.vals):
-            x = ring.one()
-            for _ in range(v):
-                x = x * pi
-            rows[t][t] = x
+            rows[t][t] = _pi_power(ring, v)
         return Mat(ring, rows)
 
     def __repr__(self):

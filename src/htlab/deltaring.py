@@ -166,10 +166,6 @@ class DeltaRingView:
         return (self.phi(x) - x.pow(self.cfg.p)).div_p_exact()
 
 
-def delta(view, x):
-    return view.delta(x)
-
-
 def delta_product_rule_check(view, samples):
     """delta(xy) = x^p delta(y) + y^p delta(x) + p delta(x) delta(y)."""
     p = view.cfg.p

@@ -16,7 +16,7 @@ assumed: the evaluation/face compatibility oracle in the cosimplicial module
 certifies it.
 """
 
-from .errors import PrecisionExhausted
+from .sparse import Sparse
 
 
 class GroupElt:
@@ -74,7 +74,7 @@ class GroupElt:
         return f"GroupElt(n={self.n}, c={self.c}, chi={self.chi})"
 
 
-class FormalCElem:
+class FormalCElem(Sparse):
     """Polynomial in t of degree < T with coefficients in the base ring."""
 
     __slots__ = ("base", "T", "coeffs")
@@ -96,23 +96,13 @@ class FormalCElem:
     def t_times(cls, base, T, s):
         return cls(base, T, {1: s})
 
-    def _zip(self, other, op):
-        out = dict(self.coeffs)
-        for k, v in other.coeffs.items():
-            if k in out:
-                out[k] = getattr(out[k], op)(v)
-            else:
-                out[k] = v if op == "__add__" else -v
-        return FormalCElem(self.base, self.T, out)
+    def _new(self, coeffs, truncated):
+        return FormalCElem(self.base, self.T, coeffs)
 
-    def __add__(self, other):
-        return self._zip(other, "__add__")
-
-    def __sub__(self, other):
-        return self._zip(other, "__sub__")
-
-    def __neg__(self):
-        return FormalCElem(self.base, self.T, {k: -v for k, v in self.coeffs.items()}, reduce=False)
+    def _flag(self, other=None):
+        # the flag is derived from the coefficients (see truncated), so no
+        # operation reads it off its operands
+        return False
 
     def __mul__(self, other):
         out = {}
@@ -125,35 +115,12 @@ class FormalCElem:
                 out[k] = out[k] + prod if k in out else prod
         return FormalCElem(self.base, self.T, out)
 
-    def mul_scalar(self, s):
-        return FormalCElem(self.base, self.T, {k: v * s for k, v in self.coeffs.items()})
-
-    def smul(self, n):
-        return FormalCElem(self.base, self.T, {k: v.smul(n) for k, v in self.coeffs.items()})
-
-    def is_zero(self):
-        return all(v.is_zero() for v in self.coeffs.values())
-
-    def storage_zero(self):
-        return not self.coeffs
-
     def droppable(self):
         return not self.coeffs
 
     @property
     def truncated(self):
         return any(v.truncated for v in self.coeffs.values())
-
-    def eq(self, other):
-        return (self - other).is_zero()
-
-    def __eq__(self, other):
-        if not isinstance(other, FormalCElem):
-            return NotImplemented
-        return self.eq(other)
-
-    def __hash__(self):
-        raise TypeError("FormalCElem compares at precision; not hashable")
 
     def subs_t(self, t_img):
         """Substitute t -> t_img (no constant term), coefficients untouched."""
@@ -163,15 +130,6 @@ class FormalCElem:
         if k in self.coeffs:
             return self.coeffs[k]
         return self.base.zero()
-
-    def residual_valuation(self):
-        """Smallest coefficient valuation in pi-units; None if zero."""
-        best = None
-        for v in self.coeffs.values():
-            mv = v.min_val()
-            if mv is not None and (best is None or mv < best):
-                best = mv
-        return best
 
     def __repr__(self):
         return f"FormalCElem({self.coeffs}, T={self.T})"

@@ -34,7 +34,7 @@ from .errors import (
     ValidationFailure,
 )
 from .linalg import Mat, commutator
-from .pdring import FaceContext, FaceParams, PdRing
+from .pdring import FaceContext, FaceParams, PdElement, PdRing
 
 FLAVORS = ("abs-arith", "abs-geom", "rel-geom")
 TWISTS = ("log", "smooth")
@@ -211,6 +211,23 @@ def _multi_indices(d, maxw):
         yield from rec((), w, d)
 
 
+def theta_powers(h, maxw):
+    """Theta^I for each multi-index I of weight <= maxw, in _multi_indices order.
+
+    Theta^I = theta_k Theta^(I - e_k), k the first nonzero position of I.
+    """
+    pows = {}
+    for index in _multi_indices(h.d, maxw):
+        k = next((i for i, v in enumerate(index) if v > 0), None)
+        if k is None:
+            pows[index] = Mat.identity(h.base, h.rank)
+        else:
+            prev = list(index)
+            prev[k] -= 1
+            pows[index] = h.theta[k] * pows[tuple(prev)]
+    return pows
+
+
 class Stratification:
     """The coefficients A_{n,I} of the degree-1 descent matrix."""
 
@@ -254,17 +271,9 @@ def stratification_from_higgs(h, D=None):
             factor = factor.add_scalar_diag(beta)
     else:
         p_seq = [Mat.identity(h.base, h.rank)]
-    theta_pows = {(0,) * h.d: Mat.identity(h.base, h.rank)}
     coeffs = {}
-    for index in _multi_indices(h.d, D):
+    for index, tp in theta_powers(h, D).items():
         w = sum(index)
-        tp = theta_pows.get(index)
-        if tp is None:
-            k = next(i for i, v in enumerate(index) if v > 0)
-            prev = list(index)
-            prev[k] -= 1
-            tp = h.theta[k] * theta_pows[tuple(prev)]
-            theta_pows[index] = tp
         n_top = (D - w) if h.phi is not None else 0
         for n in range(n_top + 1):
             coeffs[(n, index)] = tp * p_seq[n] if n else tp
@@ -343,8 +352,6 @@ def check_recursions(strat):
 
 def descent_matrix(strat, ring=None):
     """eps = sum A_{n,I} X_1^[n] Y_1^[I] as a matrix of degree-1 pd elements."""
-    from .pdring import PdElement
-
     if ring is None:
         ring = PdRing(strat.cfg, strat.base, strat.flavor, 1, d=strat.d, D=strat.D)
     entries = [[{} for _ in range(strat.rank)] for _ in range(strat.rank)]
@@ -356,11 +363,10 @@ def descent_matrix(strat, ring=None):
             if ik:
                 key.append((ring.y_id(k + 1, 1), ik))
         key = tuple(sorted(key))
-        for i in range(strat.rank):
-            for j in range(strat.rank):
-                s = m.entry(i, j)
+        for row, cells in zip(m.rows, entries):
+            for s, cell in zip(row, cells):
                 if not s.storage_zero():
-                    entries[i][j][key] = s
+                    cell[key] = s
     return Mat(ring, [[PdElement(ring, e) for e in row] for row in entries])
 
 

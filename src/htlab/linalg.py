@@ -2,14 +2,11 @@
 
 A ring handle only needs zero() and one(); entries follow the shared scalar
 protocol.  The same class therefore serves K matrices, chart matrices,
-matrices of pd elements, and matrices of t-series.
-
-kernel_basis and k_rank do exact-at-precision Gaussian elimination over K
-with minimal-valuation pivoting; they require entries that can be inverted
-(point-mode scalars).
+matrices of pd elements, and matrices of t-series.  Elimination lives in
+one place, cohomology.snf_dvr.
 """
 
-from .errors import BadIndex, NotAUnit
+from .errors import BadIndex
 
 
 class Mat:
@@ -142,94 +139,6 @@ class Mat:
 
 def commutator(a, b):
     return a * b - b * a
-
-
-def _min_val_pivot(rows, cols_used, rows_used):
-    """Position of an entry with minimal pi-valuation among unused rows/cols."""
-    best = None
-    pos = None
-    for i, row in enumerate(rows):
-        if i in rows_used:
-            continue
-        for j, a in enumerate(row):
-            if j in cols_used:
-                continue
-            v = a.min_val()
-            if v is None:
-                continue
-            if best is None or v < best:
-                best, pos = v, (i, j)
-    return pos
-
-
-def k_rank(mat):
-    """Rank over K of a matrix with invertible-scalar entries."""
-    rows = [list(r) for r in mat.rows]
-    rows_used, cols_used = set(), set()
-    rank = 0
-    while True:
-        pos = _min_val_pivot(rows, cols_used, rows_used)
-        if pos is None:
-            return rank
-        pi, pj = pos
-        rank += 1
-        rows_used.add(pi)
-        cols_used.add(pj)
-        try:
-            inv = rows[pi][pj].inv()
-        except NotAUnit:
-            return rank  # entry vanished at precision; nothing sharper exists
-        for i, row in enumerate(rows):
-            if i in rows_used:
-                continue
-            f = row[pj] * inv
-            if f.storage_zero():
-                continue
-            rows[i] = [a - f * b for a, b in zip(row, rows[pi])]
-
-
-def kernel_basis(mat):
-    """Columns spanning ker over K, via column reduction.
-
-    Returns a list of column vectors (lists of scalars).  Entries must be
-    point-mode scalars so pivots can be inverted exactly.
-    """
-    n, m = mat.nrows, mat.ncols
-    work = [list(r) for r in mat.rows]
-    # record of the column operations applied to the identity
-    ops = [[mat.ring.one() if i == j else mat.ring.zero() for j in range(m)] for i in range(m)]
-    pivot_cols = set()
-    used_rows = set()
-    while True:
-        best, pos = None, None
-        for i in range(n):
-            if i in used_rows:
-                continue
-            for j in range(m):
-                if j in pivot_cols:
-                    continue
-                v = work[i][j].min_val()
-                if v is None:
-                    continue
-                if best is None or v < best:
-                    best, pos = v, (i, j)
-        if pos is None:
-            break
-        pi, pj = pos
-        used_rows.add(pi)
-        pivot_cols.add(pj)
-        inv = work[pi][pj].inv()
-        for j in range(m):
-            if j == pj or j in pivot_cols:
-                continue
-            f = work[pi][j] * inv
-            if f.storage_zero():
-                continue
-            for i in range(n):
-                work[i][j] = work[i][j] - f * work[i][pj]
-            for i in range(m):
-                ops[i][j] = ops[i][j] - f * ops[i][pj]
-    return [[ops[i][j] for i in range(m)] for j in range(m) if j not in pivot_cols]
 
 
 def matvec(mat, vec):

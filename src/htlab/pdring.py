@@ -31,6 +31,7 @@ from math import comb, factorial
 
 from .errors import AxiomViolation, BadIndex, InsufficientPrecision
 from .galois import FormalCElem, galois_act_t
+from .sparse import Sparse
 
 VARIANTS = ("abs-arith", "abs-geom", "rel-geom")
 
@@ -149,7 +150,7 @@ class PdRing:
         return f"PdRing({self.variant}, n={self.degree}, d={self.d}, D={self.D})"
 
 
-class PdElement:
+class PdElement(Sparse):
     """A finite sum of coefficients times pd monomials.
 
     A monomial key is a tuple of (variable, exponent) pairs with distinct
@@ -170,27 +171,8 @@ class PdElement:
         self.coeffs = clean
         self.truncated = truncated
 
-    def _combine(self, other, sub):
-        out = dict(self.coeffs)
-        for key, c in other.coeffs.items():
-            if key in out:
-                s = out[key] - c if sub else out[key] + c
-                if s.droppable():
-                    del out[key]
-                else:
-                    out[key] = s
-            else:
-                out[key] = -c if sub else c
-        return PdElement(self.ring, out, self.truncated or other.truncated)
-
-    def __add__(self, other):
-        return self._combine(other, False)
-
-    def __sub__(self, other):
-        return self._combine(other, True)
-
-    def __neg__(self):
-        return PdElement(self.ring, {k: -c for k, c in self.coeffs.items()}, self.truncated)
+    def _new(self, coeffs, truncated):
+        return PdElement(self.ring, coeffs, truncated)
 
     def __mul__(self, other):
         ring = self.ring
@@ -219,15 +201,6 @@ class PdElement:
                 out[key] = c if prev is None else prev + c
         return PdElement(ring, out, trunc)
 
-    def smul(self, n):
-        return PdElement(self.ring, {k: c.smul(n) for k, c in self.coeffs.items()}, self.truncated)
-
-    def mul_scalar(self, s):
-        return PdElement(self.ring, {k: c * s for k, c in self.coeffs.items()}, self.truncated)
-
-    def div_int(self, n):
-        return PdElement(self.ring, {k: c.div_int(n) for k, c in self.coeffs.items()}, self.truncated)
-
     def coeff(self, key):
         key = tuple(sorted(key))
         if key in self.coeffs:
@@ -240,28 +213,8 @@ class PdElement:
     def pd_degree(self):
         return max((_key_degree(k) for k in self.coeffs), default=0)
 
-    def is_zero(self):
-        return all(c.is_zero() for c in self.coeffs.values())
-
-    def storage_zero(self):
-        return not self.coeffs
-
     def droppable(self):
         return not self.coeffs and not self.truncated
-
-    def integral(self):
-        return all(c.integral() for c in self.coeffs.values())
-
-    def eq(self, other):
-        return (self - other).is_zero()
-
-    def __eq__(self, other):
-        if not isinstance(other, PdElement):
-            return NotImplemented
-        return self.eq(other)
-
-    def __hash__(self):
-        raise TypeError("PdElement compares at precision; not hashable")
 
     def __repr__(self):
         def vname(vid):

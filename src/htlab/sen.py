@@ -26,15 +26,17 @@ U(sigma) with F the cocycle of the phi-only sub-stratification.
 
 import math
 
+from .cohomology import _pi_power, snf_dvr
 from .errors import HorizonTooSmall, KernelRankDeficit, ValidationFailure
 from .galois import FormalCElem, FormalRing, GroupElt, galois_act_all, sigma_t
 from .higgs import (
     HiggsData,
     Stratification,
-    _multi_indices,
+    _first_nonzero,
     stratification_from_higgs,
+    theta_powers,
 )
-from .linalg import Mat, kernel_basis
+from .linalg import Mat
 from .pdring import PdElement, PdRing
 
 
@@ -89,14 +91,6 @@ def galois_act_mat(s, mat, alpha=None):
     return Mat(mat.ring, [[next(acted) for _ in row] for row in mat.rows])
 
 
-def _witness(mat):
-    for i, row in enumerate(mat.rows):
-        for j, a in enumerate(row):
-            if not a.is_zero():
-                return (i, j)
-    return None
-
-
 def _twist_alpha(strat):
     if strat.twist == "log":
         return strat.cfg.beta
@@ -120,7 +114,7 @@ def verify_cocycle_law(data, s, u, T=None):
     )
     residual = lhs - rhs
     ok = residual.is_zero()
-    return {"ok": ok, "witness": None if ok else _witness(residual)}
+    return {"ok": ok, "witness": None if ok else _first_nonzero(residual)}
 
 
 def sen_operator(h):
@@ -137,20 +131,29 @@ def h0_fixed_points(data, T=None):
 
     A constant vector is fixed exactly when every coefficient of positive
     weight kills it (group elements separate the coefficients), so stack
-    the A_{n,I} with 1 <= n + |I| <= T - 1 and take the kernel.  Point-mode
-    scalars only.
+    the A_{n,I} with 1 <= n + |I| <= T - 1 and take the kernel over K: the
+    columns of V past the rank in the Smith form of the stack, scaled by a
+    power of pi to be integral.  Point-mode scalars only.
     """
     strat = _as_strat(data)
     T = strat.cfg.cutoffs.T if T is None else T
+    base = strat.base
     rows = []
     for key in strat.indices():
         m = key[0] + sum(key[1])
         if 1 <= m <= T - 1:
             rows.extend(strat.coeffs[key].rows)
     if not rows:
-        ident = Mat.identity(strat.base, strat.rank)
-        return {"dim": strat.rank, "basis": [ident.col(j) for j in range(strat.rank)]}
-    basis = kernel_basis(Mat(strat.base, rows))
+        V, rank = Mat.identity(base, strat.rank), 0
+    else:
+        stack = Mat(base, rows)
+        vals = [a.min_val() for row in rows for a in row]
+        low = min((v for v in vals if v is not None), default=0)
+        if low < 0:
+            stack = stack.mul_scalar(_pi_power(base, -low))
+        snf = snf_dvr(stack)
+        V, rank = snf.V, len(snf.vals)
+    basis = [V.col(j) for j in range(rank, strat.rank)]
     return {"dim": len(basis), "basis": basis}
 
 
@@ -213,18 +216,9 @@ def period_kernel_rep(h, T=None, D=None):
         raise HorizonTooSmall(f"t-order {T} needs pd degree {T - 1}, have {D}")
     ring = PdRing(cfg, h.base, "rel-geom", 1, d=h.d, D=D)
     fring = FormalRing(ring, T)
-    maxw = min(D, T - 1)
-    pows = {(0,) * h.d: Mat.identity(h.base, h.rank)}
     cellsB = [[{} for _ in range(h.rank)] for _ in range(h.rank)]
     cellsBi = [[{} for _ in range(h.rank)] for _ in range(h.rank)]
-    for index in _multi_indices(h.d, maxw):
-        tp = pows.get(index)
-        if tp is None:
-            k = next(i for i, v in enumerate(index) if v > 0)
-            prev = list(index)
-            prev[k] -= 1
-            tp = h.theta[k] * pows[tuple(prev)]
-            pows[index] = tp
+    for index, tp in theta_powers(h, min(D, T - 1)).items():
         m = sum(index)
         key = tuple(sorted((ring.y_id(k + 1, 1), ik) for k, ik in enumerate(index) if ik))
         for i in range(h.rank):
@@ -301,16 +295,8 @@ def crosscheck_inverse_simpson(h, s, T=None, D=None):
     for _ in range(maxw):
         st_pows.append(st_pows[-1] * st)
     gamma_cache = {}
-    pows = {(0,) * h.d: Mat.identity(h.base, h.rank)}
     b_sub = None
-    for index in _multi_indices(h.d, maxw):
-        tp = pows.get(index)
-        if tp is None:
-            k = next(i for i, v in enumerate(index) if v > 0)
-            prev = list(index)
-            prev[k] -= 1
-            tp = h.theta[k] * pows[tuple(prev)]
-            pows[index] = tp
+    for index, tp in theta_powers(h, maxw).items():
         if tp.storage_zero():
             continue
         coeff = ring.one()
@@ -326,4 +312,4 @@ def crosscheck_inverse_simpson(h, s, T=None, D=None):
     conj = per["Binv"] * f_pd * b_sub
     residual = conj - u_pd
     ok = residual.is_zero()
-    return {"ok": ok, "witness": None if ok else _witness(residual)}
+    return {"ok": ok, "witness": None if ok else _first_nonzero(residual)}

@@ -1,0 +1,88 @@
+"""The sparse base shared by chart, pd and t-series elements.
+
+A subclass holds its coefficients in ``coeffs``, a dict from its own keys
+(chart exponent tuples, pd monomials, t-degrees) to scalar-protocol objects,
+and supplies the parts that differ:
+
+* a normalizing constructor, which applies the subclass's cutoff and is the
+  one place where coefficients are dropped (galois.subs_t_all, which sums a
+  substitution in place, applies the same rule itself): a coefficient goes
+  only when it is droppable (zero as stored, at the ambient precision), so a
+  zero known to fewer digits keeps its key and lowers the claim of later
+  comparisons;
+* ``_new(coeffs, truncated)``, which rebuilds an element through that
+  constructor;
+* ``__mul__``, ``droppable``, ``coeff`` and ``__repr__``.
+
+Everything here builds the raw coefficient dict and hands it to ``_new``.
+``deltaring.USeries`` is not a subclass: its coefficients are raw Witt
+vectors under an explicit modulus, not scalar-protocol objects.
+"""
+
+
+class Sparse:
+    __slots__ = ()
+
+    def _flag(self, other=None):
+        """The truncated flag a result inherits from its operands.
+
+        FormalCElem derives its flag from its coefficients and overrides
+        this, so a sum does not walk them.
+        """
+        if other is None:
+            return self.truncated
+        return self.truncated or other.truncated
+
+    def _merge(self, other, sub):
+        out = dict(self.coeffs)
+        for key, c in other.coeffs.items():
+            prev = out.get(key)
+            if prev is None:
+                out[key] = -c if sub else c
+            else:
+                out[key] = prev - c if sub else prev + c
+        return self._new(out, self._flag(other))
+
+    def __add__(self, other):
+        return self._merge(other, False)
+
+    def __sub__(self, other):
+        return self._merge(other, True)
+
+    def _map(self, fn):
+        return self._new({key: fn(c) for key, c in self.coeffs.items()}, self._flag())
+
+    def __neg__(self):
+        return self._map(lambda c: -c)
+
+    def smul(self, n):
+        return self._map(lambda c: c.smul(n))
+
+    def mul_scalar(self, s):
+        return self._map(lambda c: c * s)
+
+    def div_int(self, n):
+        return self._map(lambda c: c.div_int(n))
+
+    def clamp_prec(self, prec):
+        return self._map(lambda c: c.clamp_prec(prec))
+
+    def is_zero(self):
+        return all(c.is_zero() for c in self.coeffs.values())
+
+    def storage_zero(self):
+        return not self.coeffs
+
+    def integral(self):
+        return all(c.integral() for c in self.coeffs.values())
+
+    def eq(self, other):
+        return (self - other).is_zero()
+
+    def __eq__(self, other):
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        return self.eq(other)
+
+    def __hash__(self):
+        raise TypeError(f"{type(self).__name__} compares at precision; not hashable")

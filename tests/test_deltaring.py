@@ -7,7 +7,6 @@ from htlab.deltaring import (
     DeltaRingView,
     PrelogCandidate,
     USeries,
-    delta,
     delta_log_validate,
     delta_product_rule_check,
     teichmuller_factorize,
@@ -35,25 +34,25 @@ def w(view, n, prec=None):
 
 class TestDelta:
     def test_delta_of_constants(self, v5):
-        assert delta(v5, w(v5, 1)).is_zero()
-        assert delta(v5, w(v5, 0)).is_zero()
+        assert v5.delta(w(v5, 1)).is_zero()
+        assert v5.delta(w(v5, 0)).is_zero()
 
     def test_delta_of_p(self, v5):
         # delta(5) = (5 - 5^5)/5 = 1 - 5^4 = -624
-        d = delta(v5, w(v5, 5))
+        d = v5.delta(w(v5, 5))
         assert d == w(v5, -624, prec=7)
 
     def test_loses_exactly_one_digit(self, v5):
         x = w(v5, 7, prec=5)
-        assert delta(v5, x).prec == 4
+        assert v5.delta(x).prec == 4
 
     def test_precision_guard(self, v5):
         with pytest.raises(PrecisionExhausted):
-            delta(v5, w(v5, 3, prec=1))
+            v5.delta(w(v5, 3, prec=1))
 
     def test_delta_u_is_zero(self, s5):
         u = USeries.u(s5.cfg, s5.M)
-        assert delta(s5, u).is_zero()
+        assert s5.delta(u).is_zero()
 
     def test_product_rule_random(self, v5):
         rng = random.Random(2)

@@ -18,7 +18,7 @@ from htlab.higgs import (
     stratification_from_higgs,
     validate_higgs,
 )
-from htlab.linalg import Mat, commutator, k_rank, kernel_basis, matvec
+from htlab.linalg import Mat, commutator
 
 
 @pytest.fixture(scope="module")
@@ -47,23 +47,6 @@ def test_mat_ring_ops(point, cfg_u5):
     assert commutator(a, a).is_zero()
     assert a.smul(3).eq(Mat.from_ints(point, [[3, 6], [9, 12]]))
     assert a.add_scalar_diag(cfg_u5.k_from_int(10)).eq(Mat.from_ints(point, [[11, 2], [3, 14]]))
-
-
-def test_k_rank_spot_values(point):
-    assert k_rank(Mat.from_ints(point, [[1, 2], [2, 4]])) == 1
-    assert k_rank(Mat.from_ints(point, [[5, 0], [0, 1]])) == 2
-    assert k_rank(Mat.zero(point, 2)) == 0
-    assert k_rank(Mat.from_ints(point, [[0, 1], [0, 0]])) == 1
-
-
-def test_kernel_basis_spans_kernel(point):
-    m = Mat.from_ints(point, [[1, 2], [2, 4]])
-    basis = kernel_basis(m)
-    assert len(basis) == 1
-    image = matvec(m, basis[0])
-    assert all(x.is_zero() for x in image)
-    assert not all(x.is_zero() for x in basis[0])
-    assert kernel_basis(Mat.from_ints(point, [[5, 0], [0, 1]])) == []
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,40 @@
+"""The protocol the sparse base gives chart, pd and t-series elements."""
+
+import pytest
+
+from htlab.chart import ChartElem, ChartRing
+from htlab.galois import FormalCElem
+from htlab.pdring import PdRing
+
+
+def _chart(cfg):
+    ring = ChartRing(cfg, "chart", d=1, r=1)
+    return ChartElem(ring, {(0, 0): cfg.k_from_int(3), (0, 2): cfg.k_from_int(7)})
+
+
+def _pd(cfg):
+    ring = PdRing(cfg, ChartRing(cfg, "point"), "abs-geom", 1, d=1)
+    return ring.x(1).mul_scalar(cfg.k_from_int(3)) + ring.y(1, 1, 2)
+
+
+def _series(cfg):
+    return FormalCElem(ChartRing(cfg, "point"), 4, {0: cfg.k_from_int(3), 2: cfg.k_from_int(7)})
+
+
+MAKERS = {"chart": _chart, "pd": _pd, "series": _series}
+
+
+@pytest.mark.parametrize("kind", sorted(MAKERS))
+def test_sparse_protocol(cfg_u5, kind):
+    x = MAKERS[kind](cfg_u5)
+    with pytest.raises(TypeError):
+        hash(x)
+    for other in MAKERS:
+        if other != kind:
+            assert (x == MAKERS[other](cfg_u5)) is False
+    # a cancellation at the ambient precision forgets its keys ...
+    assert (x + (-x)).coeffs == {}
+    # ... one known to fewer digits keeps them, so later comparisons stay honest
+    s = x + (-x).clamp_prec(cfg_u5.N - 2)
+    assert list(s.coeffs) == list(x.coeffs)
+    assert s.is_zero()
