@@ -12,13 +12,16 @@ with beta the braiding unit of the module's normalization.  D D = 0 reduces
 to the braiding relation, so verify_complex doubles as an independent check
 on the algebra feeding it.
 
-snf_dvr puts an integral matrix in diagonal form with pivots pi^v, ascending,
-tracking the row and column transforms together with their inverses.  A zero
-that is only zero at its stored precision makes the answer provisional: the
-result carries a precision_limited flag, and strict mode raises instead.
+snf_dvr puts an integral matrix in diagonal form with pivots pi^v, ascending.
+It updates only the working matrix and records its row and column steps; the
+transforms U, V and their inverses are replayed from that record the first
+time each is read, so a caller pays only for the transforms it reads.  A
+zero that is only zero at its stored precision makes the answer provisional:
+the result carries a precision_limited flag, and strict mode raises instead.
 Cohomology in each degree comes from two rounds of reduction (kernel basis,
 then invariant factors of the image inside it) and is reported as a module
-shape: a free rank plus a list of pi-power torsion exponents.
+shape: a free rank plus a list of pi-power torsion exponents; cohomology_all
+reduces each differential once.
 """
 
 from itertools import combinations
@@ -138,18 +141,119 @@ def verify_complex(rep):
 # ---------------------------------------------------------------------------
 
 
-class SnfResult:
-    __slots__ = ("vals", "U", "V", "Uinv", "Vinv", "nrows", "ncols", "precision_limited")
+# A reduction records each step as (op, i, t, f): _SWAP exchanges rows (or
+# columns) i and t, _RESCALE multiplies row t by u^-1 with f = (u, u^-1), and
+# _ELIM subtracts f times row (or column) t from row (or column) i.  Row steps
+# act on U and Uinv, column steps on V and Vinv, each list in the order taken.
+_SWAP, _RESCALE, _ELIM = 0, 1, 2
 
-    def __init__(self, vals, U, V, Uinv, Vinv, nrows, ncols, precision_limited):
+
+def _identity(ring, n):
+    # one shared one and zero: cheaper than Mat.identity, and entries are immutable
+    one, zero = ring.one(), ring.zero()
+    return Mat(ring, [[one if i == j else zero for j in range(n)] for i in range(n)])
+
+
+def _replay_u(ring, n, steps):
+    # U accumulates the row operations: swap, rescale by u^-1, M[i] -= f M[t]
+    out = _identity(ring, n)
+    U = out.rows
+    for op, i, t, f in steps:
+        if op == _SWAP:
+            U[i], U[t] = U[t], U[i]
+        elif op == _RESCALE:
+            uinv = f[1]
+            U[t] = [uinv * x for x in U[t]]
+        else:
+            U[i] = [y - f * z for y, z in zip(U[i], U[t])]
+    return out
+
+
+def _replay_uinv(ring, n, steps):
+    # the inverses of the row operations, composed on the right
+    out = _identity(ring, n)
+    Uinv = out.rows
+    for op, i, t, f in steps:
+        if op == _SWAP:
+            for row in Uinv:
+                row[i], row[t] = row[t], row[i]
+        elif op == _RESCALE:
+            u = f[0]
+            for row in Uinv:
+                row[t] = row[t] * u
+        else:
+            for row in Uinv:
+                row[t] = row[t] + f * row[i]
+    return out
+
+
+def _replay_v(ring, n, steps):
+    # V accumulates the column operations: swap, M[:, j] -= f M[:, t]
+    out = _identity(ring, n)
+    V = out.rows
+    for op, j, t, f in steps:
+        if op == _SWAP:
+            for row in V:
+                row[j], row[t] = row[t], row[j]
+        else:
+            for row in V:
+                row[j] = row[j] - f * row[t]
+    return out
+
+
+def _replay_vinv(ring, n, steps):
+    # the inverses of the column operations, composed on the left
+    out = _identity(ring, n)
+    Vinv = out.rows
+    for op, j, t, f in steps:
+        if op == _SWAP:
+            Vinv[j], Vinv[t] = Vinv[t], Vinv[j]
+        else:
+            Vinv[t] = [y + f * z for y, z in zip(Vinv[t], Vinv[j])]
+    return out
+
+
+class SnfResult:
+    """The exponents of a Smith reduction, with its transforms built on demand.
+
+    U, V, Uinv and Vinv are replayed from the recorded steps the first time
+    each is read, with the same scalar operations in the same order as an
+    eager update; a caller that reads none of them pays for none.
+    """
+
+    __slots__ = ("vals", "nrows", "ncols", "precision_limited", "_ring", "_row_steps", "_col_steps", "_built")
+
+    def __init__(self, ring, vals, nrows, ncols, precision_limited, row_steps, col_steps):
+        self._ring = ring
         self.vals = vals
-        self.U = U
-        self.V = V
-        self.Uinv = Uinv
-        self.Vinv = Vinv
         self.nrows = nrows
         self.ncols = ncols
         self.precision_limited = precision_limited
+        self._row_steps = row_steps
+        self._col_steps = col_steps
+        self._built = {}
+
+    def _transform(self, name, replay, n, steps):
+        m = self._built.get(name)
+        if m is None:
+            m = self._built[name] = replay(self._ring, n, steps)
+        return m
+
+    @property
+    def U(self):
+        return self._transform("U", _replay_u, self.nrows, self._row_steps)
+
+    @property
+    def Uinv(self):
+        return self._transform("Uinv", _replay_uinv, self.nrows, self._row_steps)
+
+    @property
+    def V(self):
+        return self._transform("V", _replay_v, self.ncols, self._col_steps)
+
+    @property
+    def Vinv(self):
+        return self._transform("Vinv", _replay_vinv, self.ncols, self._col_steps)
 
     def diag(self, ring):
         """The reduced matrix itself: diag(pi^v) padded with zeros."""
@@ -167,8 +271,10 @@ def snf_dvr(mat, strict=False):
     """Diagonalize an integral matrix: U * mat * V = diag(pi^v), v ascending.
 
     Global minimal-valuation pivoting; the pivot row is rescaled so the pivot
-    becomes exactly a power of pi.  U and V are invertible over O_K and their
-    inverses are tracked alongside.  Entries must be point-mode scalars.
+    becomes exactly a power of pi.  Only the working matrix is updated: each
+    row and column step is recorded, and U, V and their inverses (invertible
+    over O_K) are replayed from the record when first read.  Entries must be
+    point-mode scalars.
     """
     ring = mat.ring
     cfg = ring.cfg
@@ -178,11 +284,7 @@ def snf_dvr(mat, strict=False):
         raise ValidationFailure("Smith reduction expects an integral matrix")
     a, b = mat.nrows, mat.ncols
     M = [list(r) for r in mat.rows]
-    one, zero = ring.one(), ring.zero()
-    U = [[one if i == j else zero for j in range(a)] for i in range(a)]
-    Uinv = [[one if i == j else zero for j in range(a)] for i in range(a)]
-    V = [[one if i == j else zero for j in range(b)] for i in range(b)]
-    Vinv = [[one if i == j else zero for j in range(b)] for i in range(b)]
+    row_steps, col_steps = [], []
     vals = []
     t = 0
     drained = False
@@ -205,15 +307,11 @@ def snf_dvr(mat, strict=False):
         pi_, pj = pos
         if pi_ != t:
             M[pi_], M[t] = M[t], M[pi_]
-            U[pi_], U[t] = U[t], U[pi_]
-            for row in Uinv:
-                row[pi_], row[t] = row[t], row[pi_]
+            row_steps.append((_SWAP, pi_, t, None))
         if pj != t:
             for row in M:
                 row[pj], row[t] = row[t], row[pj]
-            for row in V:
-                row[pj], row[t] = row[t], row[pj]
-            Vinv[pj], Vinv[t] = Vinv[t], Vinv[pj]
+            col_steps.append((_SWAP, pj, t, None))
         # rescale the pivot row so the pivot is pi^v on the nose; the unit
         # part comes from an exact divide so ramified bases lose no digits
         u = M[t][t].div_pi_exact(best)
@@ -225,9 +323,7 @@ def snf_dvr(mat, strict=False):
             break
         uinv = u.inv()
         M[t] = [uinv * x for x in M[t]]
-        U[t] = [uinv * x for x in U[t]]
-        for row in Uinv:
-            row[t] = row[t] * u
+        row_steps.append((_RESCALE, t, t, (u, uinv)))
         # the rescaled pivot is pi^best by construction; keep the exact
         # representative so later quotients divide by it exactly
         M[t][t] = _pi_power(ring, best)
@@ -237,9 +333,7 @@ def snf_dvr(mat, strict=False):
                 continue
             f = x.div_pi_exact(best)
             M[i] = [y - f * z for y, z in zip(M[i], M[t])]
-            U[i] = [y - f * z for y, z in zip(U[i], U[t])]
-            for row in Uinv:
-                row[t] = row[t] + f * row[i]
+            row_steps.append((_ELIM, i, t, f))
         for j in range(t + 1, b):
             x = M[t][j]
             if x.storage_zero():
@@ -247,9 +341,7 @@ def snf_dvr(mat, strict=False):
             f = x.div_pi_exact(best)
             for row in M:
                 row[j] = row[j] - f * row[t]
-            for row in V:
-                row[j] = row[j] - f * row[t]
-            Vinv[t] = [y + f * z for y, z in zip(Vinv[t], Vinv[j])]
+            col_steps.append((_ELIM, j, t, f))
         vals.append(best)
         t += 1
     limited = drained
@@ -259,16 +351,7 @@ def snf_dvr(mat, strict=False):
                 limited = True
     if limited and strict:
         raise InsufficientPrecision("a residual zero is certified below working precision")
-    return SnfResult(
-        vals,
-        Mat(ring, U),
-        Mat(ring, V),
-        Mat(ring, Uinv),
-        Mat(ring, Vinv),
-        a,
-        b,
-        limited,
-    )
+    return SnfResult(ring, vals, a, b, limited, row_steps, col_steps)
 
 
 # ---------------------------------------------------------------------------
@@ -300,11 +383,31 @@ def cohomology(rep, degree, strict=False):
     one, invariant factors from a second reduction of the image expressed in
     the kernel basis.  Degrees outside the complex give the zero module.
     """
+    return _cohomology(rep, degree, strict, None)[0]
+
+
+def cohomology_all(rep, strict=False):
+    """H^n for every degree of the complex; each differential is reduced once.
+
+    Degree n reads the Vinv of the reduction of differential n, and degree
+    n + 1 reads its Uinv, so each degree hands its outgoing reduction on.
+    """
+    groups, out = [], None
+    for n in range(rep.top + 1):
+        group, out = _cohomology(rep, n, strict, out)
+        groups.append(group)
+    return groups
+
+
+def _cohomology(rep, degree, strict, inc):
+    """(H^degree, the reduction of differential degree or None); inc, when
+    given, is the reduction of differential degree - 1."""
     if degree < 0 or degree > rep.top:
-        return {"degree": degree, "free_rank": 0, "torsion": [], "precision_limited": False}
+        return {"degree": degree, "free_rank": 0, "torsion": [], "precision_limited": False}, None
     base = rep.base
     l = rep.ranks[degree]
     limited = False
+    out = None
     if degree < rep.top:
         out = snf_dvr(rep.diffs[degree], strict=strict)
         limited = limited or out.precision_limited
@@ -316,21 +419,22 @@ def cohomology(rep, degree, strict=False):
     k = l - r_out
     torsion = []
     free = k
+    if degree > 0 and k > 0 and inc is None:
+        inc = snf_dvr(rep.diffs[degree - 1], strict=strict)
     if degree > 0 and k > 0 and vinv_rows is None:
         # top degree: the quotient is the plain cokernel, whose invariant
         # factors are those of the incoming map; no second reduction needed
-        inc = snf_dvr(rep.diffs[degree - 1], strict=strict)
         limited = limited or inc.precision_limited
         torsion = [v for v in inc.vals if v > 0]
         free = k - len(inc.vals)
-        return {"degree": degree, "free_rank": free, "torsion": torsion, "precision_limited": limited}
+        return {"degree": degree, "free_rank": free, "torsion": torsion, "precision_limited": limited}, out
     if degree > 0 and k > 0:
-        inc = snf_dvr(rep.diffs[degree - 1], strict=strict)
         limited = limited or inc.precision_limited
+        uinv_rows = inc.Uinv.rows
         cols = []
         for j, v in enumerate(inc.vals):
             scal = _pi_power(base, v)
-            w = [inc.Uinv.rows[i][j] * scal for i in range(l)]
+            w = [uinv_rows[i][j] * scal for i in range(l)]
             c = [_dot(row, w, base.zero()) for row in vinv_rows]
             for x in c[:r_out]:
                 if not x.is_zero():
@@ -346,11 +450,7 @@ def cohomology(rep, degree, strict=False):
             limited = limited or sec.precision_limited
             torsion = [v for v in sec.vals if v > 0]
             free = k - len(sec.vals)
-    return {"degree": degree, "free_rank": free, "torsion": torsion, "precision_limited": limited}
-
-
-def cohomology_all(rep, strict=False):
-    return [cohomology(rep, i, strict=strict) for i in range(rep.top + 1)]
+    return {"degree": degree, "free_rank": free, "torsion": torsion, "precision_limited": limited}, out
 
 
 def kernel_cokernel_mod(mat, prec, strict=False):

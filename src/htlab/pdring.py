@@ -171,6 +171,16 @@ class PdElement(Sparse):
         self.coeffs = clean
         self.truncated = truncated
 
+    @classmethod
+    def _clean(cls, ring, coeffs, truncated):
+        """An element from coefficients already clean: none droppable, and
+        every truncated coefficient already reflected in the flag."""
+        x = cls.__new__(cls)
+        x.ring = ring
+        x.coeffs = coeffs
+        x.truncated = truncated
+        return x
+
     def _new(self, coeffs, truncated):
         return PdElement(self.ring, coeffs, truncated)
 
@@ -199,7 +209,14 @@ class PdElement(Sparse):
                     c = c.smul(mult)
                 prev = out.get(key)
                 out[key] = c if prev is None else prev + c
-        return PdElement(ring, out, trunc)
+        # a sum may cancel, so the drop is decided on each key's final value
+        clean = {}
+        for key, c in out.items():
+            if c.truncated:
+                trunc = True
+            if not c.droppable():
+                clean[key] = c
+        return PdElement._clean(ring, clean, trunc)
 
     def coeff(self, key):
         key = tuple(sorted(key))
@@ -351,7 +368,8 @@ class FaceContext:
                     ((kind, k, j if j < i else j + 1), a) for (kind, k, j), a in key
                 )
                 out[tuple(sorted(nk))] = c
-            return PdElement(t, out, x.truncated)
+            # a bijection on keys: the coefficients of x are clean already
+            return PdElement._clean(t, out, x.truncated)
         acc = t.zero()
         for key, c in x.coeffs.items():
             term = t.from_scalar(c)

@@ -19,7 +19,12 @@ Writes, under ``tests/golden/``:
   ``FormalCElem.subs_t``) on seeded operands: every scalar as (coeffs, prec,
   shift) and every sparse dict in its insertion order, so a change in the
   order of the scalar operations shows even where the value at precision
-  does not.
+  does not;
+* ``snf.json``: ``snf_dvr`` on seeded integral matrices over four bases
+  (square and rectangular, rank-deficient, high-valuation pivots,
+  reduced-precision zeros): the exponents, the ``precision_limited`` flag,
+  the stored form of U, V, Uinv and Vinv and the strict-mode outcome; and
+  ``cohomology_all`` on corpus modules, strict and not.
 
 Only the public API is used, so the same script records the outputs of any
 version of the package.  Regenerate only for an intended change of output,
@@ -36,6 +41,7 @@ from click.testing import CliRunner
 from htlab import ChartRing, KElem, dumps, higgs_to_json, make_base_config, sample_higgs
 from htlab.chart import ChartElem
 from htlab.cli import main
+from htlab.cohomology import build_higgs_complex, cohomology_all, snf_dvr
 from htlab.galois import FormalCElem, GroupElt
 from htlab.higgs import descent_matrix, stratification_from_higgs
 from htlab.linalg import Mat, matvec
@@ -402,6 +408,94 @@ def container_cases():
     return out
 
 
+SNF_MATS = 40  # seeded matrices per base
+SNF_KINDS = ("generic", "rank-deficient", "high-valuation", "fuzzy")
+
+
+def _int_entry(cfg, rng, fuzzy=False):
+    """An integral scalar: a full- or reduced-precision zero, p^a times a random numerator, or generic."""
+    roll = rng.random()
+    if roll < 0.2:
+        return cfg.k_zero()
+    zero = ["0"] * cfg.f if cfg.f > 1 else "0"
+    if roll < (0.7 if fuzzy else 0.35):
+        rec = {"coeffs": [zero] * cfg.e, "prec": str(rng.randrange(1, cfg.N))}
+        return k_from_json(cfg, rec)
+    prec = cfg.N if rng.random() < 0.75 else rng.randrange(1, cfg.N)
+    kind = 2 if roll < 0.6 else 3
+    coeffs = []
+    for _ in range(cfg.e):
+        w = [str(_coord(rng, cfg.p, prec, kind)) for _ in range(cfg.f)]
+        coeffs.append(w if cfg.f > 1 else w[0])
+    return k_from_json(cfg, {"coeffs": coeffs, "prec": str(prec)})
+
+
+def _snf_operand(point, rng, kind):
+    cfg = point.cfg
+    n, m = rng.randrange(1, 6), rng.randrange(1, 6)
+    if kind == "rank-deficient" and min(n, m) > 1:
+        r = rng.randrange(1, min(n, m))
+        a = Mat(point, [[_int_entry(cfg, rng) for _ in range(r)] for _ in range(n)])
+        b = Mat(point, [[_int_entry(cfg, rng) for _ in range(m)] for _ in range(r)])
+        return a * b
+    mat = Mat(point, _operand(point, lambda: _int_entry(cfg, rng, kind == "fuzzy"), rng, n, m))
+    if kind == "high-valuation":
+        scal = point.one()
+        for _ in range(rng.randrange(2, cfg.e * cfg.N)):
+            scal = scal * point.from_k(cfg.k_pi())
+        mat = mat.mul_scalar(scal)
+    return mat
+
+
+def _snf_result(mat, strict):
+    s, err = _outcome(lambda: snf_dvr(mat, strict=strict))
+    if err is not None:
+        return {"error": err}
+    out = {"vals": [str(v) for v in s.vals], "precision_limited": s.precision_limited}
+    if not strict:
+        for name in ("U", "V", "Uinv", "Vinv"):
+            out[name] = _mat_form(getattr(s, name))
+    return out
+
+
+def _cohomology_result(rep, strict):
+    groups, err = _outcome(lambda: cohomology_all(rep, strict=strict))
+    return {"error": err} if err is not None else groups
+
+
+def snf_cases():
+    """Seeded Smith reductions on four bases, transforms in stored form; cohomology on corpus modules."""
+    out = {}
+    for b, (bname, p, E, f) in enumerate(SCALAR_BASES):
+        cfg = make_base_config(p, list(E), f=f, precision=N)
+        point = ChartRing(cfg, "point")
+        rng = random.Random(4000 + b)
+        steps = []
+        for i in range(SNF_MATS):
+            kind = SNF_KINDS[i % len(SNF_KINDS)]
+            mat = _snf_operand(point, rng, kind)
+            steps.append({"kind": kind, "a": _mat_form(mat), "snf": _snf_result(mat, False), "strict": _snf_result(mat, True)})
+        # a non-integral matrix is refused in both modes
+        frac = Mat(point, [[cfg.k_one().div_int(p)]])
+        steps.append({"kind": "non-integral", "a": _mat_form(frac), "snf": _snf_result(frac, False), "strict": _snf_result(frac, True)})
+        modules = []
+        for h in corpus(point, 21 + b):
+            rep = build_higgs_complex(h)
+            modules.append(
+                {
+                    "module": [h.flavor, str(h.rank), str(h.d), h.twist],
+                    "cohomology": _cohomology_result(rep, False),
+                    "strict": _cohomology_result(rep, True),
+                }
+            )
+        out[bname] = {"snf": steps, "cohomology": modules}
+    # a valid module whose degree-1 image escapes the kernel basis (a known defect)
+    h = corpus(ChartRing(make_base_config(3, [-3], precision=N), "point"), 39)[18]
+    rep = build_higgs_complex(h)
+    out["p3-escape"] = {"cohomology": _cohomology_result(rep, False), "strict": _cohomology_result(rep, True)}
+    return out
+
+
 def write_all():
     inputs = GOLDEN / "inputs"
     inputs.mkdir(parents=True, exist_ok=True)
@@ -417,9 +511,10 @@ def write_all():
     (GOLDEN / "manifest.json").write_text(json.dumps(manifest, indent=1) + "\n")
     (GOLDEN / "scalars.json").write_text(json.dumps(scalar_chains(), indent=1, sort_keys=True) + "\n")
     (GOLDEN / "containers.json").write_text(json.dumps(container_cases(), sort_keys=True) + "\n")
+    (GOLDEN / "snf.json").write_text(json.dumps(snf_cases(), sort_keys=True) + "\n")
     return len(manifest)
 
 
 if __name__ == "__main__":
     n = write_all()
-    print(f"wrote {n} lab cases, scalars.json and containers.json under {GOLDEN}", file=sys.stderr)
+    print(f"wrote {n} lab cases, scalars.json, containers.json and snf.json under {GOLDEN}", file=sys.stderr)

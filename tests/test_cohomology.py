@@ -1,3 +1,4 @@
+import importlib
 import random
 
 import pytest
@@ -254,6 +255,54 @@ def test_cohomology_all_completes_on_corpus(cfg_r2):
                 assert g["free_rank"] == sg["free_rank"]
                 assert g["torsion"] == sg["torsion"]
     assert saw_limited
+
+
+def _outcome(thunk):
+    try:
+        return thunk(), None
+    except (InsufficientPrecision, ValidationFailure) as exc:
+        return None, type(exc)
+
+
+def test_cohomology_all_reduces_each_differential_once(cfg_u5, cfg_r2, monkeypatch):
+    # cohomology_all must agree with the degrees taken one at a time (same
+    # groups, or the same exception type), while reducing every differential
+    # once and each image once more
+    from htlab.samples import corpus
+
+    # the package exports the function cohomology under the module's name
+    cohomology_module = importlib.import_module("htlab.cohomology")
+
+    calls = []
+
+    def counting_snf(mat, strict=False):
+        calls.append(mat)
+        return snf_dvr(mat, strict=strict)
+
+    monkeypatch.setattr(cohomology_module, "snf_dvr", counting_snf)
+    modules = corpus(ChartRing(cfg_u5, "point"), 3) + corpus(ChartRing(cfg_r2, "point"), 11)
+    modules.append(corpus(ChartRing(make_base_config(3, [-3], precision=8), "point"), 39)[18])
+    seen = set()
+    for h in modules:
+        rep = build_higgs_complex(h)
+        for strict in (False, True):
+            calls.clear()
+            each, each_err = _outcome(lambda: [cohomology(rep, n, strict=strict) for n in range(rep.top + 1)])
+            images_each = sum(1 for m in calls if not any(m is d for d in rep.diffs))
+            calls.clear()
+            every, every_err = _outcome(lambda: cohomology_all(rep, strict=strict))
+            assert every_err is each_err
+            assert every == each
+            per_diff = [sum(1 for m in calls if m is d) for d in rep.diffs]
+            images = len(calls) - sum(per_diff)
+            if every_err is None:
+                assert per_diff == [1] * len(rep.diffs)
+                assert images == images_each
+            else:
+                assert max(per_diff) <= 1
+            seen.add((strict, every_err))
+    # the corpus covers certified answers and both kinds of refusal
+    assert {(False, None), (True, None), (True, InsufficientPrecision), (False, ValidationFailure)} <= seen
 
 
 def test_snf_high_valuation_pivot_keeps_unit_digits(cfg_r2):

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
-from make_golden import GOLDEN, container_cases, run_case, scalar_chains
+from make_golden import GOLDEN, container_cases, run_case, scalar_chains, snf_cases
 
 MANIFEST = json.loads((GOLDEN / "manifest.json").read_text())
 
@@ -44,3 +44,7 @@ def test_scalar_chains_unchanged():
 
 def test_container_kernels_unchanged():
     _assert_same_text(json.dumps(container_cases(), sort_keys=True) + "\n", "containers.json")
+
+
+def test_smith_reduction_unchanged():
+    _assert_same_text(json.dumps(snf_cases(), sort_keys=True) + "\n", "snf.json")

@@ -317,3 +317,22 @@ def test_crosscheck_smooth_twist(cfg_u5, point):
     for _ in range(4):
         s = _rand_sigma(cfg_u5, rng, 1)
         assert crosscheck_inverse_simpson(h, s)["ok"]
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason="known defect: chart-cocycle-law")
+def test_law_on_a_valid_ramified_chart_module(cfg_r2):
+    # validate_higgs and check_cocycle both pass on this chart-base module,
+    # yet the cocycle law leaves a residual in entry (0, 2).  When the defect
+    # is fixed this test passes, and the mark must go.
+    from htlab.higgs import check_cocycle, validate_higgs
+    from htlab.samples import sample_group, sample_higgs
+
+    base = ChartRing(cfg_r2, "chart", d=1, r=1)
+    h = sample_higgs(base, random.Random(4), "abs-geom", rank=3, d=2, twist="smooth")
+    if not (validate_higgs(h)["ok"] and check_cocycle(h)["ok"]):
+        pytest.fail("the reproducer no longer passes validation")
+    rng = random.Random(0)
+    s = sample_group(cfg_r2, rng, 2)
+    u = sample_group(cfg_r2, rng, 2)
+    law = verify_cocycle_law(h, s, u)
+    assert law["ok"], f"residual at {law['witness']}"
