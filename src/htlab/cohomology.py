@@ -148,15 +148,9 @@ def verify_complex(rep):
 _SWAP, _RESCALE, _ELIM = 0, 1, 2
 
 
-def _identity(ring, n):
-    # one shared one and zero: cheaper than Mat.identity, and entries are immutable
-    one, zero = ring.one(), ring.zero()
-    return Mat(ring, [[one if i == j else zero for j in range(n)] for i in range(n)])
-
-
 def _replay_u(ring, n, steps):
     # U accumulates the row operations: swap, rescale by u^-1, M[i] -= f M[t]
-    out = _identity(ring, n)
+    out = Mat.identity(ring, n)
     U = out.rows
     for op, i, t, f in steps:
         if op == _SWAP:
@@ -171,7 +165,7 @@ def _replay_u(ring, n, steps):
 
 def _replay_uinv(ring, n, steps):
     # the inverses of the row operations, composed on the right
-    out = _identity(ring, n)
+    out = Mat.identity(ring, n)
     Uinv = out.rows
     for op, i, t, f in steps:
         if op == _SWAP:
@@ -189,7 +183,7 @@ def _replay_uinv(ring, n, steps):
 
 def _replay_v(ring, n, steps):
     # V accumulates the column operations: swap, M[:, j] -= f M[:, t]
-    out = _identity(ring, n)
+    out = Mat.identity(ring, n)
     V = out.rows
     for op, j, t, f in steps:
         if op == _SWAP:
@@ -203,7 +197,7 @@ def _replay_v(ring, n, steps):
 
 def _replay_vinv(ring, n, steps):
     # the inverses of the column operations, composed on the left
-    out = _identity(ring, n)
+    out = Mat.identity(ring, n)
     Vinv = out.rows
     for op, j, t, f in steps:
         if op == _SWAP:

@@ -21,15 +21,15 @@ class Mat:
 
     @classmethod
     def zero(cls, ring, n, m=None):
+        # entries are immutable, so one zero serves every entry
         m = n if m is None else m
-        return cls(ring, [[ring.zero() for _ in range(m)] for _ in range(n)])
+        zero = ring.zero()
+        return cls(ring, [[zero] * m for _ in range(n)])
 
     @classmethod
     def identity(cls, ring, n):
-        out = cls.zero(ring, n)
-        for i in range(n):
-            out.rows[i][i] = ring.one()
-        return out
+        one, zero = ring.one(), ring.zero()
+        return cls(ring, [[one if i == j else zero for j in range(n)] for i in range(n)])
 
     @classmethod
     def scalar(cls, ring, n, s):

@@ -209,14 +209,7 @@ class PdElement(Sparse):
                     c = c.smul(mult)
                 prev = out.get(key)
                 out[key] = c if prev is None else prev + c
-        # a sum may cancel, so the drop is decided on each key's final value
-        clean = {}
-        for key, c in out.items():
-            if c.truncated:
-                trunc = True
-            if not c.droppable():
-                clean[key] = c
-        return PdElement._clean(ring, clean, trunc)
+        return PdElement(ring, out, trunc)
 
     def coeff(self, key):
         key = tuple(sorted(key))

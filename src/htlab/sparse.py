@@ -6,8 +6,7 @@ and supplies the parts that differ:
 
 * a normalizing constructor, which applies the subclass's cutoff and is the
   one place where coefficients are dropped (galois.subs_t_all, which sums a
-  substitution in place, and PdElement.__mul__, which decides the drop on
-  each key of its product, apply the same rule themselves): a coefficient goes
+  substitution in place, applies the same rule itself): a coefficient goes
   only when it is droppable (zero as stored, at the ambient precision), so a
   zero known to fewer digits keeps its key and lowers the claim of later
   comparisons;
