@@ -6,15 +6,7 @@ Higgs modules, and Galois/Sen data, together with brute-force oracles for
 every closed-form formula it implements.
 """
 
-from .base import (
-    BaseConfig,
-    Cutoffs,
-    KElem,
-    WittElem,
-    frobenius,
-    make_base_config,
-    teichmuller,
-)
+from .base import BaseConfig, Cutoffs, KElem, make_base_config
 from .chart import ChartElem, ChartRing
 from .cohomology import (
     ComplexRep,
@@ -25,7 +17,14 @@ from .cohomology import (
     snf_dvr,
     verify_complex,
 )
-from .deltaring import DeltaRingView, FactorizationCertificate, teichmuller_factorize
+from .deltaring import (
+    DeltaRingView,
+    FactorizationCertificate,
+    WittElem,
+    frobenius,
+    teichmuller,
+    teichmuller_factorize,
+)
 from .galois import GroupElt, galois_act_t, sigma_t
 from .higgs import (
     HiggsData,

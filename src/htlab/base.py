@@ -13,10 +13,13 @@ know.  Valuations are measured in pi-units, so v(pi) = 1 and v(p) = e.
 A K element (KElem) is p^{-shift} times a numerator in O_K/p^prec, stored as
 its coordinates on the Z/p^prec-basis pi^i g^j: plain ints, multiplied by
 straight-line code compiled from the structure constants of BaseConfig.
-WittRing and WittElem serve the delta-ring side (Frobenius, Teichmuller).
+W/p^M is O_K/p^M at e = 1, so the Witt vectors of the delta-ring side
+(deltaring.WittElem) run on these same kernels, taken from the unramified
+config BaseConfig(p, [-p], f, N).
 """
 
 from dataclasses import dataclass
+from itertools import product
 from math import gcd
 
 from .errors import (
@@ -39,13 +42,9 @@ def _is_prime(n):
 
 
 # ---------------------------------------------------------------------------
-# W(F_{p^f})
-#
-# f = 1: elements are plain ints mod p^prec.
-# f > 1: length-f tuples of ints, coordinates with respect to 1, g, ..,
-# g^{f-1}, where g generates the unramified extension.  The modulus is the
-# lexicographically least monic lift of an irreducible polynomial over F_p,
-# which makes the representation deterministic across runs.
+# The modulus of g, the generator of W(F_{p^f}) over Z_p: the lexicographically
+# least monic lift of an irreducible polynomial over F_p, which makes the
+# representation deterministic across runs.
 # ---------------------------------------------------------------------------
 
 
@@ -93,212 +92,11 @@ def _irreducible_mod_p(modpoly, p):
     return True
 
 
-class WittRing:
-    """Arithmetic context for W(F_{p^f}) truncated at p^N."""
-
-    def __init__(self, p, f, N):
-        self.p = p
-        self.f = f
-        self.N = N
-        self.q = p**f
-        if f > 1:
-            self.modpoly = self._find_modulus()
-            self._frob_g = None  # filled lazily; needs inversion below
-        else:
-            self.modpoly = None
-
-    def _find_modulus(self):
-        # least-lex (c_0, .., c_{f-1}) with x^f + sum c_i x^i irreducible
-        p, f = self.p, self.f
-        idx = [0] * f
-        while True:
-            cand = tuple(idx)
-            if _irreducible_mod_p(cand, p):
-                return cand
-            i = 0
-            while i < f and idx[i] == p - 1:
-                idx[i] = 0
-                i += 1
-            if i == f:
-                raise RuntimeError("no irreducible modulus found")
-            idx[i] += 1
-
-    # -- raw element ops; M is the modulus p^prec ---------------------------
-
-    def zero(self):
-        return 0 if self.f == 1 else (0,) * self.f
-
-    def one(self):
-        return 1 if self.f == 1 else (1,) + (0,) * (self.f - 1)
-
-    def from_int(self, n, M):
-        n %= M
-        return n if self.f == 1 else (n,) + (0,) * (self.f - 1)
-
-    def red(self, a, M):
-        if self.f == 1:
-            return a % M
-        return tuple(x % M for x in a)
-
-    def add(self, a, b, M):
-        if self.f == 1:
-            return (a + b) % M
-        return tuple((x + y) % M for x, y in zip(a, b))
-
-    def sub(self, a, b, M):
-        if self.f == 1:
-            return (a - b) % M
-        return tuple((x - y) % M for x, y in zip(a, b))
-
-    def neg(self, a, M):
-        if self.f == 1:
-            return (-a) % M
-        return tuple((-x) % M for x in a)
-
-    def smul(self, n, a, M):
-        if self.f == 1:
-            return (n * a) % M
-        return tuple((n * x) % M for x in a)
-
-    def mul(self, a, b, M):
-        if self.f == 1:
-            return (a * b) % M
-        f = self.f
-        c = [0] * (2 * f - 1)
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b):
-                    c[i + j] += ai * bj
-        for m in range(2 * f - 2, f - 1, -1):
-            w = c[m] % M
-            if w:
-                c[m] = 0
-                for j in range(f):
-                    c[m - f + j] -= w * self.modpoly[j]
-        return tuple(x % M for x in c[:f])
-
-    def pow(self, a, n, M):
-        r = self.one() if self.f > 1 else 1 % M
-        while n:
-            if n & 1:
-                r = self.mul(r, a, M)
-            a = self.mul(a, a, M)
-            n >>= 1
-        return r
-
-    def is_zero(self, a, M):
-        if self.f == 1:
-            return a % M == 0
-        return all(x % M == 0 for x in a)
-
-    def val(self, a, prec):
-        """p-adic valuation; None when indistinguishable from 0 at prec digits."""
-        M = self.p**prec
-        if self.is_zero(a, M):
-            return None
-        coords = (a,) if self.f == 1 else a
-        v = prec
-        for x in coords:
-            x %= M
-            if x:
-                w = 0
-                while x % self.p == 0:
-                    x //= self.p
-                    w += 1
-                v = min(v, w)
-        return v
-
-    def div_p_exact(self, a, M):
-        # caller guarantees divisibility; result taken mod M
-        if self.f == 1:
-            return (a // self.p) % M
-        return tuple((x // self.p) % M for x in a)
-
-    def inv(self, a, prec):
-        """Inverse of a unit mod p^prec (Newton from the residue-field inverse)."""
-        p, f = self.p, self.f
-        M = p**prec
-        if self.val(a, prec) != 0:
-            raise NotAUnit("not a unit in W")
-        if f == 1:
-            return pow(a, -1, M)
-        z = _poly_powmod_p(self.red(a, p), self.q - 2, self.modpoly, p)
-        k = 1
-        while k < prec:
-            k = min(2 * k, prec)
-            Mk = p**k
-            az = self.mul(a, z, Mk)
-            two_minus = self.sub(self.from_int(2, Mk), az, Mk)
-            z = self.mul(z, two_minus, Mk)
-        return self.red(z, M)
-
-    # -- Frobenius ----------------------------------------------------------
-
-    def _frobenius_generator(self):
-        """phi(g): the root of the modulus congruent to g^p mod p."""
-        p, f, N = self.p, self.f, self.N
-        m = self.modpoly  # low coefficients; leading 1 implied
-        r = self.pow((0, 1) + (0,) * (f - 2), p, p)
-
-        def m_at(x, M):
-            # x^f + sum m_j x^j
-            acc = self.pow(x, f, M)
-            xp = self.one()
-            for j in range(f):
-                if m[j]:
-                    acc = self.add(acc, self.smul(m[j], xp, M), M)
-                xp = self.mul(xp, x, M)
-            return acc
-
-        def mprime_at(x, M):
-            acc = self.smul(f, self.pow(x, f - 1, M), M)
-            xp = self.one()
-            for j in range(1, f):
-                if m[j]:
-                    acc = self.add(acc, self.smul(j * m[j], xp, M), M)
-                xp = self.mul(xp, x, M)
-            return acc
-
-        k = 1
-        while k < N:
-            k = min(2 * k, N)
-            M = p**k
-            corr = self.mul(m_at(r, M), self.inv(mprime_at(r, M), k), M)
-            r = self.sub(r, corr, M)
-        return r
-
-    def frob(self, a, k, prec):
-        """phi^k; phi is Z_p-linear with phi(g^i) = phi(g)^i, phi^{-1} = phi^{f-1}."""
-        f = self.f
-        if f == 1:
-            return self.red(a, self.p**prec)
-        k %= f
-        if k == 0:
-            return self.red(a, self.p**prec)
-        if self._frob_g is None:
-            self._frob_g = self._frobenius_generator()
-        M = self.p**prec
-        out = a
-        for _ in range(k):
-            h = self._frob_g
-            acc = self.from_int(out[0], M)
-            hp = h
-            for i in range(1, f):
-                acc = self.add(acc, self.smul(out[i], hp, M), M)
-                hp = self.mul(hp, h, M)
-            out = acc
-        return out
-
-    def teichmuller(self, a, prec):
-        """Fixpoint of x -> x^(p^f) over the residue a (Hensel limit)."""
-        M = self.p**prec
-        x = self.red(a, M) if self.f > 1 else a % M
-        for _ in range(prec + 1):
-            y = self.pow(x, self.q, M)
-            if y == x:
-                break
-            x = y
-        return x
+def _find_modulus(p, f):
+    """The first (c_0, .., c_{f-1}), c_0 running fastest, with x^f + sum c_i x^i irreducible mod p."""
+    for c in product(range(p), repeat=f):
+        if _irreducible_mod_p(c[::-1], p):
+            return c[::-1]
 
 
 # ---------------------------------------------------------------------------
@@ -355,7 +153,7 @@ class BaseConfig:
         self.N = N
         self.cutoffs = cutoffs or Cutoffs()
         self.cutoffs.validate()
-        self.w = WittRing(p, f, N)
+        self.modpoly = _find_modulus(p, f)
         self.zero_u = 0 if self.n == 1 else (0,) * self.n
         self.mulu, self.linu = _kernels(self.n, self._structure_constants())
         self._zero = KElem(self, self.zero_u, 0, N)
@@ -386,7 +184,7 @@ class BaseConfig:
 
         e, f = self.e, self.f
         pi_pow = powers(self.E_coeffs, 2 * e - 2)
-        g_pow = powers(self.w.modpoly or (0,), 2 * f - 2)
+        g_pow = powers(self.modpoly, 2 * f - 2)
         rows = []
         for i in range(e):
             for j in range(f):
@@ -779,101 +577,3 @@ class KElem:
 
     def __repr__(self):
         return f"KElem(p^-{self.shift} * {list(self.coeffs())}, prec={self.prec})"
-
-
-# ---------------------------------------------------------------------------
-# Witt vectors with explicit Frobenius bookkeeping
-# ---------------------------------------------------------------------------
-
-
-class WittElem:
-    """Element of W(F_{p^f}) mod p^prec plus a record of applied phi-twists."""
-
-    __slots__ = ("cfg", "w", "prec", "frob_power")
-
-    def __init__(self, cfg, w, prec=None, frob_power=0):
-        self.cfg = cfg
-        self.prec = cfg.N if prec is None else prec
-        self.w = cfg.w.red(w, cfg.p**self.prec) if self.prec > 0 else w
-        self.frob_power = frob_power % cfg.f
-
-    def _M(self):
-        return self.cfg.p**self.prec
-
-    def __add__(self, other):
-        prec = min(self.prec, other.prec)
-        return WittElem(self.cfg, self.cfg.w.add(self.w, other.w, self.cfg.p**prec), prec)
-
-    def __sub__(self, other):
-        prec = min(self.prec, other.prec)
-        return WittElem(self.cfg, self.cfg.w.sub(self.w, other.w, self.cfg.p**prec), prec)
-
-    def __neg__(self):
-        return WittElem(self.cfg, self.cfg.w.neg(self.w, self._M()), self.prec)
-
-    def __mul__(self, other):
-        prec = min(self.prec, other.prec)
-        return WittElem(self.cfg, self.cfg.w.mul(self.w, other.w, self.cfg.p**prec), prec)
-
-    def pow(self, n):
-        return WittElem(self.cfg, self.cfg.w.pow(self.w, n, self._M()), self.prec)
-
-    def smul(self, n):
-        return WittElem(self.cfg, self.cfg.w.smul(n, self.w, self._M()), self.prec)
-
-    def scale_pk(self, k):
-        """Exact multiplication by p^k (k >= 0); gains k digits."""
-        if k == 0:
-            return self
-        cfg = self.cfg
-        prec = self.prec + k
-        return WittElem(cfg, cfg.w.smul(cfg.p**k, self.w, cfg.p**prec), prec)
-
-    def is_zero(self):
-        if self.prec <= 0:
-            raise PrecisionExhausted("no digits left")
-        return self.cfg.w.is_zero(self.w, self._M())
-
-    def val(self):
-        return self.cfg.w.val(self.w, self.prec)
-
-    def is_unit(self):
-        return self.val() == 0
-
-    def inv(self):
-        return WittElem(self.cfg, self.cfg.w.inv(self.w, self.prec), self.prec)
-
-    def div_p_exact(self):
-        if self.prec <= 1:
-            raise PrecisionExhausted("division by p exhausts precision")
-        return WittElem(self.cfg, self.cfg.w.div_p_exact(self.w, self.cfg.p ** (self.prec - 1)), self.prec - 1)
-
-    def eq(self, other):
-        return (self - other).is_zero()
-
-    def __eq__(self, other):
-        if not isinstance(other, WittElem):
-            return NotImplemented
-        return self.eq(other)
-
-    def __hash__(self):
-        raise TypeError("WittElem compares at precision; not hashable")
-
-    def __repr__(self):
-        return f"WittElem({self.w}, prec={self.prec}, phi^{self.frob_power})"
-
-
-def teichmuller(cfg, a, prec=None):
-    """Teichmuller lift of a residue; fixed by x -> x^(p^f)."""
-    prec = cfg.N if prec is None else prec
-    if isinstance(a, WittElem):
-        a = a.w
-    return WittElem(cfg, cfg.w.teichmuller(a, prec), prec)
-
-
-def frobenius(x, k=1):
-    """phi^k on W(F_{p^f}); k may be negative (phi^{-1} = phi^{f-1})."""
-    cfg = x.cfg
-    k %= cfg.f
-    return WittElem(cfg, cfg.w.frob(x.w, k, x.prec), x.prec, frob_power=x.frob_power + k)
-

@@ -18,9 +18,8 @@ import time
 
 import click
 
-from .base import WittElem
 from .cohomology import build_higgs_complex, cohomology_all, verify_complex
-from .deltaring import teichmuller_factorize
+from .deltaring import DeltaRingView, WittElem, teichmuller_factorize
 from .errors import (
     HorizonTooSmall,
     InsufficientPrecision,
@@ -33,6 +32,7 @@ from .higgs import check_cocycle_strat, stratification_from_higgs, validate_higg
 from .samples import sample_group
 from .sen import cocycle_matrix, verify_cocycle_law
 from .serialize import (
+    _w_to_json,
     config_from_json,
     dumps,
     higgs_from_json,
@@ -280,6 +280,8 @@ def cocycle(descriptor, precision, pd_cutoff, t_order, samples, seed, canonical,
     """Expand the group cochain and test the cocycle law on random pairs."""
     t0 = time.monotonic()
     try:
+        if samples < 1:
+            raise ParseError(f"--samples must be at least 1, got {samples}")
         doc = _apply_overrides(_read_doc(descriptor), precision, pd_cutoff, t_order)
         h = higgs_from_json(doc)
         strat = stratification_from_higgs(h)
@@ -322,6 +324,8 @@ def factorize(descriptor, precision, horizon, canonical, output):
     """Split Witt units into Teichmuller times one-unit factors."""
     t0 = time.monotonic()
     try:
+        if horizon is not None and horizon < 0:
+            raise ParseError(f"--horizon must be at least 0, got {horizon}")
         doc = _apply_overrides(_read_doc(descriptor), precision, None, None)
         cfg = config_from_json(doc["config"])
         raw = doc.get("units")
@@ -338,24 +342,19 @@ def factorize(descriptor, precision, horizon, canonical, output):
     results = []
     ok_all = True
     for item, w in zip(raw, units):
-        x = WittElem(cfg, cfg.w.red(w, cfg.p**cfg.N), cfg.N)
         try:
-            a, cert = teichmuller_factorize(x, M)
+            a, cert = teichmuller_factorize(WittElem(cfg, w, cfg.N), M)
         except (NotAUnit, HorizonTooSmall) as exc:
             ok_all = False
             results.append({"unit": item, "status": "fail", "detail": str(exc)})
             continue
-        one = WittElem(cfg, cfg.w.one(), cert.verified_prec)
-        factors = [f for f in cert.factors() if not (f - one).is_zero()]
+        one = DeltaRingView(cfg).one(cert.verified_prec)
         results.append(
             {
                 "unit": item,
                 "status": "pass",
-                "residue": str(a) if not isinstance(a, tuple) else [str(t) for t in a],
-                "factors": [
-                    [str(t) for t in f.w] if isinstance(f.w, tuple) else str(f.w)
-                    for f in factors
-                ],
+                "residue": _w_to_json(a),
+                "factors": [_w_to_json(f.w) for f in cert.factors() if not (f - one).is_zero()],
                 "verified_prec": str(cert.verified_prec),
             }
         )

@@ -1,4 +1,4 @@
-"""Delta-ring structure, delta_log validators, and unit factorization.
+"""Witt vectors, delta-ring structure, delta_log validators, and unit factorization.
 
 Two concrete carriers are supported:
 
@@ -6,13 +6,221 @@ Two concrete carriers are supported:
   * the truncated series ring W(F_{p^f})[u]/(u^M) with phi(u) = u^p.
 
 delta(x) = (phi(x) - x^p)/p is exact division and loses exactly one digit.
+
+W/p^M is O_K/p^M at e = 1, with the same coordinates: a bare int when f = 1,
+the f coordinates on 1, g, .., g^(f-1) otherwise.  So the digits of a Witt
+vector are a numerator of the unramified config BaseConfig(p, [-p], f, N),
+and every operation on them is one of its kernels: linu, mulu, unit_inv.
+That config is cfg itself when e = 1; otherwise it is built on first use.
 """
 
 import itertools
 from dataclasses import dataclass, field
 
-from .base import WittElem, frobenius, teichmuller
+from .base import BaseConfig, KElem
 from .errors import AxiomViolation, HorizonTooSmall, NotAUnit, PrecisionExhausted
+
+
+def _core(cfg):
+    """The unramified config whose kernels carry the Witt vectors over cfg.
+
+    It is kept on cfg as cfg._witt, where the operations of existing Witt
+    vectors read it, together with its Frobenius table wc._frob.
+    """
+    wc = getattr(cfg, "_witt", None)
+    if wc is None:
+        wc = cfg if cfg.e == 1 else BaseConfig(cfg.p, [-cfg.p], cfg.f, cfg.N)
+        cfg._witt, wc._frob = wc, None
+    return wc
+
+
+def _pow(wc, a, n, M):
+    r = wc.k_one().u
+    while n:
+        if n & 1:
+            r = wc.mulu(r, a, M)
+        a = wc.mulu(a, a, M)
+        n >>= 1
+    return r
+
+
+def _div_p(wc, w, prec):
+    """w / p for digits w divisible by p, known mod p^prec; the quotient is known mod p^(prec-1)."""
+    q = KElem(wc, w, 0, prec).div_int(wc.p)
+    if q.shift:
+        raise ValueError("not divisible by p")
+    return q.u
+
+
+def _combine(wc, a, images, M):
+    """sum_i a_i images[i] mod M, a linear map given by the images of the basis g^i."""
+    out = wc.zero_u
+    for c, img in zip(a, images):
+        out = wc.linu(out, img, 1, c, M)
+    return out
+
+
+def _frob_table(wc, prec):
+    """table[k][i] = phi^k(g^i) to at least prec digits, for 0 < k < f.
+
+    phi(g) is the root of the modulus congruent to g^p mod p, found by Newton
+    iteration; phi is Z_p-linear with phi(g^i) = phi(g)^i.
+    """
+    P = max(wc.N, prec)
+    if wc._frob is None or wc._frob[0] < P:
+        p, f, one = wc.p, wc.f, wc.k_one().u
+        m = wc.modpoly + (1,)
+        dm = tuple(j * c for j, c in enumerate(m))[1:]
+
+        def at(poly, x, M):
+            acc = wc.zero_u
+            for c in reversed(poly):
+                acc = wc.linu(wc.mulu(acc, x, M), one, 1, c, M)
+            return acc
+
+        r = _pow(wc, wc.zero_u[:1] + (1,) + wc.zero_u[2:], p, p)
+        k = 1
+        while k < P:
+            k = min(2 * k, P)
+            M = p**k
+            r = wc.linu(r, wc.mulu(at(m, r, M), wc.unit_inv(at(dm, r, M), k), M), 1, -1, M)
+        M = p**P
+        table = [None, [one]]
+        for _ in range(f - 1):
+            table[1].append(wc.mulu(table[1][-1], r, M))
+        for _ in range(f - 2):
+            table.append([_combine(wc, img, table[1], M) for img in table[-1]])
+        wc._frob = (P, table)
+    return wc._frob[1]
+
+
+def _frob(wc, w, k, prec):
+    """phi^k on digits known mod p^prec."""
+    k %= wc.f
+    if not k:
+        return w
+    return _combine(wc, w, _frob_table(wc, prec)[k], wc.p**prec)
+
+
+def _make(cfg, w, prec, frob_power=0):
+    # the constructor without its reduction, for digits a kernel already reduced
+    x = WittElem.__new__(WittElem)
+    x.cfg, x.w, x.prec, x.frob_power = cfg, w, prec, frob_power
+    return x
+
+
+class WittElem:
+    """Element of W(F_{p^f}) mod p^prec plus a record of applied phi-twists.
+
+    w holds the digits, reduced mod p^prec: a numerator of the unramified
+    config of cfg (see the module docstring).
+    """
+
+    __slots__ = ("cfg", "w", "prec", "frob_power")
+
+    def __init__(self, cfg, w, prec=None, frob_power=0):
+        wc = _core(cfg)
+        self.cfg = cfg
+        self.prec = cfg.N if prec is None else prec
+        self.w = wc.linu(w, w, 1, 0, cfg.p**self.prec) if self.prec > 0 else w
+        self.frob_power = frob_power % cfg.f
+
+    def _lin(self, other, s, t, prec):
+        cfg = self.cfg
+        return _make(cfg, cfg._witt.linu(self.w, other.w, s, t, cfg.p**prec), prec)
+
+    def __add__(self, other):
+        return self._lin(other, 1, 1, min(self.prec, other.prec))
+
+    def __sub__(self, other):
+        return self._lin(other, 1, -1, min(self.prec, other.prec))
+
+    def __neg__(self):
+        return self._lin(self, -1, 0, self.prec)
+
+    def __mul__(self, other):
+        cfg = self.cfg
+        prec = min(self.prec, other.prec)
+        return _make(cfg, cfg._witt.mulu(self.w, other.w, cfg.p**prec), prec)
+
+    def pow(self, n):
+        cfg = self.cfg
+        return _make(cfg, _pow(cfg._witt, self.w, n, cfg.p**self.prec), self.prec)
+
+    def smul(self, n):
+        return self._lin(self, n, 0, self.prec)
+
+    def scale_pk(self, k):
+        """Exact multiplication by p^k (k >= 0); gains k digits."""
+        if k == 0:
+            return self
+        return self._lin(self, self.cfg.p**k, 0, self.prec + k)
+
+    def is_zero(self):
+        if self.prec <= 0:
+            raise PrecisionExhausted("no digits left")
+        return self.w == self.cfg._witt.zero_u
+
+    def val(self):
+        """p-adic valuation; None when indistinguishable from 0 at prec digits."""
+        if self.prec <= 0:
+            return None
+        return KElem(self.cfg._witt, self.w, 0, self.prec).val_pi()
+
+    def is_unit(self):
+        return self.val() == 0
+
+    def inv(self):
+        if self.val() != 0:
+            raise NotAUnit("not a unit in W")
+        cfg = self.cfg
+        return _make(cfg, cfg._witt.unit_inv(self.w, self.prec), self.prec)
+
+    def div_p_exact(self):
+        if self.prec <= 1:
+            raise PrecisionExhausted("division by p exhausts precision")
+        return _make(self.cfg, _div_p(self.cfg._witt, self.w, self.prec), self.prec - 1)
+
+    def eq(self, other):
+        return (self - other).is_zero()
+
+    def __eq__(self, other):
+        if not isinstance(other, WittElem):
+            return NotImplemented
+        return self.eq(other)
+
+    def __hash__(self):
+        raise TypeError("WittElem compares at precision; not hashable")
+
+    def __repr__(self):
+        return f"WittElem({self.w}, prec={self.prec}, phi^{self.frob_power})"
+
+
+def _one(cfg, prec):
+    return WittElem(cfg, _core(cfg).k_one(prec).u, prec)
+
+
+def teichmuller(cfg, a, prec=None):
+    """Teichmuller lift of a residue; fixed by x -> x^(p^f)."""
+    prec = cfg.N if prec is None else prec
+    if isinstance(a, WittElem):
+        a = a.w
+    wc = _core(cfg)
+    M = cfg.p**prec
+    x = wc.linu(a, a, 1, 0, M)
+    q = cfg.p**cfg.f
+    for _ in range(prec + 1):
+        y = _pow(wc, x, q, M)
+        if y == x:
+            break
+        x = y
+    return WittElem(cfg, x, prec)
+
+
+def frobenius(x, k=1):
+    """phi^k on W(F_{p^f}); k may be negative (phi^{-1} = phi^{f-1})."""
+    cfg = x.cfg
+    return _make(cfg, _frob(cfg._witt, x.w, k, x.prec), x.prec, (x.frob_power + k) % cfg.f)
 
 
 class USeries:
@@ -21,50 +229,56 @@ class USeries:
     __slots__ = ("cfg", "coeffs", "prec", "M")
 
     def __init__(self, cfg, coeffs, prec, M, reduce=True):
+        wc = _core(cfg)
         self.cfg = cfg
         self.prec = prec
         self.M = M
         if reduce:
             mod = cfg.p**prec if prec > 0 else 1
-            coeffs = {
-                i: cfg.w.red(c, mod)
-                for i, c in coeffs.items()
-                if i < M and not cfg.w.is_zero(c, mod)
-            }
+            out = {}
+            for i, c in coeffs.items():
+                if i < M:
+                    c = wc.linu(c, c, 1, 0, mod)
+                    if c != wc.zero_u:
+                        out[i] = c
+            coeffs = out
         self.coeffs = coeffs
 
     @classmethod
     def from_int(cls, cfg, n, M, prec=None):
         prec = cfg.N if prec is None else prec
-        return cls(cfg, {0: cfg.w.from_int(n, cfg.p**prec)}, prec, M)
+        return cls(cfg, {0: _core(cfg).k_from_int(n, prec).u}, prec, M)
 
     @classmethod
     def u(cls, cfg, M, prec=None):
         prec = cfg.N if prec is None else prec
-        return cls(cfg, {1: cfg.w.from_int(1, cfg.p**prec)}, prec, M)
+        return cls(cfg, {1: _core(cfg).k_one(prec).u}, prec, M)
 
-    def _zip(self, other, op):
+    def _lin(self, other, t):
         cfg = self.cfg
+        wc = cfg._witt
         prec = min(self.prec, other.prec)
         mod = cfg.p**prec
         out = dict(self.coeffs)
         for i, c in other.coeffs.items():
-            cur = out.get(i, cfg.w.zero())
-            out[i] = getattr(cfg.w, op)(cur, c, mod)
+            out[i] = wc.linu(out.get(i, wc.zero_u), c, 1, t, mod)
         return USeries(cfg, out, prec, self.M)
 
+    def _map(self, fn, prec, reduce=True):
+        return USeries(self.cfg, {i: fn(c) for i, c in self.coeffs.items()}, prec, self.M, reduce)
+
     def __add__(self, other):
-        return self._zip(other, "add")
+        return self._lin(other, 1)
 
     def __sub__(self, other):
-        return self._zip(other, "sub")
+        return self._lin(other, -1)
 
     def __neg__(self):
-        mod = self.cfg.p**self.prec
-        return USeries(self.cfg, {i: self.cfg.w.neg(c, mod) for i, c in self.coeffs.items()}, self.prec, self.M)
+        return self.smul(-1)
 
     def __mul__(self, other):
         cfg = self.cfg
+        wc = cfg._witt
         prec = min(self.prec, other.prec)
         mod = cfg.p**prec
         out = {}
@@ -72,9 +286,9 @@ class USeries:
             for j, b in other.coeffs.items():
                 if i + j >= self.M:
                     continue
-                prod = cfg.w.mul(a, b, mod)
+                prod = wc.mulu(a, b, mod)
                 k = i + j
-                out[k] = cfg.w.add(out.get(k, cfg.w.zero()), prod, mod) if k in out else prod
+                out[k] = wc.linu(out[k], prod, 1, 1, mod) if k in out else prod
         return USeries(cfg, out, prec, self.M)
 
     def pow(self, n):
@@ -90,30 +304,26 @@ class USeries:
     def scale_pk(self, k):
         if k == 0:
             return self
-        cfg = self.cfg
-        prec = self.prec + k
-        mod = cfg.p**prec
-        pk = cfg.p**k
-        return USeries(cfg, {i: cfg.w.smul(pk, c, mod) for i, c in self.coeffs.items()}, prec, self.M, reduce=False)
+        wc, prec = self.cfg._witt, self.prec + k
+        mod, pk = self.cfg.p**prec, self.cfg.p**k
+        return self._map(lambda c: wc.linu(c, c, pk, 0, mod), prec, reduce=False)
 
     def smul(self, n):
-        mod = self.cfg.p**self.prec
-        return USeries(self.cfg, {i: self.cfg.w.smul(n, c, mod) for i, c in self.coeffs.items()}, self.prec, self.M)
+        wc, mod = self.cfg._witt, self.cfg.p**self.prec
+        return self._map(lambda c: wc.linu(c, c, n, 0, mod), self.prec)
 
     def div_p_exact(self):
         if self.prec <= 1:
             raise PrecisionExhausted("division by p exhausts precision")
-        cfg = self.cfg
-        mod = cfg.p ** (self.prec - 1)
-        return USeries(cfg, {i: cfg.w.div_p_exact(c, mod) for i, c in self.coeffs.items()}, self.prec - 1, self.M)
+        wc = self.cfg._witt
+        return self._map(lambda c: _div_p(wc, c, self.prec), self.prec - 1)
 
     def phi(self):
         cfg = self.cfg
-        mod = cfg.p**self.prec
         out = {}
         for i, c in self.coeffs.items():
             if i * cfg.p < self.M:
-                out[i * cfg.p] = cfg.w.frob(c, 1, self.prec)
+                out[i * cfg.p] = _frob(cfg._witt, c, 1, self.prec)
         return USeries(cfg, out, self.prec, self.M)
 
     def is_zero(self):
@@ -151,7 +361,7 @@ class DeltaRingView:
     def one(self, prec=None):
         prec = self.cfg.N if prec is None else prec
         if self.carrier == "witt":
-            return WittElem(self.cfg, self.cfg.w.from_int(1, self.cfg.p**prec), prec)
+            return _one(self.cfg, prec)
         return USeries.from_int(self.cfg, 1, self.M, prec)
 
     def phi(self, x):
@@ -249,14 +459,17 @@ class FactorizationCertificate:
     horizon: int
     verified_prec: int
     cfg: object = field(repr=False)
+    _factors: list = field(default=None, init=False, repr=False, compare=False)
 
     def factors(self):
-        out = []
-        for i in range(1, self.horizon + 1):
-            yi = frobenius(self.y, -i)
-            one = WittElem(self.cfg, self.cfg.w.one(), yi.prec + 1)
-            out.append((one + yi.scale_pk(1)).pow(self.cfg.p ** (i - 1)))
-        return out
+        """The M factors of the product, computed once and kept."""
+        if self._factors is None:
+            p = self.cfg.p
+            self._factors = []
+            for i in range(1, self.horizon + 1):
+                yi = frobenius(self.y, -i)
+                self._factors.append((_one(self.cfg, yi.prec + 1) + yi.scale_pk(1)).pow(p ** (i - 1)))
+        return self._factors
 
     def recombine(self):
         acc = teichmuller(self.cfg, self.residue, self.verified_prec)
@@ -270,9 +483,12 @@ def teichmuller_factorize(x, horizon, target_prec=None):
 
     Every unit satisfies phi(x) = x^p (1 + p y) with y = (phi(x) x^{-p} - 1)/p;
     the truncated product is provably correct mod p^(horizon+1), so the attained
-    precision is min(x.prec, horizon + 1).
+    precision is min(x.prec, horizon + 1).  The certificate keeps the factors
+    it verified.
     """
     cfg = x.cfg
+    if horizon < 0:
+        raise HorizonTooSmall(f"horizon must be >= 0, got {horizon}")
     if not x.is_unit():
         raise NotAUnit("factorization needs a unit")
     attain = min(x.prec, horizon + 1)
@@ -280,12 +496,9 @@ def teichmuller_factorize(x, horizon, target_prec=None):
         raise HorizonTooSmall(
             f"requested precision {target_prec} exceeds attainable {attain}"
         )
-    y = (frobenius(x) * x.pow(cfg.p).inv() - WittElem(cfg, cfg.w.one(), x.prec)).div_p_exact()
-    a = cfg.w.red(x.w, cfg.p)
+    y = (frobenius(x) * x.pow(cfg.p).inv() - _one(cfg, x.prec)).div_p_exact()
+    a = cfg._witt.linu(x.w, x.w, 1, 0, cfg.p)
     cert = FactorizationCertificate(a, y, horizon, attain, cfg)
-    rebuilt = cert.recombine()
-    diff = rebuilt - x
-    mod = cfg.p**attain
-    if not cfg.w.is_zero(cfg.w.red(diff.w, mod), mod):
+    if not (cert.recombine() - x).is_zero():
         raise AssertionError("factorization identity failed; this is a bug")
     return a, cert

@@ -24,7 +24,13 @@ Writes, under ``tests/golden/``:
   (square and rectangular, rank-deficient, high-valuation pivots,
   reduced-precision zeros): the exponents, the ``precision_limited`` flag,
   the stored form of U, V, Uinv and Vinv and the strict-mode outcome; and
-  ``cohomology_all`` on corpus modules, strict and not.
+  ``cohomology_all`` on corpus modules, strict and not;
+* ``witt.json``: the stored form (w, prec, frob_power) of seeded Witt-vector
+  operations on eighteen bases (p = 2, 3, 5; f = 1, 2, 3; e = 1, 2),
+  reduced-precision and non-unit operands included: ring operations,
+  ``frobenius``, ``teichmuller``, the ``teichmuller_factorize``
+  certificate, ``DeltaRingView.delta`` and ``delta_log_validate`` on both
+  carriers, and ``USeries`` products and Frobenius.
 
 Only the public API is used, so the same script records the outputs of any
 version of the package.  Regenerate only for an intended change of output,
@@ -38,10 +44,23 @@ from pathlib import Path
 
 from click.testing import CliRunner
 
-from htlab import ChartRing, KElem, dumps, higgs_to_json, make_base_config, sample_higgs
+from htlab import (
+    ChartRing,
+    DeltaRingView,
+    KElem,
+    WittElem,
+    dumps,
+    frobenius,
+    higgs_to_json,
+    make_base_config,
+    sample_higgs,
+    teichmuller,
+    teichmuller_factorize,
+)
 from htlab.chart import ChartElem
 from htlab.cli import main
 from htlab.cohomology import build_higgs_complex, cohomology_all, snf_dvr
+from htlab.deltaring import PrelogCandidate, USeries, delta_log_validate
 from htlab.galois import FormalCElem, GroupElt
 from htlab.higgs import descent_matrix, stratification_from_higgs
 from htlab.linalg import Mat, matvec
@@ -496,6 +515,216 @@ def snf_cases():
     return out
 
 
+WITT_BASES = tuple((p, f, e) for p in (2, 3, 5) for f in (1, 2, 3) for e in (1, 2))
+WITT_N = 6
+WITT_OPS = 40  # ring operations per base
+
+
+def _wj(w):
+    """A bare int or a tuple of ints, as the JSON of its decimal strings."""
+    return [str(x) for x in w] if isinstance(w, tuple) else str(w)
+
+
+def _witt_form(x):
+    return [_wj(x.w), str(x.prec), str(x.frob_power)]
+
+
+def _series_form(x):
+    return {"coeffs": [[str(i), _wj(c)] for i, c in x.coeffs.items()], "prec": str(x.prec), "M": str(x.M)}
+
+
+def _raw_witt(cfg, rng, kind=None):
+    """Unreduced digits: zero, a multiple of p (a non-unit), a unit, or a negative generic value."""
+    p, f = cfg.p, cfg.f
+    kind = rng.choice((0, 1, 2, 2, 2, 3)) if kind is None else kind
+    if kind == 0:
+        digits = [0] * f
+    elif kind == 1:
+        digits = [p ** rng.randrange(1, WITT_N + 1) * rng.randrange(p ** (WITT_N + 1)) for _ in range(f)]
+    elif kind == 2:
+        digits = [rng.randrange(p ** (WITT_N + 1)) for _ in range(f)]
+        if digits[0] % p == 0:
+            digits[0] += 1
+    else:
+        digits = [rng.randrange(-(p ** (WITT_N + 2)), p ** (WITT_N + 2)) for _ in range(f)]
+    return tuple(digits) if f > 1 else digits[0]
+
+
+def _witt_operand(cfg, rng, kind=None):
+    prec = rng.choice((WITT_N, WITT_N, WITT_N, rng.randrange(1, WITT_N)))
+    return WittElem(cfg, _raw_witt(cfg, rng, kind), prec)
+
+
+def _witt_chain(cfg, rng):
+    """Seeded ring operations; each result joins the operand pool."""
+    p = cfg.p
+    pool = [_witt_operand(cfg, rng) for _ in range(8)]
+    steps = [{"op": "new", "result": _witt_form(x)} for x in pool]
+    for _ in range(WITT_OPS):
+        if rng.random() < 0.3:
+            pool.append(_witt_operand(cfg, rng))
+        x, y = rng.choice(pool), rng.choice(pool)
+        op = rng.choice(
+            ("add", "sub", "neg", "mul", "mul", "pow", "smul", "scale_pk", "inv", "div_p_exact", "val", "frobenius")
+        )
+        arg = None
+        if op == "add":
+            thunk = lambda: x + y
+        elif op == "sub":
+            thunk = lambda: x - y
+        elif op == "neg":
+            thunk = lambda: -x
+        elif op == "mul":
+            thunk = lambda: x * y
+        elif op == "pow":
+            arg = rng.choice((0, 1, 2, p, p + 1, p**cfg.f, rng.randrange(200)))
+            thunk = lambda: x.pow(arg)
+        elif op == "smul":
+            arg = rng.choice((-1, 1)) * rng.choice((0, 1, 2, p, p * p, rng.randrange(1000)))
+            thunk = lambda: x.smul(arg)
+        elif op == "scale_pk":
+            arg = rng.randrange(0, 3)
+            thunk = lambda: x.scale_pk(arg)
+        elif op == "inv":
+            thunk = x.inv
+        elif op == "div_p_exact":
+            x = x.smul(p) if rng.random() < 0.5 else x.scale_pk(1)  # divisible by p, as required
+            thunk = x.div_p_exact
+        elif op == "val":
+            thunk = lambda: x.val()
+        else:
+            arg = rng.choice((-1, 0, 1, 2))
+            thunk = lambda: frobenius(x, arg)
+        res, err = _outcome(thunk)
+        step = {"op": op, "x": _witt_form(x)}
+        if op in ("add", "sub", "mul"):
+            step["y"] = _witt_form(y)
+        if arg is not None:
+            step["arg"] = str(arg)
+        if err is not None:
+            step["error"] = err
+        elif op == "val":
+            step["result"] = None if res is None else str(res)
+        else:
+            step["result"] = _witt_form(res)
+            pool.append(res)
+        steps.append(step)
+    return steps
+
+
+def _teichmuller_cases(cfg, rng):
+    out = []
+    for _ in range(6):
+        a = _raw_witt(cfg, rng)
+        prec = rng.randrange(1, WITT_N + 1)
+        t = teichmuller(cfg, a, prec)
+        out.append({"a": _wj(a), "prec": str(prec), "lift": _witt_form(t), "frobenius": _witt_form(frobenius(t))})
+    t = teichmuller(cfg, WittElem(cfg, _raw_witt(cfg, rng, 2), 1))
+    out.append({"a": "WittElem", "lift": _witt_form(t)})
+    return out
+
+
+def _factorize_cases(cfg, rng):
+    out = []
+    for i in range(5):
+        x = _witt_operand(cfg, rng, 1 if i == 4 else 2)
+        horizon = rng.randrange(0, WITT_N)
+        step = {"x": _witt_form(x), "horizon": str(horizon)}
+        got, err = _outcome(lambda: teichmuller_factorize(x, horizon))
+        if err is not None:
+            step["error"] = err
+        else:
+            a, cert = got
+            step["residue"] = _wj(a)
+            step["y"] = _witt_form(cert.y)
+            step["factors"] = [_witt_form(g) for g in cert.factors()]
+            step["verified_prec"] = str(cert.verified_prec)
+        out.append(step)
+    x = _witt_operand(cfg, rng, 2)
+    _, err = _outcome(lambda: teichmuller_factorize(x, 1, target_prec=WITT_N))
+    out.append({"x": _witt_form(x), "horizon": "1", "target_prec": str(WITT_N), "error": err})
+    return out
+
+
+def _series(cfg, rng, M):
+    prec = rng.choice((WITT_N, WITT_N, rng.randrange(1, WITT_N + 1)))
+    coeffs = {i: _raw_witt(cfg, rng) for i in range(M + 1) if rng.random() < 0.5}
+    return USeries(cfg, coeffs, prec, M)
+
+
+def _series_cases(cfg, rng):
+    p, M = cfg.p, 5
+    out = []
+    for _ in range(6):
+        x, y = _series(cfg, rng, M), _series(cfg, rng, M)
+        step = {"x": _series_form(x), "y": _series_form(y)}
+        for name, thunk in (
+            ("add", lambda: x + y),
+            ("sub", lambda: x - y),
+            ("neg", lambda: -x),
+            ("mul", lambda: x * y),
+            ("pow", lambda: x.pow(p)),
+            ("smul", lambda: x.smul(p + 1)),
+            ("scale_pk", lambda: x.scale_pk(1)),
+            ("div_p_exact", lambda: x.smul(p).div_p_exact()),
+            ("phi", x.phi),
+        ):
+            res, err = _outcome(thunk)
+            step[name] = err if err is not None else _series_form(res)
+        out.append(step)
+    return out
+
+
+def _validation(cand):
+    got, err = _outcome(lambda: delta_log_validate(cand))
+    if err is not None:
+        return {"error": err}
+    ok, violations = got
+    return {"ok": ok, "violations": [[v.axiom, list(v.word)] for v in violations]}
+
+
+def _delta_cases(cfg, rng):
+    p, M = cfg.p, 5
+    witt, series = DeltaRingView(cfg, "witt"), DeltaRingView(cfg, "series", series_horizon=M)
+    out = {"witt": [], "series": []}
+    for _ in range(6):
+        x = _witt_operand(cfg, rng)
+        res, err = _outcome(lambda: witt.delta(x))
+        out["witt"].append({"x": _witt_form(x), "delta": err if err is not None else _witt_form(res)})
+        s = _series(cfg, rng, M)
+        res, err = _outcome(lambda: series.delta(s))
+        out["series"].append({"x": _series_form(s), "delta": err if err is not None else _series_form(res)})
+    t = teichmuller(cfg, _raw_witt(cfg, rng, 2))
+    zero = witt.one().smul(0)
+    out["witt_log"] = [
+        _validation(PrelogCandidate(witt, ("e",), {"e": t}, {"e": zero})),
+        _validation(PrelogCandidate(witt, ("e", "f"), {"e": t, "f": _witt_operand(cfg, rng, 2)}, {"e": zero, "f": witt.one()})),
+    ]
+    u = USeries.u(cfg, M)
+    szero = USeries(cfg, {}, cfg.N, M)
+    out["series_log"] = [
+        _validation(PrelogCandidate(series, ("e",), {"e": u}, {"e": szero})),
+        _validation(PrelogCandidate(series, ("e", "f"), {"e": u, "f": _series(cfg, rng, M)}, {"e": szero, "f": series.one()})),
+    ]
+    return out
+
+
+def witt_cases():
+    """Seeded Witt-vector and delta-ring results, as stored forms, on eighteen bases."""
+    out = {}
+    for b, (p, f, e) in enumerate(WITT_BASES):
+        cfg = make_base_config(p, [-p] + [0] * (e - 1), f=f, precision=WITT_N)
+        rng = random.Random(5000 + b)
+        out[f"p{p}f{f}e{e}"] = {
+            "ops": _witt_chain(cfg, rng),
+            "teichmuller": _teichmuller_cases(cfg, rng),
+            "factorize": _factorize_cases(cfg, rng),
+            "series": _series_cases(cfg, rng),
+            "delta": _delta_cases(cfg, rng),
+        }
+    return out
+
+
 def write_all():
     inputs = GOLDEN / "inputs"
     inputs.mkdir(parents=True, exist_ok=True)
@@ -512,9 +741,10 @@ def write_all():
     (GOLDEN / "scalars.json").write_text(json.dumps(scalar_chains(), indent=1, sort_keys=True) + "\n")
     (GOLDEN / "containers.json").write_text(json.dumps(container_cases(), sort_keys=True) + "\n")
     (GOLDEN / "snf.json").write_text(json.dumps(snf_cases(), sort_keys=True) + "\n")
+    (GOLDEN / "witt.json").write_text(json.dumps(witt_cases(), sort_keys=True) + "\n")
     return len(manifest)
 
 
 if __name__ == "__main__":
     n = write_all()
-    print(f"wrote {n} lab cases, scalars.json, containers.json and snf.json under {GOLDEN}", file=sys.stderr)
+    print(f"wrote {n} lab cases, scalars.json, containers.json, snf.json and witt.json under {GOLDEN}", file=sys.stderr)

@@ -103,7 +103,7 @@ def test_product_matches_naive_two_variable_reduction():
     for _ in range(30):
         xs, ys = ([[rng.randrange(M) for _ in range(2)] for _ in range(2)] for _ in range(2))
         got = cfg.k_from_coeffs(xs) * cfg.k_from_coeffs(ys)
-        want = ok_mul_naive(3, [-3, 3], cfg.w.modpoly, 6, xs, ys)
+        want = ok_mul_naive(3, [-3, 3], cfg.modpoly, 6, xs, ys)
         assert [list(c) for c in got.coeffs()] == want
         x = cfg.k_from_coeffs(xs)
         if x.val_pi() == 0:
@@ -209,10 +209,9 @@ class TestTeichmuller:
                 assert teichmuller(cfg, a).w == teich_fixpoint(p, a, 8)
 
     def test_fixed_by_q_power(self, cfg_f2):
-        w = cfg_f2.w
         for a in [(1, 1), (2, 0), (0, 1), (2, 2)]:
             t = teichmuller(cfg_f2, a)
-            assert t.pow(cfg_f2.w.q) == t
+            assert t.pow(cfg_f2.p**cfg_f2.f) == t
 
 
 class TestFrobenius:
@@ -222,7 +221,6 @@ class TestFrobenius:
 
     def test_ring_homomorphism(self, cfg_f2):
         rng = random.Random(5)
-        W = cfg_f2.w
         from htlab import WittElem
 
         for _ in range(25):
@@ -252,15 +250,44 @@ class TestFrobenius:
 
     def test_teichmuller_equivariance(self, cfg_f2):
         # phi([a]) = [a^p]
-        W = cfg_f2.w
-        a = (2, 1)
-        t = teichmuller(cfg_f2, a)
-        ap = W.pow(W.red(a, 3), cfg_f2.p, 3)
-        assert frobenius(t) == teichmuller(cfg_f2, ap)
-
-    def test_fixes_zp(self, cfg_f2):
-        x = cfg_f2.w.from_int(42, 3**8)
         from htlab import WittElem
 
-        w = WittElem(cfg_f2, x)
+        a = (2, 1)
+        t = teichmuller(cfg_f2, a)
+        ap = WittElem(cfg_f2, a, 1).pow(cfg_f2.p)
+        assert frobenius(t) == teichmuller(cfg_f2, ap)
+
+    def test_beyond_the_config_precision(self):
+        # an element may carry more digits than N; phi keeps all of them exact
+        from htlab import WittElem
+
+        cfg = make_base_config(3, [-3], f=2, precision=4)
+        rng = random.Random(1)
+        for _ in range(20):
+            x = WittElem(cfg, (rng.randrange(3**7), rng.randrange(3**7)), 7)
+            y = WittElem(cfg, (rng.randrange(3**7), rng.randrange(3**7)), 7)
+            assert frobenius(x * y) == frobenius(x) * frobenius(y)
+            assert frobenius(frobenius(x)) == x
+
+    def test_fixes_zp(self, cfg_f2):
+        from htlab import WittElem
+
+        w = WittElem(cfg_f2, (42, 0))
         assert frobenius(w) == w
+
+
+def test_config_compiles_one_kernel_and_witt_builds_its_own_once(monkeypatch):
+    from htlab import WittElem, base
+
+    calls = []
+    real = base._kernels
+    monkeypatch.setattr(base, "_kernels", lambda n, table: calls.append(n) or real(n, table))
+    unramified = make_base_config(3, [-3], f=2)
+    assert calls == [2]
+    WittElem(unramified, (1, 2))  # e = 1: W is O_K itself, no second config
+    assert calls == [2]
+    ramified = make_base_config(3, [-3, 0], f=2)
+    assert calls == [2, 4]
+    for _ in range(2):
+        WittElem(ramified, (1, 2))  # e = 2: the unramified config, built on first use
+    assert calls == [2, 4, 2]

@@ -1,12 +1,14 @@
 import json
 import random
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
-from htlab.base import teichmuller
+from htlab import base, deltaring
 from htlab.chart import ChartRing
 from htlab.cli import main
+from htlab.deltaring import teichmuller
 from htlab.higgs import HiggsData
 from htlab.linalg import Mat
 from htlab.samples import sample_higgs
@@ -228,10 +230,11 @@ def test_in_process_runs_release_their_streams(runner, point, tmp_path):
 
 
 LAB_COMMANDS = ("check", "stratify", "cohomology", "cocycle", "factorize")
+GOLDEN_INPUTS = Path(__file__).parent / "golden" / "inputs"
 
 
-def _parse_fail_detail(runner, command, path):
-    res = runner.invoke(main, [command, str(path), "--canonical"])
+def _parse_fail_detail(runner, command, path, *args):
+    res = runner.invoke(main, [command, str(path), *args, "--canonical"])
     assert res.exception is None or isinstance(res.exception, SystemExit), res.exception
     assert res.exit_code == 1
     doc = json.loads(res.output)
@@ -269,3 +272,37 @@ def test_config_with_non_prime_p_reports_parse_fail(runner, point, tmp_path, com
 def test_config_with_non_eisenstein_e_reports_parse_fail(runner, point, tmp_path, command):
     path = _descriptor_with_config(tmp_path, point, E_coeffs=["-25"])
     assert "NotEisenstein" in _parse_fail_detail(runner, command, path)
+
+
+@pytest.mark.parametrize("horizon", ["-1", "-2", "-7"])
+def test_factorize_rejects_negative_horizon(runner, tmp_path, horizon):
+    path = GOLDEN_INPUTS / "p5-units.json"
+    assert "--horizon" in _parse_fail_detail(runner, "factorize", path, "--horizon", horizon)
+
+
+@pytest.mark.parametrize("samples", ["0", "-2"])
+def test_cocycle_rejects_samples_below_one(runner, point, tmp_path, samples):
+    h = sample_higgs(point, random.Random(4), "abs-geom", rank=2, d=1)
+    path = _write(tmp_path, "c.json", h)
+    assert "--samples" in _parse_fail_detail(runner, "cocycle", path, "--samples", samples)
+
+
+def test_factorize_builds_each_factor_once(runner, monkeypatch):
+    # phi is applied once to the unit and once per factor: 4 units pass, horizon N - 1 = 7
+    calls = []
+    real = deltaring.frobenius
+    monkeypatch.setattr(deltaring, "frobenius", lambda x, k=1: calls.append(k) or real(x, k))
+    res = runner.invoke(main, ["factorize", str(GOLDEN_INPUTS / "p3f2-units.json"), "--canonical"])
+    results = json.loads(res.output)["artifacts"]["results"]
+    assert [r["status"] for r in results].count("pass") == 4
+    assert len(calls) == 4 * (1 + 7)
+
+
+def test_check_on_a_ramified_base_builds_no_witt_config(runner, monkeypatch):
+    # the only kernels compiled are those of the descriptor's own config (e = 2, n = 2)
+    calls = []
+    real = base._kernels
+    monkeypatch.setattr(base, "_kernels", lambda n, table: calls.append(n) or real(n, table))
+    res = runner.invoke(main, ["check", str(GOLDEN_INPUTS / "p2e2-point-rel-geom-d1-log.json"), "--canonical"])
+    assert res.exit_code in (0, 2), res.output
+    assert calls == [2]

@@ -27,9 +27,7 @@ def s5():
 
 
 def w(view, n, prec=None):
-    cfg = view.cfg
-    prec = cfg.N if prec is None else prec
-    return WittElem(cfg, cfg.w.from_int(n, cfg.p**prec), prec)
+    return view.one(prec).smul(n)
 
 
 class TestDelta:
@@ -49,6 +47,11 @@ class TestDelta:
     def test_precision_guard(self, v5):
         with pytest.raises(PrecisionExhausted):
             v5.delta(w(v5, 3, prec=1))
+
+    def test_exact_division_needs_a_multiple_of_p(self, v5):
+        assert w(v5, 15).div_p_exact() == w(v5, 3, prec=7)
+        with pytest.raises(ValueError):
+            w(v5, 3).div_p_exact()
 
     def test_delta_u_is_zero(self, s5):
         u = USeries.u(s5.cfg, s5.M)
@@ -130,6 +133,16 @@ class TestFactorize:
     def test_horizon_too_small(self, v5):
         with pytest.raises(HorizonTooSmall):
             teichmuller_factorize(w(v5, 2), horizon=2, target_prec=8)
+
+    @pytest.mark.parametrize("horizon", [-1, -2])
+    def test_negative_horizon_rejected(self, v5, horizon):
+        with pytest.raises(HorizonTooSmall):
+            teichmuller_factorize(w(v5, 2), horizon=horizon)
+
+    def test_certificate_keeps_its_factors(self, v5):
+        a, cert = teichmuller_factorize(w(v5, 2), horizon=4)
+        assert cert.factors() is cert.factors()
+        assert len(cert.factors()) == 4
 
     def test_random_units_all_primes(self):
         rng = random.Random(13)

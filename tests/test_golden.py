@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
-from make_golden import GOLDEN, container_cases, run_case, scalar_chains, snf_cases
+from make_golden import GOLDEN, container_cases, run_case, scalar_chains, snf_cases, witt_cases
 
 MANIFEST = json.loads((GOLDEN / "manifest.json").read_text())
 
@@ -48,3 +48,7 @@ def test_container_kernels_unchanged():
 
 def test_smith_reduction_unchanged():
     _assert_same_text(json.dumps(snf_cases(), sort_keys=True) + "\n", "snf.json")
+
+
+def test_witt_vectors_unchanged():
+    _assert_same_text(json.dumps(witt_cases(), sort_keys=True) + "\n", "witt.json")
