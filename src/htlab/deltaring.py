@@ -102,13 +102,6 @@ def _frob(wc, w, k, prec):
     return _combine(wc, w, _frob_table(wc, prec)[k], wc.p**prec)
 
 
-def _make(cfg, w, prec, frob_power=0):
-    # the constructor without its reduction, for digits a kernel already reduced
-    x = WittElem.__new__(WittElem)
-    x.cfg, x.w, x.prec, x.frob_power = cfg, w, prec, frob_power
-    return x
-
-
 class WittElem:
     """Element of W(F_{p^f}) mod p^prec plus a record of applied phi-twists.
 
@@ -127,7 +120,7 @@ class WittElem:
 
     def _lin(self, other, s, t, prec):
         cfg = self.cfg
-        return _make(cfg, cfg._witt.linu(self.w, other.w, s, t, cfg.p**prec), prec)
+        return WittElem(cfg, cfg._witt.linu(self.w, other.w, s, t, cfg.p**prec), prec)
 
     def __add__(self, other):
         return self._lin(other, 1, 1, min(self.prec, other.prec))
@@ -141,11 +134,11 @@ class WittElem:
     def __mul__(self, other):
         cfg = self.cfg
         prec = min(self.prec, other.prec)
-        return _make(cfg, cfg._witt.mulu(self.w, other.w, cfg.p**prec), prec)
+        return WittElem(cfg, cfg._witt.mulu(self.w, other.w, cfg.p**prec), prec)
 
     def pow(self, n):
         cfg = self.cfg
-        return _make(cfg, _pow(cfg._witt, self.w, n, cfg.p**self.prec), self.prec)
+        return WittElem(cfg, _pow(cfg._witt, self.w, n, cfg.p**self.prec), self.prec)
 
     def smul(self, n):
         return self._lin(self, n, 0, self.prec)
@@ -174,12 +167,12 @@ class WittElem:
         if self.val() != 0:
             raise NotAUnit("not a unit in W")
         cfg = self.cfg
-        return _make(cfg, cfg._witt.unit_inv(self.w, self.prec), self.prec)
+        return WittElem(cfg, cfg._witt.unit_inv(self.w, self.prec), self.prec)
 
     def div_p_exact(self):
         if self.prec <= 1:
             raise PrecisionExhausted("division by p exhausts precision")
-        return _make(self.cfg, _div_p(self.cfg._witt, self.w, self.prec), self.prec - 1)
+        return WittElem(self.cfg, _div_p(self.cfg._witt, self.w, self.prec), self.prec - 1)
 
     def eq(self, other):
         return (self - other).is_zero()
@@ -220,7 +213,7 @@ def teichmuller(cfg, a, prec=None):
 def frobenius(x, k=1):
     """phi^k on W(F_{p^f}); k may be negative (phi^{-1} = phi^{f-1})."""
     cfg = x.cfg
-    return _make(cfg, _frob(cfg._witt, x.w, k, x.prec), x.prec, (x.frob_power + k) % cfg.f)
+    return WittElem(cfg, _frob(cfg._witt, x.w, k, x.prec), x.prec, x.frob_power + k)
 
 
 class USeries:
