@@ -12,15 +12,27 @@ know.  Valuations are measured in pi-units, so v(pi) = 1 and v(p) = e.
 
 A K element (KElem) is p^{-shift} times a numerator in O_K/p^prec, stored as
 its coordinates on the Z/p^prec-basis pi^i g^j: plain ints, multiplied by
-straight-line code compiled from the structure constants of BaseConfig.
+straight-line code compiled from the structure constants of BaseConfig (by
+plain int arithmetic when e*f = 1).
 W/p^M is O_K/p^M at e = 1, so the Witt vectors of the delta-ring side
 (deltaring.WittElem) run on these same kernels, taken from the unramified
 config BaseConfig(p, [-p], f, N).
+
+The stored form lemma.  When the absolute precision A = prec - shift is at
+least 1, normalization always runs and cancels p until shift is 0 or p no
+longer divides u, so the stored (u, shift, prec) depends only on the value
+mod p^A and on A.  A chain of products and sums has the least A of its
+terms, whatever the order of the sum, so BaseConfig.dot may form the sum as
+one exact integer and reduce it once: it gets the chain's stored form.
+Regrouping products is not covered.  Containers skip droppable
+intermediates, and a skipped zero pays nothing for a later denominator, so
+(a b) c and a (b c) need not store alike.
 """
 
 from dataclasses import dataclass
-from itertools import product
+from itertools import product, repeat
 from math import gcd
+from textwrap import indent
 
 from .errors import (
     NotAUnit,
@@ -155,7 +167,7 @@ class BaseConfig:
         self.cutoffs.validate()
         self.modpoly = _find_modulus(p, f)
         self.zero_u = 0 if self.n == 1 else (0,) * self.n
-        self.mulu, self.linu = _kernels(self.n, self._structure_constants())
+        self.mulu, self.linu, self.dotu = _kernels(self.n, self._structure_constants())
         self._zero = KElem(self, self.zero_u, 0, N)
         # pi^e = -p * B with B = sum (E_coeffs[i]/p) pi^i; B is a unit.
         self.B_int_coeffs = tuple(c // p for c in E_coeffs)
@@ -220,6 +232,56 @@ class BaseConfig:
             z = self.mulu(z, self.linu(two, self.mulu(u, z, M), 1, -1, M), M)
             reach *= 2
         return z
+
+    def dot(self, xs, ys, ms=None):
+        """The stored form of the chain x0 y0 m0 + x1 y1 m1 + ..., summed left to right.
+
+        xs and ys are nonempty and of one length; the integers ms default to
+        1, and a term x y m is (x * y).smul(m).  On K scalars whose absolute
+        precision A (the least over the terms) is at least 1, the chain's
+        result depends only on its value mod p^A and on A, so the terms are
+        summed as one exact integer at the top shift S and reduced once: a
+        term with a zero numerator costs its precision and nothing else.
+        Otherwise, and on chart, pd or t-series scalars, the chain runs as
+        written.
+        """
+        if len(xs) == 1:
+            t = xs[0] * ys[0]
+            return t if ms is None or ms[0] == 1 else t.smul(ms[0])
+        if ms is None:
+            ms = repeat(1)
+        if type(xs[0]) is KElem:
+            zero = self.zero_u
+            A = None
+            top = 0
+            terms = []
+            shifts = []
+            for x, y, m in zip(xs, ys, ms):
+                s = x.shift + y.shift
+                px, py = x.prec, y.prec
+                a = (px if px < py else py) - s
+                if A is None or a < A:
+                    A = a
+                if x.u != zero and y.u != zero:
+                    terms.append((x.u, y.u, m))
+                    shifts.append(s)
+                    if s > top:
+                        top = s
+            if A >= 1:
+                if not terms:
+                    return KElem(self, zero, 0, A)
+                if not top:
+                    return KElem(self, self.dotu(terms, self.p**A), 0, A)
+                p = self.p
+                terms = [(a, b, m * p ** (top - s)) for (a, b, m), s in zip(terms, shifts)]
+                return _norm(self, self.dotu(terms, p ** (A + top)), top, A + top)
+        acc = None
+        for x, y, m in zip(xs, ys, ms):
+            t = x * y
+            if m != 1:
+                t = t.smul(m)
+            acc = t if acc is None else acc + t
+        return acc
 
     # -- constructors -------------------------------------------------------
 
@@ -330,28 +392,47 @@ def make_base_config(p, E_coeffs, f=1, precision=8, cutoffs=None):
 # ---------------------------------------------------------------------------
 
 
+def _mulu1(a, b, M):
+    return a * b % M
+
+
+def _linu1(a, b, s, t, M):
+    return (s * a + t * b) % M
+
+
+def _dotu1(terms, M):
+    return sum([w * a * b for a, b, w in terms]) % M
+
+
 def _kernels(n, table):
-    """Straight-line code for the flat numerators, compiled from the table.
+    """The kernels on the flat numerators.
 
     mulu(a, b, M) is the product a b mod M; linu(a, b, s, t, M) is s a + t b
-    mod M.  An element is a bare int when n = 1 and an n-tuple otherwise.
+    mod M; dotu(terms, M) is sum w a b mod M over the (a, b, w) of terms,
+    accumulated unreduced and reduced once.  An element is a bare int when
+    n = 1, where the kernels are plain int arithmetic, and an n-tuple
+    otherwise, where they are straight-line code compiled from the table.
     """
     if n == 1:
-        src = "def mulu(a, b, M):\n    return a * b % M\n"
-        src += "def linu(a, b, s, t, M):\n    return (s * a + t * b) % M\n"
-    else:
-        terms = [[] for _ in range(n)]
-        for i, row in enumerate(table):
-            for j, k, t in row:
-                terms[k].append(f"a{i} * b{j}" if t == 1 else f"{t} * a{i} * b{j}")
-        unpack = "".join(f"    {', '.join(f'{v}{i}' for i in range(n))} = {v}\n" for v in "ab")
-        prod = ", ".join(f"({' + '.join(ts)}) % M" for ts in terms)
-        lin = ", ".join(f"(s * a{i} + t * b{i}) % M" for i in range(n))
-        src = f"def mulu(a, b, M):\n{unpack}    return ({prod},)\n"
-        src += f"def linu(a, b, s, t, M):\n{unpack}    return ({lin},)\n"
+        return _mulu1, _linu1, _dotu1
+    terms = [[] for _ in range(n)]
+    for i, row in enumerate(table):
+        for j, k, t in row:
+            terms[k].append(f"a{i} * b{j}" if t == 1 else f"{t} * a{i} * b{j}")
+    unpack = "".join(f"{', '.join(f'{v}{i}' for i in range(n))} = {v}\n" for v in "ab")
+    sums = [" + ".join(ts) for ts in terms]
+    prod = ", ".join(f"({t}) % M" for t in sums)
+    lin = ", ".join(f"(s * a{i} + t * b{i}) % M" for i in range(n))
+    cs = [f"c{k}" for k in range(n)]
+    acc = "".join(f"{c} += w * ({t})\n" for c, t in zip(cs, sums))
+    src = f"def mulu(a, b, M):\n{indent(unpack, '    ')}    return ({prod},)\n"
+    src += f"def linu(a, b, s, t, M):\n{indent(unpack, '    ')}    return ({lin},)\n"
+    src += f"def dotu(terms, M):\n    {' = '.join(cs)} = 0\n    for a, b, w in terms:\n"
+    src += indent(unpack + acc, "        ")
+    src += f"    return ({', '.join(f'{c} % M' for c in cs)},)\n"
     scope = {}
     exec(src, scope)
-    return scope["mulu"], scope["linu"]
+    return scope["mulu"], scope["linu"], scope["dotu"]
 
 
 def _norm(cfg, u, shift, prec):

@@ -140,6 +140,13 @@ class ChartElem(Sparse):
     def _new(self, coeffs, truncated):
         return ChartElem(self.ring, coeffs, truncated)
 
+    def _adopt(self, coeffs, truncated):
+        x = ChartElem.__new__(ChartElem)
+        x.ring = self.ring
+        x.coeffs = coeffs
+        x.truncated = truncated
+        return x
+
     def __mul__(self, other):
         out = {}
         trunc = self.truncated or other.truncated

@@ -28,7 +28,7 @@ from itertools import combinations
 from math import comb as _math_comb
 
 from .errors import InsufficientPrecision, ValidationFailure
-from .linalg import Mat
+from .linalg import Mat, matvec
 
 
 def comb(n, k):
@@ -361,15 +361,6 @@ def _pi_power(ring, v):
     return x
 
 
-def _dot(row, vec, zero):
-    acc = None
-    for a, x in zip(row, vec):
-        if a.droppable() or x.droppable():
-            continue
-        acc = a * x if acc is None else acc + a * x
-    return acc if acc is not None else zero
-
-
 def cohomology(rep, degree, strict=False):
     """H^degree as {free_rank, torsion exponents, precision_limited}.
 
@@ -406,16 +397,16 @@ def _cohomology(rep, degree, strict, inc):
         out = snf_dvr(rep.diffs[degree], strict=strict)
         limited = limited or out.precision_limited
         r_out = len(out.vals)
-        vinv_rows = out.Vinv.rows
+        vinv = out.Vinv
     else:
         r_out = 0
-        vinv_rows = None
+        vinv = None
     k = l - r_out
     torsion = []
     free = k
     if degree > 0 and k > 0 and inc is None:
         inc = snf_dvr(rep.diffs[degree - 1], strict=strict)
-    if degree > 0 and k > 0 and vinv_rows is None:
+    if degree > 0 and k > 0 and vinv is None:
         # top degree: the quotient is the plain cokernel, whose invariant
         # factors are those of the incoming map; no second reduction needed
         limited = limited or inc.precision_limited
@@ -429,7 +420,7 @@ def _cohomology(rep, degree, strict, inc):
         for j, v in enumerate(inc.vals):
             scal = _pi_power(base, v)
             w = [uinv_rows[i][j] * scal for i in range(l)]
-            c = [_dot(row, w, base.zero()) for row in vinv_rows]
+            c = matvec(vinv, w)
             for x in c[:r_out]:
                 if not x.is_zero():
                     if limited:

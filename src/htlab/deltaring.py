@@ -455,13 +455,20 @@ class FactorizationCertificate:
     _factors: list = field(default=None, init=False, repr=False, compare=False)
 
     def factors(self):
-        """The M factors of the product, computed once and kept."""
+        """The M factors of the product, computed once and kept.
+
+        Factor i is known to prec = y.prec + 1 digits and is 1 mod p^i, so
+        from i = prec on it is the one at that precision: only the factors
+        below prec are built, and the rest share that one.
+        """
         if self._factors is None:
-            p = self.cfg.p
+            p, prec = self.cfg.p, self.y.prec + 1
+            built = min(self.horizon, prec - 1)
             self._factors = []
-            for i in range(1, self.horizon + 1):
+            for i in range(1, built + 1):
                 yi = frobenius(self.y, -i)
-                self._factors.append((_one(self.cfg, yi.prec + 1) + yi.scale_pk(1)).pow(p ** (i - 1)))
+                self._factors.append((_one(self.cfg, prec) + yi.scale_pk(1)).pow(p ** (i - 1)))
+            self._factors += [_one(self.cfg, prec)] * (self.horizon - built)
         return self._factors
 
     def recombine(self):

@@ -99,21 +99,31 @@ class FormalCElem(Sparse):
     def _new(self, coeffs, truncated):
         return FormalCElem(self.base, self.T, coeffs)
 
+    def _adopt(self, coeffs, truncated):
+        return FormalCElem(self.base, self.T, coeffs, reduce=False)
+
     def _flag(self, other=None):
         # the flag is derived from the coefficients (see truncated), so no
         # operation reads it off its operands
         return False
 
     def __mul__(self, other):
-        out = {}
+        # each t-degree below T is one sum over its pairs, in the order met
+        T = self.T
+        sums = {}
         for i, a in self.coeffs.items():
             for j, b in other.coeffs.items():
-                if i + j >= self.T:
-                    continue
-                prod = a * b
                 k = i + j
-                out[k] = out[k] + prod if k in out else prod
-        return FormalCElem(self.base, self.T, out)
+                if k >= T:
+                    continue
+                pair = sums.get(k)
+                if pair is None:
+                    sums[k] = ([a], [b])
+                else:
+                    pair[0].append(a)
+                    pair[1].append(b)
+        dot = self.base.cfg.dot
+        return FormalCElem(self.base, T, {k: dot(xs, ys) for k, (xs, ys) in sums.items()})
 
     def droppable(self):
         return not self.coeffs

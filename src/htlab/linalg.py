@@ -67,22 +67,26 @@ class Mat:
             raise BadIndex("inner dimensions differ")
         # only full-precision zeros may be skipped: a zero stored at reduced
         # precision must lower the claim of the sum.  The rule is decided once
-        # per entry, and each entry of the product sums its kept terms in
-        # increasing k, as the dense loop would.  Entries are immutable, so
-        # one zero serves for every empty sum.
-        ncols = other.ncols
-        live = [[(j, b) for j, b in enumerate(r) if not b.droppable()] for r in other.rows]
+        # per entry, and each entry of the product is one sum of its kept
+        # terms in increasing k.  Entries are immutable, so one zero serves
+        # for every empty sum.
+        cols = [[(k, b) for k, b in enumerate(c) if not b.droppable()] for c in zip(*other.rows)]
         zero = self.ring.zero()
+        dot = self.ring.cfg.dot
         out = []
         for r in self.rows:
-            acc = [None] * ncols
-            for a, bs in zip(r, live):
-                if not bs or a.droppable():
-                    continue
-                for j, b in bs:
-                    prev = acc[j]
-                    acc[j] = a * b if prev is None else prev + a * b
-            out.append([zero if x is None else x for x in acc])
+            keep = [None if a.droppable() else a for a in r]
+            row = []
+            for col in cols:
+                xs = []
+                ys = []
+                for k, b in col:
+                    a = keep[k]
+                    if a is not None:
+                        xs.append(a)
+                        ys.append(b)
+                row.append(dot(xs, ys) if xs else zero)
+            out.append(row)
         return Mat(self.ring, out)
 
     def smul(self, n):
@@ -147,12 +151,15 @@ def matvec(mat, vec):
         raise BadIndex("vector length differs from the column count")
     live = [(k, x) for k, x in enumerate(vec) if not x.droppable()]
     zero = mat.ring.zero()
+    dot = mat.ring.cfg.dot
     out = []
     for row in mat.rows:
-        acc = None
+        xs = []
+        ys = []
         for k, x in live:
             a = row[k]
             if not a.droppable():
-                acc = a * x if acc is None else acc + a * x
-        out.append(zero if acc is None else acc)
+                xs.append(a)
+                ys.append(x)
+        out.append(dot(xs, ys) if xs else zero)
     return out

@@ -184,10 +184,13 @@ class PdElement(Sparse):
     def _new(self, coeffs, truncated):
         return PdElement(self.ring, coeffs, truncated)
 
+    def _adopt(self, coeffs, truncated):
+        return PdElement._clean(self.ring, coeffs, truncated)
+
     def __mul__(self, other):
         ring = self.ring
         D = ring.D
-        out = {}
+        sums = {}
         trunc = self.truncated or other.truncated
         right = [(k2, _key_degree(k2), c2) for k2, c2 in other.coeffs.items()]
         for k1, c1 in self.coeffs.items():
@@ -204,12 +207,24 @@ class PdElement(Sparse):
                     key, mult = k2, 1
                 else:
                     key, mult = _merge_keys(left, k2)
-                c = c1 * c2
-                if mult != 1:
-                    c = c.smul(mult)
-                prev = out.get(key)
-                out[key] = c if prev is None else prev + c
-        return PdElement(ring, out, trunc)
+                terms = sums.get(key)
+                if terms is None:
+                    sums[key] = ([c1], [c2], [mult])
+                else:
+                    terms[0].append(c1)
+                    terms[1].append(c2)
+                    terms[2].append(mult)
+        # each key is one sum over its pairs, in the order met; its drop is
+        # decided here, once
+        dot = ring.cfg.dot
+        out = {}
+        for key, (xs, ys, ms) in sums.items():
+            c = dot(xs, ys, ms)
+            if c.truncated:
+                trunc = True
+            if not c.droppable():
+                out[key] = c
+        return PdElement._clean(ring, out, trunc)
 
     def coeff(self, key):
         key = tuple(sorted(key))

@@ -62,8 +62,9 @@ def cocycle_matrix(data, s, T=None):
         raise ValidationFailure("group element dimension does not match the module")
     base = strat.base
     r = strat.rank
-    # cells[i][j] maps each t-degree to the (i, j) entry of its partial sum
-    cells = [[{} for _ in range(r)] for _ in range(r)]
+    # each t-degree m collects the coefficients of weight m and their scalars;
+    # entry (i, j) of the degree-m slot is one sum over them, in key order
+    groups = {}
     for (n, index), A in strat.coeffs.items():
         m = n + sum(index)
         if m >= T:
@@ -77,12 +78,21 @@ def cocycle_matrix(data, s, T=None):
         for ik in index:
             den *= math.factorial(ik)
         sc = base.from_k(cfg.k_from_int(num).div_int(den))
-        for arow, crow in zip(A.rows, cells):
-            for a, cell in zip(arow, crow):
-                term = a * sc
-                prev = cell.get(m)
-                cell[m] = term if prev is None else prev + term
-    return Mat(FormalRing(base, T), [[FormalCElem(base, T, cell) for cell in crow] for crow in cells])
+        group = groups.get(m)
+        if group is None:
+            groups[m] = ([A.rows], [sc])
+        else:
+            group[0].append(A.rows)
+            group[1].append(sc)
+    dot = cfg.dot
+    out = []
+    for i in range(r):
+        row = []
+        for j in range(r):
+            cell = {m: dot([rows[i][j] for rows in mats], scs) for m, (mats, scs) in groups.items()}
+            row.append(FormalCElem(base, T, cell))
+        out.append(row)
+    return Mat(FormalRing(base, T), out)
 
 
 def galois_act_mat(s, mat, alpha=None):

@@ -4,17 +4,21 @@ A subclass holds its coefficients in ``coeffs``, a dict from its own keys
 (chart exponent tuples, pd monomials, t-degrees) to scalar-protocol objects,
 and supplies the parts that differ:
 
-* a normalizing constructor, which applies the subclass's cutoff and is the
-  one place where coefficients are dropped (galois.subs_t_all, which sums a
-  substitution in place, applies the same rule itself): a coefficient goes
-  only when it is droppable (zero as stored, at the ambient precision), so a
+* a normalizing constructor, which applies the subclass's cutoff and drops
+  every droppable coefficient (zero as stored, at the ambient precision); a
   zero known to fewer digits keeps its key and lowers the claim of later
-  comparisons;
+  comparisons.  Code that forms coefficients itself applies the same rule
+  to each coefficient it forms: sums here, pd products, and
+  galois.subs_t_all, which sums a substitution in place;
 * ``_new(coeffs, truncated)``, which rebuilds an element through that
-  constructor;
+  constructor, and ``_adopt(coeffs, truncated)``, which wraps coefficients
+  that are clean already (none droppable, every truncated one reflected in
+  the flag) without checking them again;
 * ``__mul__``, ``droppable``, ``coeff`` and ``__repr__``.
 
-Everything here builds the raw coefficient dict and hands it to ``_new``.
+A coefficient map builds the raw coefficient dict and hands it to ``_new``.
+A sum starts from the clean coefficients of its left operand and checks only
+the keys the right operand adds to, so it hands its dict to ``_adopt``.
 ``deltaring.USeries`` is not a subclass: its coefficients are raw Witt
 vectors under an explicit modulus, not scalar-protocol objects.
 """
@@ -35,13 +39,20 @@ class Sparse:
 
     def _merge(self, other, sub):
         out = dict(self.coeffs)
+        trunc = self._flag(other)
         for key, c in other.coeffs.items():
             prev = out.get(key)
             if prev is None:
                 out[key] = -c if sub else c
+                continue
+            c = prev - c if sub else prev + c
+            if c.truncated:
+                trunc = True
+            if c.droppable():
+                del out[key]
             else:
-                out[key] = prev - c if sub else prev + c
-        return self._new(out, self._flag(other))
+                out[key] = c
+        return self._adopt(out, trunc)
 
     def __add__(self, other):
         return self._merge(other, False)

@@ -291,3 +291,70 @@ def test_config_compiles_one_kernel_and_witt_builds_its_own_once(monkeypatch):
     for _ in range(2):
         WittElem(ramified, (1, 2))  # e = 2: the unramified config, built on first use
     assert calls == [2, 4, 2]
+
+
+def _dot_operand(cfg, rng):
+    """A K scalar of one of the shapes a sum of products meets.
+
+    Shifted numerators, reduced precision, zeros at full or reduced
+    precision, prec > N (the inverse of a shifted scalar), and scalars with
+    no digit left of absolute precision.
+    """
+    p, N = cfg.p, cfg.N
+    kinds = ("unit", "any", "zero", "shifted", "inv", "thin")
+    kind = rng.choices(kinds, weights=(8, 3, 3, 3, 2, 1))[0]
+    prec = N if rng.random() < 0.6 else rng.randrange(1, N + 1)
+    shift = 0
+    if kind in ("shifted", "inv"):
+        shift = rng.randrange(1, 3)
+    elif kind == "thin":
+        prec, shift = rng.randrange(1, 3), rng.randrange(2, 4)
+
+    def coeff():
+        if kind == "zero":
+            return [0] * cfg.f
+        return [rng.randrange(p**prec) for _ in range(cfg.f)]
+
+    coeffs = [coeff() for _ in range(cfg.e)]
+    if kind in ("unit", "shifted", "inv") and coeffs[0][0] % p == 0:
+        coeffs[0][0] += 1
+    coeffs = [c[0] if cfg.f == 1 else tuple(c) for c in coeffs]
+    x = cfg.k_from_coeffs(coeffs, prec=prec, shift=shift)
+    return x.inv() if kind == "inv" else x
+
+
+def _form(x):
+    return (x.u, x.shift, x.prec)
+
+
+@pytest.mark.parametrize(
+    "p, E, f",
+    [(5, [-5], 1), (2, [-2, 0], 1), (3, [-3, 0], 1), (3, [-3], 2)],
+    ids=["p5", "p2e2", "p3e2", "p3f2"],
+)
+def test_dot_matches_the_left_to_right_chain(p, E, f):
+    """dot gives the (u, shift, prec) of sum (x_k * y_k).smul(m_k) taken in order."""
+    cfg = make_base_config(p, E, f=f, precision=6)
+    rng = random.Random(7 * p + 11 * f + len(E))
+    multipliers = (1, 1, 1, -1, 2, p, -p, 3 * p * p, 0)
+    fused = fallback = shifted = 0
+    for _ in range(400):
+        n = rng.randrange(1, 6)
+        xs = [_dot_operand(cfg, rng) for _ in range(n)]
+        ys = [_dot_operand(cfg, rng) for _ in range(n)]
+        ms = [rng.choice(multipliers) for _ in range(n)] if rng.random() < 0.5 else None
+        chain = None
+        for k in range(n):
+            t = xs[k] * ys[k]
+            if ms is not None and ms[k] != 1:
+                t = t.smul(ms[k])
+            chain = t if chain is None else chain + t
+        assert _form(cfg.dot(xs, ys, ms)) == _form(chain)
+        low = min(min(x.prec, y.prec) - x.shift - y.shift for x, y in zip(xs, ys))
+        if n > 1:
+            fused += low >= 1
+            fallback += low < 1
+            shifted += low >= 1 and any(x.shift + y.shift for x, y in zip(xs, ys))
+    # both regimes are met: the fused sum, at shift 0 and above, and the
+    # chain it falls back to below A = 1
+    assert fused > 100 and shifted > 20 and fallback > 20

@@ -1,5 +1,6 @@
 import json
 import random
+import time
 from pathlib import Path
 
 import pytest
@@ -296,6 +297,23 @@ def test_factorize_builds_each_factor_once(runner, monkeypatch):
     results = json.loads(res.output)["artifacts"]["results"]
     assert [r["status"] for r in results].count("pass") == 4
     assert len(calls) == 4 * (1 + 7)
+
+
+def test_factorize_horizon_past_the_precision_builds_nothing_more(runner):
+    # factors from i = N on are 1 at the precision the certificate verifies
+    path = str(GOLDEN_INPUTS / "p5-units.json")
+
+    def report(horizon):
+        t0 = time.perf_counter()
+        res = runner.invoke(main, ["factorize", path, "--canonical", "--horizon", str(horizon)])
+        return json.loads(res.output), time.perf_counter() - t0
+
+    short, _ = report(7)
+    long, seconds = report(1000)
+    assert short["artifacts"].pop("horizon") == "7"
+    assert long["artifacts"].pop("horizon") == "1000"
+    assert long == short
+    assert seconds < 0.5
 
 
 def test_check_on_a_ramified_base_builds_no_witt_config(runner, monkeypatch):
