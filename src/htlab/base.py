@@ -404,6 +404,11 @@ def _dotu1(terms, M):
     return sum([w * a * b for a, b, w in terms]) % M
 
 
+# compiled kernels by (n, structure-constant table), shared by every config
+# with that table in this process
+_COMPILED = {}
+
+
 def _kernels(n, table):
     """The kernels on the flat numerators.
 
@@ -411,10 +416,19 @@ def _kernels(n, table):
     mod M; dotu(terms, M) is sum w a b mod M over the (a, b, w) of terms,
     accumulated unreduced and reduced once.  An element is a bare int when
     n = 1, where the kernels are plain int arithmetic, and an n-tuple
-    otherwise, where they are straight-line code compiled from the table.
+    otherwise, where they are straight-line code compiled from the table,
+    once per table and process.
     """
     if n == 1:
         return _mulu1, _linu1, _dotu1
+    key = (n, tuple(map(tuple, table)))
+    kernels = _COMPILED.get(key)
+    if kernels is None:
+        kernels = _COMPILED[key] = _compile_kernels(n, table)
+    return kernels
+
+
+def _compile_kernels(n, table):
     terms = [[] for _ in range(n)]
     for i, row in enumerate(table):
         for j, k, t in row:

@@ -211,21 +211,52 @@ def _multi_indices(d, maxw):
         yield from rec((), w, d)
 
 
+def _vanishes(m):
+    """Every entry droppable: each entry of a product with m is an empty sum."""
+    for row in m.rows:
+        for a in row:
+            if not a.droppable():
+                return False
+    return True
+
+
+def _times(a, b, vanish):
+    """a * b, and whether it vanishes; ``vanish`` says whether a or b does.
+
+    A vanishing factor leaves every term of every entry to Mat.__mul__'s
+    droppable rule, so the product is the zero matrix of a's ring, stored
+    alike, and no multiply is run.  The test is entrywise droppable(): a
+    zero known to fewer digits than N is not droppable, and its products
+    are formed.
+    """
+    if vanish:
+        return Mat.zero(a.ring, a.nrows, b.ncols), True
+    out = a * b
+    return out, _vanishes(out)
+
+
+def _theta_powers(h, maxw):
+    """{I: (Theta^I, whether it vanishes)}, in _multi_indices order."""
+    theta_vanish = [_vanishes(th) for th in h.theta]
+    pows = {}
+    for index in _multi_indices(h.d, maxw):
+        k = next((i for i, v in enumerate(index) if v > 0), None)
+        if k is None:
+            pows[index] = (Mat.identity(h.base, h.rank), False)
+        else:
+            prev = list(index)
+            prev[k] -= 1
+            tp, vanish = pows[tuple(prev)]
+            pows[index] = _times(h.theta[k], tp, vanish or theta_vanish[k])
+    return pows
+
+
 def theta_powers(h, maxw):
     """Theta^I for each multi-index I of weight <= maxw, in _multi_indices order.
 
     Theta^I = theta_k Theta^(I - e_k), k the first nonzero position of I.
     """
-    pows = {}
-    for index in _multi_indices(h.d, maxw):
-        k = next((i for i, v in enumerate(index) if v > 0), None)
-        if k is None:
-            pows[index] = Mat.identity(h.base, h.rank)
-        else:
-            prev = list(index)
-            prev[k] -= 1
-            pows[index] = h.theta[k] * pows[tuple(prev)]
-    return pows
+    return {index: tp for index, (tp, _) in _theta_powers(h, maxw).items()}
 
 
 class Stratification:
@@ -263,20 +294,21 @@ def stratification_from_higgs(h, D=None):
     if D is None:
         D = cfg.cutoffs.D
     beta = _beta_scalar(h)
+    # (P_n, whether it vanishes); once P_n vanishes every later one does
+    p_seq = [(Mat.identity(h.base, h.rank), False)]
     if h.phi is not None:
-        p_seq = [Mat.identity(h.base, h.rank)]
         factor = h.phi
         for n in range(1, D + 1):
-            p_seq.append(factor * p_seq[-1])
+            p_seq.append(_times(factor, *p_seq[-1]))
             factor = factor.add_scalar_diag(beta)
-    else:
-        p_seq = [Mat.identity(h.base, h.rank)]
     coeffs = {}
-    for index, tp in theta_powers(h, D).items():
+    for index, (tp, tp_vanish) in _theta_powers(h, D).items():
         w = sum(index)
         n_top = (D - w) if h.phi is not None else 0
-        for n in range(n_top + 1):
-            coeffs[(n, index)] = tp * p_seq[n] if n else tp
+        coeffs[(0, index)] = tp
+        for n in range(1, n_top + 1):
+            p_n, p_vanish = p_seq[n]
+            coeffs[(n, index)] = _times(tp, p_n, tp_vanish or p_vanish)[0]
     return Stratification(h.base, h.flavor, coeffs, D, h.rank, twist=h.twist)
 
 
@@ -356,13 +388,14 @@ def descent_matrix(strat, ring=None):
         ring = PdRing(strat.cfg, strat.base, strat.flavor, 1, d=strat.d, D=strat.D)
     entries = [[{} for _ in range(strat.rank)] for _ in range(strat.rank)]
     for (n, index), m in strat.coeffs.items():
-        key = []
-        if n:
-            key.append((ring.x_id(1), n))
+        # the rule each entry below applies, decided once for the whole matrix
+        if m.storage_zero():
+            continue
+        key = [(ring.x_id(1), n)] if n else []
         for k, ik in enumerate(index):
             if ik:
                 key.append((ring.y_id(k + 1, 1), ik))
-        key = tuple(sorted(key))
+        key = ring.encode(key)
         for row, cells in zip(m.rows, entries):
             for s, cell in zip(row, cells):
                 if not s.storage_zero():

@@ -114,7 +114,12 @@ class Mat:
         return all(a.is_zero() for r in self.rows for a in r)
 
     def storage_zero(self):
-        return all(a.storage_zero() for r in self.rows for a in r)
+        # plain loops: descent_matrix asks this of every stratification coefficient
+        for r in self.rows:
+            for a in r:
+                if not a.storage_zero():
+                    return False
+        return True
 
     def eq(self, other):
         return (self - other).is_zero()

@@ -25,6 +25,20 @@ evaluate_at_group sends a degree-n element to a t-series by X_j |-> c(s_1..s_j) 
 and Y_{k,j} |-> n_k(s_1..s_j) t, with v^[m] |-> v^m / m! in K.  The face maps
 and this evaluation are tied together by check_face_evaluation, which is the
 oracle certifying the twisted d^0 above against the group law.
+
+A pd monomial is stored packed in one Python int.  The generators, numbered
+g = 0, 1, ... in sorted (kind, k, j) order (X_j as (0, 0, j), Y_{k,j} as
+(1, k, j)), each own a field of w = (2D).bit_length() bits at bit g*w that
+holds their exponent, and the pd-degree sits in the field above all of them,
+at bit ``shift`` = (number of generators) * w.  The constant monomial is 0.
+A stored monomial has every exponent and its degree at most D, so the sum
+of two of them overflows no field: the product monomial is k1 + k2, the
+cutoff test is k1 + k2 >= (D + 1) << shift, and the binomial factor
+prod C(a + b, a) is computed only when the support masks of the two keys
+meet.  The layout depends only on (variant, degree, d, D), which eq_ring
+compares.  PdRing.encode and PdRing.decode translate to and from the
+readable form, a sorted tuple of (variable, exponent) pairs; coeff,
+__repr__ and evaluate_at_group take or show that form.
 """
 
 from math import comb, factorial
@@ -36,33 +50,18 @@ from .sparse import Sparse
 VARIANTS = ("abs-arith", "abs-geom", "rel-geom")
 
 
-def _key_degree(key):
-    return sum(a for _, a in key)
-
-
-def _merge_keys(left, k2):
-    """Combine two pd monomials, the first given as a dict {variable: exponent};
-    returns (sorted key, integer binomial factor)."""
-    d = left.copy()
-    mult = 1
-    for v, b in k2:
-        a = d.get(v)
-        if a is None:
-            d[v] = b
-        else:
-            mult *= comb(a + b, a)
-            d[v] = a + b
-    return tuple(sorted(d.items())), mult
-
-
 class PdRing:
-    __slots__ = ("cfg", "base", "variant", "degree", "d", "D")
+    __slots__ = (
+        "cfg", "base", "variant", "degree", "d", "D",
+        "width", "shift", "limit", "field", "slots", "offsets", "support_add", "support_top",
+    )
 
     def __init__(self, cfg, base, variant, degree, d=0, D=None):
         if variant not in VARIANTS:
             raise ValueError(f"unknown variant {variant!r}")
-        if degree < 0 or d < 0:
-            raise BadIndex("degree and d must be nonnegative")
+        D = cfg.cutoffs.D if D is None else D
+        if degree < 0 or d < 0 or D < 0:
+            raise BadIndex("degree, d and D must be nonnegative")
         if variant == "abs-arith":
             d = 0
         self.cfg = cfg
@@ -70,7 +69,22 @@ class PdRing:
         self.variant = variant
         self.degree = degree
         self.d = d
-        self.D = cfg.cutoffs.D if D is None else D
+        self.D = D
+        # the packed layout (module docstring): a field holds 2D, so a sum
+        # of two stored monomials overflows none, and D < 2^(w-1)
+        w = (2 * D).bit_length() or 1
+        gens = self.generators()
+        self.width = w
+        self.shift = len(gens) * w
+        self.limit = (D + 1) << self.shift
+        self.field = (1 << w) - 1
+        self.slots = [(vid, g * w) for g, vid in enumerate(gens)]
+        self.offsets = dict(self.slots)
+        # ((key & low bits) + support_add) & support_top sets the top bit of
+        # exactly the fields that hold a nonzero exponent
+        half = 1 << (w - 1)
+        self.support_add = sum((half - 1) << off for _, off in self.slots)
+        self.support_top = sum(half << off for _, off in self.slots)
 
     @property
     def has_x(self):
@@ -90,6 +104,7 @@ class PdRing:
             and self.variant == other.variant
             and self.degree == other.degree
             and self.d == other.d
+            and self.D == other.D
         )
 
     def x_id(self, j):
@@ -115,14 +130,41 @@ class PdRing:
                 out.extend(self.y_id(k, j) for j in range(1, self.degree + 1))
         return out
 
+    def encode(self, pairs):
+        """The packed key of the monomial prod v^[a] over (v, a) in pairs.
+
+        Each variable is a generator of this ring, appearing once, with an
+        exponent in 1..D; anything else raises BadIndex.
+        """
+        key = deg = 0
+        for vid, a in pairs:
+            off = self.offsets.get(vid)
+            if off is None:
+                raise BadIndex(f"{vid!r} is not a generator of {self!r}")
+            if not 1 <= a <= self.D:
+                raise BadIndex(f"exponent {a} of {vid!r} is outside 1..{self.D}")
+            if (key >> off) & self.field:
+                raise BadIndex(f"{vid!r} appears twice")
+            key |= a << off
+            deg += a
+        return key | deg << self.shift
+
+    def decode(self, key):
+        """A packed key as its sorted tuple of (variable, exponent) pairs."""
+        field = self.field
+        return tuple((vid, (key >> off) & field) for vid, off in self.slots if (key >> off) & field)
+
+    def key_degree(self, key):
+        return key >> self.shift
+
     def zero(self):
         return PdElement(self, {})
 
     def one(self):
-        return PdElement(self, {(): self.base.one()})
+        return PdElement(self, {0: self.base.one()})
 
     def from_scalar(self, s):
-        return PdElement(self, {(): s})
+        return PdElement(self, {0: s})
 
     def from_k(self, x):
         return self.from_scalar(self.base.from_k(x))
@@ -138,7 +180,7 @@ class PdRing:
             return self.one()
         if exp > self.D:
             return PdElement(self, {}, truncated=True)
-        return PdElement(self, {((vid, exp),): self.base.one()})
+        return PdElement(self, {self.encode(((vid, exp),)): self.base.one()})
 
     def x(self, j, exp=1):
         return self.var(self.x_id(j), exp)
@@ -153,8 +195,8 @@ class PdRing:
 class PdElement(Sparse):
     """A finite sum of coefficients times pd monomials.
 
-    A monomial key is a tuple of (variable, exponent) pairs with distinct
-    variables, sorted; the constant monomial is ().
+    A monomial key is packed into one int by the ring (module docstring);
+    the constant monomial is 0.
     """
 
     __slots__ = ("ring", "coeffs", "truncated")
@@ -189,24 +231,27 @@ class PdElement(Sparse):
 
     def __mul__(self, other):
         ring = self.ring
-        D = ring.D
+        limit, w, field = ring.limit, ring.width, ring.field
+        low, add, top = (1 << ring.shift) - 1, ring.support_add, ring.support_top
         sums = {}
         trunc = self.truncated or other.truncated
-        right = [(k2, _key_degree(k2), c2) for k2, c2 in other.coeffs.items()]
+        right = [(k2, ((k2 & low) + add) & top, c2) for k2, c2 in other.coeffs.items()]
         for k1, c1 in self.coeffs.items():
-            d1 = _key_degree(k1)
-            left = dict(k1)
-            for k2, d2, c2 in right:
-                if d1 + d2 > D:
+            s1 = ((k1 & low) + add) & top
+            for k2, s2, c2 in right:
+                key = k1 + k2
+                if key >= limit:
                     trunc = True
                     continue
-                # keys are stored sorted, so a constant factor leaves the other key as it is
-                if not k2:
-                    key, mult = k1, 1
-                elif not k1:
-                    key, mult = k2, 1
-                else:
-                    key, mult = _merge_keys(left, k2)
+                # C(a + b, a) for each variable the two monomials share
+                mult = 1
+                shared = s1 & s2
+                while shared:
+                    bit = shared & -shared
+                    off = bit.bit_length() - w
+                    a = (k1 >> off) & field
+                    mult *= comb(a + ((k2 >> off) & field), a)
+                    shared ^= bit
                 terms = sums.get(key)
                 if terms is None:
                     sums[key] = ([c1], [c2], [mult])
@@ -226,17 +271,26 @@ class PdElement(Sparse):
                 out[key] = c
         return PdElement._clean(ring, out, trunc)
 
+    def partial(self, vid):
+        """d/dv on divided powers: v^[a] -> v^[a-1], coefficients kept."""
+        ring = self.ring
+        off = ring.offsets[vid]
+        # subtracting the packed v^[1] lowers v's exponent and the degree by one
+        step = ring.encode(((vid, 1),))
+        out = {key - step: c for key, c in self.coeffs.items() if (key >> off) & ring.field}
+        return PdElement(ring, out, self.truncated)
+
     def coeff(self, key):
-        key = tuple(sorted(key))
-        if key in self.coeffs:
-            return self.coeffs[key]
-        return self.ring.base.zero()
+        """The coefficient of a monomial given as (variable, exponent) pairs."""
+        c = self.coeffs.get(self.ring.encode(key))
+        return self.ring.base.zero() if c is None else c
 
     def constant_term(self):
         return self.coeff(())
 
     def pd_degree(self):
-        return max((_key_degree(k) for k in self.coeffs), default=0)
+        # the degree is the top field, so the largest key has the largest degree
+        return max(self.coeffs, default=0) >> self.ring.shift
 
     def droppable(self):
         return not self.coeffs and not self.truncated
@@ -247,9 +301,9 @@ class PdElement(Sparse):
             return f"X_{j}" if kind == 0 else f"Y_{k}_{j}"
 
         parts = []
-        for key in sorted(self.coeffs):
+        for key, c in sorted((self.ring.decode(k), c) for k, c in self.coeffs.items()):
             mono = "*".join(f"{vname(v)}^[{a}]" for v, a in key) or "1"
-            parts.append(f"({self.coeffs[key]!r})*{mono}")
+            parts.append(f"({c!r})*{mono}")
         flag = " +trunc" if self.truncated else ""
         return f"PdElement({' + '.join(parts) or '0'}{flag})"
 
@@ -274,7 +328,7 @@ def divided_power(x, n):
         return x.ring.one()
     if n == 1:
         return x
-    if () in x.coeffs:
+    if 0 in x.coeffs:
         raise AxiomViolation("pd-constant", "divided powers need positive pd-degree")
     was_integral = x.integral()
     out = pd_power(x, n).div_int(factorial(n))
@@ -318,25 +372,31 @@ class FaceContext:
         self.params = params
         self._images = {}
         self._gammas = {}
-        if i == 0:
-            if ring.variant == "rel-geom":
-                self._geom = None
-            else:
-                if params is None:
-                    raise ValueError("twisted face needs a FaceParams")
-                self._geom = self._geometric_series(params.alpha)
+        if i > 0:
+            # (source offset, target offset) of each generator's field
+            t = self.target
+            self._moves = [
+                (off, t.offsets[(kind, k, j if j < i else j + 1)])
+                for (kind, k, j), off in ring.slots
+            ]
+        elif ring.variant == "rel-geom":
+            self._geom = None
+        else:
+            if params is None:
+                raise ValueError("twisted face needs a FaceParams")
+            self._geom = self._geometric_series(params.alpha)
 
     def _geometric_series(self, alpha):
         # (1 - alpha X_1)^{-1} = sum alpha^k k! X_1^[k]
         t = self.target
-        coeffs = {(): t.base.one()}
+        coeffs = {0: t.base.one()}
         apow = t.cfg.k_one()
         fact = 1
         xid = t.x_id(1)
         for k in range(1, t.D + 1):
             apow = apow * alpha
             fact *= k
-            coeffs[((xid, k),)] = t.base.from_k(apow).smul(fact)
+            coeffs[t.encode(((xid, k),))] = t.base.from_k(apow).smul(fact)
         return PdElement(t, coeffs)
 
     def _image(self, vid):
@@ -367,22 +427,29 @@ class FaceContext:
     def apply(self, x):
         if not x.ring.eq_ring(self.ring):
             raise BadIndex("element from a different ring")
-        i, t = self.i, self.target
-        if i > 0:
-            # plain index shift: bijection on the pd basis
+        t = self.target
+        ring = x.ring
+        field = ring.field
+        if self.i > 0:
+            # plain index shift: bijection on the pd basis, moving each field
             out = {}
+            shift, tshift, moves = ring.shift, t.shift, self._moves
             for key, c in x.coeffs.items():
-                nk = tuple(
-                    ((kind, k, j if j < i else j + 1), a) for (kind, k, j), a in key
-                )
-                out[tuple(sorted(nk))] = c
+                nk = (key >> shift) << tshift
+                for off, toff in moves:
+                    nk |= ((key >> off) & field) << toff
+                out[nk] = c
             # a bijection on keys: the coefficients of x are clean already
             return PdElement._clean(t, out, x.truncated)
-        acc = t.zero()
+        # terms x dropped above D map above D too, so the image keeps x's flag
+        acc = PdElement._clean(t, {}, x.truncated)
+        slots = ring.slots
         for key, c in x.coeffs.items():
             term = t.from_scalar(c)
-            for vid, a in key:
-                term = term * self._gamma_image(vid, a)
+            for vid, off in slots:
+                a = (key >> off) & field
+                if a:
+                    term = term * self._gamma_image(vid, a)
             acc = acc + term
         return acc
 
@@ -464,12 +531,12 @@ def evaluate_at_group(x, sigmas, T=None):
     out = {}
     base = ring.base
     for key, c in x.coeffs.items():
-        m = _key_degree(key)
+        m = ring.key_degree(key)
         if m >= T:
             continue
         num = 1
         den = 1
-        for vid, a in key:
+        for vid, a in ring.decode(key):
             num *= values[vid] ** a
             den *= factorial(a)
         if num == 0:

@@ -190,23 +190,6 @@ def _embed_series_mat(mat, fring):
     )
 
 
-def _pd_partial(x, vid):
-    """d/dv on divided powers: gamma_a -> gamma_{a-1}, coefficients kept."""
-    out = {}
-    for key, c in x.coeffs.items():
-        parts = dict(key)
-        a = parts.get(vid)
-        if a is None:
-            continue
-        if a == 1:
-            del parts[vid]
-        else:
-            parts[vid] = a - 1
-        newkey = tuple(sorted(parts.items()))
-        out[newkey] = out[newkey] + c if newkey in out else c
-    return PdElement(x.ring, out, x.truncated)
-
-
 def _t_shift(e):
     return FormalCElem(e.base, e.T, {m + 1: v for m, v in e.coeffs.items()})
 
@@ -230,7 +213,7 @@ def period_kernel_rep(h, T=None, D=None):
     cellsBi = [[{} for _ in range(h.rank)] for _ in range(h.rank)]
     for index, tp in theta_powers(h, min(D, T - 1)).items():
         m = sum(index)
-        key = tuple(sorted((ring.y_id(k + 1, 1), ik) for k, ik in enumerate(index) if ik))
+        key = ring.encode((ring.y_id(k + 1, 1), ik) for k, ik in enumerate(index) if ik)
         for i in range(h.rank):
             for j in range(h.rank):
                 a = tp.entry(i, j)
@@ -255,7 +238,7 @@ def period_kernel_rep(h, T=None, D=None):
         raise KernelRankDeficit("period matrix is not invertible by the sign flip")
     for k in range(h.d):
         vid = ring.y_id(k + 1, 1)
-        d_b = B.map(lambda e: FormalCElem(ring, T, {m: _pd_partial(v, vid) for m, v in e.coeffs.items()}))
+        d_b = B.map(lambda e: FormalCElem(ring, T, {m: v.partial(vid) for m, v in e.coeffs.items()}))
         t_theta_b = _embed_mat(h.theta[k], fring) * B.map(_t_shift)
         if not (d_b - t_theta_b).is_zero():
             raise KernelRankDeficit(f"columns do not kill -t theta_{k + 1} + d/dY_{k + 1}")

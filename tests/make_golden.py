@@ -240,7 +240,8 @@ def _form(x):
         terms = [[list(e), k_to_json(c)] for e, c in x.coeffs.items()]
         return {"chart": terms, "truncated": x.truncated}
     if isinstance(x, PdElement):
-        terms = [[[[list(v), a] for v, a in key], _form(c)] for key, c in x.coeffs.items()]
+        decode = x.ring.decode
+        terms = [[[[list(v), a] for v, a in decode(key)], _form(c)] for key, c in x.coeffs.items()]
         return {"pd": terms, "truncated": x.truncated}
     if isinstance(x, FormalCElem):
         return {"series": [[k, _form(c)] for k, c in x.coeffs.items()], "T": x.T}
@@ -315,7 +316,7 @@ def _pd_element(ring, rng, cfg):
         if rng.random() < 0.85:
             for _ in range(rng.randrange(1, 3)):
                 key[rng.choice(gens)] = rng.randrange(1, ring.D + 1)
-        coeffs[tuple(sorted(key.items()))] = ring.base.from_k(_k_entry(cfg, rng))
+        coeffs[ring.encode(key.items())] = ring.base.from_k(_k_entry(cfg, rng))
     return PdElement(ring, coeffs, truncated=rng.random() < 0.1)
 
 

@@ -7,6 +7,7 @@ against these, never the other way round.
 
 import itertools
 from fractions import Fraction
+from math import comb, factorial
 
 
 def teich_fixpoint(p, a, prec, f=1):
@@ -159,3 +160,133 @@ def ok_mul_naive(p, E_coeffs, modpoly, prec, x, y):
         for j in range(e):
             tmp[m - e + j] = [v - E_coeffs[j] * w for v, w in zip(tmp[m - e + j], c)]
     return [[v % M for v in row[:f]] for row in tmp[:e]]
+
+
+# ---------------------------------------------------------------------------
+# Truncated divided powers on readable monomials.  A monomial is a sorted
+# tuple of (variable, exponent) pairs, a variable (0, 0, j) for X_j or
+# (1, k, j) for Y_{k,j}.  An element is (terms, truncated) with terms a list
+# of (monomial, coefficient) in dict order.  Coefficients are scalars of the
+# shared protocol (+, -, *, smul, div_int, droppable, truncated), and each
+# sum is formed left to right in the order its terms are met: that is the
+# order, and so the stored form, that htlab.pdring promises for a packed key.
+# ---------------------------------------------------------------------------
+
+
+def _pd_clean(pairs, truncated):
+    """The constructor's rule: drop droppable coefficients, flag truncated ones."""
+    terms = []
+    for key, c in pairs:
+        truncated = truncated or c.truncated
+        if not c.droppable():
+            terms.append((key, c))
+    return terms, truncated
+
+
+def pd_mul_naive(x, y, D):
+    """x * y: v^[a] v^[b] = C(a+b, a) v^[a+b], monomials of degree > D dropped and flagged."""
+    (xt, xf), (yt, yf) = x, y
+    trunc = xf or yf
+    sums = {}
+    for k1, c1 in xt:
+        for k2, c2 in yt:
+            exps = dict(k1)
+            mult = 1
+            for v, b in k2:
+                a = exps.get(v, 0)
+                mult *= comb(a + b, a)
+                exps[v] = a + b
+            if sum(exps.values()) > D:
+                trunc = True
+                continue
+            sums.setdefault(tuple(sorted(exps.items())), []).append((c1 * c2).smul(mult))
+    pairs = []
+    for key, parts in sums.items():
+        c = parts[0]
+        for t in parts[1:]:
+            c = c + t
+        pairs.append((key, c))
+    return _pd_clean(pairs, trunc)
+
+
+def pd_add_naive(x, y, sub=False):
+    """x + y (x - y with sub): x's terms first, y's new monomials after them."""
+    (xt, xf), (yt, yf) = x, y
+    out = dict(xt)
+    trunc = xf or yf
+    for key, c in yt:
+        prev = out.get(key)
+        if prev is None:
+            out[key] = -c if sub else c
+            continue
+        c = prev - c if sub else prev + c
+        trunc = trunc or c.truncated
+        if c.droppable():
+            del out[key]
+        else:
+            out[key] = c
+    return list(out.items()), trunc
+
+
+def pd_face_naive(x, i, variant, D, one, alpha):
+    """The face d^i of a pd element, from the formulas of the pdring docstring.
+
+    i > 0 shifts j -> j + 1 for j >= i.  i = 0 sends each variable v to its
+    image (v_{j+1} - v_1), times (1 - alpha X_1)^{-1} = sum alpha^k k! X_1^[k]
+    unless the variant is rel-geom, and v^[a] to image^a / a!; each monomial
+    is its coefficient times those images in the monomial's variable order.
+    ``one`` is the base's one, ``alpha`` the twist unit.
+    """
+    terms, trunc = x
+    if i > 0:
+        shifted = []
+        for key, c in terms:
+            moved = [((kind, k, j if j < i else j + 1), a) for (kind, k, j), a in key]
+            shifted.append((tuple(sorted(moved)), c))
+        return shifted, trunc
+    series = None
+    if variant != "rel-geom":
+        power, pairs = one, [((), one)]
+        for k in range(1, D + 1):
+            power = power * alpha
+            pairs.append(((((0, 0, 1), k),), power.smul(factorial(k))))
+        series = _pd_clean(pairs, False)
+
+    def gamma(v, a):
+        kind, k, j = v
+        moved, first = (((kind, k, j + 1), 1),), (((kind, k, 1), 1),)
+        image = ([(moved, one), (first, -one)], False)
+        if series is not None:
+            image = pd_mul_naive(image, series, D)
+        if a == 1:
+            return image
+        out = ([((), one)], False)
+        for _ in range(a):
+            out = pd_mul_naive(out, image, D)
+        return _pd_clean([(key, c.div_int(factorial(a))) for key, c in out[0]], out[1])
+
+    acc = ([], trunc)
+    for key, c in terms:
+        term = ([((), c)], False)
+        for v, a in key:
+            term = pd_mul_naive(term, gamma(v, a), D)
+        acc = pd_add_naive(acc, term)
+    return acc
+
+
+def pd_evaluate_naive(terms, values, T):
+    """{m: Fraction}: sum of c * prod v^a / a! over the monomials of degree m < T.
+
+    ``terms`` holds (monomial, int coefficient) pairs and ``values`` the
+    integer value of each variable.
+    """
+    out = {}
+    for key, c in terms:
+        m = sum(a for _, a in key)
+        if m >= T:
+            continue
+        value = Fraction(c)
+        for v, a in key:
+            value *= Fraction(values[v] ** a, factorial(a))
+        out[m] = out.get(m, 0) + value
+    return out

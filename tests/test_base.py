@@ -293,6 +293,24 @@ def test_config_compiles_one_kernel_and_witt_builds_its_own_once(monkeypatch):
     assert calls == [2, 4, 2]
 
 
+def test_configs_with_one_table_share_one_compilation(monkeypatch):
+    from htlab import base
+
+    compiled = []
+    real = base._compile_kernels
+    monkeypatch.setattr(base, "_COMPILED", {})
+    monkeypatch.setattr(base, "_compile_kernels", lambda n, table: compiled.append(n) or real(n, table))
+    a = make_base_config(3, [-3], f=2)
+    b = make_base_config(3, [-3], f=2, precision=6)  # N does not enter the table
+    assert compiled == [2]
+    assert (a.mulu, a.linu, a.dotu) == (b.mulu, b.linu, b.dotu)
+    make_base_config(2, [-2, 0])
+    make_base_config(2, [-6, 2])  # another E: another table
+    assert compiled == [2, 2, 2]
+    make_base_config(5, [-5])  # e f = 1: plain functions, nothing compiled
+    assert compiled == [2, 2, 2]
+
+
 def _dot_operand(cfg, rng):
     """A K scalar of one of the shapes a sum of products meets.
 

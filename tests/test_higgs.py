@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from htlab.chart import ChartRing
@@ -10,6 +12,8 @@ from htlab.errors import (
 )
 from htlab.higgs import (
     HiggsData,
+    Stratification,
+    _multi_indices,
     check_cocycle,
     check_cocycle_strat,
     check_recursions,
@@ -19,6 +23,7 @@ from htlab.higgs import (
     validate_higgs,
 )
 from htlab.linalg import Mat, commutator
+from htlab.samples import sample_higgs
 
 
 @pytest.fixture(scope="module")
@@ -289,3 +294,68 @@ def test_smooth_cocycle_uses_nonlog_twist(cfg_u5, point):
     hs = HiggsData(point, "abs-geom", [theta], phi_s, twist="smooth")
     strat = stratification_from_higgs(hs)
     assert check_cocycle_strat(strat)["ok"]
+
+
+# ---------------------------------------------------------------------------
+# vanishing coefficients: no product, same stored forms
+# ---------------------------------------------------------------------------
+
+
+def _plain_stratification(h, D):
+    """A_{n,I} = Theta^I P_n with every product formed, in the same order."""
+    beta = h.base.from_k(h.braid_unit())
+    p_seq, factor = [Mat.identity(h.base, h.rank)], h.phi
+    for _ in range(D):
+        p_seq.append(factor * p_seq[-1])
+        factor = factor.add_scalar_diag(beta)
+    pows, coeffs = {}, {}
+    for index in _multi_indices(h.d, D):
+        k = next((i for i, v in enumerate(index) if v > 0), None)
+        if k is None:
+            pows[index] = Mat.identity(h.base, h.rank)
+        else:
+            prev = list(index)
+            prev[k] -= 1
+            pows[index] = h.theta[k] * pows[tuple(prev)]
+        for n in range(D - sum(index) + 1):
+            coeffs[(n, index)] = pows[index] * p_seq[n] if n else pows[index]
+    return Stratification(h.base, h.flavor, coeffs, D, h.rank, twist=h.twist)
+
+
+def _stored_forms(strat):
+    return [(key, [[(a.u, a.shift, a.prec) for a in row] for row in m.rows]) for key, m in strat.coeffs.items()]
+
+
+def _vanishing(m):
+    return all(a.droppable() for row in m.rows for a in row)
+
+
+def _clamp_theta(h, k, prec):
+    """h with theta_k known to prec digits only: its zeros become reduced-precision zeros."""
+    theta = list(h.theta)
+    theta[k] = theta[k].map(lambda a: a.clamp_prec(prec))
+    return HiggsData(h.base, h.flavor, theta, h.phi, twist=h.twist)
+
+
+@pytest.mark.parametrize("cfg_name", ["cfg_r2", "cfg_f2"])
+def test_skipping_vanishing_products_changes_no_coefficient(request, cfg_name):
+    cfg = request.getfixturevalue(cfg_name)
+    base = ChartRing(cfg, "point")
+    rng = random.Random(41 if cfg_name == "cfg_r2" else 43)
+    mods = [
+        (sample_higgs(base, rng, "abs-geom", rank, d=3, twist=twist), D)
+        for rank, D, twist in ((4, 6, "log"), (5, 7, "smooth"), (6, 8, "log"))
+    ]
+    h, D = mods[0]
+    mods.append((_clamp_theta(h, 0, cfg.N - 2), D))
+    skipped = reduced = 0
+    for h, D in mods:
+        strat = stratification_from_higgs(h, D=D)
+        plain = _plain_stratification(h, D)
+        assert _stored_forms(strat) == _stored_forms(plain)
+        assert check_cocycle_strat(strat) == check_cocycle_strat(plain)
+        skipped += sum(_vanishing(m) for m in strat.coeffs.values())
+        # zero coefficients known to fewer than N digits: their products are formed
+        reduced += sum(m.is_zero() and not _vanishing(m) for m in strat.coeffs.values())
+    assert skipped > 0
+    assert reduced > 0

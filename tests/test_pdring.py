@@ -7,8 +7,10 @@ from htlab.chart import ChartRing
 from htlab.errors import AxiomViolation, BadIndex
 from htlab.galois import FormalCElem, GroupElt, galois_act_t, sigma_t
 from htlab.pdring import (
+    VARIANTS,
     FaceContext,
     FaceParams,
+    PdElement,
     PdRing,
     check_cosimplicial_identities,
     check_face_evaluation,
@@ -16,7 +18,15 @@ from htlab.pdring import (
     evaluate_at_group,
     face_map,
 )
-from oracles import pd_to_plain, plain_mul, plain_to_pd
+from oracles import (
+    pd_add_naive,
+    pd_evaluate_naive,
+    pd_face_naive,
+    pd_mul_naive,
+    pd_to_plain,
+    plain_mul,
+    plain_to_pd,
+)
 
 
 @pytest.fixture(scope="module")
@@ -149,7 +159,7 @@ def test_pd_mul_matches_plain_polynomial_oracle(cfg_u5, point):
         b = _from_ints(ring, cb)
         got = a * b
         want = plain_to_pd(plain_mul(pd_to_plain(ca), pd_to_plain(cb), ring.D))
-        for key in set(got.coeffs) | set(want.keys()):
+        for key in {ring.decode(k) for k in got.coeffs} | set(want):
             assert got.coeff(key).eq(cfg_u5.k_from_int(want.get(key, 0)))
 
 
@@ -393,3 +403,130 @@ def test_sigma_t_twist_parameter(cfg_u5, point):
     assert log.coeff(2).eq(cfg_u5.k_from_int(7 * 15))
     assert non.coeff(2).eq(cfg_u5.k_from_int(7 * 3))
     assert non.coeff(3).eq(cfg_u5.k_from_int(7 * 9))
+
+
+# ---------------------------------------------------------------------------
+# packed monomials against the readable-monomial oracle
+# ---------------------------------------------------------------------------
+
+# (variant, degree, d): one generator, where every pair of monomials shares
+# its variable, up to six generators
+ORACLE_RINGS = (("abs-arith", 1, 0), ("abs-geom", 1, 1), ("rel-geom", 2, 1), ("abs-geom", 2, 2))
+
+
+def _readable(x):
+    return [(x.ring.decode(k), c) for k, c in x.coeffs.items()], x.truncated
+
+
+def _stored(x):
+    """Monomials in dict order, each coefficient's (u, shift, prec), and the flag."""
+    terms, trunc = x
+    return [(key, (c.u, c.shift, c.prec)) for key, c in terms], trunc
+
+
+def _oracle_scalar(cfg, rng):
+    """A coefficient: a unit, a p-multiple, a denominator, or a zero at full or reduced precision."""
+    roll = rng.random()
+    if roll < 0.15:
+        return cfg.k_zero()
+    if roll < 0.25:
+        return cfg.k_zero().clamp_prec(rng.randrange(1, cfg.N))
+    x = cfg.k_from_int(rng.randrange(1, cfg.p**3))
+    if roll < 0.4:
+        x = x.div_int(cfg.p)
+    elif roll < 0.5:
+        x = x.clamp_prec(rng.randrange(2, cfg.N))
+    return x
+
+
+def _oracle_monomial(ring, rng):
+    """(variable, exponent) pairs: the constant, one variable to a high power, or several of degree exactly D."""
+    gens = ring.generators()
+    roll = rng.random()
+    if roll < 0.1:
+        return ()
+    if roll < 0.45:
+        return ((rng.choice(gens), rng.randrange(1, ring.D + 1)),)
+    k = rng.randrange(1, min(3, len(gens), ring.D) + 1)
+    total = ring.D if roll < 0.75 else rng.randrange(k, ring.D + 1)
+    # total split into k positive exponents
+    cuts = sorted(rng.sample(range(1, total), k - 1))
+    exps = [b - a for a, b in zip([0] + cuts, cuts + [total])]
+    return tuple(zip(rng.sample(gens, k), exps))
+
+
+def _oracle_element(ring, rng, scalar):
+    coeffs = {}
+    for _ in range(rng.randrange(0, 5)):
+        coeffs[ring.encode(_oracle_monomial(ring, rng))] = scalar()
+    return PdElement(ring, coeffs, truncated=rng.random() < 0.15)
+
+
+@pytest.mark.parametrize("D", [1, 5, 8, 12])
+def test_packed_products_sums_and_faces_match_the_oracle(cfg_u5, point, D):
+    """Products, sums and every face agree with the oracle on decoded monomials:
+    the same monomials in the same order, stored alike, with the same flag."""
+    rng = random.Random(100 + D)
+    scalar = lambda: _oracle_scalar(cfg_u5, rng)
+    one = point.one()
+    params = {"log": FaceParams.log(cfg_u5), "nonlog": FaceParams.nonlog(cfg_u5)}
+    assert {variant for variant, _, _ in ORACLE_RINGS} == set(VARIANTS)
+    shared = 0
+    for variant, n, d in ORACLE_RINGS:
+        ring = PdRing(cfg_u5, point, variant, n, d=d, D=D)
+        for _ in range(12):
+            x = _oracle_element(ring, rng, scalar)
+            y = _oracle_element(ring, rng, scalar)
+            rx, ry = _readable(x), _readable(y)
+            assert _stored(_readable(x * y)) == _stored(pd_mul_naive(rx, ry, D))
+            assert _stored(_readable(x + y)) == _stored(pd_add_naive(rx, ry))
+            assert _stored(_readable(x - y)) == _stored(pd_add_naive(rx, ry, sub=True))
+            shared += any(v == w for k1, _ in rx[0] for k2, _ in ry[0] for v, _ in k1 for w, _ in k2)
+        # the twisted face builds a divided power of each image up to D; a
+        # few terms per element keep that affordable at D = 12
+        for twist, fp in params.items():
+            contexts = [FaceContext(ring, i, fp) for i in range(n + 2)]
+            for _ in range(3 if D < 12 else 1):
+                x = _oracle_element(ring, rng, scalar)
+                for i, ctx in enumerate(contexts):
+                    want = pd_face_naive(_readable(x), i, variant, D, one, fp.alpha)
+                    assert _stored(_readable(ctx.apply(x))) == _stored(want), (variant, twist, i)
+    assert shared >= 10
+
+
+def test_packed_evaluation_matches_the_oracle(cfg_u5, point):
+    rng = random.Random(7)
+    for D in (1, 5, 8, 12):
+        for variant, n, d in ORACLE_RINGS:
+            ring = PdRing(cfg_u5, point, variant, n, d=d, D=D)
+            ints = {}
+            for _ in range(rng.randrange(1, 6)):
+                ints[ring.encode(_oracle_monomial(ring, rng))] = rng.randrange(-50, 50)
+            x = PdElement(ring, {k: cfg_u5.k_from_int(c) for k, c in ints.items()})
+            sigmas = [_rand_sigma(rng, cfg_u5, d) for _ in range(n)]
+            values, acc = {}, None
+            for j, s in enumerate(sigmas, start=1):
+                acc = s if acc is None else acc * s
+                values[(0, 0, j)] = acc.c
+                for k in range(1, d + 1):
+                    values[(1, k, j)] = acc.n[k - 1]
+            T = rng.randrange(1, D + 2)
+            got = evaluate_at_group(x, sigmas, T=T)
+            want = pd_evaluate_naive([(ring.decode(k), c) for k, c in ints.items()], values, T)
+            for m in range(T):
+                w = want.get(m, 0)
+                assert got.coeff(m).eq(cfg_u5.k_from_int(w.numerator).div_int(w.denominator)), (D, variant, m)
+            # slots appear in the order their first monomial does, then the clamped ones
+            seen = [m for m in dict.fromkeys(ring.key_degree(k) for k in x.coeffs) if m < T]
+            order = [m for m in seen if m in got.coeffs]
+            assert list(got.coeffs)[: len(order)] == order
+
+
+def test_twisted_face_keeps_the_flag_of_a_truncated_constant(cfg_u5, point):
+    ring = PdRing(cfg_u5, point, "abs-geom", 1, d=1, D=3)
+    x = ring.from_int(7) + ring.x(1, 4)  # x(1, 4) is past the cutoff: a flagged zero
+    assert x.truncated and list(x.coeffs) == [0]
+    for i in range(3):
+        img = FaceContext(ring, i, FaceParams.log(cfg_u5)).apply(x)
+        assert img.truncated, i
+        assert img.eq(ring.bump(2).from_int(7))
