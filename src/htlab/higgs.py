@@ -26,6 +26,8 @@ returning a bare False; convergence questions that the cutoffs cannot settle
 come back as undecided certificates, never as silent passes.
 """
 
+from types import MappingProxyType
+
 from .errors import (
     BraidFailure,
     ClosedFormMismatch,
@@ -212,10 +214,15 @@ def _multi_indices(d, maxw):
 
 
 def _vanishes(m):
-    """Every entry droppable: each entry of a product with m is an empty sum."""
+    """Every entry droppable: each entry of a product with m is an empty sum.
+
+    Most entries are the ring's shared zero, which Mat gives every empty
+    sum and which is droppable, so identity is tested first.
+    """
+    zero = m.ring.zero()
     for row in m.rows:
         for a in row:
-            if not a.droppable():
+            if a is not zero and not a.droppable():
                 return False
     return True
 
@@ -260,9 +267,17 @@ def theta_powers(h, maxw):
 
 
 class Stratification:
-    """The coefficients A_{n,I} of the degree-1 descent matrix."""
+    """The coefficients A_{n,I} of the degree-1 descent matrix.
 
-    __slots__ = ("cfg", "base", "flavor", "twist", "rank", "D", "coeffs")
+    Immutable after construction: ``coeffs`` is a read-only view of a copy
+    of the mapping passed in, and its matrices are not to be changed in
+    place.  sen.cocycle_matrix caches what U(sigma) needs of the
+    coefficients on the stratification (``_cocycle_plan``), on its first
+    call, so a stratification changed afterwards would be checked against a
+    stale plan.  To change a coefficient, build a new Stratification.
+    """
+
+    __slots__ = ("cfg", "base", "flavor", "twist", "rank", "D", "coeffs", "_cocycle_plan")
 
     def __init__(self, base, flavor, coeffs, D, rank, twist="log"):
         self.cfg = base.cfg
@@ -271,7 +286,8 @@ class Stratification:
         self.twist = twist
         self.rank = rank
         self.D = D
-        self.coeffs = dict(coeffs)
+        self.coeffs = MappingProxyType(dict(coeffs))
+        self._cocycle_plan = None
 
     @property
     def d(self):
@@ -387,9 +403,10 @@ def descent_matrix(strat, ring=None):
     if ring is None:
         ring = PdRing(strat.cfg, strat.base, strat.flavor, 1, d=strat.d, D=strat.D)
     entries = [[{} for _ in range(strat.rank)] for _ in range(strat.rank)]
+    zero = strat.base.zero()
     for (n, index), m in strat.coeffs.items():
-        # the rule each entry below applies, decided once for the whole matrix
-        if m.storage_zero():
+        # the containers' rule: only droppable entries may be left out
+        if _vanishes(m):
             continue
         key = [(ring.x_id(1), n)] if n else []
         for k, ik in enumerate(index):
@@ -398,7 +415,7 @@ def descent_matrix(strat, ring=None):
         key = ring.encode(key)
         for row, cells in zip(m.rows, entries):
             for s, cell in zip(row, cells):
-                if not s.storage_zero():
+                if s is not zero and not s.droppable():
                     cell[key] = s
     return Mat(ring, [[PdElement(ring, e) for e in row] for row in entries])
 

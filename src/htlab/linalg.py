@@ -114,7 +114,6 @@ class Mat:
         return all(a.is_zero() for r in self.rows for a in r)
 
     def storage_zero(self):
-        # plain loops: descent_matrix asks this of every stratification coefficient
         for r in self.rows:
             for a in r:
                 if not a.storage_zero():

@@ -26,6 +26,7 @@ U(sigma) with F the cocycle of the phi-only sub-stratification.
 
 import math
 
+from .base import KElem
 from .cohomology import _pi_power, snf_dvr
 from .errors import HorizonTooSmall, KernelRankDeficit, ValidationFailure
 from .galois import FormalCElem, FormalRing, GroupElt, galois_act_all, sigma_t
@@ -46,12 +47,162 @@ def _as_strat(data, D=None):
     return data
 
 
+def _skippable(cfg, x):
+    """Whether cocycle_matrix may leave out a cell entry's term (see there)."""
+    if type(x) is KElem:
+        return x.u == cfg.zero_u and not x.shift and x.prec >= cfg.N
+    return not x.coeffs and not x.truncated
+
+
+class _Weight:
+    """The coefficients of one weight m, and what each cell of U(sigma) reads of them.
+
+    ``entries[t]`` is coefficient t's matrix flattened row by row, ``dens[t]``
+    its denominator n! prod i_k!, ``qs[t]`` = N - v_p(dens[t]) the absolute
+    precision of its term at a skipped zero, and ``qzero[t]`` a zero at that
+    precision.  ``cells[c]`` is None for a dead cell, where every entry is
+    skippable, and (live, zeros, full) otherwise: the non-skippable (t, entry)
+    pairs in coefficient order, the t of the skippable entries, least q
+    first, and whether the cell keeps all of its terms.
+    """
+
+    __slots__ = ("entries", "dens", "qs", "qzero", "cells")
+
+    def __init__(self):
+        self.entries = []
+        self.dens = []
+        self.qs = []
+
+
+def _cocycle_plan(strat):
+    """(order, weights): what U(sigma) needs of a stratification, whatever sigma is.
+
+    order lists (m, n, I, t) in coefficient order, t numbering the
+    coefficients of weight m; weights maps m to its _Weight.
+    """
+    cfg = strat.cfg
+    p, N = cfg.p, cfg.N
+    point = strat.base.is_point
+    order = []
+    weights = {}
+    for (n, index), A in strat.coeffs.items():
+        m = n + sum(index)
+        den = math.factorial(n)
+        for ik in index:
+            den *= math.factorial(ik)
+        k, rest = 0, den
+        while not rest % p:
+            rest //= p
+            k += 1
+        w = weights.get(m)
+        if w is None:
+            w = weights[m] = _Weight()
+        order.append((m, n, index, len(w.dens)))
+        w.entries.append([a for row in A.rows for a in row])
+        w.dens.append(den)
+        w.qs.append(N - k)
+    for w in weights.values():
+        qs = w.qs
+        w.qzero = [cfg.k_zero(q) for q in qs]
+        # below absolute precision 1 dot runs its chain, where every term counts
+        keep_all = point and min(qs) < 1
+        w.cells = []
+        for c in range(strat.rank**2):
+            live, zeros = [], []
+            for t, entries in enumerate(w.entries):
+                x = entries[c]
+                if not _skippable(cfg, x):
+                    live.append((t, x))
+                elif point:
+                    zeros.append(t)
+            if not live and not keep_all:
+                w.cells.append(None)
+                continue
+            zeros.sort(key=qs.__getitem__)
+            # a term's absolute precision is at least min(prec, N) - shift - v_p(den)
+            full = point and (keep_all or any(min(x.prec, N) - x.shift - N + qs[t] < 1 for t, x in live))
+            w.cells.append((live, zeros, full))
+    return order, weights
+
+
+def _weight_slots(cfg, base, w, inc, m, cells, one):
+    """Put the t^m coefficient of each cell of U(sigma) into ``cells``.
+
+    inc maps the t of each included coefficient of weight m, in coefficient
+    order, to its numerator c^n prod n_k^i_k.
+    """
+    scalars = {}
+
+    def scalar(t):
+        y = scalars.get(t)
+        if y is None:
+            y = scalars[t] = base.from_k(cfg.k_from_int(inc[t]).div_int(w.dens[t]))
+        return y
+
+    # a cell whose included terms are all skipped zeros holds a zero at
+    # their least q; for a single term that is dot's plain product too, as a
+    # zero of absolute precision q >= 1 is stored as (0, 0, q)
+    q = min(w.qs[t] for t in inc)
+    dead = cfg.k_zero(q) if base.is_point and q < cfg.N else None
+    dot = cfg.dot
+    for c, cell in enumerate(w.cells):
+        xs = None
+        if cell is not None:
+            live, zeros, full = cell
+            if full:
+                xs = [w.entries[t][c] for t in inc]
+                ys = [scalar(t) for t in inc]
+            else:
+                xs = [x for t, x in live if t in inc]
+                ys = [scalar(t) for t, _ in live if t in inc]
+                rep = next((t for t in zeros if t in inc), None)
+                if xs and rep is not None:
+                    # dot takes from a zero term only its precision, and
+                    # qzero[rep] * one has the least q of the cell's zeros
+                    xs.append(w.qzero[rep])
+                    ys.append(one)
+        if xs:
+            v = dot(xs, ys)
+            if not v.droppable():
+                cells[c][m] = v
+        elif dead is not None:
+            cells[c][m] = dead
+
+
 def cocycle_matrix(data, s, T=None):
     """U(sigma) as a matrix of t-series over the module's base.
 
     Accepts a module or a stratification.  Requires T <= D + 1: the t-degree
     of every contribution equals its weight n + |I|, so with that bound each
     retained slot is complete.
+
+    The t^m slot of cell (i, j) has the stored form of the chain
+    sum A_{n,I}[i][j] * s_{n,I} over the included coefficients of weight m,
+    in coefficient order, where s_{n,I} = (c^n prod n_k^i_k) / (n! prod i_k!)
+    and a coefficient is included unless its numerator is 0 and m > 0.  The
+    parts of that sum that do not depend on sigma are worked out once per
+    stratification, on the first call, and cached on it (_cocycle_plan).
+    Most entries are skippable: a K zero at shift 0 and prec >= N, or a chart
+    element with no terms and no truncated flag.  A cell all of whose
+    entries are skippable is dead.  A skipped K zero is not free: its term
+    is a zero of absolute precision exactly q = N - v_p(n! prod i_k!), since
+    the scalar has prec <= N and normalization keeps prec - shift, and that
+    q does not depend on sigma.  So per call, after one pass over the
+    coefficients to decide which are included,
+      * a live cell runs one dot over its included non-skippable entries
+        plus one zero term at the least q of its included skipped zeros.
+        That gives dot the same least absolute precision A and the same
+        nonzero terms as the whole chain, and with A >= 1 dot forms one
+        exact sum, so neither the left-out zeros nor the place of the
+        added term changes the stored form;
+      * every dead cell of the weight shares one stored zero, at the least
+        included q: dot's one-sum result, and also its plain product when
+        only one coefficient is included (dropped at q = N; a chart zero
+        costs nothing);
+      * a weight with some q < 1, and a cell whose live entries could give
+        a term of absolute precision below 1, keep all their terms in
+        coefficient order, since dot then runs its order-dependent chain.
+    A scalar s_{n,I} is formed only for a coefficient that a term reads.
     """
     strat = _as_strat(data)
     cfg = strat.cfg
@@ -62,11 +213,14 @@ def cocycle_matrix(data, s, T=None):
         raise ValidationFailure("group element dimension does not match the module")
     base = strat.base
     r = strat.rank
-    # each t-degree m collects the coefficients of weight m and their scalars;
-    # entry (i, j) of the degree-m slot is one sum over them, in key order
-    groups = {}
-    for (n, index), A in strat.coeffs.items():
-        m = n + sum(index)
+    plan = strat._cocycle_plan
+    if plan is None:
+        plan = strat._cocycle_plan = _cocycle_plan(strat)
+    order, weights = plan
+    # the included coefficients of each weight, weights in the order of
+    # their first included coefficient
+    included = {}
+    for m, n, index, t in order:
         if m >= T:
             continue
         num = s.c**n
@@ -74,24 +228,16 @@ def cocycle_matrix(data, s, T=None):
             num *= nk**ik
         if num == 0 and m > 0:
             continue
-        den = math.factorial(n)
-        for ik in index:
-            den *= math.factorial(ik)
-        sc = base.from_k(cfg.k_from_int(num).div_int(den))
-        group = groups.get(m)
-        if group is None:
-            groups[m] = ([A.rows], [sc])
+        inc = included.get(m)
+        if inc is None:
+            included[m] = {t: num}
         else:
-            group[0].append(A.rows)
-            group[1].append(sc)
-    dot = cfg.dot
-    out = []
-    for i in range(r):
-        row = []
-        for j in range(r):
-            cell = {m: dot([rows[i][j] for rows in mats], scs) for m, (mats, scs) in groups.items()}
-            row.append(FormalCElem(base, T, cell))
-        out.append(row)
+            inc[t] = num
+    cells = [{} for _ in range(r * r)]
+    one = cfg.k_one()
+    for m, inc in included.items():
+        _weight_slots(cfg, base, weights[m], inc, m, cells, one)
+    out = [[FormalCElem(base, T, cells[i * r + j], reduce=False) for j in range(r)] for i in range(r)]
     return Mat(FormalRing(base, T), out)
 
 

@@ -290,3 +290,50 @@ def pd_evaluate_naive(terms, values, T):
             value *= Fraction(values[v] ** a, factorial(a))
         out[m] = out.get(m, 0) + value
     return out
+
+
+# ---------------------------------------------------------------------------
+# The group cochain U(sigma), cell by cell and term by term.
+# ---------------------------------------------------------------------------
+
+
+def cocycle_matrix_naive(strat, s, T):
+    """U(sigma) as rows of {t-degree: scalar}, every term formed.
+
+    The t^m slot of a cell is the chain A_{n,I}[i][j] * s_{n,I} over every
+    included coefficient of weight m, zeros included: plain products, summed
+    left to right in coefficient order.  s_{n,I} is
+    (c^n prod n_k^i_k) / (n! prod i_k!), and a coefficient is included
+    unless its numerator is 0 and m > 0.  Degrees come in the order of each
+    weight's first included coefficient; droppable slots are left out.
+    """
+    cfg, base = strat.cfg, strat.base
+    groups = {}
+    for (n, index), A in strat.coeffs.items():
+        m = n + sum(index)
+        if m >= T:
+            continue
+        num = s.c**n
+        den = factorial(n)
+        for nk, ik in zip(s.n, index):
+            num *= nk**ik
+            den *= factorial(ik)
+        if num == 0 and m > 0:
+            continue
+        sc = base.from_k(cfg.k_from_int(num).div_int(den))
+        groups.setdefault(m, []).append((A, sc))
+    out = []
+    for i in range(strat.rank):
+        row = []
+        for j in range(strat.rank):
+            cell = {}
+            for m, terms in groups.items():
+                acc = None
+                for A, sc in terms:
+                    t = A.rows[i][j] * sc
+                    acc = t if acc is None else acc + t
+                if not acc.droppable():
+                    cell[m] = acc
+            row.append(cell)
+        out.append(row)
+    return out

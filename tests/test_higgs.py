@@ -17,12 +17,14 @@ from htlab.higgs import (
     check_cocycle,
     check_cocycle_strat,
     check_recursions,
+    descent_matrix,
     higgs_from_stratification,
     log_from_smooth,
     stratification_from_higgs,
     validate_higgs,
 )
 from htlab.linalg import Mat, commutator
+from htlab.pdring import PdRing
 from htlab.samples import sample_higgs
 
 
@@ -180,17 +182,21 @@ def test_roundtrip_reconstruction(nilp2):
 
 
 def test_corrupted_coefficient_is_caught(cfg_u5, nilp2):
-    strat = stratification_from_higgs(nilp2)
+    good = stratification_from_higgs(nilp2)
     bump = Mat.zero(nilp2.base, 2).add_scalar_diag(cfg_u5.k_from_int(5**7))
-    strat.coeffs[(2, (0,))] = strat.coeffs[(2, (0,))] + bump
+    coeffs = dict(good.coeffs)
+    coeffs[(2, (0,))] = coeffs[(2, (0,))] + bump
+    strat = Stratification(good.base, good.flavor, coeffs, good.D, good.rank, twist=good.twist)
     with pytest.raises(ClosedFormMismatch) as exc:
         higgs_from_stratification(strat)
     assert (exc.value.n, tuple(exc.value.index)) == (2, (0,))
 
 
 def test_missing_coefficient_is_caught(nilp2):
-    strat = stratification_from_higgs(nilp2)
-    del strat.coeffs[(3, (0,))]
+    good = stratification_from_higgs(nilp2)
+    coeffs = dict(good.coeffs)
+    del coeffs[(3, (0,))]
+    strat = Stratification(good.base, good.flavor, coeffs, good.D, good.rank, twist=good.twist)
     with pytest.raises(ClosedFormMismatch):
         higgs_from_stratification(strat)
 
@@ -359,3 +365,24 @@ def test_skipping_vanishing_products_changes_no_coefficient(request, cfg_name):
         reduced += sum(m.is_zero() and not _vanishing(m) for m in strat.coeffs.values())
     assert skipped > 0
     assert reduced > 0
+
+
+def test_descent_matrix_keeps_every_non_droppable_entry(cfg_r2):
+    base = ChartRing(cfg_r2, "point")
+    h = sample_higgs(base, random.Random(41), "abs-geom", 4, d=3)
+    strat = stratification_from_higgs(_clamp_theta(h, 0, cfg_r2.N - 2), D=6)
+    ring = PdRing(cfg_r2, base, strat.flavor, 1, d=strat.d, D=strat.D)
+    eps = descent_matrix(strat, ring=ring)
+    kept = reduced = 0
+    for (n, index), m in strat.coeffs.items():
+        key = ring.encode([(ring.x_id(1), n)] * bool(n) + [(ring.y_id(k + 1, 1), ik) for k, ik in enumerate(index) if ik])
+        for i, row in enumerate(m.rows):
+            for j, a in enumerate(row):
+                got = eps.entry(i, j).coeffs.get(key)
+                if a.droppable():
+                    assert got is None
+                    continue
+                assert (got.u, got.shift, got.prec) == (a.u, a.shift, a.prec)
+                kept += 1
+                reduced += a.is_zero()
+    assert kept and reduced

@@ -1,14 +1,23 @@
 import random
 
 import pytest
+from oracles import cocycle_matrix_naive
 
-from htlab.chart import ChartRing
+from htlab import make_base_config, sen
+from htlab.base import KElem
+from htlab.chart import ChartElem, ChartRing
 from htlab.cohomology import build_higgs_complex, cohomology
 from htlab.errors import HorizonTooSmall, KernelRankDeficit, ValidationFailure
 from htlab.galois import GroupElt
-from htlab.higgs import HiggsData, log_from_smooth, stratification_from_higgs
+from htlab.higgs import (
+    HiggsData,
+    Stratification,
+    _multi_indices,
+    log_from_smooth,
+    stratification_from_higgs,
+)
 from htlab.linalg import Mat, matvec
-from htlab.samples import corpus
+from htlab.samples import corpus, sample_higgs
 from htlab.sen import (
     cocycle_matrix,
     crosscheck_inverse_simpson,
@@ -138,9 +147,11 @@ def test_law_ramified(cfg_r2):
 
 
 def test_law_detects_corruption(cfg_u5, nilp2):
-    strat = stratification_from_higgs(nilp2)
+    good = stratification_from_higgs(nilp2)
     bump = Mat.zero(nilp2.base, 2).add_scalar_diag(cfg_u5.k_from_int(5))
-    strat.coeffs[(2, (0,))] = strat.coeffs[(2, (0,))] + bump
+    coeffs = dict(good.coeffs)
+    coeffs[(2, (0,))] = coeffs[(2, (0,))] + bump
+    strat = Stratification(good.base, good.flavor, coeffs, good.D, good.rank, twist=good.twist)
     s = GroupElt(cfg_u5, (1,), 1, 6)
     u = GroupElt(cfg_u5, (2,), 3, 11)
     report = verify_cocycle_law(strat, s, u)
@@ -336,3 +347,143 @@ def test_law_on_a_valid_ramified_chart_module(cfg_r2):
     u = sample_group(cfg_r2, rng, 2)
     law = verify_cocycle_law(h, s, u)
     assert law["ok"], f"residual at {law['witness']}"
+
+
+# ---------------------------------------------------------------------------
+# the cocycle plan: U(sigma) evaluated on the stratification's support
+# ---------------------------------------------------------------------------
+
+
+def _form(x):
+    if isinstance(x, KElem):
+        return (x.u, x.shift, x.prec)
+    return (x.truncated, [(exps, _form(c)) for exps, c in x.coeffs.items()])
+
+
+def _rand_k(cfg, rng):
+    """Mostly zeros at full precision, with zeros known to fewer digits, denominators and short precisions."""
+    kind = rng.choice(["zero"] * 5 + ["low-zero", "int", "int", "den"])
+    N = cfg.N
+    if kind == "zero":
+        return cfg.k_zero()
+    if kind == "low-zero":
+        return cfg.k_zero(N - rng.choice([1, 2, 3]))
+    M = cfg.p**N
+    coeffs = [rng.randrange(M) if cfg.f == 1 else tuple(rng.randrange(M) for _ in range(cfg.f)) for _ in range(cfg.e)]
+    shift = rng.choice([1, 2, 4, 9]) if kind == "den" else 0
+    return cfg.k_from_coeffs(coeffs, N + shift - rng.choice([0, 0, 1, 3]), shift)
+
+
+def _rand_entry(base, rng):
+    if base.is_point:
+        return _rand_k(base.cfg, rng)
+    kind = rng.random()
+    if kind < 0.1:
+        return ChartElem(base, {}, truncated=True)
+    if kind < 0.5:
+        return base.zero()
+    terms = {}
+    for _ in range(rng.randint(1, 3)):
+        terms[(0, rng.randint(0, 2))] = _rand_k(base.cfg, rng)
+    return ChartElem(base, terms, truncated=rng.random() < 0.1)
+
+
+def _random_strat(base, rng, rank, d, D):
+    """A stratification with random coefficients, keys shuffled, a third of the matrices zero."""
+    keys = [(n, index) for index in _multi_indices(d, D) for n in range(D - sum(index) + 1)]
+    rng.shuffle(keys)
+    coeffs = {}
+    for key in keys:
+        if rng.random() < 0.35:
+            coeffs[key] = Mat.zero(base, rank)
+        else:
+            coeffs[key] = Mat(base, [[_rand_entry(base, rng) for _ in range(rank)] for _ in range(rank)])
+    return Stratification(base, "abs-geom", coeffs, D, rank)
+
+
+def _sigmas(cfg, rng, d):
+    p, N = cfg.p, cfg.N
+
+    def pick():
+        return rng.choice([0, 1, p, rng.randrange(p**N)])
+
+    out = [GroupElt(cfg, tuple(pick() for _ in range(d)), pick(), 1 + p * rng.randrange(p**3)) for _ in range(4)]
+    # p^N divides c^n for n >= 2
+    out.append(GroupElt(cfg, tuple(rng.randrange(p**N) for _ in range(d)), p ** ((N + 1) // 2), 1))
+    out.append(GroupElt(cfg, (0,) * d, 0, 1))
+    return out
+
+
+def _plan_cases(cfg, rng):
+    """(strat, T) pairs: modules, one with theta_1 known to N - 2 digits, and random stratifications."""
+    point = ChartRing(cfg, "point")
+    chart = ChartRing(cfg, "chart", d=1, r=1)
+    cases = []
+    for base in (point, chart):
+        for flavor, rank, d, D, T in (("abs-geom", 3, 2, 5, 6), ("rel-geom", 2, 1, 5, 4), ("abs-arith", 1, 0, 4, 5)):
+            h = sample_higgs(base, rng, flavor, rank, d=d)
+            if d:
+                theta = [h.theta[0].map(lambda a: a.clamp_prec(cfg.N - 2))] + h.theta[1:]
+                h = HiggsData(base, flavor, theta, h.phi, twist=h.twist)
+            cases.append((stratification_from_higgs(h, D=D), T))
+        for rank, d, D, T in ((2, 1, 5, 6), (3, 2, 4, 3), (1, 1, 5, 6)):
+            cases.append((_random_strat(base, rng, rank, d, D), T))
+    return cases
+
+
+def _plan_counts(strat):
+    _, weights = strat._cocycle_plan
+    counts = {"dead": 0, "live": 0, "full": 0, "q<1": 0}
+    for w in weights.values():
+        counts["q<1"] += min(w.qs) < 1
+        for cell in w.cells:
+            counts["dead" if cell is None else "full" if cell[2] else "live"] += 1
+    return counts
+
+
+@pytest.mark.parametrize("spec", ["p5", "p2e2", "p3f2"])
+def test_cocycle_plan_matches_the_naive_chain(spec):
+    cfg = {
+        "p5": make_base_config(5, [-5]),
+        "p2e2": make_base_config(2, [-2, 0]),
+        "p3f2": make_base_config(3, [-3], f=2),
+    }[spec]
+    rng = random.Random(f"plan-{spec}")
+    cases = _plan_cases(cfg, rng)
+    if spec == "p2e2":
+        # weight 10 has q = 8 - v_2(10!) = 0, so dot runs its chain there
+        point = ChartRing(cfg, "point")
+        h = sample_higgs(point, rng, "abs-geom", 3, d=1)
+        cases += [(stratification_from_higgs(h, D=10), 11), (_random_strat(point, rng, 2, 1, 10), 11)]
+    counts = {}
+    for strat, T in cases:
+        for s in _sigmas(cfg, rng, strat.d):
+            got = cocycle_matrix(strat, s, T=T)
+            want = cocycle_matrix_naive(strat, s, T)
+            for got_row, want_row in zip(got.rows, want):
+                for e, cell in zip(got_row, want_row):
+                    assert [(m, _form(v)) for m, v in e.coeffs.items()] == [(m, _form(v)) for m, v in cell.items()]
+                    assert e.truncated == any(v.truncated for v in cell.values())
+        for key, n in _plan_counts(strat).items():
+            counts[key] = counts.get(key, 0) + n
+    assert counts["dead"] and counts["live"] and counts["full"]
+    assert bool(counts["q<1"]) == (spec == "p2e2")
+
+
+def test_cocycle_plan_is_built_once_per_stratification(cfg_u5, nilp2, monkeypatch):
+    calls = []
+    build = sen._cocycle_plan
+    monkeypatch.setattr(sen, "_cocycle_plan", lambda strat: calls.append(strat) or build(strat))
+    strat = stratification_from_higgs(nilp2)
+    rng = random.Random(15)
+    for _ in range(6):
+        assert verify_cocycle_law(strat, _rand_sigma(cfg_u5, rng, 1), _rand_sigma(cfg_u5, rng, 1))["ok"]
+    assert calls == [strat]
+
+
+def test_stratification_coefficients_are_read_only(cfg_u5, nilp2):
+    strat = stratification_from_higgs(nilp2)
+    with pytest.raises(TypeError):
+        strat.coeffs[(0, (0,))] = Mat.zero(nilp2.base, 2)
+    with pytest.raises(TypeError):
+        del strat.coeffs[(0, (0,))]
