@@ -268,13 +268,7 @@ class BaseConfig:
                     if s > top:
                         top = s
             if A >= 1:
-                if not terms:
-                    return KElem(self, zero, 0, A)
-                if not top:
-                    return KElem(self, self.dotu(terms, self.p**A), 0, A)
-                p = self.p
-                terms = [(a, b, m * p ** (top - s)) for (a, b, m), s in zip(terms, shifts)]
-                return _norm(self, self.dotu(terms, p ** (A + top)), top, A + top)
+                return self.reduce_terms(A, top, terms, shifts)
         acc = None
         for x, y, m in zip(xs, ys, ms):
             t = x * y
@@ -282,6 +276,22 @@ class BaseConfig:
                 t = t.smul(m)
             acc = t if acc is None else acc + t
         return acc
+
+    def reduce_terms(self, A, top, terms, shifts):
+        """The stored form of the chain whose least term precision is A >= 1.
+
+        terms holds the (u_x, u_y, m) of the terms with two nonzero
+        numerators, shifts the shift s_x + s_y of each, and top the largest
+        of those shifts (0 when terms is empty).  The terms are summed as one
+        exact integer at shift top and reduced once mod p^(A + top).
+        """
+        if not terms:
+            return KElem(self, self.zero_u, 0, A)
+        if not top:
+            return KElem(self, self.dotu(terms, self.p**A), 0, A)
+        p = self.p
+        terms = [(a, b, m * p ** (top - s)) for (a, b, m), s in zip(terms, shifts)]
+        return _norm(self, self.dotu(terms, p ** (A + top)), top, A + top)
 
     # -- constructors -------------------------------------------------------
 

@@ -32,20 +32,40 @@ g = 0, 1, ... in sorted (kind, k, j) order (X_j as (0, 0, j), Y_{k,j} as
 holds their exponent, and the pd-degree sits in the field above all of them,
 at bit ``shift`` = (number of generators) * w.  The constant monomial is 0.
 A stored monomial has every exponent and its degree at most D, so the sum
-of two of them overflows no field: the product monomial is k1 + k2, the
-cutoff test is k1 + k2 >= (D + 1) << shift, and the binomial factor
-prod C(a + b, a) is computed only when the support masks of the two keys
-meet.  The layout depends only on (variant, degree, d, D), which eq_ring
-compares.  PdRing.encode and PdRing.decode translate to and from the
-readable form, a sorted tuple of (variable, exponent) pairs; coeff,
-__repr__ and evaluate_at_group take or show that form.
+of two of them overflows no field: the product monomial is k1 + k2, and the
+binomial factor prod C(a + b, a) is computed only when the support masks of
+the two keys meet.  The layout depends only on (variant, degree, d, D),
+which eq_ring compares; elements of rings that differ there do not combine.
+PdRing.encode and PdRing.decode translate to and from the readable form, a
+sorted tuple of (variable, exponent) pairs; coeff, __repr__ and
+evaluate_at_group take or show that form.
+
+A product visits no pair above the cutoff.  A left key of degree d meets
+only the right keys of degree at most D - d: a filter of the right operand
+in its order, built once per cap, and the product is flagged when a filter
+leaves a key out.  Each output key is one sum over its pairs in the order
+met.  Over K scalars the product reads each coefficient's (u, shift,
+absolute precision) once and keeps, per key, the least term precision A,
+the top shift and the terms with two nonzero numerators; a key with A >= 1
+is reduced once by BaseConfig.reduce_terms, the routine BaseConfig.dot
+ends in, so it gets the stored form of the chain (the stored form lemma of
+htlab.base).  A key with A < 1, and every key over chart scalars, runs
+dot's chain over its pairs in the order met.
+
+The twisted face keeps, per generator, its image and the power chain
+one() * x * x ... of pd_power, so gamma_a of an image costs one product and
+one division by a!.  A term c * gamma_a1 * gamma_a2 ... starts from the
+coefficient map c * gamma_a1, which is what the product of the constant
+c with gamma_a1 computes, and the terms of one image are summed into one
+dict in place.
 """
 
 from math import comb, factorial
 
+from .base import KElem
 from .errors import AxiomViolation, BadIndex, InsufficientPrecision
 from .galois import FormalCElem, galois_act_t
-from .sparse import Sparse
+from .sparse import Sparse, merge_into
 
 VARIANTS = ("abs-arith", "abs-geom", "rel-geom")
 
@@ -53,7 +73,7 @@ VARIANTS = ("abs-arith", "abs-geom", "rel-geom")
 class PdRing:
     __slots__ = (
         "cfg", "base", "variant", "degree", "d", "D",
-        "width", "shift", "limit", "field", "slots", "offsets", "support_add", "support_top",
+        "width", "shift", "field", "slots", "offsets", "support_add", "support_top",
     )
 
     def __init__(self, cfg, base, variant, degree, d=0, D=None):
@@ -76,7 +96,6 @@ class PdRing:
         gens = self.generators()
         self.width = w
         self.shift = len(gens) * w
-        self.limit = (D + 1) << self.shift
         self.field = (1 << w) - 1
         self.slots = [(vid, g * w) for g, vid in enumerate(gens)]
         self.offsets = dict(self.slots)
@@ -192,6 +211,43 @@ class PdRing:
         return f"PdRing({self.variant}, n={self.degree}, d={self.d}, D={self.D})"
 
 
+def _same_ring(r1, r2):
+    if r1 is not r2 and not r1.eq_ring(r2):
+        raise BadIndex(f"pd elements of {r1!r} and {r2!r} do not combine")
+
+
+def _binomials(k1, k2, shared, w, field):
+    """prod C(a + b, a) over the variables of the support mask shared, which
+    holds exponent a in k1 and b in k2."""
+    mult = 1
+    while shared:
+        bit = shared & -shared
+        off = bit.bit_length() - w
+        a = (k1 >> off) & field
+        mult *= comb(a + ((k2 >> off) & field), a)
+        shared ^= bit
+    return mult
+
+
+def _pairs(left, rows, D, w, field, keys):
+    """{key: (xs, ys, ms)}: the pairs of a product that meet at each of keys
+    (every key when keys is None), in the order met, for dot's chain."""
+    out = {} if keys is None else {key: ([], [], []) for key in keys}
+    for k1, m1, d1, _, _, _, c1 in left:
+        for k2, m2, _, _, _, _, c2 in rows[D - d1]:
+            key = k1 + k2
+            terms = out.get(key)
+            if terms is None:
+                if keys is not None:
+                    continue
+                out[key] = terms = ([], [], [])
+            shared = m1 & m2
+            terms[0].append(c1)
+            terms[1].append(c2)
+            terms[2].append(_binomials(k1, k2, shared, w, field) if shared else 1)
+    return out
+
+
 class PdElement(Sparse):
     """A finite sum of coefficients times pd monomials.
 
@@ -229,46 +285,83 @@ class PdElement(Sparse):
     def _adopt(self, coeffs, truncated):
         return PdElement._clean(self.ring, coeffs, truncated)
 
+    def _merge(self, other, sub):
+        _same_ring(self.ring, other.ring)
+        return super()._merge(other, sub)
+
     def __mul__(self, other):
         ring = self.ring
-        limit, w, field = ring.limit, ring.width, ring.field
-        low, add, top = (1 << ring.shift) - 1, ring.support_add, ring.support_top
-        sums = {}
+        _same_ring(ring, other.ring)
         trunc = self.truncated or other.truncated
-        right = [(k2, ((k2 & low) + add) & top, c2) for k2, c2 in other.coeffs.items()]
-        for k1, c1 in self.coeffs.items():
-            s1 = ((k1 & low) + add) & top
-            for k2, s2, c2 in right:
-                key = k1 + k2
-                if key >= limit:
-                    trunc = True
-                    continue
-                # C(a + b, a) for each variable the two monomials share
-                mult = 1
-                shared = s1 & s2
-                while shared:
-                    bit = shared & -shared
-                    off = bit.bit_length() - w
-                    a = (k1 >> off) & field
-                    mult *= comb(a + ((k2 >> off) & field), a)
-                    shared ^= bit
-                terms = sums.get(key)
-                if terms is None:
-                    sums[key] = ([c1], [c2], [mult])
+        if not self.coeffs or not other.coeffs:
+            return PdElement._clean(ring, {}, trunc)
+        D, shift, w, field = ring.D, ring.shift, ring.width, ring.field
+        low, add, top = (1 << shift) - 1, ring.support_add, ring.support_top
+        cfg = ring.cfg
+        zero = cfg.zero_u
+        fused = type(next(iter(self.coeffs.values()))) is KElem
+
+        def entries(coeffs):
+            # (key, support mask, degree, numerator or None when zero, shift,
+            # absolute precision, coefficient), each read once per product
+            out = []
+            for k, c in coeffs.items():
+                mask = ((k & low) + add) & top
+                if fused:
+                    u = c.u
+                    out.append((k, mask, k >> shift, None if u == zero else u, c.shift, c.prec - c.shift, c))
                 else:
-                    terms[0].append(c1)
-                    terms[1].append(c2)
-                    terms[2].append(mult)
-        # each key is one sum over its pairs, in the order met; its drop is
-        # decided here, once
-        dot = ring.cfg.dot
+                    out.append((k, mask, k >> shift, None, 0, 0, c))
+            return out
+
+        left, right = entries(self.coeffs), entries(other.coeffs)
+        # the right entries of degree at most each cap, in the right operand's
+        # order; a filter that leaves one out has cut a pair above D
+        rows = {}
+        for _, _, d1, _, _, _, _ in left:
+            cap = D - d1
+            if cap not in rows:
+                rows[cap] = row = [e for e in right if e[2] <= cap]
+                if len(row) < len(right):
+                    trunc = True
+        # each key is one sum over its pairs, in the order met
         out = {}
-        for key, (xs, ys, ms) in sums.items():
-            c = dot(xs, ys, ms)
-            if c.truncated:
-                trunc = True
-            if not c.droppable():
-                out[key] = c
+        if fused:
+            # its least term precision A, top shift and nonzero terms, reduced
+            # once by reduce_terms when A >= 1, and dot's chain otherwise
+            sums = {}
+            for k1, m1, d1, u1, s1, a1, _ in left:
+                for k2, m2, _, u2, s2, a2, _ in rows[D - d1]:
+                    key = k1 + k2
+                    a = a1 - s2
+                    b = a2 - s1
+                    if b < a:
+                        a = b
+                    acc = sums.get(key)
+                    if acc is None:
+                        sums[key] = acc = [a, 0, [], []]
+                    elif a < acc[0]:
+                        acc[0] = a
+                    if u1 is not None and u2 is not None:
+                        shared = m1 & m2
+                        s = s1 + s2
+                        acc[2].append((u1, u2, _binomials(k1, k2, shared, w, field) if shared else 1))
+                        acc[3].append(s)
+                        if s > acc[1]:
+                            acc[1] = s
+            low_keys = [key for key, acc in sums.items() if acc[0] < 1]
+            chains = _pairs(left, rows, D, w, field, low_keys) if low_keys else None
+            for key, (A, s, terms, shifts) in sums.items():
+                c = cfg.reduce_terms(A, s, terms, shifts) if A >= 1 else cfg.dot(*chains[key])
+                if not c.droppable():
+                    out[key] = c
+        else:
+            for key, terms in _pairs(left, rows, D, w, field, None).items():
+                c = cfg.dot(*terms)
+                if c.truncated:
+                    trunc = True
+                if not c.droppable():
+                    out[key] = c
         return PdElement._clean(ring, out, trunc)
 
     def partial(self, vid):
@@ -328,10 +421,15 @@ def divided_power(x, n):
         return x.ring.one()
     if n == 1:
         return x
+    return _gamma(x, n, pd_power)
+
+
+def _gamma(x, n, power):
+    """gamma_n(x) for n >= 2 from power(x, n), which is pd_power(x, n)."""
     if 0 in x.coeffs:
         raise AxiomViolation("pd-constant", "divided powers need positive pd-degree")
     was_integral = x.integral()
-    out = pd_power(x, n).div_int(factorial(n))
+    out = power(x, n).div_int(factorial(n))
     if was_integral and not out.integral():
         raise AxiomViolation("pd-integrality", f"gamma_{n} broke integrality")
     return out
@@ -356,10 +454,12 @@ class FaceParams:
 
 
 class FaceContext:
-    """One face map with generator images precomputed and gamma-cached.
+    """One face map, keeping each generator's image, the image's power chain
+    one() * x * x ... (pd_power's chain) and its divided powers.
 
     Reuse a single context when pushing a whole matrix through the same
-    face; the divided-power images of the generators are shared.
+    face; the images, powers and divided powers of the generators are
+    shared.
     """
 
     def __init__(self, ring, i, params=None):
@@ -371,6 +471,7 @@ class FaceContext:
         self.target = ring.bump(n + 1)
         self.params = params
         self._images = {}
+        self._powers = {}
         self._gammas = {}
         if i > 0:
             # (source offset, target offset) of each generator's field
@@ -416,17 +517,27 @@ class FaceContext:
         self._images[vid] = img
         return img
 
+    def _power(self, vid, a):
+        """pd_power(image of vid, a), from the chain one() * x * x ... kept per generator."""
+        chain = self._powers.get(vid)
+        if chain is None:
+            chain = self._powers[vid] = [self.target.one()]
+        img = self._image(vid)
+        while len(chain) <= a:
+            chain.append(chain[-1] * img)
+        return chain[a]
+
     def _gamma_image(self, vid, a):
         key = (vid, a)
         g = self._gammas.get(key)
         if g is None:
-            g = divided_power(self._image(vid), a)
+            img = self._image(vid)
+            g = img if a == 1 else _gamma(img, a, lambda x, n: self._power(vid, n))
             self._gammas[key] = g
         return g
 
     def apply(self, x):
-        if not x.ring.eq_ring(self.ring):
-            raise BadIndex("element from a different ring")
+        _same_ring(x.ring, self.ring)
         t = self.target
         ring = x.ring
         field = ring.field
@@ -442,16 +553,28 @@ class FaceContext:
             # a bijection on keys: the coefficients of x are clean already
             return PdElement._clean(t, out, x.truncated)
         # terms x dropped above D map above D too, so the image keeps x's flag
-        acc = PdElement._clean(t, {}, x.truncated)
+        trunc = x.truncated
+        out = {}
         slots = ring.slots
+        gamma = self._gamma_image
         for key, c in x.coeffs.items():
-            term = t.from_scalar(c)
-            for vid, off in slots:
-                a = (key >> off) & field
-                if a:
-                    term = term * self._gamma_image(vid, a)
-            acc = acc + term
-        return acc
+            if not key:
+                term = t.from_scalar(c)
+            else:
+                term = None
+                for vid, off in slots:
+                    a = (key >> off) & field
+                    if a:
+                        g = gamma(vid, a)
+                        if term is None:
+                            # from_scalar(c) * g: one pair per key of g, none cut
+                            term = PdElement(t, {k: c * v for k, v in g.coeffs.items()}, g.truncated)
+                        else:
+                            term = term * g
+            # the terms summed in place, with the per-key rule of a sum
+            if merge_into(out, term.coeffs) or term.truncated:
+                trunc = True
+        return PdElement._clean(t, out, trunc)
 
 
 def face_map(i, x, params=None):

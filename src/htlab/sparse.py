@@ -8,7 +8,8 @@ and supplies the parts that differ:
   every droppable coefficient (zero as stored, at the ambient precision); a
   zero known to fewer digits keeps its key and lowers the claim of later
   comparisons.  Code that forms coefficients itself applies the same rule
-  to each coefficient it forms: sums here, pd products, and
+  to each coefficient it forms: sums here, pd products, the twisted pd
+  face, which sums its terms in place through merge_into, and
   galois.subs_t_all, which sums a substitution in place;
 * ``_new(coeffs, truncated)``, which rebuilds an element through that
   constructor, and ``_adopt(coeffs, truncated)``, which wraps coefficients
@@ -22,6 +23,29 @@ the keys the right operand adds to, so it hands its dict to ``_adopt``.
 ``deltaring.USeries`` is not a subclass: its coefficients are raw Witt
 vectors under an explicit modulus, not scalar-protocol objects.
 """
+
+
+def merge_into(out, coeffs, sub=False):
+    """Add coeffs (subtract them, with sub) into the clean dict out, in place.
+
+    A key new to out takes the coefficient as it is; a key out holds takes
+    the sum, which is dropped if droppable.  Returns whether a sum formed
+    here is truncated.
+    """
+    trunc = False
+    for key, c in coeffs.items():
+        prev = out.get(key)
+        if prev is None:
+            out[key] = -c if sub else c
+            continue
+        c = prev - c if sub else prev + c
+        if c.truncated:
+            trunc = True
+        if c.droppable():
+            del out[key]
+        else:
+            out[key] = c
+    return trunc
 
 
 class Sparse:
@@ -39,20 +63,8 @@ class Sparse:
 
     def _merge(self, other, sub):
         out = dict(self.coeffs)
-        trunc = self._flag(other)
-        for key, c in other.coeffs.items():
-            prev = out.get(key)
-            if prev is None:
-                out[key] = -c if sub else c
-                continue
-            c = prev - c if sub else prev + c
-            if c.truncated:
-                trunc = True
-            if c.droppable():
-                del out[key]
-            else:
-                out[key] = c
-        return self._adopt(out, trunc)
+        trunc = merge_into(out, other.coeffs, sub)
+        return self._adopt(out, self._flag(other) or trunc)
 
     def __add__(self, other):
         return self._merge(other, False)

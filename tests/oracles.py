@@ -274,6 +274,83 @@ def pd_face_naive(x, i, variant, D, one, alpha):
     return acc
 
 
+def pd_mul_chain(x, y):
+    """x * y on packed keys, every pair visited: a pair above the cutoff sets
+    the flag, and each key is one dot over its pairs in the order met."""
+    ring = x.ring
+    limit, w, field = (ring.D + 1) << ring.shift, ring.width, ring.field
+    low, add, top = (1 << ring.shift) - 1, ring.support_add, ring.support_top
+    sums = {}
+    trunc = x.truncated or y.truncated
+    right = [(k2, ((k2 & low) + add) & top, c2) for k2, c2 in y.coeffs.items()]
+    for k1, c1 in x.coeffs.items():
+        s1 = ((k1 & low) + add) & top
+        for k2, s2, c2 in right:
+            key = k1 + k2
+            if key >= limit:
+                trunc = True
+                continue
+            mult = 1
+            shared = s1 & s2
+            while shared:
+                bit = shared & -shared
+                off = bit.bit_length() - w
+                a = (k1 >> off) & field
+                mult *= comb(a + ((k2 >> off) & field), a)
+                shared ^= bit
+            terms = sums.get(key)
+            if terms is None:
+                sums[key] = ([c1], [c2], [mult])
+            else:
+                terms[0].append(c1)
+                terms[1].append(c2)
+                terms[2].append(mult)
+    dot = ring.cfg.dot
+    out = {}
+    for key, (xs, ys, ms) in sums.items():
+        c = dot(xs, ys, ms)
+        if c.truncated:
+            trunc = True
+        if not c.droppable():
+            out[key] = c
+    return type(x)._clean(ring, out, trunc)
+
+
+def face_apply_chain(ctx, x):
+    """The twisted face d^0 of ``ctx`` applied to x, term by term.
+
+    Each generator's image is (v_{j+1} - v_1) times the context's geometric
+    series (none for rel-geom), and v^[a] goes to image^a / a! through the
+    power chain one * image * image ...; a term is from_scalar(c) times
+    those divided powers in slot order, and the image is the left-to-right
+    sum of the terms.  Every product is pd_mul_chain.
+    """
+    t = ctx.target
+    ring = x.ring
+    field = ring.field
+
+    def gamma(vid, a):
+        kind, k, j = vid
+        diff = t.x(j + 1) - t.x(1) if kind == 0 else t.y(k, j + 1) - t.y(k, 1)
+        image = diff if ctx._geom is None else pd_mul_chain(diff, ctx._geom)
+        if a == 1:
+            return image
+        power = t.one()
+        for _ in range(a):
+            power = pd_mul_chain(power, image)
+        return power.div_int(factorial(a))
+
+    acc = type(x)._clean(t, {}, x.truncated)
+    for key, c in x.coeffs.items():
+        term = t.from_scalar(c)
+        for vid, off in ring.slots:
+            a = (key >> off) & field
+            if a:
+                term = pd_mul_chain(term, gamma(vid, a))
+        acc = acc + term
+    return acc
+
+
 def pd_evaluate_naive(terms, values, T):
     """{m: Fraction}: sum of c * prod v^a / a! over the monomials of degree m < T.
 

@@ -8,6 +8,7 @@ from htlab.errors import AxiomViolation, BadIndex
 from htlab.galois import FormalCElem, GroupElt, galois_act_t, sigma_t
 from htlab.pdring import (
     VARIANTS,
+    _gamma,
     FaceContext,
     FaceParams,
     PdElement,
@@ -19,9 +20,11 @@ from htlab.pdring import (
     face_map,
 )
 from oracles import (
+    face_apply_chain,
     pd_add_naive,
     pd_evaluate_naive,
     pd_face_naive,
+    pd_mul_chain,
     pd_mul_naive,
     pd_to_plain,
     plain_mul,
@@ -530,3 +533,137 @@ def test_twisted_face_keeps_the_flag_of_a_truncated_constant(cfg_u5, point):
         img = FaceContext(ring, i, FaceParams.log(cfg_u5)).apply(x)
         assert img.truncated, i
         assert img.eq(ring.bump(2).from_int(7))
+
+
+# ---------------------------------------------------------------------------
+# the product and the twisted face against the pair-by-pair chain
+# ---------------------------------------------------------------------------
+
+
+def _form(c):
+    """The stored form of a scalar or pd element: (u, shift, prec) of each K
+    scalar, every dict in its order, and every flag."""
+    if isinstance(c, KElem):
+        return (c.u, c.shift, c.prec)
+    return [(k, _form(v)) for k, v in c.coeffs.items()], c.truncated
+
+
+def _chain_scalar(cfg, rng):
+    """A coefficient for the chain oracles: besides _oracle_scalar's kinds, a
+    large denominator (terms of absolute precision below 1 follow) and an
+    inverse carrying more than N digits."""
+    roll = rng.random()
+    if roll < 0.2:
+        return cfg.k_from_int(rng.randrange(1, cfg.p**3)).div_int(cfg.p ** rng.randrange(2, cfg.N + 1))
+    if roll < 0.3:
+        return cfg.k_from_int(1 + cfg.p * rng.randrange(cfg.p**2)).div_int(cfg.p).inv()
+    return _oracle_scalar(cfg, rng)
+
+
+def _chart_scalar(chart, rng):
+    cfg = chart.cfg
+    out = chart.from_k(_chain_scalar(cfg, rng))
+    for _ in range(rng.randrange(3)):
+        out = out + chart.var(rng.randrange(chart.d + 1), rng.randrange(1, 3)) * chart.from_k(_chain_scalar(cfg, rng))
+    return out
+
+
+def _cut_pair(ring):
+    """Two elements whose every pair lies above D."""
+    top = ring.var(ring.generators()[0], ring.D)
+    return top, top + ring.var(ring.generators()[-1])
+
+
+@pytest.mark.parametrize("name", ["cfg_u5", "cfg_r2", "cfg_f2"])
+def test_products_match_the_chain_oracle(request, name):
+    """Stored forms, key order and flag of x * y agree with pd_mul_chain: keys of
+    absolute precision below 1 beside others, shifted coefficients,
+    reduced-precision zeros, inverses past N, chart coefficients, truncated and
+    empty operands, monomials of degree exactly D, and fully cut products."""
+    cfg = request.getfixturevalue(name)
+    rng = random.Random(500 + cfg.p * cfg.e * cfg.f)
+    chart = ChartRing(cfg, "chart", d=1, r=1)
+    bases = [(ChartRing(cfg, "point"), lambda: _chain_scalar(cfg, rng)), (chart, lambda: _chart_scalar(chart, rng))]
+    low = chained = cut = 0
+    for base, scalar in bases:
+        for D in (2, 5, 8):
+            for variant, n, d in ORACLE_RINGS:
+                ring = PdRing(cfg, base, variant, n, d=d, D=D)
+                pairs = [(ring.zero(), ring.zero()), (PdElement(ring, {}, truncated=True), ring.one()), _cut_pair(ring)]
+                for _ in range(10 if base.is_point else 3):
+                    pairs.append((_oracle_element(ring, rng, scalar), _oracle_element(ring, rng, scalar)))
+                for x, y in pairs:
+                    want = pd_mul_chain(x, y)
+                    assert _form(x * y) == _form(want), (name, base.mode, D, variant)
+                    if base.is_point:
+                        xs = [(c.prec - c.shift, c.shift) for c in x.coeffs.values()]
+                        ys = [(c.prec - c.shift, c.shift) for c in y.coeffs.values()]
+                        low += any(min(a1 - s2, a2 - s1) < 1 for a1, s1 in xs for a2, s2 in ys)
+                    chained += not base.is_point and bool(want.coeffs)
+                    cut += bool(x.coeffs and y.coeffs) and not want.coeffs and want.truncated
+    assert low >= 5 and chained >= 5 and cut >= 3
+
+
+@pytest.mark.parametrize("name", ["cfg_u5", "cfg_r2", "cfg_f2"])
+def test_twisted_face_matches_the_chain_oracle(request, name):
+    """FaceContext.apply at i = 0 agrees with face_apply_chain in stored form,
+    key order and flag, a constant key carrying more than N digits included."""
+    cfg = request.getfixturevalue(name)
+    rng = random.Random(600 + cfg.p * cfg.e * cfg.f)
+    point = ChartRing(cfg, "point")
+    chart = ChartRing(cfg, "chart", d=1, r=1)
+    scalars = {point: lambda: _chain_scalar(cfg, rng), chart: lambda: _chart_scalar(chart, rng)}
+    wide = cfg.k_from_int(1 + cfg.p).div_int(cfg.p).inv()
+    assert wide.prec > cfg.N
+    for base, scalar in scalars.items():
+        for D in (3, 6):
+            for variant, n, d in ORACLE_RINGS:
+                ring = PdRing(cfg, base, variant, n, d=d, D=D)
+                for fp in (FaceParams.log(cfg), FaceParams.nonlog(cfg)):
+                    ctx = FaceContext(ring, 0, fp)
+                    xs = [ring.from_scalar(base.from_k(wide)) + ring.var(ring.generators()[0])]
+                    xs += [_oracle_element(ring, rng, scalar) for _ in range(4 if base.is_point else 2)]
+                    for x in xs:
+                        assert _form(ctx.apply(x)) == _form(face_apply_chain(ctx, x)), (name, base.mode, variant)
+                    if variant == "rel-geom":
+                        break  # untwisted: the parameters do not enter
+
+
+def test_cached_gammas_are_divided_powers(cfg_r2, cfg_f2):
+    for cfg in (cfg_r2, cfg_f2):
+        point = ChartRing(cfg, "point")
+        for variant, n, d in ORACLE_RINGS:
+            ring = PdRing(cfg, point, variant, n, d=d, D=6)
+            ctx = FaceContext(ring, 0, FaceParams.log(cfg))
+            for vid in ring.generators():
+                # largest first: the smaller gammas then read a chain built already
+                for a in range(ring.D, 0, -1):
+                    got = ctx._gamma_image(vid, a)
+                    assert _form(got) == _form(divided_power(ctx._image(vid), a)), (variant, vid, a)
+
+
+def test_cached_gammas_keep_the_divided_power_checks(cfg_u5, point):
+    ring = PdRing(cfg_u5, point, "abs-geom", 1, d=1, D=5)
+    ctx = FaceContext(ring, 0, FaceParams.log(cfg_u5))
+    t = ctx.target
+    vid = ring.x_id(1)
+    ctx._images[vid] = t.one() + t.x(2)
+    with pytest.raises(AxiomViolation, match="positive pd-degree"):
+        ctx._gamma_image(vid, 2)
+    # a power that is not x^5 leaves 1/5 behind: the integrality check fires
+    with pytest.raises(AxiomViolation, match="integrality"):
+        _gamma(t.x(1), 5, lambda x, n: x)
+
+
+def test_pd_elements_of_different_rings_do_not_combine(cfg_u5, point):
+    r4 = PdRing(cfg_u5, point, "abs-geom", 1, d=1, D=4)
+    r9 = PdRing(cfg_u5, point, "abs-geom", 1, d=1, D=9)
+    x, y = r4.x(1, 2), r9.y(1, 1, 3)
+    for op in (lambda: x + y, lambda: x - y, lambda: x * y, lambda: y * x):
+        with pytest.raises(BadIndex):
+            op()
+    # a ring equal to r4 but not the same object combines
+    twin = PdRing(cfg_u5, point, "abs-geom", 1, d=1, D=4)
+    z = twin.y(1, 1, 2)
+    assert _form(x + z) == _form(x + r4.y(1, 1, 2))
+    assert _form(x * z) == _form(x * r4.y(1, 1, 2))
