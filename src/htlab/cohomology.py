@@ -28,7 +28,7 @@ from itertools import combinations
 from math import comb as _math_comb
 
 from .errors import InsufficientPrecision, ValidationFailure
-from .linalg import Mat, matvec
+from .linalg import Mat
 
 
 def comb(n, k):
@@ -415,12 +415,11 @@ def _cohomology(rep, degree, strict, inc):
         return {"degree": degree, "free_rank": free, "torsion": torsion, "precision_limited": limited}, out
     if degree > 0 and k > 0:
         limited = limited or inc.precision_limited
-        uinv_rows = inc.Uinv.rows
+        scals = [_pi_power(base, v) for v in inc.vals]
+        images = vinv * Mat(base, [[row[j] * s for j, s in enumerate(scals)] for row in inc.Uinv.rows])
         cols = []
-        for j, v in enumerate(inc.vals):
-            scal = _pi_power(base, v)
-            w = [uinv_rows[i][j] * scal for i in range(l)]
-            c = matvec(vinv, w)
+        for j in range(len(scals)):
+            c = images.col(j)
             for x in c[:r_out]:
                 if not x.is_zero():
                     if limited:

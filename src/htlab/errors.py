@@ -38,10 +38,6 @@ class BadIndex(LabError):
     pass
 
 
-class TruncationOverflow(LabError):
-    pass
-
-
 class ValidationFailure(LabError):
     pass
 
@@ -68,10 +64,6 @@ class ClosedFormMismatch(LabError):
     def __init__(self, n, index, detail=""):
         self.n, self.index = n, index
         super().__init__(f"stratification coefficient ({n}, {index}) off closed form {detail}".rstrip())
-
-
-class InvalidUnitCoefficient(LabError):
-    pass
 
 
 class InsufficientPrecision(LabError):

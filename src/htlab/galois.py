@@ -92,10 +92,6 @@ class FormalCElem(Sparse):
     def scalar(cls, base, T, s):
         return cls(base, T, {0: s})
 
-    @classmethod
-    def t_times(cls, base, T, s):
-        return cls(base, T, {1: s})
-
     def _new(self, coeffs, truncated):
         return FormalCElem(self.base, self.T, coeffs)
 

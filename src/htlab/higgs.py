@@ -108,11 +108,6 @@ class HiggsData:
             return self.cfg.k_beta()
         return self.cfg.Ep
 
-    def face_params(self):
-        if self.twist == "log":
-            return FaceParams.log(self.cfg)
-        return FaceParams.nonlog(self.cfg)
-
     def __repr__(self):
         return (
             f"HiggsData({self.flavor}, rank={self.rank}, d={self.d}, "

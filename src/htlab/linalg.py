@@ -107,9 +107,6 @@ class Mat:
     def map(self, fn, ring=None):
         return Mat(ring if ring is not None else self.ring, [[fn(a) for a in r] for r in self.rows])
 
-    def transpose(self):
-        return Mat(self.ring, [list(c) for c in zip(*self.rows)])
-
     def is_zero(self):
         return all(a.is_zero() for r in self.rows for a in r)
 
@@ -147,23 +144,3 @@ class Mat:
 
 def commutator(a, b):
     return a * b - b * a
-
-
-def matvec(mat, vec):
-    """mat * vec, with the droppable rule and the sum order of Mat.__mul__."""
-    if len(vec) != mat.ncols:
-        raise BadIndex("vector length differs from the column count")
-    live = [(k, x) for k, x in enumerate(vec) if not x.droppable()]
-    zero = mat.ring.zero()
-    dot = mat.ring.cfg.dot
-    out = []
-    for row in mat.rows:
-        xs = []
-        ys = []
-        for k, x in live:
-            a = row[k]
-            if not a.droppable():
-                xs.append(a)
-                ys.append(x)
-        out.append(dot(xs, ys) if xs else zero)
-    return out

@@ -378,13 +378,6 @@ class PdElement(Sparse):
         c = self.coeffs.get(self.ring.encode(key))
         return self.ring.base.zero() if c is None else c
 
-    def constant_term(self):
-        return self.coeff(())
-
-    def pd_degree(self):
-        # the degree is the top field, so the largest key has the largest degree
-        return max(self.coeffs, default=0) >> self.ring.shift
-
     def droppable(self):
         return not self.coeffs and not self.truncated
 

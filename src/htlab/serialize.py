@@ -8,7 +8,8 @@ complete, self-describing problem instance:
      "rank": "2", "integral": true, "theta": [matrix, ...], "phi": matrix}
 
 Matrices are row-major; each entry is a single coefficient record over a
-point base and a list of monomial terms over a chart base.  Canonical
+point base and a list of monomial terms over a chart base.  A record needs
+prec >= 1, and a "rank", when given, must match the operators.  Canonical
 dumps sort keys and drop whitespace, which keeps reports byte-stable for
 a fixed input and flag set.
 """
@@ -17,7 +18,7 @@ import json
 
 from .base import BaseConfig, KElem
 from .chart import ChartElem, ChartRing
-from .errors import NotEisenstein, NotPrime, ParseError
+from .errors import BadIndex, NotEisenstein, NotPrime, ParseError
 from .higgs import HiggsData
 from .linalg import Mat
 
@@ -49,6 +50,8 @@ def k_from_json(cfg, d):
         shift = int(d.get("shift", "0"))
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"bad scalar record: {exc}")
+    if prec < 1:
+        raise ParseError(f"bad scalar record: prec {prec} leaves no digits")
     if len(coeffs) != cfg.e:
         raise ParseError("scalar width does not match the base field degree")
     width = cfg.f if cfg.f > 1 else None
@@ -135,7 +138,7 @@ def higgs_from_json(doc, cfg=None):
         flavor = doc["flavor"]
         theta = [mat_from_json(base, t) for t in doc["theta"]]
         phi = mat_from_json(base, doc["phi"]) if doc.get("phi") is not None else None
-        return HiggsData(
+        h = HiggsData(
             base,
             flavor,
             theta,
@@ -143,9 +146,13 @@ def higgs_from_json(doc, cfg=None):
             integral=bool(doc.get("integral", True)),
             twist=doc.get("twist", "log"),
         )
+        rank = doc.get("rank")
+        if rank is not None and int(rank) != h.rank:
+            raise ParseError(f"rank {rank} does not match the {h.rank}x{h.rank} operators")
+        return h
     except ParseError:
         raise
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, BadIndex) as exc:
         raise ParseError(f"bad module descriptor: {exc}")
 
 

@@ -14,12 +14,12 @@ Writes, under ``tests/golden/``:
   operations on four bases, together with its valuation and zero test, or
   the exception the operation raised;
 * ``containers.json``: the exact stored form of the results of the container
-  kernels (``Mat`` products and ``matvec``, ``PdElement`` products and face
-  maps, ``cocycle_matrix``, ``galois_act_mat``, the cocycle-law product and
-  ``FormalCElem.subs_t``) on seeded operands: every scalar as (coeffs, prec,
-  shift) and every sparse dict in its insertion order, so a change in the
-  order of the scalar operations shows even where the value at precision
-  does not;
+  kernels (``Mat`` products with a matrix and with one column, ``PdElement``
+  products and face maps, ``cocycle_matrix``, ``galois_act_mat``, the
+  cocycle-law product and ``FormalCElem.subs_t``) on seeded operands: every
+  scalar as (coeffs, prec, shift) and every sparse dict in its insertion
+  order, so a change in the order of the scalar operations shows even where
+  the value at precision does not;
 * ``snf.json``: ``snf_dvr`` on seeded integral matrices over four bases
   (square and rectangular, rank-deficient, high-valuation pivots,
   reduced-precision zeros): the exponents, the ``precision_limited`` flag,
@@ -63,7 +63,7 @@ from htlab.cohomology import build_higgs_complex, cohomology_all, snf_dvr
 from htlab.deltaring import PrelogCandidate, USeries, delta_log_validate
 from htlab.galois import FormalCElem, GroupElt
 from htlab.higgs import descent_matrix, stratification_from_higgs
-from htlab.linalg import Mat, matvec
+from htlab.linalg import Mat
 from htlab.pdring import FaceContext, FaceParams, PdElement, PdRing
 from htlab.samples import corpus
 from htlab.sen import cocycle_matrix, galois_act_mat
@@ -144,17 +144,21 @@ def _coord(rng, p, prec, kind):
     return rng.randrange(-(p ** (N + 2)), p ** (N + 2))
 
 
-def _record(cfg, rng):
-    """A random scalar record: shifted, short, zero-at-precision or generic."""
+def _random_scalar(cfg, rng):
+    """A random scalar: shifted, short, zero-at-precision, digitless or generic.
+
+    Built with ``k_from_coeffs``: ``k_from_json`` rejects the records with
+    prec < 1 that the chains include on purpose.
+    """
     p = cfg.p
     prec = rng.choice((cfg.N, cfg.N, cfg.N, rng.randrange(0, cfg.N + 3)))
     shift = rng.choice((0, 0, 1, rng.randrange(0, cfg.N + 3)))
     kind = rng.choice((0, 1, 2, 2, 3, 3, 3, 3, 3, 3))
     coeffs = []
     for _ in range(cfg.e):
-        w = [str(_coord(rng, p, prec, kind)) for _ in range(cfg.f)]
-        coeffs.append(w if cfg.f > 1 else w[0])
-    return {"coeffs": coeffs, "prec": str(prec), "shift": str(shift)}
+        w = [_coord(rng, p, prec, kind) for _ in range(cfg.f)]
+        coeffs.append(tuple(w) if cfg.f > 1 else w[0])
+    return cfg.k_from_coeffs(coeffs, prec, shift)
 
 
 def _outcome(thunk):
@@ -178,11 +182,11 @@ def scalar_chains():
     for b, (bname, p, E, f) in enumerate(SCALAR_BASES):
         cfg = make_base_config(p, list(E), f=f, precision=N)
         rng = random.Random(2000 + b)
-        pool = [k_from_json(cfg, _record(cfg, rng)) for _ in range(12)]
+        pool = [_random_scalar(cfg, rng) for _ in range(12)]
         steps = [{"op": "from_json", "result": _describe(x)} for x in pool]
         for _ in range(SCALAR_OPS):
             if rng.random() < 0.35:
-                pool.append(k_from_json(cfg, _record(cfg, rng)))
+                pool.append(_random_scalar(cfg, rng))
             x = rng.choice(pool)
             y = rng.choice(pool)
             op = rng.choice(
@@ -262,7 +266,7 @@ def _k_entry(cfg, rng):
         zero["prec"] = str(rng.randrange(1, cfg.N))
         zero["shift"] = str(rng.choice((0, 0, 1, 2)))
         return k_from_json(cfg, zero)
-    return k_from_json(cfg, _record(cfg, rng))
+    return _random_scalar(cfg, rng)
 
 
 def _chart_entry(base, rng):
@@ -301,7 +305,7 @@ def _mat_products(ring, entry, rng, count):
                 "b": _mat_form(b),
                 "v": [_form(x) for x in v],
                 "ab": _mat_form(a * b),
-                "av": [_form(x) for x in matvec(a, v)],
+                "av": [_form(x) for x in (a * Mat(ring, [[x] for x in v])).col(0)],
             }
         )
     return steps

@@ -3,6 +3,7 @@ import random
 import time
 from pathlib import Path
 
+import click
 import pytest
 from click.testing import CliRunner
 
@@ -324,3 +325,63 @@ def test_check_on_a_ramified_base_builds_no_witt_config(runner, monkeypatch):
     res = runner.invoke(main, ["check", str(GOLDEN_INPUTS / "p2e2-point-rel-geom-d1-log.json"), "--canonical"])
     assert res.exit_code in (0, 2), res.output
     assert calls == [2]
+
+
+# one edit each to a valid module descriptor; all are rejected before the first check
+MALFORMED = {
+    "ragged-theta-row": lambda doc: doc["theta"][0][0].pop(),
+    "theta-not-square": lambda doc: doc["theta"][0].append(doc["theta"][0][0]),
+    "phi-wrong-size": lambda doc: doc.update(phi=[[doc["phi"][0][0]]]),
+    "unknown-flavor": lambda doc: doc.update(flavor="abs-nope"),
+    "unknown-twist": lambda doc: doc.update(twist="nope"),
+    "scalar-prec-0": lambda doc: doc["phi"][0][0].update(prec="0"),
+    "scalar-prec-negative": lambda doc: doc["theta"][0][1][1].update(prec="-2"),
+    "rank-disagrees": lambda doc: doc.update(rank="3"),
+}
+
+
+@pytest.mark.parametrize("command", ("check", "stratify", "cohomology", "cocycle"))
+@pytest.mark.parametrize("mutation", sorted(MALFORMED))
+def test_malformed_module_descriptor_reports_parse_fail(runner, tmp_path, mutation, command):
+    doc = json.loads((GOLDEN_INPUTS / "p5-point-abs-geom-d1-log.json").read_text())
+    MALFORMED[mutation](doc)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    _parse_fail_detail(runner, command, path)
+
+
+OPTION_SURFACE = {
+    "check": [
+        ("--precision", None),
+        ("--pd-cutoff", None),
+        ("--t-order", None),
+        ("--strict", False),
+        ("--canonical", False),
+        ("-o/--output", None),
+    ],
+    "stratify": [("--precision", None), ("--pd-cutoff", None), ("--canonical", False), ("-o/--output", None)],
+    "cohomology": [("--precision", None), ("--strict", False), ("--canonical", False), ("-o/--output", None)],
+    "cocycle": [
+        ("--precision", None),
+        ("--pd-cutoff", None),
+        ("--t-order", None),
+        ("--samples", 8),
+        ("--seed", 0),
+        ("--canonical", False),
+        ("-o/--output", None),
+    ],
+    "factorize": [("--precision", None), ("--horizon", None), ("--canonical", False), ("-o/--output", None)],
+}
+
+
+def test_each_command_keeps_its_option_surface():
+    arguments = {
+        name: [p.name for p in cmd.params if isinstance(p, click.Argument)]
+        for name, cmd in main.commands.items()
+    }
+    options = {
+        name: [("/".join(p.opts), p.default) for p in cmd.params if isinstance(p, click.Option)]
+        for name, cmd in main.commands.items()
+    }
+    assert arguments == {name: ["descriptor"] for name in LAB_COMMANDS}
+    assert options == OPTION_SURFACE
