@@ -161,8 +161,9 @@ class ChartElem(Sparse):
         return ChartElem(self.ring, out, trunc)
 
     def droppable(self):
-        # constructor already pruned droppable coefficients
-        return not self.coeffs
+        # constructor already pruned droppable coefficients; a truncated
+        # element has lost terms, and forgetting it would lose the flag
+        return not self.coeffs and not self.truncated
 
     def min_val(self):
         best = None

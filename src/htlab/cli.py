@@ -26,7 +26,8 @@ from .galois import GroupElt
 from .higgs import check_cocycle_strat, stratification_from_higgs, validate_higgs
 from .samples import sample_group
 from .sen import cocycle_matrix, verify_cocycle_law
-from .serialize import _w_to_json, config_from_json, dumps, higgs_from_json, mat_to_json, series_mat_to_json
+from .serialize import _w_from_json, _w_to_json, config_from_json, dumps, higgs_from_json
+from .serialize import mat_to_json, series_mat_to_json
 
 
 def _load(path, precision, pd_cutoff, t_order):
@@ -59,22 +60,23 @@ def _echo(text):
 
 
 def _run(compute, descriptor, precision, canonical, output, pd_cutoff=None, t_order=None, **opts):
-    """Print the report of compute(doc, cfg, **opts) -> (checks, artifacts or None) and exit;
-    an error that compute raises before its first check gives the parse report."""
+    """Print the report of compute(doc, cfg, **opts) -> (checks, artifacts or None), also
+    to output when given, and exit; an error that compute raises before its first check
+    gives the parse report."""
     t0 = time.monotonic()
     try:
         doc, cfg = _load(descriptor, precision, pd_cutoff, t_order)
         checks, artifacts = compute(doc, cfg, **opts)
     except (ParseError, ValidationFailure, HorizonTooSmall) as exc:
-        report = {"command": compute.__name__, "checks": {"parse": {"status": "fail", "detail": str(exc)}}}
-        _echo(dumps(report, canonical=canonical))
-        sys.exit(1)
-    digest = hashlib.sha256(dumps(cfg.to_json(), canonical=True).encode()).hexdigest()[:12]
-    report = {"command": compute.__name__, "config_digest": digest, "checks": checks}
-    if artifacts is not None:
-        report["artifacts"] = artifacts
-    if not canonical:
-        report["timing_ms"] = int((time.monotonic() - t0) * 1000)
+        checks = {"parse": {"status": "fail", "detail": str(exc)}}
+        report = {"command": compute.__name__, "checks": checks}
+    else:
+        digest = hashlib.sha256(dumps(cfg.to_json(), canonical=True).encode()).hexdigest()[:12]
+        report = {"command": compute.__name__, "config_digest": digest, "checks": checks}
+        if artifacts is not None:
+            report["artifacts"] = artifacts
+        if not canonical:
+            report["timing_ms"] = int((time.monotonic() - t0) * 1000)
     text = dumps(report, canonical=canonical)
     _echo(text)
     if output:
@@ -206,16 +208,10 @@ def _unit_digits(item, f):
         raise ParseError(f"unit {item!r}: expected one integer, the base has f = 1")
     if f > 1 and (not isinstance(item, list) or len(item) != f):
         raise ParseError(f"unit {item!r}: expected a list of {f} integers")
-
-    def digit(x):
-        try:
-            if isinstance(x, (int, str)) and not isinstance(x, bool):
-                return int(x)
-        except ValueError:
-            pass
-        raise ParseError(f"unit {item!r}: {x!r} is not an integer")
-
-    return tuple(digit(x) for x in item) if f > 1 else digit(item)
+    try:
+        return _w_from_json(item)
+    except ValueError as exc:
+        raise ParseError(f"unit {item!r}: {exc}")
 
 
 @_command(click.option("--horizon", type=int, default=None, help="product truncation; default precision - 1"))

@@ -26,6 +26,7 @@ returning a bare False; convergence questions that the cutoffs cannot settle
 come back as undecided certificates, never as silent passes.
 """
 
+from itertools import islice
 from types import MappingProxyType
 
 from .errors import (
@@ -69,6 +70,11 @@ class ConvergenceCertificate:
         return f"Undecided({self.subject}, n_max={self.n_max})"
 
 
+def twist_unit(cfg, twist):
+    """The braiding unit of a twist: beta = pi E'(pi) for log, E'(pi) for smooth."""
+    return cfg.k_beta() if twist == "log" else cfg.Ep
+
+
 class HiggsData:
     __slots__ = ("cfg", "base", "flavor", "twist", "rank", "theta", "phi", "integral")
 
@@ -104,9 +110,7 @@ class HiggsData:
         return len(self.theta)
 
     def braid_unit(self):
-        if self.twist == "log":
-            return self.cfg.k_beta()
-        return self.cfg.Ep
+        return twist_unit(self.cfg, self.twist)
 
     def __repr__(self):
         return (
@@ -123,8 +127,8 @@ def _first_nonzero(mat):
     return None
 
 
-def _beta_scalar(h):
-    return h.base.from_k(h.braid_unit())
+def _beta_scalar(data):
+    return data.base.from_k(data.braid_unit())
 
 
 def validate_higgs(h, n_max=None):
@@ -183,14 +187,9 @@ def validate_higgs(h, n_max=None):
 
 
 def _phi_sequence_certificate(h, n_max):
-    beta = _beta_scalar(h)
-    p_n = Mat.identity(h.base, h.rank)
-    factor = h.phi
-    for n in range(1, n_max + 1):
-        p_n = factor * p_n
+    for n, (p_n, _) in enumerate(islice(_p_chain(h), 1, n_max + 1), 1):
         if p_n.is_zero():
             return ConvergenceCertificate.converged("phi-sequence", n, n_max)
-        factor = factor.add_scalar_diag(beta)
     return ConvergenceCertificate.undecided("phi-sequence", n_max)
 
 
@@ -237,8 +236,22 @@ def _times(a, b, vanish):
     return out, _vanishes(out)
 
 
+def _p_chain(h):
+    """(P_n, whether it vanishes) for n = 0, 1, ...: P_0 = id, P_{n+1} = (phi + n beta) P_n."""
+    beta = _beta_scalar(h)
+    p_n = (Mat.identity(h.base, h.rank), False)
+    factor = h.phi
+    while True:
+        yield p_n
+        p_n = _times(factor, *p_n)
+        factor = factor.add_scalar_diag(beta)
+
+
 def _theta_powers(h, maxw):
-    """{I: (Theta^I, whether it vanishes)}, in _multi_indices order."""
+    """{I: (Theta^I, whether it vanishes)} for |I| <= maxw, in _multi_indices order.
+
+    Theta^I = theta_k Theta^(I - e_k), k the first nonzero position of I.
+    """
     theta_vanish = [_vanishes(th) for th in h.theta]
     pows = {}
     for index in _multi_indices(h.d, maxw):
@@ -253,14 +266,6 @@ def _theta_powers(h, maxw):
     return pows
 
 
-def theta_powers(h, maxw):
-    """Theta^I for each multi-index I of weight <= maxw, in _multi_indices order.
-
-    Theta^I = theta_k Theta^(I - e_k), k the first nonzero position of I.
-    """
-    return {index: tp for index, (tp, _) in _theta_powers(h, maxw).items()}
-
-
 class Stratification:
     """The coefficients A_{n,I} of the degree-1 descent matrix.
 
@@ -273,6 +278,8 @@ class Stratification:
     """
 
     __slots__ = ("cfg", "base", "flavor", "twist", "rank", "D", "coeffs", "_cocycle_plan")
+
+    braid_unit = HiggsData.braid_unit
 
     def __init__(self, base, flavor, coeffs, D, rank, twist="log"):
         self.cfg = base.cfg
@@ -301,17 +308,9 @@ class Stratification:
 
 
 def stratification_from_higgs(h, D=None):
-    cfg = h.cfg
     if D is None:
-        D = cfg.cutoffs.D
-    beta = _beta_scalar(h)
-    # (P_n, whether it vanishes); once P_n vanishes every later one does
-    p_seq = [(Mat.identity(h.base, h.rank), False)]
-    if h.phi is not None:
-        factor = h.phi
-        for n in range(1, D + 1):
-            p_seq.append(_times(factor, *p_seq[-1]))
-            factor = factor.add_scalar_diag(beta)
+        D = h.cfg.cutoffs.D
+    p_seq = list(islice(_p_chain(h), D + 1)) if h.phi is not None else []
     coeffs = {}
     for index, (tp, tp_vanish) in _theta_powers(h, D).items():
         w = sum(index)
@@ -323,14 +322,10 @@ def stratification_from_higgs(h, D=None):
     return Stratification(h.base, h.flavor, coeffs, D, h.rank, twist=h.twist)
 
 
-def higgs_from_stratification(strat, integral=None):
-    """Reconstruct the module and verify every coefficient's closed form."""
+def _operators(strat):
+    """theta_k = A_{0,e_k} and phi = A_{1,0} read off a stratification; phi is None
+    when the stratification has no A_{1,0}.  A missing A_{0,e_k} raises."""
     d = strat.d
-    zero_index = (0,) * d
-    ident = Mat.identity(strat.base, strat.rank)
-    a00 = strat.coeffs.get((0, zero_index))
-    if a00 is None or not a00.eq(ident):
-        raise ClosedFormMismatch(0, zero_index)
     theta = []
     for k in range(d):
         e_k = tuple(1 if i == k else 0 for i in range(d))
@@ -338,8 +333,20 @@ def higgs_from_stratification(strat, integral=None):
         if m is None:
             raise ClosedFormMismatch(0, e_k)
         theta.append(m)
-    phi = strat.coeffs.get((1, zero_index)) if strat.flavor != "rel-geom" else None
-    if strat.flavor != "rel-geom" and phi is None:
+    return theta, strat.coeffs.get((1, (0,) * d))
+
+
+def higgs_from_stratification(strat, integral=None):
+    """Reconstruct the module and verify every coefficient's closed form."""
+    zero_index = (0,) * strat.d
+    ident = Mat.identity(strat.base, strat.rank)
+    a00 = strat.coeffs.get((0, zero_index))
+    if a00 is None or not a00.eq(ident):
+        raise ClosedFormMismatch(0, zero_index)
+    theta, phi = _operators(strat)
+    if strat.flavor == "rel-geom":
+        phi = None
+    elif phi is None:
         raise ClosedFormMismatch(1, zero_index)
     if integral is None:
         integral = all(m.integral() for m in strat.coeffs.values())
@@ -362,15 +369,8 @@ def check_recursions(strat):
     with phi and theta read off the stratification itself.
     """
     d = strat.d
-    zero_index = (0,) * d
-    beta = strat.base.from_k(
-        strat.cfg.k_beta() if strat.twist == "log" else strat.cfg.Ep
-    )
-    theta = []
-    for k in range(d):
-        e_k = tuple(1 if i == k else 0 for i in range(d))
-        theta.append(strat.coeffs[(0, e_k)])
-    phi = strat.coeffs.get((1, zero_index))
+    beta = _beta_scalar(strat)
+    theta, phi = _operators(strat)
     checked = 0
     failures = []
     for (n, index), m in strat.coeffs.items():
@@ -415,19 +415,16 @@ def descent_matrix(strat, ring=None):
     return Mat(ring, [[PdElement(ring, e) for e in row] for row in entries])
 
 
-def check_cocycle(h, D=None, params=None):
+def check_cocycle(h, D=None):
     """The descent oracle: p_2*(eps) p_0*(eps) = p_1*(eps) entrywise."""
-    strat = stratification_from_higgs(h, D=D)
-    return check_cocycle_strat(strat, params=params)
+    return check_cocycle_strat(stratification_from_higgs(h, D=D))
 
 
-def check_cocycle_strat(strat, params=None):
+def check_cocycle_strat(strat):
+    """check_cocycle on a stratification; the 0th face is twisted by its braiding unit."""
     ring1 = PdRing(strat.cfg, strat.base, strat.flavor, 1, d=strat.d, D=strat.D)
     eps = descent_matrix(strat, ring=ring1)
-    if params is None and strat.flavor != "rel-geom":
-        params = (
-            FaceParams.log(strat.cfg) if strat.twist == "log" else FaceParams.nonlog(strat.cfg)
-        )
+    params = None if strat.flavor == "rel-geom" else FaceParams(strat.braid_unit())
     contexts = [FaceContext(ring1, i, params) for i in range(3)]
     ring2 = contexts[0].target
     p0, p1, p2 = (eps.map(c.apply, ring=ring2) for c in contexts)

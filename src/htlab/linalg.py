@@ -32,13 +32,6 @@ class Mat:
         return cls(ring, [[one if i == j else zero for j in range(n)] for i in range(n)])
 
     @classmethod
-    def scalar(cls, ring, n, s):
-        out = cls.zero(ring, n)
-        for i in range(n):
-            out.rows[i][i] = s
-        return out
-
-    @classmethod
     def from_ints(cls, ring, rows):
         return cls(ring, [[ring.from_int(a) for a in r] for r in rows])
 

@@ -431,19 +431,18 @@ def _gamma(x, n, power):
 class FaceParams:
     """Twist unit for the 0th face: alpha = E'(pi) or pi E'(pi)."""
 
-    __slots__ = ("alpha", "label")
+    __slots__ = ("alpha",)
 
-    def __init__(self, alpha, label="custom"):
+    def __init__(self, alpha):
         self.alpha = alpha
-        self.label = label
 
     @classmethod
     def log(cls, cfg):
-        return cls(cfg.k_beta(), "log")
+        return cls(cfg.k_beta())
 
     @classmethod
     def nonlog(cls, cfg):
-        return cls(cfg.Ep, "nonlog")
+        return cls(cfg.Ep)
 
 
 class FaceContext:

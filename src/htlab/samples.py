@@ -13,7 +13,7 @@ what commutation requires along a chain.
 import random
 
 from .galois import GroupElt
-from .higgs import HiggsData
+from .higgs import HiggsData, twist_unit
 from .linalg import Mat
 
 
@@ -60,7 +60,7 @@ def sample_higgs(base, rng, flavor="abs-geom", rank=2, d=1, twist="log"):
         thetas = [Mat.zero(base, rank) for _ in range(d)]
     if flavor == "rel-geom":
         return HiggsData(base, flavor, thetas, None, twist=twist)
-    braid = cfg.k_beta() if twist == "log" else cfg.Ep
+    braid = twist_unit(cfg, twist)
     c0 = rng.randrange(0, 8)
     phi = Mat.zero(base, rank)
     for a in range(rank):

@@ -30,13 +30,7 @@ from .base import KElem
 from .cohomology import _pi_power, snf_dvr
 from .errors import HorizonTooSmall, KernelRankDeficit, ValidationFailure
 from .galois import FormalCElem, FormalRing, GroupElt, galois_act_all, sigma_t
-from .higgs import (
-    HiggsData,
-    Stratification,
-    _first_nonzero,
-    stratification_from_higgs,
-    theta_powers,
-)
+from .higgs import HiggsData, Stratification, _first_nonzero, stratification_from_higgs
 from .linalg import Mat
 from .pdring import PdElement, PdRing
 
@@ -247,12 +241,6 @@ def galois_act_mat(s, mat, alpha=None):
     return Mat(mat.ring, [[next(acted) for _ in row] for row in mat.rows])
 
 
-def _twist_alpha(strat):
-    if strat.twist == "log":
-        return strat.cfg.beta
-    return strat.cfg.Ep
-
-
 def verify_cocycle_law(data, s, u, T=None):
     """Check U(s u) = U(s) * s(U(u)) for one pair of group elements.
 
@@ -263,7 +251,7 @@ def verify_cocycle_law(data, s, u, T=None):
     (1 - alpha c t)^{-1} twist belongs to the arithmetic faces.
     """
     strat = _as_strat(data)
-    alpha = _twist_alpha(strat)
+    alpha = strat.braid_unit()
     lhs = cocycle_matrix(strat, s * u, T=T)
     rhs = cocycle_matrix(strat, s, T=T) * galois_act_mat(
         s, cocycle_matrix(strat, u, T=T), alpha=alpha
@@ -340,28 +328,36 @@ def _t_shift(e):
     return FormalCElem(e.base, e.T, {m + 1: v for m, v in e.coeffs.items()})
 
 
-def period_kernel_rep(h, T=None, D=None):
+def _theta_table(strat, T):
+    """{I: Theta^I} for |I| < T, read off the stratification as A_{0,I}."""
+    return {index: A for (n, index), A in strat.coeffs.items() if n == 0 and sum(index) < T}
+
+
+def period_kernel_rep(data, T=None, D=None):
     """B = sum_I Theta^I Y^[I] t^{|I|} with its inverse, both certified.
 
-    Certifies that B's columns kill every -t theta_i + d/dY_i and that
-    B * B(-Y) = 1; a residual raises KernelRankDeficit, since the columns
-    then fail to fill out the kernel.  Needs T <= D + 1 so the retained
-    t-slots are complete.
+    Accepts a module, whose stratification is built to pd degree D, or a
+    stratification, whose own D counts; Theta^I is its A_{0,I}.  Certifies
+    that B's columns kill every -t theta_i + d/dY_i and that B * B(-Y) = 1;
+    a residual raises KernelRankDeficit, since the columns then fail to
+    fill out the kernel.  Needs T <= D + 1 so the retained t-slots are
+    complete.
     """
-    cfg = h.cfg
+    strat = _as_strat(data, D=D)
+    cfg, r, D = strat.cfg, strat.rank, strat.D
     T = cfg.cutoffs.T if T is None else T
-    D = cfg.cutoffs.D if D is None else D
     if T > D + 1:
         raise HorizonTooSmall(f"t-order {T} needs pd degree {T - 1}, have {D}")
-    ring = PdRing(cfg, h.base, "rel-geom", 1, d=h.d, D=D)
+    ring = PdRing(cfg, strat.base, "rel-geom", 1, d=strat.d, D=D)
     fring = FormalRing(ring, T)
-    cellsB = [[{} for _ in range(h.rank)] for _ in range(h.rank)]
-    cellsBi = [[{} for _ in range(h.rank)] for _ in range(h.rank)]
-    for index, tp in theta_powers(h, min(D, T - 1)).items():
+    cellsB = [[{} for _ in range(r)] for _ in range(r)]
+    cellsBi = [[{} for _ in range(r)] for _ in range(r)]
+    thetas = _theta_table(strat, T)
+    for index, tp in thetas.items():
         m = sum(index)
         key = ring.encode((ring.y_id(k + 1, 1), ik) for k, ik in enumerate(index) if ik)
-        for i in range(h.rank):
-            for j in range(h.rank):
+        for i in range(r):
+            for j in range(r):
                 a = tp.entry(i, j)
                 if a.droppable():
                     continue
@@ -380,12 +376,15 @@ def period_kernel_rep(h, T=None, D=None):
         )
     B = _collect(cellsB)
     Binv = _collect(cellsBi)
-    if not (B * Binv - _embed_mat(Mat.identity(h.base, h.rank), fring)).is_zero():
+    if not (B * Binv - _embed_mat(Mat.identity(strat.base, r), fring)).is_zero():
         raise KernelRankDeficit("period matrix is not invertible by the sign flip")
-    for k in range(h.d):
+    for k in range(strat.d):
+        theta_k = thetas.get(tuple(1 if i == k else 0 for i in range(strat.d)))
+        if theta_k is None:
+            continue  # T <= 1: B is constant and t theta_k B has no slot left
         vid = ring.y_id(k + 1, 1)
         d_b = B.map(lambda e: FormalCElem(ring, T, {m: v.partial(vid) for m, v in e.coeffs.items()}))
-        t_theta_b = _embed_mat(h.theta[k], fring) * B.map(_t_shift)
+        t_theta_b = _embed_mat(theta_k, fring) * B.map(_t_shift)
         if not (d_b - t_theta_b).is_zero():
             raise KernelRankDeficit(f"columns do not kill -t theta_{k + 1} + d/dY_{k + 1}")
     return {"ring": ring, "T": T, "B": B, "Binv": Binv}
@@ -404,38 +403,38 @@ def _gamma_image(ring, s, k, a, chi_inv):
     return out
 
 
-def crosscheck_inverse_simpson(h, s, T=None, D=None):
+def crosscheck_inverse_simpson(data, s, T=None, D=None):
     """B^{-1} F(sigma) B(sigma t, sigma Y) = U(sigma), checked in the pd ring.
 
-    F is the cocycle of the phi-only sub-stratification; the group acts by
+    Accepts a module, whose stratification is built once to pd degree D, or
+    a stratification; the period and both cocycles read it.  F is the
+    cocycle of the phi-only sub-stratification; the group acts by
     sigma(t) = chi t (1 - alpha c t)^{-1} with the data's twist unit alpha,
     and sigma(Y_k) = chi^{-1}(Y_k + n_k).  Substituted images never raise
     the pd degree above the t-degree, so with T <= D + 1 the comparison is
     exact in every retained slot.
     """
-    if h.phi is None:
+    strat = _as_strat(data, D=D)
+    if strat.flavor == "rel-geom":
         raise ValidationFailure("the crosscheck needs a phi")
-    cfg = h.cfg
+    cfg = strat.cfg
     T = cfg.cutoffs.T if T is None else T
-    D = cfg.cutoffs.D if D is None else D
-    per = period_kernel_rep(h, T=T, D=D)
+    per = period_kernel_rep(strat, T=T)
     ring, fring = per["ring"], per["B"].ring
-    strat = stratification_from_higgs(h, D=D)
     u_pd = _embed_series_mat(cocycle_matrix(strat, s, T=T), fring)
     arith = {(n, ()): A for (n, index), A in strat.coeffs.items() if sum(index) == 0}
-    sa = Stratification(h.base, "abs-arith", arith, strat.D, h.rank, twist=h.twist)
+    sa = Stratification(strat.base, "abs-arith", arith, strat.D, strat.rank, twist=strat.twist)
     f_pd = _embed_series_mat(cocycle_matrix(sa, GroupElt(cfg, (), s.c, s.chi), T=T), fring)
     # assemble B(sigma t, sigma Y) term by term
     chi_inv = pow(s.chi, -1, cfg.p**cfg.N)
-    st = sigma_t(ring, s, T=T, alpha=_twist_alpha(strat))
+    st = sigma_t(ring, s, T=T, alpha=strat.braid_unit())
     one_series = FormalCElem.scalar(ring, T, ring.one())
     st_pows = [one_series]
-    maxw = min(D, T - 1)
-    for _ in range(maxw):
+    for _ in range(min(strat.D, T - 1)):
         st_pows.append(st_pows[-1] * st)
     gamma_cache = {}
     b_sub = None
-    for index, tp in theta_powers(h, maxw).items():
+    for index, tp in _theta_table(strat, T).items():
         if tp.storage_zero():
             continue
         coeff = ring.one()

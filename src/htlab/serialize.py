@@ -1,6 +1,7 @@
 """JSON descriptors for base fields, scalars, and module data.
 
-Integers travel as decimal strings so files stay exact at any magnitude.
+Integers travel as decimal strings so files stay exact at any magnitude;
+int_from_json also reads a JSON integer, but never a float or a boolean.
 A module descriptor carries its own base configuration, so a file is a
 complete, self-describing problem instance:
 
@@ -23,6 +24,13 @@ from .higgs import HiggsData
 from .linalg import Mat
 
 
+def int_from_json(v):
+    """An integer field: an int that is no bool, or a decimal string; else ValueError."""
+    if type(v) is int or isinstance(v, str) and v.lstrip("+-").isdecimal():
+        return int(v)
+    raise ValueError(f"{v!r} is not an integer")
+
+
 def _w_to_json(w):
     if isinstance(w, tuple):
         return [str(x) for x in w]
@@ -31,8 +39,8 @@ def _w_to_json(w):
 
 def _w_from_json(v):
     if isinstance(v, list):
-        return tuple(int(x) for x in v)
-    return int(v)
+        return tuple(int_from_json(x) for x in v)
+    return int_from_json(v)
 
 
 def k_to_json(x):
@@ -46,8 +54,8 @@ def k_to_json(x):
 def k_from_json(cfg, d):
     try:
         coeffs = tuple(_w_from_json(c) for c in d["coeffs"])
-        prec = int(d["prec"])
-        shift = int(d.get("shift", "0"))
+        prec = int_from_json(d["prec"])
+        shift = int_from_json(d.get("shift", "0"))
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"bad scalar record: {exc}")
     if prec < 1:
@@ -79,7 +87,7 @@ def scalar_from_json(base, d):
         return base.from_k(k_from_json(base.cfg, d))
     coeffs = {}
     for term in d["terms"]:
-        exps = tuple(int(e) for e in term["exps"])
+        exps = tuple(int_from_json(e) for e in term["exps"])
         coeffs[exps] = k_from_json(base.cfg, term["coeff"])
     return ChartElem(base, coeffs)
 
@@ -122,10 +130,14 @@ def config_from_json(d):
     """The BaseConfig of a config block; a block it rejects is a ParseError."""
     if not isinstance(d, dict):
         raise ParseError("bad config block: not a JSON object")
-    if not isinstance(d.get("cutoffs", {}), dict):
+    cut = d.get("cutoffs", {})
+    if not isinstance(cut, dict):
         raise ParseError("bad config block: cutoffs is not a JSON object")
     try:
-        return BaseConfig.from_json(d)
+        ints = {k: int_from_json(d[k]) for k in ("p", "f", "N") if k in d}
+        ints["E_coeffs"] = [int_from_json(x) for x in d["E_coeffs"]]
+        ints["cutoffs"] = {k: int_from_json(cut[k]) for k in ("D", "T", "Dy", "n_max") if k in cut}
+        return BaseConfig.from_json(ints)
     except (KeyError, TypeError, ValueError, NotPrime, NotEisenstein) as exc:
         raise ParseError(f"bad config block: {type(exc).__name__}: {exc}")
 
@@ -147,7 +159,7 @@ def higgs_from_json(doc, cfg=None):
             twist=doc.get("twist", "log"),
         )
         rank = doc.get("rank")
-        if rank is not None and int(rank) != h.rank:
+        if rank is not None and int_from_json(rank) != h.rank:
             raise ParseError(f"rank {rank} does not match the {h.rank}x{h.rank} operators")
         return h
     except ParseError:

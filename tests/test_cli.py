@@ -327,6 +327,17 @@ def test_check_on_a_ramified_base_builds_no_witt_config(runner, monkeypatch):
     assert calls == [2]
 
 
+def _on_chart(exps):
+    """An edit that moves the descriptor onto a chart with one Laurent variable and
+    writes phi[0][0] as a single term with these exponents."""
+
+    def edit(doc):
+        doc["base"] = {"mode": "chart", "d": "1", "r": "0"}
+        doc["phi"][0][0] = {"terms": [{"exps": exps, "coeff": doc["phi"][0][0]}]}
+
+    return edit
+
+
 # one edit each to a valid module descriptor; all are rejected before the first check
 MALFORMED = {
     "ragged-theta-row": lambda doc: doc["theta"][0][0].pop(),
@@ -337,7 +348,36 @@ MALFORMED = {
     "scalar-prec-0": lambda doc: doc["phi"][0][0].update(prec="0"),
     "scalar-prec-negative": lambda doc: doc["theta"][0][1][1].update(prec="-2"),
     "rank-disagrees": lambda doc: doc.update(rank="3"),
+    # integer fields take an int or a decimal string, never a float or a bool
+    "scalar-coeff-float": lambda doc: doc["phi"][0][0].update(coeffs=[30.7]),
+    "scalar-coeff-bool": lambda doc: doc["theta"][0][0][1].update(coeffs=[True]),
+    "scalar-prec-float": lambda doc: doc["phi"][1][1].update(prec=8.0),
+    "scalar-shift-bool": lambda doc: doc["phi"][0][1].update(shift=False),
+    "chart-exps-float": _on_chart(["0", 1.5]),
+    "rank-float": lambda doc: doc.update(rank=2.0),
+    "config-N-float": lambda doc: doc["config"].update(N=8.7),
+    "config-p-float": lambda doc: doc["config"].update(p=5.0),
+    "config-cutoff-bool": lambda doc: doc["config"]["cutoffs"].update(T=True),
 }
+
+
+def test_integer_fields_read_ints_and_decimal_strings(runner, tmp_path):
+    # the controls of the float and bool edits above: the same fields, well typed
+    doc = json.loads((GOLDEN_INPUTS / "p5-point-abs-geom-d1-log.json").read_text())
+    want = runner.invoke(main, ["stratify", str(GOLDEN_INPUTS / "p5-point-abs-geom-d1-log.json"), "--canonical"])
+    doc["phi"][0][0].update(coeffs=[30], prec=8, shift="+0")
+    doc["config"].update(N=8, p="5")
+    doc["config"]["cutoffs"].update(D=5)
+    doc.update(rank=2)
+    path = tmp_path / "ints.json"
+    path.write_text(json.dumps(doc))
+    res = runner.invoke(main, ["stratify", str(path), "--canonical"])
+    assert res.exit_code == want.exit_code == 0
+    assert res.output == want.output
+    _on_chart(["0", "0"])(doc)
+    path.write_text(json.dumps(doc))
+    res = runner.invoke(main, ["stratify", str(path), "--canonical"])
+    assert res.exit_code == 0, res.output
 
 
 @pytest.mark.parametrize("command", ("check", "stratify", "cohomology", "cocycle"))
@@ -348,6 +388,17 @@ def test_malformed_module_descriptor_reports_parse_fail(runner, tmp_path, mutati
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(doc))
     _parse_fail_detail(runner, command, path)
+
+
+@pytest.mark.parametrize("command", LAB_COMMANDS)
+def test_output_file_holds_the_parse_report(runner, tmp_path, command):
+    path = tmp_path / "bad.json"
+    path.write_text("[1]")
+    out = tmp_path / "report.json"
+    res = runner.invoke(main, [command, str(path), "--canonical", "-o", str(out)])
+    assert res.exit_code == 1
+    assert out.read_text() == res.output
+    assert json.loads(out.read_text())["checks"]["parse"]["status"] == "fail"
 
 
 OPTION_SURFACE = {

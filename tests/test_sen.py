@@ -3,7 +3,7 @@ import random
 import pytest
 from oracles import cocycle_matrix_naive
 
-from htlab import make_base_config, sen
+from htlab import higgs, make_base_config, sen
 from htlab.base import KElem
 from htlab.chart import ChartElem, ChartRing
 from htlab.cohomology import build_higgs_complex, cohomology
@@ -292,6 +292,22 @@ def test_crosscheck_detects_broken_braiding(cfg_u5, point):
     h = HiggsData(point, "abs-geom", [theta], phi)
     s = GroupElt(cfg_u5, (1,), 2, 6)
     assert not crosscheck_inverse_simpson(h, s)["ok"]
+
+
+def test_crosscheck_builds_the_theta_powers_once(cfg_u5, nilp2, monkeypatch):
+    # the period, U(sigma) and B(sigma t, sigma Y) all read one stratification
+    calls = []
+    real = higgs._theta_powers
+    monkeypatch.setattr(higgs, "_theta_powers", lambda h, maxw: calls.append(maxw) or real(h, maxw))
+    assert crosscheck_inverse_simpson(nilp2, GroupElt(cfg_u5, (4,), 9, 11))["ok"]
+    assert calls == [cfg_u5.cutoffs.D]
+
+
+def test_period_of_a_module_is_the_period_of_its_stratification(nilp2):
+    strat = stratification_from_higgs(nilp2, D=3)
+    by_module, by_strat = period_kernel_rep(nilp2, T=4, D=3), period_kernel_rep(strat, T=4)
+    for key in ("B", "Binv"):
+        assert (by_module[key] - by_strat[key]).is_zero()
 
 
 def test_law_smooth_twist_uses_its_own_alpha(cfg_u5, point):

@@ -2,8 +2,11 @@
 
 import pytest
 
+from htlab.base import Cutoffs, make_base_config
 from htlab.chart import ChartElem, ChartRing
 from htlab.galois import FormalCElem
+from htlab.higgs import Stratification, descent_matrix
+from htlab.linalg import Mat
 from htlab.pdring import PdRing
 
 
@@ -38,6 +41,22 @@ def test_sparse_protocol(cfg_u5, kind):
     s = x + (-x).clamp_prec(cfg_u5.N - 2)
     assert list(s.coeffs) == list(x.coeffs)
     assert s.is_zero()
+
+
+def test_chart_element_truncated_to_nothing_keeps_its_flag_in_every_container():
+    # at Dy = 2 every term of x^3 leaves the degree box: no coefficient is
+    # left, but the flag is, so no container may forget the element
+    cfg = make_base_config(5, [-5], cutoffs=Cutoffs(Dy=2))
+    ring = ChartRing(cfg, "chart", d=1, r=0)
+    x = ring.var(1)
+    lost = x * x * x
+    assert lost.coeffs == {} and lost.truncated and not lost.droppable()
+    assert (lost * ring.one()).truncated
+    assert (Mat(ring, [[lost]]) * Mat(ring, [[ring.one()]])).entry(0, 0).truncated
+    assert FormalCElem(ring, 3, {1: lost}).truncated
+    coeffs = {(0, (0,)): Mat.identity(ring, 1), (0, (1,)): Mat(ring, [[lost]])}
+    strat = Stratification(ring, "rel-geom", coeffs, 1, 1)
+    assert descent_matrix(strat).entry(0, 0).truncated
 
 
 @pytest.mark.xfail(
