@@ -24,6 +24,13 @@ from .errors import BadIndex
 from .sparse import Sparse
 
 
+def int_from_json(v):
+    """An integer field: an int that is no bool, or a decimal string; else ValueError."""
+    if type(v) is int or isinstance(v, str) and v.lstrip("+-").isdecimal():
+        return int(v)
+    raise ValueError(f"{v!r} is not an integer")
+
+
 class ChartRing:
     __slots__ = ("cfg", "mode", "d", "r", "Dy")
 
@@ -96,7 +103,7 @@ class ChartRing:
         mode = data["mode"]
         if mode == "point":
             return cls(cfg, "point")
-        return cls(cfg, "chart", d=int(data["d"]), r=int(data["r"]))
+        return cls(cfg, "chart", d=int_from_json(data["d"]), r=int_from_json(data["r"]))
 
     def __repr__(self):
         if self.is_point:

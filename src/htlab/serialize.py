@@ -2,6 +2,7 @@
 
 Integers travel as decimal strings so files stay exact at any magnitude;
 int_from_json also reads a JSON integer, but never a float or a boolean.
+"integral" is a JSON boolean, true when absent.
 A module descriptor carries its own base configuration, so a file is a
 complete, self-describing problem instance:
 
@@ -18,17 +19,10 @@ a fixed input and flag set.
 import json
 
 from .base import BaseConfig, KElem
-from .chart import ChartElem, ChartRing
+from .chart import ChartElem, ChartRing, int_from_json
 from .errors import BadIndex, NotEisenstein, NotPrime, ParseError
 from .higgs import HiggsData
 from .linalg import Mat
-
-
-def int_from_json(v):
-    """An integer field: an int that is no bool, or a decimal string; else ValueError."""
-    if type(v) is int or isinstance(v, str) and v.lstrip("+-").isdecimal():
-        return int(v)
-    raise ValueError(f"{v!r} is not an integer")
 
 
 def _w_to_json(w):
@@ -150,14 +144,10 @@ def higgs_from_json(doc, cfg=None):
         flavor = doc["flavor"]
         theta = [mat_from_json(base, t) for t in doc["theta"]]
         phi = mat_from_json(base, doc["phi"]) if doc.get("phi") is not None else None
-        h = HiggsData(
-            base,
-            flavor,
-            theta,
-            phi,
-            integral=bool(doc.get("integral", True)),
-            twist=doc.get("twist", "log"),
-        )
+        integral = doc.get("integral", True)
+        if type(integral) is not bool:
+            raise ParseError(f"integral {integral!r} is not true or false")
+        h = HiggsData(base, flavor, theta, phi, integral=integral, twist=doc.get("twist", "log"))
         rank = doc.get("rank")
         if rank is not None and int_from_json(rank) != h.rank:
             raise ParseError(f"rank {rank} does not match the {h.rank}x{h.rank} operators")

@@ -414,3 +414,18 @@ def cocycle_matrix_naive(strat, s, T):
             row.append(cell)
         out.append(row)
     return out
+
+
+def cocycle_law_naive(strat, s, u, T=None):
+    """U(s u) = U(s) * s(U(u)) through whole matrices: the three cochains,
+    s applied to U(u) as a matrix, the product by Mat.__mul__, the residual
+    lhs - rhs, and its first cell that is not zero in row-major order."""
+    from htlab.higgs import _first_nonzero
+    from htlab.sen import cocycle_matrix, galois_act_mat
+
+    alpha = strat.braid_unit()
+    lhs = cocycle_matrix(strat, s * u, T=T)
+    rhs = cocycle_matrix(strat, s, T=T) * galois_act_mat(s, cocycle_matrix(strat, u, T=T), alpha=alpha)
+    residual = lhs - rhs
+    ok = residual.is_zero()
+    return {"ok": ok, "witness": None if ok else _first_nonzero(residual)}

@@ -358,6 +358,12 @@ MALFORMED = {
     "config-N-float": lambda doc: doc["config"].update(N=8.7),
     "config-p-float": lambda doc: doc["config"].update(p=5.0),
     "config-cutoff-bool": lambda doc: doc["config"]["cutoffs"].update(T=True),
+    "chart-d-float": lambda doc: (_on_chart(["0", "0"])(doc), doc["base"].update(d=1.9)),
+    "chart-r-bool": lambda doc: (_on_chart(["0", "0"])(doc), doc["base"].update(r=True)),
+    # integral takes a JSON boolean, and nothing that only looks like one
+    "integral-string": lambda doc: doc.update(integral="false"),
+    "integral-int": lambda doc: doc.update(integral=1),
+    "integral-null": lambda doc: doc.update(integral=None),
 }
 
 

@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from oracles import cocycle_matrix_naive
+from oracles import cocycle_law_naive, cocycle_matrix_naive
 
 from htlab import higgs, make_base_config, sen
 from htlab.base import KElem
@@ -19,8 +19,10 @@ from htlab.higgs import (
 from htlab.linalg import Mat
 from htlab.samples import corpus, sample_higgs
 from htlab.sen import (
+    _law_slots,
     cocycle_matrix,
     crosscheck_inverse_simpson,
+    galois_act_mat,
     h0_fixed_points,
     period_kernel_rep,
     sen_operator,
@@ -400,7 +402,7 @@ def _rand_entry(base, rng):
         return base.zero()
     terms = {}
     for _ in range(rng.randint(1, 3)):
-        terms[(0, rng.randint(0, 2))] = _rand_k(base.cfg, rng)
+        terms[(0,) * base.d + (rng.randint(0, 2),)] = _rand_k(base.cfg, rng)
     return ChartElem(base, terms, truncated=rng.random() < 0.1)
 
 
@@ -503,3 +505,101 @@ def test_stratification_coefficients_are_read_only(cfg_u5, nilp2):
         strat.coeffs[(0, (0,))] = Mat.zero(nilp2.base, 2)
     with pytest.raises(TypeError):
         del strat.coeffs[(0, (0,))]
+
+
+# ---------------------------------------------------------------------------
+# the group law, slot by slot
+# ---------------------------------------------------------------------------
+
+
+def _corrupted(strat, rng):
+    """strat with one coefficient of positive weight bumped by p in a random cell."""
+    keys = [key for key in strat.coeffs if key[0] + sum(key[1]) >= 1]
+    key = rng.choice(keys)
+    r = strat.rank
+    i, j = rng.randrange(r), rng.randrange(r)
+    p, zero = strat.base.from_int(strat.cfg.p), strat.base.zero()
+    bump = Mat(strat.base, [[p if (a, b) == (i, j) else zero for b in range(r)] for a in range(r)])
+    coeffs = dict(strat.coeffs)
+    coeffs[key] = coeffs[key] + bump
+    return Stratification(strat.base, strat.flavor, coeffs, strat.D, r, twist=strat.twist)
+
+
+def _law_cases(cfg, rng):
+    """(strat, T): modules on point and chart bases (d = 1, 2), reduced-precision
+    thetas, random stratifications with shifted and low-precision entries, and a
+    corrupted copy of each."""
+    cases = _plan_cases(cfg, rng)
+    chart2 = ChartRing(cfg, "chart", d=2, r=1)
+    for flavor, rank, d, D, T in (("abs-geom", 2, 1, 4, 5), ("abs-arith", 2, 0, 4, 4)):
+        cases.append((stratification_from_higgs(sample_higgs(chart2, rng, flavor, rank, d=d), D=D), T))
+    cases.append((_random_strat(chart2, rng, 2, 1, 3), 4))
+    if cfg.e == 2:
+        # weight 10 has q = 8 - v_2(10!) = 0: its slots and their products have A < 1
+        point = ChartRing(cfg, "point")
+        h = sample_higgs(point, rng, "abs-geom", 2, d=1)
+        cases += [(stratification_from_higgs(h, D=10), 11), (_random_strat(point, rng, 2, 1, 10), 11)]
+    return cases + [(_corrupted(strat, rng), T) for strat, T in cases]
+
+
+def _chain_slot(xs, ys):
+    """Whether dot runs its chain on these pairs: K scalars whose least absolute precision is below 1."""
+    if len(xs) < 2 or not isinstance(xs[0], KElem):
+        return False
+    return min(min(x.prec, y.prec) - x.shift - y.shift for x, y in zip(xs, ys)) < 1
+
+
+@pytest.mark.parametrize("spec", ["p5", "p2e2", "p3f2"])
+def test_law_slot_by_slot_matches_the_matrix_product(spec):
+    cfg = {
+        "p5": make_base_config(5, [-5]),
+        "p2e2": make_base_config(2, [-2, 0]),
+        "p3f2": make_base_config(3, [-3], f=2),
+    }[spec]
+    rng = random.Random(f"law-{spec}")
+    seen = {"ok": 0, "witness": 0, "chain": 0, "chart": 0}
+    for strat, T in _law_cases(cfg, rng):
+        sigmas = _sigmas(cfg, rng, strat.d)
+        for _ in range(3):
+            s, u = rng.choice(sigmas), rng.choice(sigmas)
+            want = cocycle_law_naive(strat, s, u, T=T)
+            assert verify_cocycle_law(strat, s, u, T=T) == want, (strat.base, T, s, u)
+            seen["ok" if want["ok"] else "witness"] += 1
+            # every slot the kernel forms, against Mat.__mul__ keyed by t-degree
+            left = cocycle_matrix(strat, s, T=T)
+            acted = galois_act_mat(s, cocycle_matrix(strat, u, T=T), alpha=strat.braid_unit())
+            product = left * acted
+            r = strat.rank
+            for i, row in enumerate(left.rows):
+                for j in range(r):
+                    col = [acted.rows[l][j] for l in range(r)]
+                    items = [list(e.coeffs.items()) for e in row], [list(e.coeffs.items()) for e in col]
+                    slots = _law_slots(*items, T, cfg.dot)
+                    assert {k: _form(v) for k, v in slots.items()} == {
+                        k: _form(v) for k, v in product.rows[i][j].coeffs.items()
+                    }
+                    seen["chart"] += bool(slots) and not strat.base.is_point
+                    for k in range(T):
+                        pairs = [
+                            (x, y)
+                            for e, f in zip(row, col)
+                            for a, x in e.coeffs.items()
+                            for b, y in f.coeffs.items()
+                            if a + b == k
+                        ]
+                        seen["chain"] += bool(pairs) and _chain_slot(*zip(*pairs))
+    assert seen["ok"] and seen["witness"] and seen["chart"] and seen["chain"], seen
+
+
+def test_law_builds_no_product_or_residual_matrix(cfg_u5, nilp2, monkeypatch):
+    strat = stratification_from_higgs(nilp2)
+    rng = random.Random(16)
+    bad = _corrupted(strat, rng)
+    calls = []
+    for name in ("__mul__", "__sub__"):
+        real = getattr(Mat, name)
+        monkeypatch.setattr(Mat, name, lambda a, b, real=real, name=name: calls.append(name) or real(a, b))
+    for _ in range(4):
+        assert verify_cocycle_law(strat, _rand_sigma(cfg_u5, rng, 1), _rand_sigma(cfg_u5, rng, 1))["ok"]
+    assert not verify_cocycle_law(bad, GroupElt(cfg_u5, (1,), 1, 6), GroupElt(cfg_u5, (2,), 3, 11))["ok"]
+    assert calls == []

@@ -104,6 +104,21 @@ def test_relative_descriptor_has_no_phi(cfg_u5):
     assert higgs_from_json(doc).phi is None
 
 
+def test_integral_reads_a_json_boolean_true_when_absent(cfg_u5):
+    base = ChartRing(cfg_u5, "point")
+    h = sample_higgs(base, random.Random(9), "abs-arith", rank=2, d=0)
+    doc = higgs_to_json(h)
+    for value in (True, False):
+        doc["integral"] = value
+        assert higgs_from_json(doc).integral is value
+    del doc["integral"]
+    assert higgs_from_json(doc).integral is True
+    for value in ("false", "true", 0, 1, None):
+        doc["integral"] = value
+        with pytest.raises(ParseError):
+            higgs_from_json(doc)
+
+
 def test_canonical_dumps_stable(cfg_u5):
     base = ChartRing(cfg_u5, "point")
     rng = random.Random(7)
