@@ -25,7 +25,7 @@ from .deltaring import (
     teichmuller,
     teichmuller_factorize,
 )
-from .galois import GroupElt, galois_act_t, sigma_t
+from .galois import GroupElt, sigma_t
 from .higgs import (
     HiggsData,
     Stratification,
@@ -38,7 +38,6 @@ from .higgs import (
 )
 from .linalg import Mat
 from .pdring import (
-    FaceParams,
     PdRing,
     check_cosimplicial_identities,
     check_face_evaluation,
@@ -60,7 +59,6 @@ __all__ = [
     "ComplexRep",
     "Cutoffs",
     "DeltaRingView",
-    "FaceParams",
     "FactorizationCertificate",
     "GroupElt",
     "HiggsData",
@@ -83,7 +81,6 @@ __all__ = [
     "dump_higgs",
     "dumps",
     "frobenius",
-    "galois_act_t",
     "h0_fixed_points",
     "higgs_from_json",
     "higgs_from_stratification",

@@ -329,12 +329,6 @@ class BaseConfig:
                 raise ValueError(f"a W coefficient needs {f} coordinates")
         return _norm(self, flat[0] if self.n == 1 else tuple(flat), shift, prec)
 
-    def k_pi(self):
-        return self.pi
-
-    def k_beta(self):
-        return self.beta
-
     # -- derived constants --------------------------------------------------
 
     def pi_inv(self):
@@ -374,20 +368,11 @@ class BaseConfig:
 
     @classmethod
     def from_json(cls, d):
+        # only the keys present: each default is Cutoffs' or __init__'s own
         cut = d.get("cutoffs", {})
-        cutoffs = Cutoffs(
-            D=int(cut.get("D", 5)),
-            T=int(cut.get("T", 6)),
-            Dy=int(cut.get("Dy", 4)),
-            n_max=int(cut.get("n_max", 64)),
-        )
-        return cls(
-            int(d["p"]),
-            [int(x) for x in d["E_coeffs"]],
-            f=int(d.get("f", 1)),
-            N=int(d.get("N", 8)),
-            cutoffs=cutoffs,
-        )
+        cutoffs = Cutoffs(**{k: int(cut[k]) for k in ("D", "T", "Dy", "n_max") if k in cut})
+        kw = {k: int(d[k]) for k in ("f", "N") if k in d}
+        return cls(int(d["p"]), [int(x) for x in d["E_coeffs"]], cutoffs=cutoffs, **kw)
 
     def __repr__(self):
         return f"BaseConfig(p={self.p}, e={self.e}, f={self.f}, N={self.N})"

@@ -355,7 +355,7 @@ def snf_dvr(mat, strict=False):
 
 def _pi_power(ring, v):
     x = ring.one()
-    pi = ring.from_k(ring.cfg.k_pi())
+    pi = ring.from_k(ring.cfg.pi)
     for _ in range(v):
         x = x * pi
     return x

@@ -9,10 +9,13 @@ t stands for the single period lambda (1 - zeta_p); the two factors never
 appear separately.  Formally v(t) = 1/(p-1), but that is bookkeeping only:
 coefficients do all the real valuation work.  The derived Galois action is
 
-    sigma(t) = chi * t * (1 - beta c t)^{-1},      beta = pi E'(pi),
+    sigma(t) = chi * t * (1 - alpha c t)^{-1},
 
-extended coefficientwise (trivially on K and on chart variables).  It is not
-assumed: the evaluation/face compatibility oracle in the cosimplicial module
+extended coefficientwise (trivially on K and on chart variables), with alpha
+the twist unit that also twists the 0th face map (higgs.twist_unit):
+beta = pi E'(pi) in the log normalization, E'(pi) in the smooth one.
+sigma_t and galois_act_all take alpha itself.  The action is not assumed:
+the evaluation/face compatibility oracle in the cosimplicial module
 certifies it.
 """
 
@@ -57,10 +60,6 @@ class GroupElt:
 
     def to_json(self):
         return {"n": [str(x) for x in self.n], "c": str(self.c), "chi": str(self.chi)}
-
-    @classmethod
-    def from_json(cls, cfg, d):
-        return cls(cfg, [int(x) for x in d.get("n", [])], int(d["c"]), int(d["chi"]))
 
     def __eq__(self, other):
         if not isinstance(other, GroupElt):
@@ -127,10 +126,6 @@ class FormalCElem(Sparse):
     @property
     def truncated(self):
         return any(v.truncated for v in self.coeffs.values())
-
-    def subs_t(self, t_img):
-        """Substitute t -> t_img (no constant term), coefficients untouched."""
-        return subs_t_all([self], t_img)[0]
 
     def coeff(self, k):
         if k in self.coeffs:
@@ -229,8 +224,3 @@ def galois_act_all(s, xs, alpha=None):
     if (s.c == 0 and s.chi == 1) or not xs:
         return list(xs)
     return subs_t_all(xs, sigma_t(xs[0].base, s, T=xs[0].T, alpha=alpha))
-
-
-def galois_act_t(s, x, alpha=None):
-    """Apply sigma to a t-series coefficientwise in the derived action."""
-    return galois_act_all(s, [x], alpha=alpha)[0]

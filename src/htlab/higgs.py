@@ -37,7 +37,7 @@ from .errors import (
     ValidationFailure,
 )
 from .linalg import Mat, commutator
-from .pdring import FaceContext, FaceParams, PdElement, PdRing
+from .pdring import FaceContext, PdElement, PdRing
 
 FLAVORS = ("abs-arith", "abs-geom", "rel-geom")
 TWISTS = ("log", "smooth")
@@ -72,7 +72,7 @@ class ConvergenceCertificate:
 
 def twist_unit(cfg, twist):
     """The braiding unit of a twist: beta = pi E'(pi) for log, E'(pi) for smooth."""
-    return cfg.k_beta() if twist == "log" else cfg.Ep
+    return cfg.beta if twist == "log" else cfg.Ep
 
 
 class HiggsData:
@@ -424,8 +424,8 @@ def check_cocycle_strat(strat):
     """check_cocycle on a stratification; the 0th face is twisted by its braiding unit."""
     ring1 = PdRing(strat.cfg, strat.base, strat.flavor, 1, d=strat.d, D=strat.D)
     eps = descent_matrix(strat, ring=ring1)
-    params = None if strat.flavor == "rel-geom" else FaceParams(strat.braid_unit())
-    contexts = [FaceContext(ring1, i, params) for i in range(3)]
+    alpha = strat.braid_unit()
+    contexts = [FaceContext(ring1, i, alpha) for i in range(3)]
     ring2 = contexts[0].target
     p0, p1, p2 = (eps.map(c.apply, ring=ring2) for c in contexts)
     residual = p2 * p0 - p1
@@ -450,7 +450,7 @@ def log_from_smooth(h):
     if h.phi is None:
         raise ValidationFailure("smooth data needs a phi")
     validate_higgs(h)
-    phi_log = h.phi.mul_scalar(h.base.from_k(h.cfg.k_pi()))
+    phi_log = h.phi.mul_scalar(h.base.from_k(h.cfg.pi))
     out = HiggsData(h.base, h.flavor, h.theta, phi_log, integral=h.integral, twist="log")
     validate_higgs(out)
     return out

@@ -13,8 +13,10 @@ is dropped and flagged.  Because all structure maps only raise pd-degree, the
 retained graded pieces stay exact, so identity checks below the cutoff are
 meaningful even when the flag fires.
 
-The degeneracy-0 face is twisted by a unit alpha, either E'(pi) or
-pi E'(pi) = beta depending on whether the boundary is carried logarithmically:
+The degeneracy-0 face is twisted by a unit alpha, the twist unit of
+higgs.twist_unit: beta = pi E'(pi) when the log structure carries the
+boundary, E'(pi) in the smooth normalization.  FaceContext, face_map and
+the two checks below take alpha itself (beta when omitted):
 
   d^0: X_j |-> (X_{j+1} - X_1) (1 - alpha X_1)^{-1}
        Y_{k,j} |-> (Y_{k,j+1} - Y_{k,1}) (1 - alpha X_1)^{-1}   (abs-geom)
@@ -24,7 +26,8 @@ pi E'(pi) = beta depending on whether the boundary is carried logarithmically:
 evaluate_at_group sends a degree-n element to a t-series by X_j |-> c(s_1..s_j) t
 and Y_{k,j} |-> n_k(s_1..s_j) t, with v^[m] |-> v^m / m! in K.  The face maps
 and this evaluation are tied together by check_face_evaluation, which is the
-oracle certifying the twisted d^0 above against the group law.
+oracle certifying the twisted d^0 above against the group law, where s_1
+moves t by sigma(t) = chi t (1 - alpha c t)^{-1} with the same alpha.
 
 A pd monomial is stored packed in one Python int.  The generators, numbered
 g = 0, 1, ... in sorted (kind, k, j) order (X_j as (0, 0, j), Y_{k,j} as
@@ -53,18 +56,19 @@ htlab.base).  A key with A < 1, and every key over chart scalars, runs
 dot's chain over its pairs in the order met.
 
 The twisted face keeps, per generator, its image and the power chain
-one() * x * x ... of pd_power, so gamma_a of an image costs one product and
-one division by a!.  A term c * gamma_a1 * gamma_a2 ... starts from the
-coefficient map c * gamma_a1, which is what the product of the constant
-c with gamma_a1 computes, and the terms of one image are summed into one
-dict in place.
+one() * x * x ... that divided_power builds for one x, so gamma_a of an
+image costs one product and one division by a! (_gamma takes the power
+itself).  A term c * gamma_a1 * gamma_a2 ... starts from the coefficient
+map c * gamma_a1, which is what the product of the constant c with
+gamma_a1 computes, and the terms of one image are summed into one dict in
+place.
 """
 
 from math import comb, factorial
 
 from .base import KElem
 from .errors import AxiomViolation, BadIndex, InsufficientPrecision
-from .galois import FormalCElem, galois_act_t
+from .galois import FormalCElem, galois_act_all
 from .sparse import Sparse, merge_into
 
 VARIANTS = ("abs-arith", "abs-geom", "rel-geom")
@@ -394,13 +398,6 @@ class PdElement(Sparse):
         return f"PdElement({' + '.join(parts) or '0'}{flag})"
 
 
-def pd_power(x, n):
-    out = x.ring.one()
-    for _ in range(n):
-        out = out * x
-    return out
-
-
 def divided_power(x, n):
     """gamma_n(x) = x^n / n! for x with no constant term.
 
@@ -414,54 +411,39 @@ def divided_power(x, n):
         return x.ring.one()
     if n == 1:
         return x
-    return _gamma(x, n, pd_power)
+    xn = x.ring.one()
+    for _ in range(n):
+        xn = xn * x
+    return _gamma(x, xn, n)
 
 
-def _gamma(x, n, power):
-    """gamma_n(x) for n >= 2 from power(x, n), which is pd_power(x, n)."""
+def _gamma(x, xn, n):
+    """gamma_n(x) = xn / n! for n >= 2, where xn is x^n, the chain one() * x * x ..."""
     if 0 in x.coeffs:
         raise AxiomViolation("pd-constant", "divided powers need positive pd-degree")
     was_integral = x.integral()
-    out = power(x, n).div_int(factorial(n))
+    out = xn.div_int(factorial(n))
     if was_integral and not out.integral():
         raise AxiomViolation("pd-integrality", f"gamma_{n} broke integrality")
     return out
 
 
-class FaceParams:
-    """Twist unit for the 0th face: alpha = E'(pi) or pi E'(pi)."""
-
-    __slots__ = ("alpha",)
-
-    def __init__(self, alpha):
-        self.alpha = alpha
-
-    @classmethod
-    def log(cls, cfg):
-        return cls(cfg.k_beta())
-
-    @classmethod
-    def nonlog(cls, cfg):
-        return cls(cfg.Ep)
-
-
 class FaceContext:
     """One face map, keeping each generator's image, the image's power chain
-    one() * x * x ... (pd_power's chain) and its divided powers.
+    one() * x * x ... (divided_power's chain) and its divided powers.
 
     Reuse a single context when pushing a whole matrix through the same
     face; the images, powers and divided powers of the generators are
     shared.
     """
 
-    def __init__(self, ring, i, params=None):
+    def __init__(self, ring, i, alpha=None):
         n = ring.degree
         if not (0 <= i <= n + 1):
             raise BadIndex(f"face index {i} out of range for degree {n}")
         self.ring = ring
         self.i = i
         self.target = ring.bump(n + 1)
-        self.params = params
         self._images = {}
         self._powers = {}
         self._gammas = {}
@@ -475,9 +457,9 @@ class FaceContext:
         elif ring.variant == "rel-geom":
             self._geom = None
         else:
-            if params is None:
-                raise ValueError("twisted face needs a FaceParams")
-            self._geom = self._geometric_series(params.alpha)
+            if alpha is None:
+                raise ValueError("twisted face needs a twist unit")
+            self._geom = self._geometric_series(alpha)
 
     def _geometric_series(self, alpha):
         # (1 - alpha X_1)^{-1} = sum alpha^k k! X_1^[k]
@@ -510,7 +492,7 @@ class FaceContext:
         return img
 
     def _power(self, vid, a):
-        """pd_power(image of vid, a), from the chain one() * x * x ... kept per generator."""
+        """(image of vid)^a, from the chain one() * x * x ... kept per generator."""
         chain = self._powers.get(vid)
         if chain is None:
             chain = self._powers[vid] = [self.target.one()]
@@ -524,7 +506,7 @@ class FaceContext:
         g = self._gammas.get(key)
         if g is None:
             img = self._image(vid)
-            g = img if a == 1 else _gamma(img, a, lambda x, n: self._power(vid, n))
+            g = img if a == 1 else _gamma(img, self._power(vid, a), a)
             self._gammas[key] = g
         return g
 
@@ -569,27 +551,28 @@ class FaceContext:
         return PdElement._clean(t, out, trunc)
 
 
-def face_map(i, x, params=None):
-    return FaceContext(x.ring, i, params).apply(x)
+def face_map(i, x, alpha=None):
+    return FaceContext(x.ring, i, alpha).apply(x)
 
 
-def check_cosimplicial_identities(cfg, base, variant, d=0, params=None, max_degree=2, D=None):
+def check_cosimplicial_identities(cfg, base, variant, d=0, alpha=None, max_degree=2, D=None):
     """Verify d^j d^i = d^i d^{j-1} for i < j on every generator.
 
     Runs over source degrees 1..max_degree (max_degree <= 2); residuals are
-    exact below the pd cutoff.  Returns a report dict; 'ok' is the verdict.
+    exact below the pd cutoff.  alpha is the twist unit of the 0th face,
+    beta = pi E'(pi) when omitted.  Returns a report dict; 'ok' is the verdict.
     """
     if not (1 <= max_degree <= 2):
         raise BadIndex("source degree must be 1 or 2")
-    if params is None and variant != "rel-geom":
-        params = FaceParams.log(cfg)
+    if alpha is None:
+        alpha = cfg.beta
     checks = []
     ok = True
     for n in range(1, max_degree + 1):
         ring = PdRing(cfg, base, variant, n, d=d, D=D)
-        inner = [FaceContext(ring, i, params) for i in range(n + 2)]
+        inner = [FaceContext(ring, i, alpha) for i in range(n + 2)]
         outer_ring = ring.bump(n + 1)
-        outer = [FaceContext(outer_ring, j, params) for j in range(n + 3)]
+        outer = [FaceContext(outer_ring, j, alpha) for j in range(n + 3)]
         for gen in ring.generators():
             v = ring.var(gen)
             for i in range(n + 2):
@@ -679,27 +662,27 @@ def evaluate_at_group(x, sigmas, T=None):
     return FormalCElem(base, T, out)
 
 
-def check_face_evaluation(x, sigmas, params=None, T=None):
+def check_face_evaluation(x, sigmas, alpha=None, T=None):
     """Certify the twisted faces against the group law.
 
     For every face index i, evaluating d^i(x) at (s_1..s_{n+1}) must agree
-    with the group-side operation: i = 0 lets s_1 act on t, middle indices
-    merge s_i s_{i+1}, and the last index forgets s_{n+1}.
+    with the group-side operation: i = 0 lets s_1 act on t through sigma_t
+    twisted by the same unit alpha as d^0 (beta = pi E'(pi) when omitted),
+    middle indices merge s_i s_{i+1}, and the last index forgets s_{n+1}.
     """
     ring = x.ring
     n = ring.degree
     if len(sigmas) != n + 1:
         raise BadIndex(f"need exactly {n + 1} group elements")
-    if params is None and ring.variant != "rel-geom":
-        params = FaceParams.log(ring.cfg)
+    if alpha is None:
+        alpha = ring.cfg.beta
     sigmas = list(sigmas)
     results = []
     ok = True
-    alpha = params.alpha if params is not None else None
     for i in range(n + 2):
-        lhs = evaluate_at_group(face_map(i, x, params), sigmas, T=T)
+        lhs = evaluate_at_group(face_map(i, x, alpha), sigmas, T=T)
         if i == 0:
-            rhs = galois_act_t(sigmas[0], evaluate_at_group(x, sigmas[1:], T=T), alpha=alpha)
+            [rhs] = galois_act_all(sigmas[0], [evaluate_at_group(x, sigmas[1:], T=T)], alpha=alpha)
         elif i == n + 1:
             rhs = evaluate_at_group(x, sigmas[:n], T=T)
         else:

@@ -239,12 +239,6 @@ def cocycle_matrix(data, s, T=None):
     return Mat(FormalRing(base, T), out)
 
 
-def galois_act_mat(s, mat, alpha=None):
-    """sigma applied entrywise to a matrix of t-series (t moves, nothing else)."""
-    acted = iter(galois_act_all(s, [e for row in mat.rows for e in row], alpha=alpha))
-    return Mat(mat.ring, [[next(acted) for _ in row] for row in mat.rows])
-
-
 def _law_slots(row, col, T, dot):
     """{k: slot}: the t^k slots of sum_l row[l] * col[l] that are not droppable.
 

@@ -15,11 +15,11 @@ Writes, under ``tests/golden/``:
   the exception the operation raised;
 * ``containers.json``: the exact stored form of the results of the container
   kernels (``Mat`` products with a matrix and with one column, ``PdElement``
-  products and face maps, ``cocycle_matrix``, ``galois_act_mat``, the
-  cocycle-law product and ``FormalCElem.subs_t``) on seeded operands: every
-  scalar as (coeffs, prec, shift) and every sparse dict in its insertion
-  order, so a change in the order of the scalar operations shows even where
-  the value at precision does not;
+  products and face maps, ``cocycle_matrix``, s applied to U(u) by
+  ``galois_act_all``, the cocycle-law product and ``subs_t_all``) on seeded
+  operands: every scalar as (coeffs, prec, shift) and every sparse dict in
+  its insertion order, so a change in the order of the scalar operations
+  shows even where the value at precision does not;
 * ``snf.json``: ``snf_dvr`` on seeded integral matrices over four bases
   (square and rectangular, rank-deficient, high-valuation pivots,
   reduced-precision zeros): the exponents, the ``precision_limited`` flag,
@@ -32,9 +32,10 @@ Writes, under ``tests/golden/``:
   certificate, ``DeltaRingView.delta`` and ``delta_log_validate`` on both
   carriers, and ``USeries`` products and Frobenius.
 
-Only the public API is used, so the same script records the outputs of any
-version of the package.  Regenerate only for an intended change of output,
-and review the diff.
+Only the public API and ``tests/oracles.py`` are used, so the same script
+records the outputs of any version of the package since ``FaceContext``
+took the twist unit itself; older versions lack names it imports.
+Regenerate only for an intended change of output, and review the diff.
 """
 
 import json
@@ -43,6 +44,7 @@ import sys
 from pathlib import Path
 
 from click.testing import CliRunner
+from oracles import galois_act_mat
 
 from htlab import (
     ChartRing,
@@ -61,12 +63,12 @@ from htlab.chart import ChartElem
 from htlab.cli import main
 from htlab.cohomology import build_higgs_complex, cohomology_all, snf_dvr
 from htlab.deltaring import PrelogCandidate, USeries, delta_log_validate
-from htlab.galois import FormalCElem, GroupElt
-from htlab.higgs import descent_matrix, stratification_from_higgs
+from htlab.galois import FormalCElem, GroupElt, subs_t_all
+from htlab.higgs import descent_matrix, stratification_from_higgs, twist_unit
 from htlab.linalg import Mat
-from htlab.pdring import FaceContext, FaceParams, PdElement, PdRing
+from htlab.pdring import FaceContext, PdElement, PdRing
 from htlab.samples import corpus
-from htlab.sen import cocycle_matrix, galois_act_mat
+from htlab.sen import cocycle_matrix
 from htlab.serialize import k_from_json, k_to_json
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -326,7 +328,7 @@ def _pd_element(ring, rng, cfg):
 
 def _pd_products(cfg, base, rng, count):
     ring = PdRing(cfg, base, "abs-geom", 2, d=1, D=4)
-    faces = [FaceContext(ring, i, FaceParams.log(cfg)) for i in range(3)]
+    faces = [FaceContext(ring, i, twist_unit(cfg, "log")) for i in range(3)]
     steps = []
     for _ in range(count):
         x = _pd_element(ring, rng, cfg)
@@ -348,10 +350,7 @@ def _descent_products(h):
     strat = stratification_from_higgs(h)
     ring1 = PdRing(strat.cfg, strat.base, strat.flavor, 1, d=strat.d, D=strat.D)
     eps = descent_matrix(strat, ring=ring1)
-    params = FaceParams.log(h.cfg) if h.twist == "log" else FaceParams.nonlog(h.cfg)
-    if strat.flavor == "rel-geom":
-        params = None
-    faces = [FaceContext(ring1, i, params) for i in range(3)]
+    faces = [FaceContext(ring1, i, strat.braid_unit()) for i in range(3)]
     p0, _, p2 = (eps.map(f.apply, ring=faces[0].target) for f in faces)
     return _mat_form(p2 * p0)
 
@@ -369,13 +368,12 @@ def _cocycle_cases(base, seed, rng):
     cfg = base.cfg
     steps = []
     for i, h in enumerate(corpus(base, seed)):
-        alpha = cfg.beta if h.twist == "log" else cfg.Ep
         strat = stratification_from_higgs(h)
         gs = _group_elements(cfg, rng, h.d)
         pairs = list(zip(gs, gs[1:] + gs[:1]))
         for s, u in pairs[i % 2 :: 2]:  # every s, alternating over the modules
             us = cocycle_matrix(strat, s)
-            act = galois_act_mat(s, cocycle_matrix(strat, u), alpha=alpha)
+            act = galois_act_mat(s, cocycle_matrix(strat, u), alpha=strat.braid_unit())
             steps.append(
                 {
                     "module": [h.flavor, str(h.rank), str(h.d), h.twist],
@@ -402,7 +400,7 @@ def _subs_cases(base, rng, count):
             r = cfg.k_from_int(rng.randrange(1, 1000))
             x = FormalCElem(base, T, {**x.coeffs, 1: r, 2: -r})
             t_img = FormalCElem(base, T, {1: base.one(), 2: base.one()})
-        steps.append({"x": _form(x), "t_img": _form(t_img), "subs": _form(x.subs_t(t_img))})
+        steps.append({"x": _form(x), "t_img": _form(t_img), "subs": _form(subs_t_all([x], t_img)[0])})
     return steps
 
 
@@ -466,7 +464,7 @@ def _snf_operand(point, rng, kind):
     if kind == "high-valuation":
         scal = point.one()
         for _ in range(rng.randrange(2, cfg.e * cfg.N)):
-            scal = scal * point.from_k(cfg.k_pi())
+            scal = scal * point.from_k(cfg.pi)
         mat = mat.mul_scalar(scal)
     return mat
 

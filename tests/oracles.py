@@ -416,12 +416,22 @@ def cocycle_matrix_naive(strat, s, T):
     return out
 
 
+def galois_act_mat(s, mat, alpha):
+    """sigma applied entrywise to a matrix of t-series (t moves, nothing else),
+    twisted by the unit alpha."""
+    from htlab.galois import galois_act_all
+    from htlab.linalg import Mat
+
+    acted = iter(galois_act_all(s, [e for row in mat.rows for e in row], alpha=alpha))
+    return Mat(mat.ring, [[next(acted) for _ in row] for row in mat.rows])
+
+
 def cocycle_law_naive(strat, s, u, T=None):
     """U(s u) = U(s) * s(U(u)) through whole matrices: the three cochains,
     s applied to U(u) as a matrix, the product by Mat.__mul__, the residual
     lhs - rhs, and its first cell that is not zero in row-major order."""
     from htlab.higgs import _first_nonzero
-    from htlab.sen import cocycle_matrix, galois_act_mat
+    from htlab.sen import cocycle_matrix
 
     alpha = strat.braid_unit()
     lhs = cocycle_matrix(strat, s * u, T=T)

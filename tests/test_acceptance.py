@@ -29,9 +29,10 @@ from htlab.higgs import (
     higgs_from_stratification,
     log_from_smooth,
     stratification_from_higgs,
+    twist_unit,
 )
 from htlab.linalg import Mat
-from htlab.pdring import FaceParams, PdRing, check_cosimplicial_identities, check_face_evaluation
+from htlab.pdring import PdRing, check_cosimplicial_identities, check_face_evaluation
 from htlab.samples import corpus, sample_group, sample_higgs
 from htlab.sen import (
     cocycle_matrix,
@@ -90,12 +91,12 @@ def test_criterion_03_roundtrip_module_to_stratification_and_back():
 
 def test_criterion_04_cosimplicial_identities_both_twists():
     for cfg, base in _bases():
-        twists = [FaceParams.log(cfg), FaceParams.nonlog(cfg)]
+        units = [twist_unit(cfg, "log"), twist_unit(cfg, "smooth")]
         for variant, d in (("abs-arith", 0), ("abs-geom", 2), ("rel-geom", 2)):
-            params_list = twists if variant != "rel-geom" else [None]
-            for params in params_list:
+            alphas = units if variant != "rel-geom" else [None]
+            for alpha in alphas:
                 rep = check_cosimplicial_identities(
-                    cfg, base, variant, d=d, params=params, max_degree=2, D=5
+                    cfg, base, variant, d=d, alpha=alpha, max_degree=2, D=5
                 )
                 assert rep["ok"], rep["failures"]
                 assert rep["count"] > 0
@@ -114,7 +115,7 @@ def test_criterion_05_galois_cocycle_law_and_hand_identity():
             assert rep["ok"], (h.flavor, h.rank, h.d, h.twist, rep)
     # rank 1 with phi = -beta: U(sigma) = 1 - beta c t on the nose
     for cfg, base in _bases():
-        beta = cfg.k_beta()
+        beta = twist_unit(cfg, "log")
         phi = Mat(base, [[base.from_k(-beta)]])
         h = HiggsData(base, "abs-arith", [], phi)
         strat = stratification_from_higgs(h)
@@ -138,14 +139,14 @@ def test_criterion_06_face_evaluation_oracle_degree_one_to_two():
         base = ChartRing(cfg, "point")
         rng = random.Random(10 * p)
         jobs = [
-            ("abs-arith", 0, FaceParams.log(cfg)),
-            ("abs-arith", 0, FaceParams.nonlog(cfg)),
-            ("abs-geom", 1, FaceParams.log(cfg)),
-            ("abs-geom", 2, FaceParams.nonlog(cfg)),
+            ("abs-arith", 0, twist_unit(cfg, "log")),
+            ("abs-arith", 0, twist_unit(cfg, "smooth")),
+            ("abs-geom", 1, twist_unit(cfg, "log")),
+            ("abs-geom", 2, twist_unit(cfg, "smooth")),
             ("rel-geom", 1, None),
             ("rel-geom", 2, None),
         ]
-        for variant, d, params in jobs:
+        for variant, d, alpha in jobs:
             ring = PdRing(cfg, base, variant, 1, d=d)
             gens = list(ring.generators())
             for _ in range(10):
@@ -160,7 +161,7 @@ def test_criterion_06_face_evaluation_oracle_degree_one_to_two():
                     ]
                 else:
                     sigmas = [sample_group(cfg, rng, d) for _ in range(2)]
-                rep = check_face_evaluation(x, sigmas, params=params, T=6)
+                rep = check_face_evaluation(x, sigmas, alpha=alpha, T=6)
                 assert rep["ok"], (variant, d, rep)
                 tuples += 1
     assert tuples >= 100

@@ -3,6 +3,8 @@ import random
 import pytest
 
 from htlab import (
+    BaseConfig,
+    Cutoffs,
     frobenius,
     make_base_config,
     teichmuller,
@@ -44,6 +46,13 @@ class TestConfig:
         back = type(cfg_r2).from_json(blob)
         assert back.p == 2 and back.e == 2 and back.N == 8
         assert back.cutoffs == cfg_r2.cutoffs
+
+    def test_from_json_gives_each_absent_key_its_default(self):
+        partial = {"p": "5", "E_coeffs": ["-5"], "N": "6", "cutoffs": {"T": "3"}}
+        want = BaseConfig(5, [-5], N=6, cutoffs=Cutoffs(T=3))
+        assert BaseConfig.from_json(partial).to_json() == want.to_json()
+        bare = BaseConfig.from_json({"p": "5", "E_coeffs": ["-5"]})
+        assert bare.to_json() == BaseConfig(5, [-5]).to_json()
 
 
 class TestOkArith:
@@ -124,7 +133,7 @@ class TestKElem:
 
     def test_pi_inverse(self, cfg_r2):
         piv = cfg_r2.pi_inv()
-        assert piv * cfg_r2.k_pi() == cfg_r2.k_one()
+        assert piv * cfg_r2.pi == cfg_r2.k_one()
         assert piv.val_pi() == -1
 
     def test_general_inverse(self, cfg_r2):
@@ -145,10 +154,10 @@ class TestKElem:
         assert x.abs_prec == cfg_u5.N - 2
 
     def test_beta_inv(self, cfg_r2):
-        assert cfg_r2.beta_inv() * cfg_r2.k_beta() == cfg_r2.k_one()
+        assert cfg_r2.beta_inv() * cfg_r2.beta == cfg_r2.k_one()
 
     def test_div_pi_exact_matches_peel(self, cfg_r2):
-        pi = cfg_r2.k_pi()
+        pi = cfg_r2.pi
         piv = cfg_r2.pi_inv()
         unit = cfg_r2.k_from_int(3) + pi.smul(5)
         for v in (1, 2, 3, 6, 8):
@@ -165,7 +174,7 @@ class TestKElem:
 
     def test_div_pi_exact_precision_gain(self, cfg_r2):
         # dividing by pi^8 = 2^4 B^4 costs four digits, not eight
-        pi = cfg_r2.k_pi()
+        pi = cfg_r2.pi
         x = cfg_r2.k_from_int(3)
         for _ in range(8):
             x = x * pi

@@ -5,12 +5,12 @@ import pytest
 from htlab.base import KElem
 from htlab.chart import ChartRing
 from htlab.errors import AxiomViolation, BadIndex
-from htlab.galois import FormalCElem, GroupElt, galois_act_t, sigma_t
+from htlab.galois import FormalCElem, GroupElt, galois_act_all, sigma_t
+from htlab.higgs import twist_unit
 from htlab.pdring import (
     VARIANTS,
     _gamma,
     FaceContext,
-    FaceParams,
     PdElement,
     PdRing,
     check_cosimplicial_identities,
@@ -57,13 +57,13 @@ def test_chart_relation_reduces_to_pi(cfg_u5):
     ch = ChartRing(cfg_u5, "chart", d=1, r=1)
     prod = ch.var(0) * ch.var(1)
     assert list(prod.coeffs) == [(0, 0)]
-    assert prod.coeffs[(0, 0)].eq(cfg_u5.k_pi())
+    assert prod.coeffs[(0, 0)].eq(cfg_u5.pi)
 
 
 def test_chart_single_boundary_component(cfg_u5):
     # r = 0 means T_0 itself is pi
     ch = ChartRing(cfg_u5, "chart", d=1, r=0)
-    assert ch.var(0).eq(ch.from_k(cfg_u5.k_pi()))
+    assert ch.var(0).eq(ch.from_k(cfg_u5.pi))
 
 
 def test_chart_laurent_and_forbidden_negatives(cfg_u5):
@@ -211,7 +211,7 @@ def test_face_index_bounds(ring1):
 def test_twisted_face_on_x_low_degrees(cfg_u5, ring1):
     # (X_2 - X_1)(1 - alpha X_1)^{-1} up to degree 2:
     #   X_2 - X_1 + alpha (X_1 X_2 - 2 X_1^[2]) + higher
-    img = face_map(0, ring1.x(1), FaceParams.log(cfg_u5))
+    img = face_map(0, ring1.x(1), twist_unit(cfg_u5, "log"))
     t = ring1.bump(2)
     alpha = 5
     assert img.coeff(((t.x_id(1), 1),)).eq(cfg_u5.k_from_int(-1))
@@ -221,7 +221,7 @@ def test_twisted_face_on_x_low_degrees(cfg_u5, ring1):
 
 
 def test_twisted_face_on_y(cfg_u5, ring1):
-    img = face_map(0, ring1.y(1, 1), FaceParams.log(cfg_u5))
+    img = face_map(0, ring1.y(1, 1), twist_unit(cfg_u5, "log"))
     t = ring1.bump(2)
     assert img.coeff(((t.y_id(1, 2), 1),)).eq(cfg_u5.k_one())
     assert img.coeff(((t.y_id(1, 1), 1),)).eq(cfg_u5.k_from_int(-1))
@@ -240,7 +240,7 @@ def test_relative_face_is_untwisted(cfg_u5, point):
 def test_faces_are_ring_maps(cfg_u5, point):
     ring = PdRing(cfg_u5, point, "abs-geom", 1, d=1)
     rng = random.Random(17)
-    ctx0 = FaceContext(ring, 0, FaceParams.nonlog(cfg_u5))
+    ctx0 = FaceContext(ring, 0, twist_unit(cfg_u5, "smooth"))
     ctx1 = FaceContext(ring, 1, None)
     for _ in range(6):
         a = _from_ints(ring, _random_pd_int_elem(rng, ring, 3))
@@ -251,10 +251,10 @@ def test_faces_are_ring_maps(cfg_u5, point):
 
 
 @pytest.mark.parametrize("variant,d", [("abs-arith", 0), ("abs-geom", 2), ("rel-geom", 2)])
-@pytest.mark.parametrize("twist", ["log", "nonlog"])
+@pytest.mark.parametrize("twist", ["log", "smooth"], ids=["log", "nonlog"])
 def test_cosimplicial_identities_hold(cfg_u5, point, variant, d, twist):
-    params = FaceParams.log(cfg_u5) if twist == "log" else FaceParams.nonlog(cfg_u5)
-    report = check_cosimplicial_identities(cfg_u5, point, variant, d=d, params=params, max_degree=2)
+    alpha = twist_unit(cfg_u5, twist)
+    report = check_cosimplicial_identities(cfg_u5, point, variant, d=d, alpha=alpha, max_degree=2)
     assert report["ok"], report["failures"]
     assert report["count"] > 0
 
@@ -302,8 +302,8 @@ def test_t_action_is_a_left_action(cfg_u5, point):
     for _ in range(10):
         s = GroupElt(cfg_u5, (), rng.randrange(25), 1 + 5 * rng.randrange(5))
         u = GroupElt(cfg_u5, (), rng.randrange(25), 1 + 5 * rng.randrange(5))
-        lhs = galois_act_t(s * u, x)
-        rhs = galois_act_t(s, galois_act_t(u, x))
+        [lhs] = galois_act_all(s * u, [x])
+        [rhs] = galois_act_all(s, galois_act_all(u, [x]))
         assert lhs.eq(rhs)
 
 
@@ -391,7 +391,7 @@ def test_face_evaluation_nonlog_params(cfg_u5, point):
         x = ring.x(1).smul(rng.randint(-3, 3)) + ring.y(1, 1) + ring.x(1, 2)
         sigmas = [_rand_sigma(rng, cfg_u5, 1) for _ in range(2)]
         assert any(s.c for s in sigmas)
-        rep = check_face_evaluation(x, sigmas, params=FaceParams.nonlog(cfg_u5))
+        rep = check_face_evaluation(x, sigmas, alpha=twist_unit(cfg_u5, "smooth"))
         assert rep["ok"], rep
 
 
@@ -472,7 +472,7 @@ def test_packed_products_sums_and_faces_match_the_oracle(cfg_u5, point, D):
     rng = random.Random(100 + D)
     scalar = lambda: _oracle_scalar(cfg_u5, rng)
     one = point.one()
-    params = {"log": FaceParams.log(cfg_u5), "nonlog": FaceParams.nonlog(cfg_u5)}
+    units = {twist: twist_unit(cfg_u5, twist) for twist in ("log", "smooth")}
     assert {variant for variant, _, _ in ORACLE_RINGS} == set(VARIANTS)
     shared = 0
     for variant, n, d in ORACLE_RINGS:
@@ -487,12 +487,12 @@ def test_packed_products_sums_and_faces_match_the_oracle(cfg_u5, point, D):
             shared += any(v == w for k1, _ in rx[0] for k2, _ in ry[0] for v, _ in k1 for w, _ in k2)
         # the twisted face builds a divided power of each image up to D; a
         # few terms per element keep that affordable at D = 12
-        for twist, fp in params.items():
-            contexts = [FaceContext(ring, i, fp) for i in range(n + 2)]
+        for twist, alpha in units.items():
+            contexts = [FaceContext(ring, i, alpha) for i in range(n + 2)]
             for _ in range(3 if D < 12 else 1):
                 x = _oracle_element(ring, rng, scalar)
                 for i, ctx in enumerate(contexts):
-                    want = pd_face_naive(_readable(x), i, variant, D, one, fp.alpha)
+                    want = pd_face_naive(_readable(x), i, variant, D, one, alpha)
                     assert _stored(_readable(ctx.apply(x))) == _stored(want), (variant, twist, i)
     assert shared >= 10
 
@@ -530,7 +530,7 @@ def test_twisted_face_keeps_the_flag_of_a_truncated_constant(cfg_u5, point):
     x = ring.from_int(7) + ring.x(1, 4)  # x(1, 4) is past the cutoff: a flagged zero
     assert x.truncated and list(x.coeffs) == [0]
     for i in range(3):
-        img = FaceContext(ring, i, FaceParams.log(cfg_u5)).apply(x)
+        img = FaceContext(ring, i, twist_unit(cfg_u5, "log")).apply(x)
         assert img.truncated, i
         assert img.eq(ring.bump(2).from_int(7))
 
@@ -619,14 +619,14 @@ def test_twisted_face_matches_the_chain_oracle(request, name):
         for D in (3, 6):
             for variant, n, d in ORACLE_RINGS:
                 ring = PdRing(cfg, base, variant, n, d=d, D=D)
-                for fp in (FaceParams.log(cfg), FaceParams.nonlog(cfg)):
-                    ctx = FaceContext(ring, 0, fp)
+                for twist in ("log", "smooth"):
+                    ctx = FaceContext(ring, 0, twist_unit(cfg, twist))
                     xs = [ring.from_scalar(base.from_k(wide)) + ring.var(ring.generators()[0])]
                     xs += [_oracle_element(ring, rng, scalar) for _ in range(4 if base.is_point else 2)]
                     for x in xs:
                         assert _form(ctx.apply(x)) == _form(face_apply_chain(ctx, x)), (name, base.mode, variant)
                     if variant == "rel-geom":
-                        break  # untwisted: the parameters do not enter
+                        break  # untwisted: the unit does not enter
 
 
 def test_cached_gammas_are_divided_powers(cfg_r2, cfg_f2):
@@ -634,7 +634,7 @@ def test_cached_gammas_are_divided_powers(cfg_r2, cfg_f2):
         point = ChartRing(cfg, "point")
         for variant, n, d in ORACLE_RINGS:
             ring = PdRing(cfg, point, variant, n, d=d, D=6)
-            ctx = FaceContext(ring, 0, FaceParams.log(cfg))
+            ctx = FaceContext(ring, 0, twist_unit(cfg, "log"))
             for vid in ring.generators():
                 # largest first: the smaller gammas then read a chain built already
                 for a in range(ring.D, 0, -1):
@@ -644,7 +644,7 @@ def test_cached_gammas_are_divided_powers(cfg_r2, cfg_f2):
 
 def test_cached_gammas_keep_the_divided_power_checks(cfg_u5, point):
     ring = PdRing(cfg_u5, point, "abs-geom", 1, d=1, D=5)
-    ctx = FaceContext(ring, 0, FaceParams.log(cfg_u5))
+    ctx = FaceContext(ring, 0, twist_unit(cfg_u5, "log"))
     t = ctx.target
     vid = ring.x_id(1)
     ctx._images[vid] = t.one() + t.x(2)
@@ -652,7 +652,7 @@ def test_cached_gammas_keep_the_divided_power_checks(cfg_u5, point):
         ctx._gamma_image(vid, 2)
     # a power that is not x^5 leaves 1/5 behind: the integrality check fires
     with pytest.raises(AxiomViolation, match="integrality"):
-        _gamma(t.x(1), 5, lambda x, n: x)
+        _gamma(t.x(1), t.x(1), 5)
 
 
 def test_pd_elements_of_different_rings_do_not_combine(cfg_u5, point):

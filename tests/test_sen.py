@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from oracles import cocycle_law_naive, cocycle_matrix_naive
+from oracles import cocycle_law_naive, cocycle_matrix_naive, galois_act_mat
 
 from htlab import higgs, make_base_config, sen
 from htlab.base import KElem
@@ -13,16 +13,16 @@ from htlab.higgs import (
     HiggsData,
     Stratification,
     _multi_indices,
+    check_cocycle_strat,
     log_from_smooth,
     stratification_from_higgs,
 )
 from htlab.linalg import Mat
-from htlab.samples import corpus, sample_higgs
+from htlab.samples import corpus, sample_group, sample_higgs
 from htlab.sen import (
     _law_slots,
     cocycle_matrix,
     crosscheck_inverse_simpson,
-    galois_act_mat,
     h0_fixed_points,
     period_kernel_rep,
     sen_operator,
@@ -336,6 +336,33 @@ def test_law_smooth_twist_ramified(cfg_r2):
         s = _rand_sigma(cfg_r2, rng, 1)
         u = _rand_sigma(cfg_r2, rng, 1)
         assert verify_cocycle_law(h, s, u)["ok"]
+
+
+@pytest.mark.parametrize("p,E_coeffs", [(5, [-5]), (2, [-2, 0])], ids=["p5", "p2e2"])
+def test_wrong_twist_unit_is_caught(p, E_coeffs):
+    # negative control: the smooth stratification of [theta, phi] = E'(pi) theta,
+    # relabelled log, twists d^0 and sigma(t) by beta instead of E'(pi); the
+    # descent check and the law on pairs where s moves t must both catch it
+    cfg = make_base_config(p, E_coeffs)
+    point = ChartRing(cfg, "point")
+    zero = point.zero()
+    theta = Mat.from_ints(point, [[0, 1], [0, 0]])
+    phi = Mat(point, [[zero, zero], [zero, point.from_k(cfg.Ep)]])
+    strat = stratification_from_higgs(HiggsData(point, "abs-geom", [theta], phi, twist="smooth"))
+    wrong = Stratification(strat.base, strat.flavor, strat.coeffs, strat.D, strat.rank, twist="log")
+    assert wrong.braid_unit() != strat.braid_unit()
+    assert check_cocycle_strat(strat)["ok"]
+    assert not check_cocycle_strat(wrong)["ok"]
+    rng = random.Random(1)
+    moved = 0
+    for _ in range(6):
+        s, u = sample_group(cfg, rng, 1), sample_group(cfg, rng, 1)
+        assert verify_cocycle_law(strat, s, u, T=6)["ok"]
+        # the unit shows only where s moves t and U(u) has a t-term to move
+        if s.c and (u.c or any(u.n)):
+            moved += 1
+            assert not verify_cocycle_law(wrong, s, u, T=6)["ok"], (s, u)
+    assert moved >= 5
 
 
 def test_crosscheck_smooth_twist(cfg_u5, point):
