@@ -116,6 +116,13 @@ def _find_modulus(p, f):
 # ---------------------------------------------------------------------------
 
 
+def int_from_json(v):
+    """An integer field: an int that is no bool, or a decimal string; else ValueError."""
+    if type(v) is int or isinstance(v, str) and v.lstrip("+-").isdecimal():
+        return int(v)
+    raise ValueError(f"{v!r} is not an integer")
+
+
 @dataclass(frozen=True)
 class Cutoffs:
     D: int = 5       # divided-power total degree
@@ -368,11 +375,13 @@ class BaseConfig:
 
     @classmethod
     def from_json(cls, d):
-        # only the keys present: each default is Cutoffs' or __init__'s own
+        """The config of a to_json block.  Every field goes through
+        int_from_json, so a float, a boolean or a non-decimal string raises
+        ValueError; an absent key takes Cutoffs' or __init__'s own default."""
         cut = d.get("cutoffs", {})
-        cutoffs = Cutoffs(**{k: int(cut[k]) for k in ("D", "T", "Dy", "n_max") if k in cut})
-        kw = {k: int(d[k]) for k in ("f", "N") if k in d}
-        return cls(int(d["p"]), [int(x) for x in d["E_coeffs"]], cutoffs=cutoffs, **kw)
+        cutoffs = Cutoffs(**{k: int_from_json(cut[k]) for k in ("D", "T", "Dy", "n_max") if k in cut})
+        kw = {k: int_from_json(d[k]) for k in ("f", "N") if k in d}
+        return cls(int_from_json(d["p"]), [int_from_json(x) for x in d["E_coeffs"]], cutoffs=cutoffs, **kw)
 
     def __repr__(self):
         return f"BaseConfig(p={self.p}, e={self.e}, f={self.f}, N={self.N})"

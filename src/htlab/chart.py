@@ -20,15 +20,9 @@ it still carries the ambient precision, otherwise dropping it would silently
 sharpen later comparisons.
 """
 
+from .base import int_from_json
 from .errors import BadIndex
 from .sparse import Sparse
-
-
-def int_from_json(v):
-    """An integer field: an int that is no bool, or a decimal string; else ValueError."""
-    if type(v) is int or isinstance(v, str) and v.lstrip("+-").isdecimal():
-        return int(v)
-    raise ValueError(f"{v!r} is not an integer")
 
 
 class ChartRing:

@@ -11,14 +11,20 @@ The stratification packages the action of the degree-1 nerve: coefficients
 
     A_{n,I} = theta^I P_n,   P_0 = id,  P_{n+1} = (phi + n beta) P_n,
 
-indexed by n + |I| <= D.  check_cocycle builds the degree-1 matrix
+indexed by n + |I| <= D.  stratification_from_higgs builds each Theta^I and
+P_n once, and one r x r zero matrix per call that every vanishing Theta^I,
+P_n and A_{n,I} is (save a product holding a zero of more than N digits,
+which keeps its own matrix).  check_cocycle builds the degree-1 matrix
 
     eps = sum A_{n,I} X_1^[n] Y_1^[I]
 
 and verifies the descent identity p_2*(eps) p_1... the composition order is
 p_2*(eps) * p_0*(eps) = p_1*(eps); with the other order the degree-(1,1)
 coefficient would come out as [phi, theta] + 2 beta theta instead of
-[phi, theta] + beta theta = 0.
+[phi, theta] + beta theta = 0.  The identity is checked slot by slot: each
+pd key of each cell of the product is one sum over its pairs
+(pdring.product_cells), compared at once with the same key of p_1*(eps),
+so no product or residual matrix is formed.
 
 Flavors: 'abs-arith' has phi only, 'rel-geom' has thetas only, 'abs-geom'
 has both.  Everything raises a specific failure with a witness rather than
@@ -37,7 +43,7 @@ from .errors import (
     ValidationFailure,
 )
 from .linalg import Mat, commutator
-from .pdring import FaceContext, PdElement, PdRing
+from .pdring import FaceContext, PdElement, PdRing, product_cells
 
 FLAVORS = ("abs-arith", "abs-geom", "rel-geom")
 TWISTS = ("log", "smooth")
@@ -187,7 +193,8 @@ def validate_higgs(h, n_max=None):
 
 
 def _phi_sequence_certificate(h, n_max):
-    for n, (p_n, _) in enumerate(islice(_p_chain(h), 1, n_max + 1), 1):
+    zero = Mat.zero(h.base, h.rank)
+    for n, (p_n, _) in enumerate(islice(_p_chain(h, zero), 1, n_max + 1), 1):
         if p_n.is_zero():
             return ConvergenceCertificate.converged("phi-sequence", n, n_max)
     return ConvergenceCertificate.undecided("phi-sequence", n_max)
@@ -221,36 +228,52 @@ def _vanishes(m):
     return True
 
 
-def _times(a, b, vanish):
+def _times(a, b, vanish, zero):
     """a * b, and whether it vanishes; ``vanish`` says whether a or b does.
 
     A vanishing factor leaves every term of every entry to Mat.__mul__'s
-    droppable rule, so the product is the zero matrix of a's ring, stored
-    alike, and no multiply is run.  The test is entrywise droppable(): a
-    zero known to fewer digits than N is not droppable, and its products
-    are formed.
+    droppable rule, so the product is ``zero``, the r x r zero matrix of
+    the module's ring, stored alike, and no multiply is run.  The test is
+    entrywise droppable(): a zero known to fewer digits than N is not
+    droppable, and its products are formed.
     """
     if vanish:
-        return Mat.zero(a.ring, a.nrows, b.ncols), True
+        return zero, True
     out = a * b
-    return out, _vanishes(out)
+    if not _vanishes(out):
+        return out, False
+    return (zero if _stored_as(out, zero) else out), True
 
 
-def _p_chain(h):
-    """(P_n, whether it vanishes) for n = 0, 1, ...: P_0 = id, P_{n+1} = (phi + n beta) P_n."""
+def _stored_as(m, zero):
+    """Whether each entry of m, every one droppable, is stored as the entry z
+    of zero: z itself, or a scalar of z's precision.  A droppable K scalar is
+    (0, 0, prec >= N) and a droppable chart scalar is empty, so only a zero
+    holding more than N digits differs."""
+    z = zero.rows[0][0]
+    prec = getattr(z, "prec", None)
+    return all(a is z or getattr(a, "prec", None) == prec for row in m.rows for a in row)
+
+
+def _p_chain(h, zero):
+    """(P_n, whether it vanishes) for n = 0, 1, ...: P_0 = id, P_{n+1} = (phi + n beta) P_n.
+
+    Every vanishing P_n is ``zero``, the r x r zero matrix (_times).
+    """
     beta = _beta_scalar(h)
     p_n = (Mat.identity(h.base, h.rank), False)
     factor = h.phi
     while True:
         yield p_n
-        p_n = _times(factor, *p_n)
+        p_n = _times(factor, *p_n, zero)
         factor = factor.add_scalar_diag(beta)
 
 
-def _theta_powers(h, maxw):
+def _theta_powers(h, maxw, zero):
     """{I: (Theta^I, whether it vanishes)} for |I| <= maxw, in _multi_indices order.
 
-    Theta^I = theta_k Theta^(I - e_k), k the first nonzero position of I.
+    Theta^I = theta_k Theta^(I - e_k), k the first nonzero position of I;
+    every vanishing Theta^I is ``zero`` (_times).
     """
     theta_vanish = [_vanishes(th) for th in h.theta]
     pows = {}
@@ -262,7 +285,7 @@ def _theta_powers(h, maxw):
             prev = list(index)
             prev[k] -= 1
             tp, vanish = pows[tuple(prev)]
-            pows[index] = _times(h.theta[k], tp, vanish or theta_vanish[k])
+            pows[index] = _times(h.theta[k], tp, vanish or theta_vanish[k], zero)
     return pows
 
 
@@ -308,17 +331,24 @@ class Stratification:
 
 
 def stratification_from_higgs(h, D=None):
+    """The stratification A_{n,I} = Theta^I P_n of h, n + |I| <= D.
+
+    One r x r zero matrix is built per call, and every vanishing Theta^I,
+    P_n and A_{n,I} stored alike is that matrix (_times): matrices are not
+    changed in place, so one serves them all.
+    """
     if D is None:
         D = h.cfg.cutoffs.D
-    p_seq = list(islice(_p_chain(h), D + 1)) if h.phi is not None else []
+    zero = Mat.zero(h.base, h.rank)
+    p_seq = list(islice(_p_chain(h, zero), D + 1)) if h.phi is not None else []
     coeffs = {}
-    for index, (tp, tp_vanish) in _theta_powers(h, D).items():
+    for index, (tp, tp_vanish) in _theta_powers(h, D, zero).items():
         w = sum(index)
         n_top = (D - w) if h.phi is not None else 0
         coeffs[(0, index)] = tp
         for n in range(1, n_top + 1):
             p_n, p_vanish = p_seq[n]
-            coeffs[(n, index)] = _times(tp, p_n, tp_vanish or p_vanish)[0]
+            coeffs[(n, index)] = _times(tp, p_n, tp_vanish or p_vanish, zero)[0]
     return Stratification(h.base, h.flavor, coeffs, D, h.rank, twist=h.twist)
 
 
@@ -421,21 +451,50 @@ def check_cocycle(h, D=None):
 
 
 def check_cocycle_strat(strat):
-    """check_cocycle on a stratification; the 0th face is twisted by its braiding unit."""
+    """check_cocycle on a stratification; the 0th face is twisted by its braiding unit.
+
+    The check runs slot by slot.  Each cell of p_2*(eps) p_0*(eps) comes
+    from pdring.product_cells as its pd keys, each one sum over the key's
+    (l, k1, k2) pairs with the stored form Mat.__mul__ would give it, and
+    is compared key by key with the same cell of p_1*(eps) by the rule of a
+    difference: a key of both is subtracted and dropped if droppable, and
+    the cell agrees when every key left is zero.  The witness is the first
+    cell in row-major order that does not agree.  Every cell is formed, for
+    the truncated flag, but no product, difference or residual matrix is.
+    """
     ring1 = PdRing(strat.cfg, strat.base, strat.flavor, 1, d=strat.d, D=strat.D)
     eps = descent_matrix(strat, ring=ring1)
     alpha = strat.braid_unit()
     contexts = [FaceContext(ring1, i, alpha) for i in range(3)]
     ring2 = contexts[0].target
     p0, p1, p2 = (eps.map(c.apply, ring=ring2) for c in contexts)
-    residual = p2 * p0 - p1
-    ok = residual.is_zero()
+    witness = None
+    truncated = False
+    for i, j, coeffs, trunc in product_cells(p2, p0):
+        rhs = p1.rows[i][j]
+        if trunc or rhs.truncated:
+            truncated = True
+        residual = []
+        for key, x in coeffs.items():
+            y = rhs.coeffs.get(key)
+            if y is not None:
+                x = x - y
+                if x.truncated:
+                    truncated = True
+                if x.droppable():
+                    continue
+            residual.append(x)
+        if witness is None:
+            # a key of p_1*(eps) alone is zero exactly when its negative is
+            rest = (y for key, y in rhs.coeffs.items() if key not in coeffs)
+            if not all(x.is_zero() for x in residual) or not all(y.is_zero() for y in rest):
+                witness = (i, j)
     return {
-        "ok": ok,
+        "ok": witness is None,
         "rank": strat.rank,
         "terms": len(strat.coeffs),
-        "truncated": residual.truncated,
-        "witness": None if ok else _first_nonzero(residual),
+        "truncated": truncated,
+        "witness": witness,
     }
 
 

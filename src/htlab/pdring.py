@@ -55,6 +55,16 @@ ends in, so it gets the stored form of the chain (the stored form lemma of
 htlab.base).  A key with A < 1, and every key over chart scalars, runs
 dot's chain over its pairs in the order met.
 
+product_cells forms the cells of a matrix product the same way, with no
+PdElement per product: each key of a cell is one sum over its (l, k1, k2)
+pairs, gathered by the pair loop PdElement.__mul__ runs, and reduced once
+when 1 <= A (and A < N when a term may hold more than N digits).  Other
+keys run the chain Mat.__mul__ forms: each product's dot, then the
+products added in l order, each dropped when droppable.  Each factor's
+entries are read, and each right factor's filters built, once per matrix
+product.  The descent check of htlab.higgs reads p_2*(eps) p_0*(eps)
+through it.
+
 The twisted face keeps, per generator, its image and the power chain
 one() * x * x ... that divided_power builds for one x, so gamma_a of an
 image costs one product and one division by a! (_gamma takes the power
@@ -66,7 +76,6 @@ place.
 
 from math import comb, factorial
 
-from .base import KElem
 from .errors import AxiomViolation, BadIndex, InsufficientPrecision
 from .galois import FormalCElem, galois_act_all
 from .sparse import Sparse, merge_into
@@ -180,6 +189,20 @@ class PdRing:
     def key_degree(self, key):
         return key >> self.shift
 
+    def entries(self, coeffs, fused):
+        """(key, support mask, degree, numerator or None when zero, shift,
+        absolute precision, coefficient) of each coefficient, in order; the
+        numerator, shift and precision are read only over K scalars (fused)."""
+        shift, add, top = self.shift, self.support_add, self.support_top
+        low = (1 << shift) - 1
+        if not fused:
+            return [(k, ((k & low) + add) & top, k >> shift, None, 0, 0, c) for k, c in coeffs.items()]
+        zero = self.cfg.zero_u
+        return [
+            (k, ((k & low) + add) & top, k >> shift, None if c.u == zero else c.u, c.shift, c.prec - c.shift, c)
+            for k, c in coeffs.items()
+        ]
+
     def zero(self):
         return PdElement(self, {})
 
@@ -233,6 +256,49 @@ def _binomials(k1, k2, shared, w, field):
     return mult
 
 
+def _filter(rows, right, caps):
+    """Fill rows[cap], for each cap in caps not there yet, with the right
+    entries of degree at most cap, in right's order.  Returns whether a
+    filter of caps leaves an entry out, which cuts a pair above D."""
+    cut = False
+    for cap in caps:
+        row = rows.get(cap)
+        if row is None:
+            rows[cap] = row = [e for e in right if e[2] <= cap]
+        if len(row) < len(right):
+            cut = True
+    return cut
+
+
+def _gather(sums, left, rows, D, w, field):
+    """Add the pairs of one product to sums, {key: [A, top, terms, shifts]}.
+
+    left holds the entries of the left factor, rows the filters of the
+    right one.  Per key, A is the least term precision, top the top shift,
+    and terms and shifts the (u1, u2, binomial) and shift of each pair with
+    two nonzero numerators, in the order met.
+    """
+    for k1, m1, d1, u1, s1, a1, _ in left:
+        for k2, m2, _, u2, s2, a2, _ in rows[D - d1]:
+            key = k1 + k2
+            a = a1 - s2
+            b = a2 - s1
+            if b < a:
+                a = b
+            acc = sums.get(key)
+            if acc is None:
+                sums[key] = acc = [a, 0, [], []]
+            elif a < acc[0]:
+                acc[0] = a
+            if u1 is not None and u2 is not None:
+                shared = m1 & m2
+                s = s1 + s2
+                acc[2].append((u1, u2, _binomials(k1, k2, shared, w, field) if shared else 1))
+                acc[3].append(s)
+                if s > acc[1]:
+                    acc[1] = s
+
+
 def _pairs(left, rows, D, w, field, keys):
     """{key: (xs, ys, ms)}: the pairs of a product that meet at each of keys
     (every key when keys is None), in the order met, for dot's chain."""
@@ -250,6 +316,121 @@ def _pairs(left, rows, D, w, field, keys):
             terms[1].append(c2)
             terms[2].append(_binomials(k1, k2, shared, w, field) if shared else 1)
     return out
+
+
+def _chain_sum(ring, products, keys):
+    """({key: coefficient}, truncated): sum_l x_l * y_l at each of keys (every
+    key when keys is None) as a chain of products and sums.
+
+    products holds the (left entries, right filters) of each product l.
+    Each product's key is one dot over its pairs, dropped if droppable, and
+    the products are added in l order with the per-key rule of a sum; the
+    flag says whether a coefficient or sum formed here is truncated.
+    """
+    D, w, field, dot = ring.D, ring.width, ring.field, ring.cfg.dot
+    out = {}
+    trunc = False
+    for left, rows in products:
+        prod = {}
+        for key, terms in _pairs(left, rows, D, w, field, keys).items():
+            if terms[0]:
+                c = dot(*terms)
+                if c.truncated:
+                    trunc = True
+                if not c.droppable():
+                    prod[key] = c
+        if merge_into(out, prod):
+            trunc = True
+    return out, trunc
+
+
+def _sum_of_products(ring, products, fused, wide=False):
+    """({key: coefficient}, truncated): the clean coefficients of
+    sum_l x_l * y_l, each key one sum over its (l, k1, k2) pairs.
+
+    products holds the (left entries, right filters) of each product l.
+    Over K scalars (fused) a key whose least term precision A is at least 1
+    is reduced once by reduce_terms.  The chain of _chain_sum, which forms
+    each product's key and adds the products in l order, gets the same
+    stored form: it drops only droppable coefficients and sums, whose terms
+    all hold at least N digits, so when A < N the term of precision A is in
+    its result, and with it the chain's A and value mod p^A.  When A >= N
+    the same holds unless a term holds more than N digits; wide says that
+    one may, and then such keys run the chain.  A key with A < 1, and every
+    key over chart scalars, runs the chain, whose result depends on its
+    order.
+    """
+    if not fused:
+        return _chain_sum(ring, products, None)
+    D, w, field, N = ring.D, ring.width, ring.field, ring.cfg.N
+    reduce_terms = ring.cfg.reduce_terms
+    sums = {}
+    for left, rows in products:
+        _gather(sums, left, rows, D, w, field)
+    chained = [key for key, (A, _, _, _) in sums.items() if A < 1 or wide and A >= N]
+    chains = _chain_sum(ring, products, chained)[0] if chained else {}
+    out = {}
+    for key, (A, s, terms, shifts) in sums.items():
+        if A < 1 or wide and A >= N:
+            c = chains.get(key)
+            if c is not None:
+                out[key] = c
+        else:
+            c = reduce_terms(A, s, terms, shifts)
+            if not c.droppable():
+                out[key] = c
+    return out, False
+
+
+def product_cells(a, b):
+    """Yield (i, j, coeffs, truncated) for each cell of the product a * b of
+    two matrices of pd elements over one ring, in row-major order.
+
+    coeffs holds the clean coefficients of the cell that Mat.__mul__ would
+    form, each with its stored form, and truncated its flag; no PdElement,
+    product or sum, is built.  Like Mat.__mul__, a droppable factor adds no
+    term, and, like PdElement.__mul__, a product with an empty factor adds
+    only the factors' flags and one whose filters cut a pair is flagged.
+    Each factor's entries are read once, and each right factor's filters
+    are built once per cap, whatever the number of products it enters.
+    """
+    ring = a.ring
+    D, N = ring.D, ring.cfg.N
+    fused = ring.base.is_point
+
+    def factor(x, left):
+        # (flag, entries, the caps of its degrees for a left factor or its
+        # filters by cap for a right one, the largest absolute precision and
+        # the least shift of its coefficients), None when droppable
+        if x.droppable():
+            return None
+        entries = ring.entries(x.coeffs, fused)
+        caps = {D - e[2] for e in entries} if left else {}
+        if not fused or not entries:
+            return x.truncated, entries, caps, 0, 0
+        return x.truncated, entries, caps, max(e[5] for e in entries), min(e[4] for e in entries)
+
+    lefts = [[factor(x, True) for x in row] for row in a.rows]
+    cols = [[factor(y, False) for y in col] for col in zip(*b.rows)]
+    for i, row in enumerate(lefts):
+        for j, col in enumerate(cols):
+            trunc = wide = False
+            products = []
+            for x, y in zip(row, col):
+                if x is None or y is None:
+                    continue
+                (t1, l1, caps, a1, s1), (t2, l2, rows, a2, s2) = x, y
+                if t1 or t2:
+                    trunc = True
+                if l1 and l2:
+                    if _filter(rows, l2, caps):
+                        trunc = True
+                    # a term's absolute precision is min(a1 - s2, a2 - s1)
+                    if a1 - s2 > N and a2 - s1 > N:
+                        wide = True
+                    products.append((l1, rows))
+            coeffs, cut = _sum_of_products(ring, products, fused, wide)
+            yield i, j, coeffs, trunc or cut
 
 
 class PdElement(Sparse):
@@ -299,74 +480,15 @@ class PdElement(Sparse):
         trunc = self.truncated or other.truncated
         if not self.coeffs or not other.coeffs:
             return PdElement._clean(ring, {}, trunc)
-        D, shift, w, field = ring.D, ring.shift, ring.width, ring.field
-        low, add, top = (1 << shift) - 1, ring.support_add, ring.support_top
-        cfg = ring.cfg
-        zero = cfg.zero_u
-        fused = type(next(iter(self.coeffs.values()))) is KElem
-
-        def entries(coeffs):
-            # (key, support mask, degree, numerator or None when zero, shift,
-            # absolute precision, coefficient), each read once per product
-            out = []
-            for k, c in coeffs.items():
-                mask = ((k & low) + add) & top
-                if fused:
-                    u = c.u
-                    out.append((k, mask, k >> shift, None if u == zero else u, c.shift, c.prec - c.shift, c))
-                else:
-                    out.append((k, mask, k >> shift, None, 0, 0, c))
-            return out
-
-        left, right = entries(self.coeffs), entries(other.coeffs)
+        fused = ring.base.is_point
+        left, right = ring.entries(self.coeffs, fused), ring.entries(other.coeffs, fused)
         # the right entries of degree at most each cap, in the right operand's
         # order; a filter that leaves one out has cut a pair above D
         rows = {}
-        for _, _, d1, _, _, _, _ in left:
-            cap = D - d1
-            if cap not in rows:
-                rows[cap] = row = [e for e in right if e[2] <= cap]
-                if len(row) < len(right):
-                    trunc = True
-        # each key is one sum over its pairs, in the order met
-        out = {}
-        if fused:
-            # its least term precision A, top shift and nonzero terms, reduced
-            # once by reduce_terms when A >= 1, and dot's chain otherwise
-            sums = {}
-            for k1, m1, d1, u1, s1, a1, _ in left:
-                for k2, m2, _, u2, s2, a2, _ in rows[D - d1]:
-                    key = k1 + k2
-                    a = a1 - s2
-                    b = a2 - s1
-                    if b < a:
-                        a = b
-                    acc = sums.get(key)
-                    if acc is None:
-                        sums[key] = acc = [a, 0, [], []]
-                    elif a < acc[0]:
-                        acc[0] = a
-                    if u1 is not None and u2 is not None:
-                        shared = m1 & m2
-                        s = s1 + s2
-                        acc[2].append((u1, u2, _binomials(k1, k2, shared, w, field) if shared else 1))
-                        acc[3].append(s)
-                        if s > acc[1]:
-                            acc[1] = s
-            low_keys = [key for key, acc in sums.items() if acc[0] < 1]
-            chains = _pairs(left, rows, D, w, field, low_keys) if low_keys else None
-            for key, (A, s, terms, shifts) in sums.items():
-                c = cfg.reduce_terms(A, s, terms, shifts) if A >= 1 else cfg.dot(*chains[key])
-                if not c.droppable():
-                    out[key] = c
-        else:
-            for key, terms in _pairs(left, rows, D, w, field, None).items():
-                c = cfg.dot(*terms)
-                if c.truncated:
-                    trunc = True
-                if not c.droppable():
-                    out[key] = c
-        return PdElement._clean(ring, out, trunc)
+        if _filter(rows, right, {ring.D - e[2] for e in left}):
+            trunc = True
+        out, cut = _sum_of_products(ring, [(left, rows)], fused)
+        return PdElement._clean(ring, out, trunc or cut)
 
     def partial(self, vid):
         """d/dv on divided powers: v^[a] -> v^[a-1], coefficients kept."""

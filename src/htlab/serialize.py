@@ -18,8 +18,8 @@ a fixed input and flag set.
 
 import json
 
-from .base import BaseConfig, KElem
-from .chart import ChartElem, ChartRing, int_from_json
+from .base import BaseConfig, KElem, int_from_json
+from .chart import ChartElem, ChartRing
 from .errors import BadIndex, NotEisenstein, NotPrime, ParseError
 from .higgs import HiggsData
 from .linalg import Mat
@@ -128,10 +128,7 @@ def config_from_json(d):
     if not isinstance(cut, dict):
         raise ParseError("bad config block: cutoffs is not a JSON object")
     try:
-        ints = {k: int_from_json(d[k]) for k in ("p", "f", "N") if k in d}
-        ints["E_coeffs"] = [int_from_json(x) for x in d["E_coeffs"]]
-        ints["cutoffs"] = {k: int_from_json(cut[k]) for k in ("D", "T", "Dy", "n_max") if k in cut}
-        return BaseConfig.from_json(ints)
+        return BaseConfig.from_json(d)
     except (KeyError, TypeError, ValueError, NotPrime, NotEisenstein) as exc:
         raise ParseError(f"bad config block: {type(exc).__name__}: {exc}")
 

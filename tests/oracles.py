@@ -439,3 +439,35 @@ def cocycle_law_naive(strat, s, u, T=None):
     residual = lhs - rhs
     ok = residual.is_zero()
     return {"ok": ok, "witness": None if ok else _first_nonzero(residual)}
+
+
+def descent_faces(strat):
+    """(p_0*(eps), p_1*(eps), p_2*(eps)): the three face images of the descent
+    matrix, the 0th twisted by the stratification's braiding unit."""
+    from htlab.higgs import descent_matrix
+    from htlab.pdring import FaceContext, PdRing
+
+    ring1 = PdRing(strat.cfg, strat.base, strat.flavor, 1, d=strat.d, D=strat.D)
+    eps = descent_matrix(strat, ring=ring1)
+    alpha = strat.braid_unit()
+    contexts = [FaceContext(ring1, i, alpha) for i in range(3)]
+    ring2 = contexts[0].target
+    return tuple(eps.map(c.apply, ring=ring2) for c in contexts)
+
+
+def cocycle_strat_naive(strat):
+    """check_cocycle_strat through whole matrices: the product p_2*(eps) p_0*(eps)
+    by Mat.__mul__, the residual by Mat.__sub__, its flag, and its first cell
+    that is not zero in row-major order."""
+    from htlab.higgs import _first_nonzero
+
+    p0, p1, p2 = descent_faces(strat)
+    residual = p2 * p0 - p1
+    ok = residual.is_zero()
+    return {
+        "ok": ok,
+        "rank": strat.rank,
+        "terms": len(strat.coeffs),
+        "truncated": residual.truncated,
+        "witness": None if ok else _first_nonzero(residual),
+    }

@@ -54,6 +54,25 @@ class TestConfig:
         bare = BaseConfig.from_json({"p": "5", "E_coeffs": ["-5"]})
         assert bare.to_json() == BaseConfig(5, [-5]).to_json()
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("p", 5.9), ("p", True), ("p", "5.0"), ("E_coeffs", [-5.2]), ("E_coeffs", [False]),
+            ("f", 1.0), ("N", 8.7), ("N", "8e0"), ("D", 5.5), ("T", True), ("Dy", "4.0"), ("n_max", 64.0),
+        ],
+    )
+    def test_from_json_rejects_floats_bools_and_non_decimal_strings(self, field, value):
+        d = {"p": "5", "E_coeffs": ["-5"], "f": "1", "N": "8", "cutoffs": {"D": "5", "T": "6", "Dy": "4", "n_max": "64"}}
+        block = d["cutoffs"] if field in d["cutoffs"] else d
+        block[field] = value
+        with pytest.raises(ValueError, match="is not an integer"):
+            BaseConfig.from_json(d)
+
+    def test_from_json_reads_ints_and_signed_decimal_strings(self):
+        d = {"p": 5, "E_coeffs": ["-5"], "f": "+1", "N": 7, "cutoffs": {"D": "4", "T": 3, "Dy": "+2", "n_max": 9}}
+        want = BaseConfig(5, [-5], N=7, cutoffs=Cutoffs(D=4, T=3, Dy=2, n_max=9))
+        assert BaseConfig.from_json(d).to_json() == want.to_json()
+
 
 class TestOkArith:
     def test_pi_squared_unramified(self, cfg_u5):

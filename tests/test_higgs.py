@@ -1,7 +1,10 @@
 import random
 
 import pytest
+from oracles import cocycle_strat_naive, descent_faces
+from test_sen import _corrupted, _form, _random_strat
 
+from htlab import make_base_config
 from htlab.chart import ChartRing
 from htlab.errors import (
     BraidFailure,
@@ -24,7 +27,7 @@ from htlab.higgs import (
     validate_higgs,
 )
 from htlab.linalg import Mat, commutator
-from htlab.pdring import PdRing
+from htlab.pdring import PdRing, product_cells
 from htlab.samples import sample_higgs
 
 
@@ -386,3 +389,130 @@ def test_descent_matrix_keeps_every_non_droppable_entry(cfg_r2):
                 kept += 1
                 reduced += a.is_zero()
     assert kept and reduced
+
+
+# ---------------------------------------------------------------------------
+# the descent check, slot by slot
+# ---------------------------------------------------------------------------
+
+
+def _relabelled(strat):
+    """strat with the other twist and the same coefficients: its 0th face is
+    twisted by the wrong unit."""
+    twist = "smooth" if strat.twist == "log" else "log"
+    return Stratification(strat.base, strat.flavor, strat.coeffs, strat.D, strat.rank, twist=twist)
+
+
+def _descent_cases(cfg, rng):
+    """Stratifications on the point base and on charts with d = 1 and 2:
+    modules of all flavors and both twists, one with theta_1 known to N - 2
+    digits, one at D = 2, random coefficients with denominators and short
+    precisions (rel-geom ones too), a relabelled twist, and a corrupted copy
+    of each."""
+    point = ChartRing(cfg, "point")
+    cases = []
+    for flavor, rank, d, D, twist in (
+        ("abs-geom", 3, 2, 4, "log"),
+        ("abs-geom", 3, 1, 5, "smooth"),
+        ("rel-geom", 2, 2, 4, "log"),
+        ("abs-arith", 2, 0, 5, "smooth"),
+        ("abs-geom", 3, 2, 2, "log"),
+    ):
+        cases.append(stratification_from_higgs(sample_higgs(point, rng, flavor, rank, d=d, twist=twist), D=D))
+    theta = Mat.from_ints(point, [[0, 1, 0], [0, 0, 1], [0, 0, 0]])
+    cases.append(stratification_from_higgs(HiggsData(point, "rel-geom", [theta]), D=3))
+    # rel-geom leaves the 0th face untwisted, so its images are not flagged, and
+    # random A_{0,I} give products of degree above D: the filters cut them
+    rel = _random_strat(point, rng, 3, 1, 3)
+    rel = {key: m for key, m in rel.coeffs.items() if key[0] == 0}
+    cases.append(Stratification(point, "rel-geom", rel, 3, 3))
+    h = sample_higgs(point, rng, "abs-geom", 3, d=1)
+    cases.append(stratification_from_higgs(_clamp_theta(h, 0, cfg.N - 2), D=4))
+    cases += [_random_strat(point, rng, 3, 1, 4), _random_strat(point, rng, 2, 2, 3)]
+    for d in (1, 2):
+        chart = ChartRing(cfg, "chart", d=d, r=1)
+        for twist in ("log", "smooth"):
+            cases.append(stratification_from_higgs(sample_higgs(chart, rng, "abs-geom", 2, d=1, twist=twist), D=3))
+        cases.append(_random_strat(chart, rng, 2, 1, 3))
+    cases.append(_relabelled(cases[1]))
+    return cases + [_corrupted(strat, rng) for strat in cases]
+
+
+def _reach(p2, p0, i, j):
+    """{key: (least term precision, the products l that reach it)} of cell
+    (i, j) of p2 * p0, over K scalars, from every pair up to the cutoff."""
+    ring = p2.ring
+    out = {}
+    for l, (x, y) in enumerate(zip(p2.rows[i], [row[j] for row in p0.rows])):
+        for k1, c1 in x.coeffs.items():
+            for k2, c2 in y.coeffs.items():
+                if ring.key_degree(k1) + ring.key_degree(k2) <= ring.D:
+                    a = min(c1.prec - c1.shift - c2.shift, c2.prec - c2.shift - c1.shift)
+                    least, ls = out.setdefault(k1 + k2, [a, set()])
+                    out[k1 + k2][0] = min(least, a)
+                    ls.add(l)
+    return out
+
+
+@pytest.mark.parametrize("spec", ["p5", "p2e2", "p3f2"])
+def test_descent_slot_by_slot_matches_the_matrix_product(spec):
+    cfg = {
+        "p5": make_base_config(5, [-5]),
+        "p2e2": make_base_config(2, [-2, 0]),
+        "p3f2": make_base_config(3, [-3], f=2),
+    }[spec]
+    rng = random.Random(f"descent-{spec}")
+    seen = dict.fromkeys(("ok", "witness", "cut", "chart", "A<1", "truncated"), 0)
+    for strat in _descent_cases(cfg, rng):
+        report = check_cocycle_strat(strat)
+        assert report == cocycle_strat_naive(strat), strat
+        seen["ok" if report["ok"] else "witness"] += 1
+        seen["truncated"] += report["truncated"]
+        # every cell the kernel forms, against Mat.__mul__: each key's stored form, and the flag
+        p0, _, p2 = descent_faces(strat)
+        product = p2 * p0
+        for i, j, coeffs, trunc in product_cells(p2, p0):
+            cell = product.rows[i][j]
+            assert {k: _form(c) for k, c in coeffs.items()} == {k: _form(c) for k, c in cell.coeffs.items()}
+            assert trunc == cell.truncated
+            factors = [(x, p0.rows[l][j]) for l, x in enumerate(p2.rows[i])]
+            seen["cut"] += trunc and not any(x.truncated or y.truncated for x, y in factors)
+            if not strat.base.is_point:
+                seen["chart"] += bool(coeffs)
+            elif strat.D > 2:
+                # keys summed as dot's chain per product, over more than one product
+                seen["A<1"] += sum(a < 1 and len(ls) > 1 for a, ls in _reach(p2, p0, i, j).values())
+    assert all(seen.values()), seen
+
+
+def test_descent_builds_no_product_or_residual_matrix(nilp2, monkeypatch):
+    strat = stratification_from_higgs(nilp2)
+    bad = _corrupted(strat, random.Random(15))
+    calls = []
+    for name in ("__mul__", "__sub__"):
+        real = getattr(Mat, name)
+        monkeypatch.setattr(Mat, name, lambda a, b, real=real, name=name: calls.append(name) or real(a, b))
+    assert check_cocycle_strat(strat)["ok"]
+    assert not check_cocycle_strat(bad)["ok"]
+    assert calls == []
+
+
+@pytest.mark.parametrize(
+    "mode, flavor, twist, rank, D",
+    [
+        ("point", "abs-geom", "log", 4, 6),
+        ("point", "abs-geom", "smooth", 4, 6),
+        ("point", "rel-geom", "log", 4, 6),
+        ("chart", "abs-geom", "log", 3, 4),
+    ],
+)
+def test_stratification_builds_one_zero_matrix(cfg_f2, monkeypatch, mode, flavor, twist, rank, D):
+    base = ChartRing(cfg_f2, mode, d=mode == "chart", r=mode == "chart")
+    h = sample_higgs(base, random.Random(7), flavor, rank, d=2, twist=twist)
+    zeros = []
+    real = Mat.zero.__func__
+    monkeypatch.setattr(Mat, "zero", classmethod(lambda cls, *a: zeros.append(real(cls, *a)) or zeros[-1]))
+    strat = stratification_from_higgs(h, D=D)
+    assert len(zeros) <= 1
+    vanishing = [m for m in strat.coeffs.values() if _vanishing(m)]
+    assert vanishing and all(m is zeros[0] for m in vanishing)

@@ -18,7 +18,9 @@ from htlab.pdring import (
     divided_power,
     evaluate_at_group,
     face_map,
+    product_cells,
 )
+from htlab.linalg import Mat
 from oracles import (
     face_apply_chain,
     pd_add_naive,
@@ -602,6 +604,98 @@ def test_products_match_the_chain_oracle(request, name):
                     chained += not base.is_point and bool(want.coeffs)
                     cut += bool(x.coeffs and y.coeffs) and not want.coeffs and want.truncated
     assert low >= 5 and chained >= 5 and cut >= 3
+
+
+def _cells(a, b):
+    return {(i, j): ({k: _form(c) for k, c in coeffs.items()}, trunc) for i, j, coeffs, trunc in product_cells(a, b)}
+
+
+def _product(a, b):
+    m = a * b
+    return {
+        (i, j): ({k: _form(c) for k, c in e.coeffs.items()}, e.truncated)
+        for i, row in enumerate(m.rows)
+        for j, e in enumerate(row)
+    }
+
+
+def _cell_entry(ring, rng, scalar):
+    roll = rng.random()
+    if roll < 0.15:
+        return ring.zero()
+    if roll < 0.2:
+        return PdElement(ring, {}, truncated=True)
+    return _oracle_element(ring, rng, scalar)
+
+
+@pytest.mark.parametrize("name", ["cfg_u5", "cfg_r2", "cfg_f2"])
+def test_product_cells_match_the_matrix_product(request, name):
+    """Each cell of product_cells(a, b) holds the stored form of every key and
+    the flag of the same cell of Mat.__mul__: droppable and empty truncated
+    factors, cut pairs, keys of absolute precision below 1 reached by
+    several products, coefficients past N, and chart coefficients."""
+    cfg = request.getfixturevalue(name)
+    rng = random.Random(700 + cfg.p * cfg.e * cfg.f)
+    point = ChartRing(cfg, "point")
+    chart = ChartRing(cfg, "chart", d=1, r=1)
+    scalars = {point: lambda: _chain_scalar(cfg, rng), chart: lambda: _chart_scalar(chart, rng)}
+    low = wide = cut = 0
+    for base, scalar in scalars.items():
+        for D in (2, 5):
+            for variant, n, d in ORACLE_RINGS:
+                ring = PdRing(cfg, base, variant, n, d=d, D=D)
+                for _ in range(8 if base.is_point else 2):
+                    a = Mat(ring, [[_cell_entry(ring, rng, scalar) for _ in range(3)] for _ in range(2)])
+                    b = Mat(ring, [[_cell_entry(ring, rng, scalar) for _ in range(2)] for _ in range(3)])
+                    got = _cells(a, b)
+                    assert got == _product(a, b), (name, base.mode, D, variant)
+                    for (i, j), (_, trunc) in got.items():
+                        pairs = [(x, b.rows[l][j]) for l, x in enumerate(a.rows[i])]
+                        pairs = [(x, y) for x, y in pairs if not x.droppable() and not y.droppable()]
+                        cut += trunc and not any(x.truncated or y.truncated for x, y in pairs)
+                        if not base.is_point:
+                            continue
+                        terms = {}
+                        for l, (x, y) in enumerate(pairs):
+                            for k1, c1 in x.coeffs.items():
+                                for k2, c2 in y.coeffs.items():
+                                    if ring.key_degree(k1) + ring.key_degree(k2) <= D:
+                                        a12 = min(c1.prec - c1.shift - c2.shift, c2.prec - c2.shift - c1.shift)
+                                        terms.setdefault(k1 + k2, []).append((l, a12))
+                        low += any(min(a for _, a in t) < 1 and len({l for l, _ in t}) > 1 for t in terms.values())
+                        wide += any(a > cfg.N for t in terms.values() for _, a in t)
+    assert low and wide and cut, (low, wide, cut)
+
+
+def test_product_cells_sum_low_precision_keys_in_product_order(cfg_u5, point):
+    """Below absolute precision 1 a sum depends on its order: a + b cancels to
+    5^3 and is normalized before c is added, c + b + a is not.  The cell sums
+    its products in l order, as the matrix product does."""
+    ring = PdRing(cfg_u5, point, "abs-geom", 1, d=1, D=3)
+    xs = [cfg_u5.k_from_coeffs([1], 5, 3), cfg_u5.k_from_coeffs([124], 5, 3), cfg_u5.k_from_coeffs([1], 0, 0)]
+    ones = Mat(ring, [[ring.one()] * 3])
+    col = Mat(ring, [[ring.from_scalar(x)] for x in xs])
+    [(_, _, coeffs, _)] = product_cells(ones, col)
+    c = coeffs[0]
+    assert (c.u, c.shift, c.prec) == (0, 0, 0)
+    assert _cells(ones, col) == _product(ones, col)
+    back = xs[2] + xs[1] + xs[0]
+    assert (back.u, back.shift, back.prec) == (0, 1, 1)
+
+
+def test_product_cells_keep_the_digits_past_n_of_a_lone_kept_product(cfg_u5, point):
+    """5^4 * 5^4 is a droppable zero at precision N, which the matrix product
+    drops before adding w * w, a unit known to N + 1 digits: the cell keeps
+    the N + 1 digits instead of reducing both products once at precision N."""
+    ring = PdRing(cfg_u5, point, "abs-geom", 1, d=1, D=3)
+    w = cfg_u5.k_from_int(6).div_int(5).inv()
+    q = cfg_u5.k_from_int(5**4)
+    assert w.prec - w.shift == cfg_u5.N + 1
+    a = Mat(ring, [[ring.from_scalar(q), ring.from_scalar(w)]])
+    b = Mat(ring, [[ring.from_scalar(q)], [ring.from_scalar(w)]])
+    [(_, _, coeffs, _)] = product_cells(a, b)
+    assert coeffs[0].prec == cfg_u5.N + 1
+    assert _cells(a, b) == _product(a, b)
 
 
 @pytest.mark.parametrize("name", ["cfg_u5", "cfg_r2", "cfg_f2"])

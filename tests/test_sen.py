@@ -300,7 +300,7 @@ def test_crosscheck_builds_the_theta_powers_once(cfg_u5, nilp2, monkeypatch):
     # the period, U(sigma) and B(sigma t, sigma Y) all read one stratification
     calls = []
     real = higgs._theta_powers
-    monkeypatch.setattr(higgs, "_theta_powers", lambda h, maxw: calls.append(maxw) or real(h, maxw))
+    monkeypatch.setattr(higgs, "_theta_powers", lambda h, maxw, zero: calls.append(maxw) or real(h, maxw, zero))
     assert crosscheck_inverse_simpson(nilp2, GroupElt(cfg_u5, (4,), 9, 11))["ok"]
     assert calls == [cfg_u5.cutoffs.D]
 
