@@ -18,12 +18,14 @@ W/p^M is O_K/p^M at e = 1, so the Witt vectors of the delta-ring side
 (deltaring.WittElem) run on these same kernels, taken from the unramified
 config BaseConfig(p, [-p], f, N).
 
-The stored form lemma.  When the absolute precision A = prec - shift is at
-least 1, normalization always runs and cancels p until shift is 0 or p no
-longer divides u, so the stored (u, shift, prec) depends only on the value
-mod p^A and on A.  A chain of products and sums has the least A of its
-terms, whatever the order of the sum, so BaseConfig.dot may form the sum as
-one exact integer and reduce it once: it gets the chain's stored form.
+The stored form lemma.  Normalization cancels p until shift is 0, p no
+longer divides u, or one digit is left, and a scalar with no digit (prec
+<= 0) is stored as the one zero (0, 1 - A, 1) of its absolute precision
+A = prec - shift.  So at every A the stored (u, shift, prec) depends only
+on the value mod p^A and on A.  A chain of products and sums has the least
+A of its terms, whatever the order of the sum, so BaseConfig.dot may form
+the sum as one exact integer and reduce it once: it gets the chain's
+stored form.
 Regrouping products is not covered.  Containers skip droppable
 intermediates, and a skipped zero pays nothing for a later denominator, so
 (a b) c and a (b c) need not store alike.
@@ -244,13 +246,12 @@ class BaseConfig:
         """The stored form of the chain x0 y0 m0 + x1 y1 m1 + ..., summed left to right.
 
         xs and ys are nonempty and of one length; the integers ms default to
-        1, and a term x y m is (x * y).smul(m).  On K scalars whose absolute
-        precision A (the least over the terms) is at least 1, the chain's
-        result depends only on its value mod p^A and on A, so the terms are
-        summed as one exact integer at the top shift S and reduced once: a
-        term with a zero numerator costs its precision and nothing else.
-        Otherwise, and on chart, pd or t-series scalars, the chain runs as
-        written.
+        1, and a term x y m is (x * y).smul(m).  On K scalars the chain's
+        result depends only on its value mod p^A and on A, the least
+        absolute precision of its terms, so the terms are summed as one
+        exact integer at the top shift S and reduced once: a term with a
+        zero numerator costs its precision and nothing else.  On chart, pd
+        or t-series scalars the chain runs as written.
         """
         if len(xs) == 1:
             t = xs[0] * ys[0]
@@ -274,8 +275,7 @@ class BaseConfig:
                     shifts.append(s)
                     if s > top:
                         top = s
-            if A >= 1:
-                return self.reduce_terms(A, top, terms, shifts)
+            return self.reduce_terms(A, top, terms, shifts)
         acc = None
         for x, y, m in zip(xs, ys, ms):
             t = x * y
@@ -285,13 +285,17 @@ class BaseConfig:
         return acc
 
     def reduce_terms(self, A, top, terms, shifts):
-        """The stored form of the chain whose least term precision is A >= 1.
+        """The stored form of the chain whose least term precision is A.
 
         terms holds the (u_x, u_y, m) of the terms with two nonzero
         numerators, shifts the shift s_x + s_y of each, and top the largest
         of those shifts (0 when terms is empty).  The terms are summed as one
-        exact integer at shift top and reduced once mod p^(A + top).
+        exact integer at shift top and reduced once mod p^(A + top); when
+        A + top < 1 no digit is left, and the chain is the zero of
+        precision A.
         """
+        if A + top < 1:
+            return _no_digit(self, A)
         if not terms:
             return KElem(self, self.zero_u, 0, A)
         if not top:
@@ -305,14 +309,16 @@ class BaseConfig:
     def k_zero(self, prec=None):
         if prec is None:
             return self._zero  # scalars are immutable, so one shared zero serves
-        return KElem(self, self.zero_u, 0, prec)
+        return self.k_from_int(0, prec)
 
     def k_one(self, prec=None):
         return self.k_from_int(1, prec)
 
     def k_from_int(self, n, prec=None):
         prec = self.N if prec is None else prec
-        n %= self.p**prec if prec > 0 else 1
+        if prec < 1:
+            return _no_digit(self, prec)
+        n %= self.p**prec
         return KElem(self, n if self.n == 1 else (n,) + self.zero_u[1:], 0, prec)
 
     def k_from_coeffs(self, coeffs, prec=None, shift=0):
@@ -453,8 +459,15 @@ def _compile_kernels(n, table):
     return scope["mulu"], scope["linu"], scope["dotu"]
 
 
+def _no_digit(cfg, A):
+    """The one stored form of a scalar with no digit: a zero of absolute precision A < 1."""
+    return KElem(cfg, cfg.zero_u, 1 - A, 1)
+
+
 def _norm(cfg, u, shift, prec):
-    """p^-shift * u with p cancelled: p divides u only if shift <= 0 or prec <= 1."""
+    """p^-shift * u with p cancelled: p divides u only if shift <= 0 or prec = 1; _no_digit if prec < 1."""
+    if prec < 1:
+        return _no_digit(cfg, prec - shift)
     top = shift if shift < prec else prec - 1
     k = 0
     if top > 0:
@@ -475,8 +488,9 @@ class KElem:
 
     u holds the coordinates of the numerator on the basis pi^i g^j of
     BaseConfig, each in [0, p^prec): a bare int when e*f = 1, a tuple of
-    e*f ints otherwise.  Normalized: while shift > 0 and prec > 1, p does not
-    divide u.  The absolute p-adic precision is prec - shift.
+    e*f ints otherwise.  Normalized: prec >= 1, and while shift > 0 and
+    prec > 1, p does not divide u.  The absolute p-adic precision is
+    A = prec - shift; a scalar with no digit left is (0, 1 - A, 1).
     """
 
     __slots__ = ("cfg", "u", "shift", "prec")
@@ -512,7 +526,9 @@ class KElem:
             shift, k1, k2 = s2, p ** (s2 - s1), 1
         a1, a2 = self.prec - s1, other.prec - s2
         prec = (a1 if a1 < a2 else a2) + shift
-        u = cfg.linu(self.u, other.u, k1, sign * k2, p**prec if prec > 0 else 1)
+        if prec < 1:
+            return _no_digit(cfg, prec - shift)
+        u = cfg.linu(self.u, other.u, k1, sign * k2, p**prec)
         if shift > 0 and prec > 1:
             return _norm(cfg, u, shift, prec)
         return KElem(cfg, u, shift, prec)
@@ -525,15 +541,14 @@ class KElem:
 
     def __neg__(self):
         cfg = self.cfg
-        M = cfg.p**self.prec if self.prec > 0 else 1
-        return KElem(cfg, cfg.linu(self.u, self.u, -1, 0, M), self.shift, self.prec)
+        return KElem(cfg, cfg.linu(self.u, self.u, -1, 0, cfg.p**self.prec), self.shift, self.prec)
 
     def __mul__(self, other):
         cfg = self.cfg
         prec = self.prec if self.prec < other.prec else other.prec
         shift = self.shift + other.shift
-        if prec <= 0:
-            return KElem(cfg, cfg.zero_u, shift, 0)
+        if prec < 1:
+            return _no_digit(cfg, prec - shift)
         u = cfg.mulu(self.u, other.u, cfg.p**prec)
         if shift > 0 and prec > 1:
             return _norm(cfg, u, shift, prec)
@@ -541,8 +556,7 @@ class KElem:
 
     def smul(self, n):
         cfg = self.cfg
-        M = cfg.p**self.prec if self.prec > 0 else 1
-        return _norm(cfg, cfg.linu(self.u, self.u, n, 0, M), self.shift, self.prec)
+        return _norm(cfg, cfg.linu(self.u, self.u, n, 0, cfg.p**self.prec), self.shift, self.prec)
 
     def div_int(self, n):
         """Divide by a nonzero integer; p-part raises the shift."""
@@ -554,7 +568,7 @@ class KElem:
         while n % p == 0:
             n //= p
             k += 1
-        M = p**self.prec if self.prec > 0 else 1
+        M = p**self.prec
         m = pow(abs(n), -1, M) if n not in (1, -1) else 1
         u = cfg.linu(self.u, self.u, m if n > 0 else -m, 0, M)
         return _norm(cfg, u, self.shift + k, self.prec)

@@ -26,7 +26,7 @@ from .sparse import Sparse
 
 
 class ChartRing:
-    __slots__ = ("cfg", "mode", "d", "r", "Dy")
+    __slots__ = ("cfg", "mode", "d", "r", "Dy", "_zero")
 
     def __init__(self, cfg, mode="point", d=0, r=0, Dy=None):
         if mode not in ("point", "chart"):
@@ -41,15 +41,16 @@ class ChartRing:
         self.d = d if mode == "chart" else 0
         self.r = r if mode == "chart" else 0
         self.Dy = Dy if mode == "chart" else None
+        # elements are immutable, so one shared zero serves, and the identity
+        # shortcuts of higgs fire on it
+        self._zero = cfg.k_zero() if mode == "point" else ChartElem(self, {})
 
     @property
     def is_point(self):
         return self.mode == "point"
 
     def zero(self):
-        if self.is_point:
-            return self.cfg.k_zero()
-        return ChartElem(self, {})
+        return self._zero
 
     def one(self):
         return self.from_k(self.cfg.k_one())

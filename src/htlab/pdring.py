@@ -49,21 +49,20 @@ in its order, built once per cap, and the product is flagged when a filter
 leaves a key out.  Each output key is one sum over its pairs in the order
 met.  Over K scalars the product reads each coefficient's (u, shift,
 absolute precision) once and keeps, per key, the least term precision A,
-the top shift and the terms with two nonzero numerators; a key with A >= 1
-is reduced once by BaseConfig.reduce_terms, the routine BaseConfig.dot
-ends in, so it gets the stored form of the chain (the stored form lemma of
-htlab.base).  A key with A < 1, and every key over chart scalars, runs
-dot's chain over its pairs in the order met.
+the top shift and the terms with two nonzero numerators; each key is
+reduced once by BaseConfig.reduce_terms, the routine BaseConfig.dot ends
+in, so it gets the stored form of the chain (the stored form lemma of
+htlab.base).  Every key over chart scalars runs dot's chain over its pairs
+in the order met.
 
 product_cells forms the cells of a matrix product the same way, with no
 PdElement per product: each key of a cell is one sum over its (l, k1, k2)
 pairs, gathered by the pair loop PdElement.__mul__ runs, and reduced once
-when 1 <= A (and A < N when a term may hold more than N digits).  Other
-keys run the chain Mat.__mul__ forms: each product's dot, then the
-products added in l order, each dropped when droppable.  Each factor's
-entries are read, and each right factor's filters built, once per matrix
-product.  The descent check of htlab.higgs reads p_2*(eps) p_0*(eps)
-through it.
+unless A >= N and a term may hold more than N digits.  Such keys run the
+chain Mat.__mul__ forms: each product's dot, then the products added in l
+order, each dropped when droppable.  Each factor's entries are read, and
+each right factor's filters built, once per matrix product.  The descent
+check of htlab.higgs reads p_2*(eps) p_0*(eps) through it.
 
 The twisted face keeps, per generator, its image and the power chain
 one() * x * x ... that divided_power builds for one x, so gamma_a of an
@@ -349,16 +348,14 @@ def _sum_of_products(ring, products, fused, wide=False):
     sum_l x_l * y_l, each key one sum over its (l, k1, k2) pairs.
 
     products holds the (left entries, right filters) of each product l.
-    Over K scalars (fused) a key whose least term precision A is at least 1
-    is reduced once by reduce_terms.  The chain of _chain_sum, which forms
-    each product's key and adds the products in l order, gets the same
-    stored form: it drops only droppable coefficients and sums, whose terms
-    all hold at least N digits, so when A < N the term of precision A is in
-    its result, and with it the chain's A and value mod p^A.  When A >= N
-    the same holds unless a term holds more than N digits; wide says that
-    one may, and then such keys run the chain.  A key with A < 1, and every
-    key over chart scalars, runs the chain, whose result depends on its
-    order.
+    Over K scalars (fused) each key is reduced once by reduce_terms.  The
+    chain of _chain_sum, which forms each product's key and adds the
+    products in l order, gets the same stored form: it drops only droppable
+    coefficients and sums, whose terms all hold at least N digits, so when
+    A < N the term of precision A is in its result, and with it the chain's
+    A and value mod p^A.  When A >= N the same holds unless a term holds
+    more than N digits; wide says that one may, and then such keys run the
+    chain.  Every key over chart scalars runs the chain.
     """
     if not fused:
         return _chain_sum(ring, products, None)
@@ -367,18 +364,13 @@ def _sum_of_products(ring, products, fused, wide=False):
     sums = {}
     for left, rows in products:
         _gather(sums, left, rows, D, w, field)
-    chained = [key for key, (A, _, _, _) in sums.items() if A < 1 or wide and A >= N]
+    chained = [key for key, (A, _, _, _) in sums.items() if A >= N] if wide else []
     chains = _chain_sum(ring, products, chained)[0] if chained else {}
     out = {}
     for key, (A, s, terms, shifts) in sums.items():
-        if A < 1 or wide and A >= N:
-            c = chains.get(key)
-            if c is not None:
-                out[key] = c
-        else:
-            c = reduce_terms(A, s, terms, shifts)
-            if not c.droppable():
-                out[key] = c
+        c = chains.get(key) if wide and A >= N else reduce_terms(A, s, terms, shifts)
+        if c is not None and not c.droppable():
+            out[key] = c
     return out, False
 
 

@@ -59,9 +59,9 @@ class _Weight:
     its denominator n! prod i_k!, ``qs[t]`` = N - v_p(dens[t]) the absolute
     precision of its term at a skipped zero, and ``qzero[t]`` a zero at that
     precision.  ``cells[c]`` is None for a dead cell, where every entry is
-    skippable, and (live, zeros, full) otherwise: the non-skippable (t, entry)
-    pairs in coefficient order, the t of the skippable entries, least q
-    first, and whether the cell keeps all of its terms.
+    skippable, and (live, zeros) otherwise: the non-skippable (t, entry)
+    pairs in coefficient order, and the t of the skippable entries, least q
+    first.
     """
 
     __slots__ = ("entries", "dens", "qs", "qzero", "cells")
@@ -102,8 +102,6 @@ def _cocycle_plan(strat):
     for w in weights.values():
         qs = w.qs
         w.qzero = [cfg.k_zero(q) for q in qs]
-        # below absolute precision 1 dot runs its chain, where every term counts
-        keep_all = point and min(qs) < 1
         w.cells = []
         for c in range(strat.rank**2):
             live, zeros = [], []
@@ -113,13 +111,11 @@ def _cocycle_plan(strat):
                     live.append((t, x))
                 elif point:
                     zeros.append(t)
-            if not live and not keep_all:
+            if not live:
                 w.cells.append(None)
                 continue
             zeros.sort(key=qs.__getitem__)
-            # a term's absolute precision is at least min(prec, N) - shift - v_p(den)
-            full = point and (keep_all or any(min(x.prec, N) - x.shift - N + qs[t] < 1 for t, x in live))
-            w.cells.append((live, zeros, full))
+            w.cells.append((live, zeros))
     return order, weights
 
 
@@ -138,27 +134,23 @@ def _weight_slots(cfg, base, w, inc, m, cells, one):
         return y
 
     # a cell whose included terms are all skipped zeros holds a zero at
-    # their least q; for a single term that is dot's plain product too, as a
-    # zero of absolute precision q >= 1 is stored as (0, 0, q)
+    # their least q; for a single term that is dot's plain product too, as
+    # the stored form of a zero depends only on its absolute precision
     q = min(w.qs[t] for t in inc)
     dead = cfg.k_zero(q) if base.is_point and q < cfg.N else None
     dot = cfg.dot
     for c, cell in enumerate(w.cells):
         xs = None
         if cell is not None:
-            live, zeros, full = cell
-            if full:
-                xs = [w.entries[t][c] for t in inc]
-                ys = [scalar(t) for t in inc]
-            else:
-                xs = [x for t, x in live if t in inc]
-                ys = [scalar(t) for t, _ in live if t in inc]
-                rep = next((t for t in zeros if t in inc), None)
-                if xs and rep is not None:
-                    # dot takes from a zero term only its precision, and
-                    # qzero[rep] * one has the least q of the cell's zeros
-                    xs.append(w.qzero[rep])
-                    ys.append(one)
+            live, zeros = cell
+            xs = [x for t, x in live if t in inc]
+            ys = [scalar(t) for t, _ in live if t in inc]
+            rep = next((t for t in zeros if t in inc), None)
+            if xs and rep is not None:
+                # dot takes from a zero term only its precision, and
+                # qzero[rep] * one has the least q of the cell's zeros
+                xs.append(w.qzero[rep])
+                ys.append(one)
         if xs:
             v = dot(xs, ys)
             if not v.droppable():
@@ -190,16 +182,13 @@ def cocycle_matrix(data, s, T=None):
       * a live cell runs one dot over its included non-skippable entries
         plus one zero term at the least q of its included skipped zeros.
         That gives dot the same least absolute precision A and the same
-        nonzero terms as the whole chain, and with A >= 1 dot forms one
-        exact sum, so neither the left-out zeros nor the place of the
-        added term changes the stored form;
+        nonzero terms as the whole chain, and dot forms one exact sum, so
+        neither the left-out zeros nor the place of the added term changes
+        the stored form;
       * every dead cell of the weight shares one stored zero, at the least
         included q: dot's one-sum result, and also its plain product when
         only one coefficient is included (dropped at q = N; a chart zero
-        costs nothing);
-      * a weight with some q < 1, and a cell whose live entries could give
-        a term of absolute precision below 1, keep all their terms in
-        coefficient order, since dot then runs its order-dependent chain.
+        costs nothing).
     A scalar s_{n,I} is formed only for a coefficient that a term reads.
     """
     strat = _as_strat(data)

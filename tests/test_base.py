@@ -343,23 +343,25 @@ def _dot_operand(cfg, rng):
     """A K scalar of one of the shapes a sum of products meets.
 
     Shifted numerators, reduced precision, zeros at full or reduced
-    precision, prec > N (the inverse of a shifted scalar), and scalars with
-    no digit left of absolute precision.
+    precision, prec > N (the inverse of a shifted scalar), scalars of
+    absolute precision below 1, and scalars built with no digit at all.
     """
     p, N = cfg.p, cfg.N
-    kinds = ("unit", "any", "zero", "shifted", "inv", "thin")
-    kind = rng.choices(kinds, weights=(8, 3, 3, 3, 2, 1))[0]
+    kinds = ("unit", "any", "zero", "shifted", "inv", "thin", "void")
+    kind = rng.choices(kinds, weights=(8, 3, 3, 3, 2, 1, 1))[0]
     prec = N if rng.random() < 0.6 else rng.randrange(1, N + 1)
     shift = 0
     if kind in ("shifted", "inv"):
         shift = rng.randrange(1, 3)
     elif kind == "thin":
         prec, shift = rng.randrange(1, 3), rng.randrange(2, 4)
+    elif kind == "void":
+        prec, shift = rng.randrange(-1, 1), rng.randrange(0, 2)
 
     def coeff():
         if kind == "zero":
             return [0] * cfg.f
-        return [rng.randrange(p**prec) for _ in range(cfg.f)]
+        return [rng.randrange(p ** max(prec, 1)) for _ in range(cfg.f)]
 
     coeffs = [coeff() for _ in range(cfg.e)]
     if kind in ("unit", "shifted", "inv") and coeffs[0][0] % p == 0:
@@ -379,28 +381,45 @@ def _form(x):
     ids=["p5", "p2e2", "p3e2", "p3f2"],
 )
 def test_dot_matches_the_left_to_right_chain(p, E, f):
-    """dot gives the (u, shift, prec) of sum (x_k * y_k).smul(m_k) taken in order."""
+    """dot gives the (u, shift, prec) of sum (x_k * y_k).smul(m_k) taken in
+    order, and so does the chain in any other order of its terms."""
     cfg = make_base_config(p, E, f=f, precision=6)
     rng = random.Random(7 * p + 11 * f + len(E))
     multipliers = (1, 1, 1, -1, 2, p, -p, 3 * p * p, 0)
-    fused = fallback = shifted = 0
+    fused = low = shifted = 0
+
+    def chain(xs, ys, ms, order):
+        acc = None
+        for k in order:
+            t = xs[k] * ys[k]
+            if ms is not None and ms[k] != 1:
+                t = t.smul(ms[k])
+            acc = t if acc is None else acc + t
+        return acc
+
     for _ in range(400):
         n = rng.randrange(1, 6)
         xs = [_dot_operand(cfg, rng) for _ in range(n)]
         ys = [_dot_operand(cfg, rng) for _ in range(n)]
         ms = [rng.choice(multipliers) for _ in range(n)] if rng.random() < 0.5 else None
-        chain = None
-        for k in range(n):
-            t = xs[k] * ys[k]
-            if ms is not None and ms[k] != 1:
-                t = t.smul(ms[k])
-            chain = t if chain is None else chain + t
-        assert _form(cfg.dot(xs, ys, ms)) == _form(chain)
-        low = min(min(x.prec, y.prec) - x.shift - y.shift for x, y in zip(xs, ys))
+        if n > 2 and rng.random() < 0.3:
+            # the last term cancels the first, so a partial sum drops its shift
+            xs[-1], ys[-1] = -xs[0], ys[0]
+            if ms is not None:
+                ms[-1] = ms[0]
+        got = _form(cfg.dot(xs, ys, ms))
+        assert got == _form(chain(xs, ys, ms, range(n)))
+        assert got == _form(chain(xs, ys, ms, rng.sample(range(n), n)))
+        a = min(min(x.prec, y.prec) - x.shift - y.shift for x, y in zip(xs, ys))
         if n > 1:
-            fused += low >= 1
-            fallback += low < 1
-            shifted += low >= 1 and any(x.shift + y.shift for x, y in zip(xs, ys))
-    # both regimes are met: the fused sum, at shift 0 and above, and the
-    # chain it falls back to below A = 1
-    assert fused > 100 and shifted > 20 and fallback > 20
+            fused += a >= 1
+            low += a < 1
+            shifted += a >= 1 and any(x.shift + y.shift for x, y in zip(xs, ys))
+    # both regimes are met: A >= 1, at shift 0 and above, and A < 1, where a
+    # zero has no digit left and is stored as (0, 1 - A, 1) in every order
+    assert fused > 100 and shifted > 20 and low > 20
+    one = 1 if f == 1 else (1,) * f
+    for q in (0, -1, -3):
+        assert _form(cfg.k_zero(q)) == _form(cfg.k_from_int(7, q)) == (cfg.zero_u, 1 - q, 1)
+        for s in (0, 2):
+            assert _form(cfg.k_from_coeffs([one], q, s)) == (cfg.zero_u, 1 - q + s, 1)

@@ -13,6 +13,9 @@ from click.testing import CliRunner
 
 from make_golden import GOLDEN, container_cases, run_case, scalar_chains, snf_cases, witt_cases
 
+from htlab import make_base_config
+from htlab.serialize import k_from_json, k_to_json
+
 MANIFEST = json.loads((GOLDEN / "manifest.json").read_text())
 
 
@@ -112,3 +115,36 @@ def test_smith_reduction_unchanged():
 
 def test_witt_vectors_unchanged():
     _assert_same_text(json.dumps(witt_cases(), sort_keys=True) + "\n", "witt.json")
+
+
+# the bases of the golden files, by the name of a top-level key or the file
+# name up to its first "-"
+GOLDEN_BASES = {"p5": (5, [-5], 1), "p2e2": (2, [-2, 0], 1), "p3e2": (3, [-3, 0], 1), "p3f2": (3, [-3], 2), "p3": (3, [-3], 1)}
+
+
+def _scalar_records(doc):
+    """Every {"coeffs", "prec", "shift"} record of a JSON document."""
+    if isinstance(doc, dict):
+        if doc.keys() == {"coeffs", "prec", "shift"}:
+            yield doc
+            return
+        for v in doc.values():
+            yield from _scalar_records(v)
+    elif isinstance(doc, list):
+        for v in doc:
+            yield from _scalar_records(v)
+
+
+def test_every_golden_scalar_reads_back():
+    """k_from_json reads each scalar htlab wrote, no-digit zeros included,
+    and gives back the same record."""
+    cfgs = {name: make_base_config(p, E, f=f) for name, (p, E, f) in GOLDEN_BASES.items()}
+    seen = 0
+    for path in sorted(GOLDEN.rglob("*.json")):
+        doc = json.loads(path.read_text())
+        parts = doc.items() if path.name in ("scalars.json", "containers.json", "snf.json") else [(path.name, doc)]
+        for name, part in parts:
+            for rec in _scalar_records(part):
+                assert k_to_json(k_from_json(cfgs[name.split("-")[0]], rec)) == rec, (path.name, name, rec)
+                seen += 1
+    assert seen > 20000

@@ -4,7 +4,7 @@ import pytest
 from oracles import cocycle_strat_naive, descent_faces
 from test_sen import _corrupted, _form, _random_strat
 
-from htlab import make_base_config
+from htlab import higgs, make_base_config
 from htlab.chart import ChartRing
 from htlab.errors import (
     BraidFailure,
@@ -389,6 +389,27 @@ def test_descent_matrix_keeps_every_non_droppable_entry(cfg_r2):
                 kept += 1
                 reduced += a.is_zero()
     assert kept and reduced
+
+
+def test_chart_zero_is_shared_so_stratify_takes_the_identity_path(cfg_u5, monkeypatch):
+    """Mat gives every empty sum the ring's one zero, so over a chart too
+    _vanishes passes most entries by identity, without droppable()."""
+    chart = ChartRing(cfg_u5, "chart", d=1, r=1)
+    assert chart.zero() is chart.zero()
+    h = sample_higgs(chart, random.Random(3), "abs-geom", 3)
+    seen = {"entries": 0, "shared": 0}
+    vanishes = higgs._vanishes
+
+    def spy(m):
+        zero = m.ring.zero()
+        for row in m.rows:
+            seen["entries"] += len(row)
+            seen["shared"] += sum(a is zero for a in row)
+        return vanishes(m)
+
+    monkeypatch.setattr(higgs, "_vanishes", spy)
+    stratification_from_higgs(h, D=5)
+    assert 0 < seen["shared"] < seen["entries"], seen
 
 
 # ---------------------------------------------------------------------------

@@ -668,19 +668,19 @@ def test_product_cells_match_the_matrix_product(request, name):
 
 
 def test_product_cells_sum_low_precision_keys_in_product_order(cfg_u5, point):
-    """Below absolute precision 1 a sum depends on its order: a + b cancels to
-    5^3 and is normalized before c is added, c + b + a is not.  The cell sums
-    its products in l order, as the matrix product does."""
+    """Below absolute precision 1 every order of a sum stores alike: a + b
+    cancels to 5^3 and is normalized before c is added, c + b + a is not,
+    and both give the one no-digit zero (0, 1, 1).  The cell sums its
+    products in l order, as the matrix product does."""
     ring = PdRing(cfg_u5, point, "abs-geom", 1, d=1, D=3)
     xs = [cfg_u5.k_from_coeffs([1], 5, 3), cfg_u5.k_from_coeffs([124], 5, 3), cfg_u5.k_from_coeffs([1], 0, 0)]
     ones = Mat(ring, [[ring.one()] * 3])
-    col = Mat(ring, [[ring.from_scalar(x)] for x in xs])
-    [(_, _, coeffs, _)] = product_cells(ones, col)
-    c = coeffs[0]
-    assert (c.u, c.shift, c.prec) == (0, 0, 0)
-    assert _cells(ones, col) == _product(ones, col)
-    back = xs[2] + xs[1] + xs[0]
-    assert (back.u, back.shift, back.prec) == (0, 1, 1)
+    for a, b, c in (xs, xs[::-1]):
+        col = Mat(ring, [[ring.from_scalar(x)] for x in (a, b, c)])
+        [(_, _, coeffs, _)] = product_cells(ones, col)
+        assert _form(coeffs[0]) == (0, 1, 1)
+        assert _cells(ones, col) == _product(ones, col)
+        assert _form(a + b + c) == (0, 1, 1)
 
 
 def test_product_cells_keep_the_digits_past_n_of_a_lone_kept_product(cfg_u5, point):

@@ -478,11 +478,11 @@ def _plan_cases(cfg, rng):
 
 def _plan_counts(strat):
     _, weights = strat._cocycle_plan
-    counts = {"dead": 0, "live": 0, "full": 0, "q<1": 0}
+    counts = {"dead": 0, "live": 0, "q<1": 0}
     for w in weights.values():
         counts["q<1"] += min(w.qs) < 1
         for cell in w.cells:
-            counts["dead" if cell is None else "full" if cell[2] else "live"] += 1
+            counts["dead" if cell is None else "live"] += 1
     return counts
 
 
@@ -496,7 +496,7 @@ def test_cocycle_plan_matches_the_naive_chain(spec):
     rng = random.Random(f"plan-{spec}")
     cases = _plan_cases(cfg, rng)
     if spec == "p2e2":
-        # weight 10 has q = 8 - v_2(10!) = 0, so dot runs its chain there
+        # weight 10 has q = 8 - v_2(10!) = 0: its zeros have no digit
         point = ChartRing(cfg, "point")
         h = sample_higgs(point, rng, "abs-geom", 3, d=1)
         cases += [(stratification_from_higgs(h, D=10), 11), (_random_strat(point, rng, 2, 1, 10), 11)]
@@ -511,7 +511,7 @@ def test_cocycle_plan_matches_the_naive_chain(spec):
                     assert e.truncated == any(v.truncated for v in cell.values())
         for key, n in _plan_counts(strat).items():
             counts[key] = counts.get(key, 0) + n
-    assert counts["dead"] and counts["live"] and counts["full"]
+    assert counts["dead"] and counts["live"]
     assert bool(counts["q<1"]) == (spec == "p2e2")
 
 
@@ -569,8 +569,8 @@ def _law_cases(cfg, rng):
     return cases + [(_corrupted(strat, rng), T) for strat, T in cases]
 
 
-def _chain_slot(xs, ys):
-    """Whether dot runs its chain on these pairs: K scalars whose least absolute precision is below 1."""
+def _low_slot(xs, ys):
+    """Whether these pairs are K scalars whose least absolute precision is below 1."""
     if len(xs) < 2 or not isinstance(xs[0], KElem):
         return False
     return min(min(x.prec, y.prec) - x.shift - y.shift for x, y in zip(xs, ys)) < 1
@@ -584,7 +584,7 @@ def test_law_slot_by_slot_matches_the_matrix_product(spec):
         "p3f2": make_base_config(3, [-3], f=2),
     }[spec]
     rng = random.Random(f"law-{spec}")
-    seen = {"ok": 0, "witness": 0, "chain": 0, "chart": 0}
+    seen = {"ok": 0, "witness": 0, "low": 0, "chart": 0}
     for strat, T in _law_cases(cfg, rng):
         sigmas = _sigmas(cfg, rng, strat.d)
         for _ in range(3):
@@ -614,8 +614,8 @@ def test_law_slot_by_slot_matches_the_matrix_product(spec):
                             for b, y in f.coeffs.items()
                             if a + b == k
                         ]
-                        seen["chain"] += bool(pairs) and _chain_slot(*zip(*pairs))
-    assert seen["ok"] and seen["witness"] and seen["chart"] and seen["chain"], seen
+                        seen["low"] += bool(pairs) and _low_slot(*zip(*pairs))
+    assert seen["ok"] and seen["witness"] and seen["chart"] and seen["low"], seen
 
 
 def test_law_builds_no_product_or_residual_matrix(cfg_u5, nilp2, monkeypatch):
