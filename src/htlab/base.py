@@ -18,14 +18,15 @@ W/p^M is O_K/p^M at e = 1, so the Witt vectors of the delta-ring side
 (deltaring.WittElem) run on these same kernels, taken from the unramified
 config BaseConfig(p, [-p], f, N).
 
-The stored form lemma.  Normalization cancels p until shift is 0, p no
-longer divides u, or one digit is left, and a scalar with no digit (prec
-<= 0) is stored as the one zero (0, 1 - A, 1) of its absolute precision
-A = prec - shift.  So at every A the stored (u, shift, prec) depends only
-on the value mod p^A and on A.  A chain of products and sums has the least
-A of its terms, whatever the order of the sum, so BaseConfig.dot may form
-the sum as one exact integer and reduce it once: it gets the chain's
-stored form.
+The stored form lemma.  Normalization multiplies out a negative shift
+(p^-shift u at prec - shift digits, the same A), so every stored shift is
+>= 0; it cancels p until shift is 0, p no longer divides u, or one digit is
+left; and a scalar with no digit (prec <= 0) is stored as the one zero
+(0, 1 - A, 1) of its absolute precision A = prec - shift.  So at every A
+the stored (u, shift, prec) depends only on the value mod p^A and on A.  A
+chain of products and sums has the least A of its terms, whatever the order
+of the sum, so BaseConfig.dot may form the sum as one exact integer and
+reduce it once: it gets the chain's stored form.
 Regrouping products is not covered.  Containers skip droppable
 intermediates, and a skipped zero pays nothing for a later denominator, so
 (a b) c and a (b c) need not store alike.
@@ -465,7 +466,13 @@ def _no_digit(cfg, A):
 
 
 def _norm(cfg, u, shift, prec):
-    """p^-shift * u with p cancelled: p divides u only if shift <= 0 or prec = 1; _no_digit if prec < 1."""
+    """p^-shift * u with p cancelled: p divides u only if shift = 0 or prec = 1; _no_digit if prec < 1.
+
+    A negative shift is multiplied out first (u p^-shift at prec - shift digits: A is kept)."""
+    if shift < 0:
+        m = cfg.p**-shift
+        u = u * m if cfg.n == 1 else tuple([c * m for c in u])
+        shift, prec = 0, prec - shift
     if prec < 1:
         return _no_digit(cfg, prec - shift)
     top = shift if shift < prec else prec - 1
@@ -488,8 +495,8 @@ class KElem:
 
     u holds the coordinates of the numerator on the basis pi^i g^j of
     BaseConfig, each in [0, p^prec): a bare int when e*f = 1, a tuple of
-    e*f ints otherwise.  Normalized: prec >= 1, and while shift > 0 and
-    prec > 1, p does not divide u.  The absolute p-adic precision is
+    e*f ints otherwise.  Normalized: prec >= 1, shift >= 0, and while
+    shift > 0 and prec > 1, p does not divide u.  The absolute p-adic precision is
     A = prec - shift; a scalar with no digit left is (0, 1 - A, 1).
     """
 

@@ -455,20 +455,18 @@ class FactorizationCertificate:
     _factors: list = field(default=None, init=False, repr=False, compare=False)
 
     def factors(self):
-        """The M factors of the product, computed once and kept.
+        """The factors i = 1 .. min(M, prec - 1) of the product, computed once and kept.
 
         Factor i is known to prec = y.prec + 1 digits and is 1 mod p^i, so
-        from i = prec on it is the one at that precision: only the factors
-        below prec are built, and the rest share that one.
+        from i = prec on it is the one at that precision: those factors are
+        left out, and neither the list nor recombine grows with M.
         """
         if self._factors is None:
             p, prec = self.cfg.p, self.y.prec + 1
-            built = min(self.horizon, prec - 1)
             self._factors = []
-            for i in range(1, built + 1):
+            for i in range(1, min(self.horizon, prec - 1) + 1):
                 yi = frobenius(self.y, -i)
                 self._factors.append((_one(self.cfg, prec) + yi.scale_pk(1)).pow(p ** (i - 1)))
-            self._factors += [_one(self.cfg, prec)] * (self.horizon - built)
         return self._factors
 
     def recombine(self):

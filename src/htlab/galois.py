@@ -17,6 +17,10 @@ beta = pi E'(pi) in the log normalization, E'(pi) in the smooth one.
 sigma_t and galois_act_all take alpha itself.  The action is not assumed:
 the evaluation/face compatibility oracle in the cosimplicial module
 certifies it.
+
+series_dot is the one t-slot kernel: a t-series product, the substitution
+t -> sigma(t) (subs_t_all) and each cell of the group law's right side
+(sen.verify_cocycle_law) form every slot as one dot over its pairs.
 """
 
 from .sparse import Sparse
@@ -103,22 +107,8 @@ class FormalCElem(Sparse):
         return False
 
     def __mul__(self, other):
-        # each t-degree below T is one sum over its pairs, in the order met
-        T = self.T
-        sums = {}
-        for i, a in self.coeffs.items():
-            for j, b in other.coeffs.items():
-                k = i + j
-                if k >= T:
-                    continue
-                pair = sums.get(k)
-                if pair is None:
-                    sums[k] = ([a], [b])
-                else:
-                    pair[0].append(a)
-                    pair[1].append(b)
-        dot = self.base.cfg.dot
-        return FormalCElem(self.base, T, {k: dot(xs, ys) for k, (xs, ys) in sums.items()})
+        coeffs = series_dot([self.coeffs.items()], [other.coeffs.items()], self.T, self.base.cfg.dot)
+        return FormalCElem(self.base, self.T, coeffs, reduce=False)
 
     def droppable(self):
         return not self.coeffs
@@ -181,12 +171,47 @@ def sigma_t(base, s, T=None, alpha=None):
     return FormalCElem(base, T, coeffs)
 
 
+def series_dot(row, col, T, dot):
+    """{k: slot}: the t^k slots below T of sum_l row[l] * col[l] that are not droppable.
+
+    row[l] and col[l] hold the (t-degree, coefficient) pairs of two series,
+    as lists or dict items views.  Slot k is one dot over the products x * y
+    with a + b = k, x the t^a coefficient of row[l] and y the t^b coefficient
+    of col[l], taken in (l, a, b) order: the stored form of the chain that
+    sums them in that order.
+    """
+    sums = {}
+    for xs, ys in zip(row, col):
+        if not ys:
+            continue
+        for a, x in xs:
+            for b, y in ys:
+                k = a + b
+                if k >= T:
+                    continue
+                pair = sums.get(k)
+                if pair is None:
+                    sums[k] = ([x], [y])
+                else:
+                    pair[0].append(x)
+                    pair[1].append(y)
+    out = {}
+    for k, (xs, ys) in sums.items():
+        v = dot(xs, ys)
+        if not v.droppable():
+            out[k] = v
+    return out
+
+
 def subs_t_all(xs, t_img):
     """Substitute t -> t_img in each series of xs, which share one base and T.
 
     The powers of t_img are built once for all of xs, up to the highest
-    degree present.  Each result is the sum over k, in increasing k, of
-    x_k * t_img^k, with a slot dropped as soon as it is droppable.
+    degree present.  Slot j of a result is one dot (series_dot) over the
+    terms v * x_k, v the t^j coefficient of t_img^k, in increasing k: the
+    stored form of the chain that drops each droppable term and partial sum,
+    as every term has A <= N (the powers start from one() at N digits, and
+    shifts are >= 0), so a dropped zero at >= N digits never lowers its A.
     """
     if 0 in t_img.coeffs:
         raise ValueError("substitution target must have positive t-order")
@@ -197,25 +222,13 @@ def subs_t_all(xs, t_img):
     powers = [FormalCElem.scalar(base, T, base.one())]
     for _ in range(top):
         powers.append(powers[-1] * t_img)
+    dot = base.cfg.dot
     out = []
     for x in xs:
-        acc = {}
-        for k in sorted(x.coeffs):
-            c = x.coeffs[k]
-            for j, v in powers[k].coeffs.items():
-                term = v * c
-                if term.droppable():
-                    continue
-                prev = acc.get(j)
-                if prev is None:
-                    acc[j] = term
-                else:
-                    total = prev + term
-                    if total.droppable():
-                        del acc[j]
-                    else:
-                        acc[j] = total
-        out.append(FormalCElem(base, T, acc, reduce=False))
+        ks = sorted(x.coeffs)
+        row = [powers[k].coeffs.items() for k in ks]
+        col = [[(0, x.coeffs[k])] for k in ks]
+        out.append(FormalCElem(base, T, series_dot(row, col, T, dot), reduce=False))
     return out
 
 

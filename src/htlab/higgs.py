@@ -44,6 +44,7 @@ from .errors import (
 )
 from .linalg import Mat, commutator
 from .pdring import FaceContext, PdElement, PdRing, product_cells
+from .sparse import agree
 
 FLAVORS = ("abs-arith", "abs-geom", "rel-geom")
 TWISTS = ("log", "smooth")
@@ -457,10 +458,12 @@ def check_cocycle_strat(strat):
     from pdring.product_cells as its pd keys, each one sum over the key's
     (l, k1, k2) pairs with the stored form Mat.__mul__ would give it, and
     is compared key by key with the same cell of p_1*(eps) by the rule of a
-    difference: a key of both is subtracted and dropped if droppable, and
-    the cell agrees when every key left is zero.  The witness is the first
-    cell in row-major order that does not agree.  Every cell is formed, for
-    the truncated flag, but no product, difference or residual matrix is.
+    difference (sparse.agree): a key of both is subtracted and dropped if
+    droppable, and the cell agrees when every key left is zero.  The witness
+    is the first cell in row-major order that does not agree.  Every cell is
+    formed, and the truncated flag reads the product cell, the p_1*(eps)
+    cell and each difference of every cell, but no product, difference or
+    residual matrix is.
     """
     ring1 = PdRing(strat.cfg, strat.base, strat.flavor, 1, d=strat.d, D=strat.D)
     eps = descent_matrix(strat, ring=ring1)
@@ -472,23 +475,10 @@ def check_cocycle_strat(strat):
     truncated = False
     for i, j, coeffs, trunc in product_cells(p2, p0):
         rhs = p1.rows[i][j]
-        if trunc or rhs.truncated:
-            truncated = True
-        residual = []
-        for key, x in coeffs.items():
-            y = rhs.coeffs.get(key)
-            if y is not None:
-                x = x - y
-                if x.truncated:
-                    truncated = True
-                if x.droppable():
-                    continue
-            residual.append(x)
-        if witness is None:
-            # a key of p_1*(eps) alone is zero exactly when its negative is
-            rest = (y for key, y in rhs.coeffs.items() if key not in coeffs)
-            if not all(x.is_zero() for x in residual) or not all(y.is_zero() for y in rest):
-                witness = (i, j)
+        ok, diff_trunc = agree(coeffs, rhs.coeffs)
+        truncated = truncated or trunc or diff_trunc or rhs.truncated
+        if witness is None and not ok:
+            witness = (i, j)
     return {
         "ok": witness is None,
         "rank": strat.rank,

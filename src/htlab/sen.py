@@ -9,9 +9,10 @@ a matrix of truncated t-series.  The cocycle law U(s u) = U(s) * s(U(u)),
 with s moving only t, is what check_cocycle certifies at the pd level;
 verify_cocycle_law re-checks it directly on sampled group pairs, slot by
 slot: each t-slot of a cell of the right side is one dot over the pairs
-that land in it, compared at once with the same slot of U(s u), so no
-product or residual matrix is formed.  Mat.__mul__ stays the one general
-product, for the period and the crosscheck.
+that land in it (galois.series_dot), compared at once with the same slot of
+U(s u) by the rule of a difference (sparse.agree), so no product or
+residual matrix is formed.  Mat.__mul__ stays the one general product, for
+the period and the crosscheck.
 
 The Sen operator of log-normalized data is -phi / beta.  Fixed vectors of
 the whole action are the common kernel of the positive-weight coefficients.
@@ -33,10 +34,11 @@ import math
 from .base import KElem
 from .cohomology import _pi_power, snf_dvr
 from .errors import HorizonTooSmall, KernelRankDeficit, ValidationFailure
-from .galois import FormalCElem, FormalRing, GroupElt, galois_act_all, sigma_t
+from .galois import FormalCElem, FormalRing, GroupElt, galois_act_all, series_dot, sigma_t
 from .higgs import HiggsData, Stratification, _first_nonzero, stratification_from_higgs
 from .linalg import Mat
 from .pdring import PdElement, PdRing
+from .sparse import agree
 
 
 def _as_strat(data, D=None):
@@ -228,38 +230,6 @@ def cocycle_matrix(data, s, T=None):
     return Mat(FormalRing(base, T), out)
 
 
-def _law_slots(row, col, T, dot):
-    """{k: slot}: the t^k slots of sum_l row[l] * col[l] that are not droppable.
-
-    row and col hold the (t-degree, coefficient) pairs of each entry of a
-    row of U(s) and of a column of s(U(u)), in the entries' dict order.
-    Slot k is one dot over the pairs x * y with a + b = k, x the t^a
-    coefficient of row[l] and y the t^b coefficient of col[l], taken in
-    (l, a, b) order.
-    """
-    sums = {}
-    for xs, ys in zip(row, col):
-        if not ys:
-            continue
-        for a, x in xs:
-            for b, y in ys:
-                k = a + b
-                if k >= T:
-                    continue
-                pair = sums.get(k)
-                if pair is None:
-                    sums[k] = ([x], [y])
-                else:
-                    pair[0].append(x)
-                    pair[1].append(y)
-    out = {}
-    for k, (xs, ys) in sums.items():
-        v = dot(xs, ys)
-        if not v.droppable():
-            out[k] = v
-    return out
-
-
 def verify_cocycle_law(data, s, u, T=None):
     """Check U(s u) = U(s) * s(U(u)) for one pair of group elements.
 
@@ -271,8 +241,8 @@ def verify_cocycle_law(data, s, u, T=None):
 
     The check runs slot by slot.  For each cell (i, j) in row-major order,
     each t^k slot of the right side is one dot over the pairs that land in
-    it (_law_slots), dropped if droppable, and compared with the t^k slot of
-    U(s u); the cell agrees when each difference is droppable or zero.  The
+    it (galois.series_dot), dropped if droppable, and the slots are compared
+    with those of U(s u) by the rule of a difference (sparse.agree).  The
     first cell that does not agree is the witness, and no later cell is
     formed.  A slot has the stored form of the same slot of Mat.__mul__'s
     product, which would form each cell as a chain of t-series, one series
@@ -284,27 +254,16 @@ def verify_cocycle_law(data, s, u, T=None):
     lhs = cocycle_matrix(strat, s * u, T=T)
     T = lhs.ring.T
     r = strat.rank
-    left = [[list(e.coeffs.items()) for e in row] for row in cocycle_matrix(strat, s, T=T).rows]
+    left = [[e.coeffs.items() for e in row] for row in cocycle_matrix(strat, s, T=T).rows]
     right = cocycle_matrix(strat, u, T=T)
     acted = galois_act_all(s, [e for row in right.rows for e in row], alpha=strat.braid_unit())
-    acted = [list(e.coeffs.items()) for e in acted]
+    acted = [e.coeffs.items() for e in acted]
     cols = [acted[j::r] for j in range(r)]
     dot = strat.cfg.dot
     for i, row in enumerate(left):
         for j, col in enumerate(cols):
-            rhs = _law_slots(row, col, T, dot)
-            for k, x in lhs.rows[i][j].coeffs.items():
-                y = rhs.pop(k, None)
-                if y is not None:
-                    x = x - y
-                    if x.droppable():
-                        continue
-                if not x.is_zero():
-                    return {"ok": False, "witness": (i, j)}
-            # a slot of the right side alone is zero exactly when its negative is
-            for y in rhs.values():
-                if not y.is_zero():
-                    return {"ok": False, "witness": (i, j)}
+            if not agree(lhs.rows[i][j].coeffs, series_dot(row, col, T, dot))[0]:
+                return {"ok": False, "witness": (i, j)}
     return {"ok": True, "witness": None}
 
 

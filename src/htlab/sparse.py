@@ -10,7 +10,8 @@ and supplies the parts that differ:
   comparisons.  Code that forms coefficients itself applies the same rule
   to each coefficient it forms: sums here, pd products, the twisted pd
   face, which sums its terms in place through merge_into, and
-  galois.subs_t_all, which sums a substitution in place;
+  galois.series_dot, which forms each t-slot of a series product, a
+  substitution or the group law as one dot;
 * ``_new(coeffs, truncated)``, which rebuilds an element through that
   constructor, and ``_adopt(coeffs, truncated)``, which wraps coefficients
   that are clean already (none droppable, every truncated one reflected in
@@ -22,6 +23,9 @@ A sum starts from the clean coefficients of its left operand and checks only
 the keys the right operand adds to, so it hands its dict to ``_adopt``.
 ``deltaring.USeries`` is not a subclass: its coefficients are raw Witt
 vectors under an explicit modulus, not scalar-protocol objects.
+
+agree is the rule of a difference, the one comparison of the descent check
+(higgs.check_cocycle_strat) and the group law (sen.verify_cocycle_law).
 """
 
 
@@ -46,6 +50,30 @@ def merge_into(out, coeffs, sub=False):
         else:
             out[key] = c
     return trunc
+
+
+def agree(a, b):
+    """(ok, truncated): whether coefficient dicts a and b agree, by the rule of a difference.
+
+    A key of both is subtracted, and the difference is dropped if droppable;
+    a key of one alone is left as it is, since it is zero exactly when its
+    negative is.  ok is whether every key left is zero, and truncated
+    whether a difference formed here is truncated.
+    """
+    ok, truncated = True, False
+    for key, x in a.items():
+        y = b.get(key)
+        if y is not None:
+            x = x - y
+            if x.truncated:
+                truncated = True
+            if x.droppable():
+                continue
+        if ok and not x.is_zero():
+            ok = False
+    if ok:
+        ok = all(y.is_zero() for key, y in b.items() if key not in a)
+    return ok, truncated
 
 
 class Sparse:

@@ -416,6 +416,41 @@ def cocycle_matrix_naive(strat, s, T):
     return out
 
 
+def subs_t_chain(xs, t_img):
+    """t -> t_img in each series of xs as a running chain: for k in increasing
+    order, each term v * x_k (v a coefficient of t_img^k) is added into its
+    slot one by one, and a droppable term or partial sum is dropped at once."""
+    from htlab.galois import FormalCElem
+
+    if not xs:
+        return []
+    base, T = xs[0].base, xs[0].T
+    top = max((k for x in xs for k in x.coeffs), default=0)
+    powers = [FormalCElem.scalar(base, T, base.one())]
+    for _ in range(top):
+        powers.append(powers[-1] * t_img)
+    out = []
+    for x in xs:
+        acc = {}
+        for k in sorted(x.coeffs):
+            c = x.coeffs[k]
+            for j, v in powers[k].coeffs.items():
+                term = v * c
+                if term.droppable():
+                    continue
+                prev = acc.get(j)
+                if prev is None:
+                    acc[j] = term
+                else:
+                    total = prev + term
+                    if total.droppable():
+                        del acc[j]
+                    else:
+                        acc[j] = total
+        out.append(FormalCElem(base, T, acc, reduce=False))
+    return out
+
+
 def galois_act_mat(s, mat, alpha):
     """sigma applied entrywise to a matrix of t-series (t moves, nothing else),
     twisted by the unit alpha."""

@@ -423,3 +423,36 @@ def test_dot_matches_the_left_to_right_chain(p, E, f):
         assert _form(cfg.k_zero(q)) == _form(cfg.k_from_int(7, q)) == (cfg.zero_u, 1 - q, 1)
         for s in (0, 2):
             assert _form(cfg.k_from_coeffs([one], q, s)) == (cfg.zero_u, 1 - q + s, 1)
+
+
+@pytest.mark.parametrize(
+    "p, E, f",
+    [(5, [-5], 1), (2, [-2, 0], 1), (3, [-3], 2)],
+    ids=["p5", "p2e2", "p3f2"],
+)
+def test_a_negative_shift_is_multiplied_out(p, E, f):
+    """p^-s u with s < 0 stores as the shift-0 spelling u p^-s at prec - s
+    digits, the same value at the same absolute precision: dot still gives
+    the chain's form, and the inverse is the inverse."""
+    cfg = make_base_config(p, E, f=f, precision=6)
+    rng = random.Random(5 * p + f)
+    one = cfg.k_one()
+    for _ in range(200):
+        prec, shift = rng.randrange(1, 7), -rng.randrange(1, 4)
+        raw = [[rng.randrange(p**prec) for _ in range(f)] for _ in range(cfg.e)]
+        if rng.random() < 0.7 and raw[0][0] % p == 0:
+            raw[0][0] += 1
+        m = p**-shift
+
+        def spell(scale):
+            return [c[0] * scale if f == 1 else tuple(x * scale for x in c) for c in raw]
+
+        x = cfg.k_from_coeffs(spell(1), prec, shift)
+        assert _form(x) == _form(cfg.k_from_coeffs(spell(m), prec - shift, 0))
+        assert x.shift >= 0 and x.abs_prec == prec - shift
+        xs = [x, _dot_operand(cfg, rng), x]
+        ys = [_dot_operand(cfg, rng), x, one]
+        chain = xs[0] * ys[0] + xs[1] * ys[1] + xs[2] * ys[2]
+        assert _form(cfg.dot(xs, ys)) == _form(chain)
+        if x.val_pi() == 0:
+            assert (x * x.inv() - one).is_zero()

@@ -317,6 +317,36 @@ def test_factorize_horizon_past_the_precision_builds_nothing_more(runner):
     assert seconds < 0.5
 
 
+def test_factorize_at_a_huge_horizon_builds_no_padding(runner):
+    # the factors from i = N on are left out rather than listed as ones, so
+    # a horizon of 10^6 costs what N - 1 does
+    path = str(GOLDEN_INPUTS / "p5-units.json")
+    t0 = time.perf_counter()
+    res = runner.invoke(main, ["factorize", path, "--canonical", "--horizon", str(10**6)])
+    seconds = time.perf_counter() - t0
+    short = runner.invoke(main, ["factorize", path, "--canonical", "--horizon", "7"])
+    huge, want = json.loads(res.output), json.loads(short.output)
+    assert huge["artifacts"].pop("horizon") == str(10**6)
+    assert want["artifacts"].pop("horizon") == "7"
+    assert (res.exit_code, huge) == (short.exit_code, want)
+    assert seconds < 0.5
+
+
+@pytest.mark.parametrize("command", ["check", "stratify"])
+def test_a_negative_shift_reports_as_its_shift_zero_spelling(runner, tmp_path, command):
+    # phi[0][1] = 35 at 9 absolute digits, once as 5^1 * 7 (shift -1) and once as 35
+    doc = json.loads((GOLDEN_INPUTS / "p5-point-abs-arith-d0-smooth.json").read_text())
+    reports = []
+    for rec in ({"coeffs": ["7"], "prec": "8", "shift": "-1"}, {"coeffs": ["35"], "prec": "9", "shift": "0"}):
+        doc["phi"][0][1] = rec
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(doc))
+        res = runner.invoke(main, [command, str(path), "--canonical"])
+        reports.append((res.exit_code, res.output))
+    assert reports[0] == reports[1]
+    assert reports[0][0] == 0, reports[0][1]
+
+
 def test_check_on_a_ramified_base_builds_no_witt_config(runner, monkeypatch):
     # the only kernels compiled are those of the descriptor's own config (e = 2, n = 2)
     calls = []

@@ -5,7 +5,8 @@ import pytest
 from htlab.base import KElem
 from htlab.chart import ChartRing
 from htlab.errors import AxiomViolation, BadIndex
-from htlab.galois import FormalCElem, GroupElt, galois_act_all, sigma_t
+from htlab.galois import FormalCElem, GroupElt, galois_act_all, sigma_t, subs_t_all
+from htlab import make_base_config
 from htlab.higgs import twist_unit
 from htlab.pdring import (
     VARIANTS,
@@ -31,6 +32,7 @@ from oracles import (
     pd_to_plain,
     plain_mul,
     plain_to_pd,
+    subs_t_chain,
 )
 
 
@@ -535,6 +537,60 @@ def test_twisted_face_keeps_the_flag_of_a_truncated_constant(cfg_u5, point):
         img = FaceContext(ring, i, twist_unit(cfg_u5, "log")).apply(x)
         assert img.truncated, i
         assert img.eq(ring.bump(2).from_int(7))
+
+
+def _subs_scalar(cfg, rng):
+    """A K coefficient for the substitution oracle: a unit, a zero at reduced
+    precision, a shifted scalar, or one with more than N digits (the inverse
+    of (p + 1) / p, which is (6/5)^-1 at p = 5)."""
+    p, N = cfg.p, cfg.N
+    kind = rng.choice(("unit", "unit", "zero", "shifted", "wide"))
+    if kind == "zero":
+        return cfg.k_zero(rng.randrange(1, N))
+    if kind == "shifted":
+        return cfg.k_from_int(rng.randrange(1, p**N)).div_int(p ** rng.randrange(1, 3))
+    if kind == "wide":
+        return cfg.k_from_int(p + 1).div_int(p).inv().smul(rng.choice((1, -1, 2)))
+    return cfg.k_from_int(rng.randrange(p**N))
+
+
+@pytest.mark.parametrize(
+    "p, E, f, mode",
+    [(5, [-5], 1, "point"), (2, [-2, 0], 1, "point"), (3, [-3], 2, "point"), (5, [-5], 1, "chart")],
+    ids=["p5", "p2e2", "p3f2", "p5-chart"],
+)
+def test_subs_t_all_keeps_the_stored_form_of_the_running_chain(p, E, f, mode):
+    cfg = make_base_config(p, E, f=f, precision=6)
+    base = ChartRing(cfg, mode, d=1, r=1) if mode == "chart" else ChartRing(cfg)
+    rng = random.Random(f"subs-{p}-{len(E)}-{f}-{mode}")
+    T = cfg.cutoffs.T
+
+    def coeff():
+        c = base.from_k(_subs_scalar(cfg, rng))
+        if mode == "chart" and rng.random() < 0.5:
+            c = c + base.var(1, rng.choice((1, 2))).mul_scalar(_subs_scalar(cfg, rng))
+        return c
+
+    def series(low):
+        return FormalCElem(base, T, {k: coeff() for k in range(low, T) if rng.random() < 0.7})
+
+    seen = 0
+    for i in range(40):
+        if i % 2:
+            s = GroupElt(cfg, (), rng.randrange(p**6), rng.choice((1, p + 1, 1 - p)))
+            t_img = sigma_t(base, s, T=T, alpha=cfg.beta if rng.random() < 0.5 else cfg.Ep)
+        else:
+            t_img = series(1)
+        xs = [series(0) for _ in range(3)]
+        got = subs_t_all(xs, t_img)
+        # every slot has the chain's stored form; the slot order may differ,
+        # as the chain moves a slot that cancels to a droppable partial sum
+        # and is entered again to the end
+        want = subs_t_chain(xs, t_img)
+        assert [sorted(_form(x)[0]) for x in got] == [sorted(_form(x)[0]) for x in want]
+        seen += sum(len(x.coeffs) for x in got)
+    assert seen > 100
+    assert subs_t_all([], t_img) == []
 
 
 # ---------------------------------------------------------------------------

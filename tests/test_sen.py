@@ -8,7 +8,7 @@ from htlab.base import KElem
 from htlab.chart import ChartElem, ChartRing
 from htlab.cohomology import build_higgs_complex, cohomology
 from htlab.errors import HorizonTooSmall, KernelRankDeficit, ValidationFailure
-from htlab.galois import GroupElt
+from htlab.galois import GroupElt, series_dot
 from htlab.higgs import (
     HiggsData,
     Stratification,
@@ -20,7 +20,6 @@ from htlab.higgs import (
 from htlab.linalg import Mat
 from htlab.samples import corpus, sample_group, sample_higgs
 from htlab.sen import (
-    _law_slots,
     cocycle_matrix,
     crosscheck_inverse_simpson,
     h0_fixed_points,
@@ -601,7 +600,7 @@ def test_law_slot_by_slot_matches_the_matrix_product(spec):
                 for j in range(r):
                     col = [acted.rows[l][j] for l in range(r)]
                     items = [list(e.coeffs.items()) for e in row], [list(e.coeffs.items()) for e in col]
-                    slots = _law_slots(*items, T, cfg.dot)
+                    slots = series_dot(*items, T, cfg.dot)
                     assert {k: _form(v) for k, v in slots.items()} == {
                         k: _form(v) for k, v in product.rows[i][j].coeffs.items()
                     }
