@@ -18,15 +18,20 @@ W/p^M is O_K/p^M at e = 1, so the Witt vectors of the delta-ring side
 (deltaring.WittElem) run on these same kernels, taken from the unramified
 config BaseConfig(p, [-p], f, N).
 
-The stored form lemma.  Normalization multiplies out a negative shift
-(p^-shift u at prec - shift digits, the same A), so every stored shift is
->= 0; it cancels p until shift is 0, p no longer divides u, or one digit is
-left; and a scalar with no digit (prec <= 0) is stored as the one zero
-(0, 1 - A, 1) of its absolute precision A = prec - shift.  So at every A
-the stored (u, shift, prec) depends only on the value mod p^A and on A.  A
-chain of products and sums has the least A of its terms, whatever the order
-of the sum, so BaseConfig.dot may form the sum as one exact integer and
-reduce it once: it gets the chain's stored form.
+No stored scalar claims more than A = N absolute digits, A = prec - shift.
+k_from_int and k_from_coeffs cap the precision they are given at N (and
+k_from_coeffs multiplies a negative shift out, so every stored shift is
+>= 0), KElem.inv caps the digits an inverse gains, and every other
+operation yields at most the least A of its inputs.
+
+The stored form lemma.  Normalization cancels p until shift is 0, p no
+longer divides u, or one digit is left, and a scalar with no digit
+(prec <= 0) is stored as the one zero (0, 1 - A, 1).  So at every A <= N
+the stored (u, shift, prec) depends only on the value mod p^A and on A; a
+droppable zero is exactly (0, 0, N).  A chain of products and sums has the
+least A of its terms, whatever the order of the sum, so BaseConfig.dot may
+form the sum as one exact integer and reduce it once: it gets the chain's
+stored form.
 Regrouping products is not covered.  Containers skip droppable
 intermediates, and a skipped zero pays nothing for a later denominator, so
 (a b) c and a (b c) need not store alike.
@@ -316,7 +321,8 @@ class BaseConfig:
         return self.k_from_int(1, prec)
 
     def k_from_int(self, n, prec=None):
-        prec = self.N if prec is None else prec
+        """n known mod p^prec, prec capped at N."""
+        prec = self.N if prec is None or prec > self.N else prec
         if prec < 1:
             return _no_digit(self, prec)
         n %= self.p**prec
@@ -326,9 +332,16 @@ class BaseConfig:
         """p^-shift * sum_i c_i pi^i, known mod p^prec before the shift.
 
         Each c_i is an int or, when f > 1, the f coordinates of a W element
-        on 1, g, .., g^(f-1).
+        on 1, g, .., g^(f-1).  A negative shift is multiplied out (p^-shift c
+        at prec - shift digits, the same A), and A = prec - shift is capped
+        at N.
         """
         prec = self.N if prec is None else prec
+        m = 1
+        if shift < 0:
+            m, prec, shift = self.p**-shift, prec - shift, 0
+        if prec - shift > self.N:
+            prec = self.N + shift
         M = self.p**prec if prec > 0 else 1
         f = self.f
         if len(coeffs) > self.e:
@@ -336,9 +349,9 @@ class BaseConfig:
         flat = [0] * self.n
         for i, c in enumerate(coeffs):
             if isinstance(c, int):
-                flat[i * f] = c % M
+                flat[i * f] = c * m % M
             elif f > 1 and len(c) == f:
-                flat[i * f : (i + 1) * f] = [x % M for x in c]
+                flat[i * f : (i + 1) * f] = [x * m % M for x in c]
             else:
                 raise ValueError(f"a W coefficient needs {f} coordinates")
         return _norm(self, flat[0] if self.n == 1 else tuple(flat), shift, prec)
@@ -466,13 +479,7 @@ def _no_digit(cfg, A):
 
 
 def _norm(cfg, u, shift, prec):
-    """p^-shift * u with p cancelled: p divides u only if shift = 0 or prec = 1; _no_digit if prec < 1.
-
-    A negative shift is multiplied out first (u p^-shift at prec - shift digits: A is kept)."""
-    if shift < 0:
-        m = cfg.p**-shift
-        u = u * m if cfg.n == 1 else tuple([c * m for c in u])
-        shift, prec = 0, prec - shift
+    """p^-shift * u, shift >= 0, with p cancelled: p divides u only if shift = 0 or prec = 1; _no_digit if prec < 1."""
     if prec < 1:
         return _no_digit(cfg, prec - shift)
     top = shift if shift < prec else prec - 1
@@ -497,7 +504,7 @@ class KElem:
     BaseConfig, each in [0, p^prec): a bare int when e*f = 1, a tuple of
     e*f ints otherwise.  Normalized: prec >= 1, shift >= 0, and while
     shift > 0 and prec > 1, p does not divide u.  The absolute p-adic precision is
-    A = prec - shift; a scalar with no digit left is (0, 1 - A, 1).
+    A = prec - shift <= N; a scalar with no digit left is (0, 1 - A, 1).
     """
 
     __slots__ = ("cfg", "u", "shift", "prec")
@@ -669,10 +676,10 @@ class KElem:
             ui = KElem(cfg, self.u, 0, self.prec).inv()
             if ui.shift >= self.shift:
                 return KElem(cfg, ui.u, ui.shift - self.shift, ui.prec)
-            # p^k u^-1 is exact: u^-1 < p^prec, so it gains k digits
+            # p^k u^-1 is exact: u^-1 < p^prec, so it gains k digits, up to N
             k = self.shift - ui.shift
-            M = cfg.p ** (ui.prec + k)
-            return KElem(cfg, cfg.linu(ui.u, ui.u, cfg.p**k, 0, M), 0, ui.prec + k)
+            prec = ui.prec + k if ui.prec + k < cfg.N else cfg.N
+            return KElem(cfg, cfg.linu(ui.u, ui.u, cfg.p**k, 0, cfg.p**prec), 0, prec)
         if w == 0:
             return KElem(cfg, cfg.unit_inv(self.u, self.prec), 0, self.prec)
         # peel pi factors: x^-1 = (x pi^-w)^-1 * pi^-w

@@ -44,6 +44,13 @@ def _pow(wc, a, n, M):
     return r
 
 
+def _int_digits(wc, n, prec):
+    """The digits of the integer n mod p^prec.  A Witt vector may hold more
+    than N digits (scale_pk), which the scalar constructors cap."""
+    n %= wc.p**prec if prec > 0 else 1
+    return n if wc.n == 1 else (n,) + wc.zero_u[1:]
+
+
 def _div_p(wc, w, prec):
     """w / p for digits w divisible by p, known mod p^prec; the quotient is known mod p^(prec-1)."""
     q = KElem(wc, w, 0, prec).div_int(wc.p)
@@ -190,7 +197,7 @@ class WittElem:
 
 
 def _one(cfg, prec):
-    return WittElem(cfg, _core(cfg).k_one(prec).u, prec)
+    return WittElem(cfg, _int_digits(_core(cfg), 1, prec), prec)
 
 
 def teichmuller(cfg, a, prec=None):
@@ -240,12 +247,12 @@ class USeries:
     @classmethod
     def from_int(cls, cfg, n, M, prec=None):
         prec = cfg.N if prec is None else prec
-        return cls(cfg, {0: _core(cfg).k_from_int(n, prec).u}, prec, M)
+        return cls(cfg, {0: _int_digits(_core(cfg), n, prec)}, prec, M)
 
     @classmethod
     def u(cls, cfg, M, prec=None):
         prec = cfg.N if prec is None else prec
-        return cls(cfg, {1: _core(cfg).k_one(prec).u}, prec, M)
+        return cls(cfg, {1: _int_digits(_core(cfg), 1, prec)}, prec, M)
 
     def _lin(self, other, t):
         cfg = self.cfg

@@ -210,8 +210,8 @@ def subs_t_all(xs, t_img):
     degree present.  Slot j of a result is one dot (series_dot) over the
     terms v * x_k, v the t^j coefficient of t_img^k, in increasing k: the
     stored form of the chain that drops each droppable term and partial sum,
-    as every term has A <= N (the powers start from one() at N digits, and
-    shifts are >= 0), so a dropped zero at >= N digits never lowers its A.
+    as no scalar holds more than N digits (htlab.base), so a dropped zero,
+    at A = N, never lowers the chain's A.
     """
     if 0 in t_img.coeffs:
         raise ValueError("substitution target must have positive t-order")

@@ -13,8 +13,7 @@ The stratification packages the action of the degree-1 nerve: coefficients
 
 indexed by n + |I| <= D.  stratification_from_higgs builds each Theta^I and
 P_n once, and one r x r zero matrix per call that every vanishing Theta^I,
-P_n and A_{n,I} is (save a product holding a zero of more than N digits,
-which keeps its own matrix).  check_cocycle builds the degree-1 matrix
+P_n and A_{n,I} is.  check_cocycle builds the degree-1 matrix
 
     eps = sum A_{n,I} X_1^[n] Y_1^[I]
 
@@ -236,24 +235,16 @@ def _times(a, b, vanish, zero):
     droppable rule, so the product is ``zero``, the r x r zero matrix of
     the module's ring, stored alike, and no multiply is run.  The test is
     entrywise droppable(): a zero known to fewer digits than N is not
-    droppable, and its products are formed.
+    droppable, and its products are formed.  A product whose every entry
+    is droppable is ``zero`` too: a droppable K scalar is exactly (0, 0, N)
+    and a droppable chart scalar is empty.
     """
     if vanish:
         return zero, True
     out = a * b
     if not _vanishes(out):
         return out, False
-    return (zero if _stored_as(out, zero) else out), True
-
-
-def _stored_as(m, zero):
-    """Whether each entry of m, every one droppable, is stored as the entry z
-    of zero: z itself, or a scalar of z's precision.  A droppable K scalar is
-    (0, 0, prec >= N) and a droppable chart scalar is empty, so only a zero
-    holding more than N digits differs."""
-    z = zero.rows[0][0]
-    prec = getattr(z, "prec", None)
-    return all(a is z or getattr(a, "prec", None) == prec for row in m.rows for a in row)
+    return zero, True
 
 
 def _p_chain(h, zero):

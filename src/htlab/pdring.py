@@ -52,17 +52,18 @@ absolute precision) once and keeps, per key, the least term precision A,
 the top shift and the terms with two nonzero numerators; each key is
 reduced once by BaseConfig.reduce_terms, the routine BaseConfig.dot ends
 in, so it gets the stored form of the chain (the stored form lemma of
-htlab.base).  Every key over chart scalars runs dot's chain over its pairs
-in the order met.
+htlab.base).  Every key over chart scalars is one dot, the chain over its
+pairs in the order met.
 
 product_cells forms the cells of a matrix product the same way, with no
 PdElement per product: each key of a cell is one sum over its (l, k1, k2)
-pairs, gathered by the pair loop PdElement.__mul__ runs, and reduced once
-unless A >= N and a term may hold more than N digits.  Such keys run the
-chain Mat.__mul__ forms: each product's dot, then the products added in l
-order, each dropped when droppable.  Each factor's entries are read, and
-each right factor's filters built, once per matrix product.  The descent
-check of htlab.higgs reads p_2*(eps) p_0*(eps) through it.
+pairs, gathered by the pair loop PdElement.__mul__ runs, one reduction or
+one dot per key.  That is the stored form of the chain Mat.__mul__ forms
+(each product's key, then the products added in l order, each dropped when
+droppable), since no scalar holds more than N digits.  Each factor's
+entries are read, and each right factor's filters built, once per matrix
+product.  The descent check of htlab.higgs reads p_2*(eps) p_0*(eps)
+through it.
 
 The twisted face keeps, per generator, its image and the power chain
 one() * x * x ... that divided_power builds for one x, so gamma_a of an
@@ -298,80 +299,45 @@ def _gather(sums, left, rows, D, w, field):
                     acc[1] = s
 
 
-def _pairs(left, rows, D, w, field, keys):
-    """{key: (xs, ys, ms)}: the pairs of a product that meet at each of keys
-    (every key when keys is None), in the order met, for dot's chain."""
-    out = {} if keys is None else {key: ([], [], []) for key in keys}
+def _pairs(sums, left, rows, D, w, field):
+    """Add the pairs of one product to sums, {key: (xs, ys, ms)}, in the
+    order met, for dot's chain over chart scalars."""
     for k1, m1, d1, _, _, _, c1 in left:
         for k2, m2, _, _, _, _, c2 in rows[D - d1]:
             key = k1 + k2
-            terms = out.get(key)
+            terms = sums.get(key)
             if terms is None:
-                if keys is not None:
-                    continue
-                out[key] = terms = ([], [], [])
+                sums[key] = terms = ([], [], [])
             shared = m1 & m2
             terms[0].append(c1)
             terms[1].append(c2)
             terms[2].append(_binomials(k1, k2, shared, w, field) if shared else 1)
-    return out
 
 
-def _chain_sum(ring, products, keys):
-    """({key: coefficient}, truncated): sum_l x_l * y_l at each of keys (every
-    key when keys is None) as a chain of products and sums.
-
-    products holds the (left entries, right filters) of each product l.
-    Each product's key is one dot over its pairs, dropped if droppable, and
-    the products are added in l order with the per-key rule of a sum; the
-    flag says whether a coefficient or sum formed here is truncated.
-    """
-    D, w, field, dot = ring.D, ring.width, ring.field, ring.cfg.dot
-    out = {}
-    trunc = False
-    for left, rows in products:
-        prod = {}
-        for key, terms in _pairs(left, rows, D, w, field, keys).items():
-            if terms[0]:
-                c = dot(*terms)
-                if c.truncated:
-                    trunc = True
-                if not c.droppable():
-                    prod[key] = c
-        if merge_into(out, prod):
-            trunc = True
-    return out, trunc
-
-
-def _sum_of_products(ring, products, fused, wide=False):
+def _sum_of_products(ring, products, fused):
     """({key: coefficient}, truncated): the clean coefficients of
-    sum_l x_l * y_l, each key one sum over its (l, k1, k2) pairs.
-
-    products holds the (left entries, right filters) of each product l.
-    Over K scalars (fused) each key is reduced once by reduce_terms.  The
-    chain of _chain_sum, which forms each product's key and adds the
-    products in l order, gets the same stored form: it drops only droppable
-    coefficients and sums, whose terms all hold at least N digits, so when
-    A < N the term of precision A is in its result, and with it the chain's
-    A and value mod p^A.  When A >= N the same holds unless a term holds
-    more than N digits; wide says that one may, and then such keys run the
-    chain.  Every key over chart scalars runs the chain.
+    sum_l x_l * y_l, one sum per key over its (l, k1, k2) pairs: one
+    reduce_terms over K scalars (fused), one dot, the chain over the pairs,
+    over chart scalars.  Either is the stored form of the chain that adds
+    the products key by key in l order: it drops only droppable zeros, at
+    A = N (htlab.base), so the least A and the value mod p^A are kept; only
+    the key order inside a chart coefficient can differ, where a partial sum
+    cancels.  products holds the (left entries, right filters) of each l.
     """
-    if not fused:
-        return _chain_sum(ring, products, None)
-    D, w, field, N = ring.D, ring.width, ring.field, ring.cfg.N
-    reduce_terms = ring.cfg.reduce_terms
+    D, w, field = ring.D, ring.width, ring.field
+    gather, reduce = (_gather, ring.cfg.reduce_terms) if fused else (_pairs, ring.cfg.dot)
     sums = {}
     for left, rows in products:
-        _gather(sums, left, rows, D, w, field)
-    chained = [key for key, (A, _, _, _) in sums.items() if A >= N] if wide else []
-    chains = _chain_sum(ring, products, chained)[0] if chained else {}
+        gather(sums, left, rows, D, w, field)
     out = {}
-    for key, (A, s, terms, shifts) in sums.items():
-        c = chains.get(key) if wide and A >= N else reduce_terms(A, s, terms, shifts)
-        if c is not None and not c.droppable():
+    trunc = False
+    for key, acc in sums.items():
+        c = reduce(*acc)
+        if c.truncated:
+            trunc = True
+        if not c.droppable():
             out[key] = c
-    return out, False
+    return out, trunc
 
 
 def product_cells(a, b):
@@ -387,41 +353,34 @@ def product_cells(a, b):
     are built once per cap, whatever the number of products it enters.
     """
     ring = a.ring
-    D, N = ring.D, ring.cfg.N
+    D = ring.D
     fused = ring.base.is_point
 
     def factor(x, left):
         # (flag, entries, the caps of its degrees for a left factor or its
-        # filters by cap for a right one, the largest absolute precision and
-        # the least shift of its coefficients), None when droppable
+        # filters by cap for a right one), None when droppable
         if x.droppable():
             return None
         entries = ring.entries(x.coeffs, fused)
-        caps = {D - e[2] for e in entries} if left else {}
-        if not fused or not entries:
-            return x.truncated, entries, caps, 0, 0
-        return x.truncated, entries, caps, max(e[5] for e in entries), min(e[4] for e in entries)
+        return x.truncated, entries, {D - e[2] for e in entries} if left else {}
 
     lefts = [[factor(x, True) for x in row] for row in a.rows]
     cols = [[factor(y, False) for y in col] for col in zip(*b.rows)]
     for i, row in enumerate(lefts):
         for j, col in enumerate(cols):
-            trunc = wide = False
+            trunc = False
             products = []
             for x, y in zip(row, col):
                 if x is None or y is None:
                     continue
-                (t1, l1, caps, a1, s1), (t2, l2, rows, a2, s2) = x, y
+                (t1, l1, caps), (t2, l2, rows) = x, y
                 if t1 or t2:
                     trunc = True
                 if l1 and l2:
                     if _filter(rows, l2, caps):
                         trunc = True
-                    # a term's absolute precision is min(a1 - s2, a2 - s1)
-                    if a1 - s2 > N and a2 - s1 > N:
-                        wide = True
                     products.append((l1, rows))
-            coeffs, cut = _sum_of_products(ring, products, fused, wide)
+            coeffs, cut = _sum_of_products(ring, products, fused)
             yield i, j, coeffs, trunc or cut
 
 

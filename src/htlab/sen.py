@@ -31,7 +31,6 @@ U(sigma) with F the cocycle of the phi-only sub-stratification.
 
 import math
 
-from .base import KElem
 from .cohomology import _pi_power, snf_dvr
 from .errors import HorizonTooSmall, KernelRankDeficit, ValidationFailure
 from .galois import FormalCElem, FormalRing, GroupElt, galois_act_all, series_dot, sigma_t
@@ -47,13 +46,6 @@ def _as_strat(data, D=None):
     return data
 
 
-def _skippable(cfg, x):
-    """Whether cocycle_matrix may leave out a cell entry's term (see there)."""
-    if type(x) is KElem:
-        return x.u == cfg.zero_u and not x.shift and x.prec >= cfg.N
-    return not x.coeffs and not x.truncated
-
-
 class _Weight:
     """The coefficients of one weight m, and what each cell of U(sigma) reads of them.
 
@@ -61,9 +53,8 @@ class _Weight:
     its denominator n! prod i_k!, ``qs[t]`` = N - v_p(dens[t]) the absolute
     precision of its term at a skipped zero, and ``qzero[t]`` a zero at that
     precision.  ``cells[c]`` is None for a dead cell, where every entry is
-    skippable, and (live, zeros) otherwise: the non-skippable (t, entry)
-    pairs in coefficient order, and the t of the skippable entries, least q
-    first.
+    droppable, and (live, zeros) otherwise: the other (t, entry) pairs in
+    coefficient order, and the t of the droppable entries, least q first.
     """
 
     __slots__ = ("entries", "dens", "qs", "qzero", "cells")
@@ -109,7 +100,7 @@ def _cocycle_plan(strat):
             live, zeros = [], []
             for t, entries in enumerate(w.entries):
                 x = entries[c]
-                if not _skippable(cfg, x):
+                if not x.droppable():
                     live.append((t, x))
                 elif point:
                     zeros.append(t)
@@ -174,14 +165,15 @@ def cocycle_matrix(data, s, T=None):
     and a coefficient is included unless its numerator is 0 and m > 0.  The
     parts of that sum that do not depend on sigma are worked out once per
     stratification, on the first call, and cached on it (_cocycle_plan).
-    Most entries are skippable: a K zero at shift 0 and prec >= N, or a chart
-    element with no terms and no truncated flag.  A cell all of whose
-    entries are skippable is dead.  A skipped K zero is not free: its term
-    is a zero of absolute precision exactly q = N - v_p(n! prod i_k!), since
-    the scalar has prec <= N and normalization keeps prec - shift, and that
-    q does not depend on sigma.  So per call, after one pass over the
-    coefficients to decide which are included,
-      * a live cell runs one dot over its included non-skippable entries
+    Most entries are droppable, and skipped: a K zero, stored as exactly
+    (0, 0, N), or a chart element with no terms and no truncated flag.  A
+    cell all of whose entries are droppable is dead.  A skipped K zero is
+    not free: its term is a zero of absolute precision exactly
+    q = N - v_p(n! prod i_k!), since the scalar has prec <= N and
+    normalization keeps prec - shift, and that q does not depend on sigma.
+    So per call, after one pass over the coefficients to decide which are
+    included,
+      * a live cell runs one dot over its included other entries
         plus one zero term at the least q of its included skipped zeros.
         That gives dot the same least absolute precision A and the same
         nonzero terms as the whole chain, and dot forms one exact sum, so

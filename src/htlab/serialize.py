@@ -11,8 +11,8 @@ complete, self-describing problem instance:
 
 Matrices are row-major; each entry is a single coefficient record over a
 point base and a list of monomial terms over a chart base.  A record needs
-prec >= 1; a negative "shift" is multiplied out, so {"coeffs": ["7"],
-"prec": "8", "shift": "-1"} reads as 35 at prec 9.  A "rank", when given,
+prec >= 1; a negative "shift" is multiplied out and the claim is capped at
+N, so {"coeffs": ["7"], "prec": "8", "shift": "-1"} reads as 35 at prec 8.  A "rank", when given,
 must match the operators.  Canonical dumps sort keys and drop whitespace,
 which keeps reports byte-stable for a fixed input and flag set.
 """

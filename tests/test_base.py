@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -10,6 +11,7 @@ from htlab import (
     teichmuller,
 )
 from htlab.errors import NotAUnit, NotEisenstein, NotPrime
+from htlab.serialize import k_from_json
 
 from oracles import ok_mul_naive, teich_fixpoint
 
@@ -343,8 +345,9 @@ def _dot_operand(cfg, rng):
     """A K scalar of one of the shapes a sum of products meets.
 
     Shifted numerators, reduced precision, zeros at full or reduced
-    precision, prec > N (the inverse of a shifted scalar), scalars of
-    absolute precision below 1, and scalars built with no digit at all.
+    precision, the inverse of a shifted scalar (which gains digits, up to
+    N), scalars of absolute precision below 1, and scalars built with no
+    digit at all.
     """
     p, N = cfg.p, cfg.N
     kinds = ("unit", "any", "zero", "shifted", "inv", "thin", "void")
@@ -432,7 +435,7 @@ def test_dot_matches_the_left_to_right_chain(p, E, f):
 )
 def test_a_negative_shift_is_multiplied_out(p, E, f):
     """p^-s u with s < 0 stores as the shift-0 spelling u p^-s at prec - s
-    digits, the same value at the same absolute precision: dot still gives
+    digits, the same value at the same absolute precision, capped at N: dot still gives
     the chain's form, and the inverse is the inverse."""
     cfg = make_base_config(p, E, f=f, precision=6)
     rng = random.Random(5 * p + f)
@@ -449,10 +452,83 @@ def test_a_negative_shift_is_multiplied_out(p, E, f):
 
         x = cfg.k_from_coeffs(spell(1), prec, shift)
         assert _form(x) == _form(cfg.k_from_coeffs(spell(m), prec - shift, 0))
-        assert x.shift >= 0 and x.abs_prec == prec - shift
+        assert x.shift >= 0 and x.abs_prec == min(prec - shift, cfg.N)
         xs = [x, _dot_operand(cfg, rng), x]
         ys = [_dot_operand(cfg, rng), x, one]
         chain = xs[0] * ys[0] + xs[1] * ys[1] + xs[2] * ys[2]
         assert _form(cfg.dot(xs, ys)) == _form(chain)
         if x.val_pi() == 0:
             assert (x * x.inv() - one).is_zero()
+
+
+def _agrees(x, exact):
+    """Whether the K scalar x agrees in its A = x.abs_prec digits with the
+    exact coordinates (Fractions on the basis pi^i g^j): every coordinate of
+    the difference has p-adic valuation at least A."""
+    cfg = x.cfg
+    p, A = cfg.p, x.abs_prec
+    for c, want in zip((x.u,) if cfg.n == 1 else x.u, exact):
+        d = Fraction(c, p**x.shift) - want
+        if d:
+            v = 0
+            num, den = d.numerator, d.denominator
+            while not num % p:
+                num //= p
+                v += 1
+            while not den % p:
+                den //= p
+                v -= 1
+            if v < A:
+                return False
+    return True
+
+
+@pytest.mark.parametrize(
+    "p, E, f",
+    [(5, [-5], 1), (2, [-2, 0], 1), (3, [-3], 2)],
+    ids=["p5", "p2e2", "p3f2"],
+)
+def test_no_scalar_claims_more_than_n_digits(p, E, f):
+    """Where a precision enters from outside (k_from_int, k_from_coeffs, a
+    JSON record) or an inverse gains digits, the stored claim is capped at
+    N, and the digits it keeps are the exact value's."""
+    cfg = make_base_config(p, E, f=f)
+    N, n = cfg.N, cfg.n
+    rng = random.Random(f"cap-{p}-{len(E)}-{f}")
+    seen = capped = 0
+
+    def spell(raw):
+        # the coefficients of k_from_coeffs from the e rows of f ints
+        return [r[0] if f == 1 else tuple(r) for r in raw]
+
+    def check(x, exact, claimed):
+        nonlocal seen, capped
+        assert x.shift >= 0 and x.abs_prec <= N, (x, claimed)
+        assert x.abs_prec == min(claimed, N) or claimed < 1, (x, claimed)
+        assert _agrees(x, exact), (x, exact)
+        seen += 1
+        capped += claimed > N
+
+    for _ in range(150):
+        m = rng.randrange(-(p ** (N + 6)), p ** (N + 6))
+        q = rng.randrange(N + 1, N + 6)
+        check(cfg.k_from_int(m, q), [Fraction(m)] + [Fraction(0)] * (n - 1), q)
+
+        q, s = rng.randrange(1, N + 6), rng.randrange(-3, 4)
+        raw = [[rng.randrange(-(p ** (N + 6)), p ** (N + 6)) for _ in range(f)] for _ in range(cfg.e)]
+        coeffs = spell(raw)
+        exact = [Fraction(c) * Fraction(p) ** -s for row in raw for c in row]
+        check(cfg.k_from_coeffs(coeffs, q, s), exact, q - s)
+        rec = {"coeffs": [str(c) if f == 1 else [str(x) for x in c] for c in coeffs], "prec": str(q), "shift": str(s)}
+        check(k_from_json(cfg, rec), exact, q - s)
+
+        # p^-s c inverted, c an integer prime to p: the inverse p^s / c is
+        # known to q + s digits
+        c = rng.randrange(1, p ** (N + 6))
+        if not c % p:
+            c += 1
+        q, s = rng.randrange(1, N + 6), rng.randrange(0, 4)
+        x = cfg.k_from_coeffs(spell([[c] + [0] * (f - 1)] + [[0] * f] * (cfg.e - 1)), q, s)
+        if x.abs_prec >= 1:
+            check(x.inv(), [Fraction(p**s, c)] + [Fraction(0)] * (n - 1), min(q, N + s) + s)
+    assert seen > 400 and capped > 200, (seen, capped)

@@ -332,18 +332,21 @@ def test_factorize_at_a_huge_horizon_builds_no_padding(runner):
     assert seconds < 0.5
 
 
-@pytest.mark.parametrize("command", ["check", "stratify"])
+@pytest.mark.parametrize("command", ["check", "stratify", "cocycle", "cohomology"])
 def test_a_negative_shift_reports_as_its_shift_zero_spelling(runner, tmp_path, command):
-    # phi[0][1] = 35 at 9 absolute digits, once as 5^1 * 7 (shift -1) and once as 35
+    # phi[0][1] = 35, as 35 at N = 8 digits, as 5^1 * 7 (shift -1, so 9
+    # digits) and as 35 at 9 and at 12 digits: each claim is capped at N
     doc = json.loads((GOLDEN_INPUTS / "p5-point-abs-arith-d0-smooth.json").read_text())
     reports = []
-    for rec in ({"coeffs": ["7"], "prec": "8", "shift": "-1"}, {"coeffs": ["35"], "prec": "9", "shift": "0"}):
+    spellings = [("35", "8", "0"), ("7", "8", "-1"), ("35", "9", "0"), ("35", "12", "0")]
+    for coeff, prec, shift in spellings:
+        rec = {"coeffs": [coeff], "prec": prec, "shift": shift}
         doc["phi"][0][1] = rec
         path = tmp_path / "m.json"
         path.write_text(json.dumps(doc))
         res = runner.invoke(main, [command, str(path), "--canonical"])
         reports.append((res.exit_code, res.output))
-    assert reports[0] == reports[1]
+    assert reports[1:] == reports[:-1]
     assert reports[0][0] == 0, reports[0][1]
 
 

@@ -172,3 +172,16 @@ class TestFactorize:
             d = cert.recombine() - x
             v = d.val()
             assert v is None or v >= M + 1
+
+
+@pytest.mark.parametrize("f", [1, 2])
+def test_witt_carriers_take_integers_past_n(f):
+    """A Witt carrier may hold more digits than N (scale_pk gains them), where
+    the K scalar constructors cap at N: its integers are n mod p^prec."""
+    cfg = make_base_config(5, [-5], f=f, precision=8)
+    prec = cfg.N + 3
+    for n in (-1, -7, 5**10 + 3):
+        digits = USeries.from_int(cfg, n, 4, prec).coeffs[0]
+        assert digits == (n % 5**prec if f == 1 else (n % 5**prec, 0))
+    assert USeries.u(cfg, 4, prec).coeffs == {1: 1 if f == 1 else (1, 0)}
+    assert DeltaRingView(cfg, "witt").one(prec).w == (1 if f == 1 else (1, 0))

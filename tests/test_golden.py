@@ -137,7 +137,7 @@ def _scalar_records(doc):
 
 def test_every_golden_scalar_reads_back():
     """k_from_json reads each scalar htlab wrote, no-digit zeros included,
-    and gives back the same record."""
+    and gives back the same record, which claims at most N digits."""
     cfgs = {name: make_base_config(p, E, f=f) for name, (p, E, f) in GOLDEN_BASES.items()}
     seen = 0
     for path in sorted(GOLDEN.rglob("*.json")):
@@ -145,6 +145,8 @@ def test_every_golden_scalar_reads_back():
         parts = doc.items() if path.name in ("scalars.json", "containers.json", "snf.json") else [(path.name, doc)]
         for name, part in parts:
             for rec in _scalar_records(part):
-                assert k_to_json(k_from_json(cfgs[name.split("-")[0]], rec)) == rec, (path.name, name, rec)
+                cfg = cfgs[name.split("-")[0]]
+                assert int(rec["prec"]) - int(rec["shift"]) <= cfg.N, (path.name, name, rec)
+                assert k_to_json(k_from_json(cfg, rec)) == rec, (path.name, name, rec)
                 seen += 1
     assert seen > 20000

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -541,8 +542,8 @@ def test_twisted_face_keeps_the_flag_of_a_truncated_constant(cfg_u5, point):
 
 def _subs_scalar(cfg, rng):
     """A K coefficient for the substitution oracle: a unit, a zero at reduced
-    precision, a shifted scalar, or one with more than N digits (the inverse
-    of (p + 1) / p, which is (6/5)^-1 at p = 5)."""
+    precision, a shifted scalar, or the inverse of (p + 1) / p, (6/5)^-1 at
+    p = 5, which gains a digit that the cap at N drops."""
     p, N = cfg.p, cfg.N
     kind = rng.choice(("unit", "unit", "zero", "shifted", "wide"))
     if kind == "zero":
@@ -609,7 +610,7 @@ def _form(c):
 def _chain_scalar(cfg, rng):
     """A coefficient for the chain oracles: besides _oracle_scalar's kinds, a
     large denominator (terms of absolute precision below 1 follow) and an
-    inverse carrying more than N digits."""
+    inverse that gains digits, capped at N."""
     roll = rng.random()
     if roll < 0.2:
         return cfg.k_from_int(rng.randrange(1, cfg.p**3)).div_int(cfg.p ** rng.randrange(2, cfg.N + 1))
@@ -636,7 +637,7 @@ def _cut_pair(ring):
 def test_products_match_the_chain_oracle(request, name):
     """Stored forms, key order and flag of x * y agree with pd_mul_chain: keys of
     absolute precision below 1 beside others, shifted coefficients,
-    reduced-precision zeros, inverses past N, chart coefficients, truncated and
+    reduced-precision zeros, inverses capped at N, chart coefficients, truncated and
     empty operands, monomials of degree exactly D, and fully cut products."""
     cfg = request.getfixturevalue(name)
     rng = random.Random(500 + cfg.p * cfg.e * cfg.f)
@@ -689,13 +690,13 @@ def test_product_cells_match_the_matrix_product(request, name):
     """Each cell of product_cells(a, b) holds the stored form of every key and
     the flag of the same cell of Mat.__mul__: droppable and empty truncated
     factors, cut pairs, keys of absolute precision below 1 reached by
-    several products, coefficients past N, and chart coefficients."""
+    several products, inverses capped at N, and chart coefficients."""
     cfg = request.getfixturevalue(name)
     rng = random.Random(700 + cfg.p * cfg.e * cfg.f)
     point = ChartRing(cfg, "point")
     chart = ChartRing(cfg, "chart", d=1, r=1)
     scalars = {point: lambda: _chain_scalar(cfg, rng), chart: lambda: _chart_scalar(chart, rng)}
-    low = wide = cut = 0
+    low = cut = 0
     for base, scalar in scalars.items():
         for D in (2, 5):
             for variant, n, d in ORACLE_RINGS:
@@ -719,8 +720,7 @@ def test_product_cells_match_the_matrix_product(request, name):
                                         a12 = min(c1.prec - c1.shift - c2.shift, c2.prec - c2.shift - c1.shift)
                                         terms.setdefault(k1 + k2, []).append((l, a12))
                         low += any(min(a for _, a in t) < 1 and len({l for l, _ in t}) > 1 for t in terms.values())
-                        wide += any(a > cfg.N for t in terms.values() for _, a in t)
-    assert low and wide and cut, (low, wide, cut)
+    assert low and cut, (low, cut)
 
 
 def test_product_cells_sum_low_precision_keys_in_product_order(cfg_u5, point):
@@ -739,32 +739,38 @@ def test_product_cells_sum_low_precision_keys_in_product_order(cfg_u5, point):
         assert _form(a + b + c) == (0, 1, 1)
 
 
-def test_product_cells_keep_the_digits_past_n_of_a_lone_kept_product(cfg_u5, point):
-    """5^4 * 5^4 is a droppable zero at precision N, which the matrix product
-    drops before adding w * w, a unit known to N + 1 digits: the cell keeps
-    the N + 1 digits instead of reducing both products once at precision N."""
+def test_product_cells_and_the_matrix_product_keep_n_right_digits(cfg_u5, point):
+    """(5^4, w) times (5^4, w), w = (6/5)^-1: the matrix product drops the
+    droppable 5^4 * 5^4 = 5^8 before adding w * w.  Every lift of the inputs
+    has 5^4 * 5^4 = 5^8, so the sum is 5^8 + w^2, and both the cell and the
+    matrix product hold it at N digits, none past N, where a ninth digit of
+    w^2 alone would be wrong."""
     ring = PdRing(cfg_u5, point, "abs-geom", 1, d=1, D=3)
+    N = cfg_u5.N
     w = cfg_u5.k_from_int(6).div_int(5).inv()
     q = cfg_u5.k_from_int(5**4)
-    assert w.prec - w.shift == cfg_u5.N + 1
     a = Mat(ring, [[ring.from_scalar(q), ring.from_scalar(w)]])
     b = Mat(ring, [[ring.from_scalar(q)], [ring.from_scalar(w)]])
+    exact = Fraction(5**8) + Fraction(5, 6) ** 2
+    want = exact.numerator * pow(exact.denominator, -1, 5**N) % 5**N
     [(_, _, coeffs, _)] = product_cells(a, b)
-    assert coeffs[0].prec == cfg_u5.N + 1
+    [[prod]] = (a * b).rows
+    for c in (coeffs[0], prod.coeffs[0]):
+        assert _form(c) == (want, 0, N)
     assert _cells(a, b) == _product(a, b)
 
 
 @pytest.mark.parametrize("name", ["cfg_u5", "cfg_r2", "cfg_f2"])
 def test_twisted_face_matches_the_chain_oracle(request, name):
     """FaceContext.apply at i = 0 agrees with face_apply_chain in stored form,
-    key order and flag, a constant key carrying more than N digits included."""
+    key order and flag, a constant key whose inverse gains a digit, capped at N,
+    included."""
     cfg = request.getfixturevalue(name)
     rng = random.Random(600 + cfg.p * cfg.e * cfg.f)
     point = ChartRing(cfg, "point")
     chart = ChartRing(cfg, "chart", d=1, r=1)
     scalars = {point: lambda: _chain_scalar(cfg, rng), chart: lambda: _chart_scalar(chart, rng)}
     wide = cfg.k_from_int(1 + cfg.p).div_int(cfg.p).inv()
-    assert wide.prec > cfg.N
     for base, scalar in scalars.items():
         for D in (3, 6):
             for variant, n, d in ORACLE_RINGS:
