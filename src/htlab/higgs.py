@@ -288,8 +288,10 @@ class Stratification:
     of the mapping passed in, and its matrices are not to be changed in
     place.  sen.cocycle_matrix caches what U(sigma) needs of the
     coefficients on the stratification (``_cocycle_plan``), on its first
-    call, so a stratification changed afterwards would be checked against a
-    stale plan.  To change a coefficient, build a new Stratification.
+    call, and the plan keeps one compiled layout per key (T, c == 0,
+    n_1 == 0, .., n_d == 0) that a call has used, so a stratification changed
+    afterwards would be checked against a stale plan and stale layouts.  To
+    change a coefficient, build a new Stratification.
     """
 
     __slots__ = ("cfg", "base", "flavor", "twist", "rank", "D", "coeffs", "_cocycle_plan")

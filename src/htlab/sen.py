@@ -31,6 +31,7 @@ U(sigma) with F the cocycle of the phi-only sub-stratification.
 
 import math
 
+from .base import _norm
 from .cohomology import _pi_power, snf_dvr
 from .errors import HorizonTooSmall, KernelRankDeficit, ValidationFailure
 from .galois import FormalCElem, FormalRing, GroupElt, galois_act_all, series_dot, sigma_t
@@ -49,30 +50,35 @@ def _as_strat(data, D=None):
 class _Weight:
     """The coefficients of one weight m, and what each cell of U(sigma) reads of them.
 
-    ``entries[t]`` is coefficient t's matrix flattened row by row, ``dens[t]``
-    its denominator n! prod i_k!, ``qs[t]`` = N - v_p(dens[t]) the absolute
-    precision of its term at a skipped zero, and ``qzero[t]`` a zero at that
-    precision.  ``cells[c]`` is None for a dead cell, where every entry is
-    droppable, and (live, zeros) otherwise: the other (t, entry) pairs in
-    coefficient order, and the t of the droppable entries, least q first.
+    ``entries[t]`` is coefficient t's matrix flattened row by row.  Its
+    scalar s_t = num / den, den = n! prod i_k! = p^k * unit, is described by
+    ``scalars[t]`` = (n, ((k', i_k') for i_k' > 0), k, unit^-1 mod p^N), so a
+    call needs only sigma's numerator c^n prod n_k'^i_k'.  ``qs[t]`` = N - k
+    is the absolute precision of its term at a skipped zero, and ``qzero[t]``
+    a zero at that precision.  ``cells[c]`` is None for a dead cell, where
+    every entry is droppable, and (live, zeros) otherwise: the other (t, entry)
+    pairs in coefficient order, and the t of the droppable entries, least q
+    first.
     """
 
-    __slots__ = ("entries", "dens", "qs", "qzero", "cells")
+    __slots__ = ("entries", "scalars", "qs", "qzero", "cells")
 
     def __init__(self):
         self.entries = []
-        self.dens = []
+        self.scalars = []
         self.qs = []
 
 
 def _cocycle_plan(strat):
-    """(order, weights): what U(sigma) needs of a stratification, whatever sigma is.
+    """(order, weights, layouts): what U(sigma) needs of a stratification, whatever sigma is.
 
     order lists (m, n, I, t) in coefficient order, t numbering the
-    coefficients of weight m; weights maps m to its _Weight.
+    coefficients of weight m; weights maps m to its _Weight.  layouts starts
+    empty and maps a layout key to its _cocycle_layout, built on first use.
     """
     cfg = strat.cfg
     p, N = cfg.p, cfg.N
+    M = p**N
     point = strat.base.is_point
     order = []
     weights = {}
@@ -81,16 +87,16 @@ def _cocycle_plan(strat):
         den = math.factorial(n)
         for ik in index:
             den *= math.factorial(ik)
-        k, rest = 0, den
-        while not rest % p:
-            rest //= p
+        k = 0
+        while not den % p:
+            den //= p
             k += 1
         w = weights.get(m)
         if w is None:
             w = weights[m] = _Weight()
-        order.append((m, n, index, len(w.dens)))
+        order.append((m, n, index, len(w.qs)))
         w.entries.append([a for row in A.rows for a in row])
-        w.dens.append(den)
+        w.scalars.append((n, tuple((j, ik) for j, ik in enumerate(index) if ik), k, pow(den, -1, M)))
         w.qs.append(N - k)
     for w in weights.values():
         qs = w.qs
@@ -109,47 +115,63 @@ def _cocycle_plan(strat):
                 continue
             zeros.sort(key=qs.__getitem__)
             w.cells.append((live, zeros))
-    return order, weights
+    return order, weights, {}
 
 
-def _weight_slots(cfg, base, w, inc, m, cells, one):
-    """Put the t^m coefficient of each cell of U(sigma) into ``cells``.
+def _cocycle_layout(strat, plan, key):
+    """The slots of U(sigma) for every sigma with layout key (T, c == 0, n_1 == 0, .., n_d == 0).
 
-    inc maps the t of each included coefficient of weight m, in coefficient
-    order, to its numerator c^n prod n_k^i_k.
+    A coefficient is included when its weight m is below T and its
+    numerator c^n prod n_k^i_k is not 0 (always at m = 0); that depends on
+    sigma only through the key.  One entry per included weight, in the
+    order of its first included coefficient: (m, scalars, live, dead_cells,
+    dead).  scalars lists the _Weight.scalars of the coefficients that live
+    terms read, live holds (c, xs, idx) for each cell with a dot to run, idx
+    numbering the operand of each x in scalars, or -1 for the one that
+    multiplies an included skipped zero, and every cell of dead_cells holds
+    the shared zero dead.  A stratification has at most (t-orders used) *
+    2^(d+1) layouts, and they go with its plan.
     """
-    scalars = {}
-
-    def scalar(t):
-        y = scalars.get(t)
-        if y is None:
-            y = scalars[t] = base.from_k(cfg.k_from_int(inc[t]).div_int(w.dens[t]))
-        return y
-
-    # a cell whose included terms are all skipped zeros holds a zero at
-    # their least q; for a single term that is dot's plain product too, as
-    # the stored form of a zero depends only on its absolute precision
-    q = min(w.qs[t] for t in inc)
-    dead = cfg.k_zero(q) if base.is_point and q < cfg.N else None
-    dot = cfg.dot
-    for c, cell in enumerate(w.cells):
-        xs = None
-        if cell is not None:
-            live, zeros = cell
-            xs = [x for t, x in live if t in inc]
-            ys = [scalar(t) for t, _ in live if t in inc]
-            rep = next((t for t in zeros if t in inc), None)
-            if xs and rep is not None:
-                # dot takes from a zero term only its precision, and
-                # qzero[rep] * one has the least q of the cell's zeros
-                xs.append(w.qzero[rep])
-                ys.append(one)
-        if xs:
-            v = dot(xs, ys)
-            if not v.droppable():
-                cells[c][m] = v
-        elif dead is not None:
-            cells[c][m] = dead
+    order, weights, _ = plan
+    cfg = strat.cfg
+    T, c_zero, n_zero = key[0], key[1], key[2:]
+    included = {}
+    for m, n, index, t in order:
+        if m >= T or (n and c_zero) or any(ik and z for ik, z in zip(index, n_zero)):
+            continue
+        inc = included.get(m)
+        if inc is None:
+            included[m] = {t}
+        else:
+            inc.add(t)
+    layout = []
+    for m, inc in included.items():
+        w = weights[m]
+        # a cell whose included terms are all skipped zeros holds a zero at
+        # their least q; for a single term that is dot's plain product too, as
+        # the stored form of a zero depends only on its absolute precision
+        q = min(w.qs[t] for t in inc)
+        dead = cfg.k_zero(q) if strat.base.is_point and q < cfg.N else None
+        slot = {}
+        live, dead_cells = [], []
+        for c, cell in enumerate(w.cells):
+            xs = None
+            if cell is not None:
+                terms, zeros = cell
+                xs = [x for t, x in terms if t in inc]
+                idx = [slot.setdefault(t, len(slot)) for t, _ in terms if t in inc]
+                rep = next((t for t in zeros if t in inc), None)
+                if xs and rep is not None:
+                    # dot takes from a zero term only its precision, and
+                    # qzero[rep] * one has the least q of the cell's zeros
+                    xs.append(w.qzero[rep])
+                    idx.append(-1)
+            if xs:
+                live.append((c, xs, idx))
+            elif dead is not None:
+                dead_cells.append(c)
+        layout.append((m, [w.scalars[t] for t in slot], live, dead_cells, dead))
+    return layout
 
 
 def cocycle_matrix(data, s, T=None):
@@ -171,8 +193,10 @@ def cocycle_matrix(data, s, T=None):
     not free: its term is a zero of absolute precision exactly
     q = N - v_p(n! prod i_k!), since the scalar has prec <= N and
     normalization keeps prec - shift, and that q does not depend on sigma.
-    So per call, after one pass over the coefficients to decide which are
-    included,
+    Which coefficients are included depends on sigma only through its
+    layout key (T, c == 0, n_1 == 0, .., n_d == 0), so each key's slot
+    list (_cocycle_layout) is compiled once per stratification, on first
+    use, and kept on the plan:
       * a live cell runs one dot over its included other entries
         plus one zero term at the least q of its included skipped zeros.
         That gives dot the same least absolute precision A and the same
@@ -183,7 +207,9 @@ def cocycle_matrix(data, s, T=None):
         included q: dot's one-sum result, and also its plain product when
         only one coefficient is included (dropped at q = N; a chart zero
         costs nothing).
-    A scalar s_{n,I} is formed only for a coefficient that a term reads.
+    A call forms only the scalars s_{n,I} that a live term reads, each as
+    num * unit^-1 mod p^N normalized at shift v_p(den): the stored form of
+    k_from_int(num).div_int(den).  Then it runs one dot per live cell.
     """
     strat = _as_strat(data)
     cfg = strat.cfg
@@ -197,27 +223,34 @@ def cocycle_matrix(data, s, T=None):
     plan = strat._cocycle_plan
     if plan is None:
         plan = strat._cocycle_plan = _cocycle_plan(strat)
-    order, weights = plan
-    # the included coefficients of each weight, weights in the order of
-    # their first included coefficient
-    included = {}
-    for m, n, index, t in order:
-        if m >= T:
-            continue
-        num = s.c**n
-        for nk, ik in zip(s.n, index):
-            num *= nk**ik
-        if num == 0 and m > 0:
-            continue
-        inc = included.get(m)
-        if inc is None:
-            included[m] = {t: num}
-        else:
-            inc[t] = num
-    cells = [{} for _ in range(r * r)]
+    layouts = plan[2]
+    c, ns = s.c, s.n
+    key = (T, c == 0, *(nk == 0 for nk in ns))
+    layout = layouts.get(key)
+    if layout is None:
+        layout = layouts[key] = _cocycle_layout(strat, plan, key)
+    N = cfg.N
+    M = cfg.p**N
+    tail = cfg.zero_u[1:] if cfg.n > 1 else None
+    from_k = base.from_k
+    dot = cfg.dot
     one = cfg.k_one()
-    for m, inc in included.items():
-        _weight_slots(cfg, base, weights[m], inc, m, cells, one)
+    cells = [{} for _ in range(r * r)]
+    for m, scalars, live, dead_cells, dead in layout:
+        ys = []
+        for n, powers, k, inv in scalars:
+            num = c**n
+            for j, ik in powers:
+                num *= ns[j] ** ik
+            u = num * inv % M
+            ys.append(from_k(_norm(cfg, u if tail is None else (u,) + tail, k, N)))
+        ys.append(one)
+        for i, xs, idx in live:
+            v = dot(xs, [ys[j] for j in idx])
+            if not v.droppable():
+                cells[i][m] = v
+        for i in dead_cells:
+            cells[i][m] = dead
     out = [[FormalCElem(base, T, cells[i * r + j], reduce=False) for j in range(r)] for i in range(r)]
     return Mat(FormalRing(base, T), out)
 

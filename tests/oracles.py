@@ -506,3 +506,46 @@ def cocycle_strat_naive(strat):
         "truncated": residual.truncated,
         "witness": None if ok else _first_nonzero(residual),
     }
+
+
+# ---------------------------------------------------------------------------
+# Tensor products and duals of modules, entry by entry.
+# ---------------------------------------------------------------------------
+
+
+def kron(a, b):
+    """The Kronecker product a (x) b: entry (i r_b + k, j r_b + l) is a[i][j] * b[k][l]."""
+    from htlab.linalg import Mat
+
+    return Mat(a.ring, [[x * y for x in ra for y in rb] for ra in a.rows for rb in b.rows])
+
+
+def higgs_tensor(h1, h2):
+    """h1 (x) h2: theta_k (x) 1 + 1 (x) theta'_k and phi (x) 1 + 1 (x) phi'.
+
+    Both modules share base, flavor, d and twist; the braiding is linear in
+    (theta, phi), so the tensor module is braided by the same unit.
+    """
+    from htlab.higgs import HiggsData
+    from htlab.linalg import Mat
+
+    one1, one2 = Mat.identity(h1.base, h1.rank), Mat.identity(h2.base, h2.rank)
+
+    def field(a, b):
+        return kron(a, one2) + kron(one1, b)
+
+    theta = [field(a, b) for a, b in zip(h1.theta, h2.theta)]
+    phi = None if h1.phi is None else field(h1.phi, h2.phi)
+    return HiggsData(h1.base, h1.flavor, theta, phi, integral=h1.integral and h2.integral, twist=h1.twist)
+
+
+def higgs_dual(h):
+    """The dual module: -theta_k^T and -phi^T."""
+    from htlab.higgs import HiggsData
+    from htlab.linalg import Mat
+
+    def field(a):
+        return Mat(a.ring, [[-x for x in col] for col in zip(*a.rows)])
+
+    phi = None if h.phi is None else field(h.phi)
+    return HiggsData(h.base, h.flavor, [field(a) for a in h.theta], phi, integral=h.integral, twist=h.twist)

@@ -1,14 +1,14 @@
 import random
 
 import pytest
-from oracles import cocycle_law_naive, cocycle_matrix_naive, galois_act_mat
+from oracles import cocycle_law_naive, cocycle_matrix_naive, galois_act_mat, higgs_dual, higgs_tensor, kron
 
 from htlab import higgs, make_base_config, sen
 from htlab.base import KElem
 from htlab.chart import ChartElem, ChartRing
 from htlab.cohomology import build_higgs_complex, cohomology
 from htlab.errors import HorizonTooSmall, KernelRankDeficit, ValidationFailure
-from htlab.galois import GroupElt, series_dot
+from htlab.galois import FormalRing, GroupElt, series_dot
 from htlab.higgs import (
     HiggsData,
     Stratification,
@@ -16,9 +16,11 @@ from htlab.higgs import (
     check_cocycle_strat,
     log_from_smooth,
     stratification_from_higgs,
+    validate_higgs,
 )
 from htlab.linalg import Mat
-from htlab.samples import corpus, sample_group, sample_higgs
+from htlab.samples import corpus, default_specs, sample_group, sample_higgs
+from htlab.serialize import higgs_from_json, higgs_to_json
 from htlab.sen import (
     cocycle_matrix,
     crosscheck_inverse_simpson,
@@ -27,6 +29,7 @@ from htlab.sen import (
     sen_operator,
     verify_cocycle_law,
 )
+from htlab.sparse import agree
 
 
 @pytest.fixture(scope="module")
@@ -475,8 +478,17 @@ def _plan_cases(cfg, rng):
     return cases
 
 
+def _assert_naive_chain(strat, s, T):
+    """cocycle_matrix agrees with the naive chain in stored form, weight order and flag."""
+    got = cocycle_matrix(strat, s, T=T)
+    for got_row, want_row in zip(got.rows, cocycle_matrix_naive(strat, s, T)):
+        for e, cell in zip(got_row, want_row):
+            assert [(m, _form(v)) for m, v in e.coeffs.items()] == [(m, _form(v)) for m, v in cell.items()]
+            assert e.truncated == any(v.truncated for v in cell.values())
+
+
 def _plan_counts(strat):
-    _, weights = strat._cocycle_plan
+    _, weights, _ = strat._cocycle_plan
     counts = {"dead": 0, "live": 0, "q<1": 0}
     for w in weights.values():
         counts["q<1"] += min(w.qs) < 1
@@ -502,27 +514,81 @@ def test_cocycle_plan_matches_the_naive_chain(spec):
     counts = {}
     for strat, T in cases:
         for s in _sigmas(cfg, rng, strat.d):
-            got = cocycle_matrix(strat, s, T=T)
-            want = cocycle_matrix_naive(strat, s, T)
-            for got_row, want_row in zip(got.rows, want):
-                for e, cell in zip(got_row, want_row):
-                    assert [(m, _form(v)) for m, v in e.coeffs.items()] == [(m, _form(v)) for m, v in cell.items()]
-                    assert e.truncated == any(v.truncated for v in cell.values())
+            _assert_naive_chain(strat, s, T)
         for key, n in _plan_counts(strat).items():
             counts[key] = counts.get(key, 0) + n
     assert counts["dead"] and counts["live"]
     assert bool(counts["q<1"]) == (spec == "p2e2")
 
 
+def _count_builds(monkeypatch):
+    """(plans, layouts): the stratification of each plan built, the key of each layout built."""
+    plans, layouts = [], []
+    plan, layout = sen._cocycle_plan, sen._cocycle_layout
+    monkeypatch.setattr(sen, "_cocycle_plan", lambda strat: plans.append(strat) or plan(strat))
+    monkeypatch.setattr(sen, "_cocycle_layout", lambda *a: layouts.append(a[2]) or layout(*a))
+    return plans, layouts
+
+
+def _layout_key(s, T):
+    return (T, s.c == 0, *(nk == 0 for nk in s.n))
+
+
 def test_cocycle_plan_is_built_once_per_stratification(cfg_u5, nilp2, monkeypatch):
-    calls = []
-    build = sen._cocycle_plan
-    monkeypatch.setattr(sen, "_cocycle_plan", lambda strat: calls.append(strat) or build(strat))
+    plans, layouts = _count_builds(monkeypatch)
     strat = stratification_from_higgs(nilp2)
     rng = random.Random(15)
+    keys = set()
     for _ in range(6):
-        assert verify_cocycle_law(strat, _rand_sigma(cfg_u5, rng, 1), _rand_sigma(cfg_u5, rng, 1))["ok"]
-    assert calls == [strat]
+        s, u = _rand_sigma(cfg_u5, rng, 1), _rand_sigma(cfg_u5, rng, 1)
+        assert verify_cocycle_law(strat, s, u)["ok"]
+        keys |= {_layout_key(x, cfg_u5.cutoffs.T) for x in (s, u, s * u)}
+    assert plans == [strat]
+    assert sorted(layouts) == sorted(keys)
+
+
+def _zero_pattern_sigmas(cfg, rng, d):
+    """One sigma of each zero pattern: c = 0, each n_k = 0 in turn, then
+    c = p^ceil(N/2), whose c^n vanishes mod p^N for n >= 2 but not as an int,
+    so its coefficients stay included, then nothing zero, then the identity."""
+    p, N = cfg.p, cfg.N
+
+    def sigma(c, zero=None):
+        n = tuple(0 if k == zero else rng.randrange(1, p**N) for k in range(d))
+        return GroupElt(cfg, n, c, 1 + p * rng.randrange(p**3))
+
+    out = [sigma(0)] + [sigma(rng.randrange(1, p**N), k) for k in range(d)]
+    out += [sigma(p ** ((N + 1) // 2)), sigma(rng.randrange(1, p**N)), GroupElt.identity(cfg, d)]
+    return out
+
+
+@pytest.mark.parametrize("spec", ["p5", "p2e2", "p3f2", "chart"])
+def test_cocycle_layout_is_keyed_by_t_order_and_zero_pattern(spec, monkeypatch):
+    """Interleaved t-orders and zero patterns, each run twice: every result is
+    the naive chain's, and each key compiles its layout once.  A layout keyed
+    without T, or without one n_k == 0, is reused where it leaves terms out
+    or lets slots past T in."""
+    cfg = {
+        "p5": make_base_config(5, [-5]),
+        "p2e2": make_base_config(2, [-2, 0]),
+        "p3f2": make_base_config(3, [-3], f=2),
+        "chart": make_base_config(5, [-5]),
+    }[spec]
+    base = ChartRing(cfg, "chart", d=1, r=1) if spec == "chart" else ChartRing(cfg, "point")
+    rng = random.Random(f"layout-{spec}")
+    d, D = 2, 4
+    strat = _random_strat(base, rng, 2, d, D)
+    sigmas = _zero_pattern_sigmas(cfg, rng, d)
+    orders = (1, 3, D + 1)
+    plans, layouts = _count_builds(monkeypatch)
+    for _ in range(2):
+        for s in sigmas:
+            for T in orders:
+                _assert_naive_chain(strat, s, T)
+    keys = {_layout_key(s, T) for s in sigmas for T in orders}
+    assert len(keys) == len(orders) * (d + 3)
+    assert plans == [strat]
+    assert sorted(layouts) == sorted(keys)
 
 
 def test_stratification_coefficients_are_read_only(cfg_u5, nilp2):
@@ -531,6 +597,103 @@ def test_stratification_coefficients_are_read_only(cfg_u5, nilp2):
         strat.coeffs[(0, (0,))] = Mat.zero(nilp2.base, 2)
     with pytest.raises(TypeError):
         del strat.coeffs[(0, (0,))]
+
+
+# ---------------------------------------------------------------------------
+# U(sigma) across precisions, tensor products and duals
+# ---------------------------------------------------------------------------
+
+
+def _claims_agree(lo, hi):
+    """Whether K scalar hi knows every digit lo claims, and agrees with it there.
+
+    Both are read as p^-shift u on the same basis pi^i g^j; a scalar with no
+    digit claims nothing."""
+    A = lo.prec - lo.shift
+    if A < 1:
+        return True
+    if hi.prec - hi.shift < A:
+        return False
+    p = lo.cfg.p
+    S = max(lo.shift, hi.shift)
+    M = p ** (A + S)
+    us = [(a,) if isinstance(a, int) else a for a in (lo.u, hi.u)]
+    return all((b * p ** (S - hi.shift) - a * p ** (S - lo.shift)) % M == 0 for a, b in zip(*us))
+
+
+@pytest.mark.parametrize(
+    "spec", [(5, [-5], 1), (3, [-3], 1), (2, [-2], 1), (3, [-3, 0], 1), (2, [-2, 0], 1), (3, [-3], 2)]
+)
+def test_cocycle_precision_ladder(spec):
+    """U(sigma) of a module sampled at N = 16 and read back at N = 8 through
+    JSON: each slot at N = 8 agrees with the N = 16 slot in every digit it
+    claims, and a slot absent at N = 8 is zero mod p^8 at N = 16.
+
+    Point bases only: on a chart base a slot can claim a digit it does not
+    know (known defect chart-cocycle-law, ROADMAP item 2)."""
+    p, E, f = spec
+    hi_cfg = make_base_config(p, E, f=f, precision=16)
+    base = ChartRing(hi_cfg, "point")
+    rng = random.Random(f"ladder-{spec}")
+    specs = default_specs()
+    claimed = 0
+    for _ in range(6):
+        flavor, rank, d, twist = rng.choice(specs)
+        hi = sample_higgs(base, rng, flavor, rank, d=d, twist=twist)
+        doc = higgs_to_json(hi)
+        doc["config"]["N"] = "8"
+        lo = higgs_from_json(doc)
+        lo_cfg = lo.cfg
+        assert lo_cfg.N == 8
+        hi_strat, lo_strat = stratification_from_higgs(hi), stratification_from_higgs(lo)
+        for _ in range(4):
+            s = sample_group(hi_cfg, rng, d)
+            u_hi = cocycle_matrix(hi_strat, s)
+            u_lo = cocycle_matrix(lo_strat, GroupElt(lo_cfg, s.n, s.c, s.chi))
+            for row_hi, row_lo in zip(u_hi.rows, u_lo.rows):
+                for e_hi, e_lo in zip(row_hi, row_lo):
+                    for m in e_hi.coeffs.keys() | e_lo.coeffs.keys():
+                        x_lo = e_lo.coeffs.get(m, lo_cfg.k_zero())
+                        assert _claims_agree(x_lo, e_hi.coeffs.get(m, hi_cfg.k_zero())), (flavor, d, twist, s, m)
+                        claimed += x_lo.prec - x_lo.shift >= 1 and not x_lo.storage_zero()
+    assert claimed
+
+
+@pytest.mark.parametrize("spec", ["p5", "p3", "p2e2", "p3f2"])
+def test_cocycle_of_tensor_and_dual(spec):
+    """U of h1 (x) h2 is U_h1 (x) U_h2, and U_h^T U_{h dual} = 1, slot by slot.
+
+    Rank-2 pairs on a point base, over abs-geom (d = 1, 2), rel-geom and
+    abs-arith, with both twists; both new modules validate and the tensor
+    module passes the descent check."""
+    cfg = {
+        "p5": make_base_config(5, [-5]),
+        "p3": make_base_config(3, [-3]),
+        "p2e2": make_base_config(2, [-2, 0]),
+        "p3f2": make_base_config(3, [-3], f=2),
+    }[spec]
+    base = ChartRing(cfg, "point")
+    rng = random.Random(f"tensor-{spec}")
+    T = cfg.cutoffs.T
+    ident = Mat.identity(FormalRing(base, T), 2)
+    moving = 0
+    for flavor, d in (("abs-geom", 1), ("abs-geom", 2), ("rel-geom", 1), ("abs-arith", 0)):
+        for twist in ("log", "smooth"):
+            h1, h2 = (sample_higgs(base, rng, flavor, 2, d=d, twist=twist) for _ in range(2))
+            tensor, dual = higgs_tensor(h1, h2), higgs_dual(h1)
+            assert validate_higgs(tensor)["ok"] and validate_higgs(dual)["ok"]
+            strats = [stratification_from_higgs(h) for h in (tensor, h1, h2, dual)]
+            assert check_cocycle_strat(strats[0])["ok"]
+            for _ in range(3):
+                s = sample_group(cfg, rng, d)
+                u, u1, u2, u_dual = (cocycle_matrix(x, s) for x in strats)
+                pairing = Mat(u1.ring, list(zip(*u1.rows))) * u_dual
+                for got, want in ((u, kron(u1, u2)), (pairing, ident)):
+                    for i, row in enumerate(got.rows):
+                        for j, e in enumerate(row):
+                            assert agree(e.coeffs, want.rows[i][j].coeffs)[0], (flavor, d, twist, s, i, j)
+                moving += any(m > 0 for x in (u1, u2) for row in x.rows for e in row for m in e.coeffs)
+    assert moving
 
 
 # ---------------------------------------------------------------------------
