@@ -526,7 +526,9 @@ def _count_builds(monkeypatch):
     plans, layouts = [], []
     plan, layout = sen._cocycle_plan, sen._cocycle_layout
     monkeypatch.setattr(sen, "_cocycle_plan", lambda strat: plans.append(strat) or plan(strat))
-    monkeypatch.setattr(sen, "_cocycle_layout", lambda *a: layouts.append(a[2]) or layout(*a))
+    monkeypatch.setattr(
+        sen, "_cocycle_layout", lambda strat, p, key: layouts.append(key) or layout(strat, p, key)
+    )
     return plans, layouts
 
 
