@@ -13,15 +13,18 @@ to the braiding relation, so verify_complex doubles as an independent check
 on the algebra feeding it.
 
 snf_dvr puts an integral matrix in diagonal form with pivots pi^v, ascending.
-It updates only the working matrix and records its row and column steps; the
-transforms U, V and their inverses are replayed from that record the first
-time each is read, so a caller pays only for the transforms it reads.  A
-zero that is only zero at its stored precision makes the answer provisional:
-the result carries a precision_limited flag, and strict mode raises instead.
-Cohomology in each degree comes from two rounds of reduction (kernel basis,
-then invariant factors of the image inside it) and is reported as a module
-shape: a free rank plus a list of pi-power torsion exponents; cohomology_all
-reduces each differential once.
+It updates only the working matrix and records its row and column steps; V
+is replayed from that record when first read, and the test oracles replay U
+and the inverses from it.  A zero that is only zero at its stored precision
+makes the answer provisional: the result carries a precision_limited flag,
+and strict mode raises instead.
+
+Cohomology reads no transform.  Over the DVR O_K, C^n / ker d_n embeds in
+the free C^{n+1}, so ker d_n is saturated in C^n and
+0 -> H^n -> coker d_{n-1} -> C^n / ker d_n -> 0 splits.  So H^n is reported
+as a module shape: free rank l_n - rk d_n - rk d_{n-1}, plus the pi-power
+torsion of coker d_{n-1}, the positive pivot exponents of d_{n-1};
+cohomology_all reduces each differential once.
 """
 
 from itertools import combinations
@@ -148,39 +151,6 @@ def verify_complex(rep):
 _SWAP, _RESCALE, _ELIM = 0, 1, 2
 
 
-def _replay_u(ring, n, steps):
-    # U accumulates the row operations: swap, rescale by u^-1, M[i] -= f M[t]
-    out = Mat.identity(ring, n)
-    U = out.rows
-    for op, i, t, f in steps:
-        if op == _SWAP:
-            U[i], U[t] = U[t], U[i]
-        elif op == _RESCALE:
-            uinv = f[1]
-            U[t] = [uinv * x for x in U[t]]
-        else:
-            U[i] = [y - f * z for y, z in zip(U[i], U[t])]
-    return out
-
-
-def _replay_uinv(ring, n, steps):
-    # the inverses of the row operations, composed on the right
-    out = Mat.identity(ring, n)
-    Uinv = out.rows
-    for op, i, t, f in steps:
-        if op == _SWAP:
-            for row in Uinv:
-                row[i], row[t] = row[t], row[i]
-        elif op == _RESCALE:
-            u = f[0]
-            for row in Uinv:
-                row[t] = row[t] * u
-        else:
-            for row in Uinv:
-                row[t] = row[t] + f * row[i]
-    return out
-
-
 def _replay_v(ring, n, steps):
     # V accumulates the column operations: swap, M[:, j] -= f M[:, t]
     out = Mat.identity(ring, n)
@@ -195,27 +165,12 @@ def _replay_v(ring, n, steps):
     return out
 
 
-def _replay_vinv(ring, n, steps):
-    # the inverses of the column operations, composed on the left
-    out = Mat.identity(ring, n)
-    Vinv = out.rows
-    for op, j, t, f in steps:
-        if op == _SWAP:
-            Vinv[j], Vinv[t] = Vinv[t], Vinv[j]
-        else:
-            Vinv[t] = [y + f * z for y, z in zip(Vinv[t], Vinv[j])]
-    return out
-
-
 class SnfResult:
-    """The exponents of a Smith reduction, with its transforms built on demand.
+    """The exponents of a Smith reduction and the record of its steps; V is
+    replayed from the column steps when first read (by the fixed vectors of
+    htlab.sen), and the test oracles replay U, Uinv and Vinv from the record."""
 
-    U, V, Uinv and Vinv are replayed from the recorded steps the first time
-    each is read, with the same scalar operations in the same order as an
-    eager update; a caller that reads none of them pays for none.
-    """
-
-    __slots__ = ("vals", "nrows", "ncols", "precision_limited", "_ring", "_row_steps", "_col_steps", "_built")
+    __slots__ = ("vals", "nrows", "ncols", "precision_limited", "_ring", "_row_steps", "_col_steps", "_V")
 
     def __init__(self, ring, vals, nrows, ncols, precision_limited, row_steps, col_steps):
         self._ring = ring
@@ -225,36 +180,13 @@ class SnfResult:
         self.precision_limited = precision_limited
         self._row_steps = row_steps
         self._col_steps = col_steps
-        self._built = {}
-
-    def _transform(self, name, replay, n, steps):
-        m = self._built.get(name)
-        if m is None:
-            m = self._built[name] = replay(self._ring, n, steps)
-        return m
-
-    @property
-    def U(self):
-        return self._transform("U", _replay_u, self.nrows, self._row_steps)
-
-    @property
-    def Uinv(self):
-        return self._transform("Uinv", _replay_uinv, self.nrows, self._row_steps)
+        self._V = None
 
     @property
     def V(self):
-        return self._transform("V", _replay_v, self.ncols, self._col_steps)
-
-    @property
-    def Vinv(self):
-        return self._transform("Vinv", _replay_vinv, self.ncols, self._col_steps)
-
-    def diag(self, ring):
-        """The reduced matrix itself: diag(pi^v) padded with zeros."""
-        rows = [[ring.zero() for _ in range(self.ncols)] for _ in range(self.nrows)]
-        for t, v in enumerate(self.vals):
-            rows[t][t] = _pi_power(ring, v)
-        return Mat(ring, rows)
+        if self._V is None:
+            self._V = _replay_v(self._ring, self.ncols, self._col_steps)
+        return self._V
 
     def __repr__(self):
         flag = ", precision_limited" if self.precision_limited else ""
@@ -266,9 +198,9 @@ def snf_dvr(mat, strict=False):
 
     Global minimal-valuation pivoting; the pivot row is rescaled so the pivot
     becomes exactly a power of pi.  Only the working matrix is updated: each
-    row and column step is recorded, and U, V and their inverses (invertible
-    over O_K) are replayed from the record when first read.  Entries must be
-    point-mode scalars.
+    row and column step is recorded, V is replayed from the record when first
+    read, and the test oracles replay U, Uinv and Vinv (all invertible over
+    O_K) from it.  Entries must be point-mode scalars.
     """
     ring = mat.ring
     cfg = ring.cfg
@@ -364,19 +296,15 @@ def _pi_power(ring, v):
 def cohomology(rep, degree, strict=False):
     """H^degree as {free_rank, torsion exponents, precision_limited}.
 
-    Kernel basis from the outgoing reduction, image columns from the incoming
-    one, invariant factors from a second reduction of the image expressed in
-    the kernel basis.  Degrees outside the complex give the zero module.
+    rep must be a complex (verify_complex checks it); the module docstring
+    gives the shape.  Degrees outside the complex give the zero module.
     """
     return _cohomology(rep, degree, strict, None)[0]
 
 
 def cohomology_all(rep, strict=False):
-    """H^n for every degree of the complex; each differential is reduced once.
-
-    Degree n reads the Vinv of the reduction of differential n, and degree
-    n + 1 reads its Uinv, so each degree hands its outgoing reduction on.
-    """
+    """H^n for every degree of the complex; each differential is reduced once,
+    and degree n hands its exponents and flag on to degree n + 1."""
     groups, out = [], None
     for n in range(rep.top + 1):
         group, out = _cohomology(rep, n, strict, out)
@@ -384,56 +312,31 @@ def cohomology_all(rep, strict=False):
     return groups
 
 
+def _reduce(rep, n, strict):
+    """(exponents, flag) of the reduction of differential n; none past the top."""
+    if n == rep.top:
+        return [], False
+    s = snf_dvr(rep.diffs[n], strict=strict)
+    return s.vals, s.precision_limited
+
+
 def _cohomology(rep, degree, strict, inc):
-    """(H^degree, the reduction of differential degree or None); inc, when
-    given, is the reduction of differential degree - 1."""
+    """(H^degree, (exponents, flag) of d_degree); inc is the pair of d_{degree-1} or None."""
     if degree < 0 or degree > rep.top:
         return {"degree": degree, "free_rank": 0, "torsion": [], "precision_limited": False}, None
-    base = rep.base
-    l = rep.ranks[degree]
-    limited = False
-    out = None
-    if degree < rep.top:
-        out = snf_dvr(rep.diffs[degree], strict=strict)
-        limited = limited or out.precision_limited
-        r_out = len(out.vals)
-        vinv = out.Vinv
-    else:
-        r_out = 0
-        vinv = None
-    k = l - r_out
-    torsion = []
-    free = k
-    if degree > 0 and k > 0 and inc is None:
-        inc = snf_dvr(rep.diffs[degree - 1], strict=strict)
-    if degree > 0 and k > 0 and vinv is None:
-        # top degree: the quotient is the plain cokernel, whose invariant
-        # factors are those of the incoming map; no second reduction needed
-        limited = limited or inc.precision_limited
-        torsion = [v for v in inc.vals if v > 0]
-        free = k - len(inc.vals)
-        return {"degree": degree, "free_rank": free, "torsion": torsion, "precision_limited": limited}, out
-    if degree > 0 and k > 0:
-        limited = limited or inc.precision_limited
-        scals = [_pi_power(base, v) for v in inc.vals]
-        images = vinv * Mat(base, [[row[j] * s for j, s in enumerate(scals)] for row in inc.Uinv.rows])
-        cols = []
-        for j in range(len(scals)):
-            c = images.col(j)
-            for x in c[:r_out]:
-                if not x.is_zero():
-                    if limited:
-                        # the kernel basis is not certified finely enough to
-                        # absorb this image column; project and carry the flag
-                        break
-                    raise ValidationFailure(f"image escapes the kernel in degree {degree}")
-            cols.append(c[r_out:])
-        if cols:
-            C = Mat(base, [[col[i] for col in cols] for i in range(k)])
-            sec = snf_dvr(C, strict=strict)
-            limited = limited or sec.precision_limited
-            torsion = [v for v in sec.vals if v > 0]
-            free = k - len(sec.vals)
+    out = _reduce(rep, degree, strict)
+    free, torsion, limited = rep.ranks[degree] - len(out[0]), [], out[1]
+    if degree > 0 and free > 0:
+        vals, inc_limited = inc or _reduce(rep, degree - 1, strict)
+        limited = limited or inc_limited
+        free -= len(vals)
+        torsion = [v for v in vals if v > 0]
+        if free < 0:
+            # a complex has rk d_{n-1} <= l_n - rk d_n; at a limited reduction
+            # a rank can be off, elsewhere the input is not a complex
+            if not limited:
+                raise ValidationFailure(f"image rank exceeds kernel rank in degree {degree}")
+            free = 0
     return {"degree": degree, "free_rank": free, "torsion": torsion, "precision_limited": limited}, out
 
 

@@ -5,7 +5,8 @@
 Writes, under ``tests/golden/``:
 
 * ``inputs/*.json``: twelve generated module descriptors (point and chart
-  bases; e = 1, 2; f = 1, 2; all three flavors; both twists) and one
+  bases; e = 1, 2; f = 1, 2; all three flavors; both twists), a thirteenth,
+  ``corpus(p3 point, 39)[18]``, whose H^1 has torsion [1, 1, 2], and one
   ``factorize`` file of units and non-units per base;
 * ``<descriptor>.<command>.json``: the stdout of ``lab <command> --canonical``
   on each input, and ``manifest.json``, the argument list and exit code of
@@ -23,7 +24,8 @@ Writes, under ``tests/golden/``:
 * ``snf.json``: ``snf_dvr`` on seeded integral matrices over four bases
   (square and rectangular, rank-deficient, high-valuation pivots,
   reduced-precision zeros): the exponents, the ``precision_limited`` flag,
-  the stored form of U, V, Uinv and Vinv and the strict-mode outcome; and
+  the stored form of U, V, Uinv and Vinv (U and the inverses replayed by
+  ``tests/oracles.py`` from the step record) and the strict-mode outcome; and
   ``cohomology_all`` on corpus modules, strict and not;
 * ``witt.json``: the stored form (w, prec, frob_power) of seeded Witt-vector
   operations on eighteen bases (p = 2, 3, 5; f = 1, 2, 3; e = 1, 2),
@@ -33,8 +35,9 @@ Writes, under ``tests/golden/``:
   carriers, and ``USeries`` products and Frobenius.
 
 Only the public API and ``tests/oracles.py`` are used, so the same script
-records the outputs of any version of the package since ``FaceContext``
-took the twist unit itself; older versions lack names it imports.
+records the outputs of any version of the package since ``snf_dvr``
+recorded its steps and ``FaceContext`` took the twist unit itself; older
+versions lack names it imports.
 Regenerate only for an intended change of output, and review the diff.
 """
 
@@ -44,7 +47,7 @@ import sys
 from pathlib import Path
 
 from click.testing import CliRunner
-from oracles import galois_act_mat
+from oracles import galois_act_mat, replay_u, replay_uinv, replay_vinv
 
 from htlab import (
     ChartRing,
@@ -115,7 +118,14 @@ def lab_inputs():
                 digits[0] += 1
             items.append([str(x) for x in digits] if f > 1 else str(digits[0]))
         docs[f"{bname}-units"] = {"config": cfg.to_json(), "units": items}
+    docs["p3-point-abs-geom-d1-log"] = higgs_to_json(p3_reproducer())
     return docs
+
+
+def p3_reproducer():
+    """A valid module whose Smith transforms certify only 4 digits of one row;
+    its H^1 is certified with torsion [1, 1, 2]."""
+    return corpus(ChartRing(make_base_config(3, [-3], precision=N), "point"), 39)[18]
 
 
 def lab_cases(names):
@@ -475,8 +485,8 @@ def _snf_result(mat, strict):
         return {"error": err}
     out = {"vals": [str(v) for v in s.vals], "precision_limited": s.precision_limited}
     if not strict:
-        for name in ("U", "V", "Uinv", "Vinv"):
-            out[name] = _mat_form(getattr(s, name))
+        for name, m in (("U", replay_u(s)), ("V", s.V), ("Uinv", replay_uinv(s)), ("Vinv", replay_vinv(s))):
+            out[name] = _mat_form(m)
     return out
 
 
@@ -511,9 +521,7 @@ def snf_cases():
                 }
             )
         out[bname] = {"snf": steps, "cohomology": modules}
-    # a valid module whose degree-1 image escapes the kernel basis (a known defect)
-    h = corpus(ChartRing(make_base_config(3, [-3], precision=N), "point"), 39)[18]
-    rep = build_higgs_complex(h)
+    rep = build_higgs_complex(p3_reproducer())
     out["p3-escape"] = {"cohomology": _cohomology_result(rep, False), "strict": _cohomology_result(rep, True)}
     return out
 

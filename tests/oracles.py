@@ -85,6 +85,101 @@ def kernel_cokernel_cardinalities(p, E_coeffs, prec, rows):
     return ker, total // len(image)
 
 
+def image_size_mod(rows, p, E_coeffs, prec):
+    """|im| of the matrix over O_K/p^prec (f = 1) by additive closure.
+
+    rows holds TinyOk tuples.  Over Z/p^prec the image is generated by
+    pi^i times each column, i < e; the span grows one generator at a time,
+    adding it to the newest elements until nothing new appears."""
+    ring = TinyOk(p, E_coeffs, prec)
+    span = {ring.zero_vec(len(rows))}
+    basis = [tuple(int(i == j) for j in range(ring.e)) for i in range(ring.e)]
+    for col in zip(*rows):
+        for pi_i in basis:
+            g = tuple(ring.mul(pi_i, x) for x in col)
+            fresh = span
+            while fresh:
+                fresh = {tuple(ring.add(a, b) for a, b in zip(v, g)) for v in fresh} - span
+                span |= fresh
+    return len(span)
+
+
+# ---------------------------------------------------------------------------
+# Smith transforms replayed from the step record of htlab.cohomology.snf_dvr.
+# U * mat * V = diag(pi^v); each matrix gets its own update expressions, in
+# the order the steps were taken.
+# ---------------------------------------------------------------------------
+
+
+def replay_u(s):
+    """U: the row operations (swap, rescale by u^-1, M[i] -= f M[t])."""
+    from htlab.cohomology import _RESCALE, _SWAP
+    from htlab.linalg import Mat
+
+    out = Mat.identity(s._ring, s.nrows)
+    U = out.rows
+    for op, i, t, f in s._row_steps:
+        if op == _SWAP:
+            U[i], U[t] = U[t], U[i]
+        elif op == _RESCALE:
+            uinv = f[1]
+            U[t] = [uinv * x for x in U[t]]
+        else:
+            U[i] = [y - f * z for y, z in zip(U[i], U[t])]
+    return out
+
+
+def replay_uinv(s):
+    """Uinv: the inverses of the row operations, composed on the right."""
+    from htlab.cohomology import _RESCALE, _SWAP
+    from htlab.linalg import Mat
+
+    out = Mat.identity(s._ring, s.nrows)
+    Uinv = out.rows
+    for op, i, t, f in s._row_steps:
+        if op == _SWAP:
+            for row in Uinv:
+                row[i], row[t] = row[t], row[i]
+        elif op == _RESCALE:
+            u = f[0]
+            for row in Uinv:
+                row[t] = row[t] * u
+        else:
+            for row in Uinv:
+                row[t] = row[t] + f * row[i]
+    return out
+
+
+def replay_vinv(s):
+    """Vinv: the inverses of the column operations, composed on the left."""
+    from htlab.cohomology import _SWAP
+    from htlab.linalg import Mat
+
+    out = Mat.identity(s._ring, s.ncols)
+    Vinv = out.rows
+    for op, j, t, f in s._col_steps:
+        if op == _SWAP:
+            Vinv[j], Vinv[t] = Vinv[t], Vinv[j]
+        else:
+            Vinv[t] = [y + f * z for y, z in zip(Vinv[t], Vinv[j])]
+    return out
+
+
+def snf_diag(s):
+    """The reduced matrix itself: diag(pi^v) padded with zeros."""
+    from htlab.linalg import Mat
+
+    ring = s._ring
+    pi = ring.from_k(ring.cfg.pi)
+    rows = [[ring.zero() for _ in range(s.ncols)] for _ in range(s.nrows)]
+    for t, v in enumerate(s.vals):
+        x = ring.one()
+        for _ in range(v):
+            x = x * pi
+        rows[t][t] = x
+    return Mat(ring, rows)
+
+
 # ---------------------------------------------------------------------------
 # Plain-polynomial multiplication oracle for the divided-power basis.
 # Works over Fraction-valued coefficients keyed by ordinary exponents.

@@ -17,7 +17,8 @@ from htlab.cohomology import (
 from htlab.errors import InsufficientPrecision, ValidationFailure
 from htlab.higgs import HiggsData
 from htlab.linalg import Mat
-from oracles import kernel_cokernel_cardinalities
+from make_golden import p3_reproducer
+from oracles import image_size_mod, kernel_cokernel_cardinalities, replay_u, replay_uinv, replay_vinv, snf_diag
 
 
 @pytest.fixture(scope="module")
@@ -51,19 +52,20 @@ def test_snf_transform_identities(point):
     for _ in range(12):
         m = Mat.from_ints(point, [[rng.randrange(-60, 60) for _ in range(3)] for _ in range(3)])
         s = snf_dvr(m)
+        U, Uinv, Vinv = replay_u(s), replay_uinv(s), replay_vinv(s)
         assert sorted(s.vals) == s.vals
-        assert (s.U * m * s.V).eq(s.diag(point))
-        assert (s.U * s.Uinv).eq(ident)
-        assert (s.Uinv * s.U).eq(ident)
-        assert (s.V * s.Vinv).eq(ident)
-        assert (s.Vinv * s.V).eq(ident)
+        assert (U * m * s.V).eq(snf_diag(s))
+        assert (U * Uinv).eq(ident)
+        assert (Uinv * U).eq(ident)
+        assert (s.V * Vinv).eq(ident)
+        assert (Vinv * s.V).eq(ident)
 
 
 def test_snf_rectangular(point):
     m = Mat.from_ints(point, [[0, 1], [0, 0], [0, 5]])
     s = snf_dvr(m)
     assert s.vals == [0]
-    assert (s.U * m * s.V).eq(s.diag(point))
+    assert (replay_u(s) * m * s.V).eq(snf_diag(s))
 
 
 def test_snf_requires_integral(point, cfg_u5):
@@ -184,6 +186,33 @@ def test_cohomology_all_and_amplitude(point):
     }
 
 
+def _rank_excess_rep(point, last):
+    # d0 = diag(1, 1, last) has rank 2, d1 = [[1, 0, 0], [0, 1, 0]] rank 2,
+    # so in degree 1 the image would outrank the kernel: not a complex
+    d0 = Mat.from_ints(point, [[1, 0, 0], [0, 1, 0], [0, 0, 0]])
+    d0.rows[2][2] = last
+    d1 = Mat.from_ints(point, [[1, 0, 0], [0, 1, 0]])
+    return ComplexRep(point, [3, 3, 2], [d0, d1])
+
+
+def test_image_rank_above_kernel_rank_is_refused(point, cfg_u5):
+    rep = _rank_excess_rep(point, point.zero())
+    assert not verify_complex(rep)["ok"]
+    with pytest.raises(ValidationFailure, match="degree 1"):
+        cohomology(rep, 1)
+    with pytest.raises(ValidationFailure, match="degree 1"):
+        cohomology_all(rep)
+    # the same ranks with a zero known to 3 digits: the reduction of d0 is
+    # limited, so the rank may be off and the group is flagged, not refused
+    fuzzy = _rank_excess_rep(point, point.from_k(cfg_u5.k_zero().clamp_prec(3)))
+    h1 = cohomology(fuzzy, 1)
+    assert h1["precision_limited"]
+    assert h1["free_rank"] == 0
+    assert cohomology_all(fuzzy)[1] == h1
+    with pytest.raises(InsufficientPrecision):
+        cohomology(fuzzy, 1, strict=True)
+
+
 # ---------------------------------------------------------------------------
 # cardinalities against exhaustive enumeration
 # ---------------------------------------------------------------------------
@@ -227,6 +256,127 @@ def test_mod_p2_cardinalities_zero_matrix():
     assert got["cokernel"] == 9**2
 
 
+def _tiny_rows(mat, k):
+    """The entries of an integral matrix as TinyOk tuples mod p^k."""
+    M = mat.ring.cfg.p**k
+    for row in mat.rows:
+        for x in row:
+            assert x.shift == 0 and x.prec >= k
+    return [[tuple(c % M for c in x.coeffs()) for x in row] for row in mat.rows]
+
+
+def _uct_size_log(groups, n, m):
+    """log_q |H^n(C (x) O/pi^m)| from the certified groups: H^n (x) O/pi^m
+    plus Tor(H^{n+1}, O/pi^m)."""
+    g = groups[n]
+    above = groups[n + 1]["torsion"] if n + 1 < len(groups) else []
+    return m * g["free_rank"] + sum(min(t, m) for t in g["torsion"]) + sum(min(t, m) for t in above)
+
+
+def _uct_mismatches(rep, groups, p, E, k):
+    """Degrees where |C^n| / |im d_n| / |im d_{n-1}| over O/p^k, by additive
+    closure, differs from the size the certified groups predict."""
+    e = len(E)
+    images = [image_size_mod(_tiny_rows(d, k), p, E, k) for d in rep.diffs]
+    bad = []
+    for n in range(rep.top + 1):
+        size = p ** (e * k * rep.ranks[n])
+        size //= images[n] if n < rep.top else 1
+        size //= images[n - 1] if n else 1
+        if size != p ** _uct_size_log(groups, n, e * k):
+            bad.append(n)
+    return bad
+
+
+UCT_BASES = {"p3": (3, [-3], 2), "p5": (5, [-5], 1), "p2e2": (2, [-2, 0], 2), "p3e2": (3, [-3, 0], 1)}
+
+
+@pytest.mark.parametrize("name", sorted(UCT_BASES))
+def test_cohomology_mod_pk_matches_universal_coefficients(name):
+    """|H^n(C (x) O/p^k)|, counted with no Smith form, against the
+    universal-coefficient size of the certified groups; rank-2 modules of
+    every flavor and twist."""
+    from htlab.samples import sample_higgs
+
+    p, E, k = UCT_BASES[name]
+    base = ChartRing(make_base_config(p, E, precision=8), "point")
+    rng = random.Random(f"uct-{name}")
+    compared = 0
+    for flavor in ("abs-geom", "abs-arith", "rel-geom"):
+        for twist in ("log", "smooth"):
+            for _ in range(4):
+                rep = build_higgs_complex(sample_higgs(base, rng, flavor, rank=2, d=1, twist=twist))
+                groups = cohomology_all(rep)
+                if any(g["precision_limited"] for g in groups):
+                    continue
+                assert _uct_mismatches(rep, groups, p, E, k) == [], (flavor, twist)
+                compared += len(groups)
+    assert compared >= 40
+
+
+def test_p3_reproducer_mod_p2_matches_universal_coefficients():
+    rep = build_higgs_complex(p3_reproducer())
+    groups = cohomology_all(rep)
+    assert not any(g["precision_limited"] for g in groups)
+    assert _uct_mismatches(rep, groups, 3, [-3], 2) == []
+
+
+LADDER_BASES = {
+    "p2": (2, [-2], 1),
+    "p3": (3, [-3], 1),
+    "p5": (5, [-5], 1),
+    "p2e2": (2, [-2, 0], 1),
+    "p3e2": (3, [-3, 0], 1),
+    "p3f2": (3, [-3], 2),
+}
+
+
+def _lowered(groups, n, m):
+    """(free rank, torsion) of H^n at pi-adic precision m from exact groups:
+    an exponent t >= m is a zero pivot there, free in H^n and in H^(n-1)."""
+    g = groups[n]
+    above = groups[n + 1]["torsion"] if n + 1 < len(groups) else []
+    free = g["free_rank"] + sum(t >= m for t in g["torsion"]) + sum(t >= m for t in above)
+    return free, [t for t in g["torsion"] if t < m]
+
+
+@pytest.mark.parametrize("name", list(LADDER_BASES))
+def test_cohomology_precision_ladder(name):
+    """Modules sampled at N = 16 and read back at N = 8 through JSON: every
+    certified group at N = 8 is the N = 16 group with each torsion exponent
+    t >= 8e turned free, unless N = 16 is limited in degree n or n + 1."""
+    from htlab.samples import default_specs, sample_higgs
+    from htlab.serialize import higgs_from_json, higgs_to_json
+
+    p, E, f = LADDER_BASES[name]
+    base = ChartRing(make_base_config(p, E, f=f, precision=16), "point")
+    rng = random.Random(f"cohomology-ladder-{name}")
+    specs = default_specs()
+    # phi = diag(p, p^9) puts the exponent 9e >= 8e in H^1; the samples stay below
+    modules = [HiggsData(base, "abs-arith", [], Mat.from_ints(base, [[p, 0], [0, p**9]]))]
+    for _ in range(60):
+        flavor, rank, d, twist = rng.choice(specs)
+        modules.append(sample_higgs(base, rng, flavor, rank, d=d, twist=twist))
+    m = 8 * len(E)
+    compared = turned = 0
+    for hi in modules:
+        doc = higgs_to_json(hi)
+        doc["config"]["N"] = "8"
+        lo = higgs_from_json(doc)
+        assert lo.cfg.N == 8
+        g_hi = cohomology_all(build_higgs_complex(hi))
+        g_lo = cohomology_all(build_higgs_complex(lo))
+        for n, g in enumerate(g_lo):
+            if g["precision_limited"] or any(x["precision_limited"] for x in g_hi[n : n + 2]):
+                continue
+            want = _lowered(g_hi, n, m)
+            assert (g["free_rank"], g["torsion"]) == want, (hi.flavor, hi.rank, hi.d, hi.twist, n)
+            compared += 1
+            turned += want != (g_hi[n]["free_rank"], g_hi[n]["torsion"])
+    assert compared >= 100
+    assert turned >= 2
+
+
 # ---------------------------------------------------------------------------
 # behavior at the edge of working precision
 # ---------------------------------------------------------------------------
@@ -267,7 +417,7 @@ def _outcome(thunk):
 def test_cohomology_all_reduces_each_differential_once(cfg_u5, cfg_r2, monkeypatch):
     # cohomology_all must agree with the degrees taken one at a time (same
     # groups, or the same exception type), while reducing every differential
-    # once and each image once more
+    # once and nothing else
     from htlab.samples import corpus
 
     # the package exports the function cohomology under the module's name
@@ -281,28 +431,28 @@ def test_cohomology_all_reduces_each_differential_once(cfg_u5, cfg_r2, monkeypat
 
     monkeypatch.setattr(cohomology_module, "snf_dvr", counting_snf)
     modules = corpus(ChartRing(cfg_u5, "point"), 3) + corpus(ChartRing(cfg_r2, "point"), 11)
-    modules.append(corpus(ChartRing(make_base_config(3, [-3], precision=8), "point"), 39)[18])
+    modules.append(p3_reproducer())
     seen = set()
     for h in modules:
         rep = build_higgs_complex(h)
         for strict in (False, True):
             calls.clear()
             each, each_err = _outcome(lambda: [cohomology(rep, n, strict=strict) for n in range(rep.top + 1)])
-            images_each = sum(1 for m in calls if not any(m is d for d in rep.diffs))
+            assert all(any(m is d for d in rep.diffs) for m in calls)
             calls.clear()
             every, every_err = _outcome(lambda: cohomology_all(rep, strict=strict))
             assert every_err is each_err
             assert every == each
             per_diff = [sum(1 for m in calls if m is d) for d in rep.diffs]
             images = len(calls) - sum(per_diff)
+            assert images == 0
             if every_err is None:
                 assert per_diff == [1] * len(rep.diffs)
-                assert images == images_each
             else:
                 assert max(per_diff) <= 1
             seen.add((strict, every_err))
-    # the corpus covers certified answers and both kinds of refusal
-    assert {(False, None), (True, None), (True, InsufficientPrecision), (False, ValidationFailure)} <= seen
+    # the corpus covers certified answers and the strict refusal
+    assert {(False, None), (True, None), (True, InsufficientPrecision)} <= seen
 
 
 def test_snf_high_valuation_pivot_keeps_unit_digits(cfg_r2):
@@ -313,7 +463,7 @@ def test_snf_high_valuation_pivot_keeps_unit_digits(cfg_r2):
     m = Mat.from_ints(point2, [[pi6, 0], [0, 2 * pi6]])
     s = snf_dvr(m)
     assert s.vals == [6, 8]
-    assert (s.U * m * s.V).eq(s.diag(point2))
+    assert (replay_u(s) * m * s.V).eq(snf_diag(s))
 
 
 def test_snf_rejects_chart_base(cfg_u5):
@@ -323,13 +473,15 @@ def test_snf_rejects_chart_base(cfg_u5):
         snf_dvr(m)
 
 
-@pytest.mark.xfail(strict=True, raises=ValidationFailure, reason="known defect: image escapes the kernel in degree 1")
 def test_valid_corpus_module_gets_an_answer_in_degree_1():
-    # validate_higgs and verify_complex both pass on this module, so the
-    # cohomology must be certified, flagged precision_limited, or refused
-    # with InsufficientPrecision; it raises ValidationFailure instead.  When
-    # the defect is fixed this test passes, and the mark must go.
-    from htlab.samples import corpus
-
-    h = corpus(ChartRing(make_base_config(3, [-3], precision=8), "point"), 39)[18]
-    cohomology(build_higgs_complex(h), 1)
+    # validate_higgs and verify_complex both pass on this module, while its
+    # Smith transforms certify only 4 digits of one row: the exponents of
+    # the reductions must certify the group on their own
+    rep = build_higgs_complex(p3_reproducer())
+    for strict in (False, True):
+        assert cohomology(rep, 1, strict=strict) == {
+            "degree": 1,
+            "free_rank": 0,
+            "torsion": [1, 1, 2],
+            "precision_limited": False,
+        }
