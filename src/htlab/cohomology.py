@@ -19,6 +19,17 @@ and the inverses from it.  A zero that is only zero at its stored precision
 makes the answer provisional: the result carries a precision_limited flag,
 and strict mode raises instead.
 
+The reduction does no arithmetic whose result it can prove is the stored
+form already there.  Trailing block: step t never reads rows or columns
+below t again, nor row t after its row eliminations, so row steps and
+column swaps touch columns >= t and column eliminations rows > t.  Zero
+rule: an update y - f z where z stores a zero numerator and the product's
+absolute precision min(prec_f, prec_z) - s_f - s_z is at least y's keeps y,
+because f z is then a zero of at least y's precision, the sum aligns y at
+the larger shift S exactly (numerator p^(S - s_y) u_y), and normalization
+cancels just those factors of p again, y being normalized; the pivot-row
+rescale by a unit at shift 0 keeps a zero of no more digits than the unit.
+
 Cohomology reads no transform.  Over the DVR O_K, C^n / ker d_n embeds in
 the free C^{n+1}, so ker d_n is saturated in C^n and
 0 -> H^n -> coker d_{n-1} -> C^n / ker d_n -> 0 splits.  So H^n is reported
@@ -61,9 +72,10 @@ class ComplexRep:
         return f"ComplexRep(ranks={self.ranks})"
 
 
-def _koszul_blocks(h, n):
-    """Blocks of L^n -> L^{n+1}; position maps subset pairs, sign by count below."""
-    d = h.d
+def _koszul_blocks(d, n):
+    """Blocks of L^n -> L^{n+1}: the position of subsets (T, S) with
+    T = S + {i} maps to (i, odd), the block theta_i, negated when odd, that
+    is when an odd number of members of S lie below i."""
     subs_n = list(combinations(range(d), n))
     subs_n1 = list(combinations(range(d), n + 1))
     col_of = {S: j for j, S in enumerate(subs_n)}
@@ -74,10 +86,7 @@ def _koszul_blocks(h, n):
             if i in S:
                 continue
             T = tuple(sorted(S + (i,)))
-            blk = h.theta[i]
-            if sum(1 for j in S if j < i) % 2:
-                blk = -blk
-            blocks[(row_of[T], col_of[S])] = blk
+            blocks[(row_of[T], col_of[S])] = (i, sum(1 for j in S if j < i) % 2)
     return len(subs_n1), len(subs_n), blocks
 
 
@@ -96,37 +105,49 @@ def build_higgs_complex(h):
     """The cohomology complex of a module, shaped by its flavor.
 
     Relative: the Koszul complex, degrees 0..d.  Arithmetic flavors: the
-    weighted total complex above, degrees 0..d+1.
+    weighted total complex above, degrees 0..d+1.  The Koszul blocks of each
+    degree are laid out once, and each -theta_i is formed at most once: the
+    z-block -(+-theta_i) is the other member of the pair, as -(-theta) stores
+    as theta.
     """
     l, d, base = h.rank, h.d, h.base
+    signed = [[th, None] for th in h.theta]
+
+    def block(i, odd):
+        pair = signed[i]
+        if pair[odd] is None:
+            pair[odd] = -pair[0]
+        return pair[odd]
+
+    zero = Mat.zero(base, l)
     if h.flavor == "rel-geom":
         ranks = [comb(d, n) * l for n in range(d + 1)]
         diffs = []
         for n in range(d):
-            nr, nc, blocks = _koszul_blocks(h, n)
-            zero = Mat.zero(base, l)
-            grid = [[blocks.get((i, j), zero) for j in range(nc)] for i in range(nr)]
+            nr, nc, blocks = _koszul_blocks(d, n)
+            grid = [[zero] * nc for _ in range(nr)]
+            for (i, j), (k, odd) in blocks.items():
+                grid[i][j] = block(k, odd)
             diffs.append(_block_mat(base, grid, l))
         return ComplexRep(base, ranks, diffs)
     beta = base.from_k(h.braid_unit())
     ranks = [(comb(d, n) + comb(d, n - 1)) * l for n in range(d + 2)]
     diffs = []
-    zero = Mat.zero(base, l)
+    kosz_prev = {}
     for n in range(d + 1):
-        rows_top, cols_left, kosz = _koszul_blocks(h, n)
+        rows_top, cols_left, kosz = _koszul_blocks(d, n)
         rows_bot = cols_left
         cols_right = comb(d, n - 1)
         grid = [[zero] * (cols_left + cols_right) for _ in range(rows_top + rows_bot)]
-        for (i, j), blk in kosz.items():
-            grid[i][j] = blk
+        for (i, j), (k, odd) in kosz.items():
+            grid[i][j] = block(k, odd)
         phi_n = h.phi.add_scalar_diag(beta.smul(n)) if n else h.phi
         for k in range(cols_left):
             grid[rows_top + k][k] = phi_n
-        if cols_right:
-            _, _, kosz_prev = _koszul_blocks(h, n - 1)
-            for (i, j), blk in kosz_prev.items():
-                grid[rows_top + i][cols_left + j] = -blk
+        for (i, j), (k, odd) in kosz_prev.items():
+            grid[rows_top + i][cols_left + j] = block(k, 1 - odd)
         diffs.append(_block_mat(base, grid, l))
+        kosz_prev = kosz
     return ComplexRep(base, ranks, diffs)
 
 
@@ -201,46 +222,76 @@ def snf_dvr(mat, strict=False):
     row and column step is recorded, V is replayed from the record when first
     read, and the test oracles replay U, Uinv and Vinv (all invertible over
     O_K) from it.  Entries must be point-mode scalars.
+
+    The first pivot scan is also the integrality check: before any step it
+    raises if its least valuation is negative, or if an entry with no
+    certified digit (prec <= shift) has a nonzero numerator, whose valuation
+    is below e prec <= e shift.
+
+    Trailing block.  Step t reads nothing of rows or columns below t again,
+    and nothing of row t after its row eliminations.  So the rescale, the
+    row eliminations and the column swaps touch columns >= t only, and the
+    column eliminations rows > t only.
+
+    The zero rule.  An update y - f z in which z stores a zero numerator,
+    and in which A' = min(prec_f, prec_z) - s_f - s_z >= A_y = prec_y - s_y,
+    keeps y as it is.  Proof: f z is a zero of absolute precision A'.  The
+    difference aligns both at the larger shift S, so its prec is
+    A_y + S >= prec_y >= 1 and its numerator is exactly p^(S - s_y) u_y;
+    _norm cancels those S - s_y factors of p and stops there, since y is
+    stored normalized (p divides u_y only where s_y = 0 or prec_y = 1).  So
+    the difference stores as (u_y, s_y, prec_y), and a y with no digit
+    stays the one no-digit form.  The rescale u^-1 x keeps a zero x by the
+    same argument: u^-1 is a unit at shift 0, so when prec_{u^-1} >= prec_x
+    the product is a zero at (s_x, prec_x), stored as x is.
     """
     ring = mat.ring
     cfg = ring.cfg
     if not ring.is_point:
         raise ValidationFailure("Smith reduction needs a point base, not a chart")
-    if not mat.integral():
-        raise ValidationFailure("Smith reduction expects an integral matrix")
+    zero_u = cfg.zero_u
     a, b = mat.nrows, mat.ncols
     M = [list(r) for r in mat.rows]
     row_steps, col_steps = [], []
     vals = []
+    pi = ring.from_k(cfg.pi)
+    pi_pows = [ring.one()]  # pi^v for the pivots so far, formed as _pi_power does
     t = 0
     drained = False
     while t < min(a, b):
         best, pos = None, None
         for i in range(t, a):
+            row = M[i]
             for j in range(t, b):
-                x = M[i][j]
-                if x.abs_prec <= 0:
+                x = row[j]
+                if x.prec <= x.shift:
                     # no certified digits left; unusable as a pivot
+                    if not t and x.u != zero_u:
+                        raise ValidationFailure("Smith reduction expects an integral matrix")
                     drained = True
                     continue
-                if x.is_zero():
+                if x.u == zero_u:
                     continue
                 v = x.val_pi()
                 if best is None or v < best:
                     best, pos = v, (i, j)
         if pos is None:
             break
+        if not t and best < 0:
+            raise ValidationFailure("Smith reduction expects an integral matrix")
         pi_, pj = pos
         if pi_ != t:
             M[pi_], M[t] = M[t], M[pi_]
             row_steps.append((_SWAP, pi_, t, None))
         if pj != t:
-            for row in M:
+            for i in range(t, a):
+                row = M[i]
                 row[pj], row[t] = row[t], row[pj]
             col_steps.append((_SWAP, pj, t, None))
+        piv = M[t]
         # rescale the pivot row so the pivot is pi^v on the nose; the unit
         # part comes from an exact divide so ramified bases lose no digits
-        u = M[t][t].div_pi_exact(best)
+        u = piv[t].div_pi_exact(best)
         if u.val_pi() != 0:
             # the pivot digit fell below certified precision during the divide
             if strict:
@@ -248,32 +299,52 @@ def snf_dvr(mat, strict=False):
             drained = True
             break
         uinv = u.inv()
-        M[t] = [uinv * x for x in M[t]]
+        pu = uinv.prec
+        for j in range(t + 1, b):
+            x = piv[j]
+            if x.u != zero_u or x.prec > pu:
+                piv[j] = uinv * x
         row_steps.append((_RESCALE, t, t, (u, uinv)))
         # the rescaled pivot is pi^best by construction; keep the exact
         # representative so later quotients divide by it exactly
-        M[t][t] = _pi_power(ring, best)
+        while len(pi_pows) <= best:
+            pi_pows.append(pi_pows[-1] * pi)
+        piv[t] = pi_pows[best]
         for i in range(t + 1, a):
-            x = M[i][t]
-            if x.storage_zero():
+            row = M[i]
+            x = row[t]
+            if x.u == zero_u:
                 continue
             f = x.div_pi_exact(best)
-            M[i] = [y - f * z for y, z in zip(M[i], M[t])]
+            pf, sf = f.prec, f.shift
+            for j in range(t, b):
+                z = piv[j]
+                y = row[j]
+                if z.u == zero_u and (pf if pf < z.prec else z.prec) - sf - z.shift >= y.prec - y.shift:
+                    continue
+                row[j] = y - f * z
             row_steps.append((_ELIM, i, t, f))
+        below = M[t + 1 :]
         for j in range(t + 1, b):
-            x = M[t][j]
-            if x.storage_zero():
+            x = piv[j]
+            if x.u == zero_u:
                 continue
             f = x.div_pi_exact(best)
-            for row in M:
-                row[j] = row[j] - f * row[t]
+            pf, sf = f.prec, f.shift
+            for row in below:
+                z = row[t]
+                y = row[j]
+                if z.u == zero_u and (pf if pf < z.prec else z.prec) - sf - z.shift >= y.prec - y.shift:
+                    continue
+                row[j] = y - f * z
             col_steps.append((_ELIM, j, t, f))
         vals.append(best)
         t += 1
     limited = drained
+    N = cfg.N
     for i in range(t, a):
-        for j in range(t, b):
-            if M[i][j].abs_prec < cfg.N:
+        for x in M[i][t:]:
+            if x.prec - x.shift < N:
                 limited = True
     if limited and strict:
         raise InsufficientPrecision("a residual zero is certified below working precision")

@@ -9,8 +9,10 @@ Writes, under ``tests/golden/``:
   ``corpus(p3 point, 39)[18]``, whose H^1 has torsion [1, 1, 2], and one
   ``factorize`` file of units and non-units per base;
 * ``<descriptor>.<command>.json``: the stdout of ``lab <command> --canonical``
-  on each input, and ``manifest.json``, the argument list and exit code of
-  every case (or the exception, should a command crash instead of reporting);
+  on each input, ``<descriptor>.cohomology-strict.json`` that of ``lab
+  cohomology --strict --canonical`` on each module, and ``manifest.json``, the
+  argument list and exit code of every case (or the exception, should a
+  command crash instead of reporting);
 * ``scalars.json``: ``k_to_json`` of every result of seeded chains of scalar
   operations on four bases, together with its valuation and zero test, or
   the exception the operation raised;
@@ -129,12 +131,16 @@ def p3_reproducer():
 
 
 def lab_cases(names):
-    """(case name, input name, argument list); inputs are passed by file name."""
+    """(case name, input name, argument list); inputs are passed by file name.
+    The strict cohomology cases come after all others, named <input>.cohomology-strict."""
     cases = []
     for name in names:
         commands = [("factorize",)] if name.endswith("-units") else LAB_COMMANDS
         for cmd in commands:
             cases.append((f"{name}.{cmd[0]}", name, list(cmd)))
+    for name in names:
+        if not name.endswith("-units"):
+            cases.append((f"{name}.cohomology-strict", name, ["cohomology", "--strict"]))
     return cases
 
 

@@ -105,6 +105,90 @@ def image_size_mod(rows, p, E_coeffs, prec):
 
 
 # ---------------------------------------------------------------------------
+# The Smith elimination as first written: every step updates whole rows and
+# columns, and every scalar operation is carried out.
+# ---------------------------------------------------------------------------
+
+
+def snf_dvr_naive(mat, strict=False):
+    """htlab.cohomology.snf_dvr with no skipped arithmetic: an integrality
+    pass over the matrix, then global minimal-valuation pivoting in which
+    each step updates the whole working matrix."""
+    from htlab.cohomology import _ELIM, _RESCALE, _SWAP, SnfResult, _pi_power
+    from htlab.errors import InsufficientPrecision, ValidationFailure
+
+    ring = mat.ring
+    if not ring.is_point:
+        raise ValidationFailure("Smith reduction needs a point base, not a chart")
+    if not mat.integral():
+        raise ValidationFailure("Smith reduction expects an integral matrix")
+    a, b = mat.nrows, mat.ncols
+    M = [list(r) for r in mat.rows]
+    row_steps, col_steps = [], []
+    vals = []
+    t = 0
+    drained = False
+    while t < min(a, b):
+        best, pos = None, None
+        for i in range(t, a):
+            for j in range(t, b):
+                x = M[i][j]
+                if x.abs_prec <= 0:
+                    drained = True
+                    continue
+                if x.is_zero():
+                    continue
+                v = x.val_pi()
+                if best is None or v < best:
+                    best, pos = v, (i, j)
+        if pos is None:
+            break
+        pi_, pj = pos
+        if pi_ != t:
+            M[pi_], M[t] = M[t], M[pi_]
+            row_steps.append((_SWAP, pi_, t, None))
+        if pj != t:
+            for row in M:
+                row[pj], row[t] = row[t], row[pj]
+            col_steps.append((_SWAP, pj, t, None))
+        u = M[t][t].div_pi_exact(best)
+        if u.val_pi() != 0:
+            if strict:
+                raise InsufficientPrecision("pivot unit part has no certified digits")
+            drained = True
+            break
+        uinv = u.inv()
+        M[t] = [uinv * x for x in M[t]]
+        row_steps.append((_RESCALE, t, t, (u, uinv)))
+        M[t][t] = _pi_power(ring, best)
+        for i in range(t + 1, a):
+            x = M[i][t]
+            if x.storage_zero():
+                continue
+            f = x.div_pi_exact(best)
+            M[i] = [y - f * z for y, z in zip(M[i], M[t])]
+            row_steps.append((_ELIM, i, t, f))
+        for j in range(t + 1, b):
+            x = M[t][j]
+            if x.storage_zero():
+                continue
+            f = x.div_pi_exact(best)
+            for row in M:
+                row[j] = row[j] - f * row[t]
+            col_steps.append((_ELIM, j, t, f))
+        vals.append(best)
+        t += 1
+    limited = drained
+    for i in range(t, a):
+        for j in range(t, b):
+            if M[i][j].abs_prec < ring.cfg.N:
+                limited = True
+    if limited and strict:
+        raise InsufficientPrecision("a residual zero is certified below working precision")
+    return SnfResult(ring, vals, a, b, limited, row_steps, col_steps)
+
+
+# ---------------------------------------------------------------------------
 # Smith transforms replayed from the step record of htlab.cohomology.snf_dvr.
 # U * mat * V = diag(pi^v); each matrix gets its own update expressions, in
 # the order the steps were taken.

@@ -44,6 +44,10 @@ def test_snf_frozen_values(point, cfg_r2):
     point2 = ChartRing(cfg_r2, "point")
     # v_pi(2) = 2 in the ramified base
     assert snf_dvr(Mat.from_ints(point2, [[2]])).vals == [2]
+    # ROADMAP item 12's D1: certified, though V is not (see the xfail below)
+    d1 = snf_dvr(_item12_d1(cfg_r2))
+    assert d1.vals == [3, 7]
+    assert not d1.precision_limited
 
 
 def test_snf_transform_identities(point):
@@ -69,9 +73,18 @@ def test_snf_rectangular(point):
 
 
 def test_snf_requires_integral(point, cfg_u5):
-    m = Mat(point, [[cfg_u5.k_one().div_int(5)]])
-    with pytest.raises(ValidationFailure):
-        snf_dvr(m)
+    one, zero, fifth = cfg_u5.k_one(), cfg_u5.k_zero(), cfg_u5.k_one().div_int(5)
+    last = Mat.from_ints(point, [[5, 1, 0], [0, 25, 3], [7, 0, 0]])
+    last.rows[2][2] = fifth
+    # p^-3 u known mod p^2: abs_prec -1, yet its valuation -3 is known
+    drained = cfg_u5.k_from_coeffs([7], prec=2, shift=3)
+    assert drained.abs_prec == -1
+    for m in (Mat(point, [[fifth]]), last, Mat(point, [[one, zero], [zero, drained]])):
+        for strict in (False, True):
+            with pytest.raises(ValidationFailure, match="^Smith reduction expects an integral matrix$"):
+                snf_dvr(m, strict=strict)
+    # a zero with no certified digit is integral: it only drains the reduction
+    assert snf_dvr(Mat(point, [[one, zero], [zero, cfg_u5.k_from_coeffs([0], prec=2, shift=3)]])).precision_limited
 
 
 def test_snf_precision_flag(point, cfg_u5):
@@ -471,6 +484,136 @@ def test_snf_rejects_chart_base(cfg_u5):
     m = Mat(chart, [[chart.var(1, 1), chart.from_int(5)], [chart.from_int(1), chart.from_int(0)]])
     with pytest.raises(ValidationFailure, match="point base"):
         snf_dvr(m)
+    # the base is checked before integrality
+    m.rows[1][1] = chart.from_k(cfg_u5.k_one().div_int(5))
+    with pytest.raises(ValidationFailure, match="point base"):
+        snf_dvr(m)
+
+
+def _item12_d1(cfg_r2):
+    """D1 = [[8 pi, 0, 0, 16], [0, 10 pi, 0, 0]] over p2e2 at N = 8."""
+    point = ChartRing(cfg_r2, "point")
+    pi = point.from_k(cfg_r2.pi)
+    m = Mat.from_ints(point, [[8, 0, 0, 16], [0, 10, 0, 0]])
+    m.rows[0][0] = m.rows[0][0] * pi
+    m.rows[1][1] = m.rows[1][1] * pi
+    return m
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="ROADMAP item 12: the column step of 16 is skipped at a zero of reduced precision, "
+    "so V's column 3 stays e_3 and D1 V e_3 = (16, 0) is not 0 at the 8 digits it claims",
+)
+def test_snf_kernel_columns_of_v_are_killed(cfg_r2):
+    m = _item12_d1(cfg_r2)
+    s = snf_dvr(m)
+    image = m * s.V
+    for row in image.rows:
+        for x in row[len(s.vals) :]:
+            assert x.is_zero()
+
+
+# ---------------------------------------------------------------------------
+# snf_dvr against the naive elimination of tests/oracles.py
+# ---------------------------------------------------------------------------
+
+ORACLE_BASES = {"p5": (5, [-5], 1), "p2e2": (2, [-2, 0], 1), "p3e2": (3, [-3, 0], 1), "p3f2": (3, [-3], 2)}
+ORACLE_KINDS = ("square", "rectangular", "rank-deficient", "high-valuation", "fuzzy", "shifted", "no-digit", "non-integral")
+
+
+def _stored(x):
+    """The stored form of a step argument: None, a scalar, or a (u, u^-1) pair."""
+    if x is None:
+        return None
+    if isinstance(x, tuple):
+        return tuple(_stored(y) for y in x)
+    return (x.u, x.shift, x.prec)
+
+
+def _snf_record(reduce, mat, strict):
+    try:
+        s = reduce(mat, strict=strict)
+    except (InsufficientPrecision, ValidationFailure) as exc:
+        return type(exc), str(exc)
+    steps = [[(op, i, t, _stored(f)) for op, i, t, f in record] for record in (s._row_steps, s._col_steps)]
+    return s.vals, s.precision_limited, steps, [[_stored(x) for x in row] for row in s.V.rows]
+
+
+def _oracle_entry(cfg, rng, kind):
+    """An integral scalar; fuzzy matrices lean on zeros of reduced precision,
+    shifted ones on p^s c written with shift s, no-digit ones on zeros of
+    absolute precision <= 0."""
+    p, N = cfg.p, cfg.N
+
+    def coeffs(scale):
+        out = []
+        for _ in range(cfg.e):
+            w = [scale * rng.randrange(p**N) for _ in range(cfg.f)]
+            out.append(w if cfg.f > 1 else w[0])
+        return out
+
+    roll = rng.random()
+    if roll < 0.2:
+        return cfg.k_zero()
+    if roll < (0.6 if kind == "fuzzy" else 0.35):
+        return cfg.k_from_coeffs(coeffs(0), prec=rng.randrange(1, N))
+    if kind == "no-digit" and roll < 0.5:
+        prec = rng.randrange(1, 3)
+        return cfg.k_from_coeffs(coeffs(0), prec=prec, shift=prec + rng.randrange(3))
+    prec = N if rng.random() < 0.7 else rng.randrange(1, N)
+    if kind == "shifted" and roll < 0.7:
+        s = rng.randrange(1, 4)
+        return cfg.k_from_coeffs(coeffs(p**s), prec=prec + s, shift=s)
+    return cfg.k_from_coeffs(coeffs(p ** rng.choice((0, 0, 1, 2))), prec=prec)
+
+
+def _oracle_matrix(point, rng, kind):
+    cfg = point.cfg
+    n = rng.randrange(1, 6)
+    m = n if kind == "square" else rng.randrange(1, 7)
+    if kind == "rank-deficient" and min(n, m) > 1:
+        r = rng.randrange(1, min(n, m))
+        left = Mat(point, [[_oracle_entry(cfg, rng, kind) for _ in range(r)] for _ in range(n)])
+        right = Mat(point, [[_oracle_entry(cfg, rng, kind) for _ in range(m)] for _ in range(r)])
+        return left * right
+    mat = Mat(point, [[_oracle_entry(cfg, rng, kind) for _ in range(m)] for _ in range(n)])
+    if kind == "high-valuation":
+        scal = point.one()
+        for _ in range(rng.randrange(2, cfg.e * cfg.N)):
+            scal = scal * point.from_k(cfg.pi)
+        mat = mat.mul_scalar(scal)
+    if kind == "non-integral":
+        # 1/p, or p^-3 u known mod p^2 (abs_prec -1), at a random position
+        bad = cfg.k_one().div_int(cfg.p) if rng.random() < 0.5 else cfg.k_from_coeffs([1], prec=2, shift=3)
+        mat.rows[rng.randrange(n)][rng.randrange(m)] = bad
+    return mat
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_BASES))
+def test_snf_matches_the_naive_elimination(name):
+    """Same exponents, flag, strict outcome, stored step record and V as the
+    elimination that carries out every scalar operation."""
+    from htlab.samples import corpus
+    from oracles import snf_dvr_naive
+
+    p, E, f = ORACLE_BASES[name]
+    point = ChartRing(make_base_config(p, E, f=f, precision=8), "point")
+    rng = random.Random(9100 + p * 10 + len(E) + f)
+    mats = [_oracle_matrix(point, rng, ORACLE_KINDS[i % len(ORACLE_KINDS)]) for i in range(70)]
+    for seed in range(3):
+        for h in corpus(point, seed):
+            mats.extend(build_higgs_complex(h).diffs)
+    outcomes = set()
+    for mat in mats:
+        for strict in (False, True):
+            want = _snf_record(snf_dvr_naive, mat, strict)
+            assert _snf_record(snf_dvr, mat, strict) == want
+            outcomes.add((strict, want[0] if isinstance(want[0], type) else want[1]))
+    # every outcome is reached: certified, limited, the strict refusal and
+    # the integrality check
+    want = {(False, False), (False, True), (True, False), (True, InsufficientPrecision), (False, ValidationFailure)}
+    assert want <= outcomes
 
 
 def test_valid_corpus_module_gets_an_answer_in_degree_1():
