@@ -256,39 +256,35 @@ class BaseConfig:
         result depends only on its value mod p^A and on A, the least
         absolute precision of its terms, so the terms are summed as one
         exact integer at the top shift S and reduced once: a term with a
-        zero numerator costs its precision and nothing else.  On chart, pd
-        or t-series scalars the chain runs as written.
+        zero numerator costs its precision and nothing else.  Any other
+        scalar's class supplies the routine, its _dot: chart scalars take
+        one such reduction per chart key (htlab.chart), and pd and t-series
+        scalars run the chain as written (htlab.sparse).
         """
         if len(xs) == 1:
             t = xs[0] * ys[0]
             return t if ms is None or ms[0] == 1 else t.smul(ms[0])
+        if type(xs[0]) is not KElem:
+            return xs[0]._dot(xs, ys, ms)
         if ms is None:
             ms = repeat(1)
-        if type(xs[0]) is KElem:
-            zero = self.zero_u
-            A = None
-            top = 0
-            terms = []
-            shifts = []
-            for x, y, m in zip(xs, ys, ms):
-                s = x.shift + y.shift
-                px, py = x.prec, y.prec
-                a = (px if px < py else py) - s
-                if A is None or a < A:
-                    A = a
-                if x.u != zero and y.u != zero:
-                    terms.append((x.u, y.u, m))
-                    shifts.append(s)
-                    if s > top:
-                        top = s
-            return self.reduce_terms(A, top, terms, shifts)
-        acc = None
+        zero = self.zero_u
+        A = None
+        top = 0
+        terms = []
+        shifts = []
         for x, y, m in zip(xs, ys, ms):
-            t = x * y
-            if m != 1:
-                t = t.smul(m)
-            acc = t if acc is None else acc + t
-        return acc
+            s = x.shift + y.shift
+            px, py = x.prec, y.prec
+            a = (px if px < py else py) - s
+            if A is None or a < A:
+                A = a
+            if x.u != zero and y.u != zero:
+                terms.append((x.u, y.u, m))
+                shifts.append(s)
+                if s > top:
+                    top = s
+        return self.reduce_terms(A, top, terms, shifts)
 
     def reduce_terms(self, A, top, terms, shifts):
         """The stored form of the chain whose least term precision is A.

@@ -52,8 +52,8 @@ absolute precision) once and keeps, per key, the least term precision A,
 the top shift and the terms with two nonzero numerators; each key is
 reduced once by BaseConfig.reduce_terms, the routine BaseConfig.dot ends
 in, so it gets the stored form of the chain (the stored form lemma of
-htlab.base).  Every key over chart scalars is one dot, the chain over its
-pairs in the order met.
+htlab.base).  Every key over chart scalars is one dot over its pairs in
+the order met, which takes one reduction per chart key (htlab.chart).
 
 product_cells forms the cells of a matrix product the same way, with no
 PdElement per product: each key of a cell is one sum over its (l, k1, k2)
@@ -301,7 +301,7 @@ def _gather(sums, left, rows, D, w, field):
 
 def _pairs(sums, left, rows, D, w, field):
     """Add the pairs of one product to sums, {key: (xs, ys, ms)}, in the
-    order met, for dot's chain over chart scalars."""
+    order met, for dot over chart scalars."""
     for k1, m1, d1, _, _, _, c1 in left:
         for k2, m2, _, _, _, _, c2 in rows[D - d1]:
             key = k1 + k2
@@ -317,12 +317,13 @@ def _pairs(sums, left, rows, D, w, field):
 def _sum_of_products(ring, products, fused):
     """({key: coefficient}, truncated): the clean coefficients of
     sum_l x_l * y_l, one sum per key over its (l, k1, k2) pairs: one
-    reduce_terms over K scalars (fused), one dot, the chain over the pairs,
-    over chart scalars.  Either is the stored form of the chain that adds
-    the products key by key in l order: it drops only droppable zeros, at
-    A = N (htlab.base), so the least A and the value mod p^A are kept; only
-    the key order inside a chart coefficient can differ, where a partial sum
-    cancels.  products holds the (left entries, right filters) of each l.
+    reduce_terms over K scalars (fused), one dot over the pairs over chart
+    scalars, which reduces each chart key once.  Either is the stored form
+    of the chain that adds the products key by key in l order: it drops
+    only droppable zeros, at A = N (htlab.base), so the least A and the
+    value mod p^A are kept; only the key order inside a chart coefficient
+    can differ, where a partial sum cancels.  products holds the (left
+    entries, right filters) of each l.
     """
     D, w, field = ring.D, ring.width, ring.field
     gather, reduce = (_gather, ring.cfg.reduce_terms) if fused else (_pairs, ring.cfg.dot)

@@ -10,11 +10,14 @@ complete, self-describing problem instance:
      "rank": "2", "integral": true, "theta": [matrix, ...], "phi": matrix}
 
 Matrices are row-major; each entry is a single coefficient record over a
-point base and a list of monomial terms over a chart base.  A record needs
-prec >= 1; a negative "shift" is multiplied out and the claim is capped at
-N, so {"coeffs": ["7"], "prec": "8", "shift": "-1"} reads as 35 at prec 8.  A "rank", when given,
-must match the operators.  Canonical dumps sort keys and drop whitespace,
-which keeps reports byte-stable for a fixed input and flag set.
+point base and a list of monomial terms over a chart base.  Each term's
+exponents must have the chart's length and no negative entry at a position
+up to r, whatever its coefficient, and a monomial may be written once.  A
+record needs prec >= 1; a negative "shift" is multiplied out and the claim
+is capped at N, so {"coeffs": ["7"], "prec": "8", "shift": "-1"} reads as
+35 at prec 8.  A "rank", when given, must match the operators.  Canonical
+dumps sort keys and drop whitespace, which keeps reports byte-stable for a
+fixed input and flag set.
 """
 
 import json
@@ -83,8 +86,13 @@ def scalar_from_json(base, d):
     coeffs = {}
     for term in d["terms"]:
         exps = tuple(int_from_json(e) for e in term["exps"])
+        if exps in coeffs:
+            raise ParseError(f"monomial {list(exps)} written twice")
         coeffs[exps] = k_from_json(base.cfg, term["coeff"])
-    return ChartElem(base, coeffs)
+    try:
+        return ChartElem(base, coeffs)
+    except BadIndex as exc:
+        raise ParseError(f"bad chart term: {exc}")
 
 
 def series_to_json(x):

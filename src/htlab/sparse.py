@@ -12,11 +12,16 @@ and supplies the parts that differ:
   face, which sums its terms in place through merge_into, and
   galois.series_dot, which forms each t-slot of a series product, a
   substitution or the group law as one dot;
-* ``_new(coeffs, truncated)``, which rebuilds an element through that
-  constructor, and ``_adopt(coeffs, truncated)``, which wraps coefficients
+* ``_new(coeffs, truncated)``, which rebuilds an element from a dict on
+  its own keys: through that constructor, or, where the keys stay clean
+  (chart), through the droppable filter alone; and
+  ``_adopt(coeffs, truncated)``, which wraps coefficients
   that are clean already (none droppable, every truncated one reflected in
   the flag) without checking them again;
-* ``__mul__``, ``droppable``, ``coeff`` and ``__repr__``.
+* ``__mul__``, ``droppable``, ``coeff`` and ``__repr__``; a subclass may
+  also replace ``_dot``, the routine BaseConfig.dot runs over its scalars,
+  which here is the chain as written (chart scalars take one reduction per
+  chart key instead).
 
 A coefficient map builds the raw coefficient dict and hands it to ``_new``.
 A sum starts from the clean coefficients of its left operand and checks only
@@ -27,6 +32,8 @@ vectors under an explicit modulus, not scalar-protocol objects.
 agree is the rule of a difference, the one comparison of the descent check
 (higgs.check_cocycle_strat) and the group law (sen.verify_cocycle_law).
 """
+
+from itertools import repeat
 
 
 def merge_into(out, coeffs, sub=False):
@@ -88,6 +95,17 @@ class Sparse:
         if other is None:
             return self.truncated
         return self.truncated or other.truncated
+
+    @staticmethod
+    def _dot(xs, ys, ms=None):
+        """BaseConfig.dot over pd and t-series scalars: the chain as written."""
+        acc = None
+        for x, y, m in zip(xs, ys, repeat(1) if ms is None else ms):
+            t = x * y
+            if m != 1:
+                t = t.smul(m)
+            acc = t if acc is None else acc + t
+        return acc
 
     def _merge(self, other, sub):
         out = dict(self.coeffs)

@@ -453,6 +453,74 @@ def pd_face_naive(x, i, variant, D, one, alpha):
     return acc
 
 
+def _sum_into(out, key, c):
+    """Add c into out[key], dropping a droppable sum; whether it dropped one."""
+    if key not in out:
+        out[key] = c
+        return False
+    c = out[key] + c
+    if c.droppable():
+        del out[key]
+        return True
+    out[key] = c
+    return False
+
+
+def chart_dot_chain(xs, ys, ms=None):
+    """(coeffs, truncated, dropped): x0 y0 m0 + x1 y1 m1 + ... over chart
+    scalars as a chain of products and sums.
+
+    Each x y is formed pair by pair: each raw key (the exponent-wise sum of
+    the factors' keys) is summed as its pairs are met, then each raw sum goes
+    through the constructor's rule: dropped if droppable, times pi^m (the
+    chain pi * pi * ...) where the relation T_0 ... T_r = pi strips m off,
+    dropped if that is droppable, flagged and dropped outside the box, and
+    summed with the raw sums that reach its key.  Each term is multiplied by
+    its m with smul and added in, left to right.  dropped is whether a
+    droppable coefficient or partial sum was dropped on the way: only then
+    may the key order differ from that of BaseConfig.dot.
+    """
+    ring = xs[0].ring
+    cfg, r = ring.cfg, ring.r
+    acc = {}
+    trunc = dropped = False
+    for x, y, m in zip(xs, ys, ms or [1] * len(xs)):
+        trunc = trunc or x.truncated or y.truncated
+        raw = {}
+        for e1, c1 in x.coeffs.items():
+            for e2, c2 in y.coeffs.items():
+                exps = tuple(a + b for a, b in zip(e1, e2))
+                c = c1 * c2
+                raw[exps] = raw[exps] + c if exps in raw else c
+        term = {}
+        for exps, c in raw.items():
+            if c.droppable():
+                dropped = True
+                continue
+            k = min(exps[: r + 1])
+            if k:
+                exps = tuple(e - k if i <= r else e for i, e in enumerate(exps))
+                pik = cfg.pi
+                for _ in range(k - 1):
+                    pik = pik * cfg.pi
+                c = c * pik
+                if c.droppable():
+                    dropped = True
+                    continue
+            if sum(abs(e) for e in exps) > ring.Dy:
+                trunc = True
+                continue
+            dropped |= _sum_into(term, exps, c)
+        for exps, c in term.items():
+            if m != 1:
+                c = c.smul(m)
+            if c.droppable():
+                dropped = True
+                continue
+            dropped |= _sum_into(acc, exps, c)
+    return acc, trunc, dropped
+
+
 def pd_mul_chain(x, y):
     """x * y on packed keys, every pair visited: a pair above the cutoff sets
     the flag, and each key is one dot over its pairs in the order met."""

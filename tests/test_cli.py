@@ -371,6 +371,15 @@ def _on_chart(exps):
     return edit
 
 
+def _repeat_first_term(doc):
+    terms = doc["phi"][0][0]["terms"]
+    terms.append(dict(terms[0]))
+
+
+def _zero_first_term(doc):
+    doc["phi"][0][0]["terms"][0]["coeff"] = {"coeffs": ["0"], "prec": "8", "shift": "0"}
+
+
 # one edit each to a valid module descriptor; all are rejected before the first check
 MALFORMED = {
     "ragged-theta-row": lambda doc: doc["theta"][0][0].pop(),
@@ -392,6 +401,10 @@ MALFORMED = {
     "config-p-float": lambda doc: doc["config"].update(p=5.0),
     "config-cutoff-bool": lambda doc: doc["config"]["cutoffs"].update(T=True),
     "chart-d-float": lambda doc: (_on_chart(["0", "0"])(doc), doc["base"].update(d=1.9)),
+    # a chart term is checked whatever its coefficient, and written once
+    "chart-monomial-repeated": lambda doc: (_on_chart(["0", "1"])(doc), _repeat_first_term(doc)),
+    "chart-zero-term-exps-long": lambda doc: (_on_chart(["0", "0", "0"])(doc), _zero_first_term(doc)),
+    "chart-zero-term-exps-negative": lambda doc: (_on_chart(["-1", "0"])(doc), _zero_first_term(doc)),
     "chart-r-bool": lambda doc: (_on_chart(["0", "0"])(doc), doc["base"].update(r=True)),
     # integral takes a JSON boolean, and nothing that only looks like one
     "integral-string": lambda doc: doc.update(integral="false"),
@@ -427,6 +440,22 @@ def test_malformed_module_descriptor_reports_parse_fail(runner, tmp_path, mutati
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(doc))
     _parse_fail_detail(runner, command, path)
+
+
+@pytest.mark.parametrize("command", ("check", "stratify", "cohomology", "cocycle"))
+def test_a_repeated_chart_monomial_is_a_parse_fail(runner, tmp_path, command):
+    # a copy of theta's one term, which would otherwise overwrite it
+    doc = json.loads((GOLDEN_INPUTS / "p5-chart-rel-geom-d1-log.json").read_text())
+    terms = doc["theta"][0][0][1]["terms"]
+    assert len(terms) == 1
+    terms.append(dict(terms[0]))
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "report.json"
+    res = runner.invoke(main, [command, str(path), "--canonical", "-o", str(out)])
+    assert res.exit_code == 1, res.output
+    checks = json.loads(out.read_text())["checks"]
+    assert list(checks) == ["parse"] and checks["parse"]["status"] == "fail"
 
 
 @pytest.mark.parametrize("command", LAB_COMMANDS)

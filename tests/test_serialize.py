@@ -68,6 +68,23 @@ def test_chart_scalar_roundtrip(cfg_u5):
     assert (x - y).is_zero()
 
 
+def test_malformed_chart_terms_are_parse_errors_whatever_the_coefficient(cfg_u5):
+    ch = ChartRing(cfg_u5, "chart", d=1, r=0)
+    for coeff in (cfg_u5.k_zero(), cfg_u5.k_from_int(3)):
+        rec = k_to_json(coeff)
+        for exps in (["0", "0", "0"], ["0"], ["-1", "0"]):
+            with pytest.raises(ParseError):
+                scalar_from_json(ch, {"terms": [{"exps": exps, "coeff": rec}]})
+        term = {"exps": ["0", "1"], "coeff": rec}
+        with pytest.raises(ParseError, match="written twice"):
+            scalar_from_json(ch, {"terms": [term, dict(term)]})
+    # a Laurent position may be negative, and keys that meet through the
+    # relation are distinct monomials, summed as written
+    assert scalar_from_json(ch, {"terms": [{"exps": ["0", "-2"], "coeff": rec}]}).coeffs
+    two = {"terms": [{"exps": ["1", "0"], "coeff": rec}, {"exps": ["0", "0"], "coeff": rec}]}
+    assert scalar_from_json(ch, two).coeff((0, 0)).eq(cfg_u5.k_from_int(3 * 6))
+
+
 def test_bare_coefficient_over_chart(cfg_u5):
     ch = ChartRing(cfg_u5, "chart", d=1, r=0)
     y = scalar_from_json(ch, k_to_json(cfg_u5.k_from_int(6)))
