@@ -13,11 +13,11 @@ to the braiding relation, so verify_complex doubles as an independent check
 on the algebra feeding it.
 
 snf_dvr puts an integral matrix in diagonal form with pivots pi^v, ascending.
-It updates only the working matrix and records its row and column steps; V
-is replayed from that record when first read, and the test oracles replay U
-and the inverses from it.  A zero that is only zero at its stored precision
-makes the answer provisional: the result carries a precision_limited flag,
-and strict mode raises instead.
+U is never formed, and V is built in place, alongside the working matrix,
+only when the caller asks for it (the fixed vectors of htlab.sen do).  A
+zero that is only zero at its stored precision makes the answer
+provisional: the result carries a precision_limited flag, and strict mode
+raises instead.
 
 The reduction does no arithmetic whose result it can prove is the stored
 form already there.  Trailing block: step t never reads rows or columns
@@ -165,63 +165,30 @@ def verify_complex(rep):
 # ---------------------------------------------------------------------------
 
 
-# A reduction records each step as (op, i, t, f): _SWAP exchanges rows (or
-# columns) i and t, _RESCALE multiplies row t by u^-1 with f = (u, u^-1), and
-# _ELIM subtracts f times row (or column) t from row (or column) i.  Row steps
-# act on U and Uinv, column steps on V and Vinv, each list in the order taken.
-_SWAP, _RESCALE, _ELIM = 0, 1, 2
-
-
-def _replay_v(ring, n, steps):
-    # V accumulates the column operations: swap, M[:, j] -= f M[:, t]
-    out = Mat.identity(ring, n)
-    V = out.rows
-    for op, j, t, f in steps:
-        if op == _SWAP:
-            for row in V:
-                row[j], row[t] = row[t], row[j]
-        else:
-            for row in V:
-                row[j] = row[j] - f * row[t]
-    return out
-
-
 class SnfResult:
-    """The exponents of a Smith reduction and the record of its steps; V is
-    replayed from the column steps when first read (by the fixed vectors of
-    htlab.sen), and the test oracles replay U, Uinv and Vinv from the record."""
+    """The exponents of a Smith reduction, its precision flag, and V when it
+    was asked for (by the fixed vectors of htlab.sen), else None."""
 
-    __slots__ = ("vals", "nrows", "ncols", "precision_limited", "_ring", "_row_steps", "_col_steps", "_V")
+    __slots__ = ("vals", "precision_limited", "V")
 
-    def __init__(self, ring, vals, nrows, ncols, precision_limited, row_steps, col_steps):
-        self._ring = ring
+    def __init__(self, vals, precision_limited, V):
         self.vals = vals
-        self.nrows = nrows
-        self.ncols = ncols
         self.precision_limited = precision_limited
-        self._row_steps = row_steps
-        self._col_steps = col_steps
-        self._V = None
-
-    @property
-    def V(self):
-        if self._V is None:
-            self._V = _replay_v(self._ring, self.ncols, self._col_steps)
-        return self._V
+        self.V = V
 
     def __repr__(self):
         flag = ", precision_limited" if self.precision_limited else ""
         return f"SnfResult(vals={self.vals}{flag})"
 
 
-def snf_dvr(mat, strict=False):
+def snf_dvr(mat, strict=False, with_v=False):
     """Diagonalize an integral matrix: U * mat * V = diag(pi^v), v ascending.
 
     Global minimal-valuation pivoting; the pivot row is rescaled so the pivot
-    becomes exactly a power of pi.  Only the working matrix is updated: each
-    row and column step is recorded, V is replayed from the record when first
-    read, and the test oracles replay U, Uinv and Vinv (all invertible over
-    O_K) from it.  Entries must be point-mode scalars.
+    becomes exactly a power of pi.  U is never formed.  With with_v, V (over
+    O_K, invertible) is built alongside in the column swaps and eliminations,
+    over all of its rows and with no skipped arithmetic; otherwise only the
+    working matrix is updated.  Entries must be point-mode scalars.
 
     The first pivot scan is also the integrality check: before any step it
     raises if its least valuation is negative, or if an entry with no
@@ -229,9 +196,9 @@ def snf_dvr(mat, strict=False):
     is below e prec <= e shift.
 
     Trailing block.  Step t reads nothing of rows or columns below t again,
-    and nothing of row t after its row eliminations.  So the rescale, the
-    row eliminations and the column swaps touch columns >= t only, and the
-    column eliminations rows > t only.
+    and nothing of row t after its row eliminations.  So in the working
+    matrix the rescale, the row eliminations and the column swaps touch
+    columns >= t only, and the column eliminations rows > t only.
 
     The zero rule.  An update y - f z in which z stores a zero numerator,
     and in which A' = min(prec_f, prec_z) - s_f - s_z >= A_y = prec_y - s_y,
@@ -252,7 +219,7 @@ def snf_dvr(mat, strict=False):
     zero_u = cfg.zero_u
     a, b = mat.nrows, mat.ncols
     M = [list(r) for r in mat.rows]
-    row_steps, col_steps = [], []
+    V = Mat.identity(ring, b) if with_v else None
     vals = []
     pi = ring.from_k(cfg.pi)
     pi_pows = [ring.one()]  # pi^v for the pivots so far, formed as _pi_power does
@@ -282,12 +249,13 @@ def snf_dvr(mat, strict=False):
         pi_, pj = pos
         if pi_ != t:
             M[pi_], M[t] = M[t], M[pi_]
-            row_steps.append((_SWAP, pi_, t, None))
         if pj != t:
             for i in range(t, a):
                 row = M[i]
                 row[pj], row[t] = row[t], row[pj]
-            col_steps.append((_SWAP, pj, t, None))
+            if with_v:
+                for row in V.rows:
+                    row[pj], row[t] = row[t], row[pj]
         piv = M[t]
         # rescale the pivot row so the pivot is pi^v on the nose; the unit
         # part comes from an exact divide so ramified bases lose no digits
@@ -304,7 +272,6 @@ def snf_dvr(mat, strict=False):
             x = piv[j]
             if x.u != zero_u or x.prec > pu:
                 piv[j] = uinv * x
-        row_steps.append((_RESCALE, t, t, (u, uinv)))
         # the rescaled pivot is pi^best by construction; keep the exact
         # representative so later quotients divide by it exactly
         while len(pi_pows) <= best:
@@ -323,7 +290,6 @@ def snf_dvr(mat, strict=False):
                 if z.u == zero_u and (pf if pf < z.prec else z.prec) - sf - z.shift >= y.prec - y.shift:
                     continue
                 row[j] = y - f * z
-            row_steps.append((_ELIM, i, t, f))
         below = M[t + 1 :]
         for j in range(t + 1, b):
             x = piv[j]
@@ -337,7 +303,9 @@ def snf_dvr(mat, strict=False):
                 if z.u == zero_u and (pf if pf < z.prec else z.prec) - sf - z.shift >= y.prec - y.shift:
                     continue
                 row[j] = y - f * z
-            col_steps.append((_ELIM, j, t, f))
+            if with_v:
+                for row in V.rows:
+                    row[j] = row[j] - f * row[t]
         vals.append(best)
         t += 1
     limited = drained
@@ -348,7 +316,7 @@ def snf_dvr(mat, strict=False):
                 limited = True
     if limited and strict:
         raise InsufficientPrecision("a residual zero is certified below working precision")
-    return SnfResult(ring, vals, a, b, limited, row_steps, col_steps)
+    return SnfResult(vals, limited, V)
 
 
 # ---------------------------------------------------------------------------
@@ -411,7 +379,7 @@ def _cohomology(rep, degree, strict, inc):
     return {"degree": degree, "free_rank": free, "torsion": torsion, "precision_limited": limited}, out
 
 
-def kernel_cokernel_mod(mat, prec, strict=False):
+def kernel_cokernel_mod(mat, prec):
     """|ker| and |coker| of the induced map on (O_K / p^prec)-modules.
 
     Read off the Smith form: an invariant factor pi^v contributes
@@ -419,7 +387,7 @@ def kernel_cokernel_mod(mat, prec, strict=False):
     q^(e*prec) to the side it leaves free (q the residue field size).
     """
     cfg = mat.ring.cfg
-    s = snf_dvr(mat, strict=strict)
+    s = snf_dvr(mat)
     m = prec * cfg.e
     q = cfg.p**cfg.f
     shared = sum(min(v, m) for v in s.vals)

@@ -326,7 +326,7 @@ def h0_fixed_points(data, T=None):
         low = min((v for v in vals if v is not None), default=0)
         if low < 0:
             stack = stack.mul_scalar(_pi_power(base, -low))
-        snf = snf_dvr(stack)
+        snf = snf_dvr(stack, with_v=True)
         V, rank = snf.V, len(snf.vals)
     basis = [V.col(j) for j in range(rank, strat.rank)]
     return {"dim": len(basis), "basis": basis}

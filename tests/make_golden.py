@@ -26,8 +26,9 @@ Writes, under ``tests/golden/``:
 * ``snf.json``: ``snf_dvr`` on seeded integral matrices over four bases
   (square and rectangular, rank-deficient, high-valuation pivots,
   reduced-precision zeros): the exponents, the ``precision_limited`` flag,
-  the stored form of U, V, Uinv and Vinv (U and the inverses replayed by
-  ``tests/oracles.py`` from the step record) and the strict-mode outcome; and
+  the stored form of U, V, Uinv and Vinv (V built by ``snf_dvr``; U and the
+  inverses replayed by ``tests/oracles.py`` from the step record of its
+  naive elimination, ``snf_dvr_naive``) and the strict-mode outcome; and
   ``cohomology_all`` on corpus modules, strict and not;
 * ``witt.json``: the stored form (w, prec, frob_power) of seeded Witt-vector
   operations on eighteen bases (p = 2, 3, 5; f = 1, 2, 3; e = 1, 2),
@@ -37,9 +38,9 @@ Writes, under ``tests/golden/``:
   carriers, and ``USeries`` products and Frobenius.
 
 Only the public API and ``tests/oracles.py`` are used, so the same script
-records the outputs of any version of the package since ``snf_dvr``
-recorded its steps and ``FaceContext`` took the twist unit itself; older
-versions lack names it imports.
+records the outputs of any version of the package since ``snf_dvr`` took
+``with_v`` and ``FaceContext`` took the twist unit itself; older versions
+lack names or options it uses.
 Regenerate only for an intended change of output, and review the diff.
 """
 
@@ -49,7 +50,7 @@ import sys
 from pathlib import Path
 
 from click.testing import CliRunner
-from oracles import galois_act_mat, replay_u, replay_uinv, replay_vinv
+from oracles import galois_act_mat, replay_u, replay_uinv, replay_vinv, snf_dvr_naive
 
 from htlab import (
     ChartRing,
@@ -486,12 +487,14 @@ def _snf_operand(point, rng, kind):
 
 
 def _snf_result(mat, strict):
-    s, err = _outcome(lambda: snf_dvr(mat, strict=strict))
+    s, err = _outcome(lambda: snf_dvr(mat, strict=strict, with_v=not strict))
     if err is not None:
         return {"error": err}
     out = {"vals": [str(v) for v in s.vals], "precision_limited": s.precision_limited}
     if not strict:
-        for name, m in (("U", replay_u(s)), ("V", s.V), ("Uinv", replay_uinv(s)), ("Vinv", replay_vinv(s))):
+        r = snf_dvr_naive(mat)
+        transforms = (replay_u(mat, r), s.V, replay_uinv(mat, r), replay_vinv(mat, r))
+        for name, m in zip(("U", "V", "Uinv", "Vinv"), transforms):
             out[name] = _mat_form(m)
     return out
 

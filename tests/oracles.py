@@ -6,6 +6,7 @@ against these, never the other way round.
 """
 
 import itertools
+from collections import namedtuple
 from fractions import Fraction
 from math import comb, factorial
 
@@ -106,15 +107,23 @@ def image_size_mod(rows, p, E_coeffs, prec):
 
 # ---------------------------------------------------------------------------
 # The Smith elimination as first written: every step updates whole rows and
-# columns, and every scalar operation is carried out.
+# columns, every scalar operation is carried out, and each step is recorded.
 # ---------------------------------------------------------------------------
+
+# A step is (op, i, t, f): SWAP exchanges rows (or columns) i and t, RESCALE
+# multiplies row t by u^-1 with f = (u, u^-1), and ELIM subtracts f times
+# row (or column) t from row (or column) i.  Row steps act on U and Uinv,
+# column steps on V and Vinv, each list in the order taken.
+SWAP, RESCALE, ELIM = 0, 1, 2
+
+NaiveSnf = namedtuple("NaiveSnf", "vals precision_limited row_steps col_steps")
 
 
 def snf_dvr_naive(mat, strict=False):
     """htlab.cohomology.snf_dvr with no skipped arithmetic: an integrality
     pass over the matrix, then global minimal-valuation pivoting in which
-    each step updates the whole working matrix."""
-    from htlab.cohomology import _ELIM, _RESCALE, _SWAP, SnfResult, _pi_power
+    each step updates the whole working matrix and is recorded."""
+    from htlab.cohomology import _pi_power
     from htlab.errors import InsufficientPrecision, ValidationFailure
 
     ring = mat.ring
@@ -146,11 +155,11 @@ def snf_dvr_naive(mat, strict=False):
         pi_, pj = pos
         if pi_ != t:
             M[pi_], M[t] = M[t], M[pi_]
-            row_steps.append((_SWAP, pi_, t, None))
+            row_steps.append((SWAP, pi_, t, None))
         if pj != t:
             for row in M:
                 row[pj], row[t] = row[t], row[pj]
-            col_steps.append((_SWAP, pj, t, None))
+            col_steps.append((SWAP, pj, t, None))
         u = M[t][t].div_pi_exact(best)
         if u.val_pi() != 0:
             if strict:
@@ -159,7 +168,7 @@ def snf_dvr_naive(mat, strict=False):
             break
         uinv = u.inv()
         M[t] = [uinv * x for x in M[t]]
-        row_steps.append((_RESCALE, t, t, (u, uinv)))
+        row_steps.append((RESCALE, t, t, (u, uinv)))
         M[t][t] = _pi_power(ring, best)
         for i in range(t + 1, a):
             x = M[i][t]
@@ -167,7 +176,7 @@ def snf_dvr_naive(mat, strict=False):
                 continue
             f = x.div_pi_exact(best)
             M[i] = [y - f * z for y, z in zip(M[i], M[t])]
-            row_steps.append((_ELIM, i, t, f))
+            row_steps.append((ELIM, i, t, f))
         for j in range(t + 1, b):
             x = M[t][j]
             if x.storage_zero():
@@ -175,7 +184,7 @@ def snf_dvr_naive(mat, strict=False):
             f = x.div_pi_exact(best)
             for row in M:
                 row[j] = row[j] - f * row[t]
-            col_steps.append((_ELIM, j, t, f))
+            col_steps.append((ELIM, j, t, f))
         vals.append(best)
         t += 1
     limited = drained
@@ -185,27 +194,26 @@ def snf_dvr_naive(mat, strict=False):
                 limited = True
     if limited and strict:
         raise InsufficientPrecision("a residual zero is certified below working precision")
-    return SnfResult(ring, vals, a, b, limited, row_steps, col_steps)
+    return NaiveSnf(vals, limited, row_steps, col_steps)
 
 
 # ---------------------------------------------------------------------------
-# Smith transforms replayed from the step record of htlab.cohomology.snf_dvr.
+# Smith transforms replayed from the step record of snf_dvr_naive.
 # U * mat * V = diag(pi^v); each matrix gets its own update expressions, in
 # the order the steps were taken.
 # ---------------------------------------------------------------------------
 
 
-def replay_u(s):
+def replay_u(mat, s):
     """U: the row operations (swap, rescale by u^-1, M[i] -= f M[t])."""
-    from htlab.cohomology import _RESCALE, _SWAP
     from htlab.linalg import Mat
 
-    out = Mat.identity(s._ring, s.nrows)
+    out = Mat.identity(mat.ring, mat.nrows)
     U = out.rows
-    for op, i, t, f in s._row_steps:
-        if op == _SWAP:
+    for op, i, t, f in s.row_steps:
+        if op == SWAP:
             U[i], U[t] = U[t], U[i]
-        elif op == _RESCALE:
+        elif op == RESCALE:
             uinv = f[1]
             U[t] = [uinv * x for x in U[t]]
         else:
@@ -213,18 +221,17 @@ def replay_u(s):
     return out
 
 
-def replay_uinv(s):
+def replay_uinv(mat, s):
     """Uinv: the inverses of the row operations, composed on the right."""
-    from htlab.cohomology import _RESCALE, _SWAP
     from htlab.linalg import Mat
 
-    out = Mat.identity(s._ring, s.nrows)
+    out = Mat.identity(mat.ring, mat.nrows)
     Uinv = out.rows
-    for op, i, t, f in s._row_steps:
-        if op == _SWAP:
+    for op, i, t, f in s.row_steps:
+        if op == SWAP:
             for row in Uinv:
                 row[i], row[t] = row[t], row[i]
-        elif op == _RESCALE:
+        elif op == RESCALE:
             u = f[0]
             for row in Uinv:
                 row[t] = row[t] * u
@@ -234,29 +241,44 @@ def replay_uinv(s):
     return out
 
 
-def replay_vinv(s):
-    """Vinv: the inverses of the column operations, composed on the left."""
-    from htlab.cohomology import _SWAP
+def replay_v(mat, s):
+    """V: the column operations (swap, M[:, j] -= f M[:, t])."""
     from htlab.linalg import Mat
 
-    out = Mat.identity(s._ring, s.ncols)
+    out = Mat.identity(mat.ring, mat.ncols)
+    V = out.rows
+    for op, j, t, f in s.col_steps:
+        if op == SWAP:
+            for row in V:
+                row[j], row[t] = row[t], row[j]
+        else:
+            for row in V:
+                row[j] = row[j] - f * row[t]
+    return out
+
+
+def replay_vinv(mat, s):
+    """Vinv: the inverses of the column operations, composed on the left."""
+    from htlab.linalg import Mat
+
+    out = Mat.identity(mat.ring, mat.ncols)
     Vinv = out.rows
-    for op, j, t, f in s._col_steps:
-        if op == _SWAP:
+    for op, j, t, f in s.col_steps:
+        if op == SWAP:
             Vinv[j], Vinv[t] = Vinv[t], Vinv[j]
         else:
             Vinv[t] = [y + f * z for y, z in zip(Vinv[t], Vinv[j])]
     return out
 
 
-def snf_diag(s):
-    """The reduced matrix itself: diag(pi^v) padded with zeros."""
+def snf_diag(mat, vals):
+    """The reduced matrix itself: diag(pi^v) padded with zeros, mat's shape."""
     from htlab.linalg import Mat
 
-    ring = s._ring
+    ring = mat.ring
     pi = ring.from_k(ring.cfg.pi)
-    rows = [[ring.zero() for _ in range(s.ncols)] for _ in range(s.nrows)]
-    for t, v in enumerate(s.vals):
+    rows = [[ring.zero() for _ in range(mat.ncols)] for _ in range(mat.nrows)]
+    for t, v in enumerate(vals):
         x = ring.one()
         for _ in range(v):
             x = x * pi
