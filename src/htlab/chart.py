@@ -36,7 +36,7 @@ from .sparse import Sparse
 
 
 class ChartRing:
-    __slots__ = ("cfg", "mode", "d", "r", "Dy", "origin", "_zero")
+    __slots__ = ("cfg", "mode", "d", "r", "Dy", "origin", "_zero", "faces")
 
     def __init__(self, cfg, mode="point", d=0, r=0, Dy=None):
         if mode not in ("point", "chart"):
@@ -56,6 +56,9 @@ class ChartRing:
         # elements are immutable, so one shared zero serves, and the identity
         # shortcuts of higgs fire on it
         self._zero = cfg.k_zero() if mode == "point" else ChartElem(self, {})
+        # the twisted face contexts of the pd rings over this base
+        # (pdring.face_context): tables of a ring and a twist, no module data
+        self.faces = {}
 
     @property
     def is_point(self):

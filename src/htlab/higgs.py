@@ -42,7 +42,7 @@ from .errors import (
     ValidationFailure,
 )
 from .linalg import Mat, commutator
-from .pdring import FaceContext, PdElement, PdRing, product_cells
+from .pdring import PdElement, PdRing, face_context, product_cells
 from .sparse import agree
 
 FLAVORS = ("abs-arith", "abs-geom", "rel-geom")
@@ -461,7 +461,7 @@ def check_cocycle_strat(strat):
     ring1 = PdRing(strat.cfg, strat.base, strat.flavor, 1, d=strat.d, D=strat.D)
     eps = descent_matrix(strat, ring=ring1)
     alpha = strat.braid_unit()
-    contexts = [FaceContext(ring1, i, alpha) for i in range(3)]
+    contexts = [face_context(ring1, i, alpha) for i in range(3)]
     ring2 = contexts[0].target
     p0, p1, p2 = (eps.map(c.apply, ring=ring2) for c in contexts)
     witness = None

@@ -65,13 +65,23 @@ entries are read, and each right factor's filters built, once per matrix
 product.  The descent check of htlab.higgs reads p_2*(eps) p_0*(eps)
 through it.
 
-The twisted face keeps, per generator, its image and the power chain
-one() * x * x ... that divided_power builds for one x, so gamma_a of an
-image costs one product and one division by a! (_gamma takes the power
-itself).  A term c * gamma_a1 * gamma_a2 ... starts from the coefficient
-map c * gamma_a1, which is what the product of the constant c with
-gamma_a1 computes, and the terms of one image are summed into one dict in
-place.
+The twisted face d^0 sends a term c v_1^[a_1] v_2^[a_2] ... to the chain
+from_scalar(c) * gamma_a1 * gamma_a2 ... of the divided powers of the
+generators' images, in slot order, and sums the terms of one image into one
+dict in place.  Its FaceContext keeps per generator the image and the top
+of the power chain one() * x * x ... that divided_power builds for one x,
+so gamma_a of an image costs one product and one division by a! (_gamma
+takes the power itself), and per source monomial a plan: what the chain
+reads of the ring alone, the gammas' keys and scalars, each left key's
+filter, cut flag, output keys and binomials.  Running a plan does only the
+scalar work of the chain: c * v on the first gamma, then per product the
+pair loop over the live left coefficients and one reduction or dot per key.
+The live pairs are those the chain meets, in its order, with the same A,
+top and terms, so each term has the chain's stored form; nothing is
+regrouped.  face_context keeps one such context per ring layout and twist
+with the ring's base, so every module over the base shares the images,
+power chains and plans; all of them depend on the ring and the twist, none
+on a module.
 """
 
 from math import comb, factorial
@@ -502,13 +512,84 @@ def _gamma(x, xn, n):
     return out
 
 
-class FaceContext:
-    """One face map, keeping each generator's image, the image's power chain
-    one() * x * x ... (divided_power's chain) and its divided powers.
+def _gather_planned(sums, live, cuts, rows):
+    """_gather on one product of a face plan: each live (left index,
+    coefficient) meets the pairs of its row, (output, right (u or None,
+    shift, A), binomial) flattened, and sums is keyed by output.  Returns
+    whether the filter of a live key is cut."""
+    cut = False
+    for i, c1 in live:
+        if cuts[i]:
+            cut = True
+        u1, s1 = c1.u, c1.shift
+        a1 = c1.prec - s1
+        if u1 == c1.cfg.zero_u:
+            u1 = None
+        pairs = iter(rows[i])
+        for o, (u2, s2, a2), mult in zip(pairs, pairs, pairs):
+            a = a1 - s2
+            b = a2 - s1
+            if b < a:
+                a = b
+            acc = sums.get(o)
+            if acc is None:
+                sums[o] = acc = [a, 0, [], []]
+            elif a < acc[0]:
+                acc[0] = a
+            if u1 is not None and u2 is not None:
+                s = s1 + s2
+                acc[2].append((u1, u2, mult))
+                acc[3].append(s)
+                if s > acc[1]:
+                    acc[1] = s
+    return cut
 
-    Reuse a single context when pushing a whole matrix through the same
-    face; the images, powers and divided powers of the generators are
-    shared.
+
+def _pairs_planned(sums, live, cuts, rows):
+    """_pairs on one product of a face plan, over chart scalars: the right
+    scalar of a pair is the coefficient itself."""
+    cut = False
+    for i, c1 in live:
+        if cuts[i]:
+            cut = True
+        pairs = iter(rows[i])
+        for o, c2, mult in zip(pairs, pairs, pairs):
+            terms = sums.get(o)
+            if terms is None:
+                sums[o] = terms = ([], [], [])
+            terms[0].append(c1)
+            terms[1].append(c2)
+            terms[2].append(mult)
+    return cut
+
+
+class FaceContext:
+    """One face map.
+
+    d^i for i > 0 moves each generator's field and keeps nothing.  The
+    twisted face d^0 sends c v_1^[a_1] v_2^[a_2] ... to the chain
+    from_scalar(c) * gamma_a1 * gamma_a2 ..., the gammas in slot order, and
+    keeps what that chain reads of the ring and the twist: each generator's
+    image, the top of its power chain one() * x * x ... (divided_power's
+    chain), its divided powers, and a plan per source monomial, built on the
+    monomial's first use.  A plan holds the first gamma and, per later
+    product, that gamma's scalars (read once by _factor and shared by every
+    plan), and for each key the left operand can hold, whether its filter
+    cuts a key of the gamma and its pairs (output, right scalar, binomial)
+    in the gamma's order.
+
+    Running a plan does only the scalar work of the chain: c * v on the
+    first gamma, dropping droppable products as the constructor does; per
+    product the pair loop over the live left coefficients in order, then one
+    reduce_terms (K scalars) or dot (chart scalars) per key in first-met
+    order, each droppable result dropped; and the flags PdElement.__mul__
+    sets.  The live pairs are exactly those the chain meets, in its order,
+    with the same A, top and terms, so each term has the chain's stored form
+    and key order; the terms are summed into one dict in place.
+
+    Nothing a context keeps depends on an element, so one context serves a
+    whole matrix, and face_context hands out the one d^0 context a base
+    keeps for a ring layout and a twist, shared by every module over it.
     """
 
     def __init__(self, ring, i, alpha=None):
@@ -521,6 +602,8 @@ class FaceContext:
         self._images = {}
         self._powers = {}
         self._gammas = {}
+        self._factors = {}
+        self._plans = {}
         if i > 0:
             # (source offset, target offset) of each generator's field
             t = self.target
@@ -565,24 +648,115 @@ class FaceContext:
         self._images[vid] = img
         return img
 
-    def _power(self, vid, a):
-        """(image of vid)^a, from the chain one() * x * x ... kept per generator."""
-        chain = self._powers.get(vid)
-        if chain is None:
-            chain = self._powers[vid] = [self.target.one()]
-        img = self._image(vid)
-        while len(chain) <= a:
-            chain.append(chain[-1] * img)
-        return chain[a]
-
     def _gamma_image(self, vid, a):
+        """gamma_a of vid's image: the image for a = 1, else the power of
+        the chain one() * x * x ... (divided_power's chain) divided by a!.
+
+        Only the top of the chain is kept: extending it to a divides each
+        new power by its factorial on the way, so every gamma below the top
+        is kept already.
+        """
         key = (vid, a)
         g = self._gammas.get(key)
         if g is None:
             img = self._image(vid)
-            g = img if a == 1 else _gamma(img, self._power(vid, a), a)
-            self._gammas[key] = g
+            if a == 1:
+                g = self._gammas[key] = img
+            else:
+                n, power = self._powers.get(vid, (0, self.target.one()))
+                while n < a:
+                    n += 1
+                    power = power * img
+                    if n > 1:
+                        g = self._gammas[(vid, n)] = _gamma(img, power, n)
+                self._powers[vid] = (n, power)
         return g
+
+    def _factor(self, vid, a):
+        """(gamma_a of vid's image, the scalar each of its keys gives a
+        pair): (u or None when zero, shift, A) over K scalars, the
+        coefficient over chart scalars.  Read once, shared by every plan."""
+        factor = self._factors.get((vid, a))
+        if factor is None:
+            g = self._gamma_image(vid, a)
+            if self.target.base.is_point:
+                zero = self.target.cfg.zero_u
+                scalars = [(None if c.u == zero else c.u, c.shift, c.prec - c.shift) for c in g.coeffs.values()]
+            else:
+                scalars = list(g.coeffs.values())
+            factor = self._factors[(vid, a)] = (g, scalars)
+        return factor
+
+    def _plan(self, key):
+        """(first gamma, products) for the source monomial key.
+
+        A product is (its gamma's flag, cuts, rows).  Row i belongs to the
+        i-th key the left operand can hold, numbered by the product before
+        (the first gamma's key order for the first product): cuts[i] is 1
+        when that key's filter leaves a key of the gamma out, and the row
+        holds its pairs, (output, right scalar, binomial) flattened, in the
+        gamma's order.  An output is the number of a product key, and the
+        key itself in the last product.
+        """
+        src, t = self.ring, self.target
+        D, shift, w, field = t.D, t.shift, t.width, t.field
+        low, add, top = (1 << shift) - 1, t.support_add, t.support_top
+        factors = [self._factor(vid, a) for vid, off in src.slots if (a := (key >> off) & src.field)]
+        first = factors[0][0]
+        lefts = list(first.coeffs)
+        products = []
+        for n, (g, scalars) in enumerate(factors[1:], start=2):
+            right = [(k2, ((k2 & low) + add) & top, k2 >> shift, r) for k2, r in zip(g.coeffs, scalars)]
+            last = n == len(factors)
+            index = {}
+            cuts = bytearray()
+            rows = []
+            for k1 in lefts:
+                m1 = ((k1 & low) + add) & top
+                cap = D - (k1 >> shift)
+                row = []
+                for k2, m2, d2, r in right:
+                    if d2 <= cap:
+                        k = k1 + k2
+                        shared = m1 & m2
+                        mult = _binomials(k1, k2, shared, w, field) if shared else 1
+                        row += (index.setdefault(k, k if last else len(index)), r, mult)
+                cuts.append(len(row) < 3 * len(right))
+                rows.append(tuple(row))
+            products.append((g.truncated, bytes(cuts), rows))
+            lefts = list(index)
+        return first, products
+
+    def _term(self, plan, c, fused):
+        """(coefficients, truncated) of the chain from_scalar(c) * gamma_a1 * ...
+        of a plan."""
+        first, products = plan
+        trunc = first.truncated
+        live = []
+        for i, (k, v) in enumerate(first.coeffs.items()):
+            p = c * v
+            if p.truncated:
+                trunc = True
+            if not p.droppable():
+                live.append((i if products else k, p))
+        cfg = self.target.cfg
+        gather, reduce = (_gather_planned, cfg.reduce_terms) if fused else (_pairs_planned, cfg.dot)
+        for gtrunc, cuts, rows in products:
+            if gtrunc:
+                trunc = True
+            if not live:
+                continue
+            sums = {}
+            if gather(sums, live, cuts, rows):
+                trunc = True
+            live = []
+            for o, acc in sums.items():
+                p = reduce(*acc)
+                if p.truncated:
+                    trunc = True
+                if not p.droppable():
+                    live.append((o, p))
+        return dict(live), trunc
 
     def apply(self, x):
         _same_ring(x.ring, self.ring)
@@ -603,30 +777,42 @@ class FaceContext:
         # terms x dropped above D map above D too, so the image keeps x's flag
         trunc = x.truncated
         out = {}
-        slots = ring.slots
-        gamma = self._gamma_image
+        fused = t.base.is_point
+        plans = self._plans
         for key, c in x.coeffs.items():
             if not key:
-                term = t.from_scalar(c)
+                coeffs, flag = {0: c}, c.truncated
             else:
-                term = None
-                for vid, off in slots:
-                    a = (key >> off) & field
-                    if a:
-                        g = gamma(vid, a)
-                        if term is None:
-                            # from_scalar(c) * g: one pair per key of g, none cut
-                            term = PdElement(t, {k: c * v for k, v in g.coeffs.items()}, g.truncated)
-                        else:
-                            term = term * g
+                plan = plans.get(key)
+                if plan is None:
+                    plan = plans[key] = self._plan(key)
+                coeffs, flag = self._term(plan, c, fused)
             # the terms summed in place, with the per-key rule of a sum
-            if merge_into(out, term.coeffs) or term.truncated:
+            if merge_into(out, coeffs) or flag:
                 trunc = True
         return PdElement._clean(t, out, trunc)
 
 
+def face_context(ring, i, alpha=None):
+    """The context of the face d^i of ring, d^0 twisted by alpha.
+
+    d^0 is the one context ring's base keeps for (variant, degree, d, D,
+    alpha), a hit confirmed by eq_ring, so its images, powers and plans
+    serve every module over the base; any other face is a new context,
+    which keeps nothing.
+    """
+    if i:
+        return FaceContext(ring, i, alpha)
+    key = (ring.variant, ring.degree, ring.d, ring.D, None if alpha is None else (alpha.u, alpha.shift, alpha.prec))
+    faces = ring.base.faces
+    ctx = faces.get(key)
+    if ctx is None or not ctx.ring.eq_ring(ring):
+        ctx = faces[key] = FaceContext(ring, 0, alpha)
+    return ctx
+
+
 def face_map(i, x, alpha=None):
-    return FaceContext(x.ring, i, alpha).apply(x)
+    return face_context(x.ring, i, alpha).apply(x)
 
 
 def check_cosimplicial_identities(cfg, base, variant, d=0, alpha=None, max_degree=2, D=None):
@@ -644,9 +830,9 @@ def check_cosimplicial_identities(cfg, base, variant, d=0, alpha=None, max_degre
     ok = True
     for n in range(1, max_degree + 1):
         ring = PdRing(cfg, base, variant, n, d=d, D=D)
-        inner = [FaceContext(ring, i, alpha) for i in range(n + 2)]
+        inner = [face_context(ring, i, alpha) for i in range(n + 2)]
         outer_ring = ring.bump(n + 1)
-        outer = [FaceContext(outer_ring, j, alpha) for j in range(n + 3)]
+        outer = [face_context(outer_ring, j, alpha) for j in range(n + 3)]
         for gen in ring.generators():
             v = ring.var(gen)
             for i in range(n + 2):

@@ -597,17 +597,22 @@ def face_apply_chain(ctx, x):
     t = ctx.target
     ring = x.ring
     field = ring.field
+    gammas = {}
 
     def gamma(vid, a):
+        if (vid, a) in gammas:
+            return gammas[vid, a]
         kind, k, j = vid
         diff = t.x(j + 1) - t.x(1) if kind == 0 else t.y(k, j + 1) - t.y(k, 1)
         image = diff if ctx._geom is None else pd_mul_chain(diff, ctx._geom)
-        if a == 1:
-            return image
-        power = t.one()
-        for _ in range(a):
-            power = pd_mul_chain(power, image)
-        return power.div_int(factorial(a))
+        power = image
+        if a > 1:
+            power = t.one()
+            for _ in range(a):
+                power = pd_mul_chain(power, image)
+            power = power.div_int(factorial(a))
+        gammas[vid, a] = power
+        return power
 
     acc = type(x)._clean(t, {}, x.truncated)
     for key, c in x.coeffs.items():
@@ -747,7 +752,8 @@ def cocycle_law_naive(strat, s, u, T=None):
 
 def descent_faces(strat):
     """(p_0*(eps), p_1*(eps), p_2*(eps)): the three face images of the descent
-    matrix, the 0th twisted by the stratification's braiding unit."""
+    matrix, the 0th twisted by the stratification's braiding unit and formed
+    term by term by face_apply_chain, on a context of its own."""
     from htlab.higgs import descent_matrix
     from htlab.pdring import FaceContext, PdRing
 
@@ -756,7 +762,8 @@ def descent_faces(strat):
     alpha = strat.braid_unit()
     contexts = [FaceContext(ring1, i, alpha) for i in range(3)]
     ring2 = contexts[0].target
-    return tuple(eps.map(c.apply, ring=ring2) for c in contexts)
+    p0 = eps.map(lambda x: face_apply_chain(contexts[0], x), ring=ring2)
+    return (p0,) + tuple(eps.map(c.apply, ring=ring2) for c in contexts[1:])
 
 
 def cocycle_strat_naive(strat):
@@ -775,6 +782,28 @@ def cocycle_strat_naive(strat):
         "truncated": residual.truncated,
         "witness": None if ok else _first_nonzero(residual),
     }
+
+
+# ---------------------------------------------------------------------------
+# The precision ladder: a result at N against the same result at a higher N.
+# ---------------------------------------------------------------------------
+
+
+def claims_agree(lo, hi):
+    """Whether K scalar hi knows every digit lo claims, and agrees with it there.
+
+    Both are read as p^-shift u on the same basis pi^i g^j; a scalar with no
+    digit claims nothing."""
+    A = lo.prec - lo.shift
+    if A < 1:
+        return True
+    if hi.prec - hi.shift < A:
+        return False
+    p = lo.cfg.p
+    S = max(lo.shift, hi.shift)
+    M = p ** (A + S)
+    us = [(a,) if isinstance(a, int) else a for a in (lo.u, hi.u)]
+    return all((b * p ** (S - hi.shift) - a * p ** (S - lo.shift)) % M == 0 for a, b in zip(*us))
 
 
 # ---------------------------------------------------------------------------

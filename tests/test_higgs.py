@@ -1,10 +1,10 @@
 import random
 
 import pytest
-from oracles import cocycle_strat_naive, descent_faces
+from oracles import claims_agree, cocycle_strat_naive, descent_faces
 from test_sen import _corrupted, _form, _random_strat
 
-from htlab import higgs, make_base_config
+from htlab import corpus, default_specs, higgs, higgs_from_json, higgs_to_json, make_base_config
 from htlab.chart import ChartRing
 from htlab.errors import (
     BraidFailure,
@@ -27,7 +27,7 @@ from htlab.higgs import (
     validate_higgs,
 )
 from htlab.linalg import Mat, commutator
-from htlab.pdring import PdRing, product_cells
+from htlab.pdring import PdRing, face_context, product_cells
 from htlab.samples import sample_higgs
 
 
@@ -537,3 +537,67 @@ def test_stratification_builds_one_zero_matrix(cfg_f2, monkeypatch, mode, flavor
     assert len(zeros) <= 1
     vanishing = [m for m in strat.coeffs.values() if _vanishing(m)]
     assert vanishing and all(m is zeros[0] for m in vanishing)
+
+
+@pytest.mark.parametrize("name", ["cfg_r2", "cfg_f2"])
+def test_descent_on_kept_face_contexts_cold_and_warm(request, name):
+    """check_cocycle_strat over a corpus on one base and corrupted copies,
+    first with no face context kept (cold) and then on the kept ones (warm),
+    equals cocycle_strat_naive, whose 0th face is the term-by-term chain."""
+    cfg = request.getfixturevalue(name)
+    base = ChartRing(cfg, "point")
+    rng = random.Random(f"warm-{name}")
+    strats = [stratification_from_higgs(h) for h in corpus(base, 23)]
+    strats += [_corrupted(strat, rng) for strat in strats[:4]]
+    want = [cocycle_strat_naive(strat) for strat in strats]
+    assert not base.faces and not all(w["ok"] for w in want)
+    for _ in range(2):
+        assert [check_cocycle_strat(strat) for strat in strats] == want
+        assert base.faces
+
+
+def _descent_cells(h):
+    """(p_0*(eps), the product cells of p_2*(eps) p_0*(eps)) of a module, as
+    coefficient dicts by (i, j)."""
+    strat = stratification_from_higgs(h)
+    ring1 = PdRing(h.cfg, h.base, strat.flavor, 1, d=strat.d, D=strat.D)
+    eps = descent_matrix(strat, ring=ring1)
+    alpha = strat.braid_unit()
+    p0, p2 = (eps.map(face_context(ring1, i, alpha).apply, ring=ring1.bump(2)) for i in (0, 2))
+    faces = {(i, j): x.coeffs for i, row in enumerate(p0.rows) for j, x in enumerate(row)}
+    return faces, {(i, j): coeffs for i, j, coeffs, _ in product_cells(p2, p0)}
+
+
+@pytest.mark.parametrize(
+    "spec", [(5, [-5], 1), (3, [-3], 1), (2, [-2], 1), (3, [-3, 0], 1), (2, [-2, 0], 1), (3, [-3], 2)]
+)
+def test_descent_precision_ladder(spec):
+    """p_0*(eps) and the product cells of p_2*(eps) p_0*(eps), for a module
+    sampled at N = 16 and read back at N = 8 through JSON: each coefficient
+    at N = 8 agrees with the N = 16 one in every digit it claims, and a key
+    absent at N = 8 is zero mod p^8 at N = 16.
+
+    Point bases only: chart bases wait on sparse zeros that carry their
+    precision (ROADMAP item 2)."""
+    p, E, f = spec
+    hi_cfg = make_base_config(p, E, f=f, precision=16)
+    base = ChartRing(hi_cfg, "point")
+    rng = random.Random(f"pd-ladder-{spec}")
+    specs = default_specs()
+    claimed = 0
+    for _ in range(4):
+        flavor, rank, d, twist = rng.choice(specs)
+        hi = sample_higgs(base, rng, flavor, rank, d=d, twist=twist)
+        doc = higgs_to_json(hi)
+        doc["config"]["N"] = "8"
+        lo = higgs_from_json(doc)
+        assert lo.cfg.N == 8
+        for kind, lo_maps, hi_maps in zip(("face", "cell"), _descent_cells(lo), _descent_cells(hi)):
+            assert lo_maps.keys() == hi_maps.keys()
+            for ij, lo_coeffs in lo_maps.items():
+                hi_coeffs = hi_maps[ij]
+                for key in lo_coeffs.keys() | hi_coeffs.keys():
+                    x_lo = lo_coeffs.get(key, lo.cfg.k_zero())
+                    assert claims_agree(x_lo, hi_coeffs.get(key, hi_cfg.k_zero())), (kind, flavor, d, twist, ij, key)
+                    claimed += x_lo.prec - x_lo.shift >= 1 and not x_lo.storage_zero()
+    assert claimed

@@ -8,7 +8,7 @@ from htlab.chart import ChartRing
 from htlab.errors import AxiomViolation, BadIndex
 from htlab.galois import FormalCElem, GroupElt, galois_act_all, sigma_t, subs_t_all
 from htlab import make_base_config
-from htlab.higgs import twist_unit
+from htlab.higgs import descent_matrix, twist_unit
 from htlab.pdring import (
     VARIANTS,
     _gamma,
@@ -19,6 +19,7 @@ from htlab.pdring import (
     check_face_evaluation,
     divided_power,
     evaluate_at_group,
+    face_context,
     face_map,
     product_cells,
 )
@@ -35,6 +36,7 @@ from oracles import (
     plain_to_pd,
     subs_t_chain,
 )
+from test_sen import _random_strat
 
 
 @pytest.fixture(scope="module")
@@ -760,29 +762,136 @@ def test_product_cells_and_the_matrix_product_keep_n_right_digits(cfg_u5, point)
     assert _cells(a, b) == _product(a, b)
 
 
+def _face_branches(ctx, x, seen):
+    """Count the data-dependent branches the chain of each term of x meets:
+    a droppable product c * v on the first gamma, a product whose left
+    operand is empty, a product whose filter cuts a live key, and a
+    truncated coefficient in a term."""
+    t, ring = ctx.target, x.ring
+    for key, c in x.coeffs.items():
+        gammas = [ctx._gamma_image(vid, a) for vid, off in ring.slots if (a := (key >> off) & ring.field)]
+        if not gammas:
+            continue
+        first = gammas[0]
+        products = {k: c * v for k, v in first.coeffs.items()}
+        seen["dropped"] += any(p.droppable() for p in products.values())
+        seen["chart-trunc"] += any(p.truncated for p in products.values())
+        term = PdElement(t, products, first.truncated)
+        for g in gammas[1:]:
+            seen["empty"] += not term.coeffs
+            seen["cut"] += any(t.key_degree(k1) + t.key_degree(k2) > t.D for k1 in term.coeffs for k2 in g.coeffs)
+            term = pd_mul_chain(term, g)
+            seen["chart-trunc"] += any(p.truncated for p in term.coeffs.values())
+
+
+def _branch_elements(ring, base):
+    """Elements that reach the branches _face_branches counts: p times the
+    product of the first two generators (all of whose first products drop
+    on a context with the series scaled by p^(N-1)), every generator pair at
+    degree D (cut), and, over a chart base, a truncated coefficient."""
+    cfg = ring.cfg
+    gens = ring.generators()
+    out = []
+    if len(gens) > 1:
+        out.append(PdElement(ring, {ring.encode(((gens[0], 1), (gens[1], 1))): base.from_int(cfg.p)}))
+        out.append(PdElement(ring, {ring.encode(((g, ring.D - 1), (h, 1))): base.one() for g in gens for h in gens if g < h}))
+    if not base.is_point:
+        wide = base.var(0, 1) + base.var(0, base.Dy) * base.var(0, 1)
+        assert wide.truncated and wide.coeffs
+        out.append(PdElement(ring, {ring.encode(((g, 1),)): wide for g in gens}))
+    return out
+
+
 @pytest.mark.parametrize("name", ["cfg_u5", "cfg_r2", "cfg_f2"])
 def test_twisted_face_matches_the_chain_oracle(request, name):
     """FaceContext.apply at i = 0 agrees with face_apply_chain in stored form,
     key order and flag, a constant key whose inverse gains a digit, capped at N,
-    included."""
+    included.
+
+    One context serves every element of a ring, drawn over three seeds, so a
+    plan built for one element runs on the next.  The inputs reach each
+    data-dependent branch of a plan: a droppable first product, an empty
+    left operand (on a second context whose series is scaled by p^(N-1), so
+    p times a first gamma drops whole), a cut at D = 3, and truncated chart
+    coefficients."""
     cfg = request.getfixturevalue(name)
-    rng = random.Random(600 + cfg.p * cfg.e * cfg.f)
     point = ChartRing(cfg, "point")
     chart = ChartRing(cfg, "chart", d=1, r=1)
-    scalars = {point: lambda: _chain_scalar(cfg, rng), chart: lambda: _chart_scalar(chart, rng)}
     wide = cfg.k_from_int(1 + cfg.p).div_int(cfg.p).inv()
-    for base, scalar in scalars.items():
+    scale = cfg.k_from_int(cfg.p ** (cfg.N - 1))
+    seen = dict.fromkeys(("dropped", "empty", "cut", "chart-trunc"), 0)
+    for base in (point, chart):
         for D in (3, 6):
             for variant, n, d in ORACLE_RINGS:
                 ring = PdRing(cfg, base, variant, n, d=d, D=D)
-                for twist in ("log", "smooth"):
+                for twist in ("log", "smooth") if variant != "rel-geom" else ("log",):
                     ctx = FaceContext(ring, 0, twist_unit(cfg, twist))
+                    contexts = [ctx]
+                    if ctx._geom is not None:
+                        scaled = FaceContext(ring, 0, twist_unit(cfg, twist))
+                        scaled._geom = ctx._geom.mul_scalar(base.from_k(scale))
+                        contexts.append(scaled)
                     xs = [ring.from_scalar(base.from_k(wide)) + ring.var(ring.generators()[0])]
-                    xs += [_oracle_element(ring, rng, scalar) for _ in range(4 if base.is_point else 2)]
-                    for x in xs:
-                        assert _form(ctx.apply(x)) == _form(face_apply_chain(ctx, x)), (name, base.mode, variant)
-                    if variant == "rel-geom":
-                        break  # untwisted: the unit does not enter
+                    xs += _branch_elements(ring, base)
+                    for seed in range(3):
+                        rng = random.Random(f"face-{name}-{seed}")
+                        scalar = (lambda: _chain_scalar(cfg, rng)) if base.is_point else (lambda: _chart_scalar(chart, rng))
+                        xs += [_oracle_element(ring, rng, scalar) for _ in range(2 if base.is_point else 1)]
+                    for c in contexts:
+                        for x in xs:
+                            assert _form(c.apply(x)) == _form(face_apply_chain(c, x)), (name, base.mode, variant, twist)
+                            _face_branches(c, x, seen)
+    assert all(seen.values()), seen
+
+
+def test_twisted_face_matches_the_chain_oracle_at_large_descent_size(cfg_r2):
+    """The same agreement on a ring of the large descent workload, p = 2, e = 2,
+    abs-geom with d = 3 at D = 8, both twists: the descent matrix entry of a
+    random rank-1 stratification, which fills most monomials, and random
+    elements, through one context per twist."""
+    point = ChartRing(cfg_r2, "point")
+    ring = PdRing(cfg_r2, point, "abs-geom", 1, d=3, D=8)
+    rng = random.Random("face-large")
+    for twist in ("log", "smooth"):
+        ctx = FaceContext(ring, 0, twist_unit(cfg_r2, twist))
+        eps = descent_matrix(_random_strat(point, rng, 1, 3, 8), ring=ring)
+        xs = [x for row in eps.rows for x in row]
+        xs += [_oracle_element(ring, rng, lambda: _chain_scalar(cfg_r2, rng)) for _ in range(3)]
+        for x in xs:
+            assert _form(ctx.apply(x)) == _form(face_apply_chain(ctx, x)), twist
+
+
+def test_face_contexts_are_kept_per_ring_and_twist(cfg_u5):
+    """face_context hands out one d^0 context per base, ring layout and twist.
+
+    An equal ring with the same unit gets the same context; a change of D,
+    degree, variant or twist gets a new one; a chart and a point base over
+    one config never share; a ring over another config object with the same
+    key is confirmed by eq_ring and gets a context of its own; faces other
+    than d^0 are not kept."""
+    point = ChartRing(cfg_u5, "point")
+    chart = ChartRing(cfg_u5, "chart", d=1, r=1)
+    log, smooth = twist_unit(cfg_u5, "log"), twist_unit(cfg_u5, "smooth")
+    ring = PdRing(cfg_u5, point, "abs-geom", 1, d=1, D=4)
+    ctx = face_context(ring, 0, log)
+    assert ctx is face_context(PdRing(cfg_u5, point, "abs-geom", 1, d=1, D=4), 0, cfg_u5.beta * cfg_u5.k_one())
+    others = [
+        face_context(PdRing(cfg_u5, point, "abs-geom", 1, d=1, D=5), 0, log),
+        face_context(PdRing(cfg_u5, point, "abs-geom", 2, d=1, D=4), 0, log),
+        face_context(PdRing(cfg_u5, point, "abs-arith", 1, D=4), 0, log),
+        face_context(ring, 0, smooth),
+        face_context(PdRing(cfg_u5, chart, "abs-geom", 1, d=1, D=4), 0, log),
+    ]
+    assert len({id(c) for c in [ctx] + others}) == 6
+    assert len(point.faces) == 5 and len(chart.faces) == 1
+    twin_cfg = make_base_config(5, [-5], f=1, precision=8)
+    stranger = PdRing(twin_cfg, point, "abs-geom", 1, d=1, D=4)
+    other = face_context(stranger, 0, twist_unit(twin_cfg, "log"))
+    assert other is not ctx and other.ring.eq_ring(stranger)
+    assert face_context(ring, 1, log) is not face_context(ring, 1, log)
+    # a shared context applies as a private one does
+    x = ring.x(1, 2) + ring.y(1, 1) * ring.x(1)
+    assert _form(face_context(ring, 0, log).apply(x)) == _form(FaceContext(ring, 0, log).apply(x))
 
 
 def test_cached_gammas_are_divided_powers(cfg_r2, cfg_f2):

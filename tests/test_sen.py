@@ -1,7 +1,15 @@
 import random
 
 import pytest
-from oracles import cocycle_law_naive, cocycle_matrix_naive, galois_act_mat, higgs_dual, higgs_tensor, kron
+from oracles import (
+    claims_agree,
+    cocycle_law_naive,
+    cocycle_matrix_naive,
+    galois_act_mat,
+    higgs_dual,
+    higgs_tensor,
+    kron,
+)
 
 from htlab import higgs, make_base_config, sen
 from htlab.base import KElem
@@ -606,23 +614,6 @@ def test_stratification_coefficients_are_read_only(cfg_u5, nilp2):
 # ---------------------------------------------------------------------------
 
 
-def _claims_agree(lo, hi):
-    """Whether K scalar hi knows every digit lo claims, and agrees with it there.
-
-    Both are read as p^-shift u on the same basis pi^i g^j; a scalar with no
-    digit claims nothing."""
-    A = lo.prec - lo.shift
-    if A < 1:
-        return True
-    if hi.prec - hi.shift < A:
-        return False
-    p = lo.cfg.p
-    S = max(lo.shift, hi.shift)
-    M = p ** (A + S)
-    us = [(a,) if isinstance(a, int) else a for a in (lo.u, hi.u)]
-    return all((b * p ** (S - hi.shift) - a * p ** (S - lo.shift)) % M == 0 for a, b in zip(*us))
-
-
 @pytest.mark.parametrize(
     "spec", [(5, [-5], 1), (3, [-3], 1), (2, [-2], 1), (3, [-3, 0], 1), (2, [-2, 0], 1), (3, [-3], 2)]
 )
@@ -656,7 +647,7 @@ def test_cocycle_precision_ladder(spec):
                 for e_hi, e_lo in zip(row_hi, row_lo):
                     for m in e_hi.coeffs.keys() | e_lo.coeffs.keys():
                         x_lo = e_lo.coeffs.get(m, lo_cfg.k_zero())
-                        assert _claims_agree(x_lo, e_hi.coeffs.get(m, hi_cfg.k_zero())), (flavor, d, twist, s, m)
+                        assert claims_agree(x_lo, e_hi.coeffs.get(m, hi_cfg.k_zero())), (flavor, d, twist, s, m)
                         claimed += x_lo.prec - x_lo.shift >= 1 and not x_lo.storage_zero()
     assert claimed
 
