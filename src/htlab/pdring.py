@@ -43,27 +43,33 @@ PdRing.encode and PdRing.decode translate to and from the readable form, a
 sorted tuple of (variable, exponent) pairs; coeff, __repr__ and
 evaluate_at_group take or show that form.
 
-A product visits no pair above the cutoff.  A left key of degree d meets
-only the right keys of degree at most D - d: a filter of the right operand
-in its order, built once per cap, and the product is flagged when a filter
-leaves a key out.  Each output key is one sum over its pairs in the order
-met.  Over K scalars the product reads each coefficient's (u, shift,
-absolute precision) once and keeps, per key, the least term precision A,
-the top shift and the terms with two nonzero numerators; each key is
-reduced once by BaseConfig.reduce_terms, the routine BaseConfig.dot ends
-in, so it gets the stored form of the chain (the stored form lemma of
-htlab.base).  Every key over chart scalars is one dot over its pairs in
-the order met, which takes one reduction per chart key (htlab.chart).
+A product visits no pair above the cutoff.  Its right operand y is read
+once into a _Right: its flag, and per coefficient the key, support mask,
+degree and scalar ((u or None, shift, absolute precision) over K, the
+coefficient itself over a chart).  A left key of degree d meets only the
+right keys of degree at most D - d, a filter of y's entries in y's order
+that the _Right builds on first use per d, and the product is flagged when
+a filter leaves a key out.  One pair loop per scalar kind (_gather over K,
+_pairs over charts) runs over the live (k1, coefficient) pairs of the left
+operand against the filters of a _Right, forming k1 + k2 and the binomial
+for each pair.  _sum_of_products sums any number of such products: each
+output key is one sum over its pairs in the order met.  Over K scalars it
+keeps, per key, the least term precision A, the top shift and the terms
+with two nonzero numerators, and reduces each key once by
+BaseConfig.reduce_terms, the routine BaseConfig.dot ends in, so it gets the
+stored form of the chain (the stored form lemma of htlab.base).  Every key
+over chart scalars is one dot over its pairs in the order met, which takes
+one reduction per chart key (htlab.chart).  PdElement.__mul__ is one such
+product.
 
 product_cells forms the cells of a matrix product the same way, with no
 PdElement per product: each key of a cell is one sum over its (l, k1, k2)
-pairs, gathered by the pair loop PdElement.__mul__ runs, one reduction or
-one dot per key.  That is the stored form of the chain Mat.__mul__ forms
-(each product's key, then the products added in l order, each dropped when
-droppable), since no scalar holds more than N digits.  Each factor's
-entries are read, and each right factor's filters built, once per matrix
-product.  The descent check of htlab.higgs reads p_2*(eps) p_0*(eps)
-through it.
+pairs, one _sum_of_products over the cell's products.  That is the stored
+form of the chain Mat.__mul__ forms (each product's key, then the products
+added in l order, each dropped when droppable), since no scalar holds more
+than N digits.  Each entry of the right matrix is read into one _Right,
+whose filters serve every row of the left one.  The descent check of
+htlab.higgs reads p_2*(eps) p_0*(eps) through it.
 
 The twisted face d^0 sends a term c v_1^[a_1] v_2^[a_2] ... to the chain
 from_scalar(c) * gamma_a1 * gamma_a2 ... of the divided powers of the
@@ -71,17 +77,15 @@ generators' images, in slot order, and sums the terms of one image into one
 dict in place.  Its FaceContext keeps per generator the image and the top
 of the power chain one() * x * x ... that divided_power builds for one x,
 so gamma_a of an image costs one product and one division by a! (_gamma
-takes the power itself), and per source monomial a plan: what the chain
-reads of the ring alone, the gammas' keys and scalars, each left key's
-filter, cut flag, output keys and binomials.  Running a plan does only the
-scalar work of the chain: c * v on the first gamma, then per product the
-pair loop over the live left coefficients and one reduction or dot per key.
-The live pairs are those the chain meets, in its order, with the same A,
-top and terms, so each term has the chain's stored form; nothing is
+takes the power itself), and one _Right per gamma, keyed by (generator,
+exponent) and shared by every source monomial.  A term is c * v on the
+first gamma, then one _sum_of_products per later gamma, the same products
+PdElement.__mul__ forms: the same pairs, in the same order, with the same
+A, top and terms, so each term has the chain's stored form; nothing is
 regrouped.  face_context keeps one such context per ring layout and twist
 with the ring's base, so every module over the base shares the images,
-power chains and plans; all of them depend on the ring and the twist, none
-on a module.
+power chains and _Rights; all of them depend on the ring and the twist,
+none on a module.
 """
 
 from math import comb, factorial
@@ -199,20 +203,6 @@ class PdRing:
     def key_degree(self, key):
         return key >> self.shift
 
-    def entries(self, coeffs, fused):
-        """(key, support mask, degree, numerator or None when zero, shift,
-        absolute precision, coefficient) of each coefficient, in order; the
-        numerator, shift and precision are read only over K scalars (fused)."""
-        shift, add, top = self.shift, self.support_add, self.support_top
-        low = (1 << shift) - 1
-        if not fused:
-            return [(k, ((k & low) + add) & top, k >> shift, None, 0, 0, c) for k, c in coeffs.items()]
-        zero = self.cfg.zero_u
-        return [
-            (k, ((k & low) + add) & top, k >> shift, None if c.u == zero else c.u, c.shift, c.prec - c.shift, c)
-            for k, c in coeffs.items()
-        ]
-
     def zero(self):
         return PdElement(self, {})
 
@@ -253,43 +243,69 @@ def _same_ring(r1, r2):
         raise BadIndex(f"pd elements of {r1!r} and {r2!r} do not combine")
 
 
-def _binomials(k1, k2, shared, w, field):
-    """prod C(a + b, a) over the variables of the support mask shared, which
-    holds exponent a in k1 and b in k2."""
-    mult = 1
-    while shared:
-        bit = shared & -shared
-        off = bit.bit_length() - w
-        a = (k1 >> off) & field
-        mult *= comb(a + ((k2 >> off) & field), a)
-        shared ^= bit
-    return mult
+class _Right:
+    """The right factor y of a product, read once.
+
+    entries holds one flat tuple per coefficient, in y's order: key,
+    support mask and degree, then the scalar, which is u (None when zero),
+    shift and A over K scalars and the coefficient itself over chart
+    scalars.  filter(cap) is the
+    entries of degree at most cap, in y's order, and whether that leaves
+    one out, which cuts a pair above D; it is built on the first left key
+    of degree D - cap and kept for every product y enters.
+    """
+
+    __slots__ = ("truncated", "entries", "filters")
+
+    def __init__(self, y):
+        ring = y.ring
+        shift, add, top = ring.shift, ring.support_add, ring.support_top
+        low = (1 << shift) - 1
+        if ring.base.is_point:
+            zero = ring.cfg.zero_u
+            self.entries = [
+                (k, ((k & low) + add) & top, k >> shift, None if c.u == zero else c.u, c.shift, c.prec - c.shift)
+                for k, c in y.coeffs.items()
+            ]
+        else:
+            self.entries = [(k, ((k & low) + add) & top, k >> shift, c) for k, c in y.coeffs.items()]
+        self.truncated = y.truncated
+        self.filters = {}
+
+    def filter(self, cap):
+        row = [e for e in self.entries if e[2] <= cap]
+        cut = len(row) < len(self.entries)
+        # a filter that keeps every entry shares the entries list, so a kept
+        # _Right holds no copy of it
+        f = self.filters[cap] = (row if cut else self.entries, cut)
+        return f
 
 
-def _filter(rows, right, caps):
-    """Fill rows[cap], for each cap in caps not there yet, with the right
-    entries of degree at most cap, in right's order.  Returns whether a
-    filter of caps leaves an entry out, which cuts a pair above D."""
-    cut = False
-    for cap in caps:
-        row = rows.get(cap)
-        if row is None:
-            rows[cap] = row = [e for e in right if e[2] <= cap]
-        if len(row) < len(right):
-            cut = True
-    return cut
+def _gather(sums, left, right, ring):
+    """Add the pairs of x * y to sums, {key: [A, top, terms, shifts]}, over
+    K scalars; returns whether a filter cut a pair.
 
-
-def _gather(sums, left, rows, D, w, field):
-    """Add the pairs of one product to sums, {key: [A, top, terms, shifts]}.
-
-    left holds the entries of the left factor, rows the filters of the
-    right one.  Per key, A is the least term precision, top the top shift,
+    left holds the live (k1, coefficient) pairs of x in order, right is the
+    _Right of y.  Per key, A is the least term precision, top the top shift,
     and terms and shifts the (u1, u2, binomial) and shift of each pair with
     two nonzero numerators, in the order met.
     """
-    for k1, m1, d1, u1, s1, a1, _ in left:
-        for k2, m2, _, u2, s2, a2, _ in rows[D - d1]:
+    D, shift, w, field = ring.D, ring.shift, ring.width, ring.field
+    low, add, top = (1 << shift) - 1, ring.support_add, ring.support_top
+    zero = ring.cfg.zero_u
+    filters = right.filters
+    cut = False
+    for k1, c1 in left:
+        cap = D - (k1 >> shift)
+        row, c = filters.get(cap) or right.filter(cap)
+        if c:
+            cut = True
+        m1 = ((k1 & low) + add) & top
+        u1, s1 = c1.u, c1.shift
+        a1 = c1.prec - s1
+        if u1 == zero:
+            u1 = None
+        for k2, m2, _, u2, s2, a2 in row:
             key = k1 + k2
             a = a1 - s2
             b = a2 - s1
@@ -301,47 +317,72 @@ def _gather(sums, left, rows, D, w, field):
             elif a < acc[0]:
                 acc[0] = a
             if u1 is not None and u2 is not None:
+                # the binomial prod C(a + b, a) over the fields both keys hold
                 shared = m1 & m2
+                mult = 1
+                while shared:
+                    bit = shared & -shared
+                    off = bit.bit_length() - w
+                    mult *= comb((key >> off) & field, (k1 >> off) & field)
+                    shared ^= bit
                 s = s1 + s2
-                acc[2].append((u1, u2, _binomials(k1, k2, shared, w, field) if shared else 1))
+                acc[2].append((u1, u2, mult))
                 acc[3].append(s)
                 if s > acc[1]:
                     acc[1] = s
+    return cut
 
 
-def _pairs(sums, left, rows, D, w, field):
-    """Add the pairs of one product to sums, {key: (xs, ys, ms)}, in the
-    order met, for dot over chart scalars."""
-    for k1, m1, d1, _, _, _, c1 in left:
-        for k2, m2, _, _, _, _, c2 in rows[D - d1]:
+def _pairs(sums, left, right, ring):
+    """_gather over chart scalars: sums is {key: (xs, ys, ms)}, the pairs'
+    coefficients and binomials in the order met, for dot."""
+    D, shift, w, field = ring.D, ring.shift, ring.width, ring.field
+    low, add, top = (1 << shift) - 1, ring.support_add, ring.support_top
+    filters = right.filters
+    cut = False
+    for k1, c1 in left:
+        cap = D - (k1 >> shift)
+        row, c = filters.get(cap) or right.filter(cap)
+        if c:
+            cut = True
+        m1 = ((k1 & low) + add) & top
+        for k2, m2, _, c2 in row:
             key = k1 + k2
             terms = sums.get(key)
             if terms is None:
                 sums[key] = terms = ([], [], [])
             shared = m1 & m2
+            mult = 1
+            while shared:
+                bit = shared & -shared
+                off = bit.bit_length() - w
+                mult *= comb((key >> off) & field, (k1 >> off) & field)
+                shared ^= bit
             terms[0].append(c1)
             terms[1].append(c2)
-            terms[2].append(_binomials(k1, k2, shared, w, field) if shared else 1)
+            terms[2].append(mult)
+    return cut
 
 
-def _sum_of_products(ring, products, fused):
+def _sum_of_products(ring, products):
     """({key: coefficient}, truncated): the clean coefficients of
     sum_l x_l * y_l, one sum per key over its (l, k1, k2) pairs: one
-    reduce_terms over K scalars (fused), one dot over the pairs over chart
-    scalars, which reduces each chart key once.  Either is the stored form
-    of the chain that adds the products key by key in l order: it drops
-    only droppable zeros, at A = N (htlab.base), so the least A and the
-    value mod p^A are kept; only the key order inside a chart coefficient
-    can differ, where a partial sum cancels.  products holds the (left
-    entries, right filters) of each l.
+    reduce_terms over K scalars, one dot over the pairs over chart scalars,
+    which reduces each chart key once.  Either is the stored form of the
+    chain that adds the products key by key in l order: it drops only
+    droppable zeros, at A = N (htlab.base), so the least A and the value
+    mod p^A are kept; only the key order inside a chart coefficient can
+    differ, where a partial sum cancels.  products holds the (live (k1,
+    coefficient) pairs of x_l, _Right of y_l) of each l; truncated is set
+    by a cut filter or a truncated sum, the factors' flags are the caller's.
     """
-    D, w, field = ring.D, ring.width, ring.field
-    gather, reduce = (_gather, ring.cfg.reduce_terms) if fused else (_pairs, ring.cfg.dot)
+    gather, reduce = (_gather, ring.cfg.reduce_terms) if ring.base.is_point else (_pairs, ring.cfg.dot)
     sums = {}
-    for left, rows in products:
-        gather(sums, left, rows, D, w, field)
-    out = {}
     trunc = False
+    for left, right in products:
+        if gather(sums, left, right, ring):
+            trunc = True
+    out = {}
     for key, acc in sums.items():
         c = reduce(*acc)
         if c.truncated:
@@ -360,38 +401,22 @@ def product_cells(a, b):
     product or sum, is built.  Like Mat.__mul__, a droppable factor adds no
     term, and, like PdElement.__mul__, a product with an empty factor adds
     only the factors' flags and one whose filters cut a pair is flagged.
-    Each factor's entries are read once, and each right factor's filters
-    are built once per cap, whatever the number of products it enters.
+    Each entry of b is read into one _Right, whose filters serve every row
+    of a.
     """
     ring = a.ring
-    D = ring.D
-    fused = ring.base.is_point
-
-    def factor(x, left):
-        # (flag, entries, the caps of its degrees for a left factor or its
-        # filters by cap for a right one), None when droppable
-        if x.droppable():
-            return None
-        entries = ring.entries(x.coeffs, fused)
-        return x.truncated, entries, {D - e[2] for e in entries} if left else {}
-
-    lefts = [[factor(x, True) for x in row] for row in a.rows]
-    cols = [[factor(y, False) for y in col] for col in zip(*b.rows)]
-    for i, row in enumerate(lefts):
+    cols = [[None if y.droppable() else _Right(y) for y in col] for col in zip(*b.rows)]
+    for i, row in enumerate(a.rows):
         for j, col in enumerate(cols):
             trunc = False
             products = []
             for x, y in zip(row, col):
-                if x is None or y is None:
+                if y is None or x.droppable():
                     continue
-                (t1, l1, caps), (t2, l2, rows) = x, y
-                if t1 or t2:
+                if x.truncated or y.truncated:
                     trunc = True
-                if l1 and l2:
-                    if _filter(rows, l2, caps):
-                        trunc = True
-                    products.append((l1, rows))
-            coeffs, cut = _sum_of_products(ring, products, fused)
+                products.append((x.coeffs.items(), y))
+            coeffs, cut = _sum_of_products(ring, products)
             yield i, j, coeffs, trunc or cut
 
 
@@ -442,14 +467,7 @@ class PdElement(Sparse):
         trunc = self.truncated or other.truncated
         if not self.coeffs or not other.coeffs:
             return PdElement._clean(ring, {}, trunc)
-        fused = ring.base.is_point
-        left, right = ring.entries(self.coeffs, fused), ring.entries(other.coeffs, fused)
-        # the right entries of degree at most each cap, in the right operand's
-        # order; a filter that leaves one out has cut a pair above D
-        rows = {}
-        if _filter(rows, right, {ring.D - e[2] for e in left}):
-            trunc = True
-        out, cut = _sum_of_products(ring, [(left, rows)], fused)
+        out, cut = _sum_of_products(ring, [(self.coeffs.items(), _Right(other))])
         return PdElement._clean(ring, out, trunc or cut)
 
     def partial(self, vid):
@@ -512,57 +530,6 @@ def _gamma(x, xn, n):
     return out
 
 
-def _gather_planned(sums, live, cuts, rows):
-    """_gather on one product of a face plan: each live (left index,
-    coefficient) meets the pairs of its row, (output, right (u or None,
-    shift, A), binomial) flattened, and sums is keyed by output.  Returns
-    whether the filter of a live key is cut."""
-    cut = False
-    for i, c1 in live:
-        if cuts[i]:
-            cut = True
-        u1, s1 = c1.u, c1.shift
-        a1 = c1.prec - s1
-        if u1 == c1.cfg.zero_u:
-            u1 = None
-        pairs = iter(rows[i])
-        for o, (u2, s2, a2), mult in zip(pairs, pairs, pairs):
-            a = a1 - s2
-            b = a2 - s1
-            if b < a:
-                a = b
-            acc = sums.get(o)
-            if acc is None:
-                sums[o] = acc = [a, 0, [], []]
-            elif a < acc[0]:
-                acc[0] = a
-            if u1 is not None and u2 is not None:
-                s = s1 + s2
-                acc[2].append((u1, u2, mult))
-                acc[3].append(s)
-                if s > acc[1]:
-                    acc[1] = s
-    return cut
-
-
-def _pairs_planned(sums, live, cuts, rows):
-    """_pairs on one product of a face plan, over chart scalars: the right
-    scalar of a pair is the coefficient itself."""
-    cut = False
-    for i, c1 in live:
-        if cuts[i]:
-            cut = True
-        pairs = iter(rows[i])
-        for o, c2, mult in zip(pairs, pairs, pairs):
-            terms = sums.get(o)
-            if terms is None:
-                sums[o] = terms = ([], [], [])
-            terms[0].append(c1)
-            terms[1].append(c2)
-            terms[2].append(mult)
-    return cut
-
-
 class FaceContext:
     """One face map.
 
@@ -571,21 +538,18 @@ class FaceContext:
     from_scalar(c) * gamma_a1 * gamma_a2 ..., the gammas in slot order, and
     keeps what that chain reads of the ring and the twist: each generator's
     image, the top of its power chain one() * x * x ... (divided_power's
-    chain), its divided powers, and a plan per source monomial, built on the
-    monomial's first use.  A plan holds the first gamma and, per later
-    product, that gamma's scalars (read once by _factor and shared by every
-    plan), and for each key the left operand can hold, whether its filter
-    cuts a key of the gamma and its pairs (output, right scalar, binomial)
-    in the gamma's order.
+    chain), its divided powers, one _Right per gamma, keyed by (generator,
+    exponent), and per source monomial a plan, built on its first use: the
+    first gamma and the _Rights of the later ones, shared with every other
+    plan.  alpha is the twist unit, beta when omitted.
 
-    Running a plan does only the scalar work of the chain: c * v on the
-    first gamma, dropping droppable products as the constructor does; per
-    product the pair loop over the live left coefficients in order, then one
-    reduce_terms (K scalars) or dot (chart scalars) per key in first-met
-    order, each droppable result dropped; and the flags PdElement.__mul__
-    sets.  The live pairs are exactly those the chain meets, in its order,
-    with the same A, top and terms, so each term has the chain's stored form
-    and key order; the terms are summed into one dict in place.
+    A term does the chain's work and no other: c * v on the first gamma,
+    dropping droppable products as the constructor does, then per later
+    gamma one _sum_of_products over the live left coefficients in order,
+    the product PdElement.__mul__ forms, with its flags.  The pairs are
+    exactly those the chain meets, in its order, with the same A, top and
+    terms, so each term has the chain's stored form and key order; the
+    terms are summed into one dict in place.
 
     Nothing a context keeps depends on an element, so one context serves a
     whole matrix, and face_context hands out the one d^0 context a base
@@ -602,7 +566,7 @@ class FaceContext:
         self._images = {}
         self._powers = {}
         self._gammas = {}
-        self._factors = {}
+        self._rights = {}
         self._plans = {}
         if i > 0:
             # (source offset, target offset) of each generator's field
@@ -614,9 +578,7 @@ class FaceContext:
         elif ring.variant == "rel-geom":
             self._geom = None
         else:
-            if alpha is None:
-                raise ValueError("twisted face needs a twist unit")
-            self._geom = self._geometric_series(alpha)
+            self._geom = self._geometric_series(ring.cfg.beta if alpha is None else alpha)
 
     def _geometric_series(self, alpha):
         # (1 - alpha X_1)^{-1} = sum alpha^k k! X_1^[k]
@@ -672,91 +634,39 @@ class FaceContext:
                 self._powers[vid] = (n, power)
         return g
 
-    def _factor(self, vid, a):
-        """(gamma_a of vid's image, the scalar each of its keys gives a
-        pair): (u or None when zero, shift, A) over K scalars, the
-        coefficient over chart scalars.  Read once, shared by every plan."""
-        factor = self._factors.get((vid, a))
-        if factor is None:
-            g = self._gamma_image(vid, a)
-            if self.target.base.is_point:
-                zero = self.target.cfg.zero_u
-                scalars = [(None if c.u == zero else c.u, c.shift, c.prec - c.shift) for c in g.coeffs.values()]
-            else:
-                scalars = list(g.coeffs.values())
-            factor = self._factors[(vid, a)] = (g, scalars)
-        return factor
+    def _right(self, vid, a):
+        """The _Right of gamma_a of vid's image, read once, shared by every plan."""
+        right = self._rights.get((vid, a))
+        if right is None:
+            right = self._rights[(vid, a)] = _Right(self._gamma_image(vid, a))
+        return right
 
     def _plan(self, key):
-        """(first gamma, products) for the source monomial key.
+        """(first gamma, the _Right of each later gamma) of the source monomial key."""
+        src = self.ring
+        gammas = [(vid, a) for vid, off in src.slots if (a := (key >> off) & src.field)]
+        return self._gamma_image(*gammas[0]), [self._right(*g) for g in gammas[1:]]
 
-        A product is (its gamma's flag, cuts, rows).  Row i belongs to the
-        i-th key the left operand can hold, numbered by the product before
-        (the first gamma's key order for the first product): cuts[i] is 1
-        when that key's filter leaves a key of the gamma out, and the row
-        holds its pairs, (output, right scalar, binomial) flattened, in the
-        gamma's order.  An output is the number of a product key, and the
-        key itself in the last product.
-        """
-        src, t = self.ring, self.target
-        D, shift, w, field = t.D, t.shift, t.width, t.field
-        low, add, top = (1 << shift) - 1, t.support_add, t.support_top
-        factors = [self._factor(vid, a) for vid, off in src.slots if (a := (key >> off) & src.field)]
-        first = factors[0][0]
-        lefts = list(first.coeffs)
-        products = []
-        for n, (g, scalars) in enumerate(factors[1:], start=2):
-            right = [(k2, ((k2 & low) + add) & top, k2 >> shift, r) for k2, r in zip(g.coeffs, scalars)]
-            last = n == len(factors)
-            index = {}
-            cuts = bytearray()
-            rows = []
-            for k1 in lefts:
-                m1 = ((k1 & low) + add) & top
-                cap = D - (k1 >> shift)
-                row = []
-                for k2, m2, d2, r in right:
-                    if d2 <= cap:
-                        k = k1 + k2
-                        shared = m1 & m2
-                        mult = _binomials(k1, k2, shared, w, field) if shared else 1
-                        row += (index.setdefault(k, k if last else len(index)), r, mult)
-                cuts.append(len(row) < 3 * len(right))
-                rows.append(tuple(row))
-            products.append((g.truncated, bytes(cuts), rows))
-            lefts = list(index)
-        return first, products
-
-    def _term(self, plan, c, fused):
+    def _term(self, plan, c):
         """(coefficients, truncated) of the chain from_scalar(c) * gamma_a1 * ...
         of a plan."""
-        first, products = plan
+        first, rights = plan
         trunc = first.truncated
-        live = []
-        for i, (k, v) in enumerate(first.coeffs.items()):
+        coeffs = {}
+        for k, v in first.coeffs.items():
             p = c * v
             if p.truncated:
                 trunc = True
             if not p.droppable():
-                live.append((i if products else k, p))
-        cfg = self.target.cfg
-        gather, reduce = (_gather_planned, cfg.reduce_terms) if fused else (_pairs_planned, cfg.dot)
-        for gtrunc, cuts, rows in products:
-            if gtrunc:
+                coeffs[k] = p
+        for right in rights:
+            if right.truncated:
                 trunc = True
-            if not live:
-                continue
-            sums = {}
-            if gather(sums, live, cuts, rows):
-                trunc = True
-            live = []
-            for o, acc in sums.items():
-                p = reduce(*acc)
-                if p.truncated:
+            if coeffs:
+                coeffs, cut = _sum_of_products(self.target, [(coeffs.items(), right)])
+                if cut:
                     trunc = True
-                if not p.droppable():
-                    live.append((o, p))
-        return dict(live), trunc
+        return coeffs, trunc
 
     def apply(self, x):
         _same_ring(x.ring, self.ring)
@@ -777,7 +687,6 @@ class FaceContext:
         # terms x dropped above D map above D too, so the image keeps x's flag
         trunc = x.truncated
         out = {}
-        fused = t.base.is_point
         plans = self._plans
         for key, c in x.coeffs.items():
             if not key:
@@ -786,7 +695,7 @@ class FaceContext:
                 plan = plans.get(key)
                 if plan is None:
                     plan = plans[key] = self._plan(key)
-                coeffs, flag = self._term(plan, c, fused)
+                coeffs, flag = self._term(plan, c)
             # the terms summed in place, with the per-key rule of a sum
             if merge_into(out, coeffs) or flag:
                 trunc = True
@@ -794,16 +703,19 @@ class FaceContext:
 
 
 def face_context(ring, i, alpha=None):
-    """The context of the face d^i of ring, d^0 twisted by alpha.
+    """The context of the face d^i of ring, d^0 twisted by alpha (beta when
+    omitted).
 
     d^0 is the one context ring's base keeps for (variant, degree, d, D,
-    alpha), a hit confirmed by eq_ring, so its images, powers and plans
-    serve every module over the base; any other face is a new context,
-    which keeps nothing.
+    alpha), a hit confirmed by eq_ring, so its images, powers, _Rights and
+    plans serve every module over the base; any other face is a new
+    context, which keeps nothing.
     """
+    if alpha is None:
+        alpha = ring.cfg.beta
     if i:
         return FaceContext(ring, i, alpha)
-    key = (ring.variant, ring.degree, ring.d, ring.D, None if alpha is None else (alpha.u, alpha.shift, alpha.prec))
+    key = (ring.variant, ring.degree, ring.d, ring.D, (alpha.u, alpha.shift, alpha.prec))
     faces = ring.base.faces
     ctx = faces.get(key)
     if ctx is None or not ctx.ring.eq_ring(ring):
@@ -824,8 +736,6 @@ def check_cosimplicial_identities(cfg, base, variant, d=0, alpha=None, max_degre
     """
     if not (1 <= max_degree <= 2):
         raise BadIndex("source degree must be 1 or 2")
-    if alpha is None:
-        alpha = cfg.beta
     checks = []
     ok = True
     for n in range(1, max_degree + 1):
@@ -934,8 +844,6 @@ def check_face_evaluation(x, sigmas, alpha=None, T=None):
     n = ring.degree
     if len(sigmas) != n + 1:
         raise BadIndex(f"need exactly {n + 1} group elements")
-    if alpha is None:
-        alpha = ring.cfg.beta
     sigmas = list(sigmas)
     results = []
     ok = True

@@ -847,3 +847,34 @@ def higgs_dual(h):
 
     phi = None if h.phi is None else field(h.phi)
     return HiggsData(h.base, h.flavor, [field(a) for a in h.theta], phi, integral=h.integral, twist=h.twist)
+
+
+# ---------------------------------------------------------------------------
+# Conjugates and direct sums of modules.
+# ---------------------------------------------------------------------------
+
+
+def higgs_conj(h, P, P_inv):
+    """P h P^-1: each theta_k and phi conjugated by P, whose inverse is P_inv."""
+    from htlab.higgs import HiggsData
+
+    phi = None if h.phi is None else P * h.phi * P_inv
+    return HiggsData(h.base, h.flavor, [P * a * P_inv for a in h.theta], phi, integral=h.integral, twist=h.twist)
+
+
+def higgs_sum(h1, h2):
+    """h1 (+) h2: each theta_k and phi block diagonal, h1's block first.
+
+    Both modules share base, flavor, d and twist.
+    """
+    from htlab.higgs import HiggsData
+    from htlab.linalg import Mat
+
+    def field(a, b):
+        zero = a.ring.zero()
+        rows = [list(r) + [zero] * h2.rank for r in a.rows] + [[zero] * h1.rank + list(r) for r in b.rows]
+        return Mat(a.ring, rows)
+
+    theta = [field(a, b) for a, b in zip(h1.theta, h2.theta)]
+    phi = None if h1.phi is None else field(h1.phi, h2.phi)
+    return HiggsData(h1.base, h1.flavor, theta, phi, integral=h1.integral and h2.integral, twist=h1.twist)

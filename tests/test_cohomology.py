@@ -17,8 +17,11 @@ from htlab.cohomology import (
 from htlab.errors import InsufficientPrecision, ValidationFailure
 from htlab.higgs import HiggsData, Stratification, stratification_from_higgs
 from htlab.linalg import Mat
+from htlab.samples import default_specs, sample_higgs
 from make_golden import p3_reproducer
 from oracles import (
+    higgs_conj,
+    higgs_sum,
     image_size_mod,
     kernel_cokernel_cardinalities,
     replay_u,
@@ -679,3 +682,66 @@ def test_valid_corpus_module_gets_an_answer_in_degree_1():
             "torsion": [1, 1, 2],
             "precision_limited": False,
         }
+
+
+# ---------------------------------------------------------------------------
+# metamorphic relations: conjugation and direct sums
+# ---------------------------------------------------------------------------
+
+
+def _unipotent_pair(rng, r, bound):
+    """(P, P^-1) as integer rows: P = U L with U unipotent upper and L
+    unipotent lower triangular, their entries below bound."""
+
+    def mul(a, b):
+        return [[sum(a[i][k] * b[k][j] for k in range(r)) for j in range(r)] for i in range(r)]
+
+    def inverse(a):
+        # a = 1 + n with n nilpotent: a^-1 = sum of (-n)^k for k < r
+        neg = [[(i == j) - a[i][j] for j in range(r)] for i in range(r)]
+        out = term = [[int(i == j) for j in range(r)] for i in range(r)]
+        for _ in range(r - 1):
+            term = mul(term, neg)
+            out = [[x + y for x, y in zip(ro, rt)] for ro, rt in zip(out, term)]
+        return out
+
+    upper = [[int(i == j) if j <= i else rng.randrange(bound) for j in range(r)] for i in range(r)]
+    lower = [[int(i == j) if j >= i else rng.randrange(bound) for j in range(r)] for i in range(r)]
+    P, P_inv = mul(upper, lower), mul(inverse(lower), inverse(upper))
+    assert mul(P, P_inv) == [[int(i == j) for j in range(r)] for i in range(r)]
+    return P, P_inv
+
+
+def _groups(h):
+    return [
+        None if g["precision_limited"] else (g["free_rank"], sorted(g["torsion"]))
+        for g in cohomology_all(build_higgs_complex(h))
+    ]
+
+
+@pytest.mark.parametrize("spec", [(2, [-2], 1), (3, [-3], 1), (2, [-2, 0], 1), (3, [-3, 0], 1), (5, [-5], 1), (3, [-3], 2)])
+def test_cohomology_under_conjugation_and_direct_sums(spec):
+    """Two relations with no closed form of htlab's own, on point bases:
+    H^n(P h P^-1) = H^n(h) for P = (unipotent upper)(unipotent lower) with
+    entries below p^3, and for H^n(h1 (+) h2) the free ranks add and the
+    torsion lists concatenate.  Groups limited by precision on either side
+    are not compared."""
+    p, E, f = spec
+    base = ChartRing(make_base_config(p, E, f=f), "point")
+    rng = random.Random(f"metamorphic-{spec}")
+    specs = default_specs()
+    compared = 0
+    for _ in range(8):
+        flavor, rank, d, twist = rng.choice(specs)
+        h1, h2 = (sample_higgs(base, rng, flavor, rank=rank, d=d, twist=twist) for _ in range(2))
+        P, P_inv = (Mat.from_ints(base, m) for m in _unipotent_pair(rng, rank, p**3))
+        g1, g2 = _groups(h1), _groups(h2)
+        for got, want in zip(_groups(higgs_conj(h1, P, P_inv)), g1):
+            if got and want:
+                assert got == want, (spec, flavor, rank, d, twist)
+                compared += 1
+        for got, a, b in zip(_groups(higgs_sum(h1, h2)), g1, g2):
+            if got and a and b:
+                assert got == (a[0] + b[0], sorted(a[1] + b[1])), (spec, flavor, rank, d, twist)
+                compared += 1
+    assert compared

@@ -8,7 +8,7 @@ from htlab.chart import ChartRing
 from htlab.errors import AxiomViolation, BadIndex
 from htlab.galois import FormalCElem, GroupElt, galois_act_all, sigma_t, subs_t_all
 from htlab import make_base_config
-from htlab.higgs import descent_matrix, twist_unit
+from htlab.higgs import Stratification, descent_matrix, twist_unit
 from htlab.pdring import (
     VARIANTS,
     _gamma,
@@ -762,6 +762,56 @@ def test_product_cells_and_the_matrix_product_keep_n_right_digits(cfg_u5, point)
     assert _cells(a, b) == _product(a, b)
 
 
+def _mixed(m, rng):
+    """m with about a tenth of its entries made droppable, a twentieth empty
+    and truncated, and a tenth flagged truncated with their keys kept."""
+    t = m.ring
+    rows = []
+    for row in m.rows:
+        out = []
+        for x in row:
+            roll = rng.random()
+            if roll < 0.1:
+                x = t.zero()
+            elif roll < 0.15:
+                x = PdElement(t, {}, truncated=True)
+            elif roll < 0.25:
+                x = PdElement(t, x.coeffs, truncated=True)
+            out.append(x)
+        rows.append(out)
+    return Mat(t, rows)
+
+
+def test_product_cells_match_the_matrix_product_at_large_descent_size(cfg_r2):
+    """The cells of p_2*(eps) p_0*(eps) on a ring of the large descent
+    workload, p = 2, e = 2, abs-geom with d = 3 at D = 8, both twists: the 4 x 4
+    faces of the descent matrix of a random rank-4 stratification with a
+    dozen nonzero keys, with droppable, empty truncated and truncated
+    entries mixed in, agree with Mat.__mul__ in stored form and flag.  Each
+    entry of the right factor is read once and serves a whole column, so
+    its filters meet left keys of several degrees: some cut a key of the
+    entry, others leave it whole."""
+    point = ChartRing(cfg_r2, "point")
+    ring = PdRing(cfg_r2, point, "abs-geom", 1, d=3, D=8)
+    t = ring.bump(2)
+    rng = random.Random("cells-large")
+    mixed = 0
+    for twist in ("log", "smooth"):
+        keys = list(_random_strat(point, rng, 4, 3, 8).coeffs.items())[:12]
+        eps = descent_matrix(Stratification(point, "abs-geom", dict(keys), 8, 4), ring=ring)
+        alpha = twist_unit(cfg_r2, twist)
+        a, b = (_mixed(eps.map(face_context(ring, i, alpha).apply, ring=t), rng) for i in (2, 0))
+        assert _cells(a, b) == _product(a, b), twist
+        for l, brow in enumerate(b.rows):
+            for j, y in enumerate(brow):
+                if not y.coeffs:
+                    continue
+                top = max(t.key_degree(k) for k in y.coeffs)
+                caps = {t.D - t.key_degree(k) for row in a.rows for k in row[l].coeffs}
+                mixed += any(cap < top for cap in caps) and any(cap >= top for cap in caps)
+    assert mixed, mixed
+
+
 def _face_branches(ctx, x, seen):
     """Count the data-dependent branches the chain of each term of x meets:
     a droppable product c * v on the first gamma, a product whose left
@@ -868,7 +918,12 @@ def test_face_contexts_are_kept_per_ring_and_twist(cfg_u5):
     degree, variant or twist gets a new one; a chart and a point base over
     one config never share; a ring over another config object with the same
     key is confirmed by eq_ring and gets a context of its own; faces other
-    than d^0 are not kept."""
+    than d^0 are not kept.
+
+    A kept context holds one _Right per (generator, exponent) of a later
+    gamma, and every plan lists those very objects: applied to the descent
+    entries of a second module, it adds a _Right only for a pair the first
+    did not meet."""
     point = ChartRing(cfg_u5, "point")
     chart = ChartRing(cfg_u5, "chart", d=1, r=1)
     log, smooth = twist_unit(cfg_u5, "log"), twist_unit(cfg_u5, "smooth")
@@ -889,9 +944,48 @@ def test_face_contexts_are_kept_per_ring_and_twist(cfg_u5):
     other = face_context(stranger, 0, twist_unit(twin_cfg, "log"))
     assert other is not ctx and other.ring.eq_ring(stranger)
     assert face_context(ring, 1, log) is not face_context(ring, 1, log)
+
+    def gammas(key):
+        return [(vid, a) for vid, off in ring.slots if (a := (key >> off) & ring.field)]
+
+    rng = random.Random("kept-rights")
+    full = dict(_random_strat(point, rng, 2, 1, 4).coeffs)
+    low = {key: m for key, m in full.items() if key[0] + sum(key[1]) <= 3}
+    before = {}
+    for coeffs in (low, full):
+        eps = descent_matrix(Stratification(point, "abs-geom", coeffs, 4, 2), ring=ring)
+        eps.map(ctx.apply, ring=ctx.target)
+        later = {g for row in eps.rows for x in row for key in x.coeffs for g in gammas(key)[1:]}
+        assert ctx._rights.keys() == before.keys() | later
+        assert len({id(r) for r in ctx._rights.values()}) == len(ctx._rights)
+        assert all(ctx._rights[g] is r for g, r in before.items())
+        for key, (first, rights) in ctx._plans.items():
+            assert first is ctx._gamma_image(*gammas(key)[0])
+            assert len(rights) == len(gammas(key)) - 1
+            assert all(r is ctx._rights[g] for r, g in zip(rights, gammas(key)[1:]))
+        added = ctx._rights.keys() - before.keys()
+        assert added, sorted(before)
+        before = dict(ctx._rights)
     # a shared context applies as a private one does
     x = ring.x(1, 2) + ring.y(1, 1) * ring.x(1)
     assert _form(face_context(ring, 0, log).apply(x)) == _form(FaceContext(ring, 0, log).apply(x))
+
+
+@pytest.mark.parametrize("variant,d", [("abs-arith", 0), ("abs-geom", 1)])
+def test_twisted_face_defaults_to_beta(cfg_u5, variant, d):
+    """With no twist unit d^0 is twisted by beta, as sigma_t and the two
+    checks are: face_map(0, x) is face_map(0, x, beta) in stored form, on the
+    one context the base keeps, and a private context agrees."""
+    point = ChartRing(cfg_u5, "point")
+    ring = PdRing(cfg_u5, point, variant, 1, d=d, D=4)
+    x = ring.x(1, 3) + ring.x(1).mul_scalar(point.from_int(7))
+    if d:
+        x = x + ring.y(1, 1, 2) * ring.x(1)
+    ctx = face_context(ring, 0)
+    assert ctx is face_context(ring, 0, cfg_u5.beta)
+    assert _form(face_map(0, x)) == _form(face_map(0, x, cfg_u5.beta))
+    assert _form(FaceContext(ring, 0).apply(x)) == _form(ctx.apply(x))
+    assert len(point.faces) == 1 and ctx._plans
 
 
 def test_cached_gammas_are_divided_powers(cfg_r2, cfg_f2):
