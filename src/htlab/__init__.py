@@ -18,7 +18,6 @@ from .cohomology import (
     verify_complex,
 )
 from .deltaring import (
-    DeltaRingView,
     FactorizationCertificate,
     WittElem,
     frobenius,
@@ -58,7 +57,6 @@ __all__ = [
     "ChartRing",
     "ComplexRep",
     "Cutoffs",
-    "DeltaRingView",
     "FactorizationCertificate",
     "GroupElt",
     "HiggsData",

@@ -258,8 +258,9 @@ class BaseConfig:
         exact integer at the top shift S and reduced once: a term with a
         zero numerator costs its precision and nothing else.  Any other
         scalar's class supplies the routine, its _dot: chart scalars take
-        one such reduction per chart key (htlab.chart), and pd and t-series
-        scalars run the chain as written (htlab.sparse).
+        one such reduction per chart key (htlab.chart), pd scalars one per
+        pd key (htlab.pdring), and only t-series run the chain as written
+        (htlab.sparse).
         """
         if len(xs) == 1:
             t = xs[0] * ys[0]

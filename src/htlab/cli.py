@@ -20,7 +20,7 @@ import time
 import click
 
 from .cohomology import build_higgs_complex, cohomology_all, verify_complex
-from .deltaring import DeltaRingView, WittElem, teichmuller_factorize
+from .deltaring import WittElem, _one, teichmuller_factorize
 from .errors import HorizonTooSmall, InsufficientPrecision, NotAUnit, ParseError, ValidationFailure
 from .galois import GroupElt
 from .higgs import check_cocycle_strat, stratification_from_higgs, validate_higgs
@@ -234,7 +234,7 @@ def factorize(doc, cfg, horizon):
         except (NotAUnit, HorizonTooSmall) as exc:
             results.append({"unit": item, "status": "fail", "detail": str(exc)})
             continue
-        one = DeltaRingView(cfg).one(cert.verified_prec)
+        one = _one(cfg, cert.verified_prec)
         factors = [_w_to_json(f.w) for f in cert.factors() if not (f - one).is_zero()]
         results.append({"unit": item, "status": "pass", "residue": _w_to_json(a), "factors": factors})
         results[-1]["verified_prec"] = str(cert.verified_prec)

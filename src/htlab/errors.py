@@ -26,7 +26,7 @@ class HorizonTooSmall(LabError):
 
 
 class AxiomViolation(LabError):
-    """A delta-log axiom failed; carries the axiom id and the offending monoid word."""
+    """An axiom failed: carries the axiom id and the offending word, what it fails on."""
 
     def __init__(self, axiom, word, detail=""):
         self.axiom = axiom

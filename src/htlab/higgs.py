@@ -20,10 +20,10 @@ P_n and A_{n,I} is.  check_cocycle builds the degree-1 matrix
 and verifies the descent identity p_2*(eps) p_1... the composition order is
 p_2*(eps) * p_0*(eps) = p_1*(eps); with the other order the degree-(1,1)
 coefficient would come out as [phi, theta] + 2 beta theta instead of
-[phi, theta] + beta theta = 0.  The identity is checked slot by slot: each
-pd key of each cell of the product is one sum over its pairs
-(pdring.product_cells), compared at once with the same key of p_1*(eps),
-so no product or residual matrix is formed.
+[phi, theta] + beta theta = 0.  The product is one Mat.__mul__, whose
+every pd key of every cell is one sum over its pairs (pdring), and each
+cell is compared key by key with the same cell of p_1*(eps), so no
+residual matrix is formed.
 
 Flavors: 'abs-arith' has phi only, 'rel-geom' has thetas only, 'abs-geom'
 has both.  Everything raises a specific failure with a witness rather than
@@ -42,7 +42,7 @@ from .errors import (
     ValidationFailure,
 )
 from .linalg import Mat, commutator
-from .pdring import PdElement, PdRing, face_context, product_cells
+from .pdring import PdElement, PdRing, face_context
 from .sparse import agree
 
 FLAVORS = ("abs-arith", "abs-geom", "rel-geom")
@@ -447,16 +447,14 @@ def check_cocycle(h, D=None):
 def check_cocycle_strat(strat):
     """check_cocycle on a stratification; the 0th face is twisted by its braiding unit.
 
-    The check runs slot by slot.  Each cell of p_2*(eps) p_0*(eps) comes
-    from pdring.product_cells as its pd keys, each one sum over the key's
-    (l, k1, k2) pairs with the stored form Mat.__mul__ would give it, and
-    is compared key by key with the same cell of p_1*(eps) by the rule of a
+    The product p_2*(eps) p_0*(eps) is one Mat.__mul__: each pd key of a
+    cell is one sum over the key's (l, k1, k2) pairs (pdring).  Each cell is
+    compared key by key with the same cell of p_1*(eps) by the rule of a
     difference (sparse.agree): a key of both is subtracted and dropped if
     droppable, and the cell agrees when every key left is zero.  The witness
-    is the first cell in row-major order that does not agree.  Every cell is
-    formed, and the truncated flag reads the product cell, the p_1*(eps)
-    cell and each difference of every cell, but no product, difference or
-    residual matrix is.
+    is the first cell in row-major order that does not agree.  The
+    truncated flag reads the product cell, the p_1*(eps) cell and each
+    difference of every cell; no difference or residual matrix is formed.
     """
     ring1 = PdRing(strat.cfg, strat.base, strat.flavor, 1, d=strat.d, D=strat.D)
     eps = descent_matrix(strat, ring=ring1)
@@ -466,12 +464,12 @@ def check_cocycle_strat(strat):
     p0, p1, p2 = (eps.map(c.apply, ring=ring2) for c in contexts)
     witness = None
     truncated = False
-    for i, j, coeffs, trunc in product_cells(p2, p0):
-        rhs = p1.rows[i][j]
-        ok, diff_trunc = agree(coeffs, rhs.coeffs)
-        truncated = truncated or trunc or diff_trunc or rhs.truncated
-        if witness is None and not ok:
-            witness = (i, j)
+    for i, (lrow, rrow) in enumerate(zip((p2 * p0).rows, p1.rows)):
+        for j, (lhs, rhs) in enumerate(zip(lrow, rrow)):
+            ok, diff_trunc = agree(lhs.coeffs, rhs.coeffs)
+            truncated = truncated or lhs.truncated or diff_trunc or rhs.truncated
+            if witness is None and not ok:
+                witness = (i, j)
     return {
         "ok": witness is None,
         "rank": strat.rank,

@@ -44,7 +44,8 @@ sorted tuple of (variable, exponent) pairs; coeff, __repr__ and
 evaluate_at_group take or show that form.
 
 A product visits no pair above the cutoff.  Its right operand y is read
-once into a _Right: its flag, and per coefficient the key, support mask,
+once into a _Right, kept on y (an element is immutable) and shared by every
+product y enters as a right factor: per coefficient the key, support mask,
 degree and scalar ((u or None, shift, absolute precision) over K, the
 coefficient itself over a chart).  A left key of degree d meets only the
 right keys of degree at most D - d, a filter of y's entries in y's order
@@ -59,17 +60,15 @@ with two nonzero numerators, and reduces each key once by
 BaseConfig.reduce_terms, the routine BaseConfig.dot ends in, so it gets the
 stored form of the chain (the stored form lemma of htlab.base).  Every key
 over chart scalars is one dot over its pairs in the order met, which takes
-one reduction per chart key (htlab.chart).  PdElement.__mul__ is one such
-product.
+one reduction per chart key (htlab.chart).
 
-product_cells forms the cells of a matrix product the same way, with no
-PdElement per product: each key of a cell is one sum over its (l, k1, k2)
-pairs, one _sum_of_products over the cell's products.  That is the stored
-form of the chain Mat.__mul__ forms (each product's key, then the products
-added in l order, each dropped when droppable), since no scalar holds more
-than N digits.  Each entry of the right matrix is read into one _Right,
-whose filters serve every row of the left one.  The descent check of
-htlab.higgs reads p_2*(eps) p_0*(eps) through it.
+PdElement._dot, the routine BaseConfig.dot runs over pd scalars, is one
+_sum_of_products over its pairs whose factors both hold a key; a product
+is its one-term case.  So Mat.__mul__ over pd elements forms each cell as
+one sum per key over its (l, k1, k2) pairs, the stored form of the chain
+that forms each product and adds them in l order, and each entry of the
+right matrix meets every row of the left one through its one _Right.  The
+descent check of htlab.higgs forms p_2*(eps) p_0*(eps) that way.
 
 The twisted face d^0 sends a term c v_1^[a_1] v_2^[a_2] ... to the chain
 from_scalar(c) * gamma_a1 * gamma_a2 ... of the divided powers of the
@@ -77,17 +76,18 @@ generators' images, in slot order, and sums the terms of one image into one
 dict in place.  Its FaceContext keeps per generator the image and the top
 of the power chain one() * x * x ... that divided_power builds for one x,
 so gamma_a of an image costs one product and one division by a! (_gamma
-takes the power itself), and one _Right per gamma, keyed by (generator,
-exponent) and shared by every source monomial.  A term is c * v on the
-first gamma, then one _sum_of_products per later gamma, the same products
-PdElement.__mul__ forms: the same pairs, in the same order, with the same
-A, top and terms, so each term has the chain's stored form; nothing is
-regrouped.  face_context keeps one such context per ring layout and twist
-with the ring's base, so every module over the base shares the images,
-power chains and _Rights; all of them depend on the ring and the twist,
-none on a module.
+takes the power itself), and per source monomial a plan: the first gamma
+and the later ones, whose _Rights, kept on the gammas, every plan shares.
+A term is c * v on the first gamma, then one _sum_of_products per later
+gamma, the same products PdElement.__mul__ forms: the same pairs, in the
+same order, with the same A, top and terms, so each term has the chain's
+stored form; nothing is regrouped.  face_context keeps one such context per
+ring layout and twist with the ring's base, so every module over the base
+shares the images, power chains, gammas and their _Rights; all of them
+depend on the ring and the twist, none on a module.
 """
 
+from itertools import repeat
 from math import comb, factorial
 
 from .errors import AxiomViolation, BadIndex, InsufficientPrecision
@@ -244,18 +244,18 @@ def _same_ring(r1, r2):
 
 
 class _Right:
-    """The right factor y of a product, read once.
+    """The right factor y of a product, read once and kept on y.
 
     entries holds one flat tuple per coefficient, in y's order: key,
     support mask and degree, then the scalar, which is u (None when zero),
     shift and A over K scalars and the coefficient itself over chart
-    scalars.  filter(cap) is the
-    entries of degree at most cap, in y's order, and whether that leaves
-    one out, which cuts a pair above D; it is built on the first left key
-    of degree D - cap and kept for every product y enters.
+    scalars.  filter(cap) is the entries of degree at most cap, in y's
+    order, and whether that leaves one out, which cuts a pair above D; it
+    is built on the first left key of degree D - cap and kept for every
+    product y enters.
     """
 
-    __slots__ = ("truncated", "entries", "filters")
+    __slots__ = ("entries", "filters")
 
     def __init__(self, y):
         ring = y.ring
@@ -269,7 +269,6 @@ class _Right:
             ]
         else:
             self.entries = [(k, ((k & low) + add) & top, k >> shift, c) for k, c in y.coeffs.items()]
-        self.truncated = y.truncated
         self.filters = {}
 
     def filter(self, cap):
@@ -281,14 +280,22 @@ class _Right:
         return f
 
 
-def _gather(sums, left, right, ring):
-    """Add the pairs of x * y to sums, {key: [A, top, terms, shifts]}, over
-    K scalars; returns whether a filter cut a pair.
+def _right_of(y):
+    """The _Right of y, read on y's first product as a right factor and kept on y."""
+    right = y._right
+    if right is None:
+        right = y._right = _Right(y)
+    return right
+
+
+def _gather(sums, left, right, m, ring):
+    """Add the pairs of x * y * m to sums, {key: [A, top, terms, shifts]},
+    over K scalars; returns whether a filter cut a pair.
 
     left holds the live (k1, coefficient) pairs of x in order, right is the
     _Right of y.  Per key, A is the least term precision, top the top shift,
-    and terms and shifts the (u1, u2, binomial) and shift of each pair with
-    two nonzero numerators, in the order met.
+    and terms and shifts the (u1, u2, m times the binomial) and shift of
+    each pair with two nonzero numerators, in the order met.
     """
     D, shift, w, field = ring.D, ring.shift, ring.width, ring.field
     low, add, top = (1 << shift) - 1, ring.support_add, ring.support_top
@@ -319,7 +326,7 @@ def _gather(sums, left, right, ring):
             if u1 is not None and u2 is not None:
                 # the binomial prod C(a + b, a) over the fields both keys hold
                 shared = m1 & m2
-                mult = 1
+                mult = m
                 while shared:
                     bit = shared & -shared
                     off = bit.bit_length() - w
@@ -333,9 +340,9 @@ def _gather(sums, left, right, ring):
     return cut
 
 
-def _pairs(sums, left, right, ring):
+def _pairs(sums, left, right, m, ring):
     """_gather over chart scalars: sums is {key: (xs, ys, ms)}, the pairs'
-    coefficients and binomials in the order met, for dot."""
+    coefficients and multipliers in the order met, for dot."""
     D, shift, w, field = ring.D, ring.shift, ring.width, ring.field
     low, add, top = (1 << shift) - 1, ring.support_add, ring.support_top
     filters = right.filters
@@ -352,7 +359,7 @@ def _pairs(sums, left, right, ring):
             if terms is None:
                 sums[key] = terms = ([], [], [])
             shared = m1 & m2
-            mult = 1
+            mult = m
             while shared:
                 bit = shared & -shared
                 off = bit.bit_length() - w
@@ -366,21 +373,22 @@ def _pairs(sums, left, right, ring):
 
 def _sum_of_products(ring, products):
     """({key: coefficient}, truncated): the clean coefficients of
-    sum_l x_l * y_l, one sum per key over its (l, k1, k2) pairs: one
+    sum_l x_l * y_l * m_l, one sum per key over its (l, k1, k2) pairs: one
     reduce_terms over K scalars, one dot over the pairs over chart scalars,
     which reduces each chart key once.  Either is the stored form of the
     chain that adds the products key by key in l order: it drops only
     droppable zeros, at A = N (htlab.base), so the least A and the value
     mod p^A are kept; only the key order inside a chart coefficient can
-    differ, where a partial sum cancels.  products holds the (live (k1,
-    coefficient) pairs of x_l, _Right of y_l) of each l; truncated is set
-    by a cut filter or a truncated sum, the factors' flags are the caller's.
+    differ, where a partial sum cancels.  products holds the (coefficient
+    dict of x_l, y_l, m_l) of each l, y_l a PdElement read through its
+    _Right; truncated is set by a cut filter or a truncated sum, the
+    factors' flags are the caller's.
     """
     gather, reduce = (_gather, ring.cfg.reduce_terms) if ring.base.is_point else (_pairs, ring.cfg.dot)
     sums = {}
     trunc = False
-    for left, right in products:
-        if gather(sums, left, right, ring):
+    for left, y, m in products:
+        if gather(sums, left.items(), _right_of(y), m, ring):
             trunc = True
     out = {}
     for key, acc in sums.items():
@@ -392,34 +400,6 @@ def _sum_of_products(ring, products):
     return out, trunc
 
 
-def product_cells(a, b):
-    """Yield (i, j, coeffs, truncated) for each cell of the product a * b of
-    two matrices of pd elements over one ring, in row-major order.
-
-    coeffs holds the clean coefficients of the cell that Mat.__mul__ would
-    form, each with its stored form, and truncated its flag; no PdElement,
-    product or sum, is built.  Like Mat.__mul__, a droppable factor adds no
-    term, and, like PdElement.__mul__, a product with an empty factor adds
-    only the factors' flags and one whose filters cut a pair is flagged.
-    Each entry of b is read into one _Right, whose filters serve every row
-    of a.
-    """
-    ring = a.ring
-    cols = [[None if y.droppable() else _Right(y) for y in col] for col in zip(*b.rows)]
-    for i, row in enumerate(a.rows):
-        for j, col in enumerate(cols):
-            trunc = False
-            products = []
-            for x, y in zip(row, col):
-                if y is None or x.droppable():
-                    continue
-                if x.truncated or y.truncated:
-                    trunc = True
-                products.append((x.coeffs.items(), y))
-            coeffs, cut = _sum_of_products(ring, products)
-            yield i, j, coeffs, trunc or cut
-
-
 class PdElement(Sparse):
     """A finite sum of coefficients times pd monomials.
 
@@ -427,7 +407,7 @@ class PdElement(Sparse):
     the constant monomial is 0.
     """
 
-    __slots__ = ("ring", "coeffs", "truncated")
+    __slots__ = ("ring", "coeffs", "truncated", "_right")
 
     def __init__(self, ring, coeffs, truncated=False):
         clean = {}
@@ -440,6 +420,7 @@ class PdElement(Sparse):
         self.ring = ring
         self.coeffs = clean
         self.truncated = truncated
+        self._right = None
 
     @classmethod
     def _clean(cls, ring, coeffs, truncated):
@@ -449,6 +430,7 @@ class PdElement(Sparse):
         x.ring = ring
         x.coeffs = coeffs
         x.truncated = truncated
+        x._right = None
         return x
 
     def _new(self, coeffs, truncated):
@@ -461,14 +443,32 @@ class PdElement(Sparse):
         _same_ring(self.ring, other.ring)
         return super()._merge(other, sub)
 
+    @staticmethod
+    def _dot(xs, ys, ms=None):
+        """BaseConfig.dot over pd scalars: sum_l x_l * y_l * m_l as one
+        _sum_of_products over the pairs whose factors both hold a key.
+
+        A pair with an empty factor adds only the factors' flags, as its
+        product does in the chain; every factor's flag counts, and so does a
+        cut filter or a truncated sum.  Each y_l is read through its kept
+        _Right, so a column entry of a matrix product meets every row of the
+        left factor through one.
+        """
+        ring = xs[0].ring
+        trunc = False
+        products = []
+        for x, y, m in zip(xs, ys, repeat(1) if ms is None else ms):
+            _same_ring(ring, x.ring)
+            _same_ring(ring, y.ring)
+            if x.truncated or y.truncated:
+                trunc = True
+            if x.coeffs and y.coeffs:
+                products.append((x.coeffs, y, m))
+        coeffs, cut = _sum_of_products(ring, products)
+        return PdElement._clean(ring, coeffs, trunc or cut)
+
     def __mul__(self, other):
-        ring = self.ring
-        _same_ring(ring, other.ring)
-        trunc = self.truncated or other.truncated
-        if not self.coeffs or not other.coeffs:
-            return PdElement._clean(ring, {}, trunc)
-        out, cut = _sum_of_products(ring, [(self.coeffs.items(), _Right(other))])
-        return PdElement._clean(ring, out, trunc or cut)
+        return PdElement._dot((self,), (other,))
 
     def partial(self, vid):
         """d/dv on divided powers: v^[a] -> v^[a-1], coefficients kept."""
@@ -538,10 +538,10 @@ class FaceContext:
     from_scalar(c) * gamma_a1 * gamma_a2 ..., the gammas in slot order, and
     keeps what that chain reads of the ring and the twist: each generator's
     image, the top of its power chain one() * x * x ... (divided_power's
-    chain), its divided powers, one _Right per gamma, keyed by (generator,
-    exponent), and per source monomial a plan, built on its first use: the
-    first gamma and the _Rights of the later ones, shared with every other
-    plan.  alpha is the twist unit, beta when omitted.
+    chain), its divided powers, each read through one _Right kept on it,
+    and per source monomial a plan, built on its first use: the first
+    gamma and the later ones, shared with every other plan.  alpha is the
+    twist unit, beta when omitted.
 
     A term does the chain's work and no other: c * v on the first gamma,
     dropping droppable products as the constructor does, then per later
@@ -566,7 +566,6 @@ class FaceContext:
         self._images = {}
         self._powers = {}
         self._gammas = {}
-        self._rights = {}
         self._plans = {}
         if i > 0:
             # (source offset, target offset) of each generator's field
@@ -634,23 +633,16 @@ class FaceContext:
                 self._powers[vid] = (n, power)
         return g
 
-    def _right(self, vid, a):
-        """The _Right of gamma_a of vid's image, read once, shared by every plan."""
-        right = self._rights.get((vid, a))
-        if right is None:
-            right = self._rights[(vid, a)] = _Right(self._gamma_image(vid, a))
-        return right
-
     def _plan(self, key):
-        """(first gamma, the _Right of each later gamma) of the source monomial key."""
+        """(first gamma, the later gammas) of the source monomial key."""
         src = self.ring
-        gammas = [(vid, a) for vid, off in src.slots if (a := (key >> off) & src.field)]
-        return self._gamma_image(*gammas[0]), [self._right(*g) for g in gammas[1:]]
+        gammas = [self._gamma_image(vid, a) for vid, off in src.slots if (a := (key >> off) & src.field)]
+        return gammas[0], gammas[1:]
 
     def _term(self, plan, c):
         """(coefficients, truncated) of the chain from_scalar(c) * gamma_a1 * ...
         of a plan."""
-        first, rights = plan
+        first, later = plan
         trunc = first.truncated
         coeffs = {}
         for k, v in first.coeffs.items():
@@ -659,11 +651,11 @@ class FaceContext:
                 trunc = True
             if not p.droppable():
                 coeffs[k] = p
-        for right in rights:
-            if right.truncated:
+        for g in later:
+            if g.truncated:
                 trunc = True
             if coeffs:
-                coeffs, cut = _sum_of_products(self.target, [(coeffs.items(), right)])
+                coeffs, cut = _sum_of_products(self.target, [(coeffs, g, 1)])
                 if cut:
                     trunc = True
         return coeffs, trunc
@@ -707,9 +699,9 @@ def face_context(ring, i, alpha=None):
     omitted).
 
     d^0 is the one context ring's base keeps for (variant, degree, d, D,
-    alpha), a hit confirmed by eq_ring, so its images, powers, _Rights and
-    plans serve every module over the base; any other face is a new
-    context, which keeps nothing.
+    alpha), a hit confirmed by eq_ring, so its images, powers, gammas with
+    their _Rights, and plans serve every module over the base; any other
+    face is a new context, which keeps nothing.
     """
     if alpha is None:
         alpha = ring.cfg.beta

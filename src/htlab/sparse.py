@@ -20,14 +20,12 @@ and supplies the parts that differ:
   the flag) without checking them again;
 * ``__mul__``, ``droppable``, ``coeff`` and ``__repr__``; a subclass may
   also replace ``_dot``, the routine BaseConfig.dot runs over its scalars,
-  which here is the chain as written (chart scalars take one reduction per
-  chart key instead).
+  which here is the chain as written.  Chart and pd scalars replace it
+  with one reduction per key, so only t-series run the chain.
 
 A coefficient map builds the raw coefficient dict and hands it to ``_new``.
 A sum starts from the clean coefficients of its left operand and checks only
 the keys the right operand adds to, so it hands its dict to ``_adopt``.
-``deltaring.USeries`` is not a subclass: its coefficients are raw Witt
-vectors under an explicit modulus, not scalar-protocol objects.
 
 agree is the rule of a difference, the one comparison of the descent check
 (higgs.check_cocycle_strat) and the group law (sen.verify_cocycle_law).
@@ -98,7 +96,7 @@ class Sparse:
 
     @staticmethod
     def _dot(xs, ys, ms=None):
-        """BaseConfig.dot over pd and t-series scalars: the chain as written."""
+        """BaseConfig.dot over t-series scalars: the chain as written."""
         acc = None
         for x, y, m in zip(xs, ys, repeat(1) if ms is None else ms):
             t = x * y

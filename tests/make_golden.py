@@ -50,11 +50,20 @@ import sys
 from pathlib import Path
 
 from click.testing import CliRunner
-from oracles import galois_act_mat, replay_u, replay_uinv, replay_vinv, snf_dvr_naive
+from oracles import (
+    DeltaRingView,
+    PrelogCandidate,
+    USeries,
+    delta_log_validate,
+    galois_act_mat,
+    replay_u,
+    replay_uinv,
+    replay_vinv,
+    snf_dvr_naive,
+)
 
 from htlab import (
     ChartRing,
-    DeltaRingView,
     KElem,
     WittElem,
     dumps,
@@ -68,7 +77,6 @@ from htlab import (
 from htlab.chart import ChartElem
 from htlab.cli import main
 from htlab.cohomology import build_higgs_complex, cohomology_all, snf_dvr
-from htlab.deltaring import PrelogCandidate, USeries, delta_log_validate
 from htlab.galois import FormalCElem, GroupElt, subs_t_all
 from htlab.higgs import descent_matrix, stratification_from_higgs, twist_unit
 from htlab.linalg import Mat

@@ -7,8 +7,12 @@ against these, never the other way round.
 
 import itertools
 from collections import namedtuple
+from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial
+
+from htlab.deltaring import _core, _div_p, _frob, _int_digits, _one, frobenius
+from htlab.errors import AxiomViolation, PrecisionExhausted
 
 
 def teich_fixpoint(p, a, prec, f=1):
@@ -585,6 +589,26 @@ def pd_mul_chain(x, y):
     return type(x)._clean(ring, out, trunc)
 
 
+def mat_mul_chain(a, b):
+    """a * b over pd elements, cell by cell as a chain: a droppable factor
+    adds no term, each product is pd_mul_chain, and the products are added
+    in l order."""
+    from htlab.linalg import Mat
+
+    zero = a.ring.zero()
+    rows = []
+    for r in a.rows:
+        row = []
+        for col in zip(*b.rows):
+            acc = zero
+            for x, y in zip(r, col):
+                if not x.droppable() and not y.droppable():
+                    acc = acc + pd_mul_chain(x, y)
+            row.append(acc)
+        rows.append(row)
+    return Mat(a.ring, rows)
+
+
 def face_apply_chain(ctx, x):
     """The twisted face d^0 of ``ctx`` applied to x, term by term.
 
@@ -768,12 +792,12 @@ def descent_faces(strat):
 
 def cocycle_strat_naive(strat):
     """check_cocycle_strat through whole matrices: the product p_2*(eps) p_0*(eps)
-    by Mat.__mul__, the residual by Mat.__sub__, its flag, and its first cell
-    that is not zero in row-major order."""
+    by mat_mul_chain, the residual by Mat.__sub__, its flag, and its first
+    cell that is not zero in row-major order."""
     from htlab.higgs import _first_nonzero
 
     p0, p1, p2 = descent_faces(strat)
-    residual = p2 * p0 - p1
+    residual = mat_mul_chain(p2, p0) - p1
     ok = residual.is_zero()
     return {
         "ok": ok,
@@ -878,3 +902,238 @@ def higgs_sum(h1, h2):
     theta = [field(a, b) for a, b in zip(h1.theta, h2.theta)]
     phi = None if h1.phi is None else field(h1.phi, h2.phi)
     return HiggsData(h1.base, h1.flavor, theta, phi, integral=h1.integral and h2.integral, twist=h1.twist)
+
+
+# ---------------------------------------------------------------------------
+# The delta and delta_log axioms on a hand-built Breuil-Kisin prelog datum:
+# the series carrier W[u]/(u^M) with phi(u) = u^p beside W itself, a delta
+# view of either, and checks of the product rule and of the delta_log axioms
+# on the words of a monoid.
+# ---------------------------------------------------------------------------
+
+
+class USeries:
+    """Element of W[u]/(u^M), coefficients mod p^prec, phi(u) = u^p."""
+
+    __slots__ = ("cfg", "coeffs", "prec", "M")
+
+    def __init__(self, cfg, coeffs, prec, M, reduce=True):
+        wc = _core(cfg)
+        self.cfg = cfg
+        self.prec = prec
+        self.M = M
+        if reduce:
+            mod = cfg.p**prec if prec > 0 else 1
+            out = {}
+            for i, c in coeffs.items():
+                if i < M:
+                    c = wc.linu(c, c, 1, 0, mod)
+                    if c != wc.zero_u:
+                        out[i] = c
+            coeffs = out
+        self.coeffs = coeffs
+
+    @classmethod
+    def from_int(cls, cfg, n, M, prec=None):
+        prec = cfg.N if prec is None else prec
+        return cls(cfg, {0: _int_digits(_core(cfg), n, prec)}, prec, M)
+
+    @classmethod
+    def u(cls, cfg, M, prec=None):
+        prec = cfg.N if prec is None else prec
+        return cls(cfg, {1: _int_digits(_core(cfg), 1, prec)}, prec, M)
+
+    def _lin(self, other, t):
+        cfg = self.cfg
+        wc = cfg._witt
+        prec = min(self.prec, other.prec)
+        mod = cfg.p**prec
+        out = dict(self.coeffs)
+        for i, c in other.coeffs.items():
+            out[i] = wc.linu(out.get(i, wc.zero_u), c, 1, t, mod)
+        return USeries(cfg, out, prec, self.M)
+
+    def _map(self, fn, prec, reduce=True):
+        return USeries(self.cfg, {i: fn(c) for i, c in self.coeffs.items()}, prec, self.M, reduce)
+
+    def __add__(self, other):
+        return self._lin(other, 1)
+
+    def __sub__(self, other):
+        return self._lin(other, -1)
+
+    def __neg__(self):
+        return self.smul(-1)
+
+    def __mul__(self, other):
+        cfg = self.cfg
+        wc = cfg._witt
+        prec = min(self.prec, other.prec)
+        mod = cfg.p**prec
+        out = {}
+        for i, a in self.coeffs.items():
+            for j, b in other.coeffs.items():
+                if i + j >= self.M:
+                    continue
+                prod = wc.mulu(a, b, mod)
+                k = i + j
+                out[k] = wc.linu(out[k], prod, 1, 1, mod) if k in out else prod
+        return USeries(cfg, out, prec, self.M)
+
+    def pow(self, n):
+        r = USeries.from_int(self.cfg, 1, self.M, self.prec)
+        b = self
+        while n:
+            if n & 1:
+                r = r * b
+            b = b * b
+            n >>= 1
+        return r
+
+    def scale_pk(self, k):
+        if k == 0:
+            return self
+        wc, prec = self.cfg._witt, self.prec + k
+        mod, pk = self.cfg.p**prec, self.cfg.p**k
+        return self._map(lambda c: wc.linu(c, c, pk, 0, mod), prec, reduce=False)
+
+    def smul(self, n):
+        wc, mod = self.cfg._witt, self.cfg.p**self.prec
+        return self._map(lambda c: wc.linu(c, c, n, 0, mod), self.prec)
+
+    def div_p_exact(self):
+        if self.prec <= 1:
+            raise PrecisionExhausted("division by p exhausts precision")
+        wc = self.cfg._witt
+        return self._map(lambda c: _div_p(wc, c, self.prec), self.prec - 1)
+
+    def phi(self):
+        cfg = self.cfg
+        out = {}
+        for i, c in self.coeffs.items():
+            if i * cfg.p < self.M:
+                out[i * cfg.p] = _frob(cfg._witt, c, 1, self.prec)
+        return USeries(cfg, out, self.prec, self.M)
+
+    def is_zero(self):
+        if self.prec <= 0:
+            raise PrecisionExhausted("no digits left")
+        return not self.coeffs
+
+    def eq(self, other):
+        return (self - other).is_zero()
+
+    def __eq__(self, other):
+        if not isinstance(other, USeries):
+            return NotImplemented
+        return self.eq(other)
+
+    def __hash__(self):
+        raise TypeError("USeries compares at precision; not hashable")
+
+    def __repr__(self):
+        return f"USeries({self.coeffs}, prec={self.prec}, mod u^{self.M})"
+
+
+class DeltaRingView:
+    """A carrier ring together with its Frobenius lift."""
+
+    def __init__(self, cfg, carrier="witt", series_horizon=None):
+        if carrier not in ("witt", "series"):
+            raise ValueError("carrier must be 'witt' or 'series'")
+        if carrier == "series" and not series_horizon:
+            raise ValueError("series carrier needs a horizon")
+        self.cfg = cfg
+        self.carrier = carrier
+        self.M = series_horizon
+
+    def one(self, prec=None):
+        prec = self.cfg.N if prec is None else prec
+        if self.carrier == "witt":
+            return _one(self.cfg, prec)
+        return USeries.from_int(self.cfg, 1, self.M, prec)
+
+    def phi(self, x):
+        if self.carrier == "witt":
+            return frobenius(x, 1)
+        return x.phi()
+
+    def delta(self, x):
+        """(phi(x) - x^p)/p, exact at one digit less than x."""
+        if x.prec < 2:
+            raise PrecisionExhausted("delta needs at least two digits")
+        return (self.phi(x) - x.pow(self.cfg.p)).div_p_exact()
+
+
+def delta_product_rule_check(view, samples):
+    """delta(xy) = x^p delta(y) + y^p delta(x) + p delta(x) delta(y)."""
+    p = view.cfg.p
+    failures = []
+    for x, y in samples:
+        lhs = view.delta(x * y)
+        dx, dy = view.delta(x), view.delta(y)
+        rhs = x.pow(p) * dy + y.pow(p) * dx + (dx * dy).scale_pk(1)
+        if not (lhs - rhs).is_zero():
+            failures.append((x, y))
+    return {"ok": not failures, "checked": len(samples), "failures": failures}
+
+
+@dataclass
+class PrelogCandidate:
+    """Monoid generators with candidate images alpha(e_i) and delta_log(e_i)."""
+
+    view: DeltaRingView
+    generators: tuple
+    alpha: dict
+    deltalog: dict
+
+
+def _fold_deltalog(view, parts):
+    """delta_log of a product via the sum-plus-p-product rule."""
+    acc = None
+    for d in parts:
+        if acc is None:
+            acc = d
+        else:
+            acc = acc + d + (acc * d).scale_pk(1)
+    return acc
+
+
+def delta_log_validate(cand, max_len=3, strict=False):
+    """Check the delta_log axioms on all words of length <= max_len.
+
+    Returns (ok, violations); each violation is an AxiomViolation instance.
+    Axiom ids: 'unit' (empty word has delta_log 0 compatible with delta),
+    'compat' (alpha(m)^p delta_log(m) = delta(alpha(m))), and 'frobenius'
+    (phi(alpha(m)) = alpha(m)^p (1 + p delta_log(m))).
+    """
+    view = cand.view
+    p = view.cfg.p
+    violations = []
+
+    one = view.one()
+    if not view.delta(one).is_zero():
+        violations.append(AxiomViolation("unit", ()))
+
+    words = []
+    for ln in range(1, max_len + 1):
+        words.extend(itertools.combinations_with_replacement(cand.generators, ln))
+
+    for w in words:
+        try:
+            a = one
+            for g in w:
+                a = a * cand.alpha[g]
+            d = _fold_deltalog(view, [cand.deltalog[g] for g in w])
+        except KeyError as exc:
+            raise ValueError(f"missing data for generator {exc}") from exc
+        ap = a.pow(p)
+        if not (ap * d - view.delta(a)).is_zero():
+            violations.append(AxiomViolation("compat", w))
+            continue
+        if not (view.phi(a) - ap * (one + d.scale_pk(1))).is_zero():
+            violations.append(AxiomViolation("frobenius", w))
+
+    if strict and violations:
+        raise violations[0]
+    return (not violations, violations)

@@ -20,7 +20,7 @@ from htlab.cohomology import (
     kernel_cokernel_mod,
     verify_complex,
 )
-from htlab.deltaring import DeltaRingView, WittElem, teichmuller, teichmuller_factorize
+from htlab.deltaring import WittElem, teichmuller, teichmuller_factorize
 from htlab.galois import GroupElt
 from htlab.higgs import (
     HiggsData,
@@ -40,7 +40,7 @@ from htlab.sen import (
     sen_operator,
     verify_cocycle_law,
 )
-from oracles import kernel_cokernel_cardinalities
+from oracles import DeltaRingView, kernel_cokernel_cardinalities
 
 CONFIGS = [(2, [-2, 0]), (3, [-3]), (5, [-5])]
 CORPUS_SEED = 11

@@ -3,17 +3,17 @@ import random
 import pytest
 
 from htlab import WittElem, frobenius, make_base_config, teichmuller
-from htlab.deltaring import (
+from htlab.deltaring import teichmuller_factorize
+from htlab.errors import HorizonTooSmall, NotAUnit, PrecisionExhausted
+
+from oracles import (
     DeltaRingView,
     PrelogCandidate,
     USeries,
     delta_log_validate,
     delta_product_rule_check,
-    teichmuller_factorize,
+    teich_fixpoint,
 )
-from htlab.errors import HorizonTooSmall, NotAUnit, PrecisionExhausted
-
-from oracles import teich_fixpoint
 
 
 @pytest.fixture(scope="module")

@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from oracles import claims_agree, cocycle_strat_naive, descent_faces
+from oracles import claims_agree, cocycle_strat_naive, descent_faces, mat_mul_chain
 from test_sen import _corrupted, _form, _random_strat
 
 from htlab import corpus, default_specs, higgs, higgs_from_json, higgs_to_json, make_base_config
@@ -27,7 +27,7 @@ from htlab.higgs import (
     validate_higgs,
 )
 from htlab.linalg import Mat, commutator
-from htlab.pdring import PdRing, face_context, product_cells
+from htlab.pdring import PdRing, face_context
 from htlab.samples import sample_higgs
 
 
@@ -475,6 +475,11 @@ def _reach(p2, p0, i, j):
     return out
 
 
+def _entries(m):
+    """((i, j), entry) of a matrix, in row-major order."""
+    return [((i, j), x) for i, row in enumerate(m.rows) for j, x in enumerate(row)]
+
+
 @pytest.mark.parametrize("spec", ["p5", "p2e2", "p3f2"])
 def test_descent_slot_by_slot_matches_the_matrix_product(spec):
     cfg = {
@@ -489,33 +494,37 @@ def test_descent_slot_by_slot_matches_the_matrix_product(spec):
         assert report == cocycle_strat_naive(strat), strat
         seen["ok" if report["ok"] else "witness"] += 1
         seen["truncated"] += report["truncated"]
-        # every cell the kernel forms, against Mat.__mul__: each key's stored form, and the flag
+        # every cell of Mat.__mul__, against mat_mul_chain: each key's stored form, and the flag
         p0, _, p2 = descent_faces(strat)
-        product = p2 * p0
-        for i, j, coeffs, trunc in product_cells(p2, p0):
-            cell = product.rows[i][j]
-            assert {k: _form(c) for k, c in coeffs.items()} == {k: _form(c) for k, c in cell.coeffs.items()}
-            assert trunc == cell.truncated
+        chain = mat_mul_chain(p2, p0).rows
+        for (i, j), cell in _entries(p2 * p0):
+            want = chain[i][j]
+            assert {k: _form(c) for k, c in cell.coeffs.items()} == {k: _form(c) for k, c in want.coeffs.items()}
+            assert cell.truncated == want.truncated
             factors = [(x, p0.rows[l][j]) for l, x in enumerate(p2.rows[i])]
-            seen["cut"] += trunc and not any(x.truncated or y.truncated for x, y in factors)
+            seen["cut"] += cell.truncated and not any(x.truncated or y.truncated for x, y in factors)
             if not strat.base.is_point:
-                seen["chart"] += bool(coeffs)
+                seen["chart"] += bool(cell.coeffs)
             elif strat.D > 2:
                 # keys summed as dot's chain per product, over more than one product
                 seen["A<1"] += sum(a < 1 and len(ls) > 1 for a, ls in _reach(p2, p0, i, j).values())
     assert all(seen.values()), seen
 
 
-def test_descent_builds_no_product_or_residual_matrix(nilp2, monkeypatch):
+def test_descent_builds_one_product_and_no_residual_matrix(nilp2, monkeypatch):
+    """A descent check forms p_2*(eps) p_0*(eps) by one Mat.__mul__ and
+    compares it cell by cell, with no Mat.__sub__, on a module that passes
+    and on a corrupted copy that does not."""
     strat = stratification_from_higgs(nilp2)
     bad = _corrupted(strat, random.Random(15))
     calls = []
     for name in ("__mul__", "__sub__"):
         real = getattr(Mat, name)
         monkeypatch.setattr(Mat, name, lambda a, b, real=real, name=name: calls.append(name) or real(a, b))
-    assert check_cocycle_strat(strat)["ok"]
-    assert not check_cocycle_strat(bad)["ok"]
-    assert calls == []
+    for s, ok in ((strat, True), (bad, False)):
+        calls.clear()
+        assert check_cocycle_strat(s)["ok"] is ok
+        assert calls == ["__mul__"]
 
 
 @pytest.mark.parametrize(
@@ -557,15 +566,14 @@ def test_descent_on_kept_face_contexts_cold_and_warm(request, name):
 
 
 def _descent_cells(h):
-    """(p_0*(eps), the product cells of p_2*(eps) p_0*(eps)) of a module, as
-    coefficient dicts by (i, j)."""
+    """(p_0*(eps), the cells of p_2*(eps) p_0*(eps) by Mat.__mul__) of a
+    module, as coefficient dicts by (i, j)."""
     strat = stratification_from_higgs(h)
     ring1 = PdRing(h.cfg, h.base, strat.flavor, 1, d=strat.d, D=strat.D)
     eps = descent_matrix(strat, ring=ring1)
     alpha = strat.braid_unit()
     p0, p2 = (eps.map(face_context(ring1, i, alpha).apply, ring=ring1.bump(2)) for i in (0, 2))
-    faces = {(i, j): x.coeffs for i, row in enumerate(p0.rows) for j, x in enumerate(row)}
-    return faces, {(i, j): coeffs for i, j, coeffs, _ in product_cells(p2, p0)}
+    return {ij: x.coeffs for ij, x in _entries(p0)}, {ij: x.coeffs for ij, x in _entries(p2 * p0)}
 
 
 @pytest.mark.parametrize(

@@ -1,0 +1,39 @@
+"""Every name a module of htlab imports is used in that module.
+
+A name counts as used when the module reads it, or lists it in __all__
+(the package's re-exports).  The check reads the source with the stdlib
+ast module and imports nothing.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "htlab"
+
+
+def unused_imports(source):
+    """The names source imports and never reads, in import order."""
+    tree = ast.parse(source)
+    imported = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported += [a.asname or a.name.partition(".")[0] for a in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            imported += [a.asname or a.name for a in node.names]
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            used.update(ast.literal_eval(node.value))
+    return [name for name in imported if name not in used]
+
+
+def test_the_check_sees_an_unused_import():
+    source = "import os\nfrom itertools import chain, repeat\nfrom .base import KElem\n__all__ = ['KElem']\nrepeat(os.sep)\n"
+    assert unused_imports(source) == ["chain"]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_unused_imports(path):
+    assert unused_imports(path.read_text()) == []

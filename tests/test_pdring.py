@@ -12,6 +12,7 @@ from htlab.higgs import Stratification, descent_matrix, twist_unit
 from htlab.pdring import (
     VARIANTS,
     _gamma,
+    _Right,
     FaceContext,
     PdElement,
     PdRing,
@@ -21,11 +22,11 @@ from htlab.pdring import (
     evaluate_at_group,
     face_context,
     face_map,
-    product_cells,
 )
 from htlab.linalg import Mat
 from oracles import (
     face_apply_chain,
+    mat_mul_chain,
     pd_add_naive,
     pd_evaluate_naive,
     pd_face_naive,
@@ -665,17 +666,20 @@ def test_products_match_the_chain_oracle(request, name):
     assert low >= 5 and chained >= 5 and cut >= 3
 
 
-def _cells(a, b):
-    return {(i, j): ({k: _form(c) for k, c in coeffs.items()}, trunc) for i, j, coeffs, trunc in product_cells(a, b)}
-
-
-def _product(a, b):
-    m = a * b
+def _cells(m):
     return {
         (i, j): ({k: _form(c) for k, c in e.coeffs.items()}, e.truncated)
         for i, row in enumerate(m.rows)
         for j, e in enumerate(row)
     }
+
+
+def _product(a, b):
+    return _cells(a * b)
+
+
+def _chain(a, b):
+    return _cells(mat_mul_chain(a, b))
 
 
 def _cell_entry(ring, rng, scalar):
@@ -689,8 +693,8 @@ def _cell_entry(ring, rng, scalar):
 
 @pytest.mark.parametrize("name", ["cfg_u5", "cfg_r2", "cfg_f2"])
 def test_product_cells_match_the_matrix_product(request, name):
-    """Each cell of product_cells(a, b) holds the stored form of every key and
-    the flag of the same cell of Mat.__mul__: droppable and empty truncated
+    """Each cell of Mat.__mul__ holds the stored form of every key and the
+    flag of the same cell of mat_mul_chain: droppable and empty truncated
     factors, cut pairs, keys of absolute precision below 1 reached by
     several products, inverses capped at N, and chart coefficients."""
     cfg = request.getfixturevalue(name)
@@ -706,8 +710,8 @@ def test_product_cells_match_the_matrix_product(request, name):
                 for _ in range(8 if base.is_point else 2):
                     a = Mat(ring, [[_cell_entry(ring, rng, scalar) for _ in range(3)] for _ in range(2)])
                     b = Mat(ring, [[_cell_entry(ring, rng, scalar) for _ in range(2)] for _ in range(3)])
-                    got = _cells(a, b)
-                    assert got == _product(a, b), (name, base.mode, D, variant)
+                    got = _product(a, b)
+                    assert got == _chain(a, b), (name, base.mode, D, variant)
                     for (i, j), (_, trunc) in got.items():
                         pairs = [(x, b.rows[l][j]) for l, x in enumerate(a.rows[i])]
                         pairs = [(x, y) for x, y in pairs if not x.droppable() and not y.droppable()]
@@ -728,25 +732,25 @@ def test_product_cells_match_the_matrix_product(request, name):
 def test_product_cells_sum_low_precision_keys_in_product_order(cfg_u5, point):
     """Below absolute precision 1 every order of a sum stores alike: a + b
     cancels to 5^3 and is normalized before c is added, c + b + a is not,
-    and both give the one no-digit zero (0, 1, 1).  The cell sums its
-    products in l order, as the matrix product does."""
+    and both give the one no-digit zero (0, 1, 1).  The matrix product sums
+    its products in l order, as mat_mul_chain does."""
     ring = PdRing(cfg_u5, point, "abs-geom", 1, d=1, D=3)
     xs = [cfg_u5.k_from_coeffs([1], 5, 3), cfg_u5.k_from_coeffs([124], 5, 3), cfg_u5.k_from_coeffs([1], 0, 0)]
     ones = Mat(ring, [[ring.one()] * 3])
     for a, b, c in (xs, xs[::-1]):
         col = Mat(ring, [[ring.from_scalar(x)] for x in (a, b, c)])
-        [(_, _, coeffs, _)] = product_cells(ones, col)
-        assert _form(coeffs[0]) == (0, 1, 1)
-        assert _cells(ones, col) == _product(ones, col)
+        [[cell]] = (ones * col).rows
+        assert _form(cell.coeffs[0]) == (0, 1, 1)
+        assert _product(ones, col) == _chain(ones, col)
         assert _form(a + b + c) == (0, 1, 1)
 
 
 def test_product_cells_and_the_matrix_product_keep_n_right_digits(cfg_u5, point):
     """(5^4, w) times (5^4, w), w = (6/5)^-1: the matrix product drops the
     droppable 5^4 * 5^4 = 5^8 before adding w * w.  Every lift of the inputs
-    has 5^4 * 5^4 = 5^8, so the sum is 5^8 + w^2, and both the cell and the
-    matrix product hold it at N digits, none past N, where a ninth digit of
-    w^2 alone would be wrong."""
+    has 5^4 * 5^4 = 5^8, so the sum is 5^8 + w^2, and both the matrix
+    product and mat_mul_chain hold it at N digits, none past N, where a
+    ninth digit of w^2 alone would be wrong."""
     ring = PdRing(cfg_u5, point, "abs-geom", 1, d=1, D=3)
     N = cfg_u5.N
     w = cfg_u5.k_from_int(6).div_int(5).inv()
@@ -755,11 +759,11 @@ def test_product_cells_and_the_matrix_product_keep_n_right_digits(cfg_u5, point)
     b = Mat(ring, [[ring.from_scalar(q)], [ring.from_scalar(w)]])
     exact = Fraction(5**8) + Fraction(5, 6) ** 2
     want = exact.numerator * pow(exact.denominator, -1, 5**N) % 5**N
-    [(_, _, coeffs, _)] = product_cells(a, b)
     [[prod]] = (a * b).rows
-    for c in (coeffs[0], prod.coeffs[0]):
+    [[chain]] = mat_mul_chain(a, b).rows
+    for c in (prod.coeffs[0], chain.coeffs[0]):
         assert _form(c) == (want, 0, N)
-    assert _cells(a, b) == _product(a, b)
+    assert _product(a, b) == _chain(a, b)
 
 
 def _mixed(m, rng):
@@ -787,10 +791,10 @@ def test_product_cells_match_the_matrix_product_at_large_descent_size(cfg_r2):
     workload, p = 2, e = 2, abs-geom with d = 3 at D = 8, both twists: the 4 x 4
     faces of the descent matrix of a random rank-4 stratification with a
     dozen nonzero keys, with droppable, empty truncated and truncated
-    entries mixed in, agree with Mat.__mul__ in stored form and flag.  Each
-    entry of the right factor is read once and serves a whole column, so
-    its filters meet left keys of several degrees: some cut a key of the
-    entry, others leave it whole."""
+    entries mixed in: Mat.__mul__ agrees with mat_mul_chain in stored form
+    and flag.  Each entry of the right factor is read once and serves a
+    whole column, so its filters meet left keys of several degrees: some
+    cut a key of the entry, others leave it whole."""
     point = ChartRing(cfg_r2, "point")
     ring = PdRing(cfg_r2, point, "abs-geom", 1, d=3, D=8)
     t = ring.bump(2)
@@ -801,7 +805,7 @@ def test_product_cells_match_the_matrix_product_at_large_descent_size(cfg_r2):
         eps = descent_matrix(Stratification(point, "abs-geom", dict(keys), 8, 4), ring=ring)
         alpha = twist_unit(cfg_r2, twist)
         a, b = (_mixed(eps.map(face_context(ring, i, alpha).apply, ring=t), rng) for i in (2, 0))
-        assert _cells(a, b) == _product(a, b), twist
+        assert _product(a, b) == _chain(a, b), twist
         for l, brow in enumerate(b.rows):
             for j, y in enumerate(brow):
                 if not y.coeffs:
@@ -810,6 +814,63 @@ def test_product_cells_match_the_matrix_product_at_large_descent_size(cfg_r2):
                 caps = {t.D - t.key_degree(k) for row in a.rows for k in row[l].coeffs}
                 mixed += any(cap < top for cap in caps) and any(cap >= top for cap in caps)
     assert mixed, mixed
+
+
+@pytest.mark.parametrize("name", ["cfg_u5", "cfg_r2", "cfg_f2"])
+def test_pd_dot_with_multipliers_is_the_chain(request, name):
+    """BaseConfig.dot over pd scalars with multipliers m (units, multiples of
+    p, negatives, p^N) has the stored form and flag of the chain that forms
+    each product by pd_mul_chain, applies smul(m) and adds the terms in
+    order.  Inside a chart coefficient only the key order may differ, where
+    a partial sum is droppable (htlab.chart), as p^N makes it."""
+    cfg = request.getfixturevalue(name)
+    rng = random.Random(f"pd-dot-{name}")
+    point = ChartRing(cfg, "point")
+    chart = ChartRing(cfg, "chart", d=1, r=1)
+    scalars = {point: lambda: _chain_scalar(cfg, rng), chart: lambda: _chart_scalar(chart, rng)}
+    for base, scalar in scalars.items():
+        for variant, n, d in ORACLE_RINGS:
+            ring = PdRing(cfg, base, variant, n, d=d, D=4)
+            for _ in range(6 if base.is_point else 2):
+                k = rng.randrange(2, 5)
+                xs = [_cell_entry(ring, rng, scalar) for _ in range(k)]
+                ys = [_cell_entry(ring, rng, scalar) for _ in range(k)]
+                ms = [rng.choice((1, -3, cfg.p, 2 * cfg.p**2, cfg.p**cfg.N)) for _ in range(k)]
+                want = ring.zero()
+                for x, y, m in zip(xs, ys, ms):
+                    want = want + pd_mul_chain(x, y).smul(m)
+                got, want = _form(cfg.dot(xs, ys, ms)), _form(want)
+                if not base.is_point:
+                    got, want = (_chart_keys_sorted(f) for f in (got, want))
+                assert got == want, (name, base.mode, variant)
+
+
+def _chart_keys_sorted(form):
+    """The _form of a pd element over a chart base with each chart coefficient's keys sorted."""
+    keys, trunc = form
+    return [(k, (sorted(c[0]), c[1])) for k, c in keys], trunc
+
+
+def test_a_column_entry_meets_every_row_through_one_right(cfg_u5, point, monkeypatch):
+    """Mat.__mul__ over pd elements reads each entry of the right factor that
+    meets a nonempty left entry into one _Right, kept on the entry, and
+    every row of the left factor meets the entry through it; an empty entry
+    is read into none, and a second product reads nothing again."""
+    ring = PdRing(cfg_u5, point, "abs-geom", 1, d=1, D=4)
+    rng = random.Random("one-right")
+    a = Mat(ring, [[_cell_entry(ring, rng, lambda: _chain_scalar(cfg_u5, rng)) for _ in range(3)] for _ in range(5)])
+    b = Mat(ring, [[_cell_entry(ring, rng, lambda: _chain_scalar(cfg_u5, rng)) for _ in range(3)] for _ in range(3)])
+    met = {id(y): sum(bool(row[l].coeffs) for row in a.rows) for l, brow in enumerate(b.rows) for y in brow if y.coeffs}
+    met = {key: rows for key, rows in met.items() if rows}
+    assert max(met.values()) > 1
+    read = []
+    real = _Right.__init__
+    monkeypatch.setattr(_Right, "__init__", lambda self, y: read.append(id(y)) or real(self, y))
+    assert _product(a, b) == _chain(a, b)
+    assert sorted(read) == sorted(met)
+    assert all(y._right is not None for brow in b.rows for y in brow if id(y) in met)
+    a * b
+    assert len(read) == len(met)
 
 
 def _face_branches(ctx, x, seen):
@@ -920,10 +981,10 @@ def test_face_contexts_are_kept_per_ring_and_twist(cfg_u5):
     key is confirmed by eq_ring and gets a context of its own; faces other
     than d^0 are not kept.
 
-    A kept context holds one _Right per (generator, exponent) of a later
-    gamma, and every plan lists those very objects: applied to the descent
-    entries of a second module, it adds a _Right only for a pair the first
-    did not meet."""
+    A kept context reads every later gamma of a plan into one _Right, kept
+    on the gamma, and every plan lists those very gammas: applied to the
+    descent entries of a second module, it keeps the _Rights of the pairs
+    the first met and adds one for each new pair."""
     point = ChartRing(cfg_u5, "point")
     chart = ChartRing(cfg_u5, "chart", d=1, r=1)
     log, smooth = twist_unit(cfg_u5, "log"), twist_unit(cfg_u5, "smooth")
@@ -956,16 +1017,17 @@ def test_face_contexts_are_kept_per_ring_and_twist(cfg_u5):
         eps = descent_matrix(Stratification(point, "abs-geom", coeffs, 4, 2), ring=ring)
         eps.map(ctx.apply, ring=ctx.target)
         later = {g for row in eps.rows for x in row for key in x.coeffs for g in gammas(key)[1:]}
-        assert ctx._rights.keys() == before.keys() | later
-        assert len({id(r) for r in ctx._rights.values()}) == len(ctx._rights)
-        assert all(ctx._rights[g] is r for g, r in before.items())
-        for key, (first, rights) in ctx._plans.items():
+        rights = {g: ctx._gammas[g]._right for g in later}
+        assert None not in rights.values()
+        assert len({id(r) for r in rights.values()}) == len(rights)
+        assert before.keys() <= later
+        assert all(rights[g] is r for g, r in before.items())
+        for key, (first, rest) in ctx._plans.items():
             assert first is ctx._gamma_image(*gammas(key)[0])
-            assert len(rights) == len(gammas(key)) - 1
-            assert all(r is ctx._rights[g] for r, g in zip(rights, gammas(key)[1:]))
-        added = ctx._rights.keys() - before.keys()
-        assert added, sorted(before)
-        before = dict(ctx._rights)
+            assert len(rest) == len(gammas(key)) - 1
+            assert all(g is ctx._gammas[vid_a] and g._right is rights[vid_a] for g, vid_a in zip(rest, gammas(key)[1:]))
+        assert later - before.keys(), sorted(before)
+        before = rights
     # a shared context applies as a private one does
     x = ring.x(1, 2) + ring.y(1, 1) * ring.x(1)
     assert _form(face_context(ring, 0, log).apply(x)) == _form(FaceContext(ring, 0, log).apply(x))
