@@ -72,19 +72,22 @@ descent check of htlab.higgs forms p_2*(eps) p_0*(eps) that way.
 
 The twisted face d^0 sends a term c v_1^[a_1] v_2^[a_2] ... to the chain
 from_scalar(c) * gamma_a1 * gamma_a2 ... of the divided powers of the
-generators' images, in slot order, and sums the terms of one image into one
-dict in place.  Its FaceContext keeps per generator the image and the top
-of the power chain one() * x * x ... that divided_power builds for one x,
-so gamma_a of an image costs one product and one division by a! (_gamma
-takes the power itself), and per source monomial a plan: the first gamma
-and the later ones, whose _Rights, kept on the gammas, every plan shares.
-A term is c * v on the first gamma, then one _sum_of_products per later
-gamma, the same products PdElement.__mul__ forms: the same pairs, in the
-same order, with the same A, top and terms, so each term has the chain's
-stored form; nothing is regrouped.  face_context keeps one such context per
-ring layout and twist with the ring's base, so every module over the base
-shares the images, power chains, gammas and their _Rights; all of them
-depend on the ring and the twist, none on a module.
+generators' images, in slot order, and forms each image as one
+_sum_of_products: a term's chain is formed up to its last gamma, whose
+pairs with it join those of every other term, so each image key is
+reduced once.  A sum of K scalars is one exact integer sum at the least A,
+in any order (the stored form lemma of htlab.base), so each key has the
+stored form of the chain that adds the terms in x's order; nothing is
+regrouped.  The key order is the sum's first-met order, which differs from
+the chain's only where a term or a partial sum is a droppable zero.  Its
+FaceContext keeps per generator the image and the top of the power chain
+one() * x * x ... that divided_power builds for one x, so gamma_a of an
+image costs one product and one division by a! (_gamma takes the power
+itself), and per source monomial a plan of its gammas, whose _Rights,
+kept on the gammas, every plan shares.  face_context keeps one such
+context per ring layout and twist with the ring's base, so every module
+over the base shares the images, power chains, gammas and their _Rights;
+all of them depend on the ring and the twist, none on a module.
 """
 
 from itertools import repeat
@@ -92,7 +95,7 @@ from math import comb, factorial
 
 from .errors import AxiomViolation, BadIndex, InsufficientPrecision
 from .galois import FormalCElem, galois_act_all
-from .sparse import Sparse, merge_into
+from .sparse import Sparse
 
 VARIANTS = ("abs-arith", "abs-geom", "rel-geom")
 
@@ -280,14 +283,6 @@ class _Right:
         return f
 
 
-def _right_of(y):
-    """The _Right of y, read on y's first product as a right factor and kept on y."""
-    right = y._right
-    if right is None:
-        right = y._right = _Right(y)
-    return right
-
-
 def _gather(sums, left, right, m, ring):
     """Add the pairs of x * y * m to sums, {key: [A, top, terms, shifts]},
     over K scalars; returns whether a filter cut a pair.
@@ -381,18 +376,34 @@ def _sum_of_products(ring, products):
     mod p^A are kept; only the key order inside a chart coefficient can
     differ, where a partial sum cancels.  products holds the (coefficient
     dict of x_l, y_l, m_l) of each l, y_l a PdElement read through its
-    _Right; truncated is set by a cut filter or a truncated sum, the
-    factors' flags are the caller's.
+    _Right; a y_l of None enters x_l's coefficients as they are, at keys
+    no product meets.  truncated is set by a cut filter or a truncated
+    sum, the factors' flags are the caller's.  Over K a key with A = N and
+    no term of two nonzero numerators, a droppable zero, is not reduced.
     """
-    gather, reduce = (_gather, ring.cfg.reduce_terms) if ring.base.is_point else (_pairs, ring.cfg.dot)
-    sums = {}
+    point, N = ring.base.is_point, ring.cfg.N
+    gather, reduce = (_gather, ring.cfg.reduce_terms) if point else (_pairs, ring.cfg.dot)
+    sums, kept = {}, {}
     trunc = False
     for left, y, m in products:
-        if gather(sums, left.items(), _right_of(y), m, ring):
+        if y is None:
+            kept.update(left)
+            sums.update(dict.fromkeys(left))
+            continue
+        # y's _Right is read on its first product as a right factor
+        right = y._right
+        if right is None:
+            right = y._right = _Right(y)
+        if gather(sums, left.items(), right, m, ring):
             trunc = True
     out = {}
     for key, acc in sums.items():
-        c = reduce(*acc)
+        if acc is None:
+            c = kept[key]
+        elif point and not acc[2] and acc[0] >= N:
+            continue
+        else:
+            c = reduce(*acc)
         if c.truncated:
             trunc = True
         if not c.droppable():
@@ -539,17 +550,17 @@ class FaceContext:
     keeps what that chain reads of the ring and the twist: each generator's
     image, the top of its power chain one() * x * x ... (divided_power's
     chain), its divided powers, each read through one _Right kept on it,
-    and per source monomial a plan, built on its first use: the first
-    gamma and the later ones, shared with every other plan.  alpha is the
-    twist unit, beta when omitted.
+    and per source monomial a plan, built on its first use: the first,
+    middle and last gammas, shared with every other plan, and their flags.
+    alpha is the twist unit, beta when omitted.
 
-    A term does the chain's work and no other: c * v on the first gamma,
-    dropping droppable products as the constructor does, then per later
-    gamma one _sum_of_products over the live left coefficients in order,
-    the product PdElement.__mul__ forms, with its flags.  The pairs are
-    exactly those the chain meets, in its order, with the same A, top and
-    terms, so each term has the chain's stored form and key order; the
-    terms are summed into one dict in place.
+    An image is one _sum_of_products.  A term runs its chain up to the last
+    gamma: c * v on the first, dropping droppable products as the
+    constructor does, then one product per middle gamma, with its flags.
+    Its last product is not reduced: its pairs join the one sum, as those
+    of ({0: c}, gamma_a1) do for a single gamma, and the constant term keeps
+    c, at its place in x's order.  So each image key is reduced once, with
+    the chain's stored form (module docstring), in first-met key order.
 
     Nothing a context keeps depends on an element, so one context serves a
     whole matrix, and face_context hands out the one d^0 context a base
@@ -634,31 +645,12 @@ class FaceContext:
         return g
 
     def _plan(self, key):
-        """(first gamma, the later gammas) of the source monomial key."""
+        """(first, middle, last, any flag) of the gammas of the source
+        monomial key, in slot order; first is None for a single gamma."""
         src = self.ring
         gammas = [self._gamma_image(vid, a) for vid, off in src.slots if (a := (key >> off) & src.field)]
-        return gammas[0], gammas[1:]
-
-    def _term(self, plan, c):
-        """(coefficients, truncated) of the chain from_scalar(c) * gamma_a1 * ...
-        of a plan."""
-        first, later = plan
-        trunc = first.truncated
-        coeffs = {}
-        for k, v in first.coeffs.items():
-            p = c * v
-            if p.truncated:
-                trunc = True
-            if not p.droppable():
-                coeffs[k] = p
-        for g in later:
-            if g.truncated:
-                trunc = True
-            if coeffs:
-                coeffs, cut = _sum_of_products(self.target, [(coeffs, g, 1)])
-                if cut:
-                    trunc = True
-        return coeffs, trunc
+        *head, last = gammas
+        return (head[0] if head else None), head[1:], last, any(g.truncated for g in gammas)
 
     def apply(self, x):
         _same_ring(x.ring, self.ring)
@@ -678,20 +670,37 @@ class FaceContext:
             return PdElement._clean(t, out, x.truncated)
         # terms x dropped above D map above D too, so the image keeps x's flag
         trunc = x.truncated
-        out = {}
+        products = []
         plans = self._plans
         for key, c in x.coeffs.items():
             if not key:
-                coeffs, flag = {0: c}, c.truncated
-            else:
-                plan = plans.get(key)
-                if plan is None:
-                    plan = plans[key] = self._plan(key)
-                coeffs, flag = self._term(plan, c)
-            # the terms summed in place, with the per-key rule of a sum
-            if merge_into(out, coeffs) or flag:
+                products.append(({0: c}, None, 1))
+                continue
+            plan = plans.get(key)
+            if plan is None:
+                plan = plans[key] = self._plan(key)
+            first, middle, last, flag = plan
+            if flag:
                 trunc = True
-        return PdElement._clean(t, out, trunc)
+            if first is None:
+                coeffs = {0: c}
+            else:
+                coeffs = {}
+                for k, v in first.coeffs.items():
+                    p = c * v
+                    if p.truncated:
+                        trunc = True
+                    if not p.droppable():
+                        coeffs[k] = p
+            for g in middle:
+                if coeffs:
+                    coeffs, cut = _sum_of_products(t, [(coeffs, g, 1)])
+                    if cut:
+                        trunc = True
+            if coeffs:
+                products.append((coeffs, last, 1))
+        coeffs, cut = _sum_of_products(t, products)
+        return PdElement._clean(t, coeffs, trunc or cut)
 
 
 def face_context(ring, i, alpha=None):

@@ -8,8 +8,8 @@ and supplies the parts that differ:
   every droppable coefficient (zero as stored, at the ambient precision); a
   zero known to fewer digits keeps its key and lowers the claim of later
   comparisons.  Code that forms coefficients itself applies the same rule
-  to each coefficient it forms: sums here, pd products, the twisted pd
-  face, which sums its terms in place through merge_into, and
+  to each coefficient it forms: sums here, pd products and the twisted pd
+  face, which forms each image as one sum of products, and
   galois.series_dot, which forms each t-slot of a series product, a
   substitution or the group law as one dot;
 * ``_new(coeffs, truncated)``, which rebuilds an element from a dict on
@@ -32,29 +32,6 @@ agree is the rule of a difference, the one comparison of the descent check
 """
 
 from itertools import repeat
-
-
-def merge_into(out, coeffs, sub=False):
-    """Add coeffs (subtract them, with sub) into the clean dict out, in place.
-
-    A key new to out takes the coefficient as it is; a key out holds takes
-    the sum, which is dropped if droppable.  Returns whether a sum formed
-    here is truncated.
-    """
-    trunc = False
-    for key, c in coeffs.items():
-        prev = out.get(key)
-        if prev is None:
-            out[key] = -c if sub else c
-            continue
-        c = prev - c if sub else prev + c
-        if c.truncated:
-            trunc = True
-        if c.droppable():
-            del out[key]
-        else:
-            out[key] = c
-    return trunc
 
 
 def agree(a, b):
@@ -106,9 +83,22 @@ class Sparse:
         return acc
 
     def _merge(self, other, sub):
+        # a key of both takes the sum, which is dropped if droppable
         out = dict(self.coeffs)
-        trunc = merge_into(out, other.coeffs, sub)
-        return self._adopt(out, self._flag(other) or trunc)
+        trunc = self._flag(other)
+        for key, c in other.coeffs.items():
+            prev = out.get(key)
+            if prev is None:
+                out[key] = -c if sub else c
+                continue
+            c = prev - c if sub else prev + c
+            if c.truncated:
+                trunc = True
+            if c.droppable():
+                del out[key]
+            else:
+                out[key] = c
+        return self._adopt(out, trunc)
 
     def __add__(self, other):
         return self._merge(other, False)

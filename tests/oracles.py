@@ -547,21 +547,20 @@ def chart_dot_chain(xs, ys, ms=None):
     return acc, trunc, dropped
 
 
-def pd_mul_chain(x, y):
-    """x * y on packed keys, every pair visited: a pair above the cutoff sets
-    the flag, and each key is one dot over its pairs in the order met."""
+def _chain_pairs(sums, x, y):
+    """Add every pair of x * y to sums, {key: (xs, ys, ms)}, in the order
+    met; whether a pair lies above the cutoff."""
     ring = x.ring
     limit, w, field = (ring.D + 1) << ring.shift, ring.width, ring.field
     low, add, top = (1 << ring.shift) - 1, ring.support_add, ring.support_top
-    sums = {}
-    trunc = x.truncated or y.truncated
+    cut = False
     right = [(k2, ((k2 & low) + add) & top, c2) for k2, c2 in y.coeffs.items()]
     for k1, c1 in x.coeffs.items():
         s1 = ((k1 & low) + add) & top
         for k2, s2, c2 in right:
             key = k1 + k2
             if key >= limit:
-                trunc = True
+                cut = True
                 continue
             mult = 1
             shared = s1 & s2
@@ -578,15 +577,29 @@ def pd_mul_chain(x, y):
                 terms[0].append(c1)
                 terms[1].append(c2)
                 terms[2].append(mult)
+    return cut
+
+
+def _dot_keys(ring, sums, trunc):
+    """The element whose every key is one dot over its pairs in sums; a key
+    holding a scalar instead keeps it as it is."""
     dot = ring.cfg.dot
     out = {}
-    for key, (xs, ys, ms) in sums.items():
-        c = dot(xs, ys, ms)
+    for key, acc in sums.items():
+        c = dot(*acc) if isinstance(acc, tuple) else acc
         if c.truncated:
             trunc = True
         if not c.droppable():
             out[key] = c
-    return type(x)._clean(ring, out, trunc)
+    return ring.zero()._adopt(out, trunc)
+
+
+def pd_mul_chain(x, y):
+    """x * y on packed keys, every pair visited: a pair above the cutoff sets
+    the flag, and each key is one dot over its pairs in the order met."""
+    sums = {}
+    cut = _chain_pairs(sums, x, y)
+    return _dot_keys(x.ring, sums, cut or x.truncated or y.truncated)
 
 
 def mat_mul_chain(a, b):
@@ -609,18 +622,15 @@ def mat_mul_chain(a, b):
     return Mat(a.ring, rows)
 
 
-def face_apply_chain(ctx, x):
-    """The twisted face d^0 of ``ctx`` applied to x, term by term.
+def _face_gammas(ctx):
+    """gamma(vid, a): v^[a] under the twisted face d^0 of ``ctx``, built
+    apart from the context.
 
     Each generator's image is (v_{j+1} - v_1) times the context's geometric
     series (none for rel-geom), and v^[a] goes to image^a / a! through the
-    power chain one * image * image ...; a term is from_scalar(c) times
-    those divided powers in slot order, and the image is the left-to-right
-    sum of the terms.  Every product is pd_mul_chain.
+    power chain one * image * image ...; every product is pd_mul_chain.
     """
     t = ctx.target
-    ring = x.ring
-    field = ring.field
     gammas = {}
 
     def gamma(vid, a):
@@ -638,15 +648,50 @@ def face_apply_chain(ctx, x):
         gammas[vid, a] = power
         return power
 
-    acc = type(x)._clean(t, {}, x.truncated)
+    return gamma
+
+
+def _face_terms(ctx, x):
+    """(c, the gammas of key in slot order) for each term c v^[key] of x."""
+    ring, gamma = x.ring, _face_gammas(ctx)
     for key, c in x.coeffs.items():
+        yield c, [gamma(vid, a) for vid, off in ring.slots if (a := (key >> off) & ring.field)]
+
+
+def face_apply_chain(ctx, x):
+    """The twisted face d^0 of ``ctx`` applied to x, term by term: a term is
+    from_scalar(c) times the divided powers of _face_gammas in slot order,
+    each product pd_mul_chain, and the image is the left-to-right sum of
+    the terms."""
+    t = ctx.target
+    acc = type(x)._clean(t, {}, x.truncated)
+    for c, gammas in _face_terms(ctx, x):
         term = t.from_scalar(c)
-        for vid, off in ring.slots:
-            a = (key >> off) & field
-            if a:
-                term = pd_mul_chain(term, gamma(vid, a))
+        for g in gammas:
+            term = pd_mul_chain(term, g)
         acc = acc + term
     return acc
+
+
+def face_apply_one_sum(ctx, x):
+    """The twisted face d^0 of ``ctx`` applied to x as one sum: each term's
+    prefix from_scalar(c) times all of its gammas but the last is formed by
+    pd_mul_chain, the pairs of every prefix with its last gamma go into one
+    table, and each key is one dot over its pairs in the order met.  The
+    constant key keeps c as it is, at its place in x's order."""
+    t = ctx.target
+    sums = {}
+    trunc = x.truncated
+    for c, gammas in _face_terms(ctx, x):
+        if not gammas:
+            sums[0] = c
+            continue
+        prefix = t.from_scalar(c)
+        for g in gammas[:-1]:
+            prefix = pd_mul_chain(prefix, g)
+        if _chain_pairs(sums, prefix, gammas[-1]) or prefix.truncated or gammas[-1].truncated:
+            trunc = True
+    return _dot_keys(t, sums, trunc)
 
 
 def pd_evaluate_naive(terms, values, T):

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from htlab import WittElem, frobenius, make_base_config, teichmuller
+from htlab import WittElem, make_base_config, teichmuller
 from htlab.deltaring import teichmuller_factorize
 from htlab.errors import HorizonTooSmall, NotAUnit, PrecisionExhausted
 

@@ -579,6 +579,38 @@ def _descent_cells(h):
 @pytest.mark.parametrize(
     "spec", [(5, [-5], 1), (3, [-3], 1), (2, [-2], 1), (3, [-3, 0], 1), (2, [-2, 0], 1), (3, [-3], 2)]
 )
+def test_stratification_precision_ladder(spec):
+    """Every entry of every A_{n,I}, for eight modules sampled at N = 16 and
+    read back at N = 8 through JSON, agrees at N = 8 with the N = 16 entry in
+    every digit it claims.
+
+    Point bases only: chart bases wait on sparse zeros that carry their
+    precision (ROADMAP item 2)."""
+    p, E, f = spec
+    base = ChartRing(make_base_config(p, E, f=f, precision=16), "point")
+    rng = random.Random(f"strat-ladder-{spec}")
+    specs = default_specs()
+    claimed = 0
+    for _ in range(8):
+        flavor, rank, d, twist = rng.choice(specs)
+        hi = sample_higgs(base, rng, flavor, rank, d=d, twist=twist)
+        doc = higgs_to_json(hi)
+        doc["config"]["N"] = "8"
+        lo = higgs_from_json(doc)
+        assert lo.cfg.N == 8
+        lo_strat, hi_strat = stratification_from_higgs(lo), stratification_from_higgs(hi)
+        assert lo_strat.coeffs.keys() == hi_strat.coeffs.keys()
+        for key, lo_mat in lo_strat.coeffs.items():
+            hi_entries = dict(_entries(hi_strat.coeffs[key]))
+            for ij, x_lo in _entries(lo_mat):
+                assert claims_agree(x_lo, hi_entries[ij]), (flavor, d, twist, key, ij)
+                claimed += x_lo.prec - x_lo.shift >= 1 and not x_lo.storage_zero()
+    assert claimed
+
+
+@pytest.mark.parametrize(
+    "spec", [(5, [-5], 1), (3, [-3], 1), (2, [-2], 1), (3, [-3, 0], 1), (2, [-2, 0], 1), (3, [-3], 2)]
+)
 def test_descent_precision_ladder(spec):
     """p_0*(eps) and the product cells of p_2*(eps) p_0*(eps), for a module
     sampled at N = 16 and read back at N = 8 through JSON: each coefficient

@@ -1,4 +1,4 @@
-"""Every name a module of htlab imports is used in that module.
+"""Every name a module of htlab or of its tests imports is used in that module.
 
 A name counts as used when the module reads it, or lists it in __all__
 (the package's re-exports).  The check reads the source with the stdlib
@@ -10,7 +10,8 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "htlab"
+TESTS = Path(__file__).resolve().parent
+SRC = TESTS.parent / "src" / "htlab"
 
 
 def unused_imports(source):
@@ -34,6 +35,10 @@ def test_the_check_sees_an_unused_import():
     assert unused_imports(source) == ["chain"]
 
 
-@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+@pytest.mark.parametrize(
+    "path",
+    sorted(SRC.glob("*.py")) + sorted(TESTS.glob("*.py")),
+    ids=lambda p: p.name if p.parent == SRC else f"tests/{p.name}",
+)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []

@@ -26,6 +26,7 @@ from htlab.pdring import (
 from htlab.linalg import Mat
 from oracles import (
     face_apply_chain,
+    face_apply_one_sum,
     mat_mul_chain,
     pd_add_naive,
     pd_evaluate_naive,
@@ -476,7 +477,9 @@ def _oracle_element(ring, rng, scalar):
 @pytest.mark.parametrize("D", [1, 5, 8, 12])
 def test_packed_products_sums_and_faces_match_the_oracle(cfg_u5, point, D):
     """Products, sums and every face agree with the oracle on decoded monomials:
-    the same monomials in the same order, stored alike, with the same flag."""
+    the same monomials in the same order, stored alike, with the same flag.
+    d^0, one sum whose key order is face_apply_one_sum's, agrees monomial by
+    monomial."""
     rng = random.Random(100 + D)
     scalar = lambda: _oracle_scalar(cfg_u5, rng)
     one = point.one()
@@ -500,8 +503,15 @@ def test_packed_products_sums_and_faces_match_the_oracle(cfg_u5, point, D):
             for _ in range(3 if D < 12 else 1):
                 x = _oracle_element(ring, rng, scalar)
                 for i, ctx in enumerate(contexts):
-                    want = pd_face_naive(_readable(x), i, variant, D, one, alpha)
-                    assert _stored(_readable(ctx.apply(x))) == _stored(want), (variant, twist, i)
+                    got = ctx.apply(x)
+                    want = _stored(pd_face_naive(_readable(x), i, variant, D, one, alpha))
+                    if i == 0:
+                        # d^0 is one sum, whose key order is its own
+                        _assert_face_is_one_sum(ctx, x, got, (variant, twist))
+                        got, want = _keys_sorted(_stored(_readable(got))), _keys_sorted(want)
+                    else:
+                        got = _stored(_readable(got))
+                    assert got == want, (variant, twist, i)
     assert shared >= 10
 
 
@@ -851,6 +861,25 @@ def _chart_keys_sorted(form):
     return [(k, (sorted(c[0]), c[1])) for k, c in keys], trunc
 
 
+def _keys_sorted(form):
+    keys, trunc = form
+    return sorted(keys), trunc
+
+
+def _assert_face_is_one_sum(ctx, x, got=None, msg=None):
+    """d^0 of x on ctx (got, when given) is face_apply_one_sum in stored form,
+    key order and flag, and holds the stored form of face_apply_chain at
+    every key, with its flag: the one sum regroups nothing, so only the key
+    order may differ from the chain's, and inside a chart coefficient the
+    order of the chart keys."""
+    got = _form(ctx.apply(x) if got is None else got)
+    assert got == _form(face_apply_one_sum(ctx, x)), msg
+    chain = _form(face_apply_chain(ctx, x))
+    if not ctx.ring.base.is_point:
+        got, chain = _chart_keys_sorted(got), _chart_keys_sorted(chain)
+    assert (dict(got[0]), got[1]) == (dict(chain[0]), chain[1]), msg
+
+
 def test_a_column_entry_meets_every_row_through_one_right(cfg_u5, point, monkeypatch):
     """Mat.__mul__ over pd elements reads each entry of the right factor that
     meets a nonempty left entry into one _Right, kept on the entry, and
@@ -915,9 +944,10 @@ def _branch_elements(ring, base):
 
 @pytest.mark.parametrize("name", ["cfg_u5", "cfg_r2", "cfg_f2"])
 def test_twisted_face_matches_the_chain_oracle(request, name):
-    """FaceContext.apply at i = 0 agrees with face_apply_chain in stored form,
-    key order and flag, a constant key whose inverse gains a digit, capped at N,
-    included.
+    """FaceContext.apply at i = 0 is face_apply_one_sum in stored form, key
+    order and flag, and holds face_apply_chain's stored form at every key,
+    with its flag (_assert_face_is_one_sum), a constant key whose inverse
+    gains a digit, capped at N, included.
 
     One context serves every element of a ring, drawn over three seeds, so a
     plan built for one element runs on the next.  The inputs reach each
@@ -950,7 +980,7 @@ def test_twisted_face_matches_the_chain_oracle(request, name):
                         xs += [_oracle_element(ring, rng, scalar) for _ in range(2 if base.is_point else 1)]
                     for c in contexts:
                         for x in xs:
-                            assert _form(c.apply(x)) == _form(face_apply_chain(c, x)), (name, base.mode, variant, twist)
+                            _assert_face_is_one_sum(c, x, msg=(name, base.mode, variant, twist))
                             _face_branches(c, x, seen)
     assert all(seen.values()), seen
 
@@ -969,7 +999,7 @@ def test_twisted_face_matches_the_chain_oracle_at_large_descent_size(cfg_r2):
         xs = [x for row in eps.rows for x in row]
         xs += [_oracle_element(ring, rng, lambda: _chain_scalar(cfg_r2, rng)) for _ in range(3)]
         for x in xs:
-            assert _form(ctx.apply(x)) == _form(face_apply_chain(ctx, x)), twist
+            _assert_face_is_one_sum(ctx, x, msg=twist)
 
 
 def test_face_contexts_are_kept_per_ring_and_twist(cfg_u5):
@@ -1022,10 +1052,11 @@ def test_face_contexts_are_kept_per_ring_and_twist(cfg_u5):
         assert len({id(r) for r in rights.values()}) == len(rights)
         assert before.keys() <= later
         assert all(rights[g] is r for g, r in before.items())
-        for key, (first, rest) in ctx._plans.items():
-            assert first is ctx._gamma_image(*gammas(key)[0])
-            assert len(rest) == len(gammas(key)) - 1
-            assert all(g is ctx._gammas[vid_a] and g._right is rights[vid_a] for g, vid_a in zip(rest, gammas(key)[1:]))
+        for key, (first, middle, last, flag) in ctx._plans.items():
+            plan = [last] if first is None else [first, *middle, last]
+            assert len(plan) == len(gammas(key)) and flag == any(g.truncated for g in plan)
+            assert all(g is ctx._gammas[vid_a] for g, vid_a in zip(plan, gammas(key)))
+            assert all(g._right is rights[vid_a] for g, vid_a in zip(plan[1:], gammas(key)[1:]))
         assert later - before.keys(), sorted(before)
         before = rights
     # a shared context applies as a private one does

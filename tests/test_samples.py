@@ -1,7 +1,5 @@
 import random
 
-import pytest
-
 from htlab.chart import ChartRing
 from htlab.higgs import check_cocycle, validate_higgs
 from htlab.samples import corpus, default_specs, sample_group, sample_higgs

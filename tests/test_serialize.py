@@ -3,7 +3,6 @@ import random
 
 import pytest
 
-from htlab.base import KElem
 from htlab.chart import ChartRing
 from htlab.errors import ParseError
 from htlab.samples import sample_higgs
