@@ -190,6 +190,7 @@ class BaseConfig:
         # E'(pi) = e pi^(e-1) + sum_{i>=1} i E_coeffs[i] pi^(i-1); degree < e
         self.Ep = self.k_from_coeffs([i * E_coeffs[i] for i in range(1, e)] + [e])
         self.beta = self.pi * self.Ep
+        self._pi_pows = [self.k_one()]
         self._pi_inv = None
         self._beta_inv = None
         self._neg_b_inv_pows = None
@@ -234,12 +235,7 @@ class BaseConfig:
         if self.n == 1:
             return pow(u, -1, M)
         # u^(q-1) = 1 in the residue field F_q, so u^(q-2) inverts u mod pi
-        z, a, k = (1,) + self.zero_u[1:], u, p**f - 2
-        while k:
-            if k & 1:
-                z = self.mulu(z, a, p)
-            a = self.mulu(a, a, p)
-            k >>= 1
+        z = _pow(self, u, p**f - 2, p)
         # each Newton step doubles the pi-adic agreement, which starts at 1
         two = (2,) + self.zero_u[1:]
         reach = 1
@@ -355,6 +351,18 @@ class BaseConfig:
 
     # -- derived constants --------------------------------------------------
 
+    def pi_pow(self, v):
+        """pi^v for v >= 0, the chain one() * pi * .. * pi.
+
+        one() * pi stores as pi, so this is also the chain pi * .. * pi.  The
+        powers are kept in one list as it grows, scalars being immutable; the
+        chart relation, the Smith pivots and the fixed-point rescale read it.
+        """
+        pows = self._pi_pows
+        while len(pows) <= v:
+            pows.append(pows[-1] * self.pi)
+        return pows[v]
+
     def pi_inv(self):
         """1/pi as a K element: p^{-1} * (-pi^(e-1) * B^{-1})."""
         if self._pi_inv is None:
@@ -468,6 +476,17 @@ def _compile_kernels(n, table):
     scope = {}
     exec(src, scope)
     return scope["mulu"], scope["linu"], scope["dotu"]
+
+
+def _pow(cfg, a, n, M):
+    """a^n mod M for a numerator a of cfg: square and multiply on its mulu, from 1."""
+    r = 1 if cfg.n == 1 else (1,) + cfg.zero_u[1:]
+    while n:
+        if n & 1:
+            r = cfg.mulu(r, a, M)
+        a = cfg.mulu(a, a, M)
+        n >>= 1
+    return r
 
 
 def _no_digit(cfg, A):

@@ -130,14 +130,6 @@ def _normal(exps, r):
     return m, exps
 
 
-def _pi_pow(cfg, m):
-    """pi^m for m >= 1, the chain pi * pi * ... * pi."""
-    pim = cfg.pi
-    for _ in range(m - 1):
-        pim = pim * cfg.pi
-    return pim
-
-
 def _dot(xs, ys, ms=None):
     """The stored form of x0 y0 m0 + x1 y1 m1 + ... over chart scalars, a term
     x y m being (x * y).smul(m): one reduction per output key.
@@ -148,13 +140,13 @@ def _dot(xs, ys, ms=None):
     factor keeps the other factor's stored key.  A pair whose key the
     relation or the box acts on is summed first with the pairs of its term
     that share its raw key; the sum is then put through the constructor's
-    rule (dropped if droppable, times pi^m, dropped if droppable, flagged
-    and dropped outside the box) and enters its key's sum as one term, with
-    the term's multiplier.  So no product is regrouped, and every sum has
-    the stored form of the chain that forms each x y, applies smul and adds
-    them left to right (the stored form lemma of htlab.base).  Keys are in
-    the order they are first met; the chain's order differs only where a
-    partial sum is droppable.
+    rule (dropped if droppable, times pi^m from BaseConfig.pi_pow, dropped
+    if droppable, flagged and dropped outside the box) and enters its key's
+    sum as one term, with the term's multiplier.  So no product is
+    regrouped, and every sum has the stored form of the chain that forms
+    each x y, applies smul and adds them left to right (the stored form
+    lemma of htlab.base).  Keys are in the order they are first met; the
+    chain's order differs only where a partial sum is droppable.
     """
     x0 = xs[0]
     ring = x0.ring
@@ -226,7 +218,7 @@ def _dot(xs, ys, ms=None):
                     continue
                 m, key = _normal(key, r)
                 if m:
-                    c = c * _pi_pow(cfg, m)
+                    c = c * cfg.pi_pow(m)
                     if c.droppable():
                         continue
                 if sum(map(abs, key)) > Dy:
@@ -263,7 +255,7 @@ class ChartElem(Sparse):
                 continue
             m, exps = _normal(exps, ring.r)
             if m:
-                c = c * _pi_pow(ring.cfg, m)
+                c = c * ring.cfg.pi_pow(m)
                 if c.droppable():
                     continue
             if sum(abs(e) for e in exps) > ring.Dy:

@@ -185,10 +185,11 @@ def snf_dvr(mat, strict=False, with_v=False):
     """Diagonalize an integral matrix: U * mat * V = diag(pi^v), v ascending.
 
     Global minimal-valuation pivoting; the pivot row is rescaled so the pivot
-    becomes exactly a power of pi.  U is never formed.  With with_v, V (over
-    O_K, invertible) is built alongside in the column swaps and eliminations,
-    over all of its rows and with no skipped arithmetic; otherwise only the
-    working matrix is updated.  Entries must be point-mode scalars.
+    becomes exactly BaseConfig.pi_pow's power of pi.  U is never formed.
+    With with_v, V (over O_K, invertible) is built alongside in the column
+    swaps and eliminations, over all of its rows and with no skipped
+    arithmetic; otherwise only the working matrix is updated.  Entries must
+    be point-mode scalars.
 
     The first pivot scan is also the integrality check: before any step it
     raises if its least valuation is negative, or if an entry with no
@@ -221,8 +222,6 @@ def snf_dvr(mat, strict=False, with_v=False):
     M = [list(r) for r in mat.rows]
     V = Mat.identity(ring, b) if with_v else None
     vals = []
-    pi = ring.from_k(cfg.pi)
-    pi_pows = [ring.one()]  # pi^v for the pivots so far, formed as _pi_power does
     t = 0
     drained = False
     while t < min(a, b):
@@ -274,9 +273,7 @@ def snf_dvr(mat, strict=False, with_v=False):
                 piv[j] = uinv * x
         # the rescaled pivot is pi^best by construction; keep the exact
         # representative so later quotients divide by it exactly
-        while len(pi_pows) <= best:
-            pi_pows.append(pi_pows[-1] * pi)
-        piv[t] = pi_pows[best]
+        piv[t] = cfg.pi_pow(best)
         for i in range(t + 1, a):
             row = M[i]
             x = row[t]
@@ -322,14 +319,6 @@ def snf_dvr(mat, strict=False, with_v=False):
 # ---------------------------------------------------------------------------
 # module-shaped cohomology
 # ---------------------------------------------------------------------------
-
-
-def _pi_power(ring, v):
-    x = ring.one()
-    pi = ring.from_k(ring.cfg.pi)
-    for _ in range(v):
-        x = x * pi
-    return x
 
 
 def cohomology(rep, degree, strict=False):

@@ -14,7 +14,7 @@ That config is cfg itself when e = 1; otherwise it is built on first use."""
 
 from dataclasses import dataclass, field
 
-from .base import BaseConfig, KElem
+from .base import BaseConfig, KElem, _pow
 from .errors import HorizonTooSmall, NotAUnit, PrecisionExhausted
 
 
@@ -29,16 +29,6 @@ def _core(cfg):
         wc = cfg if cfg.e == 1 else BaseConfig(cfg.p, [-cfg.p], cfg.f, cfg.N)
         cfg._witt, wc._frob = wc, None
     return wc
-
-
-def _pow(wc, a, n, M):
-    r = wc.k_one().u
-    while n:
-        if n & 1:
-            r = wc.mulu(r, a, M)
-        a = wc.mulu(a, a, M)
-        n >>= 1
-    return r
 
 
 def _int_digits(wc, n, prec):

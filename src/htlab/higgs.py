@@ -286,15 +286,14 @@ class Stratification:
 
     Immutable after construction: ``coeffs`` is a read-only view of a copy
     of the mapping passed in, and its matrices are not to be changed in
-    place.  sen.cocycle_matrix caches what U(sigma) needs of the
-    coefficients on the stratification (``_cocycle_plan``), on its first
-    call, and the plan keeps one compiled layout per key (T, c == 0,
-    n_1 == 0, .., n_d == 0) that a call has used, so a stratification changed
-    afterwards would be checked against a stale plan and stale layouts.  To
-    change a coefficient, build a new Stratification.
+    place.  sen.cocycle_matrix keeps on the stratification one compiled
+    layout per key (T, c == 0, n_1 == 0, .., n_d == 0) that a call has used
+    (``_cocycle_layouts``), so a stratification changed afterwards would be
+    checked against stale layouts.  To change a coefficient, build a new
+    Stratification.
     """
 
-    __slots__ = ("cfg", "base", "flavor", "twist", "rank", "D", "coeffs", "_cocycle_plan")
+    __slots__ = ("cfg", "base", "flavor", "twist", "rank", "D", "coeffs", "_cocycle_layouts")
 
     braid_unit = HiggsData.braid_unit
 
@@ -306,7 +305,7 @@ class Stratification:
         self.rank = rank
         self.D = D
         self.coeffs = MappingProxyType(dict(coeffs))
-        self._cocycle_plan = None
+        self._cocycle_layouts = {}
 
     @property
     def d(self):

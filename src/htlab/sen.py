@@ -5,7 +5,9 @@ sigma = (n, c, chi),
 
     U(sigma) = sum A_{n,I} (prod_k n_k^{i_k} / i_k!) (c^n / n!) t^{n+|I|},
 
-a matrix of truncated t-series.  The cocycle law U(s u) = U(s) * s(U(u)),
+a matrix of truncated t-series.  cocycle_matrix compiles what does not
+depend on sigma once per layout key (T and which of c, n_1, .., n_d are 0)
+and keeps it on the stratification.  The cocycle law U(s u) = U(s) * s(U(u)),
 with s moving only t, is what check_cocycle certifies at the pd level;
 verify_cocycle_law re-checks it directly on sampled group pairs, slot by
 slot: each t-slot of a cell of the right side is one dot over the pairs
@@ -32,7 +34,7 @@ U(sigma) with F the cocycle of the phi-only sub-stratification.
 import math
 
 from .base import _norm
-from .cohomology import _pi_power, snf_dvr
+from .cohomology import snf_dvr
 from .errors import HorizonTooSmall, KernelRankDeficit, ValidationFailure
 from .galois import FormalCElem, FormalRing, GroupElt, galois_act_all, series_dot, sigma_t
 from .higgs import HiggsData, Stratification, _first_nonzero, stratification_from_higgs
@@ -47,43 +49,38 @@ def _as_strat(data, D=None):
     return data
 
 
-class _Weight:
-    """The coefficients of one weight m, and what each cell of U(sigma) reads of them.
+def _cocycle_layout(strat, key):
+    """The slots of U(sigma) for every sigma with layout key (T, c == 0, n_1 == 0, .., n_d == 0).
 
-    ``entries[t]`` is coefficient t's matrix flattened row by row.  Its
-    scalar s_t = num / den, den = n! prod i_k! = p^k * unit, is described by
-    ``scalars[t]`` = (n, ((k', i_k') for i_k' > 0), k, unit^-1 mod p^N), so a
-    call needs only sigma's numerator c^n prod n_k'^i_k'.  ``qs[t]`` = N - k
-    is the absolute precision of its term at a skipped zero, and ``qzero[t]``
-    a zero at that precision.  ``cells[c]`` is None for a dead cell, where
-    every entry is droppable, and (live, zeros) otherwise: the other (t, entry)
-    pairs in coefficient order, and the t of the droppable entries, least q
-    first.
-    """
-
-    __slots__ = ("entries", "scalars", "qs", "qzero", "cells")
-
-    def __init__(self):
-        self.entries = []
-        self.scalars = []
-        self.qs = []
-
-
-def _cocycle_plan(strat):
-    """(order, weights, layouts): what U(sigma) needs of a stratification, whatever sigma is.
-
-    order lists (m, n, I, t) in coefficient order, t numbering the
-    coefficients of weight m; weights maps m to its _Weight.  layouts starts
-    empty and maps a layout key to its _cocycle_layout, built on first use.
+    A coefficient is included when its weight m is below T and its
+    numerator c^n prod n_k^i_k is not 0 (always at m = 0); that depends on
+    sigma only through the key.  One pass over the coefficients, in their
+    order, groups the included ones by weight, in first-included order.
+    Each carries three things: the descriptor (n, ((k', i_k') for i_k' > 0),
+    k, unit^-1 mod p^N) of its scalar s = num / den, den = n! prod i_k! =
+    p^k * unit, so that a call needs only sigma's numerator; its matrix
+    flattened row by row; and q = N - k, the absolute precision of its term
+    at a skipped zero.
+    One entry per weight: (m, scalars, live, dead_cells, dead).  live holds
+    (c, xs, idx) for each cell with a nondroppable included entry: those
+    entries in coefficient order, then, on a point base, a zero at the least
+    q of the cell's included droppable entries, if any; idx numbers the operand of each x in
+    scalars, in order of first use, or is -1 for the zero, which multiplies
+    one.  Every other cell goes to dead_cells and holds the shared zero
+    dead, at the weight's least q (None over a chart or at q = N, where the
+    cell is dropped).  A stratification has at most (t-orders used) *
+    2^(d+1) layouts.
     """
     cfg = strat.cfg
     p, N = cfg.p, cfg.N
     M = p**N
     point = strat.base.is_point
-    order = []
+    T, c_zero, n_zero = key[0], key[1], key[2:]
     weights = {}
     for (n, index), A in strat.coeffs.items():
         m = n + sum(index)
+        if m >= T or (n and c_zero) or any(ik and z for ik, z in zip(index, n_zero)):
+            continue
         den = math.factorial(n)
         for ik in index:
             den *= math.factorial(ik)
@@ -91,86 +88,36 @@ def _cocycle_plan(strat):
         while not den % p:
             den //= p
             k += 1
-        w = weights.get(m)
-        if w is None:
-            w = weights[m] = _Weight()
-        order.append((m, n, index, len(w.qs)))
-        w.entries.append([a for row in A.rows for a in row])
-        w.scalars.append((n, tuple((j, ik) for j, ik in enumerate(index) if ik), k, pow(den, -1, M)))
-        w.qs.append(N - k)
-    for w in weights.values():
-        qs = w.qs
-        w.qzero = [cfg.k_zero(q) for q in qs]
-        w.cells = []
-        for c in range(strat.rank**2):
-            live, zeros = [], []
-            for t, entries in enumerate(w.entries):
-                x = entries[c]
-                if not x.droppable():
-                    live.append((t, x))
-                elif point:
-                    zeros.append(t)
-            if not live:
-                w.cells.append(None)
-                continue
-            zeros.sort(key=qs.__getitem__)
-            w.cells.append((live, zeros))
-    return order, weights, {}
-
-
-def _cocycle_layout(strat, plan, key):
-    """The slots of U(sigma) for every sigma with layout key (T, c == 0, n_1 == 0, .., n_d == 0).
-
-    A coefficient is included when its weight m is below T and its
-    numerator c^n prod n_k^i_k is not 0 (always at m = 0); that depends on
-    sigma only through the key.  One entry per included weight, in the
-    order of its first included coefficient: (m, scalars, live, dead_cells,
-    dead).  scalars lists the _Weight.scalars of the coefficients that live
-    terms read, live holds (c, xs, idx) for each cell with a dot to run, idx
-    numbering the operand of each x in scalars, or -1 for the one that
-    multiplies an included skipped zero, and every cell of dead_cells holds
-    the shared zero dead.  A stratification has at most (t-orders used) *
-    2^(d+1) layouts, and they go with its plan.
-    """
-    order, weights, _ = plan
-    cfg = strat.cfg
-    T, c_zero, n_zero = key[0], key[1], key[2:]
-    included = {}
-    for m, n, index, t in order:
-        if m >= T or (n and c_zero) or any(ik and z for ik, z in zip(index, n_zero)):
-            continue
-        inc = included.get(m)
-        if inc is None:
-            included[m] = {t}
-        else:
-            inc.add(t)
+        scalar = (n, tuple((j, ik) for j, ik in enumerate(index) if ik), k, pow(den, -1, M))
+        weights.setdefault(m, []).append((scalar, [a for row in A.rows for a in row], N - k))
     layout = []
-    for m, inc in included.items():
-        w = weights[m]
+    for m, terms in weights.items():
         # a cell whose included terms are all skipped zeros holds a zero at
         # their least q; for a single term that is dot's plain product too, as
         # the stored form of a zero depends only on its absolute precision
-        q = min(w.qs[t] for t in inc)
-        dead = cfg.k_zero(q) if strat.base.is_point and q < cfg.N else None
+        q = min(qt for _, _, qt in terms)
+        dead = cfg.k_zero(q) if point and q < N else None
         slot = {}
         live, dead_cells = [], []
-        for c, cell in enumerate(w.cells):
-            xs = None
-            if cell is not None:
-                terms, zeros = cell
-                xs = [x for t, x in terms if t in inc]
-                idx = [slot.setdefault(t, len(slot)) for t, _ in terms if t in inc]
-                rep = next((t for t in zeros if t in inc), None)
-                if xs and rep is not None:
-                    # dot takes from a zero term only its precision, and
-                    # qzero[rep] * one has the least q of the cell's zeros
-                    xs.append(w.qzero[rep])
-                    idx.append(-1)
-            if xs:
-                live.append((c, xs, idx))
-            elif dead is not None:
-                dead_cells.append(c)
-        layout.append((m, [w.scalars[t] for t in slot], live, dead_cells, dead))
+        for c in range(strat.rank**2):
+            xs, idx, zq = [], [], None
+            for t, (_, entries, qt) in enumerate(terms):
+                x = entries[c]
+                if not x.droppable():
+                    xs.append(x)
+                    idx.append(slot.setdefault(t, len(slot)))
+                elif point and (zq is None or qt < zq):
+                    zq = qt
+            if not xs:
+                if dead is not None:
+                    dead_cells.append(c)
+                continue
+            if zq is not None:
+                # dot takes from a zero term only its precision
+                xs.append(cfg.k_zero(zq))
+                idx.append(-1)
+            live.append((c, xs, idx))
+        layout.append((m, [terms[t][0] for t in slot], live, dead_cells, dead))
     return layout
 
 
@@ -184,19 +131,17 @@ def cocycle_matrix(data, s, T=None):
     The t^m slot of cell (i, j) has the stored form of the chain
     sum A_{n,I}[i][j] * s_{n,I} over the included coefficients of weight m,
     in coefficient order, where s_{n,I} = (c^n prod n_k^i_k) / (n! prod i_k!)
-    and a coefficient is included unless its numerator is 0 and m > 0.  The
-    parts of that sum that do not depend on sigma are worked out once per
-    stratification, on the first call, and cached on it (_cocycle_plan).
+    and a coefficient is included unless its numerator is 0 and m > 0.
     Most entries are droppable, and skipped: a K zero, stored as exactly
     (0, 0, N), or a chart element with no terms and no truncated flag.  A
-    cell all of whose entries are droppable is dead.  A skipped K zero is
-    not free: its term is a zero of absolute precision exactly
+    cell all of whose included entries are droppable is dead.  A skipped K
+    zero is not free: its term is a zero of absolute precision exactly
     q = N - v_p(n! prod i_k!), since the scalar has prec <= N and
     normalization keeps prec - shift, and that q does not depend on sigma.
     Which coefficients are included depends on sigma only through its
-    layout key (T, c == 0, n_1 == 0, .., n_d == 0), so each key's slot
-    list (_cocycle_layout) is compiled once per stratification, on first
-    use, and kept on the plan:
+    layout key (T, c == 0, n_1 == 0, .., n_d == 0), so the parts of the sum
+    that do not depend on sigma are compiled once per key, on its first
+    use, into a slot list (_cocycle_layout) kept on the stratification:
       * a live cell runs one dot over its included other entries
         plus one zero term at the least q of its included skipped zeros.
         That gives dot the same least absolute precision A and the same
@@ -220,15 +165,12 @@ def cocycle_matrix(data, s, T=None):
         raise ValidationFailure("group element dimension does not match the module")
     base = strat.base
     r = strat.rank
-    plan = strat._cocycle_plan
-    if plan is None:
-        plan = strat._cocycle_plan = _cocycle_plan(strat)
-    layouts = plan[2]
+    layouts = strat._cocycle_layouts
     c, ns = s.c, s.n
     key = (T, c == 0, *(nk == 0 for nk in ns))
     layout = layouts.get(key)
     if layout is None:
-        layout = layouts[key] = _cocycle_layout(strat, plan, key)
+        layout = layouts[key] = _cocycle_layout(strat, key)
     N = cfg.N
     M = cfg.p**N
     tail = cfg.zero_u[1:] if cfg.n > 1 else None
@@ -308,7 +250,7 @@ def h0_fixed_points(data, T=None):
     weight kills it (group elements separate the coefficients), so stack
     the A_{n,I} with 1 <= n + |I| <= T - 1 and take the kernel over K: the
     columns of V past the rank in the Smith form of the stack, scaled by a
-    power of pi to be integral.  Point-mode scalars only.
+    power of pi (BaseConfig.pi_pow) to be integral.  Point-mode scalars only.
     """
     strat = _as_strat(data)
     T = strat.cfg.cutoffs.T if T is None else T
@@ -325,7 +267,7 @@ def h0_fixed_points(data, T=None):
         vals = [a.min_val() for row in rows for a in row]
         low = min((v for v in vals if v is not None), default=0)
         if low < 0:
-            stack = stack.mul_scalar(_pi_power(base, -low))
+            stack = stack.mul_scalar(base.from_k(strat.cfg.pi_pow(-low)))
         snf = snf_dvr(stack, with_v=True)
         V, rank = snf.V, len(snf.vals)
     basis = [V.col(j) for j in range(rank, strat.rank)]

@@ -123,11 +123,19 @@ SWAP, RESCALE, ELIM = 0, 1, 2
 NaiveSnf = namedtuple("NaiveSnf", "vals precision_limited row_steps col_steps")
 
 
+def _pi_power(ring, v):
+    """pi^v in ring, the chain one() * pi * .. * pi."""
+    x = ring.one()
+    pi = ring.from_k(ring.cfg.pi)
+    for _ in range(v):
+        x = x * pi
+    return x
+
+
 def snf_dvr_naive(mat, strict=False):
     """htlab.cohomology.snf_dvr with no skipped arithmetic: an integrality
     pass over the matrix, then global minimal-valuation pivoting in which
     each step updates the whole working matrix and is recorded."""
-    from htlab.cohomology import _pi_power
     from htlab.errors import InsufficientPrecision, ValidationFailure
 
     ring = mat.ring
@@ -1182,3 +1190,33 @@ def delta_log_validate(cand, max_len=3, strict=False):
     if strict and violations:
         raise violations[0]
     return (not violations, violations)
+
+
+# ---------------------------------------------------------------------------
+# Unramified base change on descriptors: Z_p -> W(F_{p^f}) keeps E, beta and
+# every valuation, so each answer must come back digit for digit.
+# ---------------------------------------------------------------------------
+
+
+def lift_unramified(doc, f):
+    """The module descriptor doc, over a base with f = 1, read over W(F_{p^f}).
+
+    f is set in the config block, and each coefficient c of every scalar
+    record becomes the W coordinates [c, 0, .., 0] on 1, g, .., g^(f-1).
+    doc itself is left as it is.
+    """
+
+    def lift(x):
+        if isinstance(x, list):
+            return [lift(v) for v in x]
+        if not isinstance(x, dict):
+            return x
+        if "coeffs" in x and "prec" in x:
+            return {**x, "coeffs": [[c] + ["0"] * (f - 1) for c in x["coeffs"]]}
+        return {k: lift(v) for k, v in x.items()}
+
+    if doc["config"].get("f", "1") not in ("1", 1):
+        raise ValueError("lift_unramified reads a descriptor with f = 1")
+    out = {k: lift(v) for k, v in doc.items() if k != "config"}
+    out["config"] = {**doc["config"], "f": str(f)}
+    return out

@@ -1,0 +1,112 @@
+"""Unramified base change: a module over Z_p and the same module read over
+W(F_{p^2}) give the same answers, digit for digit.
+
+Extension of scalars along Z_p -> W(F_{p^2}) is unramified: E, beta and
+every valuation are unchanged, and the lifted coefficients stay in Z_p.  So
+every stored form agrees once a coordinate pair (c, 0) is read back as c.
+The f = 1 side runs the bare-int scalar kernels and the f = 2 side the
+compiled tuple kernels, so this pins the two to one answer.
+"""
+
+import json
+import random
+
+import pytest
+from click.testing import CliRunner
+from oracles import lift_unramified
+
+from htlab import make_base_config
+from htlab.chart import ChartRing
+from htlab.cli import main
+from htlab.cohomology import build_higgs_complex, cohomology_all
+from htlab.errors import ValidationFailure
+from htlab.galois import GroupElt
+from htlab.higgs import stratification_from_higgs, validate_higgs
+from htlab.samples import corpus
+from htlab.sen import cocycle_matrix, h0_fixed_points
+from htlab.serialize import dumps, higgs_from_json, higgs_to_json, mat_to_json, scalar_to_json
+
+LAB = (["check"], ["stratify"], ["cohomology"], ["cocycle", "--samples", "2"])
+
+
+def _unlift(x):
+    """x with each W coordinate list [c, 0, .., 0] of a scalar record read back as c."""
+    if isinstance(x, list):
+        return [_unlift(v) for v in x]
+    if not isinstance(x, dict):
+        return x
+    if "coeffs" in x and "prec" in x:
+        assert all(set(c[1:]) == {"0"} for c in x["coeffs"]), x
+        return {**x, "coeffs": [c[0] for c in x["coeffs"]]}
+    return {k: _unlift(v) for k, v in x.items()}
+
+
+def _sigma_params(rng, p, d):
+    """(n, c, chi) of a random sigma, one with c = 0 and, for d > 0, one with
+    n_1 = 0, so that U(sigma) compiles more than one layout."""
+    M = p**8
+
+    def n():
+        return [rng.randrange(1, M) for _ in range(d)]
+
+    def chi():
+        return 1 + p * rng.randrange(p**3)
+
+    out = [(n(), rng.randrange(1, M), chi()), (n(), 0, chi())]
+    if d:
+        out.append(([0] + n()[1:], rng.randrange(1, M), chi()))
+    return out
+
+
+def _answers(h, sigmas):
+    """Every answer htlab gives on h, in stored form as JSON records."""
+    strat = stratification_from_higgs(h)
+    out = {"strat": [[n, list(index), mat_to_json(A)] for (n, index), A in strat.coeffs.items()]}
+    us = []
+    for n, c, chi in sigmas:
+        U = cocycle_matrix(strat, GroupElt(h.cfg, n, c, chi))
+        us.append([[[[m, scalar_to_json(v)] for m, v in e.coeffs.items()] for e in row] for row in U.rows])
+    out["U"] = us
+    out["cohomology"] = cohomology_all(build_higgs_complex(h))
+    try:
+        res = validate_higgs(h)
+        out["validate"] = [res["ok"], [c.subject for c in res["certificates"] if not c.ok]]
+    except ValidationFailure as exc:
+        out["validate"] = f"{type(exc).__name__}: {exc}"
+    h0 = h0_fixed_points(strat)
+    out["h0"] = [h0["dim"], [[scalar_to_json(a) for a in v] for v in h0["basis"]]]
+    return out
+
+
+def _lab(runner, path, doc):
+    """(exit code, report without its config digest) of each module command on doc."""
+    path.write_text(dumps(doc))
+    out = []
+    for args in LAB:
+        res = runner.invoke(main, [args[0], str(path), *args[1:], "--canonical"])
+        assert res.exception is None or isinstance(res.exception, SystemExit), res.exception
+        report = json.loads(res.stdout)
+        report.pop("config_digest", None)
+        out.append([res.exit_code, report])
+    return out
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_unramified_base_change_keeps_every_answer(p, tmp_path):
+    """On the p-adic corpus of every flavor, twist and d, lifted f = 1 -> 2
+    through its descriptor: the stratification, U(sigma) at three sigmas,
+    the cohomology, the validate verdict, the fixed vectors and the lab
+    --canonical reports all agree in stored form."""
+    point = ChartRing(make_base_config(p, [-p]), "point")
+    rng = random.Random(f"base-change-{p}")
+    runner = CliRunner()
+    for i, h in enumerate(corpus(point, p)):
+        doc = higgs_to_json(h)
+        lifted = higgs_from_json(lift_unramified(doc, 2))
+        assert (lifted.cfg.f, lifted.cfg.n, h.cfg.n) == (2, 2, 1)
+        sigmas = _sigma_params(rng, p, h.d)
+        assert _unlift(_answers(lifted, sigmas)) == _answers(h, sigmas), (i, h.flavor)
+        if i % 3 == 0:
+            down = _lab(runner, tmp_path / "f1.json", doc)
+            up = _lab(runner, tmp_path / "f2.json", lift_unramified(doc, 2))
+            assert _unlift(up) == down, (i, h.flavor)

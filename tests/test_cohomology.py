@@ -612,26 +612,24 @@ def _oracle_matrix(point, rng, kind):
 
 def _fixed_point_stacks(strats, monkeypatch):
     """The matrices h0_fixed_points reduces on these stratifications, and
-    whether it rescaled any stack by a power of pi to make it integral."""
+    whether it rescaled any stack by a power of pi to make it integral: a
+    rescaled stack holds entries that are not the coefficients' own."""
     from htlab import sen
-    from htlab.cohomology import _pi_power
 
-    stacks, rescales = [], []
+    stacks, rescaled = [], False
 
     def catching_snf(mat, **kwargs):
         stacks.append(mat)
         return snf_dvr(mat, **kwargs)
 
-    def counting_pi_power(ring, v):
-        rescales.append(v)
-        return _pi_power(ring, v)
-
     with monkeypatch.context() as patch:
         patch.setattr(sen, "snf_dvr", catching_snf)
-        patch.setattr(sen, "_pi_power", counting_pi_power)
         for strat in strats:
+            seen = len(stacks)
             sen.h0_fixed_points(strat)
-    return stacks, bool(rescales)
+            own = {id(a) for A in strat.coeffs.values() for row in A.rows for a in row}
+            rescaled |= any(id(a) not in own for mat in stacks[seen:] for row in mat.rows for a in row)
+    return stacks, rescaled
 
 
 @pytest.mark.parametrize("name", sorted(ORACLE_BASES))

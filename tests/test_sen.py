@@ -495,13 +495,14 @@ def _assert_naive_chain(strat, s, T):
             assert e.truncated == any(v.truncated for v in cell.values())
 
 
-def _plan_counts(strat):
-    _, weights, _ = strat._cocycle_plan
+def _layout_counts(strat):
+    """Dead and live cells, and weights whose least included q is below 1, over the compiled layouts."""
     counts = {"dead": 0, "live": 0, "q<1": 0}
-    for w in weights.values():
-        counts["q<1"] += min(w.qs) < 1
-        for cell in w.cells:
-            counts["dead" if cell is None else "live"] += 1
+    for layout in strat._cocycle_layouts.values():
+        for _, _, live, dead_cells, dead in layout:
+            counts["dead"] += len(dead_cells)
+            counts["live"] += len(live)
+            counts["q<1"] += dead is not None and dead.abs_prec < 1
     return counts
 
 
@@ -523,29 +524,28 @@ def test_cocycle_plan_matches_the_naive_chain(spec):
     for strat, T in cases:
         for s in _sigmas(cfg, rng, strat.d):
             _assert_naive_chain(strat, s, T)
-        for key, n in _plan_counts(strat).items():
+        for key, n in _layout_counts(strat).items():
             counts[key] = counts.get(key, 0) + n
     assert counts["dead"] and counts["live"]
     assert bool(counts["q<1"]) == (spec == "p2e2")
 
 
 def _count_builds(monkeypatch):
-    """(plans, layouts): the stratification of each plan built, the key of each layout built."""
-    plans, layouts = [], []
-    plan, layout = sen._cocycle_plan, sen._cocycle_layout
-    monkeypatch.setattr(sen, "_cocycle_plan", lambda strat: plans.append(strat) or plan(strat))
-    monkeypatch.setattr(
-        sen, "_cocycle_layout", lambda strat, p, key: layouts.append(key) or layout(strat, p, key)
-    )
-    return plans, layouts
+    """The key of each layout compiled, in order."""
+    layouts = []
+    layout = sen._cocycle_layout
+    monkeypatch.setattr(sen, "_cocycle_layout", lambda strat, key: layouts.append(key) or layout(strat, key))
+    return layouts
 
 
 def _layout_key(s, T):
     return (T, s.c == 0, *(nk == 0 for nk in s.n))
 
 
-def test_cocycle_plan_is_built_once_per_stratification(cfg_u5, nilp2, monkeypatch):
-    plans, layouts = _count_builds(monkeypatch)
+def test_cocycle_layouts_are_compiled_once_per_key(cfg_u5, nilp2, monkeypatch):
+    """Each distinct key compiles one layout, and the stratification keeps
+    exactly those layouts."""
+    layouts = _count_builds(monkeypatch)
     strat = stratification_from_higgs(nilp2)
     rng = random.Random(15)
     keys = set()
@@ -553,8 +553,8 @@ def test_cocycle_plan_is_built_once_per_stratification(cfg_u5, nilp2, monkeypatc
         s, u = _rand_sigma(cfg_u5, rng, 1), _rand_sigma(cfg_u5, rng, 1)
         assert verify_cocycle_law(strat, s, u)["ok"]
         keys |= {_layout_key(x, cfg_u5.cutoffs.T) for x in (s, u, s * u)}
-    assert plans == [strat]
     assert sorted(layouts) == sorted(keys)
+    assert sorted(strat._cocycle_layouts) == sorted(keys)
 
 
 def _zero_pattern_sigmas(cfg, rng, d):
@@ -590,15 +590,15 @@ def test_cocycle_layout_is_keyed_by_t_order_and_zero_pattern(spec, monkeypatch):
     strat = _random_strat(base, rng, 2, d, D)
     sigmas = _zero_pattern_sigmas(cfg, rng, d)
     orders = (1, 3, D + 1)
-    plans, layouts = _count_builds(monkeypatch)
+    layouts = _count_builds(monkeypatch)
     for _ in range(2):
         for s in sigmas:
             for T in orders:
                 _assert_naive_chain(strat, s, T)
     keys = {_layout_key(s, T) for s in sigmas for T in orders}
     assert len(keys) == len(orders) * (d + 3)
-    assert plans == [strat]
     assert sorted(layouts) == sorted(keys)
+    assert sorted(strat._cocycle_layouts) == sorted(keys)
 
 
 def test_stratification_coefficients_are_read_only(cfg_u5, nilp2):
