@@ -303,6 +303,18 @@ class BaseConfig:
         terms = [(a, b, m * p ** (top - s)) for (a, b, m), s in zip(terms, shifts)]
         return _norm(self, self.dotu(terms, p ** (A + top)), top, A + top)
 
+    def terms_vanish(self, A, top, terms, shifts):
+        """Whether reduce_terms(A, top, terms, shifts) is zero, with no scalar
+        formed: no digit is left, or no term is, or the exact sum at shift top
+        is 0 mod p^(A + top).  Cancelling p from a nonzero numerator leaves it
+        nonzero, so this is the zero test of the reduced scalar."""
+        if A + top < 1 or not terms:
+            return True
+        p = self.p
+        if top:
+            terms = [(a, b, m * p ** (top - s)) for (a, b, m), s in zip(terms, shifts)]
+        return self.dotu(terms, p ** (A + top)) == self.zero_u
+
     # -- constructors -------------------------------------------------------
 
     def k_zero(self, prec=None):

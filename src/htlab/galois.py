@@ -18,11 +18,19 @@ sigma_t and galois_act_all take alpha itself.  The action is not assumed:
 the evaluation/face compatibility oracle in the cosimplicial module
 certifies it.
 
-series_dot is the one t-slot kernel: a t-series product, the substitution
-t -> sigma(t) (subs_t_all) and each cell of the group law's right side
-(sen.verify_cocycle_law) form every slot as one dot over its pairs.
+series_dot is the one t-slot kernel: a t-series product and the
+substitution t -> sigma(t) form every slot as one sum over its pairs.  Over K
+its pair loop (_gather_slots) keeps [A, top, terms, shifts] per slot, as
+pdring._gather does per pd key, and each slot is reduced once; over other
+scalars each slot is one dot.  series_dot_vanishes runs the same loop for
+the group law (sen.verify_cocycle_law): each slot of a cell of
+U(s) * s(U(u)) - U(s u) is one sum, and over K it ends in a zero test of
+the exact sum, with no scalar formed.  The substitution runs on
+{t-degree: coefficient} dicts (subs_slots, and act_slots for sigma);
+subs_t_all and galois_act_all wrap it for t-series.
 """
 
+from .base import KElem
 from .sparse import Sparse
 
 
@@ -152,35 +160,79 @@ class FormalRing:
         return f"FormalRing({self.base!r}, T={self.T})"
 
 
-def sigma_t(base, s, T=None, alpha=None):
-    """sigma(t) = chi t (1 - alpha c t)^{-1} expanded to order T.
-
-    alpha is the twist unit of the 0th face map; it defaults to
-    beta = pi E'(pi), the twist of the logarithmic normalization.
-    """
+def _sigma_t_slots(base, s, T, alpha):
+    """{k: coefficient} of sigma(t) = chi t (1 - alpha c t)^{-1} below T,
+    over base, droppable coefficients left out."""
     cfg = s.cfg
-    T = cfg.cutoffs.T if T is None else T
     if alpha is None:
         alpha = cfg.beta
     ac = alpha.smul(s.c)
     coeffs = {}
     power = cfg.k_from_int(s.chi)
     for k in range(1, T):
-        coeffs[k] = base.from_k(power)
+        if not power.droppable():
+            coeffs[k] = base.from_k(power)
         power = power * ac
-    return FormalCElem(base, T, coeffs)
+    return coeffs
 
 
-def series_dot(row, col, T, dot):
-    """{k: slot}: the t^k slots below T of sum_l row[l] * col[l] that are not droppable.
+def sigma_t(base, s, T=None, alpha=None):
+    """sigma(t) = chi t (1 - alpha c t)^{-1} expanded to order T.
 
-    row[l] and col[l] hold the (t-degree, coefficient) pairs of two series,
-    as lists or dict items views.  Slot k is one dot over the products x * y
-    with a + b = k, x the t^a coefficient of row[l] and y the t^b coefficient
-    of col[l], taken in (l, a, b) order: the stored form of the chain that
-    sums them in that order.
+    alpha is the twist unit of the 0th face map; it defaults to
+    beta = pi E'(pi), the twist of the logarithmic normalization.
     """
-    sums = {}
+    T = s.cfg.cutoffs.T if T is None else T
+    return FormalCElem(base, T, _sigma_t_slots(base, s, T, alpha), reduce=False)
+
+
+def _first_scalar(row):
+    """The first coefficient of the series of row, None if they are all empty."""
+    for xs in row:
+        for _, x in xs:
+            return x
+    return None
+
+
+def _gather_slots(sums, row, col, T, zero, m):
+    """Add the pairs of m * sum_l row[l] * col[l] below T to sums, {k: [A,
+    top, terms, shifts]}, over K scalars, in (l, a, b) order.
+
+    As pdring._gather does per pd key: per slot, A is the least term
+    precision, top the top shift, and terms and shifts the (u_x, u_y, m) and
+    shift of each pair with two nonzero numerators, in the order met.  A slot
+    is entered where its first pair is met, whatever its numerators.
+    """
+    for xs, ys in zip(row, col):
+        if not ys:
+            continue
+        for a, x in xs:
+            u1, s1, p1 = x.u, x.shift, x.prec
+            if u1 == zero:
+                u1 = None
+            for b, y in ys:
+                k = a + b
+                if k >= T:
+                    continue
+                s = s1 + y.shift
+                p2 = y.prec
+                A = (p1 if p1 < p2 else p2) - s
+                acc = sums.get(k)
+                if acc is None:
+                    sums[k] = acc = [A, 0, [], []]
+                elif A < acc[0]:
+                    acc[0] = A
+                if u1 is not None and y.u != zero:
+                    acc[2].append((u1, y.u, m))
+                    acc[3].append(s)
+                    if s > acc[1]:
+                        acc[1] = s
+
+
+def _pair_slots(sums, row, col, T, m):
+    """Add the pairs of m * sum_l row[l] * col[l] below T to sums,
+    {k: (xs, ys, ms)}, over scalars other than K, in (l, a, b) order, each
+    with multiplier m."""
     for xs, ys in zip(row, col):
         if not ys:
             continue
@@ -189,51 +241,132 @@ def series_dot(row, col, T, dot):
                 k = a + b
                 if k >= T:
                     continue
-                pair = sums.get(k)
-                if pair is None:
-                    sums[k] = ([x], [y])
-                else:
-                    pair[0].append(x)
-                    pair[1].append(y)
+                acc = sums.get(k)
+                if acc is None:
+                    sums[k] = acc = ([], [], [])
+                acc[0].append(x)
+                acc[1].append(y)
+                acc[2].append(m)
+
+
+def series_dot(row, col, T, dot):
+    """{k: slot}: the t^k slots below T of sum_l row[l] * col[l] that are not droppable.
+
+    row[l] and col[l] hold the (t-degree, coefficient) pairs of two series,
+    as lists or dict items views.  Slot k is one sum over the products
+    x * y with a + b = k, x the t^a coefficient of row[l] and y the t^b
+    coefficient of col[l], taken in (l, a, b) order: the stored form of the
+    chain that sums them in that order.  Over K the pair loop (_gather_slots)
+    keeps [A, top, terms, shifts] per slot and BaseConfig.reduce_terms ends
+    it, as BaseConfig.dot would; over other scalars each slot is one dot.
+    Slots come in the order their first pair is met.
+    """
+    x0 = _first_scalar(row)
+    if x0 is None:
+        return {}
     out = {}
-    for k, (xs, ys) in sums.items():
-        v = dot(xs, ys)
+    if type(x0) is KElem:
+        cfg = x0.cfg
+        N, reduce = cfg.N, cfg.reduce_terms
+        sums = {}
+        _gather_slots(sums, row, col, T, cfg.zero_u, 1)
+        for k, acc in sums.items():
+            # A = N and no term of two nonzero numerators: the droppable zero
+            if not acc[2] and acc[0] >= N:
+                continue
+            v = reduce(*acc)
+            if not v.droppable():
+                out[k] = v
+        return out
+    sums = {}
+    _pair_slots(sums, row, col, T, 1)
+    for k, (xs, ys, ms) in sums.items():
+        v = dot(xs, ys, ms)
         if not v.droppable():
             out[k] = v
     return out
 
 
-def subs_t_all(xs, t_img):
-    """Substitute t -> t_img in each series of xs, which share one base and T.
+def series_dot_vanishes(row, col, minus, T, one, dot):
+    """Whether every slot below T of sum_l row[l] * col[l] - minus is zero.
 
-    The powers of t_img are built once for all of xs, up to the highest
-    degree present.  Slot j of a result is one dot (series_dot) over the
-    terms v * x_k, v the t^j coefficient of t_img^k, in increasing k: the
-    stored form of the chain that drops each droppable term and partial sum,
-    as no scalar holds more than N digits (htlab.base), so a dropped zero,
-    at A = N, never lowers the chain's A.
+    row and col are as in series_dot, minus a {t-degree: coefficient} dict
+    with degrees below T, one the one of the coefficients' ring and dot its
+    BaseConfig.dot.  Slot k is one sum: the pairs of series_dot's slot k in
+    (l, a, b) order, then minus[k] as the term minus[k] * one * (-1).  That
+    sum is the chain rhs + (minus[k] * 1).smul(-1) with rhs series_dot's
+    slot, and by the stored form lemma (htlab.base; chart._dot keeps it per
+    chart key) its zero test is that of minus[k] - rhs whenever
+    minus[k] * 1 stores as minus[k], that is whenever minus[k] claims at
+    most N numerator digits, as every slot of a cocycle matrix does.  Over
+    K the pairs go through series_dot's pair loop, and each slot ends in a
+    zero test of the one exact sum mod p^(A + top) (BaseConfig.terms_vanish),
+    with no scalar formed; over other scalars each slot is one dot with
+    multipliers, tested by is_zero.
     """
+    sums = {}
+    neg = ([minus.items()], [((0, one),)], T)
+    if type(one) is KElem:
+        cfg = one.cfg
+        _gather_slots(sums, row, col, T, cfg.zero_u, 1)
+        _gather_slots(sums, *neg, cfg.zero_u, -1)
+        vanish = cfg.terms_vanish
+        return all(vanish(*acc) for acc in sums.values())
+    _pair_slots(sums, row, col, T, 1)
+    _pair_slots(sums, *neg, -1)
+    return all(dot(*acc).is_zero() for acc in sums.values())
+
+
+def subs_slots(cells, img, base, T):
+    """Substitute t -> img in each {t-degree: coefficient} dict of cells.
+
+    img is the {t-degree: coefficient} dict of a series of positive t-order
+    over base, the coefficients' ring.  The powers of img are built once
+    for all of cells, up to the highest degree present, each as a series
+    product from {0: base.one()}.  Slot j of a result is one sum
+    (series_dot) over the terms v * x_k, v the t^j coefficient of img^k, in
+    increasing k: the stored form of the chain that drops each droppable
+    term and partial sum, as no scalar holds more than N digits
+    (htlab.base), so a dropped zero, at A = N, never lowers the chain's A.
+    """
+    top = max((k for x in cells for k in x), default=0)
+    dot = base.cfg.dot
+    img = img.items()
+    powers = [{0: base.one()}]
+    for _ in range(top):
+        powers.append(series_dot([powers[-1].items()], [img], T, dot))
+    out = []
+    for x in cells:
+        ks = sorted(x)
+        out.append(series_dot([powers[k].items() for k in ks], [[(0, x[k])] for k in ks], T, dot))
+    return out
+
+
+def act_slots(s, cells, base, T, alpha=None):
+    """sigma applied to each {t-degree: coefficient} dict of cells, over base:
+    t -> sigma(t) by subs_slots, with sigma(t) twisted by the unit alpha.
+    The identity on t (c = 0, chi = 1) hands cells back as they are."""
+    if s.c == 0 and s.chi == 1:
+        return list(cells)
+    return subs_slots(cells, _sigma_t_slots(base, s, T, alpha), base, T)
+
+
+def subs_t_all(xs, t_img):
+    """Substitute t -> t_img in each series of xs, which share one base and T:
+    subs_slots on their coefficient dicts."""
     if 0 in t_img.coeffs:
         raise ValueError("substitution target must have positive t-order")
     if not xs:
         return []
     base, T = xs[0].base, xs[0].T
-    top = max((k for x in xs for k in x.coeffs), default=0)
-    powers = [FormalCElem.scalar(base, T, base.one())]
-    for _ in range(top):
-        powers.append(powers[-1] * t_img)
-    dot = base.cfg.dot
-    out = []
-    for x in xs:
-        ks = sorted(x.coeffs)
-        row = [powers[k].coeffs.items() for k in ks]
-        col = [[(0, x.coeffs[k])] for k in ks]
-        out.append(FormalCElem(base, T, series_dot(row, col, T, dot), reduce=False))
-    return out
+    slots = subs_slots([x.coeffs for x in xs], t_img.coeffs, base, T)
+    return [FormalCElem(base, T, c, reduce=False) for c in slots]
 
 
 def galois_act_all(s, xs, alpha=None):
-    """Apply sigma to each t-series of xs, sharing sigma(t) and its powers."""
-    if (s.c == 0 and s.chi == 1) or not xs:
-        return list(xs)
-    return subs_t_all(xs, sigma_t(xs[0].base, s, T=xs[0].T, alpha=alpha))
+    """Apply sigma to each t-series of xs, sharing sigma(t) and its powers:
+    act_slots on their coefficient dicts."""
+    if not xs:
+        return []
+    base, T = xs[0].base, xs[0].T
+    return [FormalCElem(base, T, c, reduce=False) for c in act_slots(s, [x.coeffs for x in xs], base, T, alpha)]

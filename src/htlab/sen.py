@@ -7,14 +7,16 @@ sigma = (n, c, chi),
 
 a matrix of truncated t-series.  cocycle_matrix compiles what does not
 depend on sigma once per layout key (T and which of c, n_1, .., n_d are 0)
-and keeps it on the stratification.  The cocycle law U(s u) = U(s) * s(U(u)),
-with s moving only t, is what check_cocycle certifies at the pd level;
-verify_cocycle_law re-checks it directly on sampled group pairs, slot by
-slot: each t-slot of a cell of the right side is one dot over the pairs
-that land in it (galois.series_dot), compared at once with the same slot of
-U(s u) by the rule of a difference (sparse.agree), so no product or
-residual matrix is formed.  Mat.__mul__ stays the one general product, for
-the period and the crosscheck.
+and keeps it on the stratification, and forms the cells as plain
+{t-degree: scalar} dicts (_cocycle_cells) before it wraps them.  The
+cocycle law U(s u) = U(s) * s(U(u)), with s moving only t, is what
+check_cocycle certifies at the pd level; verify_cocycle_law re-checks it
+directly on sampled group pairs, on those slot dicts alone: s acts on the
+cells of U(u) (galois.act_slots), and each t-slot of a cell of
+U(s) * s(U(u)) - U(s u) is one sum, tested for zero
+(galois.series_dot_vanishes).  No scalar of the right side, no series and
+no matrix is formed.  Mat.__mul__ stays the one general product, for the
+period and the crosscheck.
 
 The Sen operator of log-normalized data is -phi / beta.  Fixed vectors of
 the whole action are the common kernel of the positive-weight coefficients.
@@ -36,11 +38,10 @@ import math
 from .base import _norm
 from .cohomology import snf_dvr
 from .errors import HorizonTooSmall, KernelRankDeficit, ValidationFailure
-from .galois import FormalCElem, FormalRing, GroupElt, galois_act_all, series_dot, sigma_t
+from .galois import FormalCElem, FormalRing, GroupElt, act_slots, series_dot_vanishes, sigma_t
 from .higgs import HiggsData, Stratification, _first_nonzero, stratification_from_higgs
 from .linalg import Mat
 from .pdring import PdElement, PdRing
-from .sparse import agree
 
 
 def _as_strat(data, D=None):
@@ -157,12 +158,25 @@ def cocycle_matrix(data, s, T=None):
     k_from_int(num).div_int(den).  Then it runs one dot per live cell.
     """
     strat = _as_strat(data)
-    cfg = strat.cfg
-    T = cfg.cutoffs.T if T is None else T
+    T = strat.cfg.cutoffs.T if T is None else T
+    cells = _cocycle_cells(strat, s, T)
+    base, r = strat.base, strat.rank
+    out = [[FormalCElem(base, T, cells[i * r + j], reduce=False) for j in range(r)] for i in range(r)]
+    return Mat(FormalRing(base, T), out)
+
+
+def _cocycle_cells(strat, s, T):
+    """U(sigma) as its r^2 cells, row by row, each a {t-degree: scalar} dict.
+
+    The body of cocycle_matrix (see there), which wraps the cells; the
+    group law reads them as they are.  On a point base a scalar s_{n,I} is
+    the K element itself, with no from_k call.
+    """
     if T > strat.D + 1:
         raise HorizonTooSmall(f"t-order {T} needs coefficient weight {T - 1}, have {strat.D}")
     if s.d != strat.d:
         raise ValidationFailure("group element dimension does not match the module")
+    cfg = strat.cfg
     base = strat.base
     r = strat.rank
     layouts = strat._cocycle_layouts
@@ -174,7 +188,7 @@ def cocycle_matrix(data, s, T=None):
     N = cfg.N
     M = cfg.p**N
     tail = cfg.zero_u[1:] if cfg.n > 1 else None
-    from_k = base.from_k
+    from_k = None if base.is_point else base.from_k
     dot = cfg.dot
     one = cfg.k_one()
     cells = [{} for _ in range(r * r)]
@@ -185,7 +199,8 @@ def cocycle_matrix(data, s, T=None):
             for j, ik in powers:
                 num *= ns[j] ** ik
             u = num * inv % M
-            ys.append(from_k(_norm(cfg, u if tail is None else (u,) + tail, k, N)))
+            y = _norm(cfg, u if tail is None else (u,) + tail, k, N)
+            ys.append(y if from_k is None else from_k(y))
         ys.append(one)
         for i, xs, idx in live:
             v = dot(xs, [ys[j] for j in idx])
@@ -193,8 +208,7 @@ def cocycle_matrix(data, s, T=None):
                 cells[i][m] = v
         for i in dead_cells:
             cells[i][m] = dead
-    out = [[FormalCElem(base, T, cells[i * r + j], reduce=False) for j in range(r)] for i in range(r)]
-    return Mat(FormalRing(base, T), out)
+    return cells
 
 
 def verify_cocycle_law(data, s, u, T=None):
@@ -206,30 +220,38 @@ def verify_cocycle_law(data, s, u, T=None):
     it holds on the c = 0 subgroup, which is all that site sees; the
     (1 - alpha c t)^{-1} twist belongs to the arithmetic faces.
 
-    The check runs slot by slot.  For each cell (i, j) in row-major order,
-    each t^k slot of the right side is one dot over the pairs that land in
-    it (galois.series_dot), dropped if droppable, and the slots are compared
-    with those of U(s u) by the rule of a difference (sparse.agree).  The
-    first cell that does not agree is the witness, and no later cell is
-    formed.  A slot has the stored form of the same slot of Mat.__mul__'s
-    product, which would form each cell as a chain of t-series, one series
-    product per l and a new series per partial sum.  The law needs only
-    whether each slot of lhs - rhs vanishes, so it forms no product, no
-    per-sum series and no residual matrix.
+    The check runs on the cells of the three cochains as plain
+    {t-degree: scalar} dicts (_cocycle_cells), s acting on those of U(u)
+    through galois.act_slots.  For each cell (i, j) in row-major order, each
+    t^k slot of the difference U(s) * s(U(u)) - U(s u) is one sum
+    (galois.series_dot_vanishes): the pairs that land in slot k, in
+    (l, a, b) order, then the U(s u) slot as the term lhs * 1 * (-1); the
+    sum is tested for zero.  Every slot of a cocycle matrix claims at most
+    N numerator digits, so by the stored form lemma that test gives the
+    answer of the rule of a difference between the U(s u) slot and the slot
+    Mat.__mul__'s product would form.  The first cell with a slot that does
+    not vanish is the witness, and no later cell is formed.  No scalar of
+    the right side or of the difference, no series, matrix or residual is
+    formed.
+
+    Raises ValueError when s and u differ in dimension, and, as
+    cocycle_matrix does, HorizonTooSmall for T > D + 1 and
+    ValidationFailure when their dimension is not the module's.
     """
     strat = _as_strat(data)
-    lhs = cocycle_matrix(strat, s * u, T=T)
-    T = lhs.ring.T
+    su = s * u
+    T = strat.cfg.cutoffs.T if T is None else T
+    lhs = _cocycle_cells(strat, su, T)
+    left = _cocycle_cells(strat, s, T)
+    base = strat.base
+    acted = act_slots(s, _cocycle_cells(strat, u, T), base, T, alpha=strat.braid_unit())
+    one, dot = base.one(), strat.cfg.dot
     r = strat.rank
-    left = [[e.coeffs.items() for e in row] for row in cocycle_matrix(strat, s, T=T).rows]
-    right = cocycle_matrix(strat, u, T=T)
-    acted = galois_act_all(s, [e for row in right.rows for e in row], alpha=strat.braid_unit())
-    acted = [e.coeffs.items() for e in acted]
-    cols = [acted[j::r] for j in range(r)]
-    dot = strat.cfg.dot
-    for i, row in enumerate(left):
-        for j, col in enumerate(cols):
-            if not agree(lhs.rows[i][j].coeffs, series_dot(row, col, T, dot))[0]:
+    for i in range(r):
+        row = [cell.items() for cell in left[i * r : (i + 1) * r]]
+        for j in range(r):
+            col = [cell.items() for cell in acted[j::r]]
+            if not series_dot_vanishes(row, col, lhs[i * r + j], T, one, dot):
                 return {"ok": False, "witness": (i, j)}
     return {"ok": True, "witness": None}
 

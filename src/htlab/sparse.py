@@ -10,8 +10,8 @@ and supplies the parts that differ:
   comparisons.  Code that forms coefficients itself applies the same rule
   to each coefficient it forms: sums here, pd products and the twisted pd
   face, which forms each image as one sum of products, and
-  galois.series_dot, which forms each t-slot of a series product, a
-  substitution or the group law as one dot;
+  galois.series_dot, which forms each t-slot of a series product or a
+  substitution as one sum;
 * ``_new(coeffs, truncated)``, which rebuilds an element from a dict on
   its own keys: through that constructor, or, where the keys stay clean
   (chart), through the droppable filter alone; and
@@ -27,8 +27,11 @@ A coefficient map builds the raw coefficient dict and hands it to ``_new``.
 A sum starts from the clean coefficients of its left operand and checks only
 the keys the right operand adds to, so it hands its dict to ``_adopt``.
 
-agree is the rule of a difference, the one comparison of the descent check
-(higgs.check_cocycle_strat) and the group law (sen.verify_cocycle_law).
+agree is the rule of a difference, the comparison of the descent check
+(higgs.check_cocycle_strat) and of nothing else in htlab: the group law
+(sen.verify_cocycle_law) tests each slot of its difference as one sum
+(galois.series_dot_vanishes), which by the stored form lemma gives agree's
+answer.
 """
 
 from itertools import repeat
@@ -37,8 +40,9 @@ from itertools import repeat
 def agree(a, b):
     """(ok, truncated): whether coefficient dicts a and b agree, by the rule of a difference.
 
-    A key of both is subtracted, and the difference is dropped if droppable;
-    a key of one alone is left as it is, since it is zero exactly when its
+    It serves only the descent check (higgs.check_cocycle_strat).  A key
+    of both is subtracted, and the difference is dropped if droppable; a key
+    of one alone is left as it is, since it is zero exactly when its
     negative is.  ok is whether every key left is zero, and truncated
     whether a difference formed here is truncated.
     """

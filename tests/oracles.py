@@ -767,6 +767,34 @@ def cocycle_matrix_naive(strat, s, T):
     return out
 
 
+def series_dot_per_slot(row, col, T, dot):
+    """{k: slot}: the t^k slots below T of sum_l row[l] * col[l] that are not
+    droppable, by operand lists: the pairs x * y with a + b = k are listed in
+    (l, a, b) order, and each slot is then one dot over its lists.  Slots
+    come in the order their first pair is met."""
+    sums = {}
+    for xs, ys in zip(row, col):
+        if not ys:
+            continue
+        for a, x in xs:
+            for b, y in ys:
+                k = a + b
+                if k >= T:
+                    continue
+                pair = sums.get(k)
+                if pair is None:
+                    sums[k] = ([x], [y])
+                else:
+                    pair[0].append(x)
+                    pair[1].append(y)
+    out = {}
+    for k, (xs, ys) in sums.items():
+        v = dot(xs, ys)
+        if not v.droppable():
+            out[k] = v
+    return out
+
+
 def subs_t_chain(xs, t_img):
     """t -> t_img in each series of xs as a running chain: for k in increasing
     order, each term v * x_k (v a coefficient of t_img^k) is added into its
@@ -825,6 +853,25 @@ def cocycle_law_naive(strat, s, u, T=None):
     residual = lhs - rhs
     ok = residual.is_zero()
     return {"ok": ok, "witness": None if ok else _first_nonzero(residual)}
+
+
+def corrupted_strat(strat, rng):
+    """strat with one coefficient of positive weight bumped by p in a random
+    cell, or None if no coefficient has positive weight."""
+    from htlab.higgs import Stratification
+    from htlab.linalg import Mat
+
+    keys = [key for key in strat.coeffs if key[0] + sum(key[1]) >= 1]
+    if not keys:
+        return None
+    key = rng.choice(keys)
+    r = strat.rank
+    i, j = rng.randrange(r), rng.randrange(r)
+    p, zero = strat.base.from_int(strat.cfg.p), strat.base.zero()
+    bump = Mat(strat.base, [[p if (a, b) == (i, j) else zero for b in range(r)] for a in range(r)])
+    coeffs = dict(strat.coeffs)
+    coeffs[key] = coeffs[key] + bump
+    return Stratification(strat.base, strat.flavor, coeffs, strat.D, r, twist=strat.twist)
 
 
 def descent_faces(strat):

@@ -13,7 +13,7 @@ import random
 
 import pytest
 from click.testing import CliRunner
-from oracles import lift_unramified
+from oracles import corrupted_strat, lift_unramified
 
 from htlab import make_base_config
 from htlab.chart import ChartRing
@@ -23,7 +23,7 @@ from htlab.errors import ValidationFailure
 from htlab.galois import GroupElt
 from htlab.higgs import stratification_from_higgs, validate_higgs
 from htlab.samples import corpus
-from htlab.sen import cocycle_matrix, h0_fixed_points
+from htlab.sen import cocycle_matrix, h0_fixed_points, verify_cocycle_law
 from htlab.serialize import dumps, higgs_from_json, higgs_to_json, mat_to_json, scalar_to_json
 
 LAB = (["check"], ["stratify"], ["cohomology"], ["cocycle", "--samples", "2"])
@@ -58,15 +58,23 @@ def _sigma_params(rng, p, d):
     return out
 
 
-def _answers(h, sigmas):
+def _answers(h, sigmas, seed):
     """Every answer htlab gives on h, in stored form as JSON records."""
     strat = stratification_from_higgs(h)
     out = {"strat": [[n, list(index), mat_to_json(A)] for (n, index), A in strat.coeffs.items()]}
     us = []
-    for n, c, chi in sigmas:
-        U = cocycle_matrix(strat, GroupElt(h.cfg, n, c, chi))
+    gs = [GroupElt(h.cfg, n, c, chi) for n, c, chi in sigmas]
+    for g in gs:
+        U = cocycle_matrix(strat, g)
         us.append([[[[m, scalar_to_json(v)] for m, v in e.coeffs.items()] for e in row] for row in U.rows])
     out["U"] = us
+    # the group law's verdict and witness on each cyclic pair of the sigmas,
+    # on the module and on a corrupted copy of its stratification
+    pairs = list(zip(gs, gs[1:] + gs[:1]))
+    bad = corrupted_strat(strat, random.Random(seed))
+    for name, st in (("law", strat), ("law-corrupted", bad)):
+        if st is not None:
+            out[name] = [[law["ok"], law["witness"]] for law in (verify_cocycle_law(st, s, u) for s, u in pairs)]
     out["cohomology"] = cohomology_all(build_higgs_complex(h))
     try:
         res = validate_higgs(h)
@@ -95,18 +103,25 @@ def _lab(runner, path, doc):
 def test_unramified_base_change_keeps_every_answer(p, tmp_path):
     """On the p-adic corpus of every flavor, twist and d, lifted f = 1 -> 2
     through its descriptor: the stratification, U(sigma) at three sigmas,
-    the cohomology, the validate verdict, the fixed vectors and the lab
+    the group law's verdict and witness on the cyclic pairs of those sigmas,
+    on the module and on a corrupted copy of its stratification, the
+    cohomology, the validate verdict, the fixed vectors and the lab
     --canonical reports all agree in stored form."""
     point = ChartRing(make_base_config(p, [-p]), "point")
     rng = random.Random(f"base-change-{p}")
     runner = CliRunner()
+    witnesses = 0
     for i, h in enumerate(corpus(point, p)):
         doc = higgs_to_json(h)
         lifted = higgs_from_json(lift_unramified(doc, 2))
         assert (lifted.cfg.f, lifted.cfg.n, h.cfg.n) == (2, 2, 1)
         sigmas = _sigma_params(rng, p, h.d)
-        assert _unlift(_answers(lifted, sigmas)) == _answers(h, sigmas), (i, h.flavor)
+        seed = rng.randrange(10**9)
+        want = _answers(h, sigmas, seed)
+        assert _unlift(_answers(lifted, sigmas, seed)) == want, (i, h.flavor)
+        witnesses += sum(not ok for ok, _ in want.get("law-corrupted", []))
         if i % 3 == 0:
             down = _lab(runner, tmp_path / "f1.json", doc)
             up = _lab(runner, tmp_path / "f2.json", lift_unramified(doc, 2))
             assert _unlift(up) == down, (i, h.flavor)
+    assert witnesses

@@ -1,8 +1,8 @@
 import random
 
 import pytest
-from oracles import claims_agree, cocycle_strat_naive, descent_faces, mat_mul_chain
-from test_sen import _corrupted, _form, _random_strat
+from oracles import claims_agree, cocycle_strat_naive, corrupted_strat, descent_faces, mat_mul_chain
+from test_sen import _form, _random_strat
 
 from htlab import corpus, default_specs, higgs, higgs_from_json, higgs_to_json, make_base_config
 from htlab.chart import ChartRing
@@ -456,7 +456,7 @@ def _descent_cases(cfg, rng):
             cases.append(stratification_from_higgs(sample_higgs(chart, rng, "abs-geom", 2, d=1, twist=twist), D=3))
         cases.append(_random_strat(chart, rng, 2, 1, 3))
     cases.append(_relabelled(cases[1]))
-    return cases + [_corrupted(strat, rng) for strat in cases]
+    return cases + [corrupted_strat(strat, rng) for strat in cases]
 
 
 def _reach(p2, p0, i, j):
@@ -516,7 +516,7 @@ def test_descent_builds_one_product_and_no_residual_matrix(nilp2, monkeypatch):
     compares it cell by cell, with no Mat.__sub__, on a module that passes
     and on a corrupted copy that does not."""
     strat = stratification_from_higgs(nilp2)
-    bad = _corrupted(strat, random.Random(15))
+    bad = corrupted_strat(strat, random.Random(15))
     calls = []
     for name in ("__mul__", "__sub__"):
         real = getattr(Mat, name)
@@ -557,7 +557,7 @@ def test_descent_on_kept_face_contexts_cold_and_warm(request, name):
     base = ChartRing(cfg, "point")
     rng = random.Random(f"warm-{name}")
     strats = [stratification_from_higgs(h) for h in corpus(base, 23)]
-    strats += [_corrupted(strat, rng) for strat in strats[:4]]
+    strats += [corrupted_strat(strat, rng) for strat in strats[:4]]
     want = [cocycle_strat_naive(strat) for strat in strats]
     assert not base.faces and not all(w["ok"] for w in want)
     for _ in range(2):

@@ -5,18 +5,20 @@ from oracles import (
     claims_agree,
     cocycle_law_naive,
     cocycle_matrix_naive,
+    corrupted_strat,
     galois_act_mat,
     higgs_dual,
     higgs_tensor,
     kron,
+    series_dot_per_slot,
 )
 
-from htlab import higgs, make_base_config, sen
+from htlab import galois, higgs, linalg, make_base_config, sen, sparse
 from htlab.base import KElem
 from htlab.chart import ChartElem, ChartRing
 from htlab.cohomology import build_higgs_complex, cohomology
 from htlab.errors import HorizonTooSmall, KernelRankDeficit, ValidationFailure
-from htlab.galois import FormalRing, GroupElt, series_dot
+from htlab.galois import FormalRing, GroupElt, series_dot, series_dot_vanishes
 from htlab.higgs import (
     HiggsData,
     Stratification,
@@ -694,19 +696,6 @@ def test_cocycle_of_tensor_and_dual(spec):
 # ---------------------------------------------------------------------------
 
 
-def _corrupted(strat, rng):
-    """strat with one coefficient of positive weight bumped by p in a random cell."""
-    keys = [key for key in strat.coeffs if key[0] + sum(key[1]) >= 1]
-    key = rng.choice(keys)
-    r = strat.rank
-    i, j = rng.randrange(r), rng.randrange(r)
-    p, zero = strat.base.from_int(strat.cfg.p), strat.base.zero()
-    bump = Mat(strat.base, [[p if (a, b) == (i, j) else zero for b in range(r)] for a in range(r)])
-    coeffs = dict(strat.coeffs)
-    coeffs[key] = coeffs[key] + bump
-    return Stratification(strat.base, strat.flavor, coeffs, strat.D, r, twist=strat.twist)
-
-
 def _law_cases(cfg, rng):
     """(strat, T): modules on point and chart bases (d = 1, 2), reduced-precision
     thetas, random stratifications with shifted and low-precision entries, and a
@@ -721,7 +710,7 @@ def _law_cases(cfg, rng):
         point = ChartRing(cfg, "point")
         h = sample_higgs(point, rng, "abs-geom", 2, d=1)
         cases += [(stratification_from_higgs(h, D=10), 11), (_random_strat(point, rng, 2, 1, 10), 11)]
-    return cases + [(_corrupted(strat, rng), T) for strat, T in cases]
+    return cases + [(corrupted_strat(strat, rng), T) for strat, T in cases]
 
 
 def _low_slot(xs, ys):
@@ -773,15 +762,101 @@ def test_law_slot_by_slot_matches_the_matrix_product(spec):
     assert seen["ok"] and seen["witness"] and seen["chart"] and seen["low"], seen
 
 
+def _rand_series(cfg, rng, T):
+    """{t-degree: K scalar}: random degrees below T, in random order, scalars from _rand_k."""
+    return {k: _rand_k(cfg, rng) for k in rng.sample(range(T), rng.randint(0, T))}
+
+
+@pytest.mark.parametrize("spec", ["p5", "p2e2", "p3f2"])
+def test_series_dot_pair_loop_matches_the_per_slot_dot(spec):
+    """Over K, series_dot's one pair loop gives each slot the stored form and
+    the place of oracles.series_dot_per_slot (operand lists, then one dot per
+    slot); series_dot_vanishes, which ends the same loop in a zero test, says
+    what the rule of a difference (sparse.agree) says of minus against those
+    slots, for every minus that claims at most N numerator digits."""
+    cfg = {
+        "p5": make_base_config(5, [-5]),
+        "p2e2": make_base_config(2, [-2, 0]),
+        "p3f2": make_base_config(3, [-3], f=2),
+    }[spec]
+    rng = random.Random(f"pair-loop-{spec}")
+    T, N, one = 6, cfg.N, cfg.k_one()
+    seen = dict.fromkeys(("shifted", "no-digit", "zero-numerator", "vanishes", "residual"), 0)
+    for _ in range(200):
+        r = rng.randint(1, 3)
+        row = [list(_rand_series(cfg, rng, T).items()) for _ in range(r)]
+        col = [list(_rand_series(cfg, rng, T).items()) for _ in range(r)]
+        want = series_dot_per_slot(row, col, T, cfg.dot)
+        got = series_dot(row, col, T, cfg.dot)
+        assert [(k, _form(v)) for k, v in got.items()] == [(k, _form(v)) for k, v in want.items()]
+        for k in range(T):
+            pairs = [(x, y) for xs, ys in zip(row, col) for a, x in xs for b, y in ys if a + b == k]
+            if not pairs:
+                continue
+            live = [(x, y) for x, y in pairs if not (x.storage_zero() or y.storage_zero())]
+            seen["zero-numerator"] += len(live) < len(pairs)
+            seen["shifted"] += any(x.shift + y.shift for x, y in live)
+            seen["no-digit"] += min(min(x.prec, y.prec) - x.shift - y.shift for x, y in pairs) < 1
+        # minus: a slot read back through a product by one, perturbed by p^j,
+        # or a random scalar; each times one, so that it claims at most N digits
+        minus = {}
+        for k in rng.sample(range(T), rng.randint(0, T)):
+            kind = rng.random()
+            x = want.get(k, cfg.k_zero())
+            if kind < 0.25:
+                x = _rand_k(cfg, rng)
+            elif kind < 0.5:
+                x = x + cfg.k_from_int(cfg.p ** rng.randrange(N))
+            minus[k] = x * one
+            assert minus[k].prec <= N
+        vanishes = series_dot_vanishes(row, col, minus, T, one, cfg.dot)
+        assert vanishes == agree(minus, want)[0]
+        seen["vanishes" if vanishes else "residual"] += 1
+    assert all(seen.values()), seen
+
+
+def test_law_error_contract(cfg_u5, nilp2):
+    """HorizonTooSmall for T > D + 1, ValidationFailure for sigmas of another
+    dimension than the module's, and ValueError for s and u of two dimensions."""
+    strat = stratification_from_higgs(nilp2)
+    s, wide = GroupElt(cfg_u5, (1,), 1, 6), GroupElt(cfg_u5, (1, 2), 1, 6)
+    assert verify_cocycle_law(strat, s, s, T=strat.D + 1)["ok"]
+    for data in (strat, nilp2):
+        with pytest.raises(HorizonTooSmall):
+            verify_cocycle_law(data, s, s, T=strat.D + 2)
+    with pytest.raises(ValidationFailure):
+        verify_cocycle_law(strat, wide, wide)
+    for a, b in ((s, wide), (wide, s)):
+        with pytest.raises(ValueError) as exc:
+            verify_cocycle_law(strat, a, b)
+        assert exc.type is ValueError
+
+
 def test_law_builds_no_product_or_residual_matrix(cfg_u5, nilp2, monkeypatch):
+    """On a point base the law forms no t-series, no matrix (so no product or
+    residual matrix) and calls no sparse.agree: it runs on slot dicts."""
     strat = stratification_from_higgs(nilp2)
     rng = random.Random(16)
-    bad = _corrupted(strat, rng)
+    bad = corrupted_strat(strat, rng)
     calls = []
     for name in ("__mul__", "__sub__"):
         real = getattr(Mat, name)
         monkeypatch.setattr(Mat, name, lambda a, b, real=real, name=name: calls.append(name) or real(a, b))
+    for cls in (Mat, galois.FormalCElem):
+        real = cls.__init__
+        monkeypatch.setattr(
+            cls, "__init__", lambda self, *a, real=real, cls=cls, **kw: calls.append(cls.__name__) or real(self, *a, **kw)
+        )
+    real_agree = sparse.agree
+    for module in (sparse, higgs, sen, galois, linalg):
+        if hasattr(module, "agree"):
+            monkeypatch.setattr(module, "agree", lambda a, b: calls.append("agree") or real_agree(a, b))
     for _ in range(4):
         assert verify_cocycle_law(strat, _rand_sigma(cfg_u5, rng, 1), _rand_sigma(cfg_u5, rng, 1))["ok"]
     assert not verify_cocycle_law(bad, GroupElt(cfg_u5, (1,), 1, 6), GroupElt(cfg_u5, (2,), 3, 11))["ok"]
     assert calls == []
+    # the counters see what is formed elsewhere: a cocycle matrix, and the
+    # descent check's comparisons
+    sen.cocycle_matrix(strat, GroupElt(cfg_u5, (1,), 1, 6))
+    check_cocycle_strat(strat)
+    assert {"FormalCElem", "Mat", "agree"} <= set(calls)
