@@ -255,8 +255,7 @@ class BaseConfig:
         zero numerator costs its precision and nothing else.  Any other
         scalar's class supplies the routine, its _dot: chart scalars take
         one such reduction per chart key (htlab.chart), pd scalars one per
-        pd key (htlab.pdring), and only t-series run the chain as written
-        (htlab.sparse).
+        pd key (htlab.pdring).
         """
         if len(xs) == 1:
             t = xs[0] * ys[0]

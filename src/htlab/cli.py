@@ -199,7 +199,7 @@ def cocycle(doc, cfg, samples, seed):
         s, u = (sample_group(cfg, rng, h.d, geometric=h.flavor == "rel-geom") for _ in range(2))
         pairs.append({"s": s.to_json(), "u": u.to_json(), "ok": verify_cocycle_law(strat, s, u, T=T)["ok"]})
     checks = {"cocycle_law": {"status": "pass" if all(p["ok"] for p in pairs) else "fail"}}
-    return checks, {"t_order": str(T), "identity_matrix": series_mat_to_json(u_ident), "pairs": pairs}
+    return checks, {"t_order": str(T), "identity_matrix": series_mat_to_json(u_ident, strat.rank), "pairs": pairs}
 
 
 def _unit_digits(item, f):

@@ -14,24 +14,26 @@ coefficients do all the real valuation work.  The derived Galois action is
 extended coefficientwise (trivially on K and on chart variables), with alpha
 the twist unit that also twists the 0th face map (higgs.twist_unit):
 beta = pi E'(pi) in the log normalization, E'(pi) in the smooth one.
-sigma_t and galois_act_all take alpha itself.  The action is not assumed:
-the evaluation/face compatibility oracle in the cosimplicial module
-certifies it.
+sigma_t and act_slots take alpha itself.  The action is not assumed: the
+evaluation/face compatibility oracle in the cosimplicial module certifies
+it.
 
-series_dot is the one t-slot kernel: a t-series product and the
-substitution t -> sigma(t) form every slot as one sum over its pairs.  Over K
-its pair loop (_gather_slots) keeps [A, top, terms, shifts] per slot, as
-pdring._gather does per pd key, and each slot is reduced once; over other
-scalars each slot is one dot.  series_dot_vanishes runs the same loop for
-the group law (sen.verify_cocycle_law): each slot of a cell of
-U(s) * s(U(u)) - U(s u) is one sum, and over K it ends in a zero test of
-the exact sum, with no scalar formed.  The substitution runs on
-{t-degree: coefficient} dicts (subs_slots, and act_slots for sigma);
-subs_t_all and galois_act_all wrap it for t-series.
+A t-series is a {t-degree: coefficient} dict, and an r x r matrix of them
+is its r^2 cells in row-major order.  series_dot is the one t-slot kernel:
+a series product, a matrix product (series_matmul) and the substitution
+t -> sigma(t) (subs_slots, act_slots) form every slot as one sum over its
+pairs.  Over K its pair loop (_gather_slots) keeps [A, top, terms, shifts]
+per slot, as pdring._gather does per pd key, and each slot is reduced once;
+over other scalars each slot is one dot.  series_dot_vanishes runs the same
+loop for an identity left * right = minus, and first_residual for each cell
+of a matrix one: each slot of the difference is one sum, and over K it ends
+in a zero test of the exact sum, with no scalar formed.  Every t-series
+identity htlab certifies is one first_residual call: the group law
+(sen.verify_cocycle_law), the period and the inverse Simpson crosscheck
+(sen.period_kernel_rep, sen.crosscheck_inverse_simpson).
 """
 
 from .base import KElem
-from .sparse import Sparse
 
 
 class GroupElt:
@@ -85,85 +87,15 @@ class GroupElt:
         return f"GroupElt(n={self.n}, c={self.c}, chi={self.chi})"
 
 
-class FormalCElem(Sparse):
-    """Polynomial in t of degree < T with coefficients in the base ring."""
-
-    __slots__ = ("base", "T", "coeffs")
-
-    def __init__(self, base, T, coeffs=None, reduce=True):
-        self.base = base
-        self.T = T
-        if coeffs is None:
-            coeffs = {}
-        if reduce:
-            coeffs = {k: v for k, v in coeffs.items() if k < T and not v.droppable()}
-        self.coeffs = coeffs
-
-    @classmethod
-    def scalar(cls, base, T, s):
-        return cls(base, T, {0: s})
-
-    def _new(self, coeffs, truncated):
-        return FormalCElem(self.base, self.T, coeffs)
-
-    def _adopt(self, coeffs, truncated):
-        return FormalCElem(self.base, self.T, coeffs, reduce=False)
-
-    def _flag(self, other=None):
-        # the flag is derived from the coefficients (see truncated), so no
-        # operation reads it off its operands
-        return False
-
-    def __mul__(self, other):
-        coeffs = series_dot([self.coeffs.items()], [other.coeffs.items()], self.T, self.base.cfg.dot)
-        return FormalCElem(self.base, self.T, coeffs, reduce=False)
-
-    def droppable(self):
-        return not self.coeffs
-
-    @property
-    def truncated(self):
-        return any(v.truncated for v in self.coeffs.values())
-
-    def coeff(self, k):
-        if k in self.coeffs:
-            return self.coeffs[k]
-        return self.base.zero()
-
-    def __repr__(self):
-        return f"FormalCElem({self.coeffs}, T={self.T})"
-
-
-class FormalRing:
-    """Ring handle for matrices whose entries are truncated t-series."""
-
-    __slots__ = ("base", "T")
-
-    def __init__(self, base, T):
-        self.base = base
-        self.T = T
-
-    @property
-    def cfg(self):
-        return self.base.cfg
-
-    def zero(self):
-        return FormalCElem(self.base, self.T)
-
-    def one(self):
-        return FormalCElem.scalar(self.base, self.T, self.base.one())
-
-    def from_k(self, x):
-        return FormalCElem.scalar(self.base, self.T, self.base.from_k(x))
-
-    def __repr__(self):
-        return f"FormalRing({self.base!r}, T={self.T})"
-
-
-def _sigma_t_slots(base, s, T, alpha):
+def sigma_t(base, s, T=None, alpha=None):
     """{k: coefficient} of sigma(t) = chi t (1 - alpha c t)^{-1} below T,
-    over base, droppable coefficients left out."""
+    over base, droppable coefficients left out.
+
+    alpha is the twist unit of the 0th face map; it defaults to
+    beta = pi E'(pi), the twist of the logarithmic normalization.
+    """
     cfg = s.cfg
+    T = cfg.cutoffs.T if T is None else T
     if alpha is None:
         alpha = cfg.beta
     ac = alpha.smul(s.c)
@@ -174,16 +106,6 @@ def _sigma_t_slots(base, s, T, alpha):
             coeffs[k] = base.from_k(power)
         power = power * ac
     return coeffs
-
-
-def sigma_t(base, s, T=None, alpha=None):
-    """sigma(t) = chi t (1 - alpha c t)^{-1} expanded to order T.
-
-    alpha is the twist unit of the 0th face map; it defaults to
-    beta = pi E'(pi), the twist of the logarithmic normalization.
-    """
-    T = s.cfg.cutoffs.T if T is None else T
-    return FormalCElem(base, T, _sigma_t_slots(base, s, T, alpha), reduce=False)
 
 
 def _first_scalar(row):
@@ -317,6 +239,37 @@ def series_dot_vanishes(row, col, minus, T, one, dot):
     return all(dot(*acc).is_zero() for acc in sums.values())
 
 
+def series_matmul(left, right, r, T, dot):
+    """left * right for two r x r matrices of t-series, each given as its r^2
+    {t-degree: coefficient} cells in row-major order: cell (i, j) is
+    series_dot of row i of left against column j of right."""
+    out = []
+    for i in range(r):
+        row = [cell.items() for cell in left[i * r : (i + 1) * r]]
+        out.extend(series_dot(row, [cell.items() for cell in right[j::r]], T, dot) for j in range(r))
+    return out
+
+
+def first_residual(left, right, minus, r, T, one, dot):
+    """The first cell (i, j), in row-major order, of left * right - minus
+    with a slot below T that is not zero, or None.
+
+    left, right and minus are r x r matrices of t-series as in
+    series_matmul, one and dot as in series_dot_vanishes, which tests each
+    cell: every slot of it is one sum, and no later cell is formed.  Its
+    zero test is that of the rule of a difference (sparse.agree) between
+    minus and the cell series_matmul would form, whenever each slot of minus
+    claims at most N numerator digits.
+    """
+    for i in range(r):
+        row = [cell.items() for cell in left[i * r : (i + 1) * r]]
+        for j in range(r):
+            col = [cell.items() for cell in right[j::r]]
+            if not series_dot_vanishes(row, col, minus[i * r + j], T, one, dot):
+                return (i, j)
+    return None
+
+
 def subs_slots(cells, img, base, T):
     """Substitute t -> img in each {t-degree: coefficient} dict of cells.
 
@@ -348,25 +301,4 @@ def act_slots(s, cells, base, T, alpha=None):
     The identity on t (c = 0, chi = 1) hands cells back as they are."""
     if s.c == 0 and s.chi == 1:
         return list(cells)
-    return subs_slots(cells, _sigma_t_slots(base, s, T, alpha), base, T)
-
-
-def subs_t_all(xs, t_img):
-    """Substitute t -> t_img in each series of xs, which share one base and T:
-    subs_slots on their coefficient dicts."""
-    if 0 in t_img.coeffs:
-        raise ValueError("substitution target must have positive t-order")
-    if not xs:
-        return []
-    base, T = xs[0].base, xs[0].T
-    slots = subs_slots([x.coeffs for x in xs], t_img.coeffs, base, T)
-    return [FormalCElem(base, T, c, reduce=False) for c in slots]
-
-
-def galois_act_all(s, xs, alpha=None):
-    """Apply sigma to each t-series of xs, sharing sigma(t) and its powers:
-    act_slots on their coefficient dicts."""
-    if not xs:
-        return []
-    base, T = xs[0].base, xs[0].T
-    return [FormalCElem(base, T, c, reduce=False) for c in act_slots(s, [x.coeffs for x in xs], base, T, alpha)]
+    return subs_slots(cells, sigma_t(base, s, T, alpha), base, T)

@@ -1,9 +1,10 @@
 """Dense matrices over any of the ring-like carriers.
 
 A ring handle only needs zero() and one(); entries follow the shared scalar
-protocol.  The same class therefore serves K matrices, chart matrices,
-matrices of pd elements, and matrices of t-series.  Elimination lives in
-one place, cohomology.snf_dvr.
+protocol.  The same class therefore serves K matrices, chart matrices and
+matrices of pd elements.  A matrix of t-series is no Mat: it is its r^2
+{t-degree: coefficient} cells in row-major order (htlab.galois).
+Elimination lives in one place, cohomology.snf_dvr.
 """
 
 from .errors import BadIndex

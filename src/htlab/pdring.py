@@ -23,11 +23,12 @@ the two checks below take alpha itself (beta when omitted):
        Y_{k,j} |-> Y_{k,j+1} - Y_{k,1}                          (rel-geom)
   d^i (i > 0): index shift j -> j+1 for j >= i.
 
-evaluate_at_group sends a degree-n element to a t-series by X_j |-> c(s_1..s_j) t
-and Y_{k,j} |-> n_k(s_1..s_j) t, with v^[m] |-> v^m / m! in K.  The face maps
-and this evaluation are tied together by check_face_evaluation, which is the
-oracle certifying the twisted d^0 above against the group law, where s_1
-moves t by sigma(t) = chi t (1 - alpha c t)^{-1} with the same alpha.
+evaluate_at_group sends a degree-n element to a t-series, a {t-degree:
+coefficient} dict, by X_j |-> c(s_1..s_j) t and Y_{k,j} |-> n_k(s_1..s_j) t,
+with v^[m] |-> v^m / m! in K.  The face maps and this evaluation are tied
+together by check_face_evaluation, which is the oracle certifying the
+twisted d^0 above against the group law, where s_1 moves t by
+sigma(t) = chi t (1 - alpha c t)^{-1} with the same alpha.
 
 A pd monomial is stored packed in one Python int.  The generators, numbered
 g = 0, 1, ... in sorted (kind, k, j) order (X_j as (0, 0, j), Y_{k,j} as
@@ -94,8 +95,8 @@ from itertools import repeat
 from math import comb, factorial
 
 from .errors import AxiomViolation, BadIndex, InsufficientPrecision
-from .galois import FormalCElem, galois_act_all
-from .sparse import Sparse
+from .galois import act_slots
+from .sparse import Sparse, agree
 
 VARIANTS = ("abs-arith", "abs-geom", "rel-geom")
 
@@ -771,7 +772,10 @@ def evaluate_at_group(x, sigmas, T=None):
     """Evaluate a degree-n element against (s_1, ..., s_n) into K[t]/t^T.
 
     X_j goes to c(s_1..s_j) t, Y_{k,j} to the k-th geometric exponent of
-    s_1..s_j times t, and v^[m] to v^m / m!.
+    s_1..s_j times t, and v^[m] to v^m / m!.  The result is a
+    {t-degree: coefficient} dict over the ring's base, droppable slots left
+    out: slots in the order their first monomial comes, then the clamped
+    ones.
 
     A degree-m coefficient of x that collapsed to an ambient-precision zero
     may hide a contribution as large as p^N / m!, so every t^m output slot
@@ -830,7 +834,7 @@ def evaluate_at_group(x, sigmas, T=None):
         if cur is None:
             cur = base.from_k(cfg.k_zero())
         out[m] = cur.clamp_prec(cap)
-    return FormalCElem(base, T, out)
+    return {m: v for m, v in out.items() if not v.droppable()}
 
 
 def check_face_evaluation(x, sigmas, alpha=None, T=None):
@@ -840,25 +844,28 @@ def check_face_evaluation(x, sigmas, alpha=None, T=None):
     with the group-side operation: i = 0 lets s_1 act on t through sigma_t
     twisted by the same unit alpha as d^0 (beta = pi E'(pi) when omitted),
     middle indices merge s_i s_{i+1}, and the last index forgets s_{n+1}.
+    Both sides are {t-degree: coefficient} dicts (evaluate_at_group, and
+    galois.act_slots for i = 0), compared by the rule of a difference
+    (sparse.agree).
     """
     ring = x.ring
     n = ring.degree
     if len(sigmas) != n + 1:
         raise BadIndex(f"need exactly {n + 1} group elements")
     sigmas = list(sigmas)
+    T = ring.cfg.cutoffs.T if T is None else T
     results = []
     ok = True
     for i in range(n + 2):
         lhs = evaluate_at_group(face_map(i, x, alpha), sigmas, T=T)
         if i == 0:
-            [rhs] = galois_act_all(sigmas[0], [evaluate_at_group(x, sigmas[1:], T=T)], alpha=alpha)
+            [rhs] = act_slots(sigmas[0], [evaluate_at_group(x, sigmas[1:], T=T)], ring.base, T, alpha)
         elif i == n + 1:
             rhs = evaluate_at_group(x, sigmas[:n], T=T)
         else:
             merged = sigmas[: i - 1] + [sigmas[i - 1] * sigmas[i]] + sigmas[i + 1 :]
             rhs = evaluate_at_group(x, merged, T=T)
-        res = lhs - rhs
-        good = res.is_zero()
+        good = agree(lhs, rhs)[0]
         ok = ok and good
         results.append({"i": i, "ok": good})
     return {"ok": ok, "faces": results}

@@ -5,18 +5,16 @@ sigma = (n, c, chi),
 
     U(sigma) = sum A_{n,I} (prod_k n_k^{i_k} / i_k!) (c^n / n!) t^{n+|I|},
 
-a matrix of truncated t-series.  cocycle_matrix compiles what does not
-depend on sigma once per layout key (T and which of c, n_1, .., n_d are 0)
-and keeps it on the stratification, and forms the cells as plain
-{t-degree: scalar} dicts (_cocycle_cells) before it wraps them.  The
-cocycle law U(s u) = U(s) * s(U(u)), with s moving only t, is what
-check_cocycle certifies at the pd level; verify_cocycle_law re-checks it
-directly on sampled group pairs, on those slot dicts alone: s acts on the
-cells of U(u) (galois.act_slots), and each t-slot of a cell of
-U(s) * s(U(u)) - U(s u) is one sum, tested for zero
-(galois.series_dot_vanishes).  No scalar of the right side, no series and
-no matrix is formed.  Mat.__mul__ stays the one general product, for the
-period and the crosscheck.
+a matrix of truncated t-series, which htlab keeps as its r^2 cells in
+row-major order, each a plain {t-degree: scalar} dict.  cocycle_matrix
+compiles what does not depend on sigma once per layout key (T and which of
+c, n_1, .., n_d are 0) and keeps it on the stratification.  The cocycle
+law U(s u) = U(s) * s(U(u)), with s moving only t, is what check_cocycle
+certifies at the pd level; verify_cocycle_law re-checks it directly on
+sampled group pairs: s acts on the cells of U(u) (galois.act_slots), and
+each t-slot of a cell of U(s) * s(U(u)) - U(s u) is one sum, tested for
+zero (galois.first_residual).  No scalar of the right side and no product
+or residual matrix is formed.
 
 The Sen operator of log-normalized data is -phi / beta.  Fixed vectors of
 the whole action are the common kernel of the positive-weight coefficients.
@@ -30,7 +28,9 @@ letting the group act by sigma(t) = chi t (1 - alpha c t)^{-1} (alpha the
 data's twist unit, beta = pi E'(pi) in the log normalization) and
 sigma(Y_k) = chi^{-1} (Y_k + n_k) strips U(sigma) down to its phi-only part:
 crosscheck_inverse_simpson verifies B^{-1} F(sigma) B(sigma t, sigma Y) =
-U(sigma) with F the cocycle of the phi-only sub-stratification.
+U(sigma) with F the cocycle of the phi-only sub-stratification.  The
+period's two identities and the crosscheck run on the law's residual test
+too (galois.first_residual), over the pd ring's elements.
 """
 
 import math
@@ -38,8 +38,8 @@ import math
 from .base import _norm
 from .cohomology import snf_dvr
 from .errors import HorizonTooSmall, KernelRankDeficit, ValidationFailure
-from .galois import FormalCElem, FormalRing, GroupElt, act_slots, series_dot_vanishes, sigma_t
-from .higgs import HiggsData, Stratification, _first_nonzero, stratification_from_higgs
+from .galois import GroupElt, act_slots, first_residual, series_dot, series_matmul, sigma_t
+from .higgs import HiggsData, Stratification, stratification_from_higgs
 from .linalg import Mat
 from .pdring import PdElement, PdRing
 
@@ -123,7 +123,7 @@ def _cocycle_layout(strat, key):
 
 
 def cocycle_matrix(data, s, T=None):
-    """U(sigma) as a matrix of t-series over the module's base.
+    """U(sigma) as its r^2 cells, row by row, each a {t-degree: scalar} dict.
 
     Accepts a module or a stratification.  Requires T <= D + 1: the t-degree
     of every contribution equals its weight n + |I|, so with that bound each
@@ -155,23 +155,11 @@ def cocycle_matrix(data, s, T=None):
         costs nothing).
     A call forms only the scalars s_{n,I} that a live term reads, each as
     num * unit^-1 mod p^N normalized at shift v_p(den): the stored form of
-    k_from_int(num).div_int(den).  Then it runs one dot per live cell.
+    k_from_int(num).div_int(den), on a point base the K element itself
+    with no from_k call.  Then it runs one dot per live cell.
     """
     strat = _as_strat(data)
     T = strat.cfg.cutoffs.T if T is None else T
-    cells = _cocycle_cells(strat, s, T)
-    base, r = strat.base, strat.rank
-    out = [[FormalCElem(base, T, cells[i * r + j], reduce=False) for j in range(r)] for i in range(r)]
-    return Mat(FormalRing(base, T), out)
-
-
-def _cocycle_cells(strat, s, T):
-    """U(sigma) as its r^2 cells, row by row, each a {t-degree: scalar} dict.
-
-    The body of cocycle_matrix (see there), which wraps the cells; the
-    group law reads them as they are.  On a point base a scalar s_{n,I} is
-    the K element itself, with no from_k call.
-    """
     if T > strat.D + 1:
         raise HorizonTooSmall(f"t-order {T} needs coefficient weight {T - 1}, have {strat.D}")
     if s.d != strat.d:
@@ -220,19 +208,17 @@ def verify_cocycle_law(data, s, u, T=None):
     it holds on the c = 0 subgroup, which is all that site sees; the
     (1 - alpha c t)^{-1} twist belongs to the arithmetic faces.
 
-    The check runs on the cells of the three cochains as plain
-    {t-degree: scalar} dicts (_cocycle_cells), s acting on those of U(u)
-    through galois.act_slots.  For each cell (i, j) in row-major order, each
-    t^k slot of the difference U(s) * s(U(u)) - U(s u) is one sum
-    (galois.series_dot_vanishes): the pairs that land in slot k, in
-    (l, a, b) order, then the U(s u) slot as the term lhs * 1 * (-1); the
-    sum is tested for zero.  Every slot of a cocycle matrix claims at most
-    N numerator digits, so by the stored form lemma that test gives the
+    The check runs on the cells of the three cochains (cocycle_matrix), s
+    acting on those of U(u) through galois.act_slots, and is one
+    galois.first_residual: each t^k slot of a cell of the difference
+    U(s) * s(U(u)) - U(s u) is one sum, the pairs that land in slot k, in
+    (l, a, b) order, then the U(s u) slot as the term lhs * 1 * (-1),
+    tested for zero.  Every slot of a cocycle matrix claims at most N
+    numerator digits, so by the stored form lemma that test gives the
     answer of the rule of a difference between the U(s u) slot and the slot
-    Mat.__mul__'s product would form.  The first cell with a slot that does
-    not vanish is the witness, and no later cell is formed.  No scalar of
-    the right side or of the difference, no series, matrix or residual is
-    formed.
+    of the chain product.  The first cell with a slot that does not vanish
+    is the witness, and no later cell is formed.  No scalar of the right
+    side or of the difference, no product and no residual is formed.
 
     Raises ValueError when s and u differ in dimension, and, as
     cocycle_matrix does, HorizonTooSmall for T > D + 1 and
@@ -241,19 +227,12 @@ def verify_cocycle_law(data, s, u, T=None):
     strat = _as_strat(data)
     su = s * u
     T = strat.cfg.cutoffs.T if T is None else T
-    lhs = _cocycle_cells(strat, su, T)
-    left = _cocycle_cells(strat, s, T)
+    lhs = cocycle_matrix(strat, su, T)
+    left = cocycle_matrix(strat, s, T)
     base = strat.base
-    acted = act_slots(s, _cocycle_cells(strat, u, T), base, T, alpha=strat.braid_unit())
-    one, dot = base.one(), strat.cfg.dot
-    r = strat.rank
-    for i in range(r):
-        row = [cell.items() for cell in left[i * r : (i + 1) * r]]
-        for j in range(r):
-            col = [cell.items() for cell in acted[j::r]]
-            if not series_dot_vanishes(row, col, lhs[i * r + j], T, one, dot):
-                return {"ok": False, "witness": (i, j)}
-    return {"ok": True, "witness": None}
+    acted = act_slots(s, cocycle_matrix(strat, u, T), base, T, alpha=strat.braid_unit())
+    witness = first_residual(left, acted, lhs, strat.rank, T, base.one(), strat.cfg.dot)
+    return {"ok": witness is None, "witness": witness}
 
 
 def sen_operator(h):
@@ -301,28 +280,6 @@ def h0_fixed_points(data, T=None):
 # ---------------------------------------------------------------------------
 
 
-def _embed_mat(mat, fring):
-    ring = fring.base
-    T = fring.T
-    return mat.map(
-        lambda a: FormalCElem.scalar(ring, T, ring.from_scalar(a)),
-        ring=fring,
-    )
-
-
-def _embed_series_mat(mat, fring):
-    ring = fring.base
-    T = fring.T
-    return mat.map(
-        lambda e: FormalCElem(ring, T, {m: ring.from_scalar(v) for m, v in e.coeffs.items()}),
-        ring=fring,
-    )
-
-
-def _t_shift(e):
-    return FormalCElem(e.base, e.T, {m + 1: v for m, v in e.coeffs.items()})
-
-
 def _theta_table(strat, T):
     """{I: Theta^I} for |I| < T, read off the stratification as A_{0,I}."""
     return {index: A for (n, index), A in strat.coeffs.items() if n == 0 and sum(index) < T}
@@ -332,11 +289,13 @@ def period_kernel_rep(data, T=None, D=None):
     """B = sum_I Theta^I Y^[I] t^{|I|} with its inverse, both certified.
 
     Accepts a module, whose stratification is built to pd degree D, or a
-    stratification, whose own D counts; Theta^I is its A_{0,I}.  Certifies
-    that B's columns kill every -t theta_i + d/dY_i and that B * B(-Y) = 1;
-    a residual raises KernelRankDeficit, since the columns then fail to
-    fill out the kernel.  Needs T <= D + 1 so the retained t-slots are
-    complete.
+    stratification, whose own D counts; Theta^I is its A_{0,I}.  B and its
+    inverse B(-Y) come as r^2 cells in row-major order, each a
+    {t-degree: pd element} dict.  Certifies that B's columns kill every
+    -t theta_i + d/dY_i and that B * B(-Y) = 1, each by one
+    galois.first_residual; a residual raises KernelRankDeficit, since the
+    columns then fail to fill out the kernel.  Needs T <= D + 1 so the
+    retained t-slots are complete.
     """
     strat = _as_strat(data, D=D)
     cfg, r, D = strat.cfg, strat.rank, strat.D
@@ -344,45 +303,39 @@ def period_kernel_rep(data, T=None, D=None):
     if T > D + 1:
         raise HorizonTooSmall(f"t-order {T} needs pd degree {T - 1}, have {D}")
     ring = PdRing(cfg, strat.base, "rel-geom", 1, d=strat.d, D=D)
-    fring = FormalRing(ring, T)
-    cellsB = [[{} for _ in range(r)] for _ in range(r)]
-    cellsBi = [[{} for _ in range(r)] for _ in range(r)]
+    one, dot = ring.one(), cfg.dot
+    cellsB = [{} for _ in range(r * r)]
+    cellsBi = [{} for _ in range(r * r)]
     thetas = _theta_table(strat, T)
     for index, tp in thetas.items():
         m = sum(index)
         key = ring.encode((ring.y_id(k + 1, 1), ik) for k, ik in enumerate(index) if ik)
-        for i in range(r):
-            for j in range(r):
-                a = tp.entry(i, j)
-                if a.droppable():
-                    continue
-                cellsB[i][j].setdefault(m, {})[key] = a
-                cellsBi[i][j].setdefault(m, {})[key] = -a if m % 2 else a
-    def _collect(cells):
-        return Mat(
-            fring,
-            [
-                [
-                    FormalCElem(ring, T, {m: PdElement(ring, d) for m, d in cell.items()})
-                    for cell in row
-                ]
-                for row in cells
-            ],
-        )
-    B = _collect(cellsB)
-    Binv = _collect(cellsBi)
-    if not (B * Binv - _embed_mat(Mat.identity(strat.base, r), fring)).is_zero():
+        for c, a in enumerate(a for row in tp.rows for a in row):
+            if a.droppable():
+                continue
+            cellsB[c].setdefault(m, {})[key] = a
+            cellsBi[c].setdefault(m, {})[key] = -a if m % 2 else a
+    B = [{m: PdElement(ring, d) for m, d in cell.items()} for cell in cellsB]
+    Binv = [{m: PdElement(ring, d) for m, d in cell.items()} for cell in cellsBi]
+    ident = [{0: one} if c % (r + 1) == 0 else {} for c in range(r * r)]
+    if first_residual(B, Binv, ident, r, T, one, dot) is not None:
         raise KernelRankDeficit("period matrix is not invertible by the sign flip")
+    # t B: each slot moved up by one, the slot moved to T dropped
+    t_b = [{m + 1: v for m, v in cell.items() if m + 1 < T} for cell in B]
     for k in range(strat.d):
         theta_k = thetas.get(tuple(1 if i == k else 0 for i in range(strat.d)))
         if theta_k is None:
             continue  # T <= 1: B is constant and t theta_k B has no slot left
         vid = ring.y_id(k + 1, 1)
-        d_b = B.map(lambda e: FormalCElem(ring, T, {m: v.partial(vid) for m, v in e.coeffs.items()}))
-        t_theta_b = _embed_mat(theta_k, fring) * B.map(_t_shift)
-        if not (d_b - t_theta_b).is_zero():
+        d_b = [{m: v for m, v in ((m, v.partial(vid)) for m, v in cell.items()) if not v.droppable()} for cell in B]
+        if first_residual(_embed(ring, theta_k), t_b, d_b, r, T, one, dot) is not None:
             raise KernelRankDeficit(f"columns do not kill -t theta_{k + 1} + d/dY_{k + 1}")
     return {"ring": ring, "T": T, "B": B, "Binv": Binv}
+
+
+def _embed(ring, mat):
+    """A matrix over the base as constant t-series over ring, row by row."""
+    return [{} if a.droppable() else {0: ring.from_scalar(a)} for row in mat.rows for a in row]
 
 
 def _gamma_image(ring, s, k, a, chi_inv):
@@ -408,41 +361,53 @@ def crosscheck_inverse_simpson(data, s, T=None, D=None):
     and sigma(Y_k) = chi^{-1}(Y_k + n_k).  Substituted images never raise
     the pd degree above the t-degree, so with T <= D + 1 the comparison is
     exact in every retained slot.
+
+    All four matrices are r^2 cells of {t-degree: pd element} dicts.
+    B^{-1} F(sigma) is formed by one series_dot per cell
+    (galois.series_matmul), and its product with B(sigma t, sigma Y) is
+    compared with U(sigma) by one galois.first_residual: each slot of the
+    difference is one sum, tested for zero, and the first cell with a
+    slot that does not vanish is the witness.
     """
     strat = _as_strat(data, D=D)
     if strat.flavor == "rel-geom":
         raise ValidationFailure("the crosscheck needs a phi")
-    cfg = strat.cfg
+    cfg, r = strat.cfg, strat.rank
     T = cfg.cutoffs.T if T is None else T
     per = period_kernel_rep(strat, T=T)
-    ring, fring = per["ring"], per["B"].ring
-    u_pd = _embed_series_mat(cocycle_matrix(strat, s, T=T), fring)
+    ring = per["ring"]
+    one, dot = ring.one(), cfg.dot
     arith = {(n, ()): A for (n, index), A in strat.coeffs.items() if sum(index) == 0}
-    sa = Stratification(strat.base, "abs-arith", arith, strat.D, strat.rank, twist=strat.twist)
-    f_pd = _embed_series_mat(cocycle_matrix(sa, GroupElt(cfg, (), s.c, s.chi), T=T), fring)
-    # assemble B(sigma t, sigma Y) term by term
+    sa = Stratification(strat.base, "abs-arith", arith, strat.D, r, twist=strat.twist)
+    u_pd, f_pd = (
+        [{m: ring.from_scalar(v) for m, v in cell.items()} for cell in cocycle_matrix(x, g, T=T)]
+        for x, g in ((strat, s), (sa, GroupElt(cfg, (), s.c, s.chi)))
+    )
+    # B(sigma t, sigma Y): cell c is one series_dot over the I with a
+    # nondroppable Theta^I entry c, of that entry against sigma(t)^|I| times
+    # the image of Y^[I]
     chi_inv = pow(s.chi, -1, cfg.p**cfg.N)
-    st = sigma_t(ring, s, T=T, alpha=strat.braid_unit())
-    one_series = FormalCElem.scalar(ring, T, ring.one())
-    st_pows = [one_series]
+    st = sigma_t(ring, s, T=T, alpha=strat.braid_unit()).items()
+    st_pows = [{0: one}]
     for _ in range(min(strat.D, T - 1)):
-        st_pows.append(st_pows[-1] * st)
+        st_pows.append(series_dot([st_pows[-1].items()], [st], T, dot))
     gamma_cache = {}
-    b_sub = None
+    rows, cols = [[] for _ in range(r * r)], [[] for _ in range(r * r)]
     for index, tp in _theta_table(strat, T).items():
         if tp.storage_zero():
             continue
-        coeff = ring.one()
+        coeff = one
         for k, ik in enumerate(index):
             if ik == 0:
                 continue
             if (k, ik) not in gamma_cache:
                 gamma_cache[(k, ik)] = _gamma_image(ring, s, k, ik, chi_inv)
             coeff = coeff * gamma_cache[(k, ik)]
-        series = st_pows[sum(index)].mul_scalar(coeff)
-        term = _embed_mat(tp, fring).map(lambda e: e * series)
-        b_sub = term if b_sub is None else b_sub + term
-    conj = per["Binv"] * f_pd * b_sub
-    residual = conj - u_pd
-    ok = residual.is_zero()
-    return {"ok": ok, "witness": None if ok else _first_nonzero(residual)}
+        series = [(m, v) for m, v in ((m, v * coeff) for m, v in st_pows[sum(index)].items()) if not v.droppable()]
+        for c, e in enumerate(_embed(ring, tp)):
+            if e:
+                rows[c].append(e.items())
+                cols[c].append(series)
+    b_sub = [series_dot(row, col, T, dot) for row, col in zip(rows, cols)]
+    witness = first_residual(series_matmul(per["Binv"], f_pd, r, T, dot), b_sub, u_pd, r, T, one, dot)
+    return {"ok": witness is None, "witness": witness}

@@ -96,12 +96,13 @@ def scalar_from_json(base, d):
 
 
 def series_to_json(x):
-    """Truncated t-series as {power: coefficient}, ascending powers."""
-    return {str(k): scalar_to_json(c) for k, c in sorted(x.coeffs.items())}
+    """A {t-degree: coefficient} t-series as {power: coefficient}, ascending powers."""
+    return {str(k): scalar_to_json(c) for k, c in sorted(x.items())}
 
 
-def series_mat_to_json(m):
-    return [[series_to_json(a) for a in row] for row in m.rows]
+def series_mat_to_json(cells, r):
+    """An r x r matrix of t-series, given as its r^2 cells in row-major order, as rows."""
+    return [[series_to_json(a) for a in cells[i * r : (i + 1) * r]] for i in range(r)]
 
 
 def mat_to_json(m):

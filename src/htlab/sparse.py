@@ -1,8 +1,8 @@
-"""The sparse base shared by chart, pd and t-series elements.
+"""The sparse base shared by chart and pd elements.
 
 A subclass holds its coefficients in ``coeffs``, a dict from its own keys
-(chart exponent tuples, pd monomials, t-degrees) to scalar-protocol objects,
-and supplies the parts that differ:
+(chart exponent tuples, pd monomials) to scalar-protocol objects, and
+supplies the parts that differ:
 
 * a normalizing constructor, which applies the subclass's cutoff and drops
   every droppable coefficient (zero as stored, at the ambient precision); a
@@ -18,29 +18,30 @@ and supplies the parts that differ:
   ``_adopt(coeffs, truncated)``, which wraps coefficients
   that are clean already (none droppable, every truncated one reflected in
   the flag) without checking them again;
-* ``__mul__``, ``droppable``, ``coeff`` and ``__repr__``; a subclass may
-  also replace ``_dot``, the routine BaseConfig.dot runs over its scalars,
-  which here is the chain as written.  Chart and pd scalars replace it
-  with one reduction per key, so only t-series run the chain.
+* ``__mul__``, ``droppable``, ``coeff``, ``__repr__`` and ``_dot``, the
+  routine BaseConfig.dot runs over its scalars: one reduction per key.
 
 A coefficient map builds the raw coefficient dict and hands it to ``_new``.
 A sum starts from the clean coefficients of its left operand and checks only
 the keys the right operand adds to, so it hands its dict to ``_adopt``.
 
+A t-series is no Sparse subclass: it is a plain {t-degree: coefficient}
+dict (htlab.galois).
+
 agree is the rule of a difference, the comparison of the descent check
-(higgs.check_cocycle_strat) and of nothing else in htlab: the group law
-(sen.verify_cocycle_law) tests each slot of its difference as one sum
-(galois.series_dot_vanishes), which by the stored form lemma gives agree's
+(higgs.check_cocycle_strat) and of the face evaluation
+(pdring.check_face_evaluation).  The t-series identities (the group law,
+the period and the crosscheck) test each slot of their difference as one
+sum (galois.first_residual), which by the stored form lemma gives agree's
 answer.
 """
-
-from itertools import repeat
 
 
 def agree(a, b):
     """(ok, truncated): whether coefficient dicts a and b agree, by the rule of a difference.
 
-    It serves only the descent check (higgs.check_cocycle_strat).  A key
+    It serves the descent check (higgs.check_cocycle_strat) and the face
+    evaluation (pdring.check_face_evaluation).  A key
     of both is subtracted, and the difference is dropped if droppable; a key
     of one alone is left as it is, since it is zero exactly when its
     negative is.  ok is whether every key left is zero, and truncated
@@ -65,31 +66,10 @@ def agree(a, b):
 class Sparse:
     __slots__ = ()
 
-    def _flag(self, other=None):
-        """The truncated flag a result inherits from its operands.
-
-        FormalCElem derives its flag from its coefficients and overrides
-        this, so a sum does not walk them.
-        """
-        if other is None:
-            return self.truncated
-        return self.truncated or other.truncated
-
-    @staticmethod
-    def _dot(xs, ys, ms=None):
-        """BaseConfig.dot over t-series scalars: the chain as written."""
-        acc = None
-        for x, y, m in zip(xs, ys, repeat(1) if ms is None else ms):
-            t = x * y
-            if m != 1:
-                t = t.smul(m)
-            acc = t if acc is None else acc + t
-        return acc
-
     def _merge(self, other, sub):
         # a key of both takes the sum, which is dropped if droppable
         out = dict(self.coeffs)
-        trunc = self._flag(other)
+        trunc = self.truncated or other.truncated
         for key, c in other.coeffs.items():
             prev = out.get(key)
             if prev is None:
@@ -111,7 +91,7 @@ class Sparse:
         return self._merge(other, True)
 
     def _map(self, fn):
-        return self._new({key: fn(c) for key, c in self.coeffs.items()}, self._flag())
+        return self._new({key: fn(c) for key, c in self.coeffs.items()}, self.truncated)
 
     def __neg__(self):
         return self._map(lambda c: -c)

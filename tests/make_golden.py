@@ -19,10 +19,11 @@ Writes, under ``tests/golden/``:
 * ``containers.json``: the exact stored form of the results of the container
   kernels (``Mat`` products with a matrix and with one column, ``PdElement``
   products and face maps, ``cocycle_matrix``, s applied to U(u) by
-  ``galois_act_all``, the cocycle-law product and ``subs_t_all``) on seeded
-  operands: every scalar as (coeffs, prec, shift) and every sparse dict in
-  its insertion order, so a change in the order of the scalar operations
-  shows even where the value at precision does not;
+  ``act_slots``, the cocycle-law product as ``tests/oracles.py`` chains it
+  and ``subs_slots``) on seeded operands: every scalar as (coeffs, prec,
+  shift), every sparse dict in its insertion order and every t-series with
+  its T, so a change in the order of the scalar operations shows even where
+  the value at precision does not;
 * ``snf.json``: ``snf_dvr`` on seeded integral matrices over four bases
   (square and rectangular, rank-deficient, high-valuation pivots,
   reduced-precision zeros): the exponents, the ``precision_limited`` flag,
@@ -55,10 +56,10 @@ from oracles import (
     PrelogCandidate,
     USeries,
     delta_log_validate,
-    galois_act_mat,
     replay_u,
     replay_uinv,
     replay_vinv,
+    series_mat_mul_chain,
     snf_dvr_naive,
 )
 
@@ -77,7 +78,7 @@ from htlab import (
 from htlab.chart import ChartElem
 from htlab.cli import main
 from htlab.cohomology import build_higgs_complex, cohomology_all, snf_dvr
-from htlab.galois import FormalCElem, GroupElt, subs_t_all
+from htlab.galois import GroupElt, act_slots, subs_slots
 from htlab.higgs import descent_matrix, stratification_from_higgs, twist_unit
 from htlab.linalg import Mat
 from htlab.pdring import FaceContext, PdElement, PdRing
@@ -274,13 +275,21 @@ def _form(x):
         decode = x.ring.decode
         terms = [[[[list(v), a] for v, a in decode(key)], _form(c)] for key, c in x.coeffs.items()]
         return {"pd": terms, "truncated": x.truncated}
-    if isinstance(x, FormalCElem):
-        return {"series": [[k, _form(c)] for k, c in x.coeffs.items()], "T": x.T}
     raise TypeError(f"no stored form for {type(x).__name__}")
 
 
 def _mat_form(m):
     return [[_form(a) for a in row] for row in m.rows]
+
+
+def _t_series_form(x, T):
+    """The stored form of a {t-degree: coefficient} t-series, with its T."""
+    return {"series": [[k, _form(c)] for k, c in x.items()], "T": T}
+
+
+def _cells_form(cells, r, T):
+    """The stored form of an r x r matrix of t-series given as its r^2 cells, row by row."""
+    return [[_t_series_form(x, T) for x in cells[i * r : (i + 1) * r]] for i in range(r)]
 
 
 def _k_entry(cfg, rng):
@@ -391,22 +400,24 @@ def _group_elements(cfg, rng, d):
 
 def _cocycle_cases(base, seed, rng):
     cfg = base.cfg
+    T = cfg.cutoffs.T
     steps = []
     for i, h in enumerate(corpus(base, seed)):
         strat = stratification_from_higgs(h)
+        r = strat.rank
         gs = _group_elements(cfg, rng, h.d)
         pairs = list(zip(gs, gs[1:] + gs[:1]))
         for s, u in pairs[i % 2 :: 2]:  # every s, alternating over the modules
             us = cocycle_matrix(strat, s)
-            act = galois_act_mat(s, cocycle_matrix(strat, u), alpha=strat.braid_unit())
+            act = act_slots(s, cocycle_matrix(strat, u), base, T, strat.braid_unit())
             steps.append(
                 {
                     "module": [h.flavor, str(h.rank), str(h.d), h.twist],
                     "s": s.to_json(),
                     "u": u.to_json(),
-                    "U(s)": _mat_form(us),
-                    "s(U(u))": _mat_form(act),
-                    "product": _mat_form(us * act),
+                    "U(s)": _cells_form(us, r, T),
+                    "s(U(u))": _cells_form(act, r, T),
+                    "product": _cells_form(series_mat_mul_chain(us, act, r, T, cfg.dot), r, T),
                 }
             )
     return steps
@@ -417,15 +428,19 @@ def _subs_cases(base, rng, count):
     cfg = base.cfg
     T = cfg.cutoffs.T
     steps = []
+    def series(coeffs):
+        return {k: c for k, c in coeffs.items() if not c.droppable()}
+
     for i in range(count):
-        x = FormalCElem(base, T, {k: _k_entry(cfg, rng) for k in range(T) if rng.random() < 0.7})
-        t_img = FormalCElem(base, T, {k: _k_entry(cfg, rng) for k in range(1, T) if rng.random() < 0.7})
+        x = series({k: _k_entry(cfg, rng) for k in range(T) if rng.random() < 0.7})
+        t_img = series({k: _k_entry(cfg, rng) for k in range(1, T) if rng.random() < 0.7})
         if i % 4 == 0:
             # t -> t + t^2 with x_2 = -x_1: the t^2 slot cancels to a droppable zero
             r = cfg.k_from_int(rng.randrange(1, 1000))
-            x = FormalCElem(base, T, {**x.coeffs, 1: r, 2: -r})
-            t_img = FormalCElem(base, T, {1: base.one(), 2: base.one()})
-        steps.append({"x": _form(x), "t_img": _form(t_img), "subs": _form(subs_t_all([x], t_img)[0])})
+            x = series({**x, 1: r, 2: -r})
+            t_img = {1: base.one(), 2: base.one()}
+        [subs] = subs_slots([x], t_img, base, T)
+        steps.append({"x": _t_series_form(x, T), "t_img": _t_series_form(t_img, T), "subs": _t_series_form(subs, T)})
     return steps
 
 

@@ -795,64 +795,135 @@ def series_dot_per_slot(row, col, T, dot):
     return out
 
 
-def subs_t_chain(xs, t_img):
-    """t -> t_img in each series of xs as a running chain: for k in increasing
-    order, each term v * x_k (v a coefficient of t_img^k) is added into its
-    slot one by one, and a droppable term or partial sum is dropped at once."""
-    from htlab.galois import FormalCElem
-
-    if not xs:
-        return []
-    base, T = xs[0].base, xs[0].T
-    top = max((k for x in xs for k in x.coeffs), default=0)
-    powers = [FormalCElem.scalar(base, T, base.one())]
-    for _ in range(top):
-        powers.append(powers[-1] * t_img)
-    out = []
-    for x in xs:
-        acc = {}
-        for k in sorted(x.coeffs):
-            c = x.coeffs[k]
-            for j, v in powers[k].coeffs.items():
-                term = v * c
-                if term.droppable():
-                    continue
-                prev = acc.get(j)
-                if prev is None:
-                    acc[j] = term
-                else:
-                    total = prev + term
-                    if total.droppable():
-                        del acc[j]
-                    else:
-                        acc[j] = total
-        out.append(FormalCElem(base, T, acc, reduce=False))
+def series_add_chain(a, b):
+    """a + b for {t-degree: coefficient} dicts as a running sum: a's slots in
+    their order, each slot of b added in, a droppable sum dropped (a slot
+    entered again goes to the end)."""
+    out = dict(a)
+    for k, c in b.items():
+        prev = out.get(k)
+        if prev is None:
+            out[k] = c
+            continue
+        c = prev + c
+        if c.droppable():
+            del out[k]
+        else:
+            out[k] = c
     return out
 
 
-def galois_act_mat(s, mat, alpha):
-    """sigma applied entrywise to a matrix of t-series (t moves, nothing else),
-    twisted by the unit alpha."""
-    from htlab.galois import galois_act_all
-    from htlab.linalg import Mat
+def subs_t_chain(xs, t_img, base, T):
+    """t -> t_img in each {t-degree: coefficient} dict of xs as a running
+    chain: for k in increasing order, each term v * x_k (v a coefficient of
+    t_img^k) is added into its slot one by one, and a droppable term or
+    partial sum is dropped at once."""
+    top = max((k for x in xs for k in x), default=0)
+    powers = [{0: base.one()}]
+    for _ in range(top):
+        powers.append(series_dot_per_slot([powers[-1].items()], [t_img.items()], T, base.cfg.dot))
+    out = []
+    for x in xs:
+        acc = {}
+        for k in sorted(x):
+            terms = {j: v * x[k] for j, v in powers[k].items()}
+            acc = series_add_chain(acc, {j: t for j, t in terms.items() if not t.droppable()})
+        out.append(acc)
+    return out
 
-    acted = iter(galois_act_all(s, [e for row in mat.rows for e in row], alpha=alpha))
-    return Mat(mat.ring, [[next(acted) for _ in row] for row in mat.rows])
+
+def series_mat_mul_chain(a, b, r, T, dot):
+    """a * b for r x r matrices of t-series (r^2 {t-degree: coefficient}
+    cells, row by row) as a chain: an empty cell adds no term, each product
+    of two cells is series_dot_per_slot, and the products are added in l
+    order by series_add_chain."""
+    out = []
+    for i in range(r):
+        for j in range(r):
+            acc = {}
+            for l in range(r):
+                x, y = a[i * r + l], b[l * r + j]
+                if x and y:
+                    acc = series_add_chain(acc, series_dot_per_slot([x.items()], [y.items()], T, dot))
+            out.append(acc)
+    return out
+
+
+def first_disagreement(got, want, r):
+    """The first cell (i, j), row by row, where two matrices of t-series do
+    not agree by the rule of a difference (sparse.agree), or None."""
+    from htlab.sparse import agree
+
+    for c, (x, y) in enumerate(zip(got, want)):
+        if not agree(x, y)[0]:
+            return divmod(c, r)
+    return None
 
 
 def cocycle_law_naive(strat, s, u, T=None):
     """U(s u) = U(s) * s(U(u)) through whole matrices: the three cochains,
-    s applied to U(u) as a matrix, the product by Mat.__mul__, the residual
-    lhs - rhs, and its first cell that is not zero in row-major order."""
-    from htlab.higgs import _first_nonzero
+    s applied to each cell of U(u) (galois.act_slots), the product by
+    series_mat_mul_chain, and the first cell of the residual that is not
+    zero in row-major order."""
+    from htlab.galois import act_slots
     from htlab.sen import cocycle_matrix
 
-    alpha = strat.braid_unit()
+    T = strat.cfg.cutoffs.T if T is None else T
+    base, r = strat.base, strat.rank
     lhs = cocycle_matrix(strat, s * u, T=T)
-    rhs = cocycle_matrix(strat, s, T=T) * galois_act_mat(s, cocycle_matrix(strat, u, T=T), alpha=alpha)
-    residual = lhs - rhs
-    ok = residual.is_zero()
-    return {"ok": ok, "witness": None if ok else _first_nonzero(residual)}
+    acted = act_slots(s, cocycle_matrix(strat, u, T=T), base, T, strat.braid_unit())
+    rhs = series_mat_mul_chain(cocycle_matrix(strat, s, T=T), acted, r, T, strat.cfg.dot)
+    witness = first_disagreement(lhs, rhs, r)
+    return {"ok": witness is None, "witness": witness}
+
+
+def crosscheck_chain(strat, s, T=None):
+    """B^{-1} F(sigma) B(sigma t, sigma Y) = U(sigma) as the chain of whole
+    matrices: B and B^{-1} from sen.period_kernel_rep, U(sigma) and the
+    phi-only F(sigma) from sen.cocycle_matrix, each lifted to the pd ring;
+    B(sigma t, sigma Y) summed term by term over I, each term
+    Theta^I times sigma(t)^|I| times the image of Y^[I]; products by
+    series_mat_mul_chain, and the first cell of the residual that is not
+    zero in row-major order."""
+    from htlab.galois import GroupElt, sigma_t
+    from htlab.higgs import Stratification
+    from htlab.sen import _gamma_image, cocycle_matrix, period_kernel_rep
+
+    cfg, r = strat.cfg, strat.rank
+    T = cfg.cutoffs.T if T is None else T
+    per = period_kernel_rep(strat, T=T)
+    ring, dot = per["ring"], cfg.dot
+
+    def lift(cells):
+        return [{m: ring.from_scalar(v) for m, v in cell.items()} for cell in cells]
+
+    u = lift(cocycle_matrix(strat, s, T=T))
+    arith = {(n, ()): A for (n, index), A in strat.coeffs.items() if sum(index) == 0}
+    sa = Stratification(strat.base, "abs-arith", arith, strat.D, r, twist=strat.twist)
+    f = lift(cocycle_matrix(sa, GroupElt(cfg, (), s.c, s.chi), T=T))
+    st = sigma_t(ring, s, T=T, alpha=strat.braid_unit())
+    powers = [{0: ring.one()}]
+    for _ in range(T - 1):
+        powers.append(series_dot_per_slot([powers[-1].items()], [st.items()], T, dot))
+    chi_inv = pow(s.chi, -1, cfg.p**cfg.N)
+    b_sub = [{} for _ in range(r * r)]
+    for (n, index), A in strat.coeffs.items():
+        if n or sum(index) >= T or A.storage_zero():
+            continue
+        coeff = ring.one()
+        for k, ik in enumerate(index):
+            if ik:
+                coeff = coeff * _gamma_image(ring, s, k, ik, chi_inv)
+        series = {m: v * coeff for m, v in powers[sum(index)].items()}
+        series = {m: v for m, v in series.items() if not v.droppable()}
+        for c, a in enumerate(a for row in A.rows for a in row):
+            e = ring.from_scalar(a)
+            if not e.droppable():
+                term = series_dot_per_slot([[(0, e)]], [series.items()], T, dot)
+                b_sub[c] = series_add_chain(b_sub[c], term)
+    conj = series_mat_mul_chain(series_mat_mul_chain(per["Binv"], f, r, T, dot), b_sub, r, T, dot)
+    witness = first_disagreement(u, conj, r)
+    return {"ok": witness is None, "witness": witness}
 
 
 def corrupted_strat(strat, rng):

@@ -65,8 +65,9 @@ def _answers(h, sigmas, seed):
     us = []
     gs = [GroupElt(h.cfg, n, c, chi) for n, c, chi in sigmas]
     for g in gs:
-        U = cocycle_matrix(strat, g)
-        us.append([[[[m, scalar_to_json(v)] for m, v in e.coeffs.items()] for e in row] for row in U.rows])
+        r = strat.rank
+        U = [[[m, scalar_to_json(v)] for m, v in e.items()] for e in cocycle_matrix(strat, g)]
+        us.append([U[i * r : (i + 1) * r] for i in range(r)])
     out["U"] = us
     # the group law's verdict and witness on each cyclic pair of the sigmas,
     # on the module and on a corrupted copy of its stratification

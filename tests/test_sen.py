@@ -6,11 +6,11 @@ from oracles import (
     cocycle_law_naive,
     cocycle_matrix_naive,
     corrupted_strat,
-    galois_act_mat,
+    crosscheck_chain,
     higgs_dual,
     higgs_tensor,
-    kron,
     series_dot_per_slot,
+    series_mat_mul_chain,
 )
 
 from htlab import galois, higgs, linalg, make_base_config, sen, sparse
@@ -18,7 +18,7 @@ from htlab.base import KElem
 from htlab.chart import ChartElem, ChartRing
 from htlab.cohomology import build_higgs_complex, cohomology
 from htlab.errors import HorizonTooSmall, KernelRankDeficit, ValidationFailure
-from htlab.galois import FormalRing, GroupElt, series_dot, series_dot_vanishes
+from htlab.galois import GroupElt, act_slots, series_dot, series_dot_vanishes
 from htlab.higgs import (
     HiggsData,
     Stratification,
@@ -72,22 +72,21 @@ def _rand_sigma(cfg, rng, d):
 def test_cocycle_rank1_is_one_minus_beta_c_t(cfg_u5, point):
     h = HiggsData(point, "abs-arith", [], Mat.from_ints(point, [[-5]]))
     s = GroupElt(cfg_u5, (), 3, 7)
-    u = cocycle_matrix(h, s)
-    e = u.entry(0, 0)
-    assert e.coeff(0).eq(cfg_u5.k_one())
-    assert e.coeff(1).eq(cfg_u5.k_from_int(-15))
-    assert e.coeff(2).is_zero() and e.coeff(5).is_zero()
+    [e] = cocycle_matrix(h, s)
+    assert e[0].eq(cfg_u5.k_one())
+    assert e[1].eq(cfg_u5.k_from_int(-15))
+    assert all(e[k].is_zero() for k in (2, 5) if k in e)
 
 
 def test_cocycle_frozen_geometric_series(cfg_u5, nilp2):
     # U(sigma) = [[1, n t g], [0, g]] with g = (1 - beta c t)^{-1}
     s = GroupElt(cfg_u5, (3,), 2, 7)
-    u = cocycle_matrix(nilp2, s)
+    u00, u01, u10, u11 = cocycle_matrix(nilp2, s)
     for k, want01, want11 in [(1, 3, 10), (2, 30, 100), (3, 300, 1000)]:
-        assert u.entry(0, 1).coeff(k).eq(cfg_u5.k_from_int(want01))
-        assert u.entry(1, 1).coeff(k).eq(cfg_u5.k_from_int(want11))
-    assert u.entry(0, 0).eq(u.ring.one())
-    assert u.entry(1, 0).is_zero()
+        assert u01[k].eq(cfg_u5.k_from_int(want01))
+        assert u11[k].eq(cfg_u5.k_from_int(want11))
+    assert agree(u00, {0: cfg_u5.k_one()})[0]
+    assert all(v.is_zero() for v in u10.values())
 
 
 def test_cocycle_first_order_term(cfg_u5, point):
@@ -100,13 +99,14 @@ def test_cocycle_first_order_term(cfg_u5, point):
         s = _rand_sigma(cfg_u5, rng, 2)
         u = cocycle_matrix(h, s)
         want = phi.smul(s.c) + t1.smul(s.n[0]) + t2.smul(s.n[1])
-        got = Mat(point, [[u.entry(i, j).coeff(1) for j in range(2)] for i in range(2)])
+        got = Mat(point, [[u[2 * i + j].get(1, point.zero()) for j in range(2)] for i in range(2)])
         assert got.eq(want)
 
 
 def test_cocycle_identity_element(cfg_u5, nilp2):
     u = cocycle_matrix(nilp2, GroupElt.identity(cfg_u5, d=1))
-    assert u.eq(Mat.identity(u.ring, 2))
+    one = cfg_u5.k_one()
+    assert all(agree(e, {0: one} if c in (0, 3) else {})[0] for c, e in enumerate(u))
 
 
 def test_cocycle_t_order_capped_by_weight(cfg_u5, nilp2):
@@ -249,12 +249,12 @@ def test_fixed_points_where_a_pivot_vanishes_at_precision(cfg_r2):
 def test_period_rep_frozen(cfg_u5, nilp2):
     per = period_kernel_rep(nilp2)
     ring = per["ring"]
-    b01 = per["B"].entry(0, 1)
+    b01 = per["B"][1]
     key = ((ring.y_id(1, 1), 1),)
-    assert b01.coeff(1).coeff(key).eq(cfg_u5.k_one())
-    assert b01.coeff(0).is_zero()
-    assert per["Binv"].entry(0, 1).coeff(1).coeff(key).eq(-cfg_u5.k_one())
-    assert per["B"].entry(0, 0).eq(per["B"].ring.one())
+    assert b01[1].coeff(key).eq(cfg_u5.k_one())
+    assert 0 not in b01
+    assert per["Binv"][1][1].coeff(key).eq(-cfg_u5.k_one())
+    assert agree(per["B"][0], {0: ring.one()})[0]
 
 
 def test_period_rep_rejects_noncommuting(cfg_u5, point):
@@ -321,7 +321,7 @@ def test_period_of_a_module_is_the_period_of_its_stratification(nilp2):
     strat = stratification_from_higgs(nilp2, D=3)
     by_module, by_strat = period_kernel_rep(nilp2, T=4, D=3), period_kernel_rep(strat, T=4)
     for key in ("B", "Binv"):
-        assert (by_module[key] - by_strat[key]).is_zero()
+        assert all(agree(x, y)[0] for x, y in zip(by_module[key], by_strat[key]))
 
 
 def test_law_smooth_twist_uses_its_own_alpha(cfg_u5, point):
@@ -404,6 +404,63 @@ def test_law_on_a_valid_ramified_chart_module(cfg_r2):
     u = sample_group(cfg_r2, rng, 2)
     law = verify_cocycle_law(h, s, u)
     assert law["ok"], f"residual at {law['witness']}"
+
+
+PROBE_BASES = {
+    "p2": (2, [-2], 1),
+    "p3": (3, [-3], 1),
+    "p2e2": (2, [-2, 0], 1),
+    "p3e2": (3, [-3, 0], 1),
+    "p5": (5, [-5], 1),
+    "p3f2": (3, [-3], 2),
+}
+
+
+def test_crosscheck_matches_the_chain_on_the_probe_set():
+    """The crosscheck's verdict and witness are those of oracles.crosscheck_chain
+    (whole matrices, products and sums as chains, the residual by the rule of
+    a difference), and the period raises nothing, on the abs modules of
+    corpus seeds 0-2 on six point bases and of the chart (d = 1, r = 1)
+    corpus at seed 0, one sigma each, and 40 sigma on p2 chart module 13."""
+    seen = {"ok": 0, "residual": 0}
+    for name, (p, E, f) in PROBE_BASES.items():
+        cfg = make_base_config(p, E, f=f)
+        blocks = [("point", seed, ChartRing(cfg, "point")) for seed in range(3)]
+        blocks.append(("chart", 0, ChartRing(cfg, "chart", d=1, r=1)))
+        for mode, seed, base in blocks:
+            rng = random.Random(1000 + seed)
+            for i, h in enumerate(corpus(base, seed)):
+                if h.flavor == "rel-geom":
+                    continue
+                strat = stratification_from_higgs(h)
+                known = (name, mode, i) == ("p2", "chart", 13)
+                for _ in range(40 if known else 1):
+                    s = sample_group(cfg, rng, h.d)
+                    got = crosscheck_inverse_simpson(strat, s)
+                    assert got == crosscheck_chain(strat, s), (name, mode, seed, i, s)
+                    # the one residual of the probe set is item 2's chart defect
+                    assert got["ok"] or (known and got["witness"] == (0, 1)), (name, mode, seed, i, s, got)
+                    seen["ok" if got["ok"] else "residual"] += 1
+    assert seen["ok"] > 400 and seen["residual"], seen
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason="known defect: chart-cocycle-law")
+def test_crosscheck_on_a_valid_chart_module():
+    # validate_higgs and check_cocycle both pass on p2 chart module 13 of the
+    # probe set, yet the crosscheck leaves a residual in entry (0, 1).  When
+    # the defect is fixed this test passes, and the mark must go.
+    from htlab.higgs import check_cocycle
+
+    cfg = make_base_config(2, [-2])
+    h = corpus(ChartRing(cfg, "chart", d=1, r=1), 0)[13]
+    if not (validate_higgs(h)["ok"] and check_cocycle(h)["ok"]):
+        pytest.fail("the reproducer no longer passes validation")
+    strat = stratification_from_higgs(h)
+    rng = random.Random(1000)
+    for _ in range(40):
+        s = sample_group(cfg, rng, h.d)
+        rep = crosscheck_inverse_simpson(strat, s)
+        assert rep["ok"], f"residual at {rep['witness']} for {s}"
 
 
 # ---------------------------------------------------------------------------
@@ -490,11 +547,9 @@ def _plan_cases(cfg, rng):
 
 def _assert_naive_chain(strat, s, T):
     """cocycle_matrix agrees with the naive chain in stored form, weight order and flag."""
-    got = cocycle_matrix(strat, s, T=T)
-    for got_row, want_row in zip(got.rows, cocycle_matrix_naive(strat, s, T)):
-        for e, cell in zip(got_row, want_row):
-            assert [(m, _form(v)) for m, v in e.coeffs.items()] == [(m, _form(v)) for m, v in cell.items()]
-            assert e.truncated == any(v.truncated for v in cell.values())
+    want = [cell for row in cocycle_matrix_naive(strat, s, T) for cell in row]
+    for e, cell in zip(cocycle_matrix(strat, s, T=T), want, strict=True):
+        assert [(m, _form(v)) for m, v in e.items()] == [(m, _form(v)) for m, v in cell.items()]
 
 
 def _layout_counts(strat):
@@ -645,12 +700,11 @@ def test_cocycle_precision_ladder(spec):
             s = sample_group(hi_cfg, rng, d)
             u_hi = cocycle_matrix(hi_strat, s)
             u_lo = cocycle_matrix(lo_strat, GroupElt(lo_cfg, s.n, s.c, s.chi))
-            for row_hi, row_lo in zip(u_hi.rows, u_lo.rows):
-                for e_hi, e_lo in zip(row_hi, row_lo):
-                    for m in e_hi.coeffs.keys() | e_lo.coeffs.keys():
-                        x_lo = e_lo.coeffs.get(m, lo_cfg.k_zero())
-                        assert claims_agree(x_lo, e_hi.coeffs.get(m, hi_cfg.k_zero())), (flavor, d, twist, s, m)
-                        claimed += x_lo.prec - x_lo.shift >= 1 and not x_lo.storage_zero()
+            for e_hi, e_lo in zip(u_hi, u_lo):
+                for m in e_hi.keys() | e_lo.keys():
+                    x_lo = e_lo.get(m, lo_cfg.k_zero())
+                    assert claims_agree(x_lo, e_hi.get(m, hi_cfg.k_zero())), (flavor, d, twist, s, m)
+                    claimed += x_lo.prec - x_lo.shift >= 1 and not x_lo.storage_zero()
     assert claimed
 
 
@@ -670,7 +724,8 @@ def test_cocycle_of_tensor_and_dual(spec):
     base = ChartRing(cfg, "point")
     rng = random.Random(f"tensor-{spec}")
     T = cfg.cutoffs.T
-    ident = Mat.identity(FormalRing(base, T), 2)
+    one = cfg.k_one()
+    ident = [{0: one}, {}, {}, {0: one}]
     moving = 0
     for flavor, d in (("abs-geom", 1), ("abs-geom", 2), ("rel-geom", 1), ("abs-arith", 0)):
         for twist in ("log", "smooth"):
@@ -682,12 +737,20 @@ def test_cocycle_of_tensor_and_dual(spec):
             for _ in range(3):
                 s = sample_group(cfg, rng, d)
                 u, u1, u2, u_dual = (cocycle_matrix(x, s) for x in strats)
-                pairing = Mat(u1.ring, list(zip(*u1.rows))) * u_dual
-                for got, want in ((u, kron(u1, u2)), (pairing, ident)):
-                    for i, row in enumerate(got.rows):
-                        for j, e in enumerate(row):
-                            assert agree(e.coeffs, want.rows[i][j].coeffs)[0], (flavor, d, twist, s, i, j)
-                moving += any(m > 0 for x in (u1, u2) for row in x.rows for e in row for m in e.coeffs)
+                # cell (2 i + k, 2 j + l) of U_h1 (x) U_h2 is U_h1[i][j] * U_h2[k][l]
+                kron = [
+                    series_dot([u1[2 * i + j].items()], [u2[2 * k + l].items()], T, cfg.dot)
+                    for i in range(2)
+                    for k in range(2)
+                    for j in range(2)
+                    for l in range(2)
+                ]
+                u1_t = [u1[2 * j + i] for i in range(2) for j in range(2)]
+                pairing = series_mat_mul_chain(u1_t, u_dual, 2, T, cfg.dot)
+                for got, want in ((u, kron), (pairing, ident)):
+                    for c, (e, w) in enumerate(zip(got, want, strict=True)):
+                        assert agree(e, w)[0], (flavor, d, twist, s, c)
+                moving += any(m > 0 for x in (u1, u2) for e in x for m in e)
     assert moving
 
 
@@ -736,26 +799,27 @@ def test_law_slot_by_slot_matches_the_matrix_product(spec):
             want = cocycle_law_naive(strat, s, u, T=T)
             assert verify_cocycle_law(strat, s, u, T=T) == want, (strat.base, T, s, u)
             seen["ok" if want["ok"] else "witness"] += 1
-            # every slot the kernel forms, against Mat.__mul__ keyed by t-degree
+            # every slot the kernel forms, against the chain product keyed by t-degree
             left = cocycle_matrix(strat, s, T=T)
-            acted = galois_act_mat(s, cocycle_matrix(strat, u, T=T), alpha=strat.braid_unit())
-            product = left * acted
+            acted = act_slots(s, cocycle_matrix(strat, u, T=T), strat.base, T, strat.braid_unit())
             r = strat.rank
-            for i, row in enumerate(left.rows):
+            product = series_mat_mul_chain(left, acted, r, T, cfg.dot)
+            for i in range(r):
+                row = left[i * r : (i + 1) * r]
                 for j in range(r):
-                    col = [acted.rows[l][j] for l in range(r)]
-                    items = [list(e.coeffs.items()) for e in row], [list(e.coeffs.items()) for e in col]
+                    col = acted[j::r]
+                    items = [list(e.items()) for e in row], [list(e.items()) for e in col]
                     slots = series_dot(*items, T, cfg.dot)
                     assert {k: _form(v) for k, v in slots.items()} == {
-                        k: _form(v) for k, v in product.rows[i][j].coeffs.items()
+                        k: _form(v) for k, v in product[i * r + j].items()
                     }
                     seen["chart"] += bool(slots) and not strat.base.is_point
                     for k in range(T):
                         pairs = [
                             (x, y)
                             for e, f in zip(row, col)
-                            for a, x in e.coeffs.items()
-                            for b, y in f.coeffs.items()
+                            for a, x in e.items()
+                            for b, y in f.items()
                             if a + b == k
                         ]
                         seen["low"] += bool(pairs) and _low_slot(*zip(*pairs))
@@ -833,8 +897,8 @@ def test_law_error_contract(cfg_u5, nilp2):
 
 
 def test_law_builds_no_product_or_residual_matrix(cfg_u5, nilp2, monkeypatch):
-    """On a point base the law forms no t-series, no matrix (so no product or
-    residual matrix) and calls no sparse.agree: it runs on slot dicts."""
+    """On a point base the law forms no matrix (so no product or residual
+    matrix) and calls no sparse.agree: it runs on slot dicts."""
     strat = stratification_from_higgs(nilp2)
     rng = random.Random(16)
     bad = corrupted_strat(strat, rng)
@@ -842,11 +906,8 @@ def test_law_builds_no_product_or_residual_matrix(cfg_u5, nilp2, monkeypatch):
     for name in ("__mul__", "__sub__"):
         real = getattr(Mat, name)
         monkeypatch.setattr(Mat, name, lambda a, b, real=real, name=name: calls.append(name) or real(a, b))
-    for cls in (Mat, galois.FormalCElem):
-        real = cls.__init__
-        monkeypatch.setattr(
-            cls, "__init__", lambda self, *a, real=real, cls=cls, **kw: calls.append(cls.__name__) or real(self, *a, **kw)
-        )
+    real_init = Mat.__init__
+    monkeypatch.setattr(Mat, "__init__", lambda self, *a, **kw: calls.append("Mat") or real_init(self, *a, **kw))
     real_agree = sparse.agree
     for module in (sparse, higgs, sen, galois, linalg):
         if hasattr(module, "agree"):
@@ -855,8 +916,7 @@ def test_law_builds_no_product_or_residual_matrix(cfg_u5, nilp2, monkeypatch):
         assert verify_cocycle_law(strat, _rand_sigma(cfg_u5, rng, 1), _rand_sigma(cfg_u5, rng, 1))["ok"]
     assert not verify_cocycle_law(bad, GroupElt(cfg_u5, (1,), 1, 6), GroupElt(cfg_u5, (2,), 3, 11))["ok"]
     assert calls == []
-    # the counters see what is formed elsewhere: a cocycle matrix, and the
-    # descent check's comparisons
-    sen.cocycle_matrix(strat, GroupElt(cfg_u5, (1,), 1, 6))
+    # the counters see what is formed elsewhere: the descent check's
+    # matrices and comparisons
     check_cocycle_strat(strat)
-    assert {"FormalCElem", "Mat", "agree"} <= set(calls)
+    assert {"Mat", "agree"} <= set(calls)

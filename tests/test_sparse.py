@@ -1,10 +1,10 @@
-"""The protocol the sparse base gives chart, pd and t-series elements."""
+"""The protocol the sparse base gives chart and pd elements."""
 
 import pytest
 
 from htlab.base import Cutoffs, make_base_config
 from htlab.chart import ChartElem, ChartRing
-from htlab.galois import FormalCElem
+from htlab.galois import series_dot
 from htlab.higgs import Stratification, descent_matrix
 from htlab.linalg import Mat
 from htlab.pdring import PdRing
@@ -20,11 +20,7 @@ def _pd(cfg):
     return ring.x(1).mul_scalar(cfg.k_from_int(3)) + ring.y(1, 1, 2)
 
 
-def _series(cfg):
-    return FormalCElem(ChartRing(cfg, "point"), 4, {0: cfg.k_from_int(3), 2: cfg.k_from_int(7)})
-
-
-MAKERS = {"chart": _chart, "pd": _pd, "series": _series}
+MAKERS = {"chart": _chart, "pd": _pd}
 
 
 @pytest.mark.parametrize("kind", sorted(MAKERS))
@@ -53,7 +49,7 @@ def test_chart_element_truncated_to_nothing_keeps_its_flag_in_every_container():
     assert lost.coeffs == {} and lost.truncated and not lost.droppable()
     assert (lost * ring.one()).truncated
     assert (Mat(ring, [[lost]]) * Mat(ring, [[ring.one()]])).entry(0, 0).truncated
-    assert FormalCElem(ring, 3, {1: lost}).truncated
+    assert series_dot([[(0, ring.one())]], [[(1, lost)]], 3, cfg.dot)[1].truncated
     coeffs = {(0, (0,)): Mat.identity(ring, 1), (0, (1,)): Mat(ring, [[lost]])}
     strat = Stratification(ring, "rel-geom", coeffs, 1, 1)
     assert descent_matrix(strat).entry(0, 0).truncated
