@@ -51,13 +51,31 @@ from .errors import (
 
 
 def _is_prime(n):
+    """Miller-Rabin to the first 13 prime bases: exact below 3.3 * 10^24, the
+    least strong pseudoprime to all of them (Sorenson and Webster, Math.
+    Comp. 86, 2017); ValueError past it."""
+    if n >= 3317044064679887385961981:
+        raise ValueError(f"{n} is out of the range of the primality test, below 3.3 * 10^24")
     if n < 2:
         return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
+    bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+    for a in bases:
+        if n % a == 0:
+            return n == a
+    d, s = n - 1, 0
+    while not d & 1:
+        d >>= 1
+        s += 1
+    for a in bases:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 1
     return True
 
 
@@ -113,7 +131,12 @@ def _irreducible_mod_p(modpoly, p):
 
 
 def _find_modulus(p, f):
-    """The first (c_0, .., c_{f-1}), c_0 running fastest, with x^f + sum c_i x^i irreducible mod p."""
+    """The first (c_0, .., c_{f-1}), c_0 running fastest, with x^f + sum c_i x^i irreducible mod p:
+    (0,) at f = 1; at f > 1 a search over p^f candidates, so p^f <= 10^6 or ValueError."""
+    if f == 1:
+        return (0,)
+    if p**f > 10**6:
+        raise ValueError(f"residue field of {p}^{f} elements; f > 1 needs p^f <= 10^6")
     for c in product(range(p), repeat=f):
         if _irreducible_mod_p(c[::-1], p):
             return c[::-1]

@@ -218,13 +218,13 @@ def series_dot_vanishes(row, col, minus, T, one, dot):
     (l, a, b) order, then minus[k] as the term minus[k] * one * (-1).  That
     sum is the chain rhs + (minus[k] * 1).smul(-1) with rhs series_dot's
     slot, and by the stored form lemma (htlab.base; chart._dot keeps it per
-    chart key) its zero test is that of minus[k] - rhs whenever
-    minus[k] * 1 stores as minus[k], that is whenever minus[k] claims at
-    most N numerator digits, as every slot of a cocycle matrix does.  Over
-    K the pairs go through series_dot's pair loop, and each slot ends in a
-    zero test of the one exact sum mod p^(A + top) (BaseConfig.terms_vanish),
-    with no scalar formed; over other scalars each slot is one dot with
-    multipliers, tested by is_zero.
+    chart key) its zero test is that of minus[k] - rhs, the rule of a
+    difference (htlab.sparse), whenever minus[k] * 1 stores as minus[k],
+    that is whenever minus[k] claims at most N numerator digits, as no
+    stored scalar does.  Over K the pairs go through series_dot's pair
+    loop, and each slot ends in a zero test of the one exact sum mod
+    p^(A + top) (BaseConfig.terms_vanish), with no scalar formed; over
+    other scalars each slot is one dot with multipliers, tested by is_zero.
     """
     sums = {}
     neg = ([minus.items()], [((0, one),)], T)
@@ -257,9 +257,9 @@ def first_residual(left, right, minus, r, T, one, dot):
     left, right and minus are r x r matrices of t-series as in
     series_matmul, one and dot as in series_dot_vanishes, which tests each
     cell: every slot of it is one sum, and no later cell is formed.  Its
-    zero test is that of the rule of a difference (sparse.agree) between
-    minus and the cell series_matmul would form, whenever each slot of minus
-    claims at most N numerator digits.
+    zero test is the rule of a difference (htlab.sparse) between minus and
+    the cell series_matmul would form, whenever each slot of minus claims
+    at most N numerator digits.
     """
     for i in range(r):
         row = [cell.items() for cell in left[i * r : (i + 1) * r]]

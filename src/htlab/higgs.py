@@ -20,10 +20,10 @@ P_n and A_{n,I} is.  check_cocycle builds the degree-1 matrix
 and verifies the descent identity p_2*(eps) p_1... the composition order is
 p_2*(eps) * p_0*(eps) = p_1*(eps); with the other order the degree-(1,1)
 coefficient would come out as [phi, theta] + 2 beta theta instead of
-[phi, theta] + beta theta = 0.  The product is one Mat.__mul__, whose
-every pd key of every cell is one sum over its pairs (pdring), and each
-cell is compared key by key with the same cell of p_1*(eps), so no
-residual matrix is formed.
+[phi, theta] + beta theta = 0.  Each cell of the difference
+p_2*(eps) p_0*(eps) - p_1*(eps) is one BaseConfig.dot, whose every pd key
+is one sum over its pairs (pdring), so no product or residual matrix is
+formed.
 
 Flavors: 'abs-arith' has phi only, 'rel-geom' has thetas only, 'abs-geom'
 has both.  Everything raises a specific failure with a witness rather than
@@ -43,7 +43,6 @@ from .errors import (
 )
 from .linalg import Mat, commutator
 from .pdring import PdElement, PdRing, face_context
-from .sparse import agree
 
 FLAVORS = ("abs-arith", "abs-geom", "rel-geom")
 TWISTS = ("log", "smooth")
@@ -446,14 +445,13 @@ def check_cocycle(h, D=None):
 def check_cocycle_strat(strat):
     """check_cocycle on a stratification; the 0th face is twisted by its braiding unit.
 
-    The product p_2*(eps) p_0*(eps) is one Mat.__mul__: each pd key of a
-    cell is one sum over the key's (l, k1, k2) pairs (pdring).  Each cell is
-    compared key by key with the same cell of p_1*(eps) by the rule of a
-    difference (sparse.agree): a key of both is subtracted and dropped if
-    droppable, and the cell agrees when every key left is zero.  The witness
-    is the first cell in row-major order that does not agree.  The
-    truncated flag reads the product cell, the p_1*(eps) cell and each
-    difference of every cell; no difference or residual matrix is formed.
+    Cell (i, j) of p_2*(eps) p_0*(eps) - p_1*(eps) is one BaseConfig.dot of
+    row i of p_2*(eps) and p_1*(eps)[i][j] against column j of p_0*(eps)
+    and 1, with multipliers 1 and a last -1: one sum per pd key (pdring),
+    tested for zero.  No scalar claims more than N numerator digits, so by
+    the stored form lemma (htlab.base) that is the rule of a difference
+    (htlab.sparse).  The witness is the first cell in row-major order that
+    is not zero, and the truncated flag is that of any cell.
     """
     ring1 = PdRing(strat.cfg, strat.base, strat.flavor, 1, d=strat.d, D=strat.D)
     eps = descent_matrix(strat, ring=ring1)
@@ -461,13 +459,16 @@ def check_cocycle_strat(strat):
     contexts = [face_context(ring1, i, alpha) for i in range(3)]
     ring2 = contexts[0].target
     p0, p1, p2 = (eps.map(c.apply, ring=ring2) for c in contexts)
+    one = ring2.one()
+    cols = [[*col, one] for col in zip(*p0.rows)]
+    ms = [1] * strat.rank + [-1]
     witness = None
     truncated = False
-    for i, (lrow, rrow) in enumerate(zip((p2 * p0).rows, p1.rows)):
-        for j, (lhs, rhs) in enumerate(zip(lrow, rrow)):
-            ok, diff_trunc = agree(lhs.coeffs, rhs.coeffs)
-            truncated = truncated or lhs.truncated or diff_trunc or rhs.truncated
-            if witness is None and not ok:
+    for i, (lrow, rrow) in enumerate(zip(p2.rows, p1.rows)):
+        for j, (rhs, col) in enumerate(zip(rrow, cols)):
+            cell = ring2.cfg.dot(lrow + [rhs], col, ms)
+            truncated = truncated or cell.truncated
+            if witness is None and not cell.is_zero():
                 witness = (i, j)
     return {
         "ok": witness is None,

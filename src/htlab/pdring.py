@@ -69,7 +69,7 @@ is its one-term case.  So Mat.__mul__ over pd elements forms each cell as
 one sum per key over its (l, k1, k2) pairs, the stored form of the chain
 that forms each product and adds them in l order, and each entry of the
 right matrix meets every row of the left one through its one _Right.  The
-descent check of htlab.higgs forms p_2*(eps) p_0*(eps) that way.
+descent check of htlab.higgs forms each cell of its difference that way.
 
 The twisted face d^0 sends a term c v_1^[a_1] v_2^[a_2] ... to the chain
 from_scalar(c) * gamma_a1 * gamma_a2 ... of the divided powers of the
@@ -95,8 +95,8 @@ from itertools import repeat
 from math import comb, factorial
 
 from .errors import AxiomViolation, BadIndex, InsufficientPrecision
-from .galois import act_slots
-from .sparse import Sparse, agree
+from .galois import act_slots, series_dot_vanishes
+from .sparse import Sparse
 
 VARIANTS = ("abs-arith", "abs-geom", "rel-geom")
 
@@ -845,8 +845,9 @@ def check_face_evaluation(x, sigmas, alpha=None, T=None):
     twisted by the same unit alpha as d^0 (beta = pi E'(pi) when omitted),
     middle indices merge s_i s_{i+1}, and the last index forgets s_{n+1}.
     Both sides are {t-degree: coefficient} dicts (evaluate_at_group, and
-    galois.act_slots for i = 0), compared by the rule of a difference
-    (sparse.agree).
+    galois.act_slots for i = 0), and each slot of their difference is one
+    sum tested for zero (galois.series_dot_vanishes), which gives the
+    answer of the rule of a difference.
     """
     ring = x.ring
     n = ring.degree
@@ -854,6 +855,7 @@ def check_face_evaluation(x, sigmas, alpha=None, T=None):
         raise BadIndex(f"need exactly {n + 1} group elements")
     sigmas = list(sigmas)
     T = ring.cfg.cutoffs.T if T is None else T
+    one, dot = ring.base.one(), ring.cfg.dot
     results = []
     ok = True
     for i in range(n + 2):
@@ -865,7 +867,7 @@ def check_face_evaluation(x, sigmas, alpha=None, T=None):
         else:
             merged = sigmas[: i - 1] + [sigmas[i - 1] * sigmas[i]] + sigmas[i + 1 :]
             rhs = evaluate_at_group(x, merged, T=T)
-        good = agree(lhs, rhs)[0]
+        good = series_dot_vanishes([lhs.items()], [((0, one),)], rhs, T, one, dot)
         ok = ok and good
         results.append({"i": i, "ok": good})
     return {"ok": ok, "faces": results}

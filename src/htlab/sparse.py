@@ -28,39 +28,11 @@ the keys the right operand adds to, so it hands its dict to ``_adopt``.
 A t-series is no Sparse subclass: it is a plain {t-degree: coefficient}
 dict (htlab.galois).
 
-agree is the rule of a difference, the comparison of the descent check
-(higgs.check_cocycle_strat) and of the face evaluation
-(pdring.check_face_evaluation).  The t-series identities (the group law,
-the period and the crosscheck) test each slot of their difference as one
-sum (galois.first_residual), which by the stored form lemma gives agree's
-answer.
+Every identity tests each key or slot of its difference as one sum, for
+zero (higgs.check_cocycle_strat, galois.series_dot_vanishes).  By the stored
+form lemma (htlab.base) that is the rule of a difference: a key of both is
+subtracted and dropped if droppable, and every key left is zero.
 """
-
-
-def agree(a, b):
-    """(ok, truncated): whether coefficient dicts a and b agree, by the rule of a difference.
-
-    It serves the descent check (higgs.check_cocycle_strat) and the face
-    evaluation (pdring.check_face_evaluation).  A key
-    of both is subtracted, and the difference is dropped if droppable; a key
-    of one alone is left as it is, since it is zero exactly when its
-    negative is.  ok is whether every key left is zero, and truncated
-    whether a difference formed here is truncated.
-    """
-    ok, truncated = True, False
-    for key, x in a.items():
-        y = b.get(key)
-        if y is not None:
-            x = x - y
-            if x.truncated:
-                truncated = True
-            if x.droppable():
-                continue
-        if ok and not x.is_zero():
-            ok = False
-    if ok:
-        ok = all(y.is_zero() for key, y in b.items() if key not in a)
-    return ok, truncated
 
 
 class Sparse:

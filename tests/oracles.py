@@ -849,11 +849,34 @@ def series_mat_mul_chain(a, b, r, T, dot):
     return out
 
 
+def agree(a, b):
+    """(ok, truncated): whether coefficient dicts a and b agree, by the rule of a difference.
+
+    The reference for the one-sum zero tests of src (htlab.sparse): a key
+    of both is subtracted, and the difference is dropped if droppable; a
+    key of one alone is left as it is, since it is zero exactly when its
+    negative is.  ok is whether every key left is zero, and truncated
+    whether a difference formed here is truncated.
+    """
+    ok, truncated = True, False
+    for key, x in a.items():
+        y = b.get(key)
+        if y is not None:
+            x = x - y
+            if x.truncated:
+                truncated = True
+            if x.droppable():
+                continue
+        if ok and not x.is_zero():
+            ok = False
+    if ok:
+        ok = all(y.is_zero() for key, y in b.items() if key not in a)
+    return ok, truncated
+
+
 def first_disagreement(got, want, r):
     """The first cell (i, j), row by row, where two matrices of t-series do
-    not agree by the rule of a difference (sparse.agree), or None."""
-    from htlab.sparse import agree
-
+    not agree by the rule of a difference (agree), or None."""
     for c, (x, y) in enumerate(zip(got, want)):
         if not agree(x, y)[0]:
             return divmod(c, r)

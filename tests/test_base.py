@@ -1,10 +1,12 @@
 import random
 from fractions import Fraction
+from math import prod
 
 import pytest
 
 from htlab import (
     BaseConfig,
+    base,
     Cutoffs,
     frobenius,
     make_base_config,
@@ -40,6 +42,14 @@ class TestConfig:
     def test_not_prime(self):
         with pytest.raises(NotPrime):
             make_base_config(6, [-6])
+
+    def test_the_modulus_search_is_bounded(self):
+        # f > 1 searches at most p^f candidates, so p^f is capped at 10^6; a
+        # huge p costs one primality test
+        with pytest.raises(ValueError, match=r"f > 1 needs p\^f <= 10\^6"):
+            make_base_config(10**9 + 7, [-(10**9 + 7)], f=2)
+        assert base._irreducible_mod_p(make_base_config(997, [-997], f=2).modpoly, 997)
+        assert make_base_config(10**18 + 3, [-(10**18 + 3)]).modpoly == (0,)
 
     def test_json_roundtrip(self, cfg_r2):
         blob = cfg_r2.to_json()
@@ -307,7 +317,7 @@ class TestFrobenius:
 
 
 def test_config_compiles_one_kernel_and_witt_builds_its_own_once(monkeypatch):
-    from htlab import WittElem, base
+    from htlab import WittElem
 
     calls = []
     real = base._kernels
@@ -324,8 +334,6 @@ def test_config_compiles_one_kernel_and_witt_builds_its_own_once(monkeypatch):
 
 
 def test_configs_with_one_table_share_one_compilation(monkeypatch):
-    from htlab import base
-
     compiled = []
     real = base._compile_kernels
     monkeypatch.setattr(base, "_COMPILED", {})
@@ -532,3 +540,40 @@ def test_no_scalar_claims_more_than_n_digits(p, E, f):
         if x.abs_prec >= 1:
             check(x.inv(), [Fraction(p**s, c)] + [Fraction(0)] * (n - 1), min(q, N + s) + s)
     assert seen > 400 and capped > 200, (seen, capped)
+
+
+def _primes_below(n):
+    """The primes below n by the sieve of Eratosthenes: trial division by
+    every prime up to sqrt(n), done as crossing out."""
+    sieve = bytearray([1]) * n
+    sieve[:2] = b"\0\0"
+    for q in range(2, int(n**0.5) + 1):
+        if sieve[q]:
+            sieve[q * q :: q] = bytes(len(range(q * q, n, q)))
+    return [q for q in range(n) if sieve[q]]
+
+
+def test_is_prime_matches_trial_division_below_a_million():
+    assert [n for n in range(10**6) if base._is_prime(n)] == _primes_below(10**6)
+
+
+def test_is_prime_rejects_carmichael_numbers_and_strong_pseudoprimes():
+    small = set(_primes_below(10**4))
+    # Chernick's (6k + 1)(12k + 1)(18k + 1) is a Carmichael number when all
+    # three factors are prime: a Fermat liar to every base prime to it
+    chernick = [
+        (6 * k + 1) * (12 * k + 1) * (18 * k + 1)
+        for k in range(1, 300)
+        if {6 * k + 1, 12 * k + 1, 18 * k + 1} <= small
+    ]
+    assert len(chernick) >= 10 and 56052361 in chernick
+    assert not any(base._is_prime(n) for n in chernick)
+    # strong pseudoprimes to every prime base up to 23, and up to 37
+    for factors in ((149491, 747451, 34233211), (399165290221, 798330580441)):
+        assert all(base._is_prime(q) for q in factors)
+        assert not base._is_prime(prod(factors))
+    assert base._is_prime(10**18 + 3) and base._is_prime(2**61 - 1)
+    # the least strong pseudoprime to the first 13 prime bases ends the range
+    assert base._is_prime(3317044064679887385961813)
+    with pytest.raises(ValueError, match="out of the range"):
+        base._is_prime(3317044064679887385961981)

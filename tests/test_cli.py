@@ -276,6 +276,28 @@ def test_config_with_non_eisenstein_e_reports_parse_fail(runner, point, tmp_path
     assert "NotEisenstein" in _parse_fail_detail(runner, command, path)
 
 
+@pytest.mark.parametrize(
+    "config, detail",
+    [
+        ({"p": "1000000007", "f": "2", "E_coeffs": ["-1000000007"]}, "f > 1 needs p^f <= 10^6"),
+        ({"p": "1000000000000000003"}, "NotEisenstein"),
+        ({"p": "3317044064679887385961981"}, "out of the range of the primality test"),
+    ],
+    ids=["p=10^9+7,f=2", "p=10^18+3", "p=psi_13"],
+)
+def test_a_huge_p_is_a_parse_fail_at_once(runner, tmp_path, config, detail):
+    """A golden input with a huge p written into its config: the modulus
+    search is bounded and the primality test is Miller-Rabin, so lab check
+    gives the parse report within a second."""
+    doc = json.loads((GOLDEN_INPUTS / "p5-point-abs-geom-d1-log.json").read_text())
+    doc["config"].update(config)
+    path = tmp_path / "desc.json"
+    path.write_text(json.dumps(doc))
+    t0 = time.perf_counter()
+    assert detail in _parse_fail_detail(runner, "check", path)
+    assert time.perf_counter() - t0 < 1
+
+
 @pytest.mark.parametrize("horizon", ["-1", "-2", "-7"])
 def test_factorize_rejects_negative_horizon(runner, tmp_path, horizon):
     path = GOLDEN_INPUTS / "p5-units.json"

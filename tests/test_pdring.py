@@ -7,7 +7,7 @@ from htlab.base import KElem
 from htlab.chart import ChartRing
 from htlab.errors import AxiomViolation, BadIndex
 from htlab.galois import GroupElt, act_slots, sigma_t, subs_slots
-from htlab import make_base_config
+from htlab import make_base_config, pdring
 from htlab.higgs import Stratification, descent_matrix, twist_unit
 from htlab.pdring import (
     VARIANTS,
@@ -24,8 +24,8 @@ from htlab.pdring import (
     face_map,
 )
 from htlab.linalg import Mat
-from htlab.sparse import agree
 from oracles import (
+    agree,
     face_apply_chain,
     face_apply_one_sum,
     mat_mul_chain,
@@ -403,6 +403,43 @@ def test_face_evaluation_nonlog_params(cfg_u5, point):
         assert any(s.c for s in sigmas)
         rep = check_face_evaluation(x, sigmas, alpha=twist_unit(cfg_u5, "smooth"))
         assert rep["ok"], rep
+
+
+@pytest.mark.parametrize("name", ["cfg_u5", "cfg_r2"])
+def test_face_evaluation_sees_a_wrong_face(request, monkeypatch, name):
+    """One face made wrong by p^k X_1 added, k = 1 or N - 1: the per-face
+    verdicts of check_face_evaluation equal the rule of a difference
+    (oracles.agree) between the two sides, face by face, and the wrong
+    face fails."""
+    cfg = request.getfixturevalue(name)
+    base = ChartRing(cfg, "point")
+    ring = PdRing(cfg, base, "abs-geom", 1, d=1)
+    T = cfg.cutoffs.T
+    rng = random.Random(43)
+    real = pdring.face_map
+    failed = 0
+    for trial in range(12):
+        bad, k = trial % 3, rng.choice((1, cfg.N - 1))
+
+        def wrong(i, x, alpha=None):
+            y = real(i, x, alpha)
+            return y + y.ring.x(1).smul(cfg.p**k) if i == bad else y
+
+        monkeypatch.setattr(pdring, "face_map", wrong)
+        x = _from_ints(ring, _random_pd_int_elem(rng, ring, 3))
+        sigmas = [_rand_sigma(rng, cfg, 1) for _ in range(2)]
+        rep = check_face_evaluation(x, sigmas)
+        rhs = [
+            act_slots(sigmas[0], [evaluate_at_group(x, sigmas[1:], T=T)], base, T)[0],
+            evaluate_at_group(x, [sigmas[0] * sigmas[1]], T=T),
+            evaluate_at_group(x, sigmas[:1], T=T),
+        ]
+        want = [agree(evaluate_at_group(wrong(i, x), sigmas, T=T), rhs[i])[0] for i in range(3)]
+        assert [f["ok"] for f in rep["faces"]] == want, (trial, rep)
+        assert rep["ok"] is all(want)
+        assert want[:bad] + want[bad + 1 :] == [True, True]
+        failed += not want[bad]
+    assert failed >= 6
 
 
 def test_sigma_t_twist_parameter(cfg_u5, point):

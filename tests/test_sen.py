@@ -2,6 +2,7 @@ import random
 
 import pytest
 from oracles import (
+    agree,
     claims_agree,
     cocycle_law_naive,
     cocycle_matrix_naive,
@@ -13,7 +14,7 @@ from oracles import (
     series_mat_mul_chain,
 )
 
-from htlab import galois, higgs, linalg, make_base_config, sen, sparse
+from htlab import galois, higgs, linalg, make_base_config, pdring, sen, sparse
 from htlab.base import KElem
 from htlab.chart import ChartElem, ChartRing
 from htlab.cohomology import build_higgs_complex, cohomology
@@ -24,6 +25,7 @@ from htlab.higgs import (
     Stratification,
     _multi_indices,
     check_cocycle_strat,
+    descent_matrix,
     log_from_smooth,
     stratification_from_higgs,
     validate_higgs,
@@ -39,7 +41,6 @@ from htlab.sen import (
     sen_operator,
     verify_cocycle_law,
 )
-from htlab.sparse import agree
 
 
 @pytest.fixture(scope="module")
@@ -898,7 +899,8 @@ def test_law_error_contract(cfg_u5, nilp2):
 
 def test_law_builds_no_product_or_residual_matrix(cfg_u5, nilp2, monkeypatch):
     """On a point base the law forms no matrix (so no product or residual
-    matrix) and calls no sparse.agree: it runs on slot dicts."""
+    matrix): it runs on slot dicts.  No module of htlab keeps a second
+    comparison rule (agree) beside the one-sum zero test."""
     strat = stratification_from_higgs(nilp2)
     rng = random.Random(16)
     bad = corrupted_strat(strat, rng)
@@ -908,15 +910,14 @@ def test_law_builds_no_product_or_residual_matrix(cfg_u5, nilp2, monkeypatch):
         monkeypatch.setattr(Mat, name, lambda a, b, real=real, name=name: calls.append(name) or real(a, b))
     real_init = Mat.__init__
     monkeypatch.setattr(Mat, "__init__", lambda self, *a, **kw: calls.append("Mat") or real_init(self, *a, **kw))
-    real_agree = sparse.agree
-    for module in (sparse, higgs, sen, galois, linalg):
-        if hasattr(module, "agree"):
-            monkeypatch.setattr(module, "agree", lambda a, b: calls.append("agree") or real_agree(a, b))
     for _ in range(4):
         assert verify_cocycle_law(strat, _rand_sigma(cfg_u5, rng, 1), _rand_sigma(cfg_u5, rng, 1))["ok"]
     assert not verify_cocycle_law(bad, GroupElt(cfg_u5, (1,), 1, 6), GroupElt(cfg_u5, (2,), 3, 11))["ok"]
     assert calls == []
-    # the counters see what is formed elsewhere: the descent check's
-    # matrices and comparisons
-    check_cocycle_strat(strat)
-    assert {"Mat", "agree"} <= set(calls)
+    assert not [m for m in (sparse, higgs, sen, galois, linalg, pdring) if hasattr(m, "agree")]
+    # the counters see what is formed elsewhere: the descent matrix, and the
+    # product and difference of each commutator validate_higgs takes
+    descent_matrix(strat)
+    assert calls == ["Mat"]
+    validate_higgs(nilp2)
+    assert {"__mul__", "__sub__"} <= set(calls)
