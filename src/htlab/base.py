@@ -114,11 +114,9 @@ def _poly_powmod_p(a, n, modpoly, p):
 
 
 def _irreducible_mod_p(modpoly, p):
-    # x^(p^f) == x mod (p, m) and x^(p^(f/r)) != x for prime r | f.
+    # f >= 2: x^(p^f) == x mod (p, m) and x^(p^(f/r)) != x for prime r | f.
     f = len(modpoly)
-    x = ((0, 1) + (0,) * (f - 2))[:f]
-    if f == 1:
-        return True
+    x = (0, 1) + (0,) * (f - 2)
     y = _poly_powmod_p(x, p**f, modpoly, p)
     if y != x:
         return False
