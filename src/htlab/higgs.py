@@ -42,7 +42,7 @@ from .errors import (
     ValidationFailure,
 )
 from .linalg import Mat, commutator
-from .pdring import PdElement, PdRing, face_context
+from .pdring import PdElement, PdRing, dot_vanishes, face_context
 
 FLAVORS = ("abs-arith", "abs-geom", "rel-geom")
 TWISTS = ("log", "smooth")
@@ -287,12 +287,13 @@ class Stratification:
     of the mapping passed in, and its matrices are not to be changed in
     place.  sen.cocycle_matrix keeps on the stratification one compiled
     layout per key (T, c == 0, n_1 == 0, .., n_d == 0) that a call has used
-    (``_cocycle_layouts``), so a stratification changed afterwards would be
-    checked against stale layouts.  To change a coefficient, build a new
-    Stratification.
+    (``_cocycle_layouts``), and sen._period one certified period per T
+    (``_periods``), so a stratification changed afterwards would be checked
+    against stale layouts and periods.  To change a coefficient, build a
+    new Stratification.
     """
 
-    __slots__ = ("cfg", "base", "flavor", "twist", "rank", "D", "coeffs", "_cocycle_layouts")
+    __slots__ = ("cfg", "base", "flavor", "twist", "rank", "D", "coeffs", "_cocycle_layouts", "_periods")
 
     braid_unit = HiggsData.braid_unit
 
@@ -305,6 +306,7 @@ class Stratification:
         self.D = D
         self.coeffs = MappingProxyType(dict(coeffs))
         self._cocycle_layouts = {}
+        self._periods = {}
 
     @property
     def d(self):
@@ -445,13 +447,14 @@ def check_cocycle(h, D=None):
 def check_cocycle_strat(strat):
     """check_cocycle on a stratification; the 0th face is twisted by its braiding unit.
 
-    Cell (i, j) of p_2*(eps) p_0*(eps) - p_1*(eps) is one BaseConfig.dot of
-    row i of p_2*(eps) and p_1*(eps)[i][j] against column j of p_0*(eps)
-    and 1, with multipliers 1 and a last -1: one sum per pd key (pdring),
-    tested for zero.  No scalar claims more than N numerator digits, so by
-    the stored form lemma (htlab.base) that is the rule of a difference
-    (htlab.sparse).  The witness is the first cell in row-major order that
-    is not zero, and the truncated flag is that of any cell.
+    Cell (i, j) of p_2*(eps) p_0*(eps) - p_1*(eps) is the sum of row i of
+    p_2*(eps) and p_1*(eps)[i][j] against column j of p_0*(eps) and 1, with
+    multipliers 1 and a last -1, tested by pdring.dot_vanishes: one sum per
+    pd key, tested for zero, and no cell formed (over K no scalar either).
+    No scalar claims more than N numerator digits, so by the stored form
+    lemma (htlab.base) that is the rule of a difference (htlab.sparse).  The
+    witness is the first cell in row-major order that is not zero, and the
+    truncated flag is that of any cell.
     """
     ring1 = PdRing(strat.cfg, strat.base, strat.flavor, 1, d=strat.d, D=strat.D)
     eps = descent_matrix(strat, ring=ring1)
@@ -466,9 +469,9 @@ def check_cocycle_strat(strat):
     truncated = False
     for i, (lrow, rrow) in enumerate(zip(p2.rows, p1.rows)):
         for j, (rhs, col) in enumerate(zip(rrow, cols)):
-            cell = ring2.cfg.dot(lrow + [rhs], col, ms)
-            truncated = truncated or cell.truncated
-            if witness is None and not cell.is_zero():
+            zero, trunc = dot_vanishes(lrow + [rhs], col, ms)
+            truncated = truncated or trunc
+            if witness is None and not zero:
                 witness = (i, j)
     return {
         "ok": witness is None,

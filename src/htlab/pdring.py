@@ -68,8 +68,16 @@ _sum_of_products over its pairs whose factors both hold a key; a product
 is its one-term case.  So Mat.__mul__ over pd elements forms each cell as
 one sum per key over its (l, k1, k2) pairs, the stored form of the chain
 that forms each product and adds them in l order, and each entry of the
-right matrix meets every row of the left one through its one _Right.  The
-descent check of htlab.higgs forms each cell of its difference that way.
+right matrix meets every row of the left one through its one _Right.
+
+dot_vanishes tests such a sum for zero without forming it: its pairs are
+gathered as _sum_of_products gathers them (_gather_products), and over K
+each key ends in BaseConfig.terms_vanish, the zero test of the scalar
+reduce_terms would form, so no scalar and no element is formed; over
+chart scalars each key is one dot, tested by is_zero.  Its truncated flag
+is that of the element _dot would form.  The descent check of htlab.higgs
+tests each cell of its difference that way, and the cosimplicial check
+(check_cosimplicial_identities) each difference of two faces.
 
 The twisted face d^0 sends a term c v_1^[a_1] v_2^[a_2] ... to the chain
 from_scalar(c) * gamma_a1 * gamma_a2 ... of the divided powers of the
@@ -367,6 +375,34 @@ def _pairs(sums, left, right, m, ring):
     return cut
 
 
+def _gather_products(ring, products):
+    """(sums, kept, cut): the pairs of sum_l x_l * y_l * m_l, gathered key
+    by key in the order met, the phase _sum_of_products and dot_vanishes
+    share.
+
+    products is as in _sum_of_products.  sums maps each key to its
+    [A, top, terms, shifts] over K scalars (_gather) or its (xs, ys, ms)
+    over chart scalars (_pairs), and to None at a key of kept, the
+    coefficients of the l whose y_l is None; cut is whether a filter cut a
+    pair.
+    """
+    gather = _gather if ring.base.is_point else _pairs
+    sums, kept = {}, {}
+    cut = False
+    for left, y, m in products:
+        if y is None:
+            kept.update(left)
+            sums.update(dict.fromkeys(left))
+            continue
+        # y's _Right is read on its first product as a right factor
+        right = y._right
+        if right is None:
+            right = y._right = _Right(y)
+        if gather(sums, left.items(), right, m, ring):
+            cut = True
+    return sums, kept, cut
+
+
 def _sum_of_products(ring, products):
     """({key: coefficient}, truncated): the clean coefficients of
     sum_l x_l * y_l * m_l, one sum per key over its (l, k1, k2) pairs: one
@@ -383,20 +419,8 @@ def _sum_of_products(ring, products):
     no term of two nonzero numerators, a droppable zero, is not reduced.
     """
     point, N = ring.base.is_point, ring.cfg.N
-    gather, reduce = (_gather, ring.cfg.reduce_terms) if point else (_pairs, ring.cfg.dot)
-    sums, kept = {}, {}
-    trunc = False
-    for left, y, m in products:
-        if y is None:
-            kept.update(left)
-            sums.update(dict.fromkeys(left))
-            continue
-        # y's _Right is read on its first product as a right factor
-        right = y._right
-        if right is None:
-            right = y._right = _Right(y)
-        if gather(sums, left.items(), right, m, ring):
-            trunc = True
+    reduce = ring.cfg.reduce_terms if point else ring.cfg.dot
+    sums, kept, trunc = _gather_products(ring, products)
     out = {}
     for key, acc in sums.items():
         if acc is None:
@@ -410,6 +434,57 @@ def _sum_of_products(ring, products):
         if not c.droppable():
             out[key] = c
     return out, trunc
+
+
+def _products(xs, ys, ms):
+    """(ring, products, truncated): the factors of sum_l x_l * y_l * m_l as
+    _sum_of_products takes them, only the l whose factors both hold a key,
+    and whether any factor is flagged."""
+    ring = xs[0].ring
+    trunc = False
+    products = []
+    for x, y, m in zip(xs, ys, repeat(1) if ms is None else ms):
+        _same_ring(ring, x.ring)
+        _same_ring(ring, y.ring)
+        if x.truncated or y.truncated:
+            trunc = True
+        if x.coeffs and y.coeffs:
+            products.append((x.coeffs, y, m))
+    return ring, products, trunc
+
+
+def dot_vanishes(xs, ys, ms=None):
+    """(zero, truncated) of the pd element BaseConfig.dot(xs, ys, ms) would
+    form, with no scalar and no element formed over K.
+
+    The pairs are gathered as PdElement._dot gathers them.  Over K each key
+    ends in BaseConfig.terms_vanish, the zero test of the scalar
+    reduce_terms would form (the stored form lemma of htlab.base), and
+    _sum_of_products drops only droppable keys, which are zero; the test
+    stops at the first key that does not vanish, since no K scalar is
+    truncated and the cut is known once the pairs are gathered.  Over chart
+    scalars each key is one dot, tested by is_zero, and every key's flag
+    counts, so every key is formed.  truncated is that of the element: a
+    factor's flag, a cut filter or a truncated key.
+    """
+    ring, products, trunc = _products(xs, ys, ms)
+    sums, _, cut = _gather_products(ring, products)
+    trunc = trunc or cut
+    cfg = ring.cfg
+    if ring.base.is_point:
+        vanish = cfg.terms_vanish
+        for acc in sums.values():
+            if not vanish(*acc):
+                return False, trunc
+        return True, trunc
+    zero = True
+    for acc in sums.values():
+        c = cfg.dot(*acc)
+        if c.truncated:
+            trunc = True
+        if zero and not c.is_zero():
+            zero = False
+    return zero, trunc
 
 
 class PdElement(Sparse):
@@ -466,16 +541,7 @@ class PdElement(Sparse):
         _Right, so a column entry of a matrix product meets every row of the
         left factor through one.
         """
-        ring = xs[0].ring
-        trunc = False
-        products = []
-        for x, y, m in zip(xs, ys, repeat(1) if ms is None else ms):
-            _same_ring(ring, x.ring)
-            _same_ring(ring, y.ring)
-            if x.truncated or y.truncated:
-                trunc = True
-            if x.coeffs and y.coeffs:
-                products.append((x.coeffs, y, m))
+        ring, products, trunc = _products(xs, ys, ms)
         coeffs, cut = _sum_of_products(ring, products)
         return PdElement._clean(ring, coeffs, trunc or cut)
 
@@ -734,7 +800,10 @@ def check_cosimplicial_identities(cfg, base, variant, d=0, alpha=None, max_degre
 
     Runs over source degrees 1..max_degree (max_degree <= 2); residuals are
     exact below the pd cutoff.  alpha is the twist unit of the 0th face,
-    beta = pi E'(pi) when omitted.  Returns a report dict; 'ok' is the verdict.
+    beta = pi E'(pi) when omitted.  Each difference lhs - rhs is the one sum
+    [lhs, rhs] . [1, 1] . [1, -1], tested by dot_vanishes: by the stored
+    form lemma, as for the descent check, that is the rule of a difference.
+    Returns a report dict; 'ok' is the verdict.
     """
     if not (1 <= max_degree <= 2):
         raise BadIndex("source degree must be 1 or 2")
@@ -745,6 +814,7 @@ def check_cosimplicial_identities(cfg, base, variant, d=0, alpha=None, max_degre
         inner = [face_context(ring, i, alpha) for i in range(n + 2)]
         outer_ring = ring.bump(n + 1)
         outer = [face_context(outer_ring, j, alpha) for j in range(n + 3)]
+        one = outer[0].target.one()
         for gen in ring.generators():
             v = ring.var(gen)
             for i in range(n + 2):
@@ -752,8 +822,7 @@ def check_cosimplicial_identities(cfg, base, variant, d=0, alpha=None, max_degre
                 for j in range(i + 1, n + 3):
                     lhs = outer[j].apply(vi)
                     rhs = outer[i].apply(inner[j - 1].apply(v))
-                    res = lhs - rhs
-                    good = res.is_zero()
+                    good, trunc = dot_vanishes((lhs, rhs), (one, one), (1, -1))
                     ok = ok and good
                     checks.append(
                         {
@@ -762,7 +831,7 @@ def check_cosimplicial_identities(cfg, base, variant, d=0, alpha=None, max_degre
                             "j": j,
                             "generator": gen,
                             "ok": good,
-                            "truncated": res.truncated,
+                            "truncated": trunc,
                         }
                     )
     return {"ok": ok, "count": len(checks), "failures": [c for c in checks if not c["ok"]], "checks": checks}

@@ -295,11 +295,23 @@ def period_kernel_rep(data, T=None, D=None):
     -t theta_i + d/dY_i and that B * B(-Y) = 1, each by one
     galois.first_residual; a residual raises KernelRankDeficit, since the
     columns then fail to fill out the kernel.  Needs T <= D + 1 so the
-    retained t-slots are complete.
+    retained t-slots are complete.  The period is built once per T and
+    stratification (_period); the cells handed out are copies.
     """
     strat = _as_strat(data, D=D)
+    T = strat.cfg.cutoffs.T if T is None else T
+    ring, B, Binv = _period(strat, T)
+    return {"ring": ring, "T": T, "B": [dict(cell) for cell in B], "Binv": [dict(cell) for cell in Binv]}
+
+
+def _period(strat, T):
+    """(ring, B, Binv) of period_kernel_rep, kept on the stratification per T
+    (``_periods``): neither depends on a group element.  Only a certified
+    period is kept, so a residual raises KernelRankDeficit on every call."""
+    kept = strat._periods.get(T)
+    if kept is not None:
+        return kept
     cfg, r, D = strat.cfg, strat.rank, strat.D
-    T = cfg.cutoffs.T if T is None else T
     if T > D + 1:
         raise HorizonTooSmall(f"t-order {T} needs pd degree {T - 1}, have {D}")
     ring = PdRing(cfg, strat.base, "rel-geom", 1, d=strat.d, D=D)
@@ -330,7 +342,8 @@ def period_kernel_rep(data, T=None, D=None):
         d_b = [{m: v for m, v in ((m, v.partial(vid)) for m, v in cell.items()) if not v.droppable()} for cell in B]
         if first_residual(_embed(ring, theta_k), t_b, d_b, r, T, one, dot) is not None:
             raise KernelRankDeficit(f"columns do not kill -t theta_{k + 1} + d/dY_{k + 1}")
-    return {"ring": ring, "T": T, "B": B, "Binv": Binv}
+    kept = strat._periods[T] = (ring, B, Binv)
+    return kept
 
 
 def _embed(ring, mat):
@@ -374,8 +387,7 @@ def crosscheck_inverse_simpson(data, s, T=None, D=None):
         raise ValidationFailure("the crosscheck needs a phi")
     cfg, r = strat.cfg, strat.rank
     T = cfg.cutoffs.T if T is None else T
-    per = period_kernel_rep(strat, T=T)
-    ring = per["ring"]
+    ring, _, Binv = _period(strat, T)
     one, dot = ring.one(), cfg.dot
     arith = {(n, ()): A for (n, index), A in strat.coeffs.items() if sum(index) == 0}
     sa = Stratification(strat.base, "abs-arith", arith, strat.D, r, twist=strat.twist)
@@ -409,5 +421,5 @@ def crosscheck_inverse_simpson(data, s, T=None, D=None):
                 rows[c].append(e.items())
                 cols[c].append(series)
     b_sub = [series_dot(row, col, T, dot) for row, col in zip(rows, cols)]
-    witness = first_residual(series_matmul(per["Binv"], f_pd, r, T, dot), b_sub, u_pd, r, T, one, dot)
+    witness = first_residual(series_matmul(Binv, f_pd, r, T, dot), b_sub, u_pd, r, T, one, dot)
     return {"ok": witness is None, "witness": witness}

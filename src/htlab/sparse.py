@@ -29,7 +29,9 @@ A t-series is no Sparse subclass: it is a plain {t-degree: coefficient}
 dict (htlab.galois).
 
 Every identity tests each key or slot of its difference as one sum, for
-zero (higgs.check_cocycle_strat, galois.series_dot_vanishes).  By the stored
+zero, and forms no difference: pd keys by pdring.dot_vanishes (the descent
+check and the cosimplicial identities), t-slots by
+galois.series_dot_vanishes.  Over K neither forms a scalar.  By the stored
 form lemma (htlab.base) that is the rule of a difference: a key of both is
 subtracted and dropped if droppable, and every key left is zero.
 """

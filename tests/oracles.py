@@ -902,9 +902,10 @@ def cocycle_law_naive(strat, s, u, T=None):
 
 def crosscheck_chain(strat, s, T=None):
     """B^{-1} F(sigma) B(sigma t, sigma Y) = U(sigma) as the chain of whole
-    matrices: B and B^{-1} from sen.period_kernel_rep, U(sigma) and the
-    phi-only F(sigma) from sen.cocycle_matrix, each lifted to the pd ring;
-    B(sigma t, sigma Y) summed term by term over I, each term
+    matrices: B and B^{-1} from sen.period_kernel_rep on a copy of strat,
+    never the period kept on strat; U(sigma) and the phi-only F(sigma) from
+    sen.cocycle_matrix, each lifted to the pd ring; B(sigma t, sigma Y)
+    summed term by term over I, each term
     Theta^I times sigma(t)^|I| times the image of Y^[I]; products by
     series_mat_mul_chain, and the first cell of the residual that is not
     zero in row-major order."""
@@ -914,7 +915,9 @@ def crosscheck_chain(strat, s, T=None):
 
     cfg, r = strat.cfg, strat.rank
     T = cfg.cutoffs.T if T is None else T
-    per = period_kernel_rep(strat, T=T)
+    # a copy of strat, so the period is built here and not read from strat
+    copy = Stratification(strat.base, strat.flavor, strat.coeffs, strat.D, r, twist=strat.twist)
+    per = period_kernel_rep(copy, T=T)
     ring, dot = per["ring"], cfg.dot
 
     def lift(cells):
@@ -982,6 +985,13 @@ def descent_faces(strat):
     ring2 = contexts[0].target
     p0 = eps.map(lambda x: face_apply_chain(contexts[0], x), ring=ring2)
     return (p0,) + tuple(eps.map(c.apply, ring=ring2) for c in contexts[1:])
+
+
+def dot_vanishes_by_cell(xs, ys, ms=None):
+    """pdring.dot_vanishes by the cell route: the pd element BaseConfig.dot
+    forms, tested by is_zero, and its truncated flag."""
+    cell = xs[0].ring.cfg.dot(xs, ys, ms)
+    return cell.is_zero(), cell.truncated
 
 
 def cocycle_strat_naive(strat):

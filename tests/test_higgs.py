@@ -1,8 +1,15 @@
 import random
 
 import pytest
-from oracles import claims_agree, cocycle_strat_naive, corrupted_strat, descent_faces, mat_mul_chain
-from test_sen import _form, _random_strat
+from oracles import (
+    claims_agree,
+    cocycle_strat_naive,
+    corrupted_strat,
+    descent_faces,
+    dot_vanishes_by_cell,
+    mat_mul_chain,
+)
+from test_sen import PROBE_BASES, _form, _random_strat
 
 from htlab import corpus, default_specs, higgs, higgs_from_json, higgs_to_json, make_base_config
 from htlab.chart import ChartRing
@@ -27,7 +34,7 @@ from htlab.higgs import (
     validate_higgs,
 )
 from htlab.linalg import Mat, commutator
-from htlab.pdring import PdRing, face_context
+from htlab.pdring import PdRing, dot_vanishes, face_context
 from htlab.samples import sample_higgs
 
 
@@ -511,20 +518,96 @@ def test_descent_slot_by_slot_matches_the_matrix_product(spec):
     assert all(seen.values()), seen
 
 
+def _corpus_descent_cases():
+    """The stratifications of corpus seeds 0 and 1 on six bases, over the
+    point and the d = 1, r = 1 chart, each with a corrupted_strat copy."""
+    for name, (p, E, f) in PROBE_BASES.items():
+        cfg = make_base_config(p, E, f=f)
+        for mode in ("point", "chart"):
+            base = ChartRing(cfg, mode, d=mode == "chart", r=mode == "chart")
+            for seed in (0, 1):
+                rng = random.Random(f"{name}-{mode}-{seed}")
+                strats = [stratification_from_higgs(h) for h in corpus(base, seed)]
+                yield from strats
+                yield from (bad for bad in (corrupted_strat(strat, rng) for strat in strats) if bad is not None)
+
+
+def test_dot_vanishes_matches_the_cell_route_on_the_corpus():
+    """pdring.dot_vanishes on every cell of p_2*(eps) p_0*(eps) - p_1*(eps),
+    as check_cocycle_strat passes it, gives the (zero, truncated) of the
+    cell BaseConfig.dot forms (oracles.dot_vanishes_by_cell), on 1,152
+    descent cases: cells that vanish and cells that do not, on both kinds of
+    base, and flags set by a cut filter alone.  No chart cell here has a
+    truncated key (the box flags the faces first), so
+    test_pdring.test_dot_vanishes_counts_every_flag builds one."""
+    seen = dict.fromkeys(("zero", "residual", "chart", "cut"), 0)
+    cases = 0
+    for strat in _corpus_descent_cases():
+        cases += 1
+        ring1 = PdRing(strat.cfg, strat.base, strat.flavor, 1, d=strat.d, D=strat.D)
+        eps = descent_matrix(strat, ring=ring1)
+        contexts = [face_context(ring1, i, strat.braid_unit()) for i in range(3)]
+        ring2 = contexts[0].target
+        p0, p1, p2 = (eps.map(c.apply, ring=ring2).rows for c in contexts)
+        ms = [1] * strat.rank + [-1]
+        for i, (lrow, rrow) in enumerate(zip(p2, p1)):
+            for j, rhs in enumerate(rrow):
+                xs, ys = lrow + [rhs], [row[j] for row in p0] + [ring2.one()]
+                got = dot_vanishes(xs, ys, ms)
+                assert got == dot_vanishes_by_cell(xs, ys, ms), (strat, i, j)
+                seen["zero" if got[0] else "residual"] += 1
+                if not strat.base.is_point:
+                    seen["chart"] += 1
+                elif got[1] and not any(x.truncated or y.truncated for x, y in zip(xs, ys)):
+                    # over K only a factor's flag or a cut filter sets the flag
+                    degree = ring2.key_degree
+                    assert any(
+                        degree(k1) + degree(k2) > ring2.D for x, y in zip(xs, ys) for k1 in x.coeffs for k2 in y.coeffs
+                    )
+                    seen["cut"] += 1
+    assert cases == 1152
+    assert all(seen.values()), seen
+
+
 def test_descent_builds_no_product_or_residual_matrix(nilp2, monkeypatch):
     """A descent check takes each cell of p_2*(eps) p_0*(eps) - p_1*(eps) as
     one sum, with no Mat.__mul__ and no Mat.__sub__, on a module that passes
-    and on a corrupted copy that does not."""
+    and on a corrupted copy that does not.  On a point base it forms no
+    scalar for a cell: each of the r^2 cells is one dot_vanishes, which calls
+    neither BaseConfig.reduce_terms nor BaseConfig.dot (the faces reduce
+    their own keys), and the check calls BaseConfig.dot nowhere."""
     strat = stratification_from_higgs(nilp2)
+    assert strat.base.is_point
     bad = corrupted_strat(strat, random.Random(15))
-    calls = []
+    mats, scalars, in_cell = [], [], [False]
     for name in ("__mul__", "__sub__"):
         real = getattr(Mat, name)
-        monkeypatch.setattr(Mat, name, lambda a, b, real=real, name=name: calls.append(name) or real(a, b))
+        monkeypatch.setattr(Mat, name, lambda a, b, real=real, name=name: mats.append(name) or real(a, b))
+    cfg = type(strat.cfg)
+    for name in ("reduce_terms", "dot"):
+        real = getattr(cfg, name)
+        monkeypatch.setattr(
+            cfg, name, lambda c, *a, real=real, name=name: scalars.append((name, in_cell[0])) or real(c, *a)
+        )
+    real_vanishes = higgs.dot_vanishes
+    cells = []
+
+    def vanishes(*args):
+        in_cell[0] = True
+        cells.append(real_vanishes(*args))
+        in_cell[0] = False
+        return cells[-1]
+
+    monkeypatch.setattr(higgs, "dot_vanishes", vanishes)
     for s, ok in ((strat, True), (bad, False)):
-        calls.clear()
+        mats.clear()
+        scalars.clear()
+        cells.clear()
         assert check_cocycle_strat(s)["ok"] is ok
-        assert calls == []
+        assert mats == []
+        assert len(cells) == s.rank**2
+        # the faces reduce their own keys, outside the cells
+        assert set(scalars) == {("reduce_terms", False)}
 
 
 @pytest.mark.parametrize(

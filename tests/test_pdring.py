@@ -19,6 +19,7 @@ from htlab.pdring import (
     check_cosimplicial_identities,
     check_face_evaluation,
     divided_power,
+    dot_vanishes,
     evaluate_at_group,
     face_context,
     face_map,
@@ -26,6 +27,7 @@ from htlab.pdring import (
 from htlab.linalg import Mat
 from oracles import (
     agree,
+    dot_vanishes_by_cell,
     face_apply_chain,
     face_apply_one_sum,
     mat_mul_chain,
@@ -897,6 +899,52 @@ def test_pd_dot_with_multipliers_is_the_chain(request, name):
                 if not base.is_point:
                     got, want = (_chart_keys_sorted(f) for f in (got, want))
                 assert got == want, (name, base.mode, variant)
+
+
+@pytest.mark.parametrize("name", ["cfg_u5", "cfg_r2", "cfg_f2"])
+def test_dot_vanishes_is_the_cell_route(request, name):
+    """dot_vanishes(xs, ys, ms) is the (is_zero, truncated) of the pd element
+    BaseConfig.dot(xs, ys, ms) (oracles.dot_vanishes_by_cell), on random
+    dots with multipliers and on the same dots less their own value, the
+    descent's form, which vanish, over point and chart bases."""
+    cfg = request.getfixturevalue(name)
+    rng = random.Random(f"pd-vanish-{name}")
+    point = ChartRing(cfg, "point")
+    chart = ChartRing(cfg, "chart", d=1, r=1)
+    scalars = {point: lambda: _chain_scalar(cfg, rng), chart: lambda: _chart_scalar(chart, rng)}
+    seen = dict.fromkeys(("zero", "residual"), 0)
+    for base, scalar in scalars.items():
+        for variant, n, d in ORACLE_RINGS:
+            ring = PdRing(cfg, base, variant, n, d=d, D=4)
+            for _ in range(6 if base.is_point else 2):
+                k = rng.randrange(2, 5)
+                xs = [_cell_entry(ring, rng, scalar) for _ in range(k)]
+                ys = [_cell_entry(ring, rng, scalar) for _ in range(k)]
+                ms = [rng.choice((1, -3, cfg.p, cfg.p**cfg.N)) for _ in range(k)]
+                minus = (xs + [cfg.dot(xs, ys, ms)], ys + [ring.one()], ms + [-1])
+                for args in ((xs, ys, ms), minus):
+                    got = dot_vanishes(*args)
+                    assert got == dot_vanishes_by_cell(*args), (name, base.mode, variant)
+                    seen["zero" if got[0] else "residual"] += 1
+    assert all(seen.values()), seen
+
+
+def test_dot_vanishes_counts_every_flag(cfg_u5):
+    """A key that does not vanish, met first, ends the test over K but not
+    the flag: a later pair cut by a filter still sets it.  Over a chart every
+    key is formed, so a later key truncated by the box, with no factor
+    flagged, sets it too."""
+    chart = ChartRing(cfg_u5, "chart", d=1, r=1, Dy=1)
+    for base in (ChartRing(cfg_u5, "point"), chart):
+        ring = PdRing(cfg_u5, base, "rel-geom", 1, d=1, D=1 if base.is_point else 3)
+        y = ring.y(1, 1)
+        if base.is_point:
+            x = y  # y * y has pd-degree 2 > D
+        else:
+            x = ring.from_scalar(chart.var(1)) * y  # T_1^2 lies outside the box Dy = 1
+        args = ([y, x], [ring.one(), x], None)
+        assert not any(v.truncated for v in args[0] + args[1])
+        assert dot_vanishes(*args) == dot_vanishes_by_cell(*args) == (False, True)
 
 
 def _chart_keys_sorted(form):

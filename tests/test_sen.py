@@ -31,6 +31,7 @@ from htlab.higgs import (
     validate_higgs,
 )
 from htlab.linalg import Mat
+from htlab.pdring import PdRing
 from htlab.samples import corpus, default_specs, sample_group, sample_higgs
 from htlab.serialize import higgs_from_json, higgs_to_json
 from htlab.sen import (
@@ -316,6 +317,72 @@ def test_crosscheck_builds_the_theta_powers_once(cfg_u5, nilp2, monkeypatch):
     monkeypatch.setattr(higgs, "_theta_powers", lambda h, maxw, zero: calls.append(maxw) or real(h, maxw, zero))
     assert crosscheck_inverse_simpson(nilp2, GroupElt(cfg_u5, (4,), 9, 11))["ok"]
     assert calls == [cfg_u5.cutoffs.D]
+
+
+def _copy(strat):
+    """A new stratification with strat's coefficients, so nothing kept on strat."""
+    return Stratification(strat.base, strat.flavor, strat.coeffs, strat.D, strat.rank, twist=strat.twist)
+
+
+def test_crosscheck_builds_the_period_once_per_stratification(monkeypatch):
+    """8 sigma crosschecked on one stratification build its period once (the
+    one pd ring sen builds is the period's), and each verdict is the one a
+    copy gives with its period built anew, on the abs modules of corpus
+    seed 0 over the p2 point and chart bases, p2 chart module 13 (the probe
+    set's residual) among them, and over p3f2."""
+    built = []
+    monkeypatch.setattr(sen, "PdRing", lambda *a, **k: built.append(a) or PdRing(*a, **k))
+    seen = {"ok": 0, "residual": 0}
+    for name, mode in (("p2", "point"), ("p2", "chart"), ("p3f2", "point")):
+        p, E, f = PROBE_BASES[name]
+        cfg = make_base_config(p, E, f=f)
+        base = ChartRing(cfg, mode, d=mode == "chart", r=mode == "chart")
+        rng = random.Random(f"period-{name}-{mode}")
+        for h in corpus(base, 0):
+            if h.flavor == "rel-geom":
+                continue
+            strat = stratification_from_higgs(h)
+            sigmas = [sample_group(cfg, rng, h.d) for _ in range(8)]
+            built.clear()
+            got = [crosscheck_inverse_simpson(strat, s) for s in sigmas]
+            assert len(built) == 1
+            assert got == [crosscheck_inverse_simpson(_copy(strat), s) for s in sigmas]
+            assert len(built) == 9
+            for rep in got:
+                seen["ok" if rep["ok"] else "residual"] += 1
+    assert seen["ok"] > 300 and seen["residual"], seen
+
+
+def test_a_failing_period_raises_on_every_call(cfg_u5, point):
+    """Only a certified period is kept: a stratification whose period fails
+    raises KernelRankDeficit on every call, from period_kernel_rep and from
+    the crosscheck."""
+    t1 = Mat.from_ints(point, [[0, 1], [0, 0]])
+    t2 = Mat.from_ints(point, [[0, 0], [1, 0]])
+    strat = stratification_from_higgs(HiggsData(point, "abs-geom", [t1, t2], Mat.zero(point, 2)))
+    s = GroupElt(cfg_u5, (1, 2), 3, 6)
+    for _ in range(2):
+        with pytest.raises(KernelRankDeficit):
+            period_kernel_rep(strat)
+        with pytest.raises(KernelRankDeficit):
+            crosscheck_inverse_simpson(strat, s)
+
+
+def test_the_kept_period_is_not_handed_out(cfg_u5, nilp2):
+    """period_kernel_rep hands out copies of the kept cells: changing what it
+    returned changes neither its next answer nor the crosscheck."""
+    strat = stratification_from_higgs(nilp2)
+    want = period_kernel_rep(_copy(strat))
+    per = period_kernel_rep(strat)
+    for key in ("B", "Binv"):
+        per[key][0].clear()
+        per[key][1] = {}
+        per[key].append({})
+    again = period_kernel_rep(strat)
+    for key in ("B", "Binv"):
+        assert len(again[key]) == len(want[key])
+        assert all(agree(x, y) == (True, False) for x, y in zip(again[key], want[key]))
+    assert crosscheck_inverse_simpson(strat, GroupElt(cfg_u5, (4,), 9, 11))["ok"]
 
 
 def test_period_of_a_module_is_the_period_of_its_stratification(nilp2):
