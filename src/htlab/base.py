@@ -152,6 +152,14 @@ def int_from_json(v):
     raise ValueError(f"{v!r} is not an integer")
 
 
+# Upper limits on a config, checked before any work: the precision N, the
+# degree e * f of K over Q_p, and each cutoff.  They bound the cost of
+# every command (README, "Limits").
+MAX_N = 4096
+MAX_EF = 64
+MAX_CUTOFFS = {"D": 16, "T": 16, "Dy": 64, "n_max": 4096}
+
+
 @dataclass(frozen=True)
 class Cutoffs:
     D: int = 5       # divided-power total degree
@@ -162,6 +170,9 @@ class Cutoffs:
     def validate(self):
         if min(self.D, self.T, self.Dy, self.n_max) < 1:
             raise ValueError("all cutoffs must be >= 1")
+        for name, top in MAX_CUTOFFS.items():
+            if getattr(self, name) > top:
+                raise ValueError(f"cutoff {name} = {getattr(self, name)} is above its limit {top}")
 
 
 class BaseConfig:
@@ -191,8 +202,12 @@ class BaseConfig:
             raise NotEisenstein("constant term divisible by p^2")
         if N < 2:
             raise ValueError("precision N must be >= 2")
+        if N > MAX_N:
+            raise ValueError(f"precision N = {N} is above its limit {MAX_N}")
         if f < 1:
             raise ValueError("residue degree f must be >= 1")
+        if e * f > MAX_EF:
+            raise ValueError(f"degree e * f = {e * f} is above its limit {MAX_EF}")
         self.p = p
         self.e = e
         self.E_coeffs = E_coeffs

@@ -20,17 +20,22 @@ it.
 
 A t-series is a {t-degree: coefficient} dict, and an r x r matrix of them
 is its r^2 cells in row-major order.  series_dot is the one t-slot kernel:
-a series product, a matrix product (series_matmul) and the substitution
-t -> sigma(t) (subs_slots, act_slots) form every slot as one sum over its
-pairs.  Over K its pair loop (_gather_slots) keeps [A, top, terms, shifts]
-per slot, as pdring._gather does per pd key, and each slot is reduced once;
-over other scalars each slot is one dot.  series_dot_vanishes runs the same
-loop for an identity left * right = minus, and first_residual for each cell
-of a matrix one: each slot of the difference is one sum, and over K it ends
-in a zero test of the exact sum, with no scalar formed.  Every t-series
-identity htlab certifies is one first_residual call: the group law
+a series product, a matrix product (series_matmul), the powers of a series
+(series_powers) and the substitution t -> sigma(t) (subs_slots, act_slots)
+form every slot as one sum over its pairs.  Over K its pair loop
+(_gather_slots) keeps [A, top, terms, shifts] per slot, as pdring._gather
+does per pd key, and each slot is reduced once; over other scalars each
+slot is one _dot of the scalars' class (htlab.sparse), the routine
+BaseConfig.dot runs on them.  series_dot_vanishes runs the same loop for
+an identity left * right = minus, and first_residual for each cell of a
+matrix one: each slot of the difference is one sum.  Over K it ends in a
+zero test of the exact sum, with no scalar formed; over other scalars in
+the _dot_vanishes of the scalars' class, which over pd scalars is
+pdring.dot_vanishes, so no scalar is formed over K there either.  Every
+t-series identity htlab certifies is one first_residual call: the group law
 (sen.verify_cocycle_law), the period and the inverse Simpson crosscheck
-(sen.period_kernel_rep, sen.crosscheck_inverse_simpson).
+(sen.period_kernel_rep, sen.crosscheck_inverse_simpson).  No routine here
+imports pdring or takes a dot: each asks its scalars.
 """
 
 from .base import KElem
@@ -171,7 +176,7 @@ def _pair_slots(sums, row, col, T, m):
                 acc[2].append(m)
 
 
-def series_dot(row, col, T, dot):
+def series_dot(row, col, T):
     """{k: slot}: the t^k slots below T of sum_l row[l] * col[l] that are not droppable.
 
     row[l] and col[l] hold the (t-degree, coefficient) pairs of two series,
@@ -180,7 +185,8 @@ def series_dot(row, col, T, dot):
     coefficient of col[l], taken in (l, a, b) order: the stored form of the
     chain that sums them in that order.  Over K the pair loop (_gather_slots)
     keeps [A, top, terms, shifts] per slot and BaseConfig.reduce_terms ends
-    it, as BaseConfig.dot would; over other scalars each slot is one dot.
+    it, as BaseConfig.dot would; over other scalars each slot is one _dot
+    of the first scalar's class, the routine BaseConfig.dot runs on them.
     Slots come in the order their first pair is met.
     """
     x0 = _first_scalar(row)
@@ -203,20 +209,19 @@ def series_dot(row, col, T, dot):
     sums = {}
     _pair_slots(sums, row, col, T, 1)
     for k, (xs, ys, ms) in sums.items():
-        v = dot(xs, ys, ms)
+        v = x0._dot(xs, ys, ms)
         if not v.droppable():
             out[k] = v
     return out
 
 
-def series_dot_vanishes(row, col, minus, T, one, dot):
+def series_dot_vanishes(row, col, minus, T, one):
     """Whether every slot below T of sum_l row[l] * col[l] - minus is zero.
 
     row and col are as in series_dot, minus a {t-degree: coefficient} dict
-    with degrees below T, one the one of the coefficients' ring and dot its
-    BaseConfig.dot.  Slot k is one sum: the pairs of series_dot's slot k in
-    (l, a, b) order, then minus[k] as the term minus[k] * one * (-1).  That
-    sum is the chain rhs + (minus[k] * 1).smul(-1) with rhs series_dot's
+    with degrees below T and one the one of the coefficients' ring.  Slot k
+    is one sum: the pairs of series_dot's slot k in (l, a, b) order, then
+    minus[k] as the term minus[k] * one * (-1).  That sum is the chain rhs + (minus[k] * 1).smul(-1) with rhs series_dot's
     slot, and by the stored form lemma (htlab.base; chart._dot keeps it per
     chart key) its zero test is that of minus[k] - rhs, the rule of a
     difference (htlab.sparse), whenever minus[k] * 1 stores as minus[k],
@@ -224,7 +229,9 @@ def series_dot_vanishes(row, col, minus, T, one, dot):
     stored scalar does.  Over K the pairs go through series_dot's pair
     loop, and each slot ends in a zero test of the one exact sum mod
     p^(A + top) (BaseConfig.terms_vanish), with no scalar formed; over
-    other scalars each slot is one dot with multipliers, tested by is_zero.
+    other scalars each slot is one sum with multipliers, tested by the
+    _dot_vanishes of one's class (htlab.sparse): over pd scalars
+    pdring.dot_vanishes, which forms no scalar over K either.
     """
     sums = {}
     neg = ([minus.items()], [((0, one),)], T)
@@ -236,26 +243,26 @@ def series_dot_vanishes(row, col, minus, T, one, dot):
         return all(vanish(*acc) for acc in sums.values())
     _pair_slots(sums, row, col, T, 1)
     _pair_slots(sums, *neg, -1)
-    return all(dot(*acc).is_zero() for acc in sums.values())
+    return all(one._dot_vanishes(*acc)[0] for acc in sums.values())
 
 
-def series_matmul(left, right, r, T, dot):
+def series_matmul(left, right, r, T):
     """left * right for two r x r matrices of t-series, each given as its r^2
     {t-degree: coefficient} cells in row-major order: cell (i, j) is
     series_dot of row i of left against column j of right."""
     out = []
     for i in range(r):
         row = [cell.items() for cell in left[i * r : (i + 1) * r]]
-        out.extend(series_dot(row, [cell.items() for cell in right[j::r]], T, dot) for j in range(r))
+        out.extend(series_dot(row, [cell.items() for cell in right[j::r]], T) for j in range(r))
     return out
 
 
-def first_residual(left, right, minus, r, T, one, dot):
+def first_residual(left, right, minus, r, T, one):
     """The first cell (i, j), in row-major order, of left * right - minus
     with a slot below T that is not zero, or None.
 
     left, right and minus are r x r matrices of t-series as in
-    series_matmul, one and dot as in series_dot_vanishes, which tests each
+    series_matmul, one as in series_dot_vanishes, which tests each
     cell: every slot of it is one sum, and no later cell is formed.  Its
     zero test is the rule of a difference (htlab.sparse) between minus and
     the cell series_matmul would form, whenever each slot of minus claims
@@ -265,9 +272,21 @@ def first_residual(left, right, minus, r, T, one, dot):
         row = [cell.items() for cell in left[i * r : (i + 1) * r]]
         for j in range(r):
             col = [cell.items() for cell in right[j::r]]
-            if not series_dot_vanishes(row, col, minus[i * r + j], T, one, dot):
+            if not series_dot_vanishes(row, col, minus[i * r + j], T, one):
                 return (i, j)
     return None
+
+
+def series_powers(img, top, one, T):
+    """[img^0, .., img^top] below T, each a {t-degree: coefficient} dict:
+    {0: one}, then one series product (series_dot) with img per power.
+    img is the {t-degree: coefficient} dict of a series and one the one of
+    its coefficients' ring."""
+    img = img.items()
+    powers = [{0: one}]
+    for _ in range(top):
+        powers.append(series_dot([powers[-1].items()], [img], T))
+    return powers
 
 
 def subs_slots(cells, img, base, T):
@@ -275,23 +294,19 @@ def subs_slots(cells, img, base, T):
 
     img is the {t-degree: coefficient} dict of a series of positive t-order
     over base, the coefficients' ring.  The powers of img are built once
-    for all of cells, up to the highest degree present, each as a series
-    product from {0: base.one()}.  Slot j of a result is one sum
-    (series_dot) over the terms v * x_k, v the t^j coefficient of img^k, in
-    increasing k: the stored form of the chain that drops each droppable
-    term and partial sum, as no scalar holds more than N digits
-    (htlab.base), so a dropped zero, at A = N, never lowers the chain's A.
+    for all of cells, up to the highest degree present (series_powers).
+    Slot j of a result is one sum (series_dot) over the terms v * x_k, v
+    the t^j coefficient of img^k, in increasing k: the stored form of the
+    chain that drops each droppable term and partial sum, as no scalar
+    holds more than N digits (htlab.base), so a dropped zero, at A = N,
+    never lowers the chain's A.
     """
     top = max((k for x in cells for k in x), default=0)
-    dot = base.cfg.dot
-    img = img.items()
-    powers = [{0: base.one()}]
-    for _ in range(top):
-        powers.append(series_dot([powers[-1].items()], [img], T, dot))
+    powers = series_powers(img, top, base.one(), T)
     out = []
     for x in cells:
         ks = sorted(x)
-        out.append(series_dot([powers[k].items() for k in ks], [[(0, x[k])] for k in ks], T, dot))
+        out.append(series_dot([powers[k].items() for k in ks], [[(0, x[k])] for k in ks], T))
     return out
 
 

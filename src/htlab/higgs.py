@@ -193,7 +193,7 @@ def validate_higgs(h, n_max=None):
 
 def _phi_sequence_certificate(h, n_max):
     zero = Mat.zero(h.base, h.rank)
-    for n, (p_n, _) in enumerate(islice(_p_chain(h, zero), 1, n_max + 1), 1):
+    for n, p_n in enumerate(islice(_p_chain(h, zero), 1, n_max + 1), 1):
         if p_n.is_zero():
             return ConvergenceCertificate.converged("phi-sequence", n, n_max)
     return ConvergenceCertificate.undecided("phi-sequence", n_max)
@@ -227,56 +227,53 @@ def _vanishes(m):
     return True
 
 
-def _times(a, b, vanish, zero):
-    """a * b, and whether it vanishes; ``vanish`` says whether a or b does.
+def _times(a, b, zero):
+    """a * b, where every vanishing factor and product is ``zero``.
 
-    A vanishing factor leaves every term of every entry to Mat.__mul__'s
-    droppable rule, so the product is ``zero``, the r x r zero matrix of
-    the module's ring, stored alike, and no multiply is run.  The test is
-    entrywise droppable(): a zero known to fewer digits than N is not
-    droppable, and its products are formed.  A product whose every entry
-    is droppable is ``zero`` too: a droppable K scalar is exactly (0, 0, N)
-    and a droppable chart scalar is empty.
+    ``zero`` is the r x r zero matrix of the module's ring.  A factor that
+    is ``zero`` leaves every term of every entry to Mat.__mul__'s droppable
+    rule, so the product is ``zero``, stored alike, and no multiply is run.
+    A product whose every entry is droppable is ``zero`` too: a droppable K
+    scalar is exactly (0, 0, N) and a droppable chart scalar is empty.  A
+    zero known to fewer digits than N is not droppable, and its products
+    are formed.
     """
-    if vanish:
-        return zero, True
+    if a is zero or b is zero:
+        return zero
     out = a * b
-    if not _vanishes(out):
-        return out, False
-    return zero, True
+    return zero if _vanishes(out) else out
 
 
 def _p_chain(h, zero):
-    """(P_n, whether it vanishes) for n = 0, 1, ...: P_0 = id, P_{n+1} = (phi + n beta) P_n.
+    """P_n for n = 0, 1, ...: P_0 = id, P_{n+1} = (phi + n beta) P_n.
 
     Every vanishing P_n is ``zero``, the r x r zero matrix (_times).
     """
     beta = _beta_scalar(h)
-    p_n = (Mat.identity(h.base, h.rank), False)
+    p_n = Mat.identity(h.base, h.rank)
     factor = h.phi
     while True:
         yield p_n
-        p_n = _times(factor, *p_n, zero)
+        p_n = _times(factor, p_n, zero)
         factor = factor.add_scalar_diag(beta)
 
 
 def _theta_powers(h, maxw, zero):
-    """{I: (Theta^I, whether it vanishes)} for |I| <= maxw, in _multi_indices order.
+    """{I: Theta^I} for |I| <= maxw, in _multi_indices order.
 
     Theta^I = theta_k Theta^(I - e_k), k the first nonzero position of I;
-    every vanishing Theta^I is ``zero`` (_times).
+    a vanishing theta_k is replaced by ``zero`` once, and every vanishing
+    Theta^I is ``zero`` (_times).
     """
-    theta_vanish = [_vanishes(th) for th in h.theta]
+    thetas = [zero if _vanishes(th) else th for th in h.theta]
     pows = {}
     for index in _multi_indices(h.d, maxw):
         k = next((i for i, v in enumerate(index) if v > 0), None)
         if k is None:
-            pows[index] = (Mat.identity(h.base, h.rank), False)
+            pows[index] = Mat.identity(h.base, h.rank)
         else:
-            prev = list(index)
-            prev[k] -= 1
-            tp, vanish = pows[tuple(prev)]
-            pows[index] = _times(h.theta[k], tp, vanish or theta_vanish[k], zero)
+            prev = index[:k] + (index[k] - 1,) + index[k + 1 :]
+            pows[index] = _times(thetas[k], pows[prev], zero)
     return pows
 
 
@@ -336,13 +333,12 @@ def stratification_from_higgs(h, D=None):
     zero = Mat.zero(h.base, h.rank)
     p_seq = list(islice(_p_chain(h, zero), D + 1)) if h.phi is not None else []
     coeffs = {}
-    for index, (tp, tp_vanish) in _theta_powers(h, D, zero).items():
+    for index, tp in _theta_powers(h, D, zero).items():
         w = sum(index)
         n_top = (D - w) if h.phi is not None else 0
         coeffs[(0, index)] = tp
         for n in range(1, n_top + 1):
-            p_n, p_vanish = p_seq[n]
-            coeffs[(n, index)] = _times(tp, p_n, tp_vanish or p_vanish, zero)[0]
+            coeffs[(n, index)] = _times(tp, p_seq[n], zero)
     return Stratification(h.base, h.flavor, coeffs, D, h.rank, twist=h.twist)
 
 

@@ -28,9 +28,11 @@ letting the group act by sigma(t) = chi t (1 - alpha c t)^{-1} (alpha the
 data's twist unit, beta = pi E'(pi) in the log normalization) and
 sigma(Y_k) = chi^{-1} (Y_k + n_k) strips U(sigma) down to its phi-only part:
 crosscheck_inverse_simpson verifies B^{-1} F(sigma) B(sigma t, sigma Y) =
-U(sigma) with F the cocycle of the phi-only sub-stratification.  The
-period's two identities and the crosscheck run on the law's residual test
-too (galois.first_residual), over the pd ring's elements.
+U(sigma) with F the cocycle of the phi-only part, read off the module's own
+stratification as U(0, c, chi): at n = 0 the layout key leaves out every
+coefficient with I != 0.  The period's two identities and the crosscheck
+run on the law's residual test too (galois.first_residual), over the pd
+ring's elements, so each slot is tested by pdring.dot_vanishes.
 """
 
 import math
@@ -38,8 +40,8 @@ import math
 from .base import _norm
 from .cohomology import snf_dvr
 from .errors import HorizonTooSmall, KernelRankDeficit, ValidationFailure
-from .galois import GroupElt, act_slots, first_residual, series_dot, series_matmul, sigma_t
-from .higgs import HiggsData, Stratification, stratification_from_higgs
+from .galois import GroupElt, act_slots, first_residual, series_dot, series_matmul, series_powers, sigma_t
+from .higgs import HiggsData, stratification_from_higgs
 from .linalg import Mat
 from .pdring import PdElement, PdRing
 
@@ -231,7 +233,7 @@ def verify_cocycle_law(data, s, u, T=None):
     left = cocycle_matrix(strat, s, T)
     base = strat.base
     acted = act_slots(s, cocycle_matrix(strat, u, T), base, T, alpha=strat.braid_unit())
-    witness = first_residual(left, acted, lhs, strat.rank, T, base.one(), strat.cfg.dot)
+    witness = first_residual(left, acted, lhs, strat.rank, T, base.one())
     return {"ok": witness is None, "witness": witness}
 
 
@@ -315,7 +317,7 @@ def _period(strat, T):
     if T > D + 1:
         raise HorizonTooSmall(f"t-order {T} needs pd degree {T - 1}, have {D}")
     ring = PdRing(cfg, strat.base, "rel-geom", 1, d=strat.d, D=D)
-    one, dot = ring.one(), cfg.dot
+    one = ring.one()
     cellsB = [{} for _ in range(r * r)]
     cellsBi = [{} for _ in range(r * r)]
     thetas = _theta_table(strat, T)
@@ -330,7 +332,7 @@ def _period(strat, T):
     B = [{m: PdElement(ring, d) for m, d in cell.items()} for cell in cellsB]
     Binv = [{m: PdElement(ring, d) for m, d in cell.items()} for cell in cellsBi]
     ident = [{0: one} if c % (r + 1) == 0 else {} for c in range(r * r)]
-    if first_residual(B, Binv, ident, r, T, one, dot) is not None:
+    if first_residual(B, Binv, ident, r, T, one) is not None:
         raise KernelRankDeficit("period matrix is not invertible by the sign flip")
     # t B: each slot moved up by one, the slot moved to T dropped
     t_b = [{m + 1: v for m, v in cell.items() if m + 1 < T} for cell in B]
@@ -340,7 +342,7 @@ def _period(strat, T):
             continue  # T <= 1: B is constant and t theta_k B has no slot left
         vid = ring.y_id(k + 1, 1)
         d_b = [{m: v for m, v in ((m, v.partial(vid)) for m, v in cell.items()) if not v.droppable()} for cell in B]
-        if first_residual(_embed(ring, theta_k), t_b, d_b, r, T, one, dot) is not None:
+        if first_residual(_embed(ring, theta_k), t_b, d_b, r, T, one) is not None:
             raise KernelRankDeficit(f"columns do not kill -t theta_{k + 1} + d/dY_{k + 1}")
     kept = strat._periods[T] = (ring, B, Binv)
     return kept
@@ -352,26 +354,29 @@ def _embed(ring, mat):
 
 
 def _gamma_image(ring, s, k, a, chi_inv):
-    """sigma(Y_k^[a]) = chi^{-a} sum_j Y_k^[j] n_k^{a-j} / (a-j)!."""
+    """sigma(Y_k^[a]) = chi^{-a} sum_j Y_k^[j] n_k^{a-j} / (a-j)!, for a <= D,
+    as one pd element over its a + 1 keys, in increasing j."""
     cfg = ring.cfg
-    M = cfg.p**cfg.N
-    nk = s.n[k]
-    out = None
+    ca, nk = pow(chi_inv, a, cfg.p**cfg.N), s.n[k]
+    vid = ring.y_id(k + 1, 1)
+    coeffs = {}
     for j in range(a + 1):
-        sc = cfg.k_from_int(pow(chi_inv, a, M) * nk ** (a - j)).div_int(math.factorial(a - j))
-        term = ring.y(k + 1, 1, j).mul_scalar(ring.base.from_k(sc))
-        out = term if out is None else out + term
-    return out
+        sc = cfg.k_from_int(ca * nk ** (a - j)).div_int(math.factorial(a - j))
+        coeffs[ring.encode(((vid, j),)) if j else 0] = ring.base.from_k(sc)
+    return PdElement(ring, coeffs)
 
 
 def crosscheck_inverse_simpson(data, s, T=None, D=None):
     """B^{-1} F(sigma) B(sigma t, sigma Y) = U(sigma), checked in the pd ring.
 
     Accepts a module, whose stratification is built once to pd degree D, or
-    a stratification; the period and both cocycles read it.  F is the
-    cocycle of the phi-only sub-stratification; the group acts by
-    sigma(t) = chi t (1 - alpha c t)^{-1} with the data's twist unit alpha,
-    and sigma(Y_k) = chi^{-1}(Y_k + n_k).  Substituted images never raise
+    a stratification; the period and both cocycles read it.  F(sigma) is
+    the cocycle of the phi-only sub-stratification, which is U(0, c, chi):
+    at n = 0 the layout key leaves out every coefficient with I != 0, so
+    the included A_{n,0}, their order and their q, and so the cells, are
+    the sub-stratification's, and the layouts are kept on the
+    stratification.  The group acts by sigma(t) = chi t (1 - alpha c t)^{-1}
+    with the data's twist unit alpha, and sigma(Y_k) = chi^{-1}(Y_k + n_k).  Substituted images never raise
     the pd degree above the t-degree, so with T <= D + 1 the comparison is
     exact in every retained slot.
 
@@ -379,8 +384,8 @@ def crosscheck_inverse_simpson(data, s, T=None, D=None):
     B^{-1} F(sigma) is formed by one series_dot per cell
     (galois.series_matmul), and its product with B(sigma t, sigma Y) is
     compared with U(sigma) by one galois.first_residual: each slot of the
-    difference is one sum, tested for zero, and the first cell with a
-    slot that does not vanish is the witness.
+    difference is one sum, tested for zero by pdring.dot_vanishes, and the
+    first cell with a slot that does not vanish is the witness.
     """
     strat = _as_strat(data, D=D)
     if strat.flavor == "rel-geom":
@@ -388,21 +393,16 @@ def crosscheck_inverse_simpson(data, s, T=None, D=None):
     cfg, r = strat.cfg, strat.rank
     T = cfg.cutoffs.T if T is None else T
     ring, _, Binv = _period(strat, T)
-    one, dot = ring.one(), cfg.dot
-    arith = {(n, ()): A for (n, index), A in strat.coeffs.items() if sum(index) == 0}
-    sa = Stratification(strat.base, "abs-arith", arith, strat.D, r, twist=strat.twist)
+    one = ring.one()
     u_pd, f_pd = (
-        [{m: ring.from_scalar(v) for m, v in cell.items()} for cell in cocycle_matrix(x, g, T=T)]
-        for x, g in ((strat, s), (sa, GroupElt(cfg, (), s.c, s.chi)))
+        [{m: ring.from_scalar(v) for m, v in cell.items()} for cell in cocycle_matrix(strat, g, T=T)]
+        for g in (s, GroupElt(cfg, (0,) * strat.d, s.c, s.chi))
     )
     # B(sigma t, sigma Y): cell c is one series_dot over the I with a
     # nondroppable Theta^I entry c, of that entry against sigma(t)^|I| times
     # the image of Y^[I]
     chi_inv = pow(s.chi, -1, cfg.p**cfg.N)
-    st = sigma_t(ring, s, T=T, alpha=strat.braid_unit()).items()
-    st_pows = [{0: one}]
-    for _ in range(min(strat.D, T - 1)):
-        st_pows.append(series_dot([st_pows[-1].items()], [st], T, dot))
+    st_pows = series_powers(sigma_t(ring, s, T=T, alpha=strat.braid_unit()), min(strat.D, T - 1), one, T)
     gamma_cache = {}
     rows, cols = [[] for _ in range(r * r)], [[] for _ in range(r * r)]
     for index, tp in _theta_table(strat, T).items():
@@ -420,6 +420,6 @@ def crosscheck_inverse_simpson(data, s, T=None, D=None):
             if e:
                 rows[c].append(e.items())
                 cols[c].append(series)
-    b_sub = [series_dot(row, col, T, dot) for row, col in zip(rows, cols)]
-    witness = first_residual(series_matmul(Binv, f_pd, r, T, dot), b_sub, u_pd, r, T, one, dot)
+    b_sub = [series_dot(row, col, T) for row, col in zip(rows, cols)]
+    witness = first_residual(series_matmul(Binv, f_pd, r, T), b_sub, u_pd, r, T, one)
     return {"ok": witness is None, "witness": witness}

@@ -20,6 +20,9 @@ supplies the parts that differ:
   the flag) without checking them again;
 * ``__mul__``, ``droppable``, ``coeff``, ``__repr__`` and ``_dot``, the
   routine BaseConfig.dot runs over its scalars: one reduction per key.
+  ``_dot_vanishes(xs, ys, ms)`` gives (zero, truncated) of the element
+  ``_dot`` would form; by default it forms that element, and pd elements
+  replace it with pdring.dot_vanishes, which forms none.
 
 A coefficient map builds the raw coefficient dict and hands it to ``_new``.
 A sum starts from the clean coefficients of its left operand and checks only
@@ -29,10 +32,12 @@ A t-series is no Sparse subclass: it is a plain {t-degree: coefficient}
 dict (htlab.galois).
 
 Every identity tests each key or slot of its difference as one sum, for
-zero, and forms no difference: pd keys by pdring.dot_vanishes (the descent
-check and the cosimplicial identities), t-slots by
-galois.series_dot_vanishes.  Over K neither forms a scalar.  By the stored
-form lemma (htlab.base) that is the rule of a difference: a key of both is
+zero, and forms no difference: t-slots by galois.series_dot_vanishes, and
+pd keys by pdring.dot_vanishes, which tests every pd identity: the descent
+check, the cosimplicial identities, and, as the _dot_vanishes of the
+t-slots' pd scalars, the period's certificates and the inverse Simpson
+crosscheck.  Over K neither forms a scalar.  By the stored form lemma
+(htlab.base) that is the rule of a difference: a key of both is
 subtracted and dropped if droppable, and every key left is zero.
 """
 
@@ -66,6 +71,11 @@ class Sparse:
 
     def _map(self, fn):
         return self._new({key: fn(c) for key, c in self.coeffs.items()}, self.truncated)
+
+    @classmethod
+    def _dot_vanishes(cls, xs, ys, ms=None):
+        v = cls._dot(xs, ys, ms)
+        return v.is_zero(), v.truncated
 
     def __neg__(self):
         return self._map(lambda c: -c)

@@ -900,6 +900,21 @@ def cocycle_law_naive(strat, s, u, T=None):
     return {"ok": witness is None, "witness": witness}
 
 
+def gamma_image_chain(ring, s, k, a, chi_inv):
+    """sigma(Y_k^[a]) = chi^{-a} sum_j Y_k^[j] n_k^{a-j} / (a-j)! as a chain:
+    each term the basis element Y_k^[j] times its scalar, added in
+    increasing j."""
+    cfg = ring.cfg
+    M = cfg.p**cfg.N
+    nk = s.n[k]
+    out = None
+    for j in range(a + 1):
+        sc = cfg.k_from_int(pow(chi_inv, a, M) * nk ** (a - j)).div_int(factorial(a - j))
+        term = ring.y(k + 1, 1, j).mul_scalar(ring.base.from_k(sc))
+        out = term if out is None else out + term
+    return out
+
+
 def crosscheck_chain(strat, s, T=None):
     """B^{-1} F(sigma) B(sigma t, sigma Y) = U(sigma) as the chain of whole
     matrices: B and B^{-1} from sen.period_kernel_rep on a copy of strat,
@@ -911,7 +926,7 @@ def crosscheck_chain(strat, s, T=None):
     zero in row-major order."""
     from htlab.galois import GroupElt, sigma_t
     from htlab.higgs import Stratification
-    from htlab.sen import _gamma_image, cocycle_matrix, period_kernel_rep
+    from htlab.sen import cocycle_matrix, period_kernel_rep
 
     cfg, r = strat.cfg, strat.rank
     T = cfg.cutoffs.T if T is None else T
@@ -939,7 +954,7 @@ def crosscheck_chain(strat, s, T=None):
         coeff = ring.one()
         for k, ik in enumerate(index):
             if ik:
-                coeff = coeff * _gamma_image(ring, s, k, ik, chi_inv)
+                coeff = coeff * gamma_image_chain(ring, s, k, ik, chi_inv)
         series = {m: v * coeff for m, v in powers[sum(index)].items()}
         series = {m: v for m, v in series.items() if not v.droppable()}
         for c, a in enumerate(a for row in A.rows for a in row):

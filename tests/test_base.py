@@ -51,6 +51,23 @@ class TestConfig:
         assert base._irreducible_mod_p(make_base_config(997, [-997], f=2).modpoly, 997)
         assert make_base_config(10**18 + 3, [-(10**18 + 3)]).modpoly == (0,)
 
+    @pytest.mark.parametrize("field", ["N", "e*f", "D", "T", "Dy", "n_max"])
+    def test_each_limit_is_accepted_and_one_more_is_rejected(self, field):
+        # the limit is accepted; one past it is a ValueError that names the
+        # field and the limit
+        def config(value):
+            if field == "N":
+                return make_base_config(5, [-5], precision=value)
+            if field == "e*f":
+                return make_base_config(5, [-5] + [0] * (value - 1))
+            return make_base_config(5, [-5], cutoffs=Cutoffs(**{field: value}))
+
+        top = {"N": base.MAX_N, "e*f": base.MAX_EF, **base.MAX_CUTOFFS}[field]
+        name = {"N": "precision N", "e*f": r"degree e \* f"}.get(field, f"cutoff {field}")
+        config(top)
+        with pytest.raises(ValueError, match=rf"^{name} = {top + 1} is above its limit {top}$"):
+            config(top + 1)
+
     def test_json_roundtrip(self, cfg_r2):
         blob = cfg_r2.to_json()
         assert blob["p"] == "2"

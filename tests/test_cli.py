@@ -298,6 +298,24 @@ def test_a_huge_p_is_a_parse_fail_at_once(runner, tmp_path, config, detail):
     assert time.perf_counter() - t0 < 1
 
 
+@pytest.mark.parametrize("field", ["N", "e*f", "D", "T", "Dy", "n_max"])
+def test_a_config_past_a_limit_is_a_parse_fail(runner, tmp_path, field):
+    """A golden input with one config field one past its limit: lab check
+    gives the parse report, naming the field and the limit."""
+    top = {"N": base.MAX_N, "e*f": base.MAX_EF, **base.MAX_CUTOFFS}[field]
+    doc = json.loads((GOLDEN_INPUTS / "p5-point-abs-geom-d1-log.json").read_text())
+    if field == "N":
+        doc["config"]["N"] = str(top + 1)
+    elif field == "e*f":
+        doc["config"]["E_coeffs"] = ["-5"] + ["0"] * top
+    else:
+        doc["config"]["cutoffs"][field] = str(top + 1)
+    path = tmp_path / "desc.json"
+    path.write_text(json.dumps(doc))
+    name = {"N": "precision N", "e*f": "degree e * f"}.get(field, f"cutoff {field}")
+    assert f"{name} = {top + 1} is above its limit {top}" in _parse_fail_detail(runner, "check", path)
+
+
 @pytest.mark.parametrize("horizon", ["-1", "-2", "-7"])
 def test_factorize_rejects_negative_horizon(runner, tmp_path, horizon):
     path = GOLDEN_INPUTS / "p5-units.json"

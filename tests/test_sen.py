@@ -8,6 +8,7 @@ from oracles import (
     cocycle_matrix_naive,
     corrupted_strat,
     crosscheck_chain,
+    gamma_image_chain,
     higgs_dual,
     higgs_tensor,
     series_dot_per_slot,
@@ -15,7 +16,7 @@ from oracles import (
 )
 
 from htlab import galois, higgs, linalg, make_base_config, pdring, sen, sparse
-from htlab.base import KElem
+from htlab.base import BaseConfig, KElem
 from htlab.chart import ChartElem, ChartRing
 from htlab.cohomology import build_higgs_complex, cohomology
 from htlab.errors import HorizonTooSmall, KernelRankDeficit, ValidationFailure
@@ -31,7 +32,7 @@ from htlab.higgs import (
     validate_higgs,
 )
 from htlab.linalg import Mat
-from htlab.pdring import PdRing
+from htlab.pdring import PdElement, PdRing
 from htlab.samples import corpus, default_specs, sample_group, sample_higgs
 from htlab.serialize import higgs_from_json, higgs_to_json
 from htlab.sen import (
@@ -385,6 +386,53 @@ def test_the_kept_period_is_not_handed_out(cfg_u5, nilp2):
     assert crosscheck_inverse_simpson(strat, GroupElt(cfg_u5, (4,), 9, 11))["ok"]
 
 
+def test_the_period_on_a_point_base_forms_no_scalar(monkeypatch):
+    """Both certificates of the period test each slot by pdring.dot_vanishes,
+    the _dot_vanishes of pd scalars: on a point base period_kernel_rep calls
+    neither BaseConfig.reduce_terms nor PdElement._dot, on the modules of
+    the p5 corpus at seed 0 with d >= 1."""
+    cfg = make_base_config(5, [-5])
+    strats = [stratification_from_higgs(h) for h in corpus(ChartRing(cfg, "point"), 0) if h.d >= 1]
+    calls, tests = [], []
+    reduce, dot, vanish = BaseConfig.reduce_terms, PdElement._dot, PdElement._dot_vanishes
+    monkeypatch.setattr(BaseConfig, "reduce_terms", lambda self, *a: calls.append("reduce") or reduce(self, *a))
+    monkeypatch.setattr(PdElement, "_dot", staticmethod(lambda *a: calls.append("dot") or dot(*a)))
+    monkeypatch.setattr(PdElement, "_dot_vanishes", staticmethod(lambda *a: tests.append(1) or vanish(*a)))
+    for strat in strats:
+        period_kernel_rep(strat)
+    assert len(strats) == 18 and tests and not calls
+
+
+@pytest.mark.parametrize("spec", ["p5", "p2e2", "p3f2", "chart"])
+def test_gamma_image_is_the_chain(spec):
+    """sen._gamma_image, one pd element over its a + 1 keys, has the stored
+    form, key order and flag of oracles.gamma_image_chain (each term Y_k^[j]
+    times its scalar, added in increasing j) for every a <= D, with n_k
+    zero, a unit, divisible by p or by p^(N-1), on point and chart bases."""
+    cfg = {
+        "p5": make_base_config(5, [-5]),
+        "p2e2": make_base_config(2, [-2, 0]),
+        "p3f2": make_base_config(3, [-3], f=2),
+        "chart": make_base_config(5, [-5]),
+    }[spec]
+    base = ChartRing(cfg, "chart", d=1, r=1) if spec == "chart" else ChartRing(cfg, "point")
+    d, D = 2, 5
+    ring = PdRing(cfg, base, "rel-geom", 1, d=d, D=D)
+    p, M = cfg.p, cfg.p**cfg.N
+    rng = random.Random(f"gamma-{spec}")
+    seen = {"dropped": 0, "low-zero": 0}
+    for nk in (0, 1, p, p ** (cfg.N - 1), rng.randrange(M)):
+        s = GroupElt(cfg, (nk, rng.randrange(M)), rng.randrange(M), 1 + p * rng.randrange(p**3))
+        chi_inv = pow(s.chi, -1, M)
+        for k in range(d):
+            for a in range(D + 1):
+                got = sen._gamma_image(ring, s, k, a, chi_inv)
+                assert _form(got) == _form(gamma_image_chain(ring, s, k, a, chi_inv)), (nk, k, a)
+                seen["dropped"] += len(got.coeffs) < a + 1
+                seen["low-zero"] += any(c.is_zero() for c in got.coeffs.values())
+    assert all(seen.values()), seen
+
+
 def test_period_of_a_module_is_the_period_of_its_stratification(nilp2):
     strat = stratification_from_higgs(nilp2, D=3)
     by_module, by_strat = period_kernel_rep(nilp2, T=4, D=3), period_kernel_rep(strat, T=4)
@@ -682,6 +730,26 @@ def test_cocycle_layouts_are_compiled_once_per_key(cfg_u5, nilp2, monkeypatch):
     assert sorted(strat._cocycle_layouts) == sorted(keys)
 
 
+def test_crosscheck_reads_f_off_the_module_s_stratification(cfg_u5, nilp2, monkeypatch):
+    """F(sigma) is the cocycle of the module's own stratification at n = 0:
+    8 sigma crosschecked on one stratification construct no Stratification
+    and compile one layout per distinct key of U(sigma) and F(sigma) met,
+    which the stratification keeps."""
+    strat = stratification_from_higgs(nilp2)
+    rng = random.Random(33)
+    sigmas = [_rand_sigma(cfg_u5, rng, 1) for _ in range(7)] + [GroupElt(cfg_u5, (0,), 9, 11)]
+    built = []
+    init = Stratification.__init__
+    monkeypatch.setattr(Stratification, "__init__", lambda self, *a, **k: built.append(a) or init(self, *a, **k))
+    layouts = _count_builds(monkeypatch)
+    assert all(crosscheck_inverse_simpson(strat, s)["ok"] for s in sigmas)
+    T = cfg_u5.cutoffs.T
+    keys = {_layout_key(x, T) for s in sigmas for x in (s, GroupElt(cfg_u5, (0,), s.c, s.chi))}
+    assert not built
+    assert sorted(layouts) == sorted(keys)
+    assert sorted(strat._cocycle_layouts) == sorted(keys)
+
+
 def _zero_pattern_sigmas(cfg, rng, d):
     """One sigma of each zero pattern: c = 0, each n_k = 0 in turn, then
     c = p^ceil(N/2), whose c^n vanishes mod p^N for n >= 2 but not as an int,
@@ -807,7 +875,7 @@ def test_cocycle_of_tensor_and_dual(spec):
                 u, u1, u2, u_dual = (cocycle_matrix(x, s) for x in strats)
                 # cell (2 i + k, 2 j + l) of U_h1 (x) U_h2 is U_h1[i][j] * U_h2[k][l]
                 kron = [
-                    series_dot([u1[2 * i + j].items()], [u2[2 * k + l].items()], T, cfg.dot)
+                    series_dot([u1[2 * i + j].items()], [u2[2 * k + l].items()], T)
                     for i in range(2)
                     for k in range(2)
                     for j in range(2)
@@ -877,7 +945,7 @@ def test_law_slot_by_slot_matches_the_matrix_product(spec):
                 for j in range(r):
                     col = acted[j::r]
                     items = [list(e.items()) for e in row], [list(e.items()) for e in col]
-                    slots = series_dot(*items, T, cfg.dot)
+                    slots = series_dot(*items, T)
                     assert {k: _form(v) for k, v in slots.items()} == {
                         k: _form(v) for k, v in product[i * r + j].items()
                     }
@@ -919,7 +987,7 @@ def test_series_dot_pair_loop_matches_the_per_slot_dot(spec):
         row = [list(_rand_series(cfg, rng, T).items()) for _ in range(r)]
         col = [list(_rand_series(cfg, rng, T).items()) for _ in range(r)]
         want = series_dot_per_slot(row, col, T, cfg.dot)
-        got = series_dot(row, col, T, cfg.dot)
+        got = series_dot(row, col, T)
         assert [(k, _form(v)) for k, v in got.items()] == [(k, _form(v)) for k, v in want.items()]
         for k in range(T):
             pairs = [(x, y) for xs, ys in zip(row, col) for a, x in xs for b, y in ys if a + b == k]
@@ -941,7 +1009,7 @@ def test_series_dot_pair_loop_matches_the_per_slot_dot(spec):
                 x = x + cfg.k_from_int(cfg.p ** rng.randrange(N))
             minus[k] = x * one
             assert minus[k].prec <= N
-        vanishes = series_dot_vanishes(row, col, minus, T, one, cfg.dot)
+        vanishes = series_dot_vanishes(row, col, minus, T, one)
         assert vanishes == agree(minus, want)[0]
         seen["vanishes" if vanishes else "residual"] += 1
     assert all(seen.values()), seen

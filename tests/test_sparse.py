@@ -49,7 +49,7 @@ def test_chart_element_truncated_to_nothing_keeps_its_flag_in_every_container():
     assert lost.coeffs == {} and lost.truncated and not lost.droppable()
     assert (lost * ring.one()).truncated
     assert (Mat(ring, [[lost]]) * Mat(ring, [[ring.one()]])).entry(0, 0).truncated
-    assert series_dot([[(0, ring.one())]], [[(1, lost)]], 3, cfg.dot)[1].truncated
+    assert series_dot([[(0, ring.one())]], [[(1, lost)]], 3)[1].truncated
     coeffs = {(0, (0,)): Mat.identity(ring, 1), (0, (1,)): Mat(ring, [[lost]])}
     strat = Stratification(ring, "rel-geom", coeffs, 1, 1)
     assert descent_matrix(strat).entry(0, 0).truncated
