@@ -698,10 +698,6 @@ class KElem:
             return None
         return v - self.cfg.e * self.shift
 
-    def min_val(self):
-        # scalar-protocol name shared with chart elements
-        return self.val_pi()
-
     def storage_zero(self):
         # all stored digits vanish; no precision semantics
         return self.u == self.cfg.zero_u

@@ -13,7 +13,7 @@ stored monomial has min(e_0..e_r) = 0.  Products that leave the degree box
 are dropped and flagged, never silently wrapped.
 
 Both kinds of scalar speak the same protocol (arithmetic dunders, smul,
-div_int, is_zero, storage_zero, droppable, min_val, integral, truncated) so
+div_int, is_zero, storage_zero, droppable, integral, truncated) so
 the pd rings, matrices, and t-series above never branch on the mode.
 droppable is the sparse-drop rule: a stored zero may be forgotten only when
 it still carries the ambient precision, otherwise dropping it would silently
@@ -291,14 +291,6 @@ class ChartElem(Sparse):
         # constructor already pruned droppable coefficients; a truncated
         # element has lost terms, and forgetting it would lose the flag
         return not self.coeffs and not self.truncated
-
-    def min_val(self):
-        best = None
-        for c in self.coeffs.values():
-            v = c.val_pi()
-            if v is not None and (best is None or v < best):
-                best = v
-        return best
 
     def coeff(self, exps):
         return self.coeffs.get(tuple(exps), self.ring.cfg.k_zero())

@@ -22,14 +22,16 @@ A t-series is a {t-degree: coefficient} dict, and an r x r matrix of them
 is its r^2 cells in row-major order.  series_dot is the one t-slot kernel:
 a series product, a matrix product (series_matmul), the powers of a series
 (series_powers) and the substitution t -> sigma(t) (subs_slots, act_slots)
-form every slot as one sum over its pairs.  Over K its pair loop
-(_gather_slots) keeps [A, top, terms, shifts] per slot, as pdring._gather
-does per pd key, and each slot is reduced once; over other scalars each
-slot is one _dot of the scalars' class (htlab.sparse), the routine
-BaseConfig.dot runs on them.  series_dot_vanishes runs the same loop for
-an identity left * right = minus, and first_residual for each cell of a
-matrix one: each slot of the difference is one sum.  Over K it ends in a
-zero test of the exact sum, with no scalar formed; over other scalars in
+form every slot as one sum over its pairs, gathered by one pair loop
+(_gather_slots) that reads the scalar kind once per left coefficient.
+Over K the loop keeps [A, top, terms, shifts] per slot, as pdring._gather
+does per pd key, and each slot is reduced once by BaseConfig.reduce_terms;
+over other scalars it keeps each slot's pairs, and each slot is one _dot
+of the scalars' class (htlab.sparse), the routine BaseConfig.dot runs on
+them.  series_dot_vanishes runs the same loop for an identity
+left * right = minus, and first_residual for each cell of a matrix one:
+each slot of the difference is one sum.  Over K it ends in a zero test of
+the exact sum, with no scalar formed; over other scalars in
 the _dot_vanishes of the scalars' class, which over pd scalars is
 pdring.dot_vanishes, so no scalar is formed over K there either.  Every
 t-series identity htlab certifies is one first_residual call: the group law
@@ -122,18 +124,33 @@ def _first_scalar(row):
 
 
 def _gather_slots(sums, row, col, T, zero, m):
-    """Add the pairs of m * sum_l row[l] * col[l] below T to sums, {k: [A,
-    top, terms, shifts]}, over K scalars, in (l, a, b) order.
+    """Add the pairs of m * sum_l row[l] * col[l] below T to sums, in
+    (l, a, b) order.
 
-    As pdring._gather does per pd key: per slot, A is the least term
-    precision, top the top shift, and terms and shifts the (u_x, u_y, m) and
-    shift of each pair with two nonzero numerators, in the order met.  A slot
-    is entered where its first pair is met, whatever its numerators.
+    zero is the zero numerator of K scalars, None over other scalars; a
+    slot is entered where its first pair is met, whatever its numerators.
+    Over K, as pdring._gather does per pd key, sums is {k: [A, top, terms,
+    shifts]}: per slot, A is the least term precision, top the top shift,
+    and terms and shifts the (u_x, u_y, m) and shift of each pair with two
+    nonzero numerators, in the order met.  Over other scalars it is
+    {k: (xs, ys, ms)}, the pairs' scalars and multipliers in the order met.
     """
     for xs, ys in zip(row, col):
         if not ys:
             continue
         for a, x in xs:
+            if zero is None:
+                for b, y in ys:
+                    k = a + b
+                    if k >= T:
+                        continue
+                    acc = sums.get(k)
+                    if acc is None:
+                        sums[k] = acc = ([], [], [])
+                    acc[0].append(x)
+                    acc[1].append(y)
+                    acc[2].append(m)
+                continue
             u1, s1, p1 = x.u, x.shift, x.prec
             if u1 == zero:
                 u1 = None
@@ -156,26 +173,6 @@ def _gather_slots(sums, row, col, T, zero, m):
                         acc[1] = s
 
 
-def _pair_slots(sums, row, col, T, m):
-    """Add the pairs of m * sum_l row[l] * col[l] below T to sums,
-    {k: (xs, ys, ms)}, over scalars other than K, in (l, a, b) order, each
-    with multiplier m."""
-    for xs, ys in zip(row, col):
-        if not ys:
-            continue
-        for a, x in xs:
-            for b, y in ys:
-                k = a + b
-                if k >= T:
-                    continue
-                acc = sums.get(k)
-                if acc is None:
-                    sums[k] = acc = ([], [], [])
-                acc[0].append(x)
-                acc[1].append(y)
-                acc[2].append(m)
-
-
 def series_dot(row, col, T):
     """{k: slot}: the t^k slots below T of sum_l row[l] * col[l] that are not droppable.
 
@@ -183,33 +180,24 @@ def series_dot(row, col, T):
     as lists or dict items views.  Slot k is one sum over the products
     x * y with a + b = k, x the t^a coefficient of row[l] and y the t^b
     coefficient of col[l], taken in (l, a, b) order: the stored form of the
-    chain that sums them in that order.  Over K the pair loop (_gather_slots)
-    keeps [A, top, terms, shifts] per slot and BaseConfig.reduce_terms ends
-    it, as BaseConfig.dot would; over other scalars each slot is one _dot
-    of the first scalar's class, the routine BaseConfig.dot runs on them.
-    Slots come in the order their first pair is met.
+    chain that sums them in that order.  The pair loop (_gather_slots)
+    gathers every slot, and each slot ends in one reduction: over K in
+    BaseConfig.reduce_terms, as BaseConfig.dot would, over other scalars in
+    the _dot of the first scalar's class, the routine BaseConfig.dot runs
+    on them.  Slots come in the order their first pair is met.
     """
     x0 = _first_scalar(row)
     if x0 is None:
         return {}
-    out = {}
     if type(x0) is KElem:
-        cfg = x0.cfg
-        N, reduce = cfg.N, cfg.reduce_terms
-        sums = {}
-        _gather_slots(sums, row, col, T, cfg.zero_u, 1)
-        for k, acc in sums.items():
-            # A = N and no term of two nonzero numerators: the droppable zero
-            if not acc[2] and acc[0] >= N:
-                continue
-            v = reduce(*acc)
-            if not v.droppable():
-                out[k] = v
-        return out
+        zero, reduce = x0.cfg.zero_u, x0.cfg.reduce_terms
+    else:
+        zero, reduce = None, x0._dot
     sums = {}
-    _pair_slots(sums, row, col, T, 1)
-    for k, (xs, ys, ms) in sums.items():
-        v = x0._dot(xs, ys, ms)
+    _gather_slots(sums, row, col, T, zero, 1)
+    out = {}
+    for k, acc in sums.items():
+        v = reduce(*acc)
         if not v.droppable():
             out[k] = v
     return out
@@ -226,24 +214,21 @@ def series_dot_vanishes(row, col, minus, T, one):
     chart key) its zero test is that of minus[k] - rhs, the rule of a
     difference (htlab.sparse), whenever minus[k] * 1 stores as minus[k],
     that is whenever minus[k] claims at most N numerator digits, as no
-    stored scalar does.  Over K the pairs go through series_dot's pair
-    loop, and each slot ends in a zero test of the one exact sum mod
+    stored scalar does.  Both sides go through series_dot's pair loop.
+    Over K each slot ends in a zero test of the one exact sum mod
     p^(A + top) (BaseConfig.terms_vanish), with no scalar formed; over
     other scalars each slot is one sum with multipliers, tested by the
     _dot_vanishes of one's class (htlab.sparse): over pd scalars
     pdring.dot_vanishes, which forms no scalar over K either.
     """
+    zero = one.cfg.zero_u if type(one) is KElem else None
     sums = {}
-    neg = ([minus.items()], [((0, one),)], T)
-    if type(one) is KElem:
-        cfg = one.cfg
-        _gather_slots(sums, row, col, T, cfg.zero_u, 1)
-        _gather_slots(sums, *neg, cfg.zero_u, -1)
-        vanish = cfg.terms_vanish
-        return all(vanish(*acc) for acc in sums.values())
-    _pair_slots(sums, row, col, T, 1)
-    _pair_slots(sums, *neg, -1)
-    return all(one._dot_vanishes(*acc)[0] for acc in sums.values())
+    _gather_slots(sums, row, col, T, zero, 1)
+    _gather_slots(sums, [minus.items()], [((0, one),)], T, zero, -1)
+    if zero is None:
+        return all(one._dot_vanishes(*acc)[0] for acc in sums.values())
+    vanish = one.cfg.terms_vanish
+    return all(vanish(*acc) for acc in sums.values())
 
 
 def series_matmul(left, right, r, T):

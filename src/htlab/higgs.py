@@ -17,13 +17,12 @@ P_n and A_{n,I} is.  check_cocycle builds the degree-1 matrix
 
     eps = sum A_{n,I} X_1^[n] Y_1^[I]
 
-and verifies the descent identity p_2*(eps) p_1... the composition order is
-p_2*(eps) * p_0*(eps) = p_1*(eps); with the other order the degree-(1,1)
-coefficient would come out as [phi, theta] + 2 beta theta instead of
-[phi, theta] + beta theta = 0.  Each cell of the difference
-p_2*(eps) p_0*(eps) - p_1*(eps) is one BaseConfig.dot, whose every pd key
-is one sum over its pairs (pdring), so no product or residual matrix is
-formed.
+and verifies the descent identity p_2*(eps) * p_0*(eps) = p_1*(eps); with
+the other order the degree-(1,1) coefficient would come out as
+[phi, theta] + 2 beta theta instead of [phi, theta] + beta theta = 0.  Each
+cell of the difference p_2*(eps) p_0*(eps) - p_1*(eps) is tested by one
+pdring.dot_vanishes, one sum per pd key tested for zero, so no cell, and
+no product or residual matrix, is formed.
 
 Flavors: 'abs-arith' has phi only, 'rel-geom' has thetas only, 'abs-geom'
 has both.  Everything raises a specific failure with a witness rather than

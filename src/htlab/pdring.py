@@ -51,17 +51,19 @@ degree and scalar ((u or None, shift, absolute precision) over K, the
 coefficient itself over a chart).  A left key of degree d meets only the
 right keys of degree at most D - d, a filter of y's entries in y's order
 that the _Right builds on first use per d, and the product is flagged when
-a filter leaves a key out.  One pair loop per scalar kind (_gather over K,
-_pairs over charts) runs over the live (k1, coefficient) pairs of the left
-operand against the filters of a _Right, forming k1 + k2 and the binomial
-for each pair.  _sum_of_products sums any number of such products: each
-output key is one sum over its pairs in the order met.  Over K scalars it
-keeps, per key, the least term precision A, the top shift and the terms
-with two nonzero numerators, and reduces each key once by
-BaseConfig.reduce_terms, the routine BaseConfig.dot ends in, so it gets the
-stored form of the chain (the stored form lemma of htlab.base).  Every key
-over chart scalars is one dot over its pairs in the order met, which takes
-one reduction per chart key (htlab.chart).
+a filter leaves a key out.  One pair loop, _gather, runs over the live
+(k1, coefficient) pairs of the left operand against the filters of a
+_Right: it caps, filters and masks each left key once, then runs the inner
+loop of the scalar kind, which it reads once per left coefficient, forming
+k1 + k2 and the binomial for each pair.  _sum_of_products sums any number
+of such products: each output key is one sum over its pairs in the order
+met, and every key ends in one reduction.  Over K scalars the loop keeps, per key,
+the least term precision A, the top shift and the terms with two nonzero
+numerators, and each key is reduced by BaseConfig.reduce_terms, the
+routine BaseConfig.dot ends in, so it gets the stored form of the chain
+(the stored form lemma of htlab.base).  Over chart scalars the loop keeps
+each key's pairs in the order met, and each key is one dot over them,
+which takes one reduction per chart key (htlab.chart).
 
 PdElement._dot, the routine BaseConfig.dot runs over pd scalars, is one
 _sum_of_products over its pairs whose factors both hold a key; a product
@@ -292,18 +294,21 @@ class _Right:
         return f
 
 
-def _gather(sums, left, right, m, ring):
-    """Add the pairs of x * y * m to sums, {key: [A, top, terms, shifts]},
-    over K scalars; returns whether a filter cut a pair.
+def _gather(sums, left, right, m, ring, zero):
+    """Add the pairs of x * y * m to sums; returns whether a filter cut a pair.
 
     left holds the live (k1, coefficient) pairs of x in order, right is the
-    _Right of y.  Per key, A is the least term precision, top the top shift,
-    and terms and shifts the (u1, u2, m times the binomial) and shift of
-    each pair with two nonzero numerators, in the order met.
+    _Right of y, and zero is the zero numerator of K scalars, None over
+    chart scalars.  Each left key is capped, filtered and masked once, then
+    meets its row in the inner loop of its scalar kind.  Over K, sums is
+    {key: [A, top, terms, shifts]}: per key, A is the least term precision,
+    top the top shift, and terms and shifts the (u1, u2, m times the
+    binomial) and shift of each pair with two nonzero numerators, in the
+    order met.  Over chart scalars it is {key: (xs, ys, ms)}, the pairs'
+    coefficients and multipliers in the order met, for dot.
     """
     D, shift, w, field = ring.D, ring.shift, ring.width, ring.field
     low, add, top = (1 << shift) - 1, ring.support_add, ring.support_top
-    zero = ring.cfg.zero_u
     filters = right.filters
     cut = False
     for k1, c1 in left:
@@ -312,6 +317,23 @@ def _gather(sums, left, right, m, ring):
         if c:
             cut = True
         m1 = ((k1 & low) + add) & top
+        if zero is None:
+            for k2, m2, _, c2 in row:
+                key = k1 + k2
+                terms = sums.get(key)
+                if terms is None:
+                    sums[key] = terms = ([], [], [])
+                shared = m1 & m2
+                mult = m
+                while shared:
+                    bit = shared & -shared
+                    off = bit.bit_length() - w
+                    mult *= comb((key >> off) & field, (k1 >> off) & field)
+                    shared ^= bit
+                terms[0].append(c1)
+                terms[1].append(c2)
+                terms[2].append(mult)
+            continue
         u1, s1 = c1.u, c1.shift
         a1 = c1.prec - s1
         if u1 == zero:
@@ -344,49 +366,17 @@ def _gather(sums, left, right, m, ring):
     return cut
 
 
-def _pairs(sums, left, right, m, ring):
-    """_gather over chart scalars: sums is {key: (xs, ys, ms)}, the pairs'
-    coefficients and multipliers in the order met, for dot."""
-    D, shift, w, field = ring.D, ring.shift, ring.width, ring.field
-    low, add, top = (1 << shift) - 1, ring.support_add, ring.support_top
-    filters = right.filters
-    cut = False
-    for k1, c1 in left:
-        cap = D - (k1 >> shift)
-        row, c = filters.get(cap) or right.filter(cap)
-        if c:
-            cut = True
-        m1 = ((k1 & low) + add) & top
-        for k2, m2, _, c2 in row:
-            key = k1 + k2
-            terms = sums.get(key)
-            if terms is None:
-                sums[key] = terms = ([], [], [])
-            shared = m1 & m2
-            mult = m
-            while shared:
-                bit = shared & -shared
-                off = bit.bit_length() - w
-                mult *= comb((key >> off) & field, (k1 >> off) & field)
-                shared ^= bit
-            terms[0].append(c1)
-            terms[1].append(c2)
-            terms[2].append(mult)
-    return cut
-
-
 def _gather_products(ring, products):
     """(sums, kept, cut): the pairs of sum_l x_l * y_l * m_l, gathered key
     by key in the order met, the phase _sum_of_products and dot_vanishes
     share.
 
-    products is as in _sum_of_products.  sums maps each key to its
-    [A, top, terms, shifts] over K scalars (_gather) or its (xs, ys, ms)
-    over chart scalars (_pairs), and to None at a key of kept, the
-    coefficients of the l whose y_l is None; cut is whether a filter cut a
-    pair.
+    products is as in _sum_of_products.  sums maps each key to what _gather
+    keeps for it, [A, top, terms, shifts] over K scalars and (xs, ys, ms)
+    over chart scalars, and to None at a key of kept, the coefficients of
+    the l whose y_l is None; cut is whether a filter cut a pair.
     """
-    gather = _gather if ring.base.is_point else _pairs
+    zero = ring.cfg.zero_u if ring.base.is_point else None
     sums, kept = {}, {}
     cut = False
     for left, y, m in products:
@@ -398,7 +388,7 @@ def _gather_products(ring, products):
         right = y._right
         if right is None:
             right = y._right = _Right(y)
-        if gather(sums, left.items(), right, m, ring):
+        if _gather(sums, left.items(), right, m, ring, zero):
             cut = True
     return sums, kept, cut
 
@@ -415,20 +405,13 @@ def _sum_of_products(ring, products):
     dict of x_l, y_l, m_l) of each l, y_l a PdElement read through its
     _Right; a y_l of None enters x_l's coefficients as they are, at keys
     no product meets.  truncated is set by a cut filter or a truncated
-    sum, the factors' flags are the caller's.  Over K a key with A = N and
-    no term of two nonzero numerators, a droppable zero, is not reduced.
+    sum, the factors' flags are the caller's.
     """
-    point, N = ring.base.is_point, ring.cfg.N
-    reduce = ring.cfg.reduce_terms if point else ring.cfg.dot
+    reduce = ring.cfg.reduce_terms if ring.base.is_point else ring.cfg.dot
     sums, kept, trunc = _gather_products(ring, products)
     out = {}
     for key, acc in sums.items():
-        if acc is None:
-            c = kept[key]
-        elif point and not acc[2] and acc[0] >= N:
-            continue
-        else:
-            c = reduce(*acc)
+        c = kept[key] if acc is None else reduce(*acc)
         if c.truncated:
             trunc = True
         if not c.droppable():
@@ -473,10 +456,7 @@ def dot_vanishes(xs, ys, ms=None):
     cfg = ring.cfg
     if ring.base.is_point:
         vanish = cfg.terms_vanish
-        for acc in sums.values():
-            if not vanish(*acc):
-                return False, trunc
-        return True, trunc
+        return all(vanish(*acc) for acc in sums.values()), trunc
     zero = True
     for acc in sums.values():
         c = cfg.dot(*acc)

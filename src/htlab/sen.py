@@ -267,7 +267,7 @@ def h0_fixed_points(data, T=None):
         V, rank = Mat.identity(base, strat.rank), 0
     else:
         stack = Mat(base, rows)
-        vals = [a.min_val() for row in rows for a in row]
+        vals = [a.val_pi() for row in rows for a in row]
         low = min((v for v in vals if v is not None), default=0)
         if low < 0:
             stack = stack.mul_scalar(base.from_k(strat.cfg.pi_pow(-low)))

@@ -39,6 +39,13 @@ t-slots' pd scalars, the period's certificates and the inverse Simpson
 crosscheck.  Over K neither forms a scalar.  By the stored form lemma
 (htlab.base) that is the rule of a difference: a key of both is
 subtracted and dropped if droppable, and every key left is zero.
+
+Each of the two containers gathers its sums in one pair loop for every
+kind of scalar, pdring._gather per pd key and galois._gather_slots per
+t-slot: the loop reads the kind once per left coefficient, and keeps over K the exact
+terms of each key or slot, over other scalars its pairs for one _dot.
+Every key or slot then ends the same way for both kinds: one reduction
+for a sum, one zero test for an identity.
 """
 
 

@@ -519,7 +519,9 @@ def test_packed_products_sums_and_faces_match_the_oracle(cfg_u5, point, D):
     """Products, sums and every face agree with the oracle on decoded monomials:
     the same monomials in the same order, stored alike, with the same flag.
     d^0, one sum whose key order is face_apply_one_sum's, agrees monomial by
-    monomial."""
+    monomial.  Over a d = 1, r = 1 chart base, products and sums agree too,
+    with each chart coefficient's keys sorted: the chart inner loop of the
+    pair loop meets pairs that share a variable and pairs cut above D."""
     rng = random.Random(100 + D)
     scalar = lambda: _oracle_scalar(cfg_u5, rng)
     one = point.one()
@@ -553,6 +555,31 @@ def test_packed_products_sums_and_faces_match_the_oracle(cfg_u5, point, D):
                         got = _stored(_readable(got))
                     assert got == want, (variant, twist, i)
     assert shared >= 10
+    chart = ChartRing(cfg_u5, "chart", d=1, r=1)
+    shared = cut = 0
+    for variant, n, d in ORACLE_RINGS:
+        ring = PdRing(cfg_u5, chart, variant, n, d=d, D=D)
+        for _ in range(6):
+            x = _oracle_element(ring, rng, lambda: _chart_scalar(chart, rng))
+            y = _oracle_element(ring, rng, lambda: _chart_scalar(chart, rng))
+            rx, ry = _readable(x), _readable(y)
+            assert _chart_stored(_readable(x * y)) == _chart_stored(pd_mul_naive(rx, ry, D))
+            assert _chart_stored(_readable(x + y)) == _chart_stored(pd_add_naive(rx, ry))
+            assert _chart_stored(_readable(x - y)) == _chart_stored(pd_add_naive(rx, ry, sub=True))
+            for k1, _ in rx[0]:
+                for k2, _ in ry[0]:
+                    if sum(a for _, a in k1 + k2) > D:
+                        cut += 1
+                    else:
+                        shared += bool({v for v, _ in k1} & {w for w, _ in k2})
+    # at D = 1 every pair that shares a variable lies above D
+    assert cut >= 3 and (shared >= 3 or D == 1), (shared, cut)
+
+
+def _chart_stored(x):
+    """_stored over a chart base: each chart coefficient's _form with its chart keys sorted."""
+    terms, trunc = x
+    return _chart_keys_sorted(([(key, _form(c)) for key, c in terms], trunc))
 
 
 def test_packed_evaluation_matches_the_oracle(cfg_u5, point):

@@ -1015,6 +1015,56 @@ def test_series_dot_pair_loop_matches_the_per_slot_dot(spec):
     assert all(seen.values()), seen
 
 
+def _rand_pd(ring, rng):
+    """A pd element of up to three keys, each coefficient from _rand_k, sometimes flagged truncated."""
+    x, y = ring.x_id(1), ring.y_id(1, 1)
+    monomials = [(), ((x, 1),), ((y, 1),), ((x, 2),), ((x, 1), (y, 1)), ((y, 3),)]
+    coeffs = {ring.encode(mono): _rand_k(ring.cfg, rng) for mono in rng.sample(monomials, rng.randint(0, 3))}
+    return PdElement(ring, coeffs, truncated=rng.random() < 0.1)
+
+
+@pytest.mark.parametrize("kind", ["chart", "pd"])
+def test_series_dot_pair_loop_matches_the_per_slot_dot_over_chart_and_pd_scalars(kind):
+    """The inner loop the pair loop runs for scalars other than K: over chart
+    scalars (d = 1, r = 1) and over pd scalars, series_dot gives each slot
+    the stored form and the place of oracles.series_dot_per_slot with
+    BaseConfig.dot, and series_dot_vanishes says what the rule of a
+    difference (agree) says of minus against those slots."""
+    cfg = make_base_config(5, [-5])
+    rng = random.Random(f"pair-loop-{kind}")
+    if kind == "chart":
+        base = ChartRing(cfg, "chart", d=1, r=1)
+        scalar, one = (lambda: _rand_entry(base, rng)), base.one()
+    else:
+        ring = PdRing(cfg, ChartRing(cfg, "point"), "abs-geom", 1, d=1, D=3)
+        scalar, one = (lambda: _rand_pd(ring, rng)), ring.one()
+    T = 5
+    seen = dict.fromkeys(("summed", "vanishes", "vanishes-nonzero", "residual"), 0)
+    for _ in range(60):
+        r = rng.randint(1, 3)
+        row, col = ([[(k, scalar()) for k in rng.sample(range(T), rng.randint(0, T))] for _ in range(r)] for _ in range(2))
+        want = series_dot_per_slot(row, col, T, cfg.dot)
+        got = series_dot(row, col, T)
+        assert [(k, _form(v)) for k, v in got.items()] == [(k, _form(v)) for k, v in want.items()]
+        seen["summed"] += any(
+            sum(a + b == k for xs, ys in zip(row, col) for a, _ in xs for b, _ in ys) > 1 for k in got
+        )
+        # minus: the slots read back through a product by one, so that each
+        # claims at most N digits, and on half the trials one slot perturbed
+        # by p^j or replaced by a random scalar, times one
+        minus = {k: v * one for k, v in want.items()}
+        roll = rng.random()
+        if roll < 0.5:
+            k = rng.randrange(T)
+            x = scalar() if roll < 0.25 else minus.get(k, one.smul(0)) + one.smul(cfg.p ** rng.randrange(cfg.N))
+            minus[k] = x * one
+        vanishes = series_dot_vanishes(row, col, minus, T, one)
+        assert vanishes == agree(minus, want)[0]
+        seen["vanishes" if vanishes else "residual"] += 1
+        seen["vanishes-nonzero"] += vanishes and not all(v.is_zero() for v in minus.values())
+    assert all(seen.values()), seen
+
+
 def test_law_error_contract(cfg_u5, nilp2):
     """HorizonTooSmall for T > D + 1, ValidationFailure for sigmas of another
     dimension than the module's, and ValueError for s and u of two dimensions."""
