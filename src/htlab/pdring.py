@@ -25,9 +25,15 @@ the two checks below take alpha itself (beta when omitted):
 
 evaluate_at_group sends a degree-n element to a t-series, a {t-degree:
 coefficient} dict, by X_j |-> c(s_1..s_j) t and Y_{k,j} |-> n_k(s_1..s_j) t,
-with v^[m] |-> v^m / m! in K.  The face maps and this evaluation are tied
-together by check_face_evaluation, which is the oracle certifying the
-twisted d^0 above against the group law, where s_1 moves t by
+with v^[m] |-> v^m / m! in K.  It is the one evaluation at the group:
+group_layout compiles, per layout key (T and which variables are 0), the
+part of the evaluation that does not depend on the values, and
+evaluate_layout runs it at the values.  sen.cocycle_matrix runs the same
+two on a stratification, so U(sigma) is eps evaluated at sigma, and a
+skipped K zero is charged by one rule: N - v_p of the denominator of its
+monomial.  The face maps and this evaluation are tied together by
+check_face_evaluation, which is the oracle certifying the twisted d^0
+above against the group law, where s_1 moves t by
 sigma(t) = chi t (1 - alpha c t)^{-1} with the same alpha.
 
 A pd monomial is stored packed in one Python int.  The generators, numbered
@@ -72,12 +78,13 @@ one sum per key over its (l, k1, k2) pairs, the stored form of the chain
 that forms each product and adds them in l order, and each entry of the
 right matrix meets every row of the left one through its one _Right.
 
-dot_vanishes tests such a sum for zero without forming it: its pairs are
-gathered as _sum_of_products gathers them (_gather_products), and over K
-each key ends in BaseConfig.terms_vanish, the zero test of the scalar
-reduce_terms would form, so no scalar and no element is formed; over
-chart scalars each key is one dot, tested by is_zero.  Its truncated flag
-is that of the element _dot would form.  The descent check of htlab.higgs
+dot_vanishes tests such a sum for zero without forming it over K: its
+pairs are gathered as _sum_of_products gathers them (_gather_products),
+and each key ends in BaseConfig.terms_vanish, the zero test of the scalar
+reduce_terms would form, so no scalar and no element is formed.  Over
+chart scalars every key's flag counts, so it is the protocol default of
+htlab.sparse: the element _dot forms, tested by is_zero.  Its truncated
+flag is that of the element _dot would form.  The descent check of htlab.higgs
 tests each cell of its difference that way, and the cosimplicial check
 (check_cosimplicial_identities) each difference of two faces.
 
@@ -104,6 +111,7 @@ all of them depend on the ring and the twist, none on a module.
 from itertools import repeat
 from math import comb, factorial
 
+from .base import _norm
 from .errors import AxiomViolation, BadIndex, InsufficientPrecision
 from .galois import act_slots, series_dot_vanishes
 from .sparse import Sparse
@@ -440,31 +448,22 @@ def dot_vanishes(xs, ys, ms=None):
     """(zero, truncated) of the pd element BaseConfig.dot(xs, ys, ms) would
     form, with no scalar and no element formed over K.
 
-    The pairs are gathered as PdElement._dot gathers them.  Over K each key
-    ends in BaseConfig.terms_vanish, the zero test of the scalar
+    Over K the pairs are gathered as PdElement._dot gathers them, and each
+    key ends in BaseConfig.terms_vanish, the zero test of the scalar
     reduce_terms would form (the stored form lemma of htlab.base), and
     _sum_of_products drops only droppable keys, which are zero; the test
     stops at the first key that does not vanish, since no K scalar is
-    truncated and the cut is known once the pairs are gathered.  Over chart
-    scalars each key is one dot, tested by is_zero, and every key's flag
-    counts, so every key is formed.  truncated is that of the element: a
-    factor's flag, a cut filter or a truncated key.
+    truncated and the cut is known once the pairs are gathered.  truncated
+    is that of the element: a factor's flag or a cut filter.  Over chart
+    scalars every key's flag counts, so every key is formed: this is the
+    protocol default (htlab.sparse), which forms the element by _dot.
     """
+    if not xs[0].ring.base.is_point:
+        return super(PdElement, PdElement)._dot_vanishes(xs, ys, ms)
     ring, products, trunc = _products(xs, ys, ms)
     sums, _, cut = _gather_products(ring, products)
-    trunc = trunc or cut
-    cfg = ring.cfg
-    if ring.base.is_point:
-        vanish = cfg.terms_vanish
-        return all(vanish(*acc) for acc in sums.values()), trunc
-    zero = True
-    for acc in sums.values():
-        c = cfg.dot(*acc)
-        if c.truncated:
-            trunc = True
-        if zero and not c.is_zero():
-            zero = False
-    return zero, trunc
+    vanish = ring.cfg.terms_vanish
+    return all(vanish(*acc) for acc in sums.values()), trunc or cut
 
 
 class PdElement(Sparse):
@@ -820,20 +819,161 @@ def check_cosimplicial_identities(cfg, base, variant, d=0, alpha=None, max_degre
     return {"ok": ok, "count": len(checks), "failures": [c for c in checks if not c["ok"]], "checks": checks}
 
 
+def _vp_factorial(p, m):
+    """v_p(m!) by Legendre: the sum of the floors m // p^i; 0 for m <= 0."""
+    k = 0
+    while m > 0:
+        m //= p
+        k += m
+    return k
+
+
+def group_layout(base, terms, key):
+    """The part of the evaluation at the group that depends on the values of
+    the variables v_1, .., v_s only through key = (T, v_1 == 0, .., v_s == 0).
+
+    terms lists (exps, entries) pairs: a monomial v^[exps] = prod v_g^[a_g],
+    as its exponent vector over the variables, and its coefficient in each
+    cell, one entry per cell, every list of one length.  At the values,
+    v^[a] goes to v^a / a!, and the t^m slot of a cell is the chain
+    sum x * s over its included terms of weight m = sum a_g, in terms'
+    order, with s = prod v_g^a_g / prod a_g!.  A term is included when
+    m < T and no variable with a positive exponent is 0 (always at m = 0).
+    Each included term carries the descriptor (powers, k, unit^-1 mod p^N)
+    of its scalar, powers being the (g, a_g) with a_g > 0 and
+    den = prod a_g! = p^k * unit, so that a call needs only the numerator;
+    its entries; and q = N - k.
+    Most entries are droppable, and skipped: a K zero, stored as exactly
+    (0, 0, N), or a chart element with no terms and no truncated flag.  A
+    skipped K zero is not free: its term is a zero of absolute precision
+    exactly q, since s has prec <= N and normalization keeps prec - shift,
+    and that q does not depend on the values.
+    One entry per weight, in first-included order:
+    (m, scalars, live, dead_cells, dead).  live holds (c, xs, idx) for each
+    cell with a nondroppable included entry: those entries in terms' order,
+    then, on a point base, a zero at the least q of the cell's included
+    droppable entries, if any; idx numbers the operand of each x in
+    scalars, in order of first use, or is -1 for the zero, which multiplies
+    one.  That gives one dot the same least absolute precision A and the
+    same nonzero terms as the whole chain, and dot forms one exact sum, so
+    neither the left-out zeros nor the place of the added term changes the
+    stored form.  Every other cell goes to dead_cells and holds the shared
+    zero dead, at the weight's least q: dot's one-sum result, and also its
+    plain product when only one term is included, as the stored form of a
+    zero depends only on its absolute precision (None over a chart, where
+    a zero costs nothing, or at q = N: the cell is dropped).
+    """
+    cfg = base.cfg
+    p, N = cfg.p, cfg.N
+    M = p**N
+    point = base.is_point
+    T, zeros = key[0], key[1:]
+    weights = {}
+    for exps, entries in terms:
+        m = sum(exps)
+        if m >= T or any(a and z for a, z in zip(exps, zeros)):
+            continue
+        den = 1
+        for a in exps:
+            den *= factorial(a)
+        k = 0
+        while not den % p:
+            den //= p
+            k += 1
+        scalar = (tuple((g, a) for g, a in enumerate(exps) if a), k, pow(den, -1, M))
+        weights.setdefault(m, []).append((scalar, entries, N - k))
+    layout = []
+    for m, included in weights.items():
+        q = min(qt for _, _, qt in included)
+        dead = cfg.k_zero(q) if point and q < N else None
+        slot = {}
+        live, dead_cells = [], []
+        for c in range(len(included[0][1])):
+            xs, idx, zq = [], [], None
+            for t, (_, entries, qt) in enumerate(included):
+                x = entries[c]
+                if not x.droppable():
+                    xs.append(x)
+                    idx.append(slot.setdefault(t, len(slot)))
+                elif point and (zq is None or qt < zq):
+                    zq = qt
+            if not xs:
+                if dead is not None:
+                    dead_cells.append(c)
+                continue
+            if zq is not None:
+                # dot takes from a zero term only its precision
+                xs.append(cfg.k_zero(zq))
+                idx.append(-1)
+            live.append((c, xs, idx))
+        layout.append((m, [included[t][0] for t in slot], live, dead_cells, dead))
+    return layout
+
+
+def evaluate_layout(base, layout, values, size):
+    """The size cells of a group_layout at the values of its variables, each
+    a {t-degree: scalar} dict, droppable slots left out.
+
+    A call forms only the scalars that a live term reads, each as
+    num * unit^-1 mod p^N normalized at shift k, num = prod v_g^a_g: the
+    stored form of k_from_int(num).div_int(den), on a point base the K
+    element itself with no from_k call.  Then it runs one dot per live cell,
+    and every dead cell takes its weight's shared zero.
+    """
+    cfg = base.cfg
+    N = cfg.N
+    M = cfg.p**N
+    tail = cfg.zero_u[1:] if cfg.n > 1 else None
+    from_k = None if base.is_point else base.from_k
+    dot = cfg.dot
+    one = cfg.k_one()
+    cells = [{} for _ in range(size)]
+    for m, scalars, live, dead_cells, dead in layout:
+        ys = []
+        for powers, k, inv in scalars:
+            num = 1
+            for g, a in powers:
+                num *= values[g] ** a
+            u = num * inv % M
+            y = _norm(cfg, u if tail is None else (u,) + tail, k, N)
+            ys.append(y if from_k is None else from_k(y))
+        ys.append(one)
+        for i, xs, idx in live:
+            v = dot(xs, [ys[j] for j in idx])
+            if not v.droppable():
+                cells[i][m] = v
+        for i in dead_cells:
+            cells[i][m] = dead
+    return cells
+
+
 def evaluate_at_group(x, sigmas, T=None):
     """Evaluate a degree-n element against (s_1, ..., s_n) into K[t]/t^T.
 
     X_j goes to c(s_1..s_j) t, Y_{k,j} to the k-th geometric exponent of
-    s_1..s_j times t, and v^[m] to v^m / m!.  The result is a
-    {t-degree: coefficient} dict over the ring's base, droppable slots left
-    out: slots in the order their first monomial comes, then the clamped
-    ones.
+    the running product s_1..s_j times t, and v^[m] to v^m / m!.  The
+    result is a {t-degree: coefficient} dict over the ring's base,
+    droppable slots left out.
 
-    A degree-m coefficient of x that collapsed to an ambient-precision zero
-    may hide a contribution as large as p^N / m!, so every t^m output slot
-    is clamped to absolute precision N - v_p(m!).  Without the clamp, zero
-    residuals in the face compatibility check would be compared at a
-    precision the evaluation cannot actually certify.
+    This is the one evaluation at the group, group_layout and
+    evaluate_layout over the generators in slot order, which
+    sen.cocycle_matrix runs on a stratification.  Its terms are x's
+    coefficients, as exponent vectors over ring.slots, then, for each
+    weight 1 <= m < T whose monomial v^[m] x lacks, a droppable zero at
+    v^[m], v the first variable of nonzero value.  A monomial x lacks is a
+    coefficient zero to N digits, and its term claims q = N - v_p(prod a_i!)
+    where its value is not 0, as a zero coefficient of a stratification
+    does.  By Legendre, v_p(a!) = sum_i floor(a / p^i), and
+    floor(a / p^i) + floor(b / p^i) <= floor((a + b) / p^i), so
+    v_p(prod a_i!) <= v_p(m!) whenever sum a_i = m: v^[m] has the least q of
+    weight m, N - v_p(m!), and charging it charges every absent monomial.
+    Where x holds v^[m], its own term claims at most N - v_p(m!).  A
+    monomial with a variable of value 0 is exactly 0 and costs nothing, so
+    where every variable is 0 only the t^0 slot is left.  A chart zero has
+    no place to record its precision, so over a chart the skipped zeros
+    cost nothing and each present slot is clamped to N - v_p(m!) instead.
+    Raises InsufficientPrecision when N <= v_p((T - 1)!): the t^(T-1) slot
+    has no certified digit left.
     """
     ring = x.ring
     n = ring.degree
@@ -842,51 +982,32 @@ def evaluate_at_group(x, sigmas, T=None):
     cfg = ring.cfg
     if T is None:
         T = cfg.cutoffs.T
-    values = {}
-    acc = None
-    for j, s in enumerate(sigmas, start=1):
+    acc = []
+    for s in sigmas:
         if s.d != ring.d:
             raise BadIndex("group element has wrong geometric dimension")
-        acc = s if acc is None else acc * s
-        if ring.has_x:
-            values[(0, 0, j)] = acc.c
-        if ring.has_y:
-            for k in range(1, ring.d + 1):
-                values[(1, k, j)] = acc.n[k - 1]
-    out = {}
-    base = ring.base
-    for key, c in x.coeffs.items():
-        m = ring.key_degree(key)
-        if m >= T:
-            continue
-        num = 1
-        den = 1
-        for vid, a in ring.decode(key):
-            num *= values[vid] ** a
-            den *= factorial(a)
-        if num == 0:
-            continue
-        scal = c * base.from_k(cfg.k_from_int(num).div_int(den))
-        if m in out:
-            out[m] = out[m] + scal
-        else:
-            out[m] = scal
-    vloss = 0
-    for m in range(1, T):
-        mm = m
-        while mm % cfg.p == 0:
-            vloss += 1
-            mm //= cfg.p
-        if vloss == 0:
-            continue
-        cap = cfg.N - vloss
-        if cap <= 0:
-            raise InsufficientPrecision(f"t^{m} slot has no certified digits left")
-        cur = out.get(m)
-        if cur is None:
-            cur = base.from_k(cfg.k_zero())
-        out[m] = cur.clamp_prec(cap)
-    return {m: v for m, v in out.items() if not v.droppable()}
+        acc.append(acc[-1] * s if acc else s)
+    if _vp_factorial(cfg.p, T - 1) >= cfg.N:
+        raise InsufficientPrecision(f"t^{T - 1} slot has no certified digits left")
+    values = [acc[j - 1].n[k - 1] if kind else acc[j - 1].c for (kind, k, j), _ in ring.slots]
+    field = ring.field
+    terms = [(tuple((key >> off) & field for _, off in ring.slots), [c]) for key, c in x.coeffs.items()]
+    # a droppable zero at v^[m] pays for every monomial of weight m x lacks
+    v = next((g for g, value in enumerate(values) if value), None)
+    if v is not None:
+        held = {exps for exps, _ in terms}
+        zero = [ring.base.zero()]
+        for m in range(1, T):
+            exps = tuple(m if g == v else 0 for g in range(len(values)))
+            if exps not in held:
+                terms.append((exps, zero))
+    key = (T, *(value == 0 for value in values))
+    [out] = evaluate_layout(ring.base, group_layout(ring.base, terms, key), values, 1)
+    if not ring.base.is_point:
+        # a skipped chart zero cost nothing: each present slot pays instead
+        for m, c in out.items():
+            out[m] = c.clamp_prec(cfg.N - _vp_factorial(cfg.p, m))
+    return out
 
 
 def check_face_evaluation(x, sigmas, alpha=None, T=None):

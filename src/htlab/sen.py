@@ -6,9 +6,13 @@ sigma = (n, c, chi),
     U(sigma) = sum A_{n,I} (prod_k n_k^{i_k} / i_k!) (c^n / n!) t^{n+|I|},
 
 a matrix of truncated t-series, which htlab keeps as its r^2 cells in
-row-major order, each a plain {t-degree: scalar} dict.  cocycle_matrix
-compiles what does not depend on sigma once per layout key (T and which of
-c, n_1, .., n_d are 0) and keeps it on the stratification.  The cocycle
+row-major order, each a plain {t-degree: scalar} dict.  U(sigma) is the
+stratification eps = sum A_{n,I} X^[n] Y^[I] evaluated at sigma, and
+cocycle_matrix computes it so: by the one evaluation at the group of
+htlab.pdring (group_layout and evaluate_layout, which evaluate_at_group
+runs too), over the variables (c, n_1, .., n_d).  What does not depend on
+sigma is compiled once per layout key (T and which of c, n_1, .., n_d are
+0) and kept on the stratification.  The cocycle
 law U(s u) = U(s) * s(U(u)), with s moving only t, is what check_cocycle
 certifies at the pd level; verify_cocycle_law re-checks it directly on
 sampled group pairs: s acts on the cells of U(u) (galois.act_slots), and
@@ -37,13 +41,12 @@ ring's elements, so each slot is tested by pdring.dot_vanishes.
 
 import math
 
-from .base import _norm
 from .cohomology import snf_dvr
 from .errors import HorizonTooSmall, KernelRankDeficit, ValidationFailure
 from .galois import GroupElt, act_slots, first_residual, series_dot, series_matmul, series_powers, sigma_t
 from .higgs import HiggsData, stratification_from_higgs
 from .linalg import Mat
-from .pdring import PdElement, PdRing
+from .pdring import PdElement, PdRing, evaluate_layout, group_layout
 
 
 def _as_strat(data, D=None):
@@ -53,75 +56,10 @@ def _as_strat(data, D=None):
 
 
 def _cocycle_layout(strat, key):
-    """The slots of U(sigma) for every sigma with layout key (T, c == 0, n_1 == 0, .., n_d == 0).
-
-    A coefficient is included when its weight m is below T and its
-    numerator c^n prod n_k^i_k is not 0 (always at m = 0); that depends on
-    sigma only through the key.  One pass over the coefficients, in their
-    order, groups the included ones by weight, in first-included order.
-    Each carries three things: the descriptor (n, ((k', i_k') for i_k' > 0),
-    k, unit^-1 mod p^N) of its scalar s = num / den, den = n! prod i_k! =
-    p^k * unit, so that a call needs only sigma's numerator; its matrix
-    flattened row by row; and q = N - k, the absolute precision of its term
-    at a skipped zero.
-    One entry per weight: (m, scalars, live, dead_cells, dead).  live holds
-    (c, xs, idx) for each cell with a nondroppable included entry: those
-    entries in coefficient order, then, on a point base, a zero at the least
-    q of the cell's included droppable entries, if any; idx numbers the operand of each x in
-    scalars, in order of first use, or is -1 for the zero, which multiplies
-    one.  Every other cell goes to dead_cells and holds the shared zero
-    dead, at the weight's least q (None over a chart or at q = N, where the
-    cell is dropped).  A stratification has at most (t-orders used) *
-    2^(d+1) layouts.
-    """
-    cfg = strat.cfg
-    p, N = cfg.p, cfg.N
-    M = p**N
-    point = strat.base.is_point
-    T, c_zero, n_zero = key[0], key[1], key[2:]
-    weights = {}
-    for (n, index), A in strat.coeffs.items():
-        m = n + sum(index)
-        if m >= T or (n and c_zero) or any(ik and z for ik, z in zip(index, n_zero)):
-            continue
-        den = math.factorial(n)
-        for ik in index:
-            den *= math.factorial(ik)
-        k = 0
-        while not den % p:
-            den //= p
-            k += 1
-        scalar = (n, tuple((j, ik) for j, ik in enumerate(index) if ik), k, pow(den, -1, M))
-        weights.setdefault(m, []).append((scalar, [a for row in A.rows for a in row], N - k))
-    layout = []
-    for m, terms in weights.items():
-        # a cell whose included terms are all skipped zeros holds a zero at
-        # their least q; for a single term that is dot's plain product too, as
-        # the stored form of a zero depends only on its absolute precision
-        q = min(qt for _, _, qt in terms)
-        dead = cfg.k_zero(q) if point and q < N else None
-        slot = {}
-        live, dead_cells = [], []
-        for c in range(strat.rank**2):
-            xs, idx, zq = [], [], None
-            for t, (_, entries, qt) in enumerate(terms):
-                x = entries[c]
-                if not x.droppable():
-                    xs.append(x)
-                    idx.append(slot.setdefault(t, len(slot)))
-                elif point and (zq is None or qt < zq):
-                    zq = qt
-            if not xs:
-                if dead is not None:
-                    dead_cells.append(c)
-                continue
-            if zq is not None:
-                # dot takes from a zero term only its precision
-                xs.append(cfg.k_zero(zq))
-                idx.append(-1)
-            live.append((c, xs, idx))
-        layout.append((m, [terms[t][0] for t in slot], live, dead_cells, dead))
-    return layout
+    """pdring.group_layout over the stratification's terms, in coefficient
+    order: ((n, *I), A_{n,I} flattened row by row)."""
+    terms = [((n, *index), [a for row in A.rows for a in row]) for (n, index), A in strat.coeffs.items()]
+    return group_layout(strat.base, terms, key)
 
 
 def cocycle_matrix(data, s, T=None):
@@ -131,34 +69,19 @@ def cocycle_matrix(data, s, T=None):
     of every contribution equals its weight n + |I|, so with that bound each
     retained slot is complete.
 
+    U(sigma) is the stratification eps = sum A_{n,I} X^[n] Y^[I] evaluated
+    at sigma, X -> c t and Y_k -> n_k t, by the one evaluation at the group
+    (pdring.group_layout and pdring.evaluate_layout, which
+    pdring.evaluate_at_group runs too) over the variables (c, n_1, .., n_d).
     The t^m slot of cell (i, j) has the stored form of the chain
     sum A_{n,I}[i][j] * s_{n,I} over the included coefficients of weight m,
     in coefficient order, where s_{n,I} = (c^n prod n_k^i_k) / (n! prod i_k!)
-    and a coefficient is included unless its numerator is 0 and m > 0.
-    Most entries are droppable, and skipped: a K zero, stored as exactly
-    (0, 0, N), or a chart element with no terms and no truncated flag.  A
-    cell all of whose included entries are droppable is dead.  A skipped K
-    zero is not free: its term is a zero of absolute precision exactly
-    q = N - v_p(n! prod i_k!), since the scalar has prec <= N and
-    normalization keeps prec - shift, and that q does not depend on sigma.
-    Which coefficients are included depends on sigma only through its
-    layout key (T, c == 0, n_1 == 0, .., n_d == 0), so the parts of the sum
-    that do not depend on sigma are compiled once per key, on its first
-    use, into a slot list (_cocycle_layout) kept on the stratification:
-      * a live cell runs one dot over its included other entries
-        plus one zero term at the least q of its included skipped zeros.
-        That gives dot the same least absolute precision A and the same
-        nonzero terms as the whole chain, and dot forms one exact sum, so
-        neither the left-out zeros nor the place of the added term changes
-        the stored form;
-      * every dead cell of the weight shares one stored zero, at the least
-        included q: dot's one-sum result, and also its plain product when
-        only one coefficient is included (dropped at q = N; a chart zero
-        costs nothing).
-    A call forms only the scalars s_{n,I} that a live term reads, each as
-    num * unit^-1 mod p^N normalized at shift v_p(den): the stored form of
-    k_from_int(num).div_int(den), on a point base the K element itself
-    with no from_k call.  Then it runs one dot per live cell.
+    and a coefficient is included unless its numerator is 0 and m > 0; a
+    skipped K zero costs q = N - v_p(n! prod i_k!).  Which coefficients are
+    included depends on sigma only through its layout key
+    (T, c == 0, n_1 == 0, .., n_d == 0), so the part of the sum that does
+    not depend on sigma is compiled once per key, on its first use, and
+    kept on the stratification: at most (t-orders used) * 2^(d+1) layouts.
     """
     strat = _as_strat(data)
     T = strat.cfg.cutoffs.T if T is None else T
@@ -166,39 +89,13 @@ def cocycle_matrix(data, s, T=None):
         raise HorizonTooSmall(f"t-order {T} needs coefficient weight {T - 1}, have {strat.D}")
     if s.d != strat.d:
         raise ValidationFailure("group element dimension does not match the module")
-    cfg = strat.cfg
-    base = strat.base
-    r = strat.rank
+    values = (s.c, *s.n)
+    key = (T, *(v == 0 for v in values))
     layouts = strat._cocycle_layouts
-    c, ns = s.c, s.n
-    key = (T, c == 0, *(nk == 0 for nk in ns))
     layout = layouts.get(key)
     if layout is None:
         layout = layouts[key] = _cocycle_layout(strat, key)
-    N = cfg.N
-    M = cfg.p**N
-    tail = cfg.zero_u[1:] if cfg.n > 1 else None
-    from_k = None if base.is_point else base.from_k
-    dot = cfg.dot
-    one = cfg.k_one()
-    cells = [{} for _ in range(r * r)]
-    for m, scalars, live, dead_cells, dead in layout:
-        ys = []
-        for n, powers, k, inv in scalars:
-            num = c**n
-            for j, ik in powers:
-                num *= ns[j] ** ik
-            u = num * inv % M
-            y = _norm(cfg, u if tail is None else (u,) + tail, k, N)
-            ys.append(y if from_k is None else from_k(y))
-        ys.append(one)
-        for i, xs, idx in live:
-            v = dot(xs, [ys[j] for j in idx])
-            if not v.droppable():
-                cells[i][m] = v
-        for i in dead_cells:
-            cells[i][m] = dead
-    return cells
+    return evaluate_layout(strat.base, layout, values, strat.rank**2)
 
 
 def verify_cocycle_law(data, s, u, T=None):

@@ -22,7 +22,8 @@ supplies the parts that differ:
   routine BaseConfig.dot runs over its scalars: one reduction per key.
   ``_dot_vanishes(xs, ys, ms)`` gives (zero, truncated) of the element
   ``_dot`` would form; by default it forms that element, and pd elements
-  replace it with pdring.dot_vanishes, which forms none.
+  replace it with pdring.dot_vanishes, which over K forms none and over
+  chart scalars runs this default.
 
 A coefficient map builds the raw coefficient dict and hands it to ``_new``.
 A sum starts from the clean coefficients of its left operand and checks only

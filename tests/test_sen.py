@@ -32,7 +32,7 @@ from htlab.higgs import (
     validate_higgs,
 )
 from htlab.linalg import Mat
-from htlab.pdring import PdElement, PdRing
+from htlab.pdring import PdElement, PdRing, evaluate_at_group
 from htlab.samples import corpus, default_specs, sample_group, sample_higgs
 from htlab.serialize import higgs_from_json, higgs_to_json
 from htlab.sen import (
@@ -666,6 +666,37 @@ def _assert_naive_chain(strat, s, T):
     want = [cell for row in cocycle_matrix_naive(strat, s, T) for cell in row]
     for e, cell in zip(cocycle_matrix(strat, s, T=T), want, strict=True):
         assert [(m, _form(v)) for m, v in e.items()] == [(m, _form(v)) for m, v in cell.items()]
+
+
+def test_u_sigma_is_eps_evaluated_at_sigma():
+    """U(sigma) is the stratification eps evaluated at sigma: each cell of
+    cocycle_matrix(strat, sigma) equals evaluate_at_group(eps_ij, [sigma]),
+    eps = descent_matrix(strat), on corpus seed 0.  On the six point bases
+    the two agree in stored form, compared as dicts; on a d = 1, r = 1
+    chart base in value (oracles.agree), since there the evaluation clamps
+    each present slot where U(sigma) charges nothing for a chart zero.
+    sigma runs over three sample_group draws, the identity and (0, c, 1):
+    where every variable is 0, every slot of positive weight is exactly 0."""
+    cells = 0
+    for name, (p, E, f) in PROBE_BASES.items():
+        cfg = make_base_config(p, E, f=f)
+        for base in (ChartRing(cfg, "point"), ChartRing(cfg, "chart", d=1, r=1)):
+            rng = random.Random(f"bridge-{name}")
+            for i, h in enumerate(corpus(base, 0)):
+                strat = stratification_from_higgs(h)
+                eps = [x for row in descent_matrix(strat).rows for x in row]
+                sigmas = [sample_group(cfg, rng, h.d) for _ in range(3)]
+                sigmas += [GroupElt.identity(cfg, h.d), GroupElt(cfg, (0,) * h.d, rng.randrange(1, p**4), 1)]
+                for s in sigmas:
+                    for c, (u, e) in enumerate(zip(cocycle_matrix(strat, s), eps, strict=True)):
+                        v = evaluate_at_group(e, [s])
+                        if base.is_point:
+                            want = {m: _form(x) for m, x in u.items()}
+                            assert {m: _form(x) for m, x in v.items()} == want, (name, i, s, c)
+                        else:
+                            assert agree(u, v)[0], (name, i, s, c)
+                        cells += 1
+    assert cells == 2 * 6 * 5 * 112
 
 
 def _layout_counts(strat):
