@@ -560,7 +560,30 @@ def _norm(cfg, u, shift, prec):
     return KElem(cfg, u, shift - k, prec - k)
 
 
-class KElem:
+class AtPrecision:
+    """Equality at precision, shared by the scalar and container classes.
+
+    Two values are equal when their difference is zero at the precision it
+    carries, so equality is no equivalence relation and such values are not
+    hashable.  Only values of one type compare; GroupElt keeps its own exact,
+    hashable equality.
+    """
+
+    __slots__ = ()
+
+    def eq(self, other):
+        return (self - other).is_zero()
+
+    def __eq__(self, other):
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        return self.eq(other)
+
+    def __hash__(self):
+        raise TypeError(f"{type(self).__name__} compares at precision; not hashable")
+
+
+class KElem(AtPrecision):
     """p^{-shift} * u with u in O_K known modulo p^prec.
 
     u holds the coordinates of the numerator on the basis pi^i g^j of
@@ -749,17 +772,6 @@ class KElem:
             x = x * piv
             acc = acc * piv
         return x.inv() * acc
-
-    def eq(self, other):
-        return (self - other).is_zero()
-
-    def __eq__(self, other):
-        if not isinstance(other, KElem):
-            return NotImplemented
-        return self.eq(other)
-
-    def __hash__(self):
-        raise TypeError("KElem compares at precision; not hashable")
 
     def __repr__(self):
         return f"KElem(p^-{self.shift} * {list(self.coeffs())}, prec={self.prec})"

@@ -25,14 +25,17 @@ pi the relation brings), applies the relation and the box.  A coefficient
 map keeps its keys, which are clean already, and runs only the droppable
 filter.  Products and sums of products over a chart base take one
 reduction per output key: BaseConfig.dot hands chart scalars to _dot, and
-a product is its one-term case.
+a product is its one-term case; _dot puts the sums that the relation or
+the box acts on through the constructor.  Elements combine only over one
+ring, or over rings eq_ring finds alike (the same config, mode, d, r and
+Dy); sums and _dot raise BadIndex otherwise.
 """
 
 from itertools import repeat
 
 from .base import int_from_json
 from .errors import BadIndex
-from .sparse import Sparse
+from .sparse import Sparse, same_ring
 
 
 class ChartRing:
@@ -96,11 +99,16 @@ class ChartRing:
         return ChartElem(self, {tuple(exps): coeff})
 
     def eq_ring(self, other):
+        """Whether elements of self and other combine: configs of one p, E, f
+        and N, which is all a scalar reads of its config, and one mode, d, r
+        and Dy."""
+        c1, c2 = self.cfg, other.cfg
         return (
-            self.cfg is other.cfg
+            (c1 is c2 or (c1.p, c1.E_coeffs, c1.f, c1.N) == (c2.p, c2.E_coeffs, c2.f, c2.N))
             and self.mode == other.mode
             and self.d == other.d
             and self.r == other.r
+            and self.Dy == other.Dy
         )
 
     def to_json(self):
@@ -139,14 +147,18 @@ def _dot(xs, ys, ms=None):
     and is reduced once by BaseConfig.reduce_terms.  A pair with an origin
     factor keeps the other factor's stored key.  A pair whose key the
     relation or the box acts on is summed first with the pairs of its term
-    that share its raw key; the sum is then put through the constructor's
-    rule (dropped if droppable, times pi^m from BaseConfig.pi_pow, dropped
-    if droppable, flagged and dropped outside the box) and enters its key's
-    sum as one term, with the term's multiplier.  So no product is
-    regrouped, and every sum has the stored form of the chain that forms
-    each x y, applies smul and adds them left to right (the stored form
-    lemma of htlab.base).  Keys are in the order they are first met; the
-    chain's order differs only where a partial sum is droppable.
+    that share its raw key, and the term's raw sums go through the
+    constructor, ChartElem(ring, {raw key: sum}), which applies the relation
+    and the box; each coefficient it keeps enters its key's sum as one
+    term, with the term's multiplier, and its flag joins the result's.
+    Where two raw keys of a term normalize alike, the constructor adds them
+    first: by the stored form lemma of htlab.base a chain's stored form
+    depends only on its value mod p^A and on A, so that is the chain's
+    form too.  So no product is regrouped, and every sum has the stored
+    form of the chain that forms each x y, applies smul and adds them left
+    to right.  Keys are in the order they are first met; the chain's order
+    differs only where a partial sum is droppable.  Every factor must be
+    over the ring of xs[0], or one eq_ring finds alike; else BadIndex.
     """
     x0 = xs[0]
     ring = x0.ring
@@ -154,6 +166,7 @@ def _dot(xs, ys, ms=None):
     if len(xs) == 1 and len(x0.coeffs) == 1 == len(ys[0].coeffs):
         # a lone pair with an origin factor is one K product at the other key
         y = ys[0]
+        same_ring(ring, y.ring)
         ((e1, c1),) = x0.coeffs.items()
         ((e2, c2),) = y.coeffs.items()
         if e1 == origin or e2 == origin:
@@ -170,6 +183,8 @@ def _dot(xs, ys, ms=None):
     groups = []
     trunc = False
     for x, y, w in zip(xs, ys, repeat(1) if ms is None else ms):
+        same_ring(ring, x.ring)
+        same_ring(ring, y.ring)
         if x.truncated or y.truncated:
             trunc = True
         right = y.coeffs.items()
@@ -212,18 +227,12 @@ def _dot(xs, ys, ms=None):
     if groups:
         one = cfg.k_one().u
         for w, raw in groups:
-            for key, acc in raw.items():
-                c = reduce(*acc)
-                if c.droppable():
-                    continue
-                m, key = _normal(key, r)
-                if m:
-                    c = c * cfg.pi_pow(m)
-                    if c.droppable():
-                        continue
-                if sum(map(abs, key)) > Dy:
-                    trunc = True
-                    continue
+            # the constructor normalizes the term's raw sums, and each
+            # coefficient it keeps joins its key's sum as one term
+            part = ChartElem(ring, {key: reduce(*acc) for key, acc in raw.items()})
+            if part.truncated:
+                trunc = True
+            for key, c in part.coeffs.items():
                 acc = sums[key]
                 s = c.shift
                 if c.prec - s < acc[0]:

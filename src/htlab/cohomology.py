@@ -3,12 +3,14 @@
 For the relative flavor the complex is the Koszul complex on the commuting
 operators theta_1..theta_d, concentrated in degrees 0..d.  The arithmetic
 flavors fold in phi: writing L^n for the Koszul term on subsets of size n,
-the total complex has terms T^n = L^n + L^{n-1} in degrees 0..d+1 and
-differential
+the total complex is the cone of phi + n beta on the Koszul complex, with
+terms T^n = L^n + L^{n-1} in degrees 0..d+1 and differential
 
     D(x, z) = (dK x, (phi + n beta) x - dK z),   x in L^n, z in L^{n-1},
 
-with beta the braiding unit of the module's normalization.  D D = 0 reduces
+with beta the braiding unit of the module's normalization.
+build_higgs_complex builds both in one loop over degrees: the relative
+complex is the Koszul part of the cone, with no phi block and no z-column.  D D = 0 reduces
 to the braiding relation, so verify_complex doubles as an independent check
 on the algebra feeding it.
 
@@ -104,11 +106,14 @@ def _block_mat(base, grid, l):
 def build_higgs_complex(h):
     """The cohomology complex of a module, shaped by its flavor.
 
-    Relative: the Koszul complex, degrees 0..d.  Arithmetic flavors: the
-    weighted total complex above, degrees 0..d+1.  The Koszul blocks of each
-    degree are laid out once, and each -theta_i is formed at most once: the
-    z-block -(+-theta_i) is the other member of the pair, as -(-theta) stores
-    as theta.
+    Degree by degree, one loop builds the Koszul differential L^n -> L^{n+1}
+    from its blocks, laid out once per degree.  The relative complex is that
+    Koszul part alone, degrees 0..d.  The arithmetic flavors take its cone
+    under phi + n beta, the weighted total complex above, degrees 0..d+1:
+    the rows of L^n below with the phi_n diagonal, and the columns of
+    L^{n-1} on the right with the previous degree's blocks, negated.  Each
+    -theta_i is formed at most once: the z-block -(+-theta_i) is the other
+    member of the pair, as -(-theta) stores as theta.
     """
     l, d, base = h.rank, h.d, h.base
     signed = [[th, None] for th in h.theta]
@@ -120,34 +125,29 @@ def build_higgs_complex(h):
         return pair[odd]
 
     zero = Mat.zero(base, l)
-    if h.flavor == "rel-geom":
-        ranks = [comb(d, n) * l for n in range(d + 1)]
-        diffs = []
-        for n in range(d):
-            nr, nc, blocks = _koszul_blocks(d, n)
-            grid = [[zero] * nc for _ in range(nr)]
-            for (i, j), (k, odd) in blocks.items():
-                grid[i][j] = block(k, odd)
-            diffs.append(_block_mat(base, grid, l))
-        return ComplexRep(base, ranks, diffs)
-    beta = base.from_k(h.braid_unit())
-    ranks = [(comb(d, n) + comb(d, n - 1)) * l for n in range(d + 2)]
+    cone = h.flavor != "rel-geom"
+    ranks = [comb(d, n) * l for n in range(d + 1)]
+    if cone:
+        beta = base.from_k(h.braid_unit())
+        ranks = [a + b for a, b in zip(ranks + [0], [0] + ranks)]
     diffs = []
     kosz_prev = {}
-    for n in range(d + 1):
+    for n in range(len(ranks) - 1):
         rows_top, cols_left, kosz = _koszul_blocks(d, n)
-        rows_bot = cols_left
-        cols_right = comb(d, n - 1)
-        grid = [[zero] * (cols_left + cols_right) for _ in range(rows_top + rows_bot)]
+        rows, cols = rows_top, cols_left
+        if cone:
+            rows, cols = rows + cols_left, cols + comb(d, n - 1)
+        grid = [[zero] * cols for _ in range(rows)]
         for (i, j), (k, odd) in kosz.items():
             grid[i][j] = block(k, odd)
-        phi_n = h.phi.add_scalar_diag(beta.smul(n)) if n else h.phi
-        for k in range(cols_left):
-            grid[rows_top + k][k] = phi_n
-        for (i, j), (k, odd) in kosz_prev.items():
-            grid[rows_top + i][cols_left + j] = block(k, 1 - odd)
+        if cone:
+            phi_n = h.phi.add_scalar_diag(beta.smul(n)) if n else h.phi
+            for k in range(cols_left):
+                grid[rows_top + k][k] = phi_n
+            for (i, j), (k, odd) in kosz_prev.items():
+                grid[rows_top + i][cols_left + j] = block(k, 1 - odd)
+            kosz_prev = kosz
         diffs.append(_block_mat(base, grid, l))
-        kosz_prev = kosz
     return ComplexRep(base, ranks, diffs)
 
 

@@ -14,7 +14,7 @@ That config is cfg itself when e = 1; otherwise it is built on first use."""
 
 from dataclasses import dataclass, field
 
-from .base import BaseConfig, KElem, _pow
+from .base import AtPrecision, BaseConfig, KElem, _pow
 from .errors import HorizonTooSmall, NotAUnit, PrecisionExhausted
 
 
@@ -96,7 +96,7 @@ def _frob(wc, w, k, prec):
     return _combine(wc, w, _frob_table(wc, prec)[k], wc.p**prec)
 
 
-class WittElem:
+class WittElem(AtPrecision):
     """Element of W(F_{p^f}) mod p^prec plus a record of applied phi-twists.
 
     w holds the digits, reduced mod p^prec: a numerator of the unramified
@@ -167,17 +167,6 @@ class WittElem:
         if self.prec <= 1:
             raise PrecisionExhausted("division by p exhausts precision")
         return WittElem(self.cfg, _div_p(self.cfg._witt, self.w, self.prec), self.prec - 1)
-
-    def eq(self, other):
-        return (self - other).is_zero()
-
-    def __eq__(self, other):
-        if not isinstance(other, WittElem):
-            return NotImplemented
-        return self.eq(other)
-
-    def __hash__(self):
-        raise TypeError("WittElem compares at precision; not hashable")
 
     def __repr__(self):
         return f"WittElem({self.w}, prec={self.prec}, phi^{self.frob_power})"

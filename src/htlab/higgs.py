@@ -30,7 +30,7 @@ returning a bare False; convergence questions that the cutoffs cannot settle
 come back as undecided certificates, never as silent passes.
 """
 
-from itertools import islice
+from itertools import accumulate, islice, repeat
 from types import MappingProxyType
 
 from .errors import (
@@ -141,7 +141,11 @@ def validate_higgs(h, n_max=None):
     Exact obligations (commuting thetas, braiding, strict nilpotence in the
     absolute flavors, claimed integrality) raise on failure.  Convergence
     obligations return certificates that are either converged at some n* or
-    undecided within n_max; undecided is reported, not raised.
+    undecided within n_max; undecided is reported, not raised.  Both kinds
+    come from one search, _search: for each theta with theta^rank != 0 on
+    the relative site, over theta^n from n = rank + 1 (a theta with
+    theta^rank = 0 adds no certificate), and, when there is a phi, over
+    P_n from n = 1.
     """
     cfg = h.cfg
     if n_max is None:
@@ -163,25 +167,18 @@ def validate_higgs(h, n_max=None):
             if not res.is_zero():
                 raise BraidFailure(i + 1, _first_nonzero(res))
     for i, th in enumerate(h.theta):
-        power = Mat.identity(h.base, h.rank)
-        for _ in range(h.rank):
-            power = th * power
+        # I, theta, theta^2, ...: the chain of left products by theta
+        powers = accumulate(repeat(th), lambda power, a: a * power, initial=Mat.identity(h.base, h.rank))
+        power = next(islice(powers, h.rank, None))
         if power.is_zero():
             continue
         if h.flavor != "rel-geom":
             raise NilpotenceFailure(i + 1, _first_nonzero(power))
         # topological nilpotence is enough on the relative site
-        subject = f"theta_{i + 1}-powers"
-        n, cert = h.rank, None
-        while n < n_max:
-            power = th * power
-            n += 1
-            if power.is_zero():
-                cert = ConvergenceCertificate.converged(subject, n, n_max)
-                break
-        certificates.append(cert or ConvergenceCertificate.undecided(subject, n_max))
+        certificates.append(_search(f"theta_{i + 1}-powers", powers, h.rank + 1, n_max))
     if h.phi is not None:
-        certificates.append(_phi_sequence_certificate(h, n_max))
+        zero = Mat.zero(h.base, h.rank)
+        certificates.append(_search("phi-sequence", islice(_p_chain(h, zero), 1, None), 1, n_max))
     undecided = [c for c in certificates if not c.ok]
     return {
         "ok": not undecided,
@@ -190,12 +187,17 @@ def validate_higgs(h, n_max=None):
     }
 
 
-def _phi_sequence_certificate(h, n_max):
-    zero = Mat.zero(h.base, h.rank)
-    for n, p_n in enumerate(islice(_p_chain(h, zero), 1, n_max + 1), 1):
-        if p_n.is_zero():
-            return ConvergenceCertificate.converged("phi-sequence", n, n_max)
-    return ConvergenceCertificate.undecided("phi-sequence", n_max)
+def _search(subject, powers, n, n_max):
+    """The convergence certificate of a chain that should tend to 0.
+
+    powers yields the chain's n-th member first, then the next ones; the
+    certificate is converged at the first k in n..n_max whose member is
+    zero, else undecided.  No member past n_max is formed.
+    """
+    for k, power in zip(range(n, n_max + 1), powers):
+        if power.is_zero():
+            return ConvergenceCertificate.converged(subject, k, n_max)
+    return ConvergenceCertificate.undecided(subject, n_max)
 
 
 def _multi_indices(d, maxw):

@@ -7,10 +7,11 @@ matrices of pd elements.  A matrix of t-series is no Mat: it is its r^2
 Elimination lives in one place, cohomology.snf_dvr.
 """
 
+from .base import AtPrecision
 from .errors import BadIndex
 
 
-class Mat:
+class Mat(AtPrecision):
     __slots__ = ("ring", "rows")
 
     def __init__(self, ring, rows):
@@ -110,17 +111,6 @@ class Mat:
                 if not a.storage_zero():
                     return False
         return True
-
-    def eq(self, other):
-        return (self - other).is_zero()
-
-    def __eq__(self, other):
-        if not isinstance(other, Mat):
-            return NotImplemented
-        return self.eq(other)
-
-    def __hash__(self):
-        raise TypeError("Mat compares at precision; not hashable")
 
     def integral(self):
         return all(a.integral() for r in self.rows for a in r)

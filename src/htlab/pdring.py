@@ -98,23 +98,23 @@ in any order (the stored form lemma of htlab.base), so each key has the
 stored form of the chain that adds the terms in x's order; nothing is
 regrouped.  The key order is the sum's first-met order, which differs from
 the chain's only where a term or a partial sum is a droppable zero.  Its
-FaceContext keeps per generator the image and the top of the power chain
-one() * x * x ... that divided_power builds for one x, so gamma_a of an
-image costs one product and one division by a! (_gamma takes the power
-itself), and per source monomial a plan of its gammas, whose _Rights,
-kept on the gammas, every plan shares.  face_context keeps one such
-context per ring layout and twist with the ring's base, so every module
-over the base shares the images, power chains, gammas and their _Rights;
+FaceContext keeps per generator the image, as its gamma_1, and the top of
+the power chain one() * x * x ... that divided_power builds for one x, so
+gamma_a of an image costs one product and one division by a! (_gamma
+takes the power itself), and per source monomial a plan of its gammas,
+whose _Rights, kept on the gammas, every plan shares.  face_context
+keeps one such context per ring layout and twist with the ring's base, so
+every module over the base shares the images, power chains, gammas and their _Rights;
 all of them depend on the ring and the twist, none on a module.
 """
 
 from itertools import repeat
-from math import comb, factorial
+from math import comb, factorial, prod
 
 from .base import _norm
 from .errors import AxiomViolation, BadIndex, InsufficientPrecision
 from .galois import act_slots, series_dot_vanishes
-from .sparse import Sparse
+from .sparse import Sparse, same_ring
 
 VARIANTS = ("abs-arith", "abs-geom", "rel-geom")
 
@@ -258,11 +258,6 @@ class PdRing:
 
     def __repr__(self):
         return f"PdRing({self.variant}, n={self.degree}, d={self.d}, D={self.D})"
-
-
-def _same_ring(r1, r2):
-    if r1 is not r2 and not r1.eq_ring(r2):
-        raise BadIndex(f"pd elements of {r1!r} and {r2!r} do not combine")
 
 
 class _Right:
@@ -435,8 +430,8 @@ def _products(xs, ys, ms):
     trunc = False
     products = []
     for x, y, m in zip(xs, ys, repeat(1) if ms is None else ms):
-        _same_ring(ring, x.ring)
-        _same_ring(ring, y.ring)
+        same_ring(ring, x.ring)
+        same_ring(ring, y.ring)
         if x.truncated or y.truncated:
             trunc = True
         if x.coeffs and y.coeffs:
@@ -504,10 +499,6 @@ class PdElement(Sparse):
 
     def _adopt(self, coeffs, truncated):
         return PdElement._clean(self.ring, coeffs, truncated)
-
-    def _merge(self, other, sub):
-        _same_ring(self.ring, other.ring)
-        return super()._merge(other, sub)
 
     @staticmethod
     def _dot(xs, ys, ms=None):
@@ -597,7 +588,7 @@ class FaceContext:
     twisted face d^0 sends c v_1^[a_1] v_2^[a_2] ... to the chain
     from_scalar(c) * gamma_a1 * gamma_a2 ..., the gammas in slot order, and
     keeps what that chain reads of the ring and the twist: each generator's
-    image, the top of its power chain one() * x * x ... (divided_power's
+    image (its gamma_1), the top of its power chain one() * x * x ... (divided_power's
     chain), its divided powers, each read through one _Right kept on it,
     and per source monomial a plan, built on its first use: the first,
     middle and last gammas, shared with every other plan, and their flags.
@@ -623,7 +614,6 @@ class FaceContext:
         self.ring = ring
         self.i = i
         self.target = ring.bump(n + 1)
-        self._images = {}
         self._powers = {}
         self._gammas = {}
         self._plans = {}
@@ -652,26 +642,9 @@ class FaceContext:
             coeffs[t.encode(((xid, k),))] = t.base.from_k(apow).smul(fact)
         return PdElement(t, coeffs)
 
-    def _image(self, vid):
-        img = self._images.get(vid)
-        if img is not None:
-            return img
-        kind, k, j = vid
-        t = self.target
-        if kind == 0:
-            diff = t.x(j + 1) - t.x(1)
-        else:
-            diff = t.y(k, j + 1) - t.y(k, 1)
-        if self._geom is not None:
-            img = diff * self._geom
-        else:
-            img = diff
-        self._images[vid] = img
-        return img
-
     def _gamma_image(self, vid, a):
-        """gamma_a of vid's image: the image for a = 1, else the power of
-        the chain one() * x * x ... (divided_power's chain) divided by a!.
+        """gamma_a of vid's image: the image itself for a = 1, else the power
+        of the chain one() * x * x ... (divided_power's chain) divided by a!.
 
         Only the top of the chain is kept: extending it to a divides each
         new power by its factorial on the way, so every gamma below the top
@@ -680,11 +653,14 @@ class FaceContext:
         key = (vid, a)
         g = self._gammas.get(key)
         if g is None:
-            img = self._image(vid)
+            t = self.target
             if a == 1:
-                g = self._gammas[key] = img
+                kind, k, j = vid
+                diff = t.x(j + 1) - t.x(1) if kind == 0 else t.y(k, j + 1) - t.y(k, 1)
+                g = self._gammas[key] = diff if self._geom is None else diff * self._geom
             else:
-                n, power = self._powers.get(vid, (0, self.target.one()))
+                img = self._gamma_image(vid, 1)
+                n, power = self._powers.get(vid, (0, t.one()))
                 while n < a:
                     n += 1
                     power = power * img
@@ -702,7 +678,7 @@ class FaceContext:
         return (head[0] if head else None), head[1:], last, any(g.truncated for g in gammas)
 
     def apply(self, x):
-        _same_ring(x.ring, self.ring)
+        same_ring(x.ring, self.ring)
         t = self.target
         ring = x.ring
         field = ring.field
@@ -873,13 +849,8 @@ def group_layout(base, terms, key):
         m = sum(exps)
         if m >= T or any(a and z for a, z in zip(exps, zeros)):
             continue
-        den = 1
-        for a in exps:
-            den *= factorial(a)
-        k = 0
-        while not den % p:
-            den //= p
-            k += 1
+        k = sum(_vp_factorial(p, a) for a in exps)
+        den = prod(factorial(a) for a in exps) // p**k
         scalar = (tuple((g, a) for g, a in enumerate(exps) if a), k, pow(den, -1, M))
         weights.setdefault(m, []).append((scalar, entries, N - k))
     layout = []

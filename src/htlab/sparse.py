@@ -49,12 +49,23 @@ Every key or slot then ends the same way for both kinds: one reduction
 for a sum, one zero test for an identity.
 """
 
+from .base import AtPrecision
+from .errors import BadIndex
 
-class Sparse:
+
+def same_ring(r1, r2):
+    """Raise BadIndex unless elements of r1 and r2 combine: one ring, or two
+    that eq_ring finds alike."""
+    if r1 is not r2 and not r1.eq_ring(r2):
+        raise BadIndex(f"elements of {r1!r} and {r2!r} do not combine")
+
+
+class Sparse(AtPrecision):
     __slots__ = ()
 
     def _merge(self, other, sub):
         # a key of both takes the sum, which is dropped if droppable
+        same_ring(self.ring, other.ring)
         out = dict(self.coeffs)
         trunc = self.truncated or other.truncated
         for key, c in other.coeffs.items():
@@ -108,14 +119,3 @@ class Sparse:
 
     def integral(self):
         return all(c.integral() for c in self.coeffs.values())
-
-    def eq(self, other):
-        return (self - other).is_zero()
-
-    def __eq__(self, other):
-        if not isinstance(other, type(self)):
-            return NotImplemented
-        return self.eq(other)
-
-    def __hash__(self):
-        raise TypeError(f"{type(self).__name__} compares at precision; not hashable")
