@@ -7,7 +7,7 @@ matrices of pd elements.  A matrix of t-series is no Mat: it is its r^2
 Elimination lives in one place, cohomology.snf_dvr.
 """
 
-from .base import AtPrecision
+from .base import AtPrecision, KElem
 from .errors import BadIndex
 
 
@@ -61,23 +61,46 @@ class Mat(AtPrecision):
         if self.ncols != other.nrows:
             raise BadIndex("inner dimensions differ")
         # only full-precision zeros may be skipped: a zero stored at reduced
-        # precision must lower the claim of the sum.  The rule is decided once
-        # per entry, and each entry of the product is one sum of its kept
-        # terms in increasing k.  Entries are immutable, so one zero serves
-        # for every empty sum.
-        cols = [[(k, b) for k, b in enumerate(c) if not b.droppable()] for c in zip(*other.rows)]
+        # precision must lower the claim of the sum.  Over K a droppable
+        # factor is skipped only when its partner has shift 0: 0 * (1/p) is
+        # a zero to N - 1 digits, so such a pair stays in the entry's dot
+        # (dens, of the column, and rdens, of the row, hold the partners
+        # with a denominator).  The rule is decided once per entry, and each
+        # entry of the product is one sum of its kept terms, by the stored
+        # form lemma in any order.  Entries are immutable, so one zero
+        # serves for every empty sum.
         zero = self.ring.zero()
+        over_k = type(zero) is KElem
+        cols = []
+        for c in zip(*other.rows):
+            live, dropped = [], {}
+            for k, b in enumerate(c):
+                if b.droppable():
+                    dropped[k] = b
+                else:
+                    live.append((k, b))
+            cols.append((live, [(k, b) for k, b in live if b.shift] if over_k else (), dropped))
         dot = self.ring.cfg.dot
         out = []
         for r in self.rows:
             keep = [None if a.droppable() else a for a in r]
+            rdens = [(k, a) for k, a in enumerate(r) if a.shift] if over_k else ()
             row = []
-            for col in cols:
+            for live, dens, dropped in cols:
                 xs = []
                 ys = []
-                for k, b in col:
+                for k, b in live:
                     a = keep[k]
                     if a is not None:
+                        xs.append(a)
+                        ys.append(b)
+                for k, b in dens:
+                    if keep[k] is None:
+                        xs.append(r[k])
+                        ys.append(b)
+                for k, a in rdens:
+                    b = dropped.get(k)
+                    if b is not None:
                         xs.append(a)
                         ys.append(b)
                 row.append(dot(xs, ys) if xs else zero)

@@ -2,7 +2,8 @@
 
 The files under ``tests/golden/`` come from ``tests/make_golden.py``; a
 failure here means a visible output changed.  If the change is intended,
-regenerate them with that script and review the diff.
+regenerate them with that script and review the diff; ``tests/golden_diff.py``
+sorts each changed scalar by whether it gains or loses digits and agrees.
 """
 
 import json
@@ -11,6 +12,7 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
+from golden_diff import classify
 from make_golden import GOLDEN, container_cases, run_case, scalar_chains, snf_cases, witt_cases
 
 from htlab import make_base_config
@@ -150,3 +152,45 @@ def test_every_golden_scalar_reads_back():
                 assert k_to_json(k_from_json(cfg, rec)) == rec, (path.name, name, rec)
                 seen += 1
     assert seen > 20000
+
+
+def _rec(u, prec, shift=0):
+    return {"coeffs": [str(u)], "prec": str(prec), "shift": str(shift)}
+
+
+def test_golden_diff_sorts_each_kind_of_change():
+    """One synthetic record per class at p = 5, read off the top-level key,
+    and one at p = 3, read off the file name; shifts are aligned before the
+    coordinates are compared."""
+    old = {
+        "p5": {
+            "gains": _rec(3, 2),            # 3 mod 5^2 becomes 53 mod 5^8
+            "loses": _rec(1, 8, 1),         # 1/5 at A = 7 becomes 5/25 at A = 6
+            "same": _rec(7, 1),             # 7 and 2 agree mod 5
+            "differs": _rec(3, 8),
+            "kept": _rec(4, 8),
+            "gone": [_rec(1, 8)],
+        },
+        "checks": {"a": _rec(4, 2), "status": "pass"},
+    }
+    new = {
+        "p5": {
+            "gains": _rec(53, 8),
+            "loses": _rec(5, 8, 2),
+            "same": _rec(2, 1),
+            "differs": _rec(4, 8),
+            "kept": _rec(4, 8),
+            "gone": [],
+            "added": 1,
+        },
+        "checks": {"a": _rec(1, 1), "status": "fail"},
+    }
+    got = classify(old, new, "p3-synthetic.json")
+    assert got == {
+        "gains digits and agrees": ["/p5/gains"],
+        # 4 and 1 agree mod 3, not mod 5: p comes from the file name here
+        "loses digits and agrees": ["/checks/a", "/p5/loses"],
+        "same claim": ["/p5/same"],
+        "disagrees": ["/p5/differs"],
+        "structural": ["/checks/status", "/p5", "/p5/gone"],
+    }

@@ -55,21 +55,40 @@ def test_chart_element_truncated_to_nothing_keeps_its_flag_in_every_container():
     assert descent_matrix(strat).entry(0, 0).truncated
 
 
-@pytest.mark.xfail(
-    strict=True, raises=AssertionError, reason="known defect: a droppable factor is skipped before a denominator"
-)
-def test_matrix_product_pays_for_a_skipped_zero_times_a_denominator(cfg_u5):
-    # 0 * (1/5) is zero to 7 digits only, but Mat.__mul__ skips the droppable
-    # 0 without looking at its partner, so 0 * (1/5) + 1 * 5^7 claims digit 7
-    # of a result that the chain of its terms knows only mod 5^7.  When the
-    # droppable rule accounts for the partner's shift this test passes, and
-    # the mark must go.
-    from htlab.linalg import Mat
+def _product_and_chain(a, b):
+    chain = a.entry(0, 0) * b.entry(0, 0) + a.entry(0, 1) * b.entry(1, 0)
+    got = (a * b).entry(0, 0)
+    return (got.u, got.shift, got.prec), (chain.u, chain.shift, chain.prec), chain
 
+
+def test_matrix_product_pays_for_a_skipped_zero_times_a_denominator(cfg_u5):
+    # 0 * (1/5) is zero to 7 digits only, so 0 * (1/5) + 1 * 5^7 is known
+    # mod 5^7, as the chain of its terms is: Mat.__mul__ keeps a droppable
+    # left factor in the entry's sum when its partner has a denominator
     point = ChartRing(cfg_u5, "point")
     a = Mat(point, [[cfg_u5.k_zero(), cfg_u5.k_one()]])
     b = Mat(point, [[cfg_u5.k_one().div_int(5)], [cfg_u5.k_from_int(5**7)]])
-    chain = a.entry(0, 0) * b.entry(0, 0) + a.entry(0, 1) * b.entry(1, 0)
+    got, want, chain = _product_and_chain(a, b)
     assert chain.abs_prec == 7 and chain.is_zero()
-    got = (a * b).entry(0, 0)
-    assert got.abs_prec == chain.abs_prec
+    assert got == want
+
+
+def test_matrix_product_pays_for_a_denominator_times_a_skipped_zero(cfg_u5):
+    # the mirror case: (1/5) * 0 + 1 * 5^7, a droppable right factor
+    point = ChartRing(cfg_u5, "point")
+    a = Mat(point, [[cfg_u5.k_one().div_int(5), cfg_u5.k_one()]])
+    b = Mat(point, [[cfg_u5.k_zero()], [cfg_u5.k_from_int(5**7)]])
+    got, want, chain = _product_and_chain(a, b)
+    assert chain.abs_prec == 7 and chain.is_zero()
+    assert got == want
+
+
+def test_matrix_product_skips_a_zero_whose_partner_has_shift_0(cfg_u5):
+    # a droppable factor whose partner has no denominator is still skipped,
+    # on either side: the product claims the ambient precision
+    point = ChartRing(cfg_u5, "point")
+    zero, one, short = cfg_u5.k_zero(), cfg_u5.k_one(), cfg_u5.k_one().clamp_prec(3)
+    big = cfg_u5.k_from_int(5**7)
+    for a, b in (([zero, one], [short, big]), ([short, one], [zero, big])):
+        got = (Mat(point, [a]) * Mat(point, [[x] for x in b])).entry(0, 0)
+        assert (got.u, got.shift, got.prec) == (big.u, 0, cfg_u5.N)
