@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from htlab.base import make_base_config
 from htlab.chart import ChartElem, ChartRing
 from htlab.errors import BadIndex
 from oracles import chart_dot_chain
@@ -129,3 +130,19 @@ def test_dot_matches_the_chain_oracle(request, name):
                         m = min(a + b for a, b in zip(e1[: r + 1], e2[: r + 1]))
                         seen["pi" if m == 1 else "pi^2"] += m > 0
     assert min(seen.values()) >= 3, seen
+
+
+def test_elements_of_rings_that_differ_do_not_combine(cfg_u5):
+    # Dy = 2 and Dy = 6: the sum would keep T_1^5 in the Dy = 2 ring, unflagged
+    small = ChartRing(cfg_u5, "chart", d=1, r=0, Dy=2)
+    large = ChartRing(cfg_u5, "chart", d=1, r=0, Dy=6)
+    assert not small.eq_ring(large)
+    # d = 1 and d = 2: the sum would hold keys of lengths 2 and 3
+    wide = ChartRing(cfg_u5, "chart", d=2, r=0)
+    for x, y in ((small.var(1), large.var(1, 5)), (small.var(1), wide.var(1))):
+        for combine in (lambda: x + y, lambda: y - x, lambda: x * y, lambda: cfg_u5.dot([x, x], [x, y])):
+            with pytest.raises(BadIndex, match="do not combine"):
+                combine()
+    # a ring alike in every field, over another config of the same p, E, f and N, combines
+    twin = ChartRing(make_base_config(5, [-5]), "chart", d=1, r=0, Dy=2)
+    assert small.eq_ring(twin) and (small.var(1) - twin.var(1)).storage_zero()

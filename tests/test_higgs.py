@@ -211,6 +211,40 @@ def test_missing_coefficient_is_caught(nilp2):
         higgs_from_stratification(strat)
 
 
+def _tampered(good, key, m):
+    """good with the coefficient at key replaced by m, or deleted when m is None."""
+    coeffs = dict(good.coeffs)
+    if m is None:
+        del coeffs[key]
+    else:
+        coeffs[key] = m
+    return Stratification(good.base, good.flavor, coeffs, good.D, good.rank, twist=good.twist)
+
+
+def test_check_recursions_reports_a_broken_phi_step_and_theta_step(cfg_u5, nilp2):
+    good = stratification_from_higgs(nilp2)
+    bump = Mat.zero(nilp2.base, 2).add_scalar_diag(cfg_u5.k_from_int(5**7))
+    # A_{2,0} != (phi + beta) A_{1,0}
+    report = check_recursions(_tampered(good, (2, (0,)), good.matrix(2, (0,)) + bump))
+    assert not report["ok"] and {"rule": "phi-step", "n": 1, "index": (0,)} in report["failures"]
+    # A_{0,(2)} != theta A_{0,(1)}, which is 0 for theta = E_12
+    report = check_recursions(_tampered(good, (0, (2,)), Mat.identity(nilp2.base, 2)))
+    assert not report["ok"] and {"rule": "theta-step", "n": 0, "index": (2,), "k": 1} in report["failures"]
+
+
+@pytest.mark.parametrize(
+    "key, tamper",
+    [((0, (0,)), "zero"), ((0, (1,)), "delete"), ((1, (0,)), "delete")],
+    ids=["A00-not-identity", "A0ek-missing", "A10-missing"],
+)
+def test_reconstruction_rejects_a_broken_operator_coefficient(nilp2, key, tamper):
+    good = stratification_from_higgs(nilp2)
+    strat = _tampered(good, key, Mat.zero(nilp2.base, 2) if tamper == "zero" else None)
+    with pytest.raises(ClosedFormMismatch) as exc:
+        higgs_from_stratification(strat)
+    assert (exc.value.n, tuple(exc.value.index)) == key
+
+
 # ---------------------------------------------------------------------------
 # the cocycle oracle
 # ---------------------------------------------------------------------------

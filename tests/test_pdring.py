@@ -5,7 +5,7 @@ import pytest
 
 from htlab.base import KElem
 from htlab.chart import ChartRing
-from htlab.errors import AxiomViolation, BadIndex
+from htlab.errors import AxiomViolation, BadIndex, InsufficientPrecision
 from htlab.galois import GroupElt, act_slots, sigma_t, subs_slots
 from htlab import make_base_config, pdring
 from htlab.higgs import Stratification, descent_matrix, twist_unit
@@ -1331,3 +1331,12 @@ def test_pd_elements_of_different_rings_do_not_combine(cfg_u5, point):
     z = twin.y(1, 1, 2)
     assert _form(x + z) == _form(x + r4.y(1, 1, 2))
     assert _form(x * z) == _form(x * r4.y(1, 1, 2))
+
+
+def test_evaluate_at_group_raises_when_the_top_slot_has_no_digit():
+    # p = 2, N = 3, T = 5: v_2(4!) = 3, so the t^4 slot keeps no certified digit
+    cfg = make_base_config(2, [-2], precision=3)
+    ring = PdRing(cfg, ChartRing(cfg, "point"), "abs-arith", 1)
+    with pytest.raises(InsufficientPrecision, match="t\\^4"):
+        evaluate_at_group(ring.x(1), [GroupElt(cfg, (), 1, 1)], T=5)
+    assert evaluate_at_group(ring.x(1), [GroupElt(cfg, (), 1, 1)], T=4)

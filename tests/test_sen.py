@@ -268,6 +268,21 @@ def test_period_rep_rejects_noncommuting(cfg_u5, point):
         period_kernel_rep(h)
 
 
+def test_period_rep_rejects_a_period_outside_the_kernel(cfg_u5, point):
+    """d = 1 rel-geom, theta = E_12, with only Theta^(3) changed from 0 to
+    theta.  B * B(-Y) = 1 still holds: at weight 3 the two odd terms
+    +-Theta^(3) cancel, and every product of two members of {theta,
+    Theta^(3)} is 0.  So the kernel identity is the one that fails, at
+    -t theta Theta^(2) + Theta^(3) = theta in the t^3 slot."""
+    theta = Mat.from_ints(point, [[0, 1], [0, 0]])
+    good = stratification_from_higgs(HiggsData(point, "rel-geom", [theta], None))
+    coeffs = dict(good.coeffs)
+    coeffs[(0, (3,))] = theta
+    strat = Stratification(point, "rel-geom", coeffs, good.D, 2)
+    with pytest.raises(KernelRankDeficit, match="do not kill"):
+        period_kernel_rep(strat)
+
+
 def test_crosscheck_nilp2(cfg_u5, nilp2):
     rng = random.Random(21)
     for _ in range(6):
