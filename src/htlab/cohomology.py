@@ -8,11 +8,11 @@ terms T^n = L^n + L^{n-1} in degrees 0..d+1 and differential
 
     D(x, z) = (dK x, (phi + n beta) x - dK z),   x in L^n, z in L^{n-1},
 
-with beta the braiding unit of the module's normalization.
-build_higgs_complex builds both in one loop over degrees: the relative
-complex is the Koszul part of the cone, with no phi block and no z-column.  D D = 0 reduces
+with beta the braiding unit of the module's normalization.  D D = 0 reduces
 to the braiding relation, so verify_complex doubles as an independent check
-on the algebra feeding it.
+on the algebra feeding it.  build_higgs_complex builds both flavors in one
+loop over degrees: the relative complex is the Koszul part of the cone,
+with no phi block and no z-column.
 
 snf_dvr puts an integral matrix in diagonal form with pivots pi^v, ascending.
 U is never formed, and V is built in place, alongside the working matrix,

@@ -104,8 +104,9 @@ gamma_a of an image costs one product and one division by a! (_gamma
 takes the power itself), and per source monomial a plan of its gammas,
 whose _Rights, kept on the gammas, every plan shares.  face_context
 keeps one such context per ring layout and twist with the ring's base, so
-every module over the base shares the images, power chains, gammas and their _Rights;
-all of them depend on the ring and the twist, none on a module.
+every module over the base shares the images, power chains, gammas and
+their _Rights; all of them depend on the ring and the twist, none on a
+module.
 """
 
 from itertools import repeat
@@ -587,11 +588,12 @@ class FaceContext:
     d^i for i > 0 moves each generator's field and keeps nothing.  The
     twisted face d^0 sends c v_1^[a_1] v_2^[a_2] ... to the chain
     from_scalar(c) * gamma_a1 * gamma_a2 ..., the gammas in slot order, and
-    keeps what that chain reads of the ring and the twist: each generator's
-    image (its gamma_1), the top of its power chain one() * x * x ... (divided_power's
-    chain), its divided powers, each read through one _Right kept on it,
-    and per source monomial a plan, built on its first use: the first,
-    middle and last gammas, shared with every other plan, and their flags.
+    keeps what that chain reads of the ring and the twist: the top of each
+    generator's power chain one() * x * x ... (divided_power's chain), its
+    divided powers, the image itself as gamma_1, each read through one
+    _Right kept on it, and per source monomial a plan, built on its first
+    use: the first, middle and last gammas, shared with every other plan,
+    and their flags.
     alpha is the twist unit, beta when omitted.
 
     An image is one _sum_of_products.  A term runs its chain up to the last
