@@ -61,46 +61,32 @@ class Mat(AtPrecision):
         if self.ncols != other.nrows:
             raise BadIndex("inner dimensions differ")
         # only full-precision zeros may be skipped: a zero stored at reduced
-        # precision must lower the claim of the sum.  Over K a droppable
-        # factor is skipped only when its partner has shift 0: 0 * (1/p) is
-        # a zero to N - 1 digits, so such a pair stays in the entry's dot
-        # (dens, of the column, and rdens, of the row, hold the partners
-        # with a denominator).  The rule is decided once per entry, and each
-        # entry of the product is one sum of its kept terms, by the stored
-        # form lemma in any order.  Entries are immutable, so one zero
-        # serves for every empty sum.
+        # precision must lower the claim of the sum.  The rule is decided
+        # once per factor entry, and each entry of the product is one sum of
+        # its kept terms in increasing k.  Over K a droppable factor is
+        # skipped only when its partner has shift 0: 0 * (1/p) is a zero to
+        # N - 1 digits.  A droppable entry has shift 0, so when no kept
+        # entry of either factor has a positive shift, every term with a
+        # droppable factor is skipped; otherwise each entry reads every
+        # pair.  Entries are immutable, so one zero serves for every empty
+        # sum.
         zero = self.ring.zero()
-        over_k = type(zero) is KElem
-        cols = []
-        for c in zip(*other.rows):
-            live, dropped = [], {}
-            for k, b in enumerate(c):
-                if b.droppable():
-                    dropped[k] = b
-                else:
-                    live.append((k, b))
-            cols.append((live, [(k, b) for k, b in live if b.shift] if over_k else (), dropped))
         dot = self.ring.cfg.dot
+        cols = [[(k, b) for k, b in enumerate(c) if not b.droppable()] for c in zip(*other.rows)]
+        keeps = [[None if a.droppable() else a for a in r] for r in self.rows]
+        if type(zero) is KElem and (
+            any([b.shift for col in cols for _, b in col]) or any([a.shift for keep in keeps for a in keep if a is not None])
+        ):
+            return Mat(self.ring, [[_dot_kept(dot, r, c, zero) for c in zip(*other.rows)] for r in self.rows])
         out = []
-        for r in self.rows:
-            keep = [None if a.droppable() else a for a in r]
-            rdens = [(k, a) for k, a in enumerate(r) if a.shift] if over_k else ()
+        for keep in keeps:
             row = []
-            for live, dens, dropped in cols:
+            for col in cols:
                 xs = []
                 ys = []
-                for k, b in live:
+                for k, b in col:
                     a = keep[k]
                     if a is not None:
-                        xs.append(a)
-                        ys.append(b)
-                for k, b in dens:
-                    if keep[k] is None:
-                        xs.append(r[k])
-                        ys.append(b)
-                for k, a in rdens:
-                    b = dropped.get(k)
-                    if b is not None:
                         xs.append(a)
                         ys.append(b)
                 row.append(dot(xs, ys) if xs else zero)
@@ -147,6 +133,14 @@ class Mat(AtPrecision):
 
     def __repr__(self):
         return f"Mat({self.nrows}x{self.ncols} over {self.ring!r})"
+
+
+def _dot_kept(dot, r, c, zero):
+    """The entry of row r times column c over K, where some factor has a
+    positive shift: every pair but those with a droppable factor whose
+    partner has shift 0, summed by one dot."""
+    kept = [(a, b) for a, b in zip(r, c) if not (a.droppable() and not b.shift or b.droppable() and not a.shift)]
+    return dot(*zip(*kept)) if kept else zero
 
 
 def commutator(a, b):
