@@ -27,8 +27,8 @@ filter.  Products and sums of products over a chart base take one
 reduction per output key: BaseConfig.dot hands chart scalars to _dot, and
 a product is its one-term case; _dot puts the sums that the relation or
 the box acts on through the constructor.  Elements combine only over one
-ring, or over rings eq_ring finds alike (the same config, mode, d, r and
-Dy); sums and _dot raise BadIndex otherwise.
+ring, or over rings eq_ring finds alike (configs of one p, E, f and N, and
+one mode, d, r and Dy); sums and _dot raise BadIndex otherwise.
 """
 
 from itertools import repeat

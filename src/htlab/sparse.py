@@ -27,7 +27,10 @@ supplies the parts that differ:
 
 A coefficient map builds the raw coefficient dict and hands it to ``_new``.
 A sum starts from the clean coefficients of its left operand and checks only
-the keys the right operand adds to, so it hands its dict to ``_adopt``.
+the keys the right operand adds to, so it hands its dict to ``_adopt``.  It
+first checks the operands' rings with ``same_ring``, which the products of
+both subclasses call too: elements of rings that ``eq_ring`` finds different
+do not combine.
 
 A t-series is no Sparse subclass: it is a plain {t-degree: coefficient}
 dict (htlab.galois).
