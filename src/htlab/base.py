@@ -290,8 +290,8 @@ class BaseConfig:
         exact integer at the top shift S and reduced once: a term with a
         zero numerator costs its precision and nothing else.  Any other
         scalar's class supplies the routine, its _dot: chart scalars take
-        one such reduction per chart key (htlab.chart), pd scalars one per
-        pd key (htlab.pdring).
+        one dot over K scalars per chart key (htlab.chart), pd scalars one
+        reduction per pd key (htlab.pdring).
         """
         if len(xs) == 1:
             t = xs[0] * ys[0]

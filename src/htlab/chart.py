@@ -5,12 +5,13 @@ methods hand them straight back.  Chart mode models
 
     O_K<T_0, ..., T_r, T_{r+1}^{+-1}, ..., T_d^{+-1}> / (T_0 ... T_r - pi)
 
-truncated at total degree Dy.  Monomials are exponent tuples of length d+1;
-positions 0..r must stay nonnegative, the rest are Laurent.  The relation is
-applied as a normal form: the minimum exponent over positions 0..r is
-stripped off and absorbed into the coefficient as a power of pi, so every
-stored monomial has min(e_0..e_r) = 0.  Products that leave the degree box
-are dropped and flagged, never silently wrapped.
+truncated at total degree Dy, the config's cutoffs.Dy.  Monomials are
+exponent tuples of length d+1; positions 0..r must stay nonnegative, the
+rest are Laurent.  The relation is applied as a normal form: the minimum
+exponent over positions 0..r is stripped off and absorbed into the
+coefficient as a power of pi, so every stored monomial has
+min(e_0..e_r) = 0.  Products that leave the degree box are dropped and
+flagged, never silently wrapped.
 
 Both kinds of scalar speak the same protocol (arithmetic dunders, smul,
 div_int, is_zero, storage_zero, droppable, integral, truncated) so
@@ -23,12 +24,14 @@ The constructor is the one place that normalizes a key: it checks each
 key's shape, drops a droppable coefficient (before and after the power of
 pi the relation brings), applies the relation and the box.  A coefficient
 map keeps its keys, which are clean already, and runs only the droppable
-filter.  Products and sums of products over a chart base take one
-reduction per output key: BaseConfig.dot hands chart scalars to _dot, and
-a product is its one-term case; _dot puts the sums that the relation or
-the box acts on through the constructor.  Elements combine only over one
-ring, or over rings eq_ring finds alike (configs of one p, E, f and N, and
-one mode, d, r and Dy); sums and _dot raise BadIndex otherwise.
+filter.  Products and sums of products over a chart base keep no K
+reduction of their own: BaseConfig.dot hands chart scalars to _dot, a
+product is its one-term case, and _dot ends each output key in one
+BaseConfig.dot over its pairs; it puts the sums that the relation or the
+box acts on, each one BaseConfig.dot too, through the constructor.
+Elements combine only over one ring, or over rings eq_ring finds alike
+(configs of one p, E, f and N, and one mode, d, r and Dy); sums and _dot
+raise BadIndex otherwise.
 """
 
 from itertools import repeat
@@ -41,19 +44,18 @@ from .sparse import Sparse, same_ring
 class ChartRing:
     __slots__ = ("cfg", "mode", "d", "r", "Dy", "origin", "_zero", "faces")
 
-    def __init__(self, cfg, mode="point", d=0, r=0, Dy=None):
+    def __init__(self, cfg, mode="point", d=0, r=0):
         if mode not in ("point", "chart"):
             raise ValueError(f"unknown mode {mode!r}")
-        if mode == "chart":
-            if not (0 <= r <= d):
-                raise BadIndex("need 0 <= r <= d")
-            if Dy is None:
-                Dy = cfg.cutoffs.Dy
+        if mode == "chart" and not (0 <= r <= d):
+            raise BadIndex("need 0 <= r <= d")
         self.cfg = cfg
         self.mode = mode
         self.d = d if mode == "chart" else 0
         self.r = r if mode == "chart" else 0
-        self.Dy = Dy if mode == "chart" else None
+        # the degree box is the config's; eq_ring compares it, since configs
+        # compare only by p, E, f and N
+        self.Dy = cfg.cutoffs.Dy if mode == "chart" else None
         # the key (0, ..., 0) of the constants
         self.origin = (0,) * (self.d + 1)
         # elements are immutable, so one shared zero serves, and the identity
@@ -140,25 +142,33 @@ def _normal(exps, r):
 
 def _dot(xs, ys, ms=None):
     """The stored form of x0 y0 m0 + x1 y1 m1 + ... over chart scalars, a term
-    x y m being (x * y).smul(m): one reduction per output key.
+    x y m being (x * y).smul(m): one BaseConfig.dot per output key.
 
-    Each output key gathers the least term precision, the top shift and the
-    (u_x, u_y, m) terms of its pairs, as BaseConfig.dot does for K scalars,
-    and is reduced once by BaseConfig.reduce_terms.  A pair with an origin
-    factor keeps the other factor's stored key.  A pair whose key the
-    relation or the box acts on is summed first with the pairs of its term
-    that share its raw key, and the term's raw sums go through the
-    constructor, ChartElem(ring, {raw key: sum}), which applies the relation
-    and the box; each coefficient it keeps enters its key's sum as one
-    term, with the term's multiplier, and its flag joins the result's.
-    Where two raw keys of a term normalize alike, the constructor adds them
-    first: by the stored form lemma of htlab.base a chain's stored form
-    depends only on its value mod p^A and on A, so that is the chain's
-    form too.  So no product is regrouped, and every sum has the stored
-    form of the chain that forms each x y, applies smul and adds them left
-    to right.  Keys are in the order they are first met; the chain's order
-    differs only where a partial sum is droppable.  Every factor must be
-    over the ring of xs[0], or one eq_ring finds alike; else BadIndex.
+    Each output key gathers the (x, y, m) of its pairs in the order met, and
+    ends in one cfg.dot.  A pair with an origin factor keeps the other
+    factor's stored key.  A pair whose key the relation or the box acts on
+    gathers instead with the pairs of its term that share its raw key, each
+    with multiplier 1; each raw key ends in one cfg.dot, and the term's raw
+    sums go through the constructor, ChartElem(ring, {raw key: sum}), which
+    applies the relation and the box.  Each coefficient c it keeps joins its
+    key's gather as the term (c, 1, w), w the term's multiplier, and its
+    flag joins the result's.  This is the chain's stored form, which forms
+    each x y, applies smul and adds them left to right:
+
+    - a sum: by the stored form lemma of htlab.base a chain's stored form
+      depends only on its value mod p^A and on A, so where two raw keys of
+      a term normalize alike and the constructor adds them first, that is
+      the chain's form too, and no product is regrouped;
+    - a join: dot claims min(prec_c, N) - s_c for the term (c, 1, w), which
+      is A_c = prec_c - s_c, since a kept coefficient went through the
+      power of pi the relation brings, so its prec is at most N, and a sum
+      of such coefficients has prec at most N too.  A key that only the box
+      acts on is dropped and never joins.
+
+    Keys are in the order they are first met, a raw key holding its normal
+    key's place; an empty gather is no sum.  The chain's order differs only
+    where a partial sum is droppable.  Every factor must be over the ring
+    of xs[0], or one eq_ring finds alike; else BadIndex.
     """
     x0 = xs[0]
     ring = x0.ring
@@ -173,13 +183,12 @@ def _dot(xs, ys, ms=None):
             c = c1 * c2 if ms is None or ms[0] == 1 else (c1 * c2).smul(ms[0])
             out = {} if c.droppable() else {e2 if e1 == origin else e1: c}
             return x0._adopt(out, x0.truncated or y.truncated)
-    cfg = ring.cfg
-    zero, reduce = cfg.zero_u, cfg.reduce_terms
     r, Dy = ring.r, ring.Dy
     r1 = r + 1
+    # per output key, and per raw key of a term, the (x, y, m) of its pairs
     sums = {}
-    # per term, the multiplier and {raw key: its sum} of the pairs that the
-    # relation or the box acts on
+    # per term, the multiplier and {raw key: its pairs} of the pairs that
+    # the relation or the box acts on
     groups = []
     trunc = False
     for x, y, w in zip(xs, ys, repeat(1) if ms is None else ms):
@@ -190,10 +199,8 @@ def _dot(xs, ys, ms=None):
         right = y.coeffs.items()
         raw = None
         for e1, c1 in x.coeffs.items():
-            u1, s1, p1 = c1.u, c1.shift, c1.prec
             o1 = e1 == origin
             for e2, c2 in right:
-                target, v = sums, w
                 if o1:
                     key = e2
                 elif e2 == origin:
@@ -204,49 +211,36 @@ def _dot(xs, ys, ms=None):
                         if raw is None:
                             raw = {}
                             groups.append((w, raw))
-                        if key not in raw:
+                        g = raw.get(key)
+                        if g is None:
+                            raw[key] = g = []
                             # hold the place where the chain first meets the key
                             nkey = _normal(key, r)[1]
                             if nkey not in sums and sum(map(abs, nkey)) <= Dy:
-                                sums[nkey] = [cfg.N, 0, [], []]
-                        target, v = raw, 1
-                s = s1 + c2.shift
-                p2 = c2.prec
-                a = (p1 if p1 < p2 else p2) - s
-                acc = target.get(key)
-                if acc is None:
-                    target[key] = acc = [a, 0, [], []]
-                elif a < acc[0]:
-                    acc[0] = a
-                u2 = c2.u
-                if u1 != zero and u2 != zero:
-                    acc[2].append((u1, u2, v))
-                    acc[3].append(s)
-                    if s > acc[1]:
-                        acc[1] = s
+                                sums[nkey] = []
+                        g.append((c1, c2, 1))
+                        continue
+                g = sums.get(key)
+                if g is None:
+                    sums[key] = g = []
+                g.append((c1, c2, w))
+    dot = ring.cfg.dot
     if groups:
-        one = cfg.k_one().u
+        one = ring.cfg.k_one()
         for w, raw in groups:
             # the constructor normalizes the term's raw sums, and each
             # coefficient it keeps joins its key's sum as one term
-            part = ChartElem(ring, {key: reduce(*acc) for key, acc in raw.items()})
+            part = ChartElem(ring, {key: dot(*zip(*g)) for key, g in raw.items()})
             if part.truncated:
                 trunc = True
             for key, c in part.coeffs.items():
-                acc = sums[key]
-                s = c.shift
-                if c.prec - s < acc[0]:
-                    acc[0] = c.prec - s
-                if c.u != zero:
-                    acc[2].append((c.u, one, w))
-                    acc[3].append(s)
-                    if s > acc[1]:
-                        acc[1] = s
+                sums[key].append((c, one, w))
     out = {}
-    for key, acc in sums.items():
-        c = reduce(*acc)
-        if not c.droppable():
-            out[key] = c
+    for key, g in sums.items():
+        if g:
+            c = dot(*zip(*g))
+            if not c.droppable():
+                out[key] = c
     return x0._adopt(out, trunc)
 
 

@@ -178,7 +178,8 @@ def validate_higgs(h, n_max=None):
         certificates.append(_search(f"theta_{i + 1}-powers", powers, h.rank + 1, n_max))
     if h.phi is not None:
         zero = Mat.zero(h.base, h.rank)
-        certificates.append(_search("phi-sequence", islice(_p_chain(h, zero), 1, None), 1, n_max))
+        chain = _p_chain(h, zero, _skips_zero(h))
+        certificates.append(_search("phi-sequence", islice(chain, 1, None), 1, n_max))
     undecided = [c for c in certificates if not c.ok]
     return {
         "ok": not undecided,
@@ -228,24 +229,40 @@ def _vanishes(m):
     return True
 
 
-def _times(a, b, zero):
-    """a * b, where every vanishing factor and product is ``zero``.
+def _skips_zero(h):
+    """Whether every product of h's chains with ``zero`` is ``zero`` (_times).
 
-    ``zero`` is the r x r zero matrix of the module's ring.  A factor that
-    is ``zero`` leaves every term of every entry to Mat.__mul__'s droppable
-    rule, so the product is ``zero``, stored alike, and no multiply is run.
-    A product whose every entry is droppable is ``zero`` too: a droppable K
-    scalar is exactly (0, 0, N) and a droppable chart scalar is empty.  A
-    zero known to fewer digits than N is not droppable, and its products
-    are formed.
+    Mat.__mul__ skips a droppable factor entry unless, over K, an entry of
+    the other factor has a positive shift: 0 * (1/p) is a zero to N - 1
+    digits.  Chart scalars have no shift.  Over K, when no entry of a theta
+    or of phi has a positive shift, no member of the chains has one (beta
+    is integral), so this is decided once per module.
     """
-    if a is zero or b is zero:
+    if not h.base.is_point:
+        return True
+    ops = h.theta + ([h.phi] if h.phi is not None else [])
+    return not any(a.shift for m in ops for row in m.rows for a in row)
+
+
+def _times(a, b, zero, skip):
+    """a * b in the stored form of Mat.__mul__, where every vanishing factor
+    and product is ``zero``.
+
+    ``zero`` is the r x r zero matrix of the module's ring, and skip is
+    _skips_zero of the module.  With skip, a factor that is ``zero`` leaves
+    every term of every entry to Mat.__mul__'s droppable rule, so the
+    product is ``zero``, stored alike, and no multiply is run.  A product
+    whose every entry is droppable is ``zero`` too: a droppable K scalar is
+    exactly (0, 0, N) and a droppable chart scalar is empty.  A zero known
+    to fewer digits than N is not droppable, and its products are formed.
+    """
+    if skip and (a is zero or b is zero):
         return zero
     out = a * b
     return zero if _vanishes(out) else out
 
 
-def _p_chain(h, zero):
+def _p_chain(h, zero, skip):
     """P_n for n = 0, 1, ...: P_0 = id, P_{n+1} = (phi + n beta) P_n.
 
     Every vanishing P_n is ``zero``, the r x r zero matrix (_times).
@@ -255,11 +272,11 @@ def _p_chain(h, zero):
     factor = h.phi
     while True:
         yield p_n
-        p_n = _times(factor, p_n, zero)
+        p_n = _times(factor, p_n, zero, skip)
         factor = factor.add_scalar_diag(beta)
 
 
-def _theta_powers(h, maxw, zero):
+def _theta_powers(h, maxw, zero, skip):
     """{I: Theta^I} for |I| <= maxw, in _multi_indices order.
 
     Theta^I = theta_k Theta^(I - e_k), k the first nonzero position of I;
@@ -274,7 +291,7 @@ def _theta_powers(h, maxw, zero):
             pows[index] = Mat.identity(h.base, h.rank)
         else:
             prev = index[:k] + (index[k] - 1,) + index[k + 1 :]
-            pows[index] = _times(thetas[k], pows[prev], zero)
+            pows[index] = _times(thetas[k], pows[prev], zero, skip)
     return pows
 
 
@@ -332,14 +349,15 @@ def stratification_from_higgs(h, D=None):
     if D is None:
         D = h.cfg.cutoffs.D
     zero = Mat.zero(h.base, h.rank)
-    p_seq = list(islice(_p_chain(h, zero), D + 1)) if h.phi is not None else []
+    skip = _skips_zero(h)
+    p_seq = list(islice(_p_chain(h, zero, skip), D + 1)) if h.phi is not None else []
     coeffs = {}
-    for index, tp in _theta_powers(h, D, zero).items():
+    for index, tp in _theta_powers(h, D, zero, skip).items():
         w = sum(index)
         n_top = (D - w) if h.phi is not None else 0
         coeffs[(0, index)] = tp
         for n in range(1, n_top + 1):
-            coeffs[(n, index)] = _times(tp, p_seq[n], zero)
+            coeffs[(n, index)] = _times(tp, p_seq[n], zero, skip)
     return Stratification(h.base, h.flavor, coeffs, D, h.rank, twist=h.twist)
 
 
@@ -417,7 +435,7 @@ def check_recursions(strat):
 def descent_matrix(strat, ring=None):
     """eps = sum A_{n,I} X_1^[n] Y_1^[I] as a matrix of degree-1 pd elements."""
     if ring is None:
-        ring = PdRing(strat.cfg, strat.base, strat.flavor, 1, d=strat.d, D=strat.D)
+        ring = PdRing(strat.base, strat.flavor, 1, d=strat.d, D=strat.D)
     entries = [[{} for _ in range(strat.rank)] for _ in range(strat.rank)]
     zero = strat.base.zero()
     for (n, index), m in strat.coeffs.items():
@@ -453,7 +471,7 @@ def check_cocycle_strat(strat):
     witness is the first cell in row-major order that is not zero, and the
     truncated flag is that of any cell.
     """
-    ring1 = PdRing(strat.cfg, strat.base, strat.flavor, 1, d=strat.d, D=strat.D)
+    ring1 = PdRing(strat.base, strat.flavor, 1, d=strat.d, D=strat.D)
     eps = descent_matrix(strat, ring=ring1)
     alpha = strat.braid_unit()
     contexts = [face_context(ring1, i, alpha) for i in range(3)]

@@ -69,7 +69,7 @@ numerators, and each key is reduced by BaseConfig.reduce_terms, the
 routine BaseConfig.dot ends in, so it gets the stored form of the chain
 (the stored form lemma of htlab.base).  Over chart scalars the loop keeps
 each key's pairs in the order met, and each key is one dot over them,
-which takes one reduction per chart key (htlab.chart).
+which takes one dot over K scalars per chart key (htlab.chart).
 
 PdElement._dot, the routine BaseConfig.dot runs over pd scalars, is one
 _sum_of_products over its pairs whose factors both hold a key; a product
@@ -121,14 +121,19 @@ VARIANTS = ("abs-arith", "abs-geom", "rel-geom")
 
 
 class PdRing:
+    """The variant's divided-power ring in cosimplicial degree ``degree``,
+    over base, cut off above pd-degree D (the config's cutoffs.D when
+    omitted).  Its config is its base's: base.cfg."""
+
     __slots__ = (
         "cfg", "base", "variant", "degree", "d", "D",
         "width", "shift", "field", "slots", "offsets", "support_add", "support_top",
     )
 
-    def __init__(self, cfg, base, variant, degree, d=0, D=None):
+    def __init__(self, base, variant, degree, d=0, D=None):
         if variant not in VARIANTS:
             raise ValueError(f"unknown variant {variant!r}")
+        cfg = base.cfg
         D = cfg.cutoffs.D if D is None else D
         if degree < 0 or d < 0 or D < 0:
             raise BadIndex("degree, d and D must be nonnegative")
@@ -164,12 +169,13 @@ class PdRing:
         return self.variant != "abs-arith"
 
     def bump(self, degree):
-        return PdRing(self.cfg, self.base, self.variant, degree, self.d, self.D)
+        return PdRing(self.base, self.variant, degree, self.d, self.D)
 
     def eq_ring(self, other):
+        """Whether elements of self and other combine: bases eq_ring finds
+        alike, which compares their configs, and one layout."""
         return (
-            self.cfg is other.cfg
-            and self.base.eq_ring(other.base)
+            self.base.eq_ring(other.base)
             and self.variant == other.variant
             and self.degree == other.degree
             and self.d == other.d
@@ -735,9 +741,10 @@ def face_context(ring, i, alpha=None):
     omitted).
 
     d^0 is the one context ring's base keeps for (variant, degree, d, D,
-    alpha), a hit confirmed by eq_ring, so its images, powers, gammas with
-    their _Rights, and plans serve every module over the base; any other
-    face is a new context, which keeps nothing.
+    alpha): a ring's config is its base's, so a context kept there is over
+    this base and this layout, and its images, powers, gammas with their
+    _Rights, and plans serve every module over the base; any other face is
+    a new context, which keeps nothing.
     """
     if alpha is None:
         alpha = ring.cfg.beta
@@ -746,7 +753,7 @@ def face_context(ring, i, alpha=None):
     key = (ring.variant, ring.degree, ring.d, ring.D, (alpha.u, alpha.shift, alpha.prec))
     faces = ring.base.faces
     ctx = faces.get(key)
-    if ctx is None or not ctx.ring.eq_ring(ring):
+    if ctx is None:
         ctx = faces[key] = FaceContext(ring, 0, alpha)
     return ctx
 
@@ -755,10 +762,11 @@ def face_map(i, x, alpha=None):
     return face_context(x.ring, i, alpha).apply(x)
 
 
-def check_cosimplicial_identities(cfg, base, variant, d=0, alpha=None, max_degree=2, D=None):
+def check_cosimplicial_identities(base, variant, d=0, alpha=None, max_degree=2, D=None):
     """Verify d^j d^i = d^i d^{j-1} for i < j on every generator.
 
-    Runs over source degrees 1..max_degree (max_degree <= 2); residuals are
+    The rings are PdRing(base, variant, n, d, D), over base's config, for
+    source degrees n = 1..max_degree (max_degree <= 2); residuals are
     exact below the pd cutoff.  alpha is the twist unit of the 0th face,
     beta = pi E'(pi) when omitted.  Each difference lhs - rhs is the one sum
     [lhs, rhs] . [1, 1] . [1, -1], tested by dot_vanishes: by the stored
@@ -770,7 +778,7 @@ def check_cosimplicial_identities(cfg, base, variant, d=0, alpha=None, max_degre
     checks = []
     ok = True
     for n in range(1, max_degree + 1):
-        ring = PdRing(cfg, base, variant, n, d=d, D=D)
+        ring = PdRing(base, variant, n, d=d, D=D)
         inner = [face_context(ring, i, alpha) for i in range(n + 2)]
         outer_ring = ring.bump(n + 1)
         outer = [face_context(outer_ring, j, alpha) for j in range(n + 3)]

@@ -49,9 +49,11 @@ from .linalg import Mat
 from .pdring import PdElement, PdRing, evaluate_layout, group_layout
 
 
-def _as_strat(data, D=None):
+def _as_strat(data):
+    """A stratification as it is, a module as its stratification at the
+    config's cutoffs.D; for another D, pass stratification_from_higgs(h, D=...)."""
     if isinstance(data, HiggsData):
-        return stratification_from_higgs(data, D=D)
+        return stratification_from_higgs(data)
     return data
 
 
@@ -184,20 +186,19 @@ def _theta_table(strat, T):
     return {index: A for (n, index), A in strat.coeffs.items() if n == 0 and sum(index) < T}
 
 
-def period_kernel_rep(data, T=None, D=None):
+def period_kernel_rep(data, T=None):
     """B = sum_I Theta^I Y^[I] t^{|I|} with its inverse, both certified.
 
-    Accepts a module, whose stratification is built to pd degree D, or a
-    stratification, whose own D counts; Theta^I is its A_{0,I}.  B and its
-    inverse B(-Y) come as r^2 cells in row-major order, each a
-    {t-degree: pd element} dict.  Certifies that B's columns kill every
+    Accepts a module or a stratification (_as_strat), whose D is the pd
+    degree; Theta^I is its A_{0,I}.  B and its inverse B(-Y) come as r^2
+    cells in row-major order, each a {t-degree: pd element} dict.  Certifies that B's columns kill every
     -t theta_i + d/dY_i and that B * B(-Y) = 1, each by one
     galois.first_residual; a residual raises KernelRankDeficit, since the
     columns then fail to fill out the kernel.  Needs T <= D + 1 so the
     retained t-slots are complete.  The period is built once per T and
     stratification (_period); the cells handed out are copies.
     """
-    strat = _as_strat(data, D=D)
+    strat = _as_strat(data)
     T = strat.cfg.cutoffs.T if T is None else T
     ring, B, Binv = _period(strat, T)
     return {"ring": ring, "T": T, "B": [dict(cell) for cell in B], "Binv": [dict(cell) for cell in Binv]}
@@ -213,7 +214,7 @@ def _period(strat, T):
     cfg, r, D = strat.cfg, strat.rank, strat.D
     if T > D + 1:
         raise HorizonTooSmall(f"t-order {T} needs pd degree {T - 1}, have {D}")
-    ring = PdRing(cfg, strat.base, "rel-geom", 1, d=strat.d, D=D)
+    ring = PdRing(strat.base, "rel-geom", 1, d=strat.d, D=D)
     one = ring.one()
     cellsB = [{} for _ in range(r * r)]
     cellsBi = [{} for _ in range(r * r)]
@@ -263,11 +264,11 @@ def _gamma_image(ring, s, k, a, chi_inv):
     return PdElement(ring, coeffs)
 
 
-def crosscheck_inverse_simpson(data, s, T=None, D=None):
+def crosscheck_inverse_simpson(data, s, T=None):
     """B^{-1} F(sigma) B(sigma t, sigma Y) = U(sigma), checked in the pd ring.
 
-    Accepts a module, whose stratification is built once to pd degree D, or
-    a stratification; the period and both cocycles read it.  F(sigma) is
+    Accepts a module or a stratification (_as_strat), built once; the
+    period and both cocycles read it, to pd degree its D.  F(sigma) is
     the cocycle of the phi-only sub-stratification, which is U(0, c, chi):
     at n = 0 the layout key leaves out every coefficient with I != 0, so
     the included A_{n,0}, their order and their q, and so the cells, are
@@ -284,7 +285,7 @@ def crosscheck_inverse_simpson(data, s, T=None, D=None):
     difference is one sum, tested for zero by pdring.dot_vanishes, and the
     first cell with a slot that does not vanish is the witness.
     """
-    strat = _as_strat(data, D=D)
+    strat = _as_strat(data)
     if strat.flavor == "rel-geom":
         raise ValidationFailure("the crosscheck needs a phi")
     cfg, r = strat.cfg, strat.rank

@@ -361,7 +361,7 @@ def _pd_element(ring, rng, cfg):
 
 
 def _pd_products(cfg, base, rng, count):
-    ring = PdRing(cfg, base, "abs-geom", 2, d=1, D=4)
+    ring = PdRing(base, "abs-geom", 2, d=1, D=4)
     faces = [FaceContext(ring, i, twist_unit(cfg, "log")) for i in range(3)]
     steps = []
     for _ in range(count):
@@ -382,7 +382,7 @@ def _pd_products(cfg, base, rng, count):
 def _descent_products(h):
     """The pd-level cocycle product p2*(eps) p0*(eps) of one module."""
     strat = stratification_from_higgs(h)
-    ring1 = PdRing(strat.cfg, strat.base, strat.flavor, 1, d=strat.d, D=strat.D)
+    ring1 = PdRing(strat.base, strat.flavor, 1, d=strat.d, D=strat.D)
     eps = descent_matrix(strat, ring=ring1)
     faces = [FaceContext(ring1, i, strat.braid_unit()) for i in range(3)]
     p0, _, p2 = (eps.map(f.apply, ring=faces[0].target) for f in faces)

@@ -299,6 +299,76 @@ def snf_diag(mat, vals):
 
 
 # ---------------------------------------------------------------------------
+# Smith exponents by determinantal divisors, in exact integer arithmetic.
+# An element of O = Z[pi]/(E(pi)) is its coefficient list [c_0, .., c_{e-1}]
+# on 1, pi, .., pi^(e-1); no KElem is formed.
+# ---------------------------------------------------------------------------
+
+
+def exact_mul(a, b, E_coeffs):
+    """a * b in Z[pi]/(E(pi)), reduced by pi^e = -(E_0 + E_1 pi + ..)."""
+    e = len(E_coeffs)
+    out = [0] * (2 * e - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    for k in range(2 * e - 2, e - 1, -1):
+        c, out[k] = out[k], 0
+        for i, E_i in enumerate(E_coeffs):
+            out[k - e + i] -= c * E_i
+    return out[:e]
+
+
+def exact_val_pi(a, p):
+    """v_pi(sum c_i pi^i) = min(e v_p(c_i) + i): the terms' valuations differ
+    mod e, so the least is attained once.  None for 0."""
+    e = len(a)
+    best = None
+    for i, c in enumerate(a):
+        if c:
+            v = 0
+            while c % p == 0:
+                c //= p
+                v += 1
+            if best is None or e * v + i < best:
+                best = e * v + i
+    return best
+
+
+def determinantal_exponents(rows, p, E_coeffs):
+    """The exact Smith exponents e_k = v(d_k) - v(d_{k-1}) of an a x b matrix
+    over Z_p[pi], d_k being a k x k minor of least valuation (d_0 = 1), for
+    k = 1..min(a, b); None past the rank.  Entries are coefficient lists.
+    Each k x k minor is the Laplace expansion along its first row of the
+    (k-1) x (k-1) minors, so every minor is formed once, with no division."""
+    a, b = len(rows), len(rows[0]) if rows else 0
+    e = len(E_coeffs)
+    minors = {((), ()): [1] + [0] * (e - 1)}
+    out, prev = [], 0
+    for k in range(1, min(a, b) + 1):
+        level = {}
+        least = None
+        for R in itertools.combinations(range(a), k):
+            for C in itertools.combinations(range(b), k):
+                det = [0] * e
+                for idx, c in enumerate(C):
+                    term = exact_mul(rows[R[0]][c], minors[(R[1:], C[:idx] + C[idx + 1 :])], E_coeffs)
+                    sign = -1 if idx % 2 else 1
+                    det = [x + sign * y for x, y in zip(det, term)]
+                level[(R, C)] = det
+                v = exact_val_pi(det, p)
+                if v is not None and (least is None or v < least):
+                    least = v
+        if least is None:
+            out.extend([None] * (min(a, b) - k + 1))
+            break
+        out.append(least - prev)
+        prev = least
+        minors = level
+    return out
+
+
+# ---------------------------------------------------------------------------
 # Plain-polynomial multiplication oracle for the divided-power basis.
 # Works over Fraction-valued coefficients keyed by ordinary exponents.
 # ---------------------------------------------------------------------------
@@ -993,7 +1063,7 @@ def descent_faces(strat):
     from htlab.higgs import descent_matrix
     from htlab.pdring import FaceContext, PdRing
 
-    ring1 = PdRing(strat.cfg, strat.base, strat.flavor, 1, d=strat.d, D=strat.D)
+    ring1 = PdRing(strat.base, strat.flavor, 1, d=strat.d, D=strat.D)
     eps = descent_matrix(strat, ring=ring1)
     alpha = strat.braid_unit()
     contexts = [FaceContext(ring1, i, alpha) for i in range(3)]

@@ -95,9 +95,7 @@ def test_criterion_04_cosimplicial_identities_both_twists():
         for variant, d in (("abs-arith", 0), ("abs-geom", 2), ("rel-geom", 2)):
             alphas = units if variant != "rel-geom" else [None]
             for alpha in alphas:
-                rep = check_cosimplicial_identities(
-                    cfg, base, variant, d=d, alpha=alpha, max_degree=2, D=5
-                )
+                rep = check_cosimplicial_identities(base, variant, d=d, alpha=alpha, max_degree=2, D=5)
                 assert rep["ok"], rep["failures"]
                 assert rep["count"] > 0
 
@@ -146,7 +144,7 @@ def test_criterion_06_face_evaluation_oracle_degree_one_to_two():
             ("rel-geom", 2, None),
         ]
         for variant, d, alpha in jobs:
-            ring = PdRing(cfg, base, variant, 1, d=d)
+            ring = PdRing(base, variant, 1, d=d)
             gens = list(ring.generators())
             for _ in range(10):
                 x = ring.from_int(rng.randint(-5, 5))
@@ -244,7 +242,7 @@ def test_criterion_10_inverse_simpson_crosscheck():
             for _ in range(3):
                 h = sample_higgs(base, rng, "abs-geom", rank=rank, d=1)
                 s = sample_group(cfg, rng, 1)
-                rep = crosscheck_inverse_simpson(h, s, T=4, D=3)
+                rep = crosscheck_inverse_simpson(stratification_from_higgs(h, D=3), s, T=4)
                 assert rep["ok"], (cfg.p, rank, rep)
 
 

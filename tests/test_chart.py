@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from htlab.base import make_base_config
+from htlab.base import Cutoffs, make_base_config
 from htlab.chart import ChartElem, ChartRing
 from htlab.errors import BadIndex
 from oracles import chart_dot_chain
@@ -17,6 +17,11 @@ def _stored(x):
     return [(k, (c.u, c.shift, c.prec)) for k, c in x.coeffs.items()]
 
 
+def _with_box(cfg, Dy):
+    """A config like cfg, whose chart rings have the degree box Dy."""
+    return make_base_config(cfg.p, cfg.E_coeffs, f=cfg.f, precision=cfg.N, cutoffs=Cutoffs(Dy=Dy))
+
+
 def test_a_zero_the_relation_forms_is_dropped(cfg_u5):
     # 5^7 * T_0 T_1 = 5^7 * pi = 5^8, a droppable zero at N = 8
     ring = ChartRing(cfg_u5, "chart", d=1, r=1)
@@ -24,11 +29,11 @@ def test_a_zero_the_relation_forms_is_dropped(cfg_u5):
     for x in (ChartElem(ring, {(1, 1): c}), ring.var(0) * ChartElem(ring, {(0, 1): c})):
         assert x.storage_zero() and x.droppable()
     # the same zero at a key past Dy = 3 is dropped before the box: no flag
-    ring = ChartRing(cfg_u5, "chart", d=2, r=1, Dy=3)
+    ring = ChartRing(_with_box(cfg_u5, 3), "chart", d=2, r=1)
     for x in (
         ChartElem(ring, {(1, 1, 4): c}),
         ChartElem(ring, {(1, 0, 2): c}) * ring.monomial((0, 1, 2)),
-        cfg_u5.dot([ring.var(1), ChartElem(ring, {(1, 0, 2): c})], [ring.var(2), ring.monomial((0, 1, 2))], [0, 1]),
+        ring.cfg.dot([ring.var(1), ChartElem(ring, {(1, 0, 2): c})], [ring.var(2), ring.monomial((0, 1, 2))], [0, 1]),
     ):
         assert not x.truncated
 
@@ -94,12 +99,12 @@ def test_dot_matches_the_chain_oracle(request, name):
     keys past a small Dy, reduced-precision zeros, shifted coefficients, the
     multipliers 1, -1, p, 0 and 3p^2, truncated and empty operands, and a
     last term that cancels the first."""
-    cfg = request.getfixturevalue(name)
+    cfg = _with_box(request.getfixturevalue(name), 3)
     rng = random.Random(900 + cfg.p * cfg.e * cfg.f)
     mults = (1, -1, cfg.p, 0, 3 * cfg.p**2)
     seen = dict.fromkeys(("pi", "pi^2", "box", "low", "dropped", "reordered", "cancelled"), 0)
     for d, r in CHARTS:
-        ring = ChartRing(cfg, "chart", d=d, r=r, Dy=3)
+        ring = ChartRing(cfg, "chart", d=d, r=r)
         for _ in range(60):
             n = rng.randrange(1, 5)
             xs = [_element(ring, rng) for _ in range(n)]
@@ -134,8 +139,8 @@ def test_dot_matches_the_chain_oracle(request, name):
 
 def test_elements_of_rings_that_differ_do_not_combine(cfg_u5):
     # Dy = 2 and Dy = 6: the sum would keep T_1^5 in the Dy = 2 ring, unflagged
-    small = ChartRing(cfg_u5, "chart", d=1, r=0, Dy=2)
-    large = ChartRing(cfg_u5, "chart", d=1, r=0, Dy=6)
+    small = ChartRing(_with_box(cfg_u5, 2), "chart", d=1, r=0)
+    large = ChartRing(_with_box(cfg_u5, 6), "chart", d=1, r=0)
     assert not small.eq_ring(large)
     # d = 1 and d = 2: the sum would hold keys of lengths 2 and 3
     wide = ChartRing(cfg_u5, "chart", d=2, r=0)
@@ -144,5 +149,5 @@ def test_elements_of_rings_that_differ_do_not_combine(cfg_u5):
             with pytest.raises(BadIndex, match="do not combine"):
                 combine()
     # a ring alike in every field, over another config of the same p, E, f and N, combines
-    twin = ChartRing(make_base_config(5, [-5]), "chart", d=1, r=0, Dy=2)
+    twin = ChartRing(_with_box(cfg_u5, 2), "chart", d=1, r=0)
     assert small.eq_ring(twin) and (small.var(1) - twin.var(1)).storage_zero()

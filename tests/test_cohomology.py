@@ -20,6 +20,8 @@ from htlab.linalg import Mat
 from htlab.samples import default_specs, sample_higgs
 from make_golden import p3_reproducer
 from oracles import (
+    determinantal_exponents,
+    exact_mul,
     higgs_conj,
     higgs_sum,
     image_size_mod,
@@ -495,6 +497,60 @@ def test_snf_high_valuation_pivot_keeps_unit_digits(cfg_r2):
     s = snf_dvr(m, with_v=True)
     assert s.vals == [6, 8]
     assert (replay_u(m, snf_dvr_naive(m)) * m * s.V).eq(snf_diag(m, s.vals))
+
+
+# (name, p, lower coefficients of E): unramified and ramified, e <= 2
+SNF_BASES = (("p2", 2, [-2]), ("p3", 3, [-3]), ("p5", 5, [-5]), ("p2e2", 2, [-2, 0]), ("p3e2", 3, [-3, 0]))
+SNF_SHAPES = ((1, 1), (2, 2), (3, 3), (4, 4), (5, 5), (6, 6), (2, 5), (5, 3), (6, 4), (3, 6))
+
+
+def _exact_entry(rng, p, E):
+    """A coefficient list: 0, or pi^k times a random element, k up to 5."""
+    e = len(E)
+    if rng.random() < 0.15:
+        return [0] * e
+    pi = [-E[0]] if e == 1 else [0, 1] + [0] * (e - 2)
+    x = [rng.randrange(-(p**3), p**3) for _ in range(e)]
+    for _ in range(rng.choice((0, 0, 0, 1, 2, 3, 5))):
+        x = exact_mul(x, pi, E)
+    return x
+
+
+def _exact_matrix(rng, p, E, a, b):
+    """Random entries; in about a third, the last row is a combination of
+    two others, which lowers the rank or raises the last exponents."""
+    rows = [[_exact_entry(rng, p, E) for _ in range(b)] for _ in range(a)]
+    if a > 2 and rng.random() < 0.35:
+        (i, x), (j, y) = ((k, _exact_entry(rng, p, E)) for k in rng.sample(range(a - 1), 2))
+        rows[-1] = [[s + t for s, t in zip(exact_mul(x, u, E), exact_mul(y, v, E))] for u, v in zip(rows[i], rows[j])]
+    return rows
+
+
+@pytest.mark.parametrize("name,p,E", SNF_BASES, ids=[b[0] for b in SNF_BASES])
+def test_snf_exponents_are_the_determinantal_divisors(name, p, E):
+    """snf_dvr against an oracle that shares no arithmetic with it: the exact
+    exponents v(d_k) - v(d_(k-1)) of integer matrices over Z_p[pi], d_k a
+    k x k minor of least valuation.  Unless the reduction is precision
+    limited, its exponents are the first exact ones, and every later one is
+    at least e N, the valuation of a zero to N digits."""
+    cfg = make_base_config(p, E, precision=8)
+    point = ChartRing(cfg, "point")
+    rng = random.Random(f"snf-{name}")
+    checked = limited = deficient = 0
+    for a, b in SNF_SHAPES:
+        for _ in range(5):
+            rows = _exact_matrix(rng, p, E, a, b)
+            got = snf_dvr(Mat(point, [[cfg.k_from_coeffs(c) for c in row] for row in rows]))
+            if got.precision_limited:
+                limited += 1
+                continue
+            exact = determinantal_exponents(rows, p, E)
+            n = len(got.vals)
+            assert got.vals == exact[:n], (rows, got.vals, exact)
+            assert all(v is None or v >= cfg.e * cfg.N for v in exact[n:]), (rows, got.vals, exact)
+            checked += 1
+            deficient += n < min(a, b)
+    assert checked >= 35 and deficient, (checked, limited, deficient)
 
 
 def test_snf_rejects_chart_base(cfg_u5):

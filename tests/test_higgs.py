@@ -7,6 +7,7 @@ from oracles import (
     corrupted_strat,
     descent_faces,
     dot_vanishes_by_cell,
+    higgs_conj,
     mat_mul_chain,
 )
 from test_sen import PROBE_BASES, _form, _random_strat
@@ -352,10 +353,11 @@ def test_smooth_cocycle_uses_nonlog_twist(cfg_u5, point):
 
 
 def _plain_stratification(h, D):
-    """A_{n,I} = Theta^I P_n with every product formed, in the same order."""
+    """A_{n,I} = Theta^I P_n with every product formed, in the same order;
+    with no phi, only the A_{0,I}."""
     beta = h.base.from_k(h.braid_unit())
     p_seq, factor = [Mat.identity(h.base, h.rank)], h.phi
-    for _ in range(D):
+    for _ in range(D if factor is not None else 0):
         p_seq.append(factor * p_seq[-1])
         factor = factor.add_scalar_diag(beta)
     pows, coeffs = {}, {}
@@ -367,7 +369,7 @@ def _plain_stratification(h, D):
             prev = list(index)
             prev[k] -= 1
             pows[index] = h.theta[k] * pows[tuple(prev)]
-        for n in range(D - sum(index) + 1):
+        for n in range(min(D - sum(index), len(p_seq) - 1) + 1):
             coeffs[(n, index)] = pows[index] * p_seq[n] if n else pows[index]
     return Stratification(h.base, h.flavor, coeffs, D, h.rank, twist=h.twist)
 
@@ -411,11 +413,59 @@ def test_skipping_vanishing_products_changes_no_coefficient(request, cfg_name):
     assert reduced > 0
 
 
+def _with_denominators(h):
+    """P h P^-1 for P = diag(1, p, p^2, ...), with theta_1 replaced by 0: a
+    module whose operators have entries of positive shift above the
+    diagonal, and a vanishing theta_1."""
+    base, cfg = h.base, h.cfg
+    zero = base.zero()
+    P, P_inv = (
+        Mat(base, [[base.from_k(scale(a)) if a == b else zero for b in range(h.rank)] for a in range(h.rank)])
+        for scale in (lambda a: cfg.k_from_int(cfg.p**a), lambda a: cfg.k_one().div_int(cfg.p**a))
+    )
+    h = higgs_conj(h, P, P_inv)
+    theta = [Mat.zero(base, h.rank)] + h.theta[1:]
+    return HiggsData(base, h.flavor, theta, h.phi, integral=False, twist=h.twist)
+
+
+@pytest.mark.parametrize("cfg_name", ["cfg_u5", "cfg_r2"])
+def test_products_with_the_shared_zero_keep_the_rule_of_a_matrix_product(request, cfg_name):
+    """On seeded non-integral modules with a vanishing theta, every Theta^I,
+    P_n and A_{n,I} has the stored form of the Mat.__mul__ chain: the zero
+    times an entry 1/p is a zero to N - 1 digits, so the product is formed."""
+    cfg = request.getfixturevalue(cfg_name)
+    base = ChartRing(cfg, "point")
+    rng = random.Random(f"denominators-{cfg_name}")
+    reduced = 0
+    for flavor, rank, d in (("abs-geom", 3, 2), ("rel-geom", 3, 2), ("abs-geom", 4, 3), ("abs-geom", 2, 1)):
+        for _ in range(3):
+            h = _with_denominators(sample_higgs(base, rng, flavor, rank, d=d))
+            for D in (3, 5):
+                strat = stratification_from_higgs(h, D=D)
+                assert _stored_forms(strat) == _stored_forms(_plain_stratification(h, D))
+                reduced += sum(m.is_zero() and not _vanishing(m) for m in strat.coeffs.values())
+    assert reduced > 0
+
+
+def test_a_vanishing_theta_times_a_denominator_loses_a_digit(cfg_u5):
+    # theta_1 = 0 and phi = [[0, 1/5], [0, 0]]: A_{1,(1)} = Theta^(1) P_1 is a
+    # zero to 7 digits in its second column, as Theta^(1) * P_1 is
+    point = ChartRing(cfg_u5, "point")
+    z = cfg_u5.k_zero()
+    phi = Mat(point, [[z, cfg_u5.k_one().div_int(5)], [z, z]])
+    h = HiggsData(point, "abs-geom", [Mat.zero(point, 2)], phi, integral=False)
+    assert validate_higgs(h)["ok"]
+    strat = stratification_from_higgs(h, D=3)
+    a = strat.coeffs[(1, (1,))]
+    assert [[(c.u, c.shift, c.prec) for c in row] for row in a.rows] == [[(0, 0, 8), (0, 0, 7)]] * 2
+    assert _stored_forms(strat) == _stored_forms(_plain_stratification(h, 3))
+
+
 def test_descent_matrix_keeps_every_non_droppable_entry(cfg_r2):
     base = ChartRing(cfg_r2, "point")
     h = sample_higgs(base, random.Random(41), "abs-geom", 4, d=3)
     strat = stratification_from_higgs(_clamp_theta(h, 0, cfg_r2.N - 2), D=6)
-    ring = PdRing(cfg_r2, base, strat.flavor, 1, d=strat.d, D=strat.D)
+    ring = PdRing(base, strat.flavor, 1, d=strat.d, D=strat.D)
     eps = descent_matrix(strat, ring=ring)
     kept = reduced = 0
     for (n, index), m in strat.coeffs.items():
@@ -578,7 +628,7 @@ def test_dot_vanishes_matches_the_cell_route_on_the_corpus():
     cases = 0
     for strat in _corpus_descent_cases():
         cases += 1
-        ring1 = PdRing(strat.cfg, strat.base, strat.flavor, 1, d=strat.d, D=strat.D)
+        ring1 = PdRing(strat.base, strat.flavor, 1, d=strat.d, D=strat.D)
         eps = descent_matrix(strat, ring=ring1)
         contexts = [face_context(ring1, i, strat.braid_unit()) for i in range(3)]
         ring2 = contexts[0].target
@@ -686,7 +736,7 @@ def _descent_cells(h):
     """(p_0*(eps), the cells of p_2*(eps) p_0*(eps) by Mat.__mul__) of a
     module, as coefficient dicts by (i, j)."""
     strat = stratification_from_higgs(h)
-    ring1 = PdRing(h.cfg, h.base, strat.flavor, 1, d=strat.d, D=strat.D)
+    ring1 = PdRing(h.base, strat.flavor, 1, d=strat.d, D=strat.D)
     eps = descent_matrix(strat, ring=ring1)
     alpha = strat.braid_unit()
     p0, p2 = (eps.map(face_context(ring1, i, alpha).apply, ring=ring1.bump(2)) for i in (0, 2))

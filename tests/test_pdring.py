@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from htlab.base import KElem
+from htlab.base import Cutoffs, KElem
 from htlab.chart import ChartRing
 from htlab.errors import AxiomViolation, BadIndex, InsufficientPrecision
 from htlab.galois import GroupElt, act_slots, sigma_t, subs_slots
@@ -51,8 +51,8 @@ def point(cfg_u5):
 
 
 @pytest.fixture(scope="module")
-def ring1(cfg_u5, point):
-    return PdRing(cfg_u5, point, "abs-geom", 1, d=1)
+def ring1(point):
+    return PdRing(point, "abs-geom", 1, d=1)
 
 
 # ---------------------------------------------------------------------------
@@ -88,7 +88,7 @@ def test_chart_laurent_and_forbidden_negatives(cfg_u5):
 
 
 def test_chart_degree_cap_flags_truncation(cfg_u5):
-    ch = ChartRing(cfg_u5, "chart", d=1, r=0, Dy=3)
+    ch = ChartRing(make_base_config(5, [-5], cutoffs=Cutoffs(Dy=3)), "chart", d=1, r=0)
     t2 = ch.var(1, 2)
     out = t2 * t2
     assert out.storage_zero()
@@ -141,7 +141,7 @@ def test_divided_power_rejects_constant_term(ring1):
 
 
 def test_divided_power_certifies_integrality(cfg_u5, point):
-    ring = PdRing(cfg_u5, point, "abs-geom", 2, d=1)
+    ring = PdRing(point, "abs-geom", 2, d=1)
     z = ring.x(1).smul(2) + ring.x(2) + ring.y(1, 1).smul(7)
     g = divided_power(z, 3)
     assert g.integral()
@@ -166,7 +166,7 @@ def _random_pd_int_elem(rng, ring, nterms=4):
 
 
 def test_pd_mul_matches_plain_polynomial_oracle(cfg_u5, point):
-    ring = PdRing(cfg_u5, point, "abs-geom", 2, d=2)
+    ring = PdRing(point, "abs-geom", 2, d=2)
     rng = random.Random(11)
     for _ in range(25):
         ca = _random_pd_int_elem(rng, ring)
@@ -190,7 +190,7 @@ def _from_ints(ring, coeffs):
 
 
 def test_pd_mul_associative_below_cap(cfg_u5, point):
-    ring = PdRing(cfg_u5, point, "abs-geom", 1, d=1)
+    ring = PdRing(point, "abs-geom", 1, d=1)
     rng = random.Random(5)
     for _ in range(10):
         a = _from_ints(ring, _random_pd_int_elem(rng, ring, 3))
@@ -243,7 +243,7 @@ def test_twisted_face_on_y(cfg_u5, ring1):
 
 
 def test_relative_face_is_untwisted(cfg_u5, point):
-    ring = PdRing(cfg_u5, point, "rel-geom", 1, d=2)
+    ring = PdRing(point, "rel-geom", 1, d=2)
     img = face_map(0, ring.y(2, 1))
     t = ring.bump(2)
     assert img.eq(t.y(2, 2) - t.y(2, 1))
@@ -251,7 +251,7 @@ def test_relative_face_is_untwisted(cfg_u5, point):
 
 
 def test_faces_are_ring_maps(cfg_u5, point):
-    ring = PdRing(cfg_u5, point, "abs-geom", 1, d=1)
+    ring = PdRing(point, "abs-geom", 1, d=1)
     rng = random.Random(17)
     ctx0 = FaceContext(ring, 0, twist_unit(cfg_u5, "smooth"))
     ctx1 = FaceContext(ring, 1, None)
@@ -267,14 +267,14 @@ def test_faces_are_ring_maps(cfg_u5, point):
 @pytest.mark.parametrize("twist", ["log", "smooth"], ids=["log", "nonlog"])
 def test_cosimplicial_identities_hold(cfg_u5, point, variant, d, twist):
     alpha = twist_unit(cfg_u5, twist)
-    report = check_cosimplicial_identities(cfg_u5, point, variant, d=d, alpha=alpha, max_degree=2)
+    report = check_cosimplicial_identities(point, variant, d=d, alpha=alpha, max_degree=2)
     assert report["ok"], report["failures"]
     assert report["count"] > 0
 
 
 def test_cosimplicial_identities_ramified_base(cfg_r2):
     point2 = ChartRing(cfg_r2, "point")
-    report = check_cosimplicial_identities(cfg_r2, point2, "abs-geom", d=1, max_degree=1)
+    report = check_cosimplicial_identities(point2, "abs-geom", d=1, max_degree=1)
     assert report["ok"], report["failures"]
 
 
@@ -346,7 +346,7 @@ def test_evaluate_basics(cfg_u5, ring1):
 
 
 def test_evaluate_uses_running_products(cfg_u5, point):
-    ring = PdRing(cfg_u5, point, "abs-geom", 2, d=1)
+    ring = PdRing(point, "abs-geom", 2, d=1)
     s1 = GroupElt(cfg_u5, (2,), 1, 6)
     s2 = GroupElt(cfg_u5, (1,), 4, 1)
     both = s1 * s2
@@ -357,7 +357,7 @@ def test_evaluate_uses_running_products(cfg_u5, point):
 
 
 def test_face_evaluation_oracle_on_generators(cfg_u5, point):
-    ring = PdRing(cfg_u5, point, "abs-geom", 1, d=2)
+    ring = PdRing(point, "abs-geom", 1, d=2)
     rng = random.Random(23)
     for x in (ring.x(1), ring.y(1, 1), ring.y(2, 1), ring.x(1, 2), ring.x(1) * ring.y(1, 1)):
         for _ in range(5):
@@ -367,7 +367,7 @@ def test_face_evaluation_oracle_on_generators(cfg_u5, point):
 
 
 def test_face_evaluation_oracle_random_elements(cfg_u5, point):
-    ring = PdRing(cfg_u5, point, "abs-geom", 1, d=1)
+    ring = PdRing(point, "abs-geom", 1, d=1)
     rng = random.Random(29)
     for _ in range(8):
         x = _from_ints(ring, _random_pd_int_elem(rng, ring, 3))
@@ -377,7 +377,7 @@ def test_face_evaluation_oracle_random_elements(cfg_u5, point):
 
 
 def test_face_evaluation_relative_geometric_tuples(cfg_u5, point):
-    ring = PdRing(cfg_u5, point, "rel-geom", 1, d=2)
+    ring = PdRing(point, "rel-geom", 1, d=2)
     rng = random.Random(31)
     for _ in range(8):
         x = _from_ints(ring, _random_pd_int_elem(rng, ring, 3))
@@ -388,7 +388,7 @@ def test_face_evaluation_relative_geometric_tuples(cfg_u5, point):
 
 def test_face_evaluation_ramified(cfg_r2):
     point2 = ChartRing(cfg_r2, "point")
-    ring = PdRing(cfg_r2, point2, "abs-geom", 1, d=1)
+    ring = PdRing(point2, "abs-geom", 1, d=1)
     rng = random.Random(37)
     for _ in range(5):
         x = ring.x(1) + ring.y(1, 1).smul(rng.randint(-3, 3))
@@ -398,7 +398,7 @@ def test_face_evaluation_ramified(cfg_r2):
 
 
 def test_face_evaluation_nonlog_params(cfg_u5, point):
-    ring = PdRing(cfg_u5, point, "abs-geom", 1, d=1)
+    ring = PdRing(point, "abs-geom", 1, d=1)
     rng = random.Random(41)
     for _ in range(5):
         x = ring.x(1).smul(rng.randint(-3, 3)) + ring.y(1, 1) + ring.x(1, 2)
@@ -416,7 +416,7 @@ def test_face_evaluation_sees_a_wrong_face(request, monkeypatch, name):
     face fails."""
     cfg = request.getfixturevalue(name)
     base = ChartRing(cfg, "point")
-    ring = PdRing(cfg, base, "abs-geom", 1, d=1)
+    ring = PdRing(base, "abs-geom", 1, d=1)
     T = cfg.cutoffs.T
     rng = random.Random(43)
     real = pdring.face_map
@@ -468,7 +468,7 @@ def test_twisted_face_of_the_p2e2_reproducer(N):
 
     def image(n):
         cfg = make_base_config(2, [-2, 0], precision=n)
-        ring = PdRing(cfg, ChartRing(cfg, "point"), "abs-arith", 1)
+        ring = PdRing(ChartRing(cfg, "point"), "abs-arith", 1)
         x = ring.from_int(5) - ring.x(1, 3)
         return cfg, x, face_map(0, x, cfg.beta)
 
@@ -524,7 +524,7 @@ def test_twisted_face_precision_ladder(name):
     rng = random.Random(f"face-ladder-{name}")
     failed = []
     for variant, d in (("abs-arith", 0), ("abs-geom", 1)):
-        rings = [PdRing(cfg, ChartRing(cfg, "point"), variant, 1, d=d) for cfg in cfgs]
+        rings = [PdRing(ChartRing(cfg, "point"), variant, 1, d=d) for cfg in cfgs]
         for _ in range(90):
             terms = _ladder_terms(rng, rings[0])
             lo, hi = (
@@ -622,7 +622,7 @@ def test_packed_products_sums_and_faces_match_the_oracle(cfg_u5, point, D):
     assert {variant for variant, _, _ in ORACLE_RINGS} == set(VARIANTS)
     shared = 0
     for variant, n, d in ORACLE_RINGS:
-        ring = PdRing(cfg_u5, point, variant, n, d=d, D=D)
+        ring = PdRing(point, variant, n, d=d, D=D)
         for _ in range(12):
             x = _oracle_element(ring, rng, scalar)
             y = _oracle_element(ring, rng, scalar)
@@ -651,7 +651,7 @@ def test_packed_products_sums_and_faces_match_the_oracle(cfg_u5, point, D):
     chart = ChartRing(cfg_u5, "chart", d=1, r=1)
     shared = cut = 0
     for variant, n, d in ORACLE_RINGS:
-        ring = PdRing(cfg_u5, chart, variant, n, d=d, D=D)
+        ring = PdRing(chart, variant, n, d=d, D=D)
         for _ in range(6):
             x = _oracle_element(ring, rng, lambda: _chart_scalar(chart, rng))
             y = _oracle_element(ring, rng, lambda: _chart_scalar(chart, rng))
@@ -679,7 +679,7 @@ def test_packed_evaluation_matches_the_oracle(cfg_u5, point):
     rng = random.Random(7)
     for D in (1, 5, 8, 12):
         for variant, n, d in ORACLE_RINGS:
-            ring = PdRing(cfg_u5, point, variant, n, d=d, D=D)
+            ring = PdRing(point, variant, n, d=d, D=D)
             ints = {}
             for _ in range(rng.randrange(1, 6)):
                 ints[ring.encode(_oracle_monomial(ring, rng))] = rng.randrange(-50, 50)
@@ -704,7 +704,7 @@ def test_packed_evaluation_matches_the_oracle(cfg_u5, point):
 
 
 def test_twisted_face_keeps_the_flag_of_a_truncated_constant(cfg_u5, point):
-    ring = PdRing(cfg_u5, point, "abs-geom", 1, d=1, D=3)
+    ring = PdRing(point, "abs-geom", 1, d=1, D=3)
     x = ring.from_int(7) + ring.x(1, 4)  # x(1, 4) is past the cutoff: a flagged zero
     assert x.truncated and list(x.coeffs) == [0]
     for i in range(3):
@@ -826,7 +826,7 @@ def test_products_match_the_chain_oracle(request, name):
     for base, scalar in bases:
         for D in (2, 5, 8):
             for variant, n, d in ORACLE_RINGS:
-                ring = PdRing(cfg, base, variant, n, d=d, D=D)
+                ring = PdRing(base, variant, n, d=d, D=D)
                 pairs = [(ring.zero(), ring.zero()), (PdElement(ring, {}, truncated=True), ring.one()), _cut_pair(ring)]
                 for _ in range(10 if base.is_point else 3):
                     pairs.append((_oracle_element(ring, rng, scalar), _oracle_element(ring, rng, scalar)))
@@ -882,7 +882,7 @@ def test_product_cells_match_the_matrix_product(request, name):
     for base, scalar in scalars.items():
         for D in (2, 5):
             for variant, n, d in ORACLE_RINGS:
-                ring = PdRing(cfg, base, variant, n, d=d, D=D)
+                ring = PdRing(base, variant, n, d=d, D=D)
                 for _ in range(8 if base.is_point else 2):
                     a = Mat(ring, [[_cell_entry(ring, rng, scalar) for _ in range(3)] for _ in range(2)])
                     b = Mat(ring, [[_cell_entry(ring, rng, scalar) for _ in range(2)] for _ in range(3)])
@@ -910,7 +910,7 @@ def test_product_cells_sum_low_precision_keys_in_product_order(cfg_u5, point):
     cancels to 5^3 and is normalized before c is added, c + b + a is not,
     and both give the one no-digit zero (0, 1, 1).  The matrix product sums
     its products in l order, as mat_mul_chain does."""
-    ring = PdRing(cfg_u5, point, "abs-geom", 1, d=1, D=3)
+    ring = PdRing(point, "abs-geom", 1, d=1, D=3)
     xs = [cfg_u5.k_from_coeffs([1], 5, 3), cfg_u5.k_from_coeffs([124], 5, 3), cfg_u5.k_from_coeffs([1], 0, 0)]
     ones = Mat(ring, [[ring.one()] * 3])
     for a, b, c in (xs, xs[::-1]):
@@ -927,7 +927,7 @@ def test_product_cells_and_the_matrix_product_keep_n_right_digits(cfg_u5, point)
     has 5^4 * 5^4 = 5^8, so the sum is 5^8 + w^2, and both the matrix
     product and mat_mul_chain hold it at N digits, none past N, where a
     ninth digit of w^2 alone would be wrong."""
-    ring = PdRing(cfg_u5, point, "abs-geom", 1, d=1, D=3)
+    ring = PdRing(point, "abs-geom", 1, d=1, D=3)
     N = cfg_u5.N
     w = cfg_u5.k_from_int(6).div_int(5).inv()
     q = cfg_u5.k_from_int(5**4)
@@ -972,7 +972,7 @@ def test_product_cells_match_the_matrix_product_at_large_descent_size(cfg_r2):
     whole column, so its filters meet left keys of several degrees: some
     cut a key of the entry, others leave it whole."""
     point = ChartRing(cfg_r2, "point")
-    ring = PdRing(cfg_r2, point, "abs-geom", 1, d=3, D=8)
+    ring = PdRing(point, "abs-geom", 1, d=3, D=8)
     t = ring.bump(2)
     rng = random.Random("cells-large")
     mixed = 0
@@ -1006,7 +1006,7 @@ def test_pd_dot_with_multipliers_is_the_chain(request, name):
     scalars = {point: lambda: _chain_scalar(cfg, rng), chart: lambda: _chart_scalar(chart, rng)}
     for base, scalar in scalars.items():
         for variant, n, d in ORACLE_RINGS:
-            ring = PdRing(cfg, base, variant, n, d=d, D=4)
+            ring = PdRing(base, variant, n, d=d, D=4)
             for _ in range(6 if base.is_point else 2):
                 k = rng.randrange(2, 5)
                 xs = [_cell_entry(ring, rng, scalar) for _ in range(k)]
@@ -1035,7 +1035,7 @@ def test_dot_vanishes_is_the_cell_route(request, name):
     seen = dict.fromkeys(("zero", "residual"), 0)
     for base, scalar in scalars.items():
         for variant, n, d in ORACLE_RINGS:
-            ring = PdRing(cfg, base, variant, n, d=d, D=4)
+            ring = PdRing(base, variant, n, d=d, D=4)
             for _ in range(6 if base.is_point else 2):
                 k = rng.randrange(2, 5)
                 xs = [_cell_entry(ring, rng, scalar) for _ in range(k)]
@@ -1054,9 +1054,9 @@ def test_dot_vanishes_counts_every_flag(cfg_u5):
     the flag: a later pair cut by a filter still sets it.  Over a chart every
     key is formed, so a later key truncated by the box, with no factor
     flagged, sets it too."""
-    chart = ChartRing(cfg_u5, "chart", d=1, r=1, Dy=1)
-    for base in (ChartRing(cfg_u5, "point"), chart):
-        ring = PdRing(cfg_u5, base, "rel-geom", 1, d=1, D=1 if base.is_point else 3)
+    chart = ChartRing(make_base_config(5, [-5], cutoffs=Cutoffs(Dy=1)), "chart", d=1, r=1)
+    for base in (ChartRing(chart.cfg, "point"), chart):
+        ring = PdRing(base, "rel-geom", 1, d=1, D=1 if base.is_point else 3)
         y = ring.y(1, 1)
         if base.is_point:
             x = y  # y * y has pd-degree 2 > D
@@ -1097,7 +1097,7 @@ def test_a_column_entry_meets_every_row_through_one_right(cfg_u5, point, monkeyp
     meets a nonempty left entry into one _Right, kept on the entry, and
     every row of the left factor meets the entry through it; an empty entry
     is read into none, and a second product reads nothing again."""
-    ring = PdRing(cfg_u5, point, "abs-geom", 1, d=1, D=4)
+    ring = PdRing(point, "abs-geom", 1, d=1, D=4)
     rng = random.Random("one-right")
     a = Mat(ring, [[_cell_entry(ring, rng, lambda: _chain_scalar(cfg_u5, rng)) for _ in range(3)] for _ in range(5)])
     b = Mat(ring, [[_cell_entry(ring, rng, lambda: _chain_scalar(cfg_u5, rng)) for _ in range(3)] for _ in range(3)])
@@ -1176,7 +1176,7 @@ def test_twisted_face_matches_the_chain_oracle(request, name):
     for base in (point, chart):
         for D in (3, 6):
             for variant, n, d in ORACLE_RINGS:
-                ring = PdRing(cfg, base, variant, n, d=d, D=D)
+                ring = PdRing(base, variant, n, d=d, D=D)
                 for twist in ("log", "smooth") if variant != "rel-geom" else ("log",):
                     ctx = FaceContext(ring, 0, twist_unit(cfg, twist))
                     contexts = [ctx]
@@ -1203,7 +1203,7 @@ def test_twisted_face_matches_the_chain_oracle_at_large_descent_size(cfg_r2):
     random rank-1 stratification, which fills most monomials, and random
     elements, through one context per twist."""
     point = ChartRing(cfg_r2, "point")
-    ring = PdRing(cfg_r2, point, "abs-geom", 1, d=3, D=8)
+    ring = PdRing(point, "abs-geom", 1, d=3, D=8)
     rng = random.Random("face-large")
     for twist in ("log", "smooth"):
         ctx = FaceContext(ring, 0, twist_unit(cfg_r2, twist))
@@ -1230,22 +1230,25 @@ def test_face_contexts_are_kept_per_ring_and_twist(cfg_u5):
     point = ChartRing(cfg_u5, "point")
     chart = ChartRing(cfg_u5, "chart", d=1, r=1)
     log, smooth = twist_unit(cfg_u5, "log"), twist_unit(cfg_u5, "smooth")
-    ring = PdRing(cfg_u5, point, "abs-geom", 1, d=1, D=4)
+    ring = PdRing(point, "abs-geom", 1, d=1, D=4)
     ctx = face_context(ring, 0, log)
-    assert ctx is face_context(PdRing(cfg_u5, point, "abs-geom", 1, d=1, D=4), 0, cfg_u5.beta * cfg_u5.k_one())
+    assert ctx is face_context(PdRing(point, "abs-geom", 1, d=1, D=4), 0, cfg_u5.beta * cfg_u5.k_one())
     others = [
-        face_context(PdRing(cfg_u5, point, "abs-geom", 1, d=1, D=5), 0, log),
-        face_context(PdRing(cfg_u5, point, "abs-geom", 2, d=1, D=4), 0, log),
-        face_context(PdRing(cfg_u5, point, "abs-arith", 1, D=4), 0, log),
+        face_context(PdRing(point, "abs-geom", 1, d=1, D=5), 0, log),
+        face_context(PdRing(point, "abs-geom", 2, d=1, D=4), 0, log),
+        face_context(PdRing(point, "abs-arith", 1, D=4), 0, log),
         face_context(ring, 0, smooth),
-        face_context(PdRing(cfg_u5, chart, "abs-geom", 1, d=1, D=4), 0, log),
+        face_context(PdRing(chart, "abs-geom", 1, d=1, D=4), 0, log),
     ]
     assert len({id(c) for c in [ctx] + others}) == 6
     assert len(point.faces) == 5 and len(chart.faces) == 1
+    # a twin base keeps a context of its own, over a ring eq_ring finds alike
     twin_cfg = make_base_config(5, [-5], f=1, precision=8)
-    stranger = PdRing(twin_cfg, point, "abs-geom", 1, d=1, D=4)
+    twin_base = ChartRing(twin_cfg, "point")
+    stranger = PdRing(twin_base, "abs-geom", 1, d=1, D=4)
     other = face_context(stranger, 0, twist_unit(twin_cfg, "log"))
-    assert other is not ctx and other.ring.eq_ring(stranger)
+    assert other is not ctx and other.ring is stranger and stranger.eq_ring(ring)
+    assert list(twin_base.faces.values()) == [other] and len(point.faces) == 5
     assert face_context(ring, 1, log) is not face_context(ring, 1, log)
 
     def gammas(key):
@@ -1282,7 +1285,7 @@ def test_twisted_face_defaults_to_beta(cfg_u5, variant, d):
     checks are: face_map(0, x) is face_map(0, x, beta) in stored form, on the
     one context the base keeps, and a private context agrees."""
     point = ChartRing(cfg_u5, "point")
-    ring = PdRing(cfg_u5, point, variant, 1, d=d, D=4)
+    ring = PdRing(point, variant, 1, d=d, D=4)
     x = ring.x(1, 3) + ring.x(1).mul_scalar(point.from_int(7))
     if d:
         x = x + ring.y(1, 1, 2) * ring.x(1)
@@ -1297,7 +1300,7 @@ def test_cached_gammas_are_divided_powers(cfg_r2, cfg_f2):
     for cfg in (cfg_r2, cfg_f2):
         point = ChartRing(cfg, "point")
         for variant, n, d in ORACLE_RINGS:
-            ring = PdRing(cfg, point, variant, n, d=d, D=6)
+            ring = PdRing(point, variant, n, d=d, D=6)
             ctx = FaceContext(ring, 0, twist_unit(cfg, "log"))
             for vid in ring.generators():
                 # largest first: the smaller gammas then read a chain built already
@@ -1307,7 +1310,7 @@ def test_cached_gammas_are_divided_powers(cfg_r2, cfg_f2):
 
 
 def test_cached_gammas_keep_the_divided_power_checks(cfg_u5, point):
-    ring = PdRing(cfg_u5, point, "abs-geom", 1, d=1, D=5)
+    ring = PdRing(point, "abs-geom", 1, d=1, D=5)
     ctx = FaceContext(ring, 0, twist_unit(cfg_u5, "log"))
     t = ctx.target
     vid = ring.x_id(1)
@@ -1320,23 +1323,40 @@ def test_cached_gammas_keep_the_divided_power_checks(cfg_u5, point):
 
 
 def test_pd_elements_of_different_rings_do_not_combine(cfg_u5, point):
-    r4 = PdRing(cfg_u5, point, "abs-geom", 1, d=1, D=4)
-    r9 = PdRing(cfg_u5, point, "abs-geom", 1, d=1, D=9)
+    r4 = PdRing(point, "abs-geom", 1, d=1, D=4)
+    r9 = PdRing(point, "abs-geom", 1, d=1, D=9)
     x, y = r4.x(1, 2), r9.y(1, 1, 3)
     for op in (lambda: x + y, lambda: x - y, lambda: x * y, lambda: y * x):
         with pytest.raises(BadIndex):
             op()
     # a ring equal to r4 but not the same object combines
-    twin = PdRing(cfg_u5, point, "abs-geom", 1, d=1, D=4)
+    twin = PdRing(point, "abs-geom", 1, d=1, D=4)
     z = twin.y(1, 1, 2)
     assert _form(x + z) == _form(x + r4.y(1, 1, 2))
     assert _form(x * z) == _form(x * r4.y(1, 1, 2))
 
 
+def test_pd_elements_over_the_bases_of_equal_configs_combine():
+    """A pd ring's config is its base's, so rings over the bases of two
+    configs of one p, E, f and N are alike: their elements combine, and each
+    base keeps its own d^0 context, one per layout and twist."""
+    bases = [ChartRing(make_base_config(5, [-5]), "point") for _ in range(2)]
+    r1, r2 = (PdRing(base, "abs-geom", 1, d=1, D=4) for base in bases)
+    assert r1.eq_ring(r2) and r1.cfg is not r2.cfg
+    x, y = r1.x(1, 2) + r1.y(1, 1), r2.y(1, 1, 3) - r2.x(1)
+    same = r1.y(1, 1, 3) - r1.x(1)
+    assert _form(x + y) == _form(x + same)
+    assert _form(x * y) == _form(x * same)
+    assert _form(bases[0].cfg.dot([x, y], [y, x])) == _form(bases[0].cfg.dot([x, same], [same, x]))
+    assert _form(face_map(0, x) * face_map(0, y)) == _form(face_map(0, x) * face_map(0, same))
+    for base, ring in zip(bases, (r1, r2)):
+        assert [ctx.ring for ctx in base.faces.values()] == [ring]
+
+
 def test_evaluate_at_group_raises_when_the_top_slot_has_no_digit():
     # p = 2, N = 3, T = 5: v_2(4!) = 3, so the t^4 slot keeps no certified digit
     cfg = make_base_config(2, [-2], precision=3)
-    ring = PdRing(cfg, ChartRing(cfg, "point"), "abs-arith", 1)
+    ring = PdRing(ChartRing(cfg, "point"), "abs-arith", 1)
     with pytest.raises(InsufficientPrecision, match="t\\^4"):
         evaluate_at_group(ring.x(1), [GroupElt(cfg, (), 1, 1)], T=5)
     assert evaluate_at_group(ring.x(1), [GroupElt(cfg, (), 1, 1)], T=4)

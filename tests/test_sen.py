@@ -293,7 +293,7 @@ def test_crosscheck_nilp2(cfg_u5, nilp2):
 def test_crosscheck_short_window(cfg_u5, nilp2):
     # the acceptance window: degree < 4 in both t and the pd variables
     s = GroupElt(cfg_u5, (4,), 9, 11)
-    assert crosscheck_inverse_simpson(nilp2, s, T=4, D=3)["ok"]
+    assert crosscheck_inverse_simpson(stratification_from_higgs(nilp2, D=3), s, T=4)["ok"]
 
 
 def test_crosscheck_two_thetas(cfg_u5, point):
@@ -315,7 +315,7 @@ def test_crosscheck_ramified(cfg_r2):
     rng = random.Random(23)
     for _ in range(3):
         s = _rand_sigma(cfg_r2, rng, 1)
-        assert crosscheck_inverse_simpson(h, s, T=4, D=3)["ok"]
+        assert crosscheck_inverse_simpson(stratification_from_higgs(h, D=3), s, T=4)["ok"]
 
 
 def test_crosscheck_detects_broken_braiding(cfg_u5, point):
@@ -330,7 +330,7 @@ def test_crosscheck_builds_the_theta_powers_once(cfg_u5, nilp2, monkeypatch):
     # the period, U(sigma) and B(sigma t, sigma Y) all read one stratification
     calls = []
     real = higgs._theta_powers
-    monkeypatch.setattr(higgs, "_theta_powers", lambda h, maxw, zero: calls.append(maxw) or real(h, maxw, zero))
+    monkeypatch.setattr(higgs, "_theta_powers", lambda h, maxw, *rest: calls.append(maxw) or real(h, maxw, *rest))
     assert crosscheck_inverse_simpson(nilp2, GroupElt(cfg_u5, (4,), 9, 11))["ok"]
     assert calls == [cfg_u5.cutoffs.D]
 
@@ -432,7 +432,7 @@ def test_gamma_image_is_the_chain(spec):
     }[spec]
     base = ChartRing(cfg, "chart", d=1, r=1) if spec == "chart" else ChartRing(cfg, "point")
     d, D = 2, 5
-    ring = PdRing(cfg, base, "rel-geom", 1, d=d, D=D)
+    ring = PdRing(base, "rel-geom", 1, d=d, D=D)
     p, M = cfg.p, cfg.p**cfg.N
     rng = random.Random(f"gamma-{spec}")
     seen = {"dropped": 0, "low-zero": 0}
@@ -449,8 +449,9 @@ def test_gamma_image_is_the_chain(spec):
 
 
 def test_period_of_a_module_is_the_period_of_its_stratification(nilp2):
-    strat = stratification_from_higgs(nilp2, D=3)
-    by_module, by_strat = period_kernel_rep(nilp2, T=4, D=3), period_kernel_rep(strat, T=4)
+    # a module's stratification is built at the config's cutoffs.D
+    strat = stratification_from_higgs(nilp2)
+    by_module, by_strat = period_kernel_rep(nilp2, T=4), period_kernel_rep(strat, T=4)
     for key in ("B", "Binv"):
         assert all(agree(x, y)[0] for x, y in zip(by_module[key], by_strat[key]))
 
@@ -1082,7 +1083,7 @@ def test_series_dot_pair_loop_matches_the_per_slot_dot_over_chart_and_pd_scalars
         base = ChartRing(cfg, "chart", d=1, r=1)
         scalar, one = (lambda: _rand_entry(base, rng)), base.one()
     else:
-        ring = PdRing(cfg, ChartRing(cfg, "point"), "abs-geom", 1, d=1, D=3)
+        ring = PdRing(ChartRing(cfg, "point"), "abs-geom", 1, d=1, D=3)
         scalar, one = (lambda: _rand_pd(ring, rng)), ring.one()
     T = 5
     seen = dict.fromkeys(("summed", "vanishes", "vanishes-nonzero", "residual"), 0)

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from htlab.base import Cutoffs, make_base_config
 from htlab.chart import ChartRing
 from htlab.errors import ParseError
 from htlab.samples import sample_higgs
@@ -109,6 +110,20 @@ def test_higgs_roundtrip_chart(cfg_u5):
     assert h2.base.d == 2 and h2.base.r == 1 and h2.twist == "smooth"
     for a, b in zip(h.theta, h2.theta):
         assert _same_mat(a, b)
+
+
+def test_chart_module_keeps_its_degree_box_through_json():
+    """A chart ring's degree box is its config's cutoffs.Dy, which the config
+    block writes: a module over a Dy = 2 config comes back over a ring
+    eq_ring finds alike, and its entries combine with the original's."""
+    cfg = make_base_config(5, [-5], cutoffs=Cutoffs(Dy=2))
+    ch = ChartRing(cfg, "chart", d=1, r=0)
+    h = sample_higgs(ch, random.Random(8), "abs-geom", rank=2, d=1)
+    h2 = higgs_from_json(json.loads(dumps(higgs_to_json(h), canonical=True)))
+    assert h2.base.Dy == 2 and h2.base.eq_ring(ch)
+    for a, b in zip(h.theta + [h.phi], h2.theta + [h2.phi]):
+        assert _same_mat(a, b)
+        assert (a * b).eq(a * a)
 
 
 def test_relative_descriptor_has_no_phi(cfg_u5):

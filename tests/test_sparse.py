@@ -16,7 +16,7 @@ def _chart(cfg):
 
 
 def _pd(cfg):
-    ring = PdRing(cfg, ChartRing(cfg, "point"), "abs-geom", 1, d=1)
+    ring = PdRing(ChartRing(cfg, "point"), "abs-geom", 1, d=1)
     return ring.x(1).mul_scalar(cfg.k_from_int(3)) + ring.y(1, 1, 2)
 
 
